@@ -285,13 +285,14 @@ impl SpatialIndex {
     /// bucket order, as `(index, point, distance_km)`. The distance is
     /// the haversine from `center` to the point, the same value the
     /// filter compared, so callers reuse it instead of recomputing it.
+    /// The point is borrowed from the index, so callers may keep it.
     /// The hit set and the counters are those of
     /// [`within_km`](Self::within_km).
-    pub fn for_each_within(
-        &self,
+    pub fn for_each_within<'a>(
+        &'a self,
         center: &LatLonTrig,
         radius_km: f64,
-        mut visit: impl FnMut(usize, &LatLonTrig, f64),
+        mut visit: impl FnMut(usize, &'a LatLonTrig, f64),
     ) {
         QUERIES.add(1);
         // `partial_cmp` so a NaN radius lands in the empty arm rather

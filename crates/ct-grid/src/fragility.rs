@@ -80,26 +80,26 @@ impl DamageModel {
     }
 
     /// The wind kernel: peak sustained wind (m/s) at every point of a
-    /// prebuilt [`SpatialIndex`], in index order. Time-major over the
-    /// storm passage: each step's Holland field is built once, the
-    /// index's `for_each_within` footprint (the same strict `< 400 km` gate)
-    /// visits only the points near the centre, and the gate's
-    /// haversine is reused as the wind radius. Bit-identical to
-    /// [`peak_wind_at`](Self::peak_wind_at) per point: every
-    /// expression keeps its operand order, each point's max fold stays
-    /// t-ascending, a step whose field errors is skipped, and points
-    /// out of range contribute nothing to a max over non-negative
-    /// speeds.
+    /// prebuilt [`SpatialIndex`], in index order. One
+    /// [`StormParams::peak_scan`] whose range gate is the index's
+    /// `for_each_within` footprint (the same strict `< 400 km` gate),
+    /// one query per time step, its haversine reused as the wind
+    /// radius. Bit-identical to [`peak_wind_at`](Self::peak_wind_at)
+    /// per point. An unphysical storm, whose every step's field errors,
+    /// peaks at zero everywhere, as the scalar scan skips such steps.
     pub fn peak_winds_at_indexed(&self, storm: &StormParams, index: &SpatialIndex) -> Vec<f64> {
-        let mut peaks = vec![0.0_f64; index.len()];
-        for step in storm.passage(self.scan_step_hours) {
-            index.for_each_within(step.center(), 400.0, |i, site, r_km| {
-                if let Ok(speed) = step.speed_at(site, r_km) {
-                    peaks[i] = peaks[i].max(speed);
-                }
-            });
-        }
-        peaks
+        storm
+            .peak_scan(
+                self.scan_step_hours,
+                index.len(),
+                |center, in_range| {
+                    index.for_each_within(center, 400.0, |i, site, r_km| {
+                        in_range.push(i, site, r_km);
+                    });
+                },
+                |_, w| w.speed_ms(),
+            )
+            .unwrap_or_else(|_| vec![0.0; index.len()])
     }
 
     /// Midpoints of every line span, in line order — the point set the
@@ -191,7 +191,7 @@ fn hash_unit(seed: u64, realization: u64, line: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ct_hydro::StormTrack;
+    use ct_hydro::{StormTrack, TrackPoint};
 
     fn direct_hit() -> StormParams {
         StormParams {
@@ -323,6 +323,44 @@ mod tests {
         [from_far_south, never_in_range]
     }
 
+    /// Storms that probe the peak scan's order and bound at `site`: a
+    /// bent track through it, the calm eye at the step evaluated first;
+    /// a track whose stationary leg ties every step on it for closest
+    /// to `rmax`; a track never within 400 km; an unphysical storm.
+    fn edge_storms(site: LatLon) -> Vec<StormParams> {
+        let point = |t_hours, pos| TrackPoint { t_hours, pos };
+        let through = StormParams {
+            track: StormTrack::new(vec![
+                point(0.0, site.destination(200.0, 150.0)),
+                point(5.0, site),
+                point(12.0, site.destination(30.0, 200.0)),
+            ])
+            .unwrap(),
+            rmax_km: 5.0,
+            ..direct_hit()
+        };
+        let near = site.destination(90.0, 35.0);
+        let tied = StormParams {
+            track: StormTrack::new(vec![
+                point(0.0, near.destination(180.0, 250.0)),
+                point(4.0, near),
+                point(8.0, near),
+                point(14.0, near.destination(20.0, 200.0)),
+            ])
+            .unwrap(),
+            ..direct_hit()
+        };
+        let far = StormParams {
+            track: StormTrack::straight(site.destination(270.0, 900.0), 0.0, 6.0, 24.0).unwrap(),
+            ..direct_hit()
+        };
+        let unphysical = StormParams {
+            central_pressure_hpa: 1010.0,
+            ..direct_hit()
+        };
+        vec![through, tied, far, unphysical]
+    }
+
     /// `index` is `SpatialIndex::new(points)`.
     fn assert_kernel_matches_scalar(
         m: &DamageModel,
@@ -345,7 +383,7 @@ mod tests {
 
     #[test]
     fn batched_peak_winds_match_the_scalar_scan_bitwise() {
-        // 200 ensemble storms plus far-start tracks, over the grid's
+        // 200 ensemble storms plus far-start and edge tracks, over the grid's
         // buses and line midpoints.
         let m = DamageModel::default();
         let grid = crate::oahu::grid();
@@ -359,6 +397,7 @@ mod tests {
         .unwrap()
         .generate();
         storms.extend(far_starts());
+        storms.extend(edge_storms(points[0]));
         for storm in &storms {
             assert_kernel_matches_scalar(&m, storm, &points, &index);
         }
@@ -371,9 +410,16 @@ mod tests {
         let points: Vec<LatLon> = grid.buses().iter().map(|b| b.pos).collect();
         let index = SpatialIndex::new(points.clone());
         let [far, never] = far_starts();
-        for storm in [direct_hit(), distant(), far, never.clone()] {
-            assert_kernel_matches_scalar(&m, &storm, &points, &index);
+        let mut storms = vec![direct_hit(), distant(), far, never.clone()];
+        storms.extend(edge_storms(points[0]));
+        for storm in &storms {
+            assert_kernel_matches_scalar(&m, storm, &points, &index);
         }
+        let unphysical = storms.last().unwrap();
+        assert!(m
+            .peak_winds_at_indexed(unphysical, &index)
+            .iter()
+            .all(|&v| v == 0.0));
         assert!(m
             .peak_winds_at_indexed(&never, &index)
             .iter()

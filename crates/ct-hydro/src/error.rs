@@ -38,9 +38,6 @@ pub enum HydroError {
     },
     /// An underlying geospatial error.
     Geo(ct_geo::GeoError),
-    /// An artifact-store failure while loading or saving a cached
-    /// surge envelope.
-    Store(ct_store::StoreError),
 }
 
 impl fmt::Display for HydroError {
@@ -66,7 +63,6 @@ impl fmt::Display for HydroError {
                 write!(f, "shallow-water solver diverged at t = {at_time_s} s")
             }
             HydroError::Geo(e) => write!(f, "geospatial error: {e}"),
-            HydroError::Store(e) => write!(f, "{e}"),
         }
     }
 }
@@ -75,7 +71,6 @@ impl std::error::Error for HydroError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             HydroError::Geo(e) => Some(e),
-            HydroError::Store(e) => Some(e),
             _ => None,
         }
     }
@@ -84,12 +79,6 @@ impl std::error::Error for HydroError {
 impl From<ct_geo::GeoError> for HydroError {
     fn from(e: ct_geo::GeoError) -> Self {
         HydroError::Geo(e)
-    }
-}
-
-impl From<ct_store::StoreError> for HydroError {
-    fn from(e: ct_store::StoreError) -> Self {
-        HydroError::Store(e)
     }
 }
 

@@ -11,8 +11,8 @@
 //! * [`ShallowWaterSolver`] — a 2-D depth-averaged shallow-water
 //!   solver with wind-stress and pressure forcing on the synthetic
 //!   Oahu DEM (the closest laptop-scale equivalent of ADCIRC). It is
-//!   used to cross-validate the parametric model and for the surge
-//!   benches/examples.
+//!   used to cross-validate the parametric model and by the
+//!   `surge_explorer` example.
 //!
 //! The pipeline output is a [`RealizationSet`]: for every sampled
 //! hurricane, the peak inundation depth at every point of interest.
@@ -33,7 +33,6 @@
 //! assert_eq!(set.len(), 25);
 //! ```
 
-pub mod cache;
 pub mod category;
 pub mod ensemble;
 pub mod error;
@@ -66,7 +65,7 @@ pub use ensemble::{EnsembleConfig, StormParams, TrackEnsemble};
 pub use error::HydroError;
 pub use inundation::{FloodThreshold, Poi};
 pub use parametric::{ParametricSurge, SurgeCalibration};
-pub use passage::{Passage, PassageStep};
+pub use passage::{InRange, WindVector};
 pub use realization::{Realization, RealizationSet};
 pub use stations::{Station, StationId, Stations};
 pub use swe::{ShallowWaterConfig, ShallowWaterSolver, SweWorkspace};

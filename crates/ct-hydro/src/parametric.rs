@@ -5,7 +5,7 @@
 //! amplified by the station's shelf factor), wave setup, the inverse
 //! barometer effect, and the sampled tide. This is the model used for
 //! the 1000-realization ensembles; it is cross-validated against the
-//! 2-D shallow-water solver in the integration tests and benches.
+//! 2-D shallow-water solver in `tests/surge_crossval.rs`.
 
 use crate::ensemble::StormParams;
 use crate::error::HydroError;
@@ -107,52 +107,49 @@ impl ParametricSurge {
 
     /// Evaluates peak surge at every station for `storm`.
     ///
-    /// Time-major: the storm passage is scanned once, each step's
-    /// Holland field built once and applied to every open-coast
-    /// station in range, while each station's peak onshore wind and
-    /// closest approach still fold in time order.
+    /// One [`StormParams::peak_scan`] over the open-coast stations
+    /// folds each station's peak onshore wind, gated at 400 km, while
+    /// its range gate also tracks each station's closest approach.
     ///
     /// # Errors
     ///
     /// Returns an error if the storm parameters are unphysical.
     pub fn station_surge(&self, storm: &StormParams) -> Result<StationSurge, HydroError> {
-        struct Scan<'s> {
-            station: &'s Station,
-            site: LatLonTrig,
-            peak_onshore: f64,
-            min_dist: f64,
-        }
         // Pearl Harbor is derived from the south station below.
-        let mut scans: Vec<Scan<'_>> = self
+        let open_coast: Vec<&Station> = self
             .stations
             .iter()
             .filter(|st| st.id != StationId::PearlHarbor)
-            .map(|station| Scan {
-                station,
-                site: LatLonTrig::new(station.pos),
-                peak_onshore: 0.0,
-                min_dist: f64::INFINITY,
-            })
             .collect();
-        for step in storm.passage(self.calibration.scan_step_hours) {
-            for scan in &mut scans {
-                let d = step.center().distance_km(&scan.site);
-                scan.min_dist = scan.min_dist.min(d);
-                // Beyond 400 km the Cat 1-5 wind contribution is negligible.
-                if d < 400.0 {
-                    let w = step.wind_at(&scan.site, d)?;
-                    scan.peak_onshore = scan
-                        .peak_onshore
-                        .max(w.component_toward(scan.station.onshore_bearing_deg));
-                }
-            }
-        }
-        let mut met: Vec<(StationId, f64)> = scans
+        let sites: Vec<LatLonTrig> = open_coast
             .iter()
-            .map(|scan| {
-                let surge = self.met_surge(storm, scan.peak_onshore, scan.min_dist)
-                    * scan.station.shelf_factor;
-                (scan.station.id, surge)
+            .map(|st| LatLonTrig::new(st.pos))
+            .collect();
+        let mut min_dist = vec![f64::INFINITY; sites.len()];
+        let peak_onshore = storm.peak_scan(
+            self.calibration.scan_step_hours,
+            sites.len(),
+            |center, in_range| {
+                for (i, site) in sites.iter().enumerate() {
+                    let d = center.distance_km(site);
+                    min_dist[i] = min_dist[i].min(d);
+                    // Beyond 400 km the Cat 1-5 wind contribution is negligible.
+                    if d < 400.0 {
+                        in_range.push(i, site, d);
+                    }
+                }
+            },
+            |i, w| {
+                w.sample()
+                    .component_toward(open_coast[i].onshore_bearing_deg)
+            },
+        )?;
+        let mut met: Vec<(StationId, f64)> = open_coast
+            .iter()
+            .zip(peak_onshore.iter().zip(&min_dist))
+            .map(|(station, (&peak, &dist))| {
+                let surge = self.met_surge(storm, peak, dist) * station.shelf_factor;
+                (station.id, surge)
             })
             .collect();
         let south = met
@@ -187,7 +184,7 @@ impl ParametricSurge {
 mod tests {
     use super::*;
     use crate::ensemble::{EnsembleConfig, TrackEnsemble};
-    use crate::track::StormTrack;
+    use crate::track::{StormTrack, TrackPoint};
     use ct_geo::terrain::{synthesize_oahu, OahuTerrainConfig};
     use ct_geo::LatLon;
 
@@ -225,7 +222,10 @@ mod tests {
 
     /// The station-major scan `station_surge` replaced: one storm
     /// passage per station, the field rebuilt at every in-range step.
-    fn station_surge_reference(m: &ParametricSurge, storm: &StormParams) -> StationSurge {
+    fn station_surge_reference(
+        m: &ParametricSurge,
+        storm: &StormParams,
+    ) -> Result<StationSurge, HydroError> {
         let cal = m.calibration();
         let mut met: Vec<(StationId, f64)> = Vec::new();
         for st in m.stations().iter() {
@@ -241,7 +241,7 @@ mod tests {
                 let d = center.distance_km(st.pos);
                 min_dist = min_dist.min(d);
                 if d < 400.0 {
-                    let w = storm.wind_field(t).unwrap().wind_at(center, st.pos);
+                    let w = storm.wind_field(t)?.wind_at(center, st.pos);
                     peak_onshore = peak_onshore.max(w.component_toward(st.onshore_bearing_deg));
                 }
                 t += cal.scan_step_hours;
@@ -261,33 +261,73 @@ mod tests {
             StationId::PearlHarbor,
             south * m.stations().harbor_amplification,
         ));
-        StationSurge {
+        Ok(StationSurge {
             entries: met
                 .into_iter()
                 .map(|(id, v)| (id, v + storm.tide_m))
                 .collect(),
-        }
+        })
+    }
+
+    /// Storms that probe the peak scan's order and bound at `site`: a
+    /// bent track through it, the calm eye at the step evaluated first;
+    /// a track whose stationary leg ties every step on it for closest
+    /// to `rmax`; a track never within 400 km; an unphysical storm.
+    fn edge_storms(site: LatLon) -> Vec<StormParams> {
+        let point = |t_hours, pos| TrackPoint { t_hours, pos };
+        let through = StormParams {
+            track: StormTrack::new(vec![
+                point(0.0, site.destination(200.0, 150.0)),
+                point(5.0, site),
+                point(12.0, site.destination(30.0, 200.0)),
+            ])
+            .unwrap(),
+            rmax_km: 5.0,
+            ..direct_hit_storm()
+        };
+        let near = site.destination(90.0, 35.0);
+        let tied = StormParams {
+            track: StormTrack::new(vec![
+                point(0.0, near.destination(180.0, 250.0)),
+                point(4.0, near),
+                point(8.0, near),
+                point(14.0, near.destination(20.0, 200.0)),
+            ])
+            .unwrap(),
+            ..direct_hit_storm()
+        };
+        let far = StormParams {
+            track: StormTrack::straight(site.destination(270.0, 900.0), 0.0, 6.0, 24.0).unwrap(),
+            ..direct_hit_storm()
+        };
+        let unphysical = StormParams {
+            central_pressure_hpa: 1010.0,
+            ..direct_hit_storm()
+        };
+        vec![through, tied, far, unphysical]
     }
 
     #[test]
     fn time_major_scan_matches_the_station_major_reference_bitwise() {
+        // The full seed-42 ensemble: a bound that drops a term passes
+        // on a few hundred storms and fails here.
         let m = model();
-        let mut storms = TrackEnsemble::new(EnsembleConfig {
-            realizations: 200,
-            ..EnsembleConfig::default()
-        })
-        .unwrap()
-        .generate();
+        let mut storms = TrackEnsemble::new(EnsembleConfig::default())
+            .unwrap()
+            .generate();
+        assert_eq!(storms.len(), 1000);
         storms.push(direct_hit_storm());
         storms.push(miss_storm());
+        storms.extend(edge_storms(m.stations().get(StationId::South).pos));
+        let bits = |s: StationSurge| -> Vec<(StationId, u64)> {
+            s.iter().map(|(id, v)| (id, v.to_bits())).collect()
+        };
         for (i, storm) in storms.iter().enumerate() {
-            let got = m.station_surge(storm).unwrap();
-            let want = station_surge_reference(&m, storm);
-            let bits = |s: &StationSurge| -> Vec<(StationId, u64)> {
-                s.iter().map(|(id, v)| (id, v.to_bits())).collect()
-            };
-            assert_eq!(bits(&got), bits(&want), "storm {i}");
+            let got = m.station_surge(storm).map(bits);
+            let want = station_surge_reference(&m, storm).map(bits);
+            assert_eq!(got, want, "storm {i}");
         }
+        assert!(m.station_surge(storms.last().unwrap()).is_err());
     }
 
     #[test]

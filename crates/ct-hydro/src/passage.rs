@@ -1,17 +1,29 @@
-//! The storm-passage kernel: a storm scanned at fixed time steps, each
-//! step's centre trig and Holland field built once and shared by every
-//! point evaluated at that step.
+//! The storm-passage kernel: the peak of a wind-derived value at a set
+//! of points over a storm's passage, each time step's centre trig and
+//! Holland field built once and shared by every point in range.
 //!
-//! [`StormParams::passage`] yields one [`PassageStep`] per scan time,
-//! accumulated `t0, t0 + dt, …` up to the track's end exactly as the
-//! scalar scans do. A step holds the centre as a [`LatLonTrig`] and the
-//! step's [`HollandWindField`] reduced to its per-field constants
-//! (`b·Δp/ρ`, `|f|`, `0.6·v_motion`, motion sine and cosine). Callers
-//! pass each point as a [`LatLonTrig`] together with its haversine
-//! distance from the centre, the value their range gate already
-//! computed. Every expression keeps the operand order of
-//! [`HollandWindField::wind_at`], so results are bit-identical to
-//! `storm.wind_field(t)?.wind_at(center, p)`.
+//! [`StormParams::peak_scan`] walks the passage `t0, t0 + dt, …` up to
+//! the track's end exactly as the scalar scans do. At each step the
+//! caller's range gate reports the points in range together with their
+//! haversine distance from the centre, the value the gate already
+//! computed. The scan then folds each point's peak:
+//!
+//! 1. First the point's in-range step whose distance lies closest to
+//!    `rmax_km`, where the Holland profile peaks (ties go to the first
+//!    such step).
+//! 2. Then every other in-range step, in time order. A step computes
+//!    the gradient wind `v_rot` and the asymmetry weight `asym` first;
+//!    when `(|v_rot| + 0.6·v_motion·asym)·(1 + 1e-12)` is at or below
+//!    the running peak, the wind cannot raise it, and the bearing, the
+//!    inflow rotation and the final `sqrt` are skipped. A NaN bound
+//!    never skips.
+//!
+//! Every evaluated expression keeps the operand order of
+//! [`HollandWindField::wind_at`], and the peaks equal the time-ordered
+//! scalar scans bit for bit: `max` over non-NaN values does not depend
+//! on the order, and a skipped value is at most the running peak. The
+//! scan reports its work to `hydro.peak_scan.evaluated` and
+//! `hydro.peak_scan.skipped`, one add each per scan.
 
 use crate::ensemble::StormParams;
 use crate::error::HydroError;
@@ -19,9 +31,92 @@ use crate::wind::{HollandWindField, WindSample, AIR_DENSITY};
 use ct_geo::LatLonTrig;
 use std::cmp::Ordering;
 
+static EVALUATED: ct_obs::CachedCounter =
+    ct_obs::CachedCounter::new(ct_obs::names::HYDRO_PEAK_SCAN_EVALUATED);
+static SKIPPED: ct_obs::CachedCounter =
+    ct_obs::CachedCounter::new(ct_obs::names::HYDRO_PEAK_SCAN_SKIPPED);
+
+/// Relative slack on the skip bound, far above the few ulps by which a
+/// computed speed can exceed `|v_rot| + 0.6·v_motion·asym`.
+const BOUND_SLACK: f64 = 1.0 + 1e-12;
+
+/// East and north wind components (m/s) at a point, as a peak scan
+/// evaluates them.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct WindVector {
+    /// Eastward component, m/s.
+    pub east_ms: f64,
+    /// Northward component, m/s.
+    pub north_ms: f64,
+}
+
+impl WindVector {
+    /// The calm eye: what [`HollandWindField::wind_at`] returns within
+    /// `1e-6` km of the centre.
+    const CALM: Self = Self {
+        east_ms: 0.0,
+        north_ms: 0.0,
+    };
+
+    /// Wind speed; bit-identical to `wind_at(..).speed_ms`.
+    pub fn speed_ms(self) -> f64 {
+        (self.east_ms * self.east_ms + self.north_ms * self.north_ms).sqrt()
+    }
+
+    /// Speed and direction; bit-identical to `wind_at(..)`.
+    pub fn sample(self) -> WindSample {
+        WindSample {
+            speed_ms: self.speed_ms(),
+            toward_deg: (self.east_ms.atan2(self.north_ms).to_degrees() + 360.0) % 360.0,
+        }
+    }
+}
+
+/// The points a peak scan's range gate reports in range at one step;
+/// see [`StormParams::peak_scan`].
+#[derive(Debug)]
+pub struct InRange<'p> {
+    rmax_km: f64,
+    step: u32,
+    hits: Vec<Hit<'p>>,
+    /// Per point, the hit evaluated first and its `|r - rmax|`.
+    first: Vec<Option<(usize, f64)>>,
+}
+
+/// One in-range `(step, point)` pair.
+#[derive(Debug)]
+struct Hit<'p> {
+    step: u32,
+    point: u32,
+    r_km: f64,
+    site: &'p LatLonTrig,
+}
+
+impl<'p> InRange<'p> {
+    /// Reports point `point` at `site`, `r_km` from this step's centre
+    /// (`centre.distance_km(site)`).
+    ///
+    /// # Panics
+    ///
+    /// If `point` is not below the scan's point count.
+    pub fn push(&mut self, point: usize, site: &'p LatLonTrig, r_km: f64) {
+        let key = (r_km - self.rmax_km).abs();
+        let first = &mut self.first[point];
+        if first.is_none_or(|(_, best)| key < best) {
+            *first = Some((self.hits.len(), key));
+        }
+        self.hits.push(Hit {
+            step: self.step,
+            point: point as u32,
+            r_km,
+            site,
+        });
+    }
+}
+
 /// The time steps of a storm passage; see [`StormParams::passage`].
 #[derive(Debug, Clone)]
-pub struct Passage<'a> {
+struct Passage<'a> {
     storm: &'a StormParams,
     step_hours: f64,
     t: f64,
@@ -34,7 +129,7 @@ pub struct Passage<'a> {
 /// One time step of a storm passage: the storm centre and its wind
 /// field.
 #[derive(Debug, Clone)]
-pub struct PassageStep {
+struct PassageStep {
     center: LatLonTrig,
     field: Result<StepField, HydroError>,
 }
@@ -58,7 +153,7 @@ struct StepField {
 impl StormParams {
     /// The passage of this storm scanned every `step_hours`, from the
     /// track's start while `t` stays at or before its end.
-    pub fn passage(&self, step_hours: f64) -> Passage<'_> {
+    fn passage(&self, step_hours: f64) -> Passage<'_> {
         let (t0, t1) = self.track.time_span_hours();
         Passage {
             storm: self,
@@ -67,6 +162,77 @@ impl StormParams {
             t_end: t1,
             motion: None,
         }
+    }
+
+    /// The peak of `value` at each of `points` points over this storm's
+    /// passage scanned every `step_hours`, as the module docs describe.
+    ///
+    /// At every step, `gate` gets the storm centre and reports each
+    /// point in range through [`InRange::push`]. `value` maps a point's
+    /// wind to the quantity whose peak is taken; it must not exceed the
+    /// wind speed. Peaks start at `0.0`, so a point never in range
+    /// peaks at `0.0`. Equals, bit for bit, the time-ordered fold
+    /// `peak = peak.max(value(i, wind))` over the in-range steps, up to
+    /// the sign of a zero peak.
+    ///
+    /// # Errors
+    ///
+    /// The error [`StormParams::wind_field`] returns for unphysical
+    /// storm parameters, if any point is in range at any step. It
+    /// depends on the storm alone, not on the step.
+    pub fn peak_scan<'p>(
+        &self,
+        step_hours: f64,
+        points: usize,
+        mut gate: impl FnMut(&LatLonTrig, &mut InRange<'p>),
+        value: impl Fn(usize, WindVector) -> f64,
+    ) -> Result<Vec<f64>, HydroError> {
+        let mut in_range = InRange {
+            rmax_km: self.rmax_km,
+            step: 0,
+            hits: Vec::new(),
+            first: vec![None; points],
+        };
+        let steps: Vec<PassageStep> = self
+            .passage(step_hours)
+            .inspect(|step| {
+                gate(&step.center, &mut in_range);
+                in_range.step += 1;
+            })
+            .collect();
+        let InRange { hits, first, .. } = in_range;
+        let mut peaks = vec![0.0_f64; points];
+        let mut evaluated = 0_u64;
+        let mut skipped = 0_u64;
+        // Each point's likely-peak step, with nothing yet to bound it.
+        for &(h, _) in first.iter().flatten() {
+            let hit = &hits[h];
+            let step = &steps[hit.step as usize];
+            let field = step.field.as_ref().map_err(Clone::clone)?;
+            let point = hit.point as usize;
+            if let Some(w) = field.wind_above(&step.center, hit.site, hit.r_km, f64::NEG_INFINITY) {
+                peaks[point] = peaks[point].max(value(point, w));
+            }
+            evaluated += 1;
+        }
+        for (h, hit) in hits.iter().enumerate() {
+            let point = hit.point as usize;
+            if first[point].is_some_and(|(f, _)| f == h) {
+                continue;
+            }
+            let step = &steps[hit.step as usize];
+            let field = step.field.as_ref().map_err(Clone::clone)?;
+            match field.wind_above(&step.center, hit.site, hit.r_km, peaks[point]) {
+                Some(w) => {
+                    peaks[point] = peaks[point].max(value(point, w));
+                    evaluated += 1;
+                }
+                None => skipped += 1,
+            }
+        }
+        EVALUATED.add(evaluated);
+        SKIPPED.add(skipped);
+        Ok(peaks)
     }
 }
 
@@ -107,46 +273,6 @@ impl Iterator for Passage<'_> {
     }
 }
 
-impl PassageStep {
-    /// The storm centre at this step.
-    pub fn center(&self) -> &LatLonTrig {
-        &self.center
-    }
-
-    /// Wind at `site`, given `r_km = self.center().distance_km(site)`.
-    /// Bit-identical to `storm.wind_field(t)?.wind_at(center, site)`.
-    ///
-    /// # Errors
-    ///
-    /// The error [`StormParams::wind_field`] returns for unphysical
-    /// storm parameters.
-    pub fn wind_at(&self, site: &LatLonTrig, r_km: f64) -> Result<WindSample, HydroError> {
-        let field = self.field.as_ref().map_err(Clone::clone)?;
-        Ok(match field.components(&self.center, site, r_km) {
-            Some((we, wn)) => WindSample {
-                speed_ms: (we * we + wn * wn).sqrt(),
-                toward_deg: (we.atan2(wn).to_degrees() + 360.0) % 360.0,
-            },
-            None => WindSample {
-                speed_ms: 0.0,
-                toward_deg: 0.0,
-            },
-        })
-    }
-
-    /// The speed of [`wind_at`](Self::wind_at) without its direction.
-    ///
-    /// # Errors
-    ///
-    /// As for [`wind_at`](Self::wind_at).
-    pub fn speed_at(&self, site: &LatLonTrig, r_km: f64) -> Result<f64, HydroError> {
-        let field = self.field.as_ref().map_err(Clone::clone)?;
-        Ok(field
-            .components(&self.center, site, r_km)
-            .map_or(0.0, |(we, wn)| (we * we + wn * wn).sqrt()))
-    }
-}
-
 impl StepField {
     fn new(f: &HollandWindField) -> Self {
         let m_rad = f.motion_toward_deg.to_radians();
@@ -162,11 +288,18 @@ impl StepField {
         }
     }
 
-    /// East and north wind components at `site`, `None` at the centre
-    /// (`r_km <= 1e-6`), where the wind is calm.
-    fn components(&self, center: &LatLonTrig, site: &LatLonTrig, r_km: f64) -> Option<(f64, f64)> {
+    /// The wind at `site`, given `r_km = center.distance_km(site)`, or
+    /// `None` when its speed provably cannot exceed `peak`.
+    /// Bit-identical to `storm.wind_field(t)?.wind_at(center, site)`.
+    fn wind_above(
+        &self,
+        center: &LatLonTrig,
+        site: &LatLonTrig,
+        r_km: f64,
+        peak: f64,
+    ) -> Option<WindVector> {
         if r_km <= 1e-6 {
-            return None;
+            return Some(WindVector::CALM);
         }
         // Gradient wind, `HollandWindField::gradient_wind_ms`.
         let r_m = r_km * 1000.0;
@@ -174,15 +307,21 @@ impl StepField {
         let term = self.b_dp_rho * x * (-x).exp();
         let rf2 = r_m * self.abs_coriolis / 2.0;
         let v_rot = (term + rf2 * rf2).sqrt() - rf2;
+        let asym = 2.0 * (r_km * self.rmax_km) / (r_km * r_km + self.rmax_km * self.rmax_km);
+        let motion = self.motion_06 * asym;
+        // The triangle inequality on the two terms below.
+        if (v_rot.abs() + motion.abs()) * BOUND_SLACK <= peak {
+            return None;
+        }
         // Inflow-rotated circulation plus the motion asymmetry,
         // `HollandWindField::wind_at`.
         let beta = center.bearing_deg(site);
         let toward_rad = (beta - 90.0 - self.inflow_angle_deg).to_radians();
         let (ve, vn) = (v_rot * toward_rad.sin(), v_rot * toward_rad.cos());
-        let asym = 2.0 * (r_km * self.rmax_km) / (r_km * r_km + self.rmax_km * self.rmax_km);
-        let me = self.motion_06 * asym * self.motion_sin;
-        let mn = self.motion_06 * asym * self.motion_cos;
-        Some((ve + me, vn + mn))
+        Some(WindVector {
+            east_ms: ve + motion * self.motion_sin,
+            north_ms: vn + motion * self.motion_cos,
+        })
     }
 }
 
@@ -204,44 +343,22 @@ mod tests {
         }
     }
 
-    /// The steps and their winds equal the scalar scan: `position(t)`
-    /// and `wind_field(t)?.wind_at(..)` at `t = t0, t0 + dt, …`.
-    fn assert_matches_scalar_scan(storm: &StormParams, step_hours: f64, sites: &[LatLon]) {
+    /// The steps are the scalar scan's: `position(t)` at
+    /// `t = t0, t0 + dt, …` while `t <= t_end`.
+    fn assert_steps_match_scalar_scan(storm: &StormParams, step_hours: f64) {
         let (t0, t1) = storm.track.time_span_hours();
         let mut steps = storm.passage(step_hours);
         let mut t = t0;
         while t <= t1 {
             let step = steps.next().expect("one step per scan time");
-            let center = storm.track.position(t);
-            assert_eq!(step.center().pos(), center);
-            let field = storm.wind_field(t).unwrap();
-            for &p in sites {
-                let site = LatLonTrig::new(p);
-                let r_km = step.center().distance_km(&site);
-                let want = field.wind_at(center, p);
-                let got = step.wind_at(&site, r_km).unwrap();
-                assert_eq!(got.speed_ms.to_bits(), want.speed_ms.to_bits(), "t={t} {p}");
-                assert_eq!(
-                    got.toward_deg.to_bits(),
-                    want.toward_deg.to_bits(),
-                    "t={t} {p}"
-                );
-                let speed = step.speed_at(&site, r_km).unwrap();
-                assert_eq!(speed.to_bits(), want.speed_ms.to_bits());
-            }
+            assert_eq!(step.center.pos(), storm.track.position(t), "t={t}");
             t += step_hours;
         }
         assert!(steps.next().is_none());
     }
 
     #[test]
-    fn steps_match_the_scalar_field_bitwise() {
-        let sites = [
-            LatLon::new(21.307, -157.858),
-            LatLon::new(21.356, -158.122),
-            LatLon::new(21.705, -157.982),
-            LatLon::new(19.2, -158.35),
-        ];
+    fn steps_match_the_scalar_scan() {
         let storms = TrackEnsemble::new(EnsembleConfig {
             realizations: 25,
             ..EnsembleConfig::default()
@@ -249,11 +366,10 @@ mod tests {
         .unwrap()
         .generate();
         for s in &storms {
-            assert_matches_scalar_scan(s, 0.5, &sites);
-            assert_matches_scalar_scan(s, 1.0, &sites);
+            assert_steps_match_scalar_scan(s, 0.5);
+            assert_steps_match_scalar_scan(s, 1.0);
         }
-        // The storm centre itself (calm eye) and a bent two-segment
-        // track, whose motion changes mid-passage.
+        // A bent two-segment track, whose motion changes mid-passage.
         let bent = StormTrack::new(vec![
             TrackPoint {
                 t_hours: 0.0,
@@ -269,19 +385,36 @@ mod tests {
             },
         ])
         .unwrap();
-        assert_matches_scalar_scan(&storm(bent), 0.75, &[LatLon::new(19.0, -158.6)]);
+        assert_steps_match_scalar_scan(&storm(bent), 0.75);
     }
 
     #[test]
-    fn unphysical_storms_report_the_field_error() {
+    fn unphysical_storms_report_the_field_error_only_when_in_range() {
         let mut s =
             storm(StormTrack::straight(LatLon::new(19.2, -158.35), 5.0, 6.0, 48.0).unwrap());
         s.central_pressure_hpa = s.ambient_pressure_hpa;
-        let step = s.passage(1.0).next().unwrap();
         let site = LatLonTrig::new(LatLon::new(21.3, -157.9));
-        let r = step.center().distance_km(&site);
-        let want = s.wind_field(0.0).unwrap_err();
-        assert_eq!(step.wind_at(&site, r).unwrap_err(), want);
-        assert_eq!(step.speed_at(&site, r).unwrap_err(), want);
+        let scan = |radius_km: f64| {
+            s.peak_scan(
+                1.0,
+                1,
+                |center, in_range| {
+                    let r = center.distance_km(&site);
+                    if r < radius_km {
+                        in_range.push(0, &site, r);
+                    }
+                },
+                |_, w| w.speed_ms(),
+            )
+        };
+        assert_eq!(scan(400.0).unwrap_err(), s.wind_field(0.0).unwrap_err());
+        assert_eq!(scan(0.0).unwrap(), vec![0.0]);
+    }
+
+    #[test]
+    fn the_calm_vector_is_the_calm_eye_sample() {
+        let f = HollandWindField::new(966.0, 1010.0, 35.0, 1.6, 21.0).unwrap();
+        let eye = LatLon::new(21.0, -158.0);
+        assert_eq!(WindVector::CALM.sample(), f.wind_at(eye, eye));
     }
 }

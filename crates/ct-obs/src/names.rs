@@ -23,6 +23,12 @@ pub const HYDRO_ENSEMBLES_SAMPLED: &str = "hydro.ensembles_sampled";
 pub const HYDRO_REALIZATIONS_EVALUATED: &str = "hydro.realizations_evaluated";
 /// Per-POI inundation evaluations.
 pub const HYDRO_POI_EVALUATIONS: &str = "hydro.poi_evaluations";
+/// Wind evaluations completed by the storm-passage peak scans (one per
+/// in-range step and point whose wind was computed in full).
+pub const HYDRO_PEAK_SCAN_EVALUATED: &str = "hydro.peak_scan.evaluated";
+/// In-range steps the peak scans skipped because a bound on the wind
+/// speed showed they could not raise the running peak.
+pub const HYDRO_PEAK_SCAN_SKIPPED: &str = "hydro.peak_scan.skipped";
 /// Shallow-water solver invocations.
 pub const SWE_SOLVES: &str = "swe.solves";
 /// Shallow-water solver time steps executed.
@@ -225,6 +231,8 @@ pub fn register_defaults(registry: &crate::Registry) {
         HYDRO_ENSEMBLES_SAMPLED,
         HYDRO_REALIZATIONS_EVALUATED,
         HYDRO_POI_EVALUATIONS,
+        HYDRO_PEAK_SCAN_EVALUATED,
+        HYDRO_PEAK_SCAN_SKIPPED,
         SWE_SOLVES,
         SWE_STEPS,
         ATTACKER_ATTACKS,
@@ -312,9 +320,11 @@ mod tests {
         let reg = crate::Registry::new();
         register_defaults(&reg);
         let snap = reg.snapshot();
-        assert_eq!(snap.counters.len(), 72);
+        assert_eq!(snap.counters.len(), 74);
         assert_eq!(snap.counter(GEO_DEM_SYNTHESIZED), Some(0));
         assert_eq!(snap.counter(HYDRO_ENSEMBLES_SAMPLED), Some(0));
+        assert_eq!(snap.counter(HYDRO_PEAK_SCAN_EVALUATED), Some(0));
+        assert_eq!(snap.counter(HYDRO_PEAK_SCAN_SKIPPED), Some(0));
         assert_eq!(snap.counter(PORTFOLIO_REGIONS), Some(0));
         assert_eq!(snap.counter(SPATIAL_CANDIDATES), Some(0));
         assert_eq!(snap.counter(SPATIAL_HITS), Some(0));

@@ -46,10 +46,6 @@ pub mod sites {
     pub const STORE_GET_READ: &str = "store.get.read";
     /// Removing a record (evictions, invalidations, corrupt cleanup).
     pub const STORE_EVICT_REMOVE: &str = "store.evict.remove";
-    /// The lookup step of `ShallowWaterSolver::run_cached`.
-    pub const HYDRO_CACHE_GET: &str = "hydro.cache.get";
-    /// The write-back step of `ShallowWaterSolver::run_cached`.
-    pub const HYDRO_CACHE_PUT: &str = "hydro.cache.put";
     /// Appending an entry to the active segment of a packed store.
     pub const SEGMENT_APPEND: &str = "segment.append";
     /// The group fsync that makes a batch of appends durable.
@@ -66,8 +62,6 @@ pub mod sites {
         STORE_PUT_SYNC_DIR,
         STORE_GET_READ,
         STORE_EVICT_REMOVE,
-        HYDRO_CACHE_GET,
-        HYDRO_CACHE_PUT,
         SEGMENT_APPEND,
         SEGMENT_SYNC,
         SEGMENT_FOOTER,

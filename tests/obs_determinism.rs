@@ -114,6 +114,10 @@ fn counters_and_span_tree_are_thread_count_invariant() {
     assert_eq!(count(ct_obs::names::HYDRO_ENSEMBLES_SAMPLED), 1);
     assert_eq!(count(ct_obs::names::HYDRO_REALIZATIONS_EVALUATED), 60);
     assert_eq!(count(ct_obs::names::HAZARD_REALIZATIONS_EVALUATED), 60);
+    // The surge peak scans' work: full wind evaluations and in-range
+    // steps skipped by the bound, one add of each per scan.
+    assert_eq!(count(ct_obs::names::HYDRO_PEAK_SCAN_EVALUATED), 8443);
+    assert_eq!(count(ct_obs::names::HYDRO_PEAK_SCAN_SKIPPED), 5602);
     let exposures = count(ct_obs::names::HAZARD_ASSET_EXPOSURES);
     assert!(
         exposures > 0 && exposures % 60 == 0,
@@ -140,6 +144,8 @@ fn counters_and_span_tree_are_thread_count_invariant() {
     assert_eq!(count(ct_obs::names::GEO_DEM_SYNTHESIZED), 1);
     assert_eq!(count(ct_obs::names::HYDRO_ENSEMBLES_SAMPLED), 1);
     assert_eq!(count(ct_obs::names::HAZARD_REALIZATIONS_EVALUATED), 60);
+    assert_eq!(count(ct_obs::names::HYDRO_PEAK_SCAN_EVALUATED), 8443);
+    assert_eq!(count(ct_obs::names::HYDRO_PEAK_SCAN_SKIPPED), 5602);
     assert_eq!(count(ct_obs::names::STORE_MISSES), 61);
     assert_eq!(count(ct_obs::names::STORE_HITS), 61);
     assert!(stored

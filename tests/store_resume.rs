@@ -478,22 +478,20 @@ fn full_fault_campaign_still_merges_to_bit_identical_figures() {
     // Every store failpoint armed at once, firing every Nth hit with
     // coprime-ish periods so the failure pattern keeps shifting across
     // sites. Transient faults exercise the retry loop; the rest
-    // exercise degradation. The hydro and packed-segment sites are
-    // armed too (they simply never fire here — the case-study pipeline
-    // uses the parametric hazard, not the SWE cache, and this store
-    // uses the loose layout — but arming them proves an armed plan
-    // over every site is harmless).
+    // exercise degradation. The packed-segment sites are armed too
+    // (they simply never fire here — this store uses the loose layout —
+    // but arming them proves an armed plan over every site is
+    // harmless).
     let (store, registry, faults) = faulty_store(&scratch.0);
     let armed = faults
         .arm_plan(
             "store.put.write:3:io, store.put.rename:5:io, store.put.sync_dir:7:enospc, \
              store.get.read:3:io, store.evict.remove:2:io, \
-             hydro.cache.get:2:io, hydro.cache.put:2:io, \
              segment.append:3:io, segment.sync:2:enospc, segment.footer:2:io, \
              segment.compact:1:io",
         )
         .unwrap();
-    assert_eq!(armed, 11, "every registered failpoint site arms");
+    assert_eq!(armed, 9, "every registered failpoint site arms");
 
     // A full sharded run under fire: both shards, then the merge.
     for index in 0..2 {
