@@ -1,10 +1,9 @@
-//! `ct check`: model-checking one Table I cell.
+//! `ct check`: model-checking the cells of Table I.
 //!
 //! A cell of Table I is an (architecture, threat scenario) pair with
 //! a claimed color. [`check_cell`] turns the claim into a verified
 //! statement: it enumerates every worst-case-attacker system state
-//! the cell can reach ([`crate::crossval::reachable_states_for`]) and
-//! checks each one three ways —
+//! the cell can reach and checks each one three ways —
 //!
 //! 1. the rule-based classifier's answer (Table I itself),
 //! 2. a single sampled protocol execution
@@ -19,18 +18,81 @@
 //! counterexample: a choice-point trace (exhaustive) or a schedule
 //! seed (randomized; rerun with `--schedules 1 --seed <s>`).
 //!
+//! The paper takes Table I's conditions from prior work; checking
+//! every cell this way derives them from protocol runs instead.
+//!
 //! Everything is deterministic: same options, same report,
 //! independent of `CT_THREADS`.
 
-use crate::crossval::{deployment_for, fault_scenario_for, reachable_states_for, states_agree};
 use ct_replication::{
     default_campaign_dist, explore_scenario, randomized_campaign, run_scenario, worse,
-    ObservedState, VerdictConfig,
+    DeploymentSpec, FaultScenario, ObservedState, VerdictConfig,
 };
 use ct_scada::Architecture;
 use ct_simnet::{ExploreConfig, SimTime};
-use ct_threat::{classify, OperationalState, SystemState, ThreatScenario};
+use ct_threat::{
+    classify, Attacker, OperationalState, PostDisasterState, SiteStatus, SystemState,
+    ThreatScenario, WorstCaseAttacker,
+};
 use std::fmt::Write as _;
+
+/// Maps an architecture to its executable deployment.
+fn deployment_for(architecture: Architecture) -> DeploymentSpec {
+    match architecture {
+        Architecture::C2 => DeploymentSpec::config_2(),
+        Architecture::C2_2 => DeploymentSpec::config_2_2(),
+        Architecture::C6 => DeploymentSpec::config_6(),
+        Architecture::C6_6 => DeploymentSpec::config_6_6(),
+        Architecture::C6P6P6 => DeploymentSpec::config_6p6p6(),
+    }
+}
+
+/// Maps a post-compound-threat system state to the faults injected
+/// into the simulation. Intrusions are placed at the lowest server
+/// indices of their site, which makes the initial leader compromised
+/// first — the worst case the classifier assumes.
+fn fault_scenario_for(state: &SystemState) -> FaultScenario {
+    let mut scenario = FaultScenario::default();
+    for (site, s) in state.sites.iter().enumerate() {
+        match s.status {
+            SiteStatus::Flooded => scenario.flooded_sites.push(site),
+            SiteStatus::Isolated => scenario.isolated_sites.push(site),
+            SiteStatus::Up => {}
+        }
+        for idx in 0..s.intrusions {
+            scenario.intrusions.push((site, idx));
+        }
+    }
+    scenario
+}
+
+/// Whether the rule-based and observed states denote the same color.
+fn states_agree(rule: OperationalState, observed: ObservedState) -> bool {
+    matches!(
+        (rule, observed),
+        (OperationalState::Green, ObservedState::Green)
+            | (OperationalState::Orange, ObservedState::Orange)
+            | (OperationalState::Red, ObservedState::Red)
+            | (OperationalState::Gray, ObservedState::Gray)
+    )
+}
+
+/// The distinct worst-case-attacker states of one Table I cell: every
+/// flood pattern under the scenario's attack budget, in flood-mask
+/// order.
+fn reachable_states_for(architecture: Architecture, scenario: ThreatScenario) -> Vec<SystemState> {
+    let n = architecture.site_count();
+    let mut out: Vec<SystemState> = Vec::new();
+    for mask in 0u32..(1 << n) {
+        let flooded: Vec<bool> = (0..n).map(|i| mask & (1 << i) != 0).collect();
+        let post = PostDisasterState::new(architecture, flooded);
+        let state = WorstCaseAttacker.attack(architecture, &post, scenario.budget());
+        if !out.contains(&state) {
+            out.push(state);
+        }
+    }
+    out
+}
 
 /// Which schedule tier verifies the cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,11 +139,10 @@ pub fn check_horizon() -> SimTime {
 /// site is flooded. With the default 3 s margin, a horizon that ends
 /// *inside* one of those transient windows reads as "never resumed"
 /// — a measurement artifact of where the run was cut, not a liveness
-/// failure (the 60 s cross-validation run of the same schedule
-/// resumes). Trailing silence is already charged to `max_gap`, so the
-/// consistent tolerance for it is the same gap the verdict accepts
-/// mid-run: anything beyond `orange_gap` of silence at the end is
-/// still red.
+/// failure (the same faults run for 60 s resume). Trailing silence
+/// is already charged to `max_gap`, so the consistent tolerance for
+/// it is the same gap the verdict accepts mid-run: anything beyond
+/// `orange_gap` of silence at the end is still red.
 pub fn check_config() -> VerdictConfig {
     let defaults = VerdictConfig::default();
     VerdictConfig {
@@ -373,5 +434,69 @@ mod tests {
         assert!(csv.contains("check,violations,0\n"));
         assert!(csv.contains("check,agreement,ok\n"));
         assert!(csv.lines().all(|l| l.starts_with("check,")));
+    }
+
+    #[test]
+    fn deployment_mapping_matches_labels() {
+        for arch in Architecture::ALL {
+            assert_eq!(deployment_for(arch).name, arch.label());
+        }
+    }
+
+    #[test]
+    fn fault_mapping_covers_all_site_states() {
+        let s = SystemState {
+            architecture: Architecture::C6P6P6,
+            sites: [
+                (SiteStatus::Flooded, 0),
+                (SiteStatus::Isolated, 0),
+                (SiteStatus::Up, 2),
+            ]
+            .into_iter()
+            .map(|(status, intrusions)| ct_threat::SiteState { status, intrusions })
+            .collect(),
+        };
+        let f = fault_scenario_for(&s);
+        assert_eq!(f.flooded_sites, vec![0]);
+        assert_eq!(f.isolated_sites, vec![1]);
+        assert_eq!(f.intrusions, vec![(2, 0), (2, 1)]);
+    }
+
+    #[test]
+    fn reachable_states_are_distinct_per_cell() {
+        for arch in Architecture::ALL {
+            for scenario in ThreatScenario::ALL {
+                let states = reachable_states_for(arch, scenario);
+                assert!(!states.is_empty(), "{arch} / {scenario}");
+                for (i, a) in states.iter().enumerate() {
+                    assert!(
+                        !states[..i].contains(a),
+                        "{arch} / {scenario}: duplicate {a}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The 20 cells together reach 55 distinct states; checking every
+    /// cell therefore covers each state any scenario can produce.
+    #[test]
+    fn cells_cover_55_distinct_states() {
+        let per_arch: Vec<usize> = Architecture::ALL
+            .into_iter()
+            .map(|arch| {
+                let mut union: Vec<SystemState> = Vec::new();
+                for scenario in ThreatScenario::ALL {
+                    for state in reachable_states_for(arch, scenario) {
+                        if !union.contains(&state) {
+                            union.push(state);
+                        }
+                    }
+                }
+                union.len()
+            })
+            .collect();
+        assert_eq!(per_arch, vec![4, 10, 4, 11, 26]);
+        assert_eq!(per_arch.iter().sum::<usize>(), 55);
     }
 }

@@ -21,8 +21,8 @@
 //! surge model ([`ct_hydro`]), the topology and architectures
 //! ([`ct_scada`]), and the attacker/classifier ([`ct_threat`]). The
 //! [`figures`] module regenerates every figure in the paper's
-//! evaluation; [`crossval`] checks the rule-based classification
-//! against actual protocol executions ([`ct_replication`]);
+//! evaluation; [`check`] model-checks every Table I cell against
+//! protocol executions ([`ct_replication`]);
 //! [`placement`] and [`attacker_power`] implement the paper's
 //! discussion-section extensions.
 //!
@@ -50,7 +50,6 @@ pub mod attacker_power;
 pub mod availability;
 pub mod check;
 pub mod conn;
-pub mod crossval;
 pub mod error;
 pub mod event;
 pub mod figures;

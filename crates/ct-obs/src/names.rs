@@ -77,8 +77,6 @@ pub const PROFILE_PATTERN_CACHE_HITS: &str = "profile.pattern_cache_hits";
 pub const PROFILE_PATTERN_CACHE_MISSES: &str = "profile.pattern_cache_misses";
 /// Figures reproduced.
 pub const FIGURES_REPRODUCED: &str = "figures.reproduced";
-/// Cross-validation states executed.
-pub const CROSSVAL_STATES_VALIDATED: &str = "crossval.states_validated";
 /// Backup-site placement candidates ranked.
 pub const PLACEMENT_CANDIDATES_RANKED: &str = "placement.candidates_ranked";
 /// Artifact-store record lookups that returned a valid record.
@@ -256,7 +254,6 @@ pub fn register_defaults(registry: &crate::Registry) {
         PROFILE_PATTERN_CACHE_HITS,
         PROFILE_PATTERN_CACHE_MISSES,
         FIGURES_REPRODUCED,
-        CROSSVAL_STATES_VALIDATED,
         PLACEMENT_CANDIDATES_RANKED,
         STORE_HITS,
         STORE_MISSES,
@@ -320,7 +317,7 @@ mod tests {
         let reg = crate::Registry::new();
         register_defaults(&reg);
         let snap = reg.snapshot();
-        assert_eq!(snap.counters.len(), 74);
+        assert_eq!(snap.counters.len(), 73);
         assert_eq!(snap.counter(GEO_DEM_SYNTHESIZED), Some(0));
         assert_eq!(snap.counter(HYDRO_ENSEMBLES_SAMPLED), Some(0));
         assert_eq!(snap.counter(HYDRO_PEAK_SCAN_EVALUATED), Some(0));

@@ -1,6 +1,7 @@
-//! Drives the discrete-event replication simulator directly: executes
-//! each SCADA configuration under each attack combination and prints
-//! the observed operational state next to Table I's rule-based answer.
+//! Drives the discrete-event replication simulator through every
+//! Table I cell: each reachable post-compound-threat state is executed
+//! once as sampled and once under a perturbed schedule, and printed
+//! next to Table I's rule-based answer.
 //!
 //! This is the executable justification for Table I — the paper takes
 //! the conditions from prior work; here they emerge from protocol
@@ -11,38 +12,40 @@
 //! cargo run --release --example protocol_sim
 //! ```
 
-use compound_threats::crossval::{cross_validate, reachable_states};
-use ct_replication::VerdictConfig;
+use compound_threats::check::{check_cell, CheckMode, CheckOptions};
 use ct_scada::Architecture;
-use ct_simnet::SimTime;
+use ct_threat::ThreatScenario;
 
 fn main() {
-    let config = VerdictConfig {
-        run_duration: SimTime::from_secs(60.0),
-        ..VerdictConfig::default()
-    };
-
+    let mut cells = 0usize;
     let mut total = 0usize;
     let mut agreed = 0usize;
-    for arch in Architecture::ALL {
-        println!("Configuration {arch}:");
-        for state in reachable_states(arch) {
-            let cv = cross_validate(&state, &config);
-            total += 1;
-            if cv.agrees() {
-                agreed += 1;
+    for architecture in Architecture::ALL {
+        for scenario in ThreatScenario::ALL {
+            let report = check_cell(&CheckOptions {
+                architecture,
+                scenario,
+                mode: CheckMode::Randomized {
+                    schedules: 1,
+                    seed: 1,
+                },
+            });
+            cells += 1;
+            println!("Configuration {architecture}, {scenario}:");
+            for s in &report.states {
+                total += 1;
+                agreed += usize::from(s.agrees());
+                println!(
+                    "  {:<44} rule: {:<6}  sampled: {:<6}  worst: {:<6}  {}",
+                    s.state.to_string(),
+                    s.rule.to_string(),
+                    s.sampled.to_string(),
+                    s.worst.to_string(),
+                    if s.agrees() { "agree" } else { "DISAGREE" },
+                );
             }
-            println!(
-                "  {:<44} rule: {:<6}  executed: {:<6}  {}  ({} responses, gap {:.1}s)",
-                state.to_string(),
-                cv.rule.to_string(),
-                cv.observed.to_string(),
-                if cv.agrees() { "agree" } else { "DISAGREE" },
-                cv.verdict.accepted,
-                cv.verdict.max_gap.as_secs(),
-            );
+            println!();
         }
-        println!();
     }
-    println!("{agreed}/{total} states agree between Table I and protocol execution.");
+    println!("{agreed}/{total} cell-states agree across {cells} cells between Table I and protocol execution.");
 }

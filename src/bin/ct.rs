@@ -30,7 +30,6 @@
 
 use compound_threats::availability::{downtime_report, DowntimeModel};
 use compound_threats::check::{check_cell, CheckMode, CheckOptions};
-use compound_threats::crossval::{cross_validate, reachable_states};
 use compound_threats::error::CoreError;
 use compound_threats::figures::{reproduce, reproduce_all, Figure};
 use compound_threats::grid_impact::{grid_impact, GridImpactConfig};
@@ -42,9 +41,7 @@ use compound_threats::prelude::{
 use compound_threats::report::{figure_csv, figure_table, profile_bar};
 use compound_threats::{CaseStudy, CaseStudyConfig};
 use compound_threats_suite::cli::{CliArgs, CommandSpec, FlagSpec};
-use ct_replication::VerdictConfig;
 use ct_scada::{export, oahu, Architecture, RegionSpec};
-use ct_simnet::SimTime;
 use ct_threat::ThreatScenario;
 use std::process::ExitCode;
 
@@ -166,12 +163,12 @@ const PRUNE: FlagSpec = FlagSpec {
 const ARCH: FlagSpec = FlagSpec {
     name: "--arch",
     value_name: Some("c"),
-    help: "check: configuration to check, 2 | 2-2 | 6 | 6-6 | 6+6+6",
+    help: "check: only this configuration, 2 | 2-2 | 6 | 6-6 | 6+6+6 (default all)",
 };
 const SCENARIO: FlagSpec = FlagSpec {
     name: "--scenario",
     value_name: Some("s"),
-    help: "check: threat scenario, hurricane | intrusion | isolation | compound",
+    help: "check: only this threat scenario, hurricane | intrusion | isolation | compound (default all)",
 };
 const DEPTH: FlagSpec = FlagSpec {
     name: "--depth",
@@ -188,20 +185,19 @@ const SEED: FlagSpec = FlagSpec {
     value_name: Some("S"),
     help: "check: randomized tier base seed; run i uses S+i (default 1)",
 };
+const MIN_UTIL: FlagSpec = FlagSpec {
+    name: "--min-util",
+    value_name: Some("pct"),
+    help: "only show lines at or above this utilization percentage",
+};
 
 /// Every `ct` subcommand; parsing, dispatch, and all help text derive
 /// from this table.
 const COMMANDS: &[CommandSpec] = &[
     CommandSpec {
         name: "figures",
-        summary: "reproduce Figs. 6-11",
-        positionals: &[],
-        flags: &[CSV, HAZARD, REGION, REALIZATIONS, STORE, PACKED, METRICS],
-    },
-    CommandSpec {
-        name: "figure",
-        summary: "reproduce one figure (6..11)",
-        positionals: &[("number", true)],
+        summary: "reproduce Figs. 6-11, or only the numbered one",
+        positionals: &[("number", false)],
         flags: &[CSV, HAZARD, REGION, REALIZATIONS, STORE, PACKED, METRICS],
     },
     CommandSpec {
@@ -279,14 +275,14 @@ const COMMANDS: &[CommandSpec] = &[
         flags: &[HAZARD, REALIZATIONS, STORE, PACKED, METRICS],
     },
     CommandSpec {
-        name: "crossval",
-        summary: "Table I vs protocol execution",
+        name: "gridprobe",
+        summary: "print per-line DC power-flow utilization for the intact Oahu grid",
         positionals: &[],
-        flags: &[METRICS],
+        flags: &[MIN_UTIL],
     },
     CommandSpec {
         name: "check",
-        summary: "model-check one Table I cell over many schedules",
+        summary: "model-check the Table I cells over many schedules",
         positionals: &[],
         flags: &[ARCH, SCENARIO, DEPTH, SCHEDULES, SEED, METRICS],
     },
@@ -421,16 +417,25 @@ fn build_study(args: &CliArgs) -> Result<CaseStudy, Box<dyn std::error::Error>> 
     )?)
 }
 
-/// Prints every figure, as CSV or tables — shared by `figures` and
-/// `merge` so the two paths cannot drift apart. A multi-region
-/// portfolio gets the per-region outcome summary instead of the Oahu
-/// figure set (the figures are the paper's, and the paper is Oahu).
-fn print_figures(study: &CaseStudy, csv: bool) -> Result<(), Box<dyn std::error::Error>> {
+/// Prints every figure (or only `only`), as CSV or tables — shared by
+/// `figures` and `merge` so the two paths cannot drift apart. A
+/// multi-region portfolio gets the per-region outcome summary instead
+/// of the Oahu figure set (the figures are the paper's, and the paper
+/// is Oahu).
+fn print_figures(
+    study: &CaseStudy,
+    only: Option<Figure>,
+    csv: bool,
+) -> Result<(), Box<dyn std::error::Error>> {
     if study.region_count() > 1 {
         print!("{}", study.portfolio_summary()?);
         return Ok(());
     }
-    for data in reproduce_all(study)? {
+    let figures = match only {
+        Some(figure) => vec![reproduce(study, figure)?],
+        None => reproduce_all(study)?,
+    };
+    for data in figures {
         if csv {
             print!("{}", figure_csv(&data));
         } else {
@@ -512,26 +517,22 @@ fn run(argv: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
 fn run_command(args: &CliArgs) -> Result<ExitCode, Box<dyn std::error::Error>> {
     match args.spec().name {
         "figures" => {
-            let study = build_study(args)?;
-            print_figures(&study, args.flag("--csv"))?;
-        }
-        "figure" => {
-            let number = args.positional(0).expect("required positional");
-            let Some(fig) = number
-                .parse::<u32>()
-                .ok()
-                .and_then(|n| Figure::ALL.into_iter().find(|f| f.number() == n))
-            else {
-                eprintln!("no figure '{number}'; the paper has figures 6-11");
-                return Ok(ExitCode::FAILURE);
+            let only = match args.positional(0) {
+                None => None,
+                Some(number) => {
+                    let Some(fig) = number
+                        .parse::<u32>()
+                        .ok()
+                        .and_then(|n| Figure::ALL.into_iter().find(|f| f.number() == n))
+                    else {
+                        eprintln!("no figure '{number}'; the paper has figures 6-11");
+                        return Ok(ExitCode::FAILURE);
+                    };
+                    Some(fig)
+                }
             };
             let study = build_study(args)?;
-            let data = reproduce(&study, fig)?;
-            if args.flag("--csv") {
-                print!("{}", figure_csv(&data));
-            } else {
-                print!("{}", figure_table(&data));
-            }
+            print_figures(&study, only, args.flag("--csv"))?;
         }
         "run" => {
             let store = require_store(args)?;
@@ -549,7 +550,7 @@ fn run_command(args: &CliArgs) -> Result<ExitCode, Box<dyn std::error::Error>> {
             let store = require_store(args)?;
             let config = study_config(args)?;
             let study = CaseStudy::merge_from_store(&config, store.as_ref())?;
-            print_figures(&study, args.flag("--csv"))?;
+            print_figures(&study, None, args.flag("--csv"))?;
         }
         "serve" => {
             let root = require_local_root(args)?;
@@ -746,52 +747,26 @@ fn run_command(args: &CliArgs) -> Result<ExitCode, Box<dyn std::error::Error>> {
                 100.0 * summary.p_loss_below(0.9)
             );
         }
-        "crossval" => {
-            let config = VerdictConfig {
-                run_duration: SimTime::from_secs(60.0),
-                ..VerdictConfig::default()
-            };
-            let mut total = 0;
-            let mut agreed = 0;
-            for arch in Architecture::ALL {
-                for state in reachable_states(arch) {
-                    let cv = cross_validate(&state, &config);
-                    total += 1;
-                    agreed += usize::from(cv.agrees());
-                    if !cv.agrees() {
-                        println!(
-                            "DISAGREE {state}: rule {} vs executed {}",
-                            cv.rule, cv.observed
-                        );
-                    }
-                }
-            }
-            println!("{agreed}/{total} states agree between Table I and execution");
-            if agreed != total {
-                return Ok(ExitCode::FAILURE);
-            }
-        }
         "check" => {
-            let Some(arch_s) = args.value("--arch") else {
-                eprintln!("'check' requires --arch <config> (2 | 2-2 | 6 | 6-6 | 6+6+6)");
-                return Ok(ExitCode::FAILURE);
+            let architectures = match args.value("--arch") {
+                None => Architecture::ALL.to_vec(),
+                Some(arch_s) => match Architecture::from_label(arch_s) {
+                    Some(arch) => vec![arch],
+                    None => {
+                        eprintln!("unknown config '{arch_s}'");
+                        return Ok(ExitCode::FAILURE);
+                    }
+                },
             };
-            let Some(arch) = Architecture::from_label(arch_s) else {
-                eprintln!("unknown config '{arch_s}'");
-                return Ok(ExitCode::FAILURE);
-            };
-            let Some(scen_s) = args.value("--scenario") else {
-                eprintln!(
-                    "'check' requires --scenario <s> (hurricane | intrusion | isolation | compound)"
-                );
-                return Ok(ExitCode::FAILURE);
-            };
-            let scenario: ThreatScenario = match scen_s.parse() {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return Ok(ExitCode::FAILURE);
-                }
+            let scenarios = match args.value("--scenario") {
+                None => ThreatScenario::ALL.to_vec(),
+                Some(scen_s) => match scen_s.parse::<ThreatScenario>() {
+                    Ok(s) => vec![s],
+                    Err(e) => {
+                        eprintln!("{e}");
+                        return Ok(ExitCode::FAILURE);
+                    }
+                },
             };
             let depth = args.parsed::<usize>("--depth")?;
             let schedules = args.parsed::<u64>("--schedules")?;
@@ -814,14 +789,49 @@ fn run_command(args: &CliArgs) -> Result<ExitCode, Box<dyn std::error::Error>> {
                     }
                 }
             };
-            let report = check_cell(&CheckOptions {
-                architecture: arch,
-                scenario,
-                mode,
-            });
-            print!("{}", report.to_csv());
-            if !report.ok() {
+            let mut cells = 0;
+            let mut ok = true;
+            for &architecture in &architectures {
+                for &scenario in &scenarios {
+                    let report = check_cell(&CheckOptions {
+                        architecture,
+                        scenario,
+                        mode,
+                    });
+                    print!("{}", report.to_csv());
+                    cells += 1;
+                    ok &= report.ok();
+                }
+            }
+            // A single cell's report is complete as it stands; a
+            // table gets a verdict over all of its cells.
+            if cells > 1 {
+                println!("check,cells,{cells}");
+                println!("check,table,{}", if ok { "ok" } else { "FAIL" });
+            }
+            if !ok {
                 return Ok(ExitCode::FAILURE);
+            }
+        }
+        "gridprobe" => {
+            let min_util = args.parsed::<f64>("--min-util")?.unwrap_or(0.0);
+            let g = ct_grid::oahu::grid();
+            let s = ct_grid::dc_power_flow(&g, &ct_grid::OutageSet::none())?;
+            for (lid, flow) in &s.flows_mw {
+                let l = &g.lines()[lid.0];
+                let util = 100.0 * flow.abs() / l.capacity_mw;
+                if util < min_util {
+                    continue;
+                }
+                println!(
+                    "{:>2} {:<14}->{:<14} flow {:8.1} cap {:6.0} util {:4.0}%",
+                    lid.0,
+                    g.buses()[l.from.0].name,
+                    g.buses()[l.to.0].name,
+                    flow,
+                    l.capacity_mw,
+                    util
+                );
             }
         }
         "topology" => {

@@ -20,8 +20,7 @@
 //! See the repository README for a tour and `DESIGN.md` for the
 //! system inventory.
 //!
-//! The [`cli`] module holds the typed argument parser shared by the
-//! `ct` and `gridprobe` binaries.
+//! The [`cli`] module holds the `ct` binary's typed argument parser.
 
 pub mod cli;
 
