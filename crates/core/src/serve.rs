@@ -1,7 +1,8 @@
 //! `ct serve`: hosting an artifact store over keep-alive HTTP/1.1.
 //!
-//! A serving store lets shard runs on disjoint machines share one
-//! cache: each shard points `--store http://host:port` at the daemon
+//! A serving store lets concurrent shard runs, on one machine or many,
+//! share one cache (a store directory is held by one process): each
+//! shard points `--store http://host:port` at the daemon
 //! and the pipeline's [`ct_store::StoreBackend`] calls travel the wire
 //! instead of the local filesystem. The daemon is std-only: a
 //! nonblocking [`std::net::TcpListener`] plus a small pool of worker
@@ -24,9 +25,13 @@
 //!
 //! Operational guardrails:
 //!
-//! - a [`ServeLock`] sentinel in the store root keeps destructive
-//!   `fsck --repair`/`--prune` off the store while it is served (and
-//!   keeps a second server off the same root);
+//! - the server's [`Store`] holds the root's lock for the server's
+//!   lifetime, so no other process can open the store underneath it:
+//!   not `ct fsck`, not a second server, not a `ct run` pointed at
+//!   the directory instead of the URL;
+//! - PUTs append to the store's segment log and are group-synced, so
+//!   a crash of the server loses at most the appends since the last
+//!   group sync — records the next run recomputes;
 //! - hot object reads are answered from a byte-budgeted
 //!   [`ByteLru`] of *framed* records, so a warm `GET` costs no disk
 //!   I/O and no re-checksumming;
@@ -42,7 +47,7 @@ use crate::probe::ProbeQuery;
 use ct_scada::Architecture;
 use ct_store::format::{decode_record, encode_record};
 use ct_store::remote::{query_param, Request};
-use ct_store::{ByteLru, Digest, ServeLock, Store};
+use ct_store::{ByteLru, Digest, Store};
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
@@ -84,8 +89,8 @@ pub struct ServeOptions {
     /// `host:port` to listen on; port 0 picks a free port
     /// (query [`Server::addr`] for the result).
     pub addr: String,
-    /// Open the store in the packed segment layout. This is the
-    /// *server's* choice — remote clients never see the layout.
+    /// Ignored: every store uses the segment layout.
+    #[deprecated(note = "every store uses the segment layout; the field is ignored")]
     pub packed: bool,
     /// Byte budget for the in-memory record cache.
     pub cache_bytes: u64,
@@ -99,6 +104,7 @@ pub struct ServeOptions {
     pub max_requests: u64,
 }
 
+#[allow(deprecated)] // sets the ignored `packed` field
 impl Default for ServeOptions {
     fn default() -> Self {
         Self {
@@ -140,41 +146,26 @@ impl Router for Shared {
     }
 }
 
-/// A running `ct serve` daemon. Binding acquires the store's
-/// [`ServeLock`]; dropping the server shuts the workers down and
-/// releases it.
+/// A running `ct serve` daemon. Binding opens the store, which holds
+/// its root; dropping the server shuts the workers down and then
+/// drops the store, releasing the root.
 #[derive(Debug)]
 pub struct Server {
     addr: SocketAddr,
     shared: Arc<Shared>,
     workers: Vec<std::thread::JoinHandle<()>>,
-    /// Held for the server's lifetime; its `Drop` removes the
-    /// sentinel after the workers are down.
-    _lock: ServeLock,
 }
 
 impl Server {
-    /// Opens the store at `root`, takes its serve lock, binds the
+    /// Opens (creating if needed) the store at `root`, binds the
     /// listener, and starts the worker pool.
     ///
     /// # Errors
     ///
-    /// Store-open and lock failures (including "already being
-    /// served"), and listener bind failures.
+    /// Store-open failures (including a root another open store
+    /// holds) and listener bind failures.
     pub fn bind(root: &Path, options: &ServeOptions) -> Result<Self, CoreError> {
-        // The lock file lives inside the root, so serving a store that
-        // does not exist yet must create it first (as `Store::open`
-        // would a moment later).
-        std::fs::create_dir_all(root).map_err(|e| CoreError::Io {
-            path: root.display().to_string(),
-            message: e.to_string(),
-        })?;
-        let lock = ServeLock::acquire(root)?;
-        let store = if options.packed {
-            Store::open_packed(root)?
-        } else {
-            Store::open(root)?
-        };
+        let store = Store::open(root)?;
         let io_error = |e: std::io::Error| CoreError::Io {
             path: options.addr.clone(),
             message: e.to_string(),
@@ -206,7 +197,6 @@ impl Server {
             addr,
             shared,
             workers,
-            _lock: lock,
         })
     }
 

@@ -4,10 +4,11 @@
 //! implicitly — content-addressed get/put with validate-or-evict
 //! reads, plus the degradation hooks the pipeline's
 //! compute-without-cache fallback needs. Extracting it lets the same
-//! pipeline code run against the local loose/packed [`crate::Store`]
-//! or the HTTP [`crate::RemoteStore`], selected by
-//! [`crate::StoreUrl`] at the CLI — shards on disjoint machines can
-//! share one serving store without the pipeline knowing.
+//! pipeline code run against the local [`crate::Store`] or the HTTP
+//! [`crate::RemoteStore`], selected by [`crate::StoreUrl`] at the CLI.
+//! A local store is held by one process, so concurrent shards — on
+//! one machine or many — share one serving store without the
+//! pipeline knowing.
 //!
 //! The contract every backend must honor:
 //!

@@ -1,7 +1,7 @@
 //! Deterministic failpoint layer for crash-path testing.
 //!
 //! The store's clean path is exercised constantly; its *failure* paths
-//! — ENOSPC mid-write, a rename that never lands, a read that tears —
+//! — ENOSPC mid-append, a group fsync that fails, a read that tears —
 //! are exactly the ones the compound-threats argument depends on and
 //! exactly the ones ordinary tests never reach. This module gives
 //! every fragile I/O operation a named **site** that tests and the CLI
@@ -11,7 +11,7 @@
 //! CT_FAULTS=site:nth:kind[:limit][,site:nth:kind[:limit]...]
 //! ```
 //!
-//! - `site` — one of [`sites::ALL`] (e.g. `store.put.write`);
+//! - `site` — one of [`sites::ALL`] (e.g. `segment.append`);
 //! - `nth` — fire on every `nth` hit of the site (1 = every hit);
 //! - `kind` — `io` (transient I/O error, retryable), `enospc`
 //!   (disk full, not retryable), `corrupt` (payload mangled in
@@ -36,17 +36,13 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 /// The canonical failpoint site names.
 pub mod sites {
-    /// Writing + syncing the staged temp file inside `Store::put`.
-    pub const STORE_PUT_WRITE: &str = "store.put.write";
-    /// The rename that publishes a staged record.
-    pub const STORE_PUT_RENAME: &str = "store.put.rename";
-    /// The directory fsync that makes a published rename durable.
-    pub const STORE_PUT_SYNC_DIR: &str = "store.put.sync_dir";
-    /// Reading a record file inside `Store::get`.
+    /// Reading a record's entry inside `Store::get`.
     pub const STORE_GET_READ: &str = "store.get.read";
-    /// Removing a record (evictions, invalidations, corrupt cleanup).
+    /// Tombstoning a record (evictions, invalidations, corrupt
+    /// cleanup).
     pub const STORE_EVICT_REMOVE: &str = "store.evict.remove";
-    /// Appending an entry to the active segment of a packed store.
+    /// Appending an entry to the active segment (puts and
+    /// tombstones).
     pub const SEGMENT_APPEND: &str = "segment.append";
     /// The group fsync that makes a batch of appends durable.
     pub const SEGMENT_SYNC: &str = "segment.sync";
@@ -57,9 +53,6 @@ pub mod sites {
 
     /// Every site, for docs, validation, and fault campaigns.
     pub const ALL: &[&str] = &[
-        STORE_PUT_WRITE,
-        STORE_PUT_RENAME,
-        STORE_PUT_SYNC_DIR,
         STORE_GET_READ,
         STORE_EVICT_REMOVE,
         SEGMENT_APPEND,
@@ -100,7 +93,7 @@ impl FaultKind {
 
     /// The error an error-injecting kind produces. `Corruption` and
     /// `PartialWrite` sites that cannot express data mangling (e.g. a
-    /// rename) fall back to a generic injected error.
+    /// group fsync) fall back to a generic injected error.
     pub fn io_error(&self) -> std::io::Error {
         match self {
             FaultKind::Io => {
@@ -400,12 +393,12 @@ mod tests {
 
     #[test]
     fn spec_parsing_round_trips_and_validates() {
-        let spec: FaultSpec = "store.put.write:3:io".parse().unwrap();
+        let spec: FaultSpec = "segment.append:3:io".parse().unwrap();
         assert_eq!(
             spec,
-            FaultSpec::every(sites::STORE_PUT_WRITE, 3, FaultKind::Io)
+            FaultSpec::every(sites::SEGMENT_APPEND, 3, FaultKind::Io)
         );
-        assert_eq!(spec.to_string(), "store.put.write:3:io");
+        assert_eq!(spec.to_string(), "segment.append:3:io");
 
         let spec: FaultSpec = "store.get.read:1:torn:2".parse().unwrap();
         assert_eq!(spec.kind, FaultKind::PartialWrite);
@@ -414,13 +407,13 @@ mod tests {
 
         for bad in [
             "",
-            "store.put.write",
-            "store.put.write:0:io",
-            "store.put.write:x:io",
-            "store.put.write:1:lightning",
+            "segment.append",
+            "segment.append:0:io",
+            "segment.append:x:io",
+            "segment.append:1:lightning",
             "nonsense.site:1:io",
-            "store.put.write:1:io:many",
-            "store.put.write:1:io:1:extra",
+            "segment.append:1:io:many",
+            "segment.append:1:io:1:extra",
         ] {
             let e = bad.parse::<FaultSpec>().unwrap_err();
             assert_eq!(e.spec, bad, "error must quote the input");
@@ -429,11 +422,11 @@ mod tests {
 
     #[test]
     fn plan_parses_lists_and_rejects_first_bad_entry() {
-        let plan = parse_plan("store.put.write:1:io, store.get.read:2:corrupt:5").unwrap();
+        let plan = parse_plan("segment.append:1:io, store.get.read:2:corrupt:5").unwrap();
         assert_eq!(plan.len(), 2);
         assert_eq!(plan[1].site, sites::STORE_GET_READ);
         assert!(parse_plan("").unwrap().is_empty());
-        let e = parse_plan("store.put.write:1:io,bogus").unwrap_err();
+        let e = parse_plan("segment.append:1:io,bogus").unwrap_err();
         assert_eq!(e.spec, "bogus");
     }
 
@@ -442,7 +435,7 @@ mod tests {
         let obs = Arc::new(ct_obs::Registry::new());
         let reg = FaultRegistry::with_obs(Arc::clone(&obs));
         reg.arm(FaultSpec {
-            site: sites::STORE_PUT_WRITE.into(),
+            site: sites::SEGMENT_APPEND.into(),
             nth: 3,
             kind: FaultKind::Io,
             limit: 2,
@@ -450,7 +443,7 @@ mod tests {
         assert!(reg.is_armed());
 
         let fires: Vec<bool> = (0..12)
-            .map(|_| reg.hit(sites::STORE_PUT_WRITE).is_some())
+            .map(|_| reg.hit(sites::SEGMENT_APPEND).is_some())
             .collect();
         // Hits 3 and 6 fire; the limit of 2 silences hits 9 and 12.
         let expected: Vec<bool> = (1..=12).map(|h| h % 3 == 0 && h <= 6).collect();

@@ -12,15 +12,14 @@
 //! - [`mod@format`]: a versioned binary record frame with a per-record
 //!   checksum, so torn or tampered files are *classified*, not
 //!   trusted;
-//! - [`Store`]: atomic temp-file-then-rename writes (with dir fsync)
-//!   and validate-or-evict reads, bounded transient-I/O retries, an
-//!   orphan sweep for crashed writers' staging files, and an
-//!   [`Store::fsck`] walk — reporting hit/miss/corrupt/evict/retry
-//!   counters through [`ct_obs`];
-//! - [`mod@segment`]: the **packed** layout
-//!   ([`Store::open_packed`]) — records append to segment logs with
-//!   group fsyncs and are served by positioned reads off an in-memory
-//!   index, for put/get throughput at sequential-I/O speed;
+//! - [`Store`]: one open handle per root directory (held by a file
+//!   lock), validate-or-evict reads, bounded transient-I/O retries,
+//!   and an [`Store::fsck`] walk that validates, compacts and repairs
+//!   — reporting hit/miss/corrupt/evict/retry counters through
+//!   [`ct_obs`];
+//! - [`mod@segment`]: the on-disk layout — records append to segment
+//!   logs with group fsyncs and are served by positioned reads off an
+//!   in-memory index, for put/get throughput at sequential-I/O speed;
 //! - [`mod@faults`]: a deterministic failpoint registry
 //!   (`CT_FAULTS=site:nth:kind`) so every crash path above is
 //!   testable on demand.
@@ -37,9 +36,10 @@
 //! - [`StoreUrl`]: `--store` argument parsing — bare path,
 //!   `file://path`, or `http://host:port` — selecting the backend;
 //! - [`ByteLru`]: the byte-budgeted in-memory cache the server
-//!   answers hot reads from;
-//! - [`ServeLock`]: the serve-side sentinel that keeps destructive
-//!   `fsck` off a store while it is being served.
+//!   answers hot reads from.
+//!
+//! A root is held by one open [`Store`], so processes that want to
+//! share a store at once go through `ct serve`, which holds it.
 //!
 //! Zero dependencies beyond [`ct_obs`], matching the workspace's
 //! hand-rolled-serialization policy.
@@ -72,7 +72,6 @@ pub mod segment;
 mod backend;
 mod error;
 mod hash;
-mod lock;
 mod lru;
 mod metrics;
 mod retry;
@@ -84,9 +83,8 @@ pub use error::StoreError;
 pub use faults::{FaultKind, FaultRegistry, FaultSpec};
 pub use format::{Corruption, FORMAT_VERSION};
 pub use hash::{checksum64, Digest, StableHasher};
-pub use lock::{served_by, ServeLock, SERVE_LOCK_FILE};
 pub use lru::ByteLru;
 pub use remote::RemoteStore;
 pub use segment::PackedOptions;
-pub use store::{FsckOptions, FsckReport, Store, DEFAULT_TMP_MAX_AGE};
+pub use store::{FsckOptions, FsckReport, Store};
 pub use url::StoreUrl;

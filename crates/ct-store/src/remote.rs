@@ -1,10 +1,11 @@
 //! The remote store: a hand-rolled HTTP/1.1 wire protocol and the
 //! client backend that speaks it.
 //!
-//! `ct serve` exposes a store over plain HTTP/1.1 so shards can run
-//! on disjoint machines against one shared store. The protocol is
-//! deliberately minimal — no dependencies, no chunked encoding —
-//! because the workload is small framed records, not web traffic:
+//! `ct serve` exposes a store over plain HTTP/1.1 so concurrent
+//! shards, on one machine or many, run against one shared store. The
+//! protocol is deliberately minimal — no dependencies, no chunked
+//! encoding — because the workload is small framed records, not web
+//! traffic:
 //!
 //! ```text
 //! GET    /objects/<hex32>            200 body = CTSTORE1 frame | 404 miss
@@ -17,7 +18,7 @@
 //! ```
 //!
 //! Object bodies are the [`crate::format`] CTSTORE1 frame — the same
-//! bytes the loose layout stores on disk — so the record checksum
+//! bytes a segment entry stores on disk — so the record checksum
 //! protects the payload *end to end*: a bit flipped on the wire is
 //! caught by the receiver exactly like a bit rotted on disk. Every
 //! message carries `Content-Length` and an explicit `Connection:`

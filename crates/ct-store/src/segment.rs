@@ -1,6 +1,6 @@
-//! The packed segment layout: append-only logs of framed records.
+//! The store's on-disk layout: append-only logs of framed records.
 //!
-//! Instead of one file (and two fsyncs) per artifact, a packed store
+//! Instead of one file (and two fsyncs) per artifact, the store
 //! appends every record to the current segment file
 //! `<root>/segments/seg-<nnnn>.ctseg` and serves reads from an
 //! in-memory key → `(segment, offset, len)` index via positioned
@@ -33,13 +33,14 @@
 //! missing or damaged footer degrades to the frame scan, never to
 //! data loss.
 //!
-//! Crash safety differs from the loose layout by construction: there
-//! is no rename, so a torn append leaves garbage *past the logical
-//! end* of the segment, which the open-time scan truncates away and
-//! the next append overwrites. A bit flip inside a committed entry is
-//! caught by the frame checksum on read and evicted by appending a
-//! tombstone — the same validate-or-evict contract as the loose
-//! layout. `Store::fsck` walks every segment entry, and in repair
+//! Crash safety needs no rename: a torn append leaves garbage *past
+//! the logical end* of the segment, which the open-time scan
+//! truncates away and the next append overwrites. That truncation is
+//! safe only because the opener holds the root's lock, so no other
+//! store can be appending to the segment. A bit flip inside a
+//! committed entry is caught by the frame checksum on read and
+//! evicted by appending a tombstone (validate-or-evict).
+//! `Store::fsck` walks every segment entry, and in repair
 //! mode rewrites segments that hold corrupt frames (or whose live
 //! ratio fell below [`COMPACT_LIVE_RATIO`]) through a staged
 //! tmp-then-rename compaction.
@@ -68,7 +69,7 @@ pub const FOOTER_ENTRY_LEN: usize = 16 + 1 + 8 + 8 + 8;
 /// `fsck --repair`.
 pub const COMPACT_LIVE_RATIO: f64 = 0.5;
 
-/// Size thresholds of the packed layout.
+/// Size thresholds of the segment layout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PackedOptions {
     /// Seal the active segment (footer + roll) once it holds this
@@ -151,7 +152,7 @@ pub struct ActiveSegment {
     pub pending: Vec<EntryMeta>,
 }
 
-/// Mutable state of a packed store, behind the backend's mutex.
+/// Mutable state of a store, behind the backend's mutex.
 #[derive(Debug)]
 pub struct PackedState {
     /// Key → location of the winning entry.
@@ -176,7 +177,7 @@ pub struct OpenStats {
     pub truncated_tails: usize,
 }
 
-/// The shared, clone-cheap handle to a packed store's state.
+/// The state every clone of one open store shares.
 #[derive(Debug)]
 pub struct PackedBackend {
     /// `<root>/segments`.
@@ -185,6 +186,9 @@ pub struct PackedBackend {
     pub options: PackedOptions,
     /// All mutable state.
     pub state: std::sync::Mutex<PackedState>,
+    /// `<root>/lock`, held exclusively. Dropped after the final group
+    /// fsync, so the root is released only once its data is flushed.
+    pub lock: fs::File,
 }
 
 impl Drop for PackedBackend {

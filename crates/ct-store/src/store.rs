@@ -1,39 +1,35 @@
-//! The on-disk store: content-addressed records under a root
-//! directory, in one of two layouts.
-//!
-//! **Loose** (the default):
+//! The on-disk store: content-addressed records in append-only
+//! segment logs under a root directory that one open [`Store`] holds.
 //!
 //! ```text
-//! <root>/objects/<hh>/<hex32>.rec   records, sharded by first hex byte
-//! <root>/tmp/                       staging area for atomic writes
-//! ```
-//!
-//! Loose writes are crash-safe: the frame is written to a unique file
-//! under `tmp/` and then `rename`d into place (followed by an fsync
-//! of the shard directory, so the rename itself survives power loss),
-//! so a reader never observes a half-written record at its final
-//! path. A crash can only leave a stale temp file, which is invisible
-//! to lookups and swept by [`Store::open`]/[`Store::fsck`] once it is
-//! old enough to be provably orphaned. Reads validate the record
-//! frame and *evict* anything corrupt, reporting a miss — so a torn
-//! record from a `kill -9` degrades to recompute-and-rewrite.
-//!
-//! **Packed** ([`Store::open_packed`], `ct run --packed`,
-//! auto-detected on open):
-//!
-//! ```text
+//! <root>/lock                       file lock held by the open store
 //! <root>/segments/seg-<nnnn>.ctseg  append-only entry logs
 //! <root>/tmp/                       staging area for compactions
 //! ```
 //!
 //! Records append to the active segment with one *group* fsync per
 //! `CT_SEGMENT_SYNC_BYTES` of data and are served by positioned reads
-//! off an in-memory key → (segment, offset, len) index, trading the
-//! loose layout's two-fsyncs-per-put for sequential-write throughput.
-//! The same validate-or-evict read contract holds (eviction appends a
-//! tombstone). See [`crate::segment`] for the format and recovery
-//! rules, and [`Store::fsck`] for segment validation, compaction, and
+//! off an in-memory key → (segment, offset, len) index. Reads validate
+//! the record frame and *evict* anything corrupt by appending a
+//! tombstone, reporting a miss — so a torn or rotted record degrades
+//! to recompute-and-rewrite. See [`crate::segment`] for the format and
+//! recovery rules, and [`Store::fsck`] for validation, compaction, and
 //! repair.
+//!
+//! **One open store per root.** [`Store::open`] takes an exclusive
+//! lock on `<root>/lock` and keeps it until the last clone of the
+//! handle drops. A second open of the same root, from another process
+//! or from this one, fails with [`StoreError::Io`]: the index lives in
+//! one process's memory, and open truncates a torn active-segment
+//! tail, so two writers on one root would lose each other's records.
+//! Concurrent shards share a store through `ct serve` and
+//! `--store http://host:port`. The lock is the operating system's, so
+//! a crashed holder never leaves a root locked.
+//!
+//! Durability is the bounded-loss contract of a disposable cache: a
+//! crash can lose the appends since the last group sync (and a torn
+//! entry at the tail), never a synced record, and the next run
+//! recomputes whatever was lost.
 //!
 //! Transient I/O errors (`Interrupted`/`TimedOut`/`WouldBlock`) are
 //! absorbed by deadline-budgeted retry-with-backoff
@@ -47,14 +43,14 @@
 //! Every operation reports to [`ct_obs`] counters (`store.hits`,
 //! `store.misses`, `store.records_written`, `store.corrupt_records`,
 //! `store.evictions`, `store.retries`, `store.degraded`,
-//! `store.tmp_swept`, and the packed layout's `store.segment.*`).
-//! Methods deliberately open no [`ct_obs`] spans: they are called
-//! from worker threads, and spans are reserved for coordinator code
-//! so the span tree stays thread-count invariant.
+//! `store.tmp_swept`, and `store.segment.*`). Methods deliberately
+//! open no [`ct_obs`] spans: they are called from worker threads, and
+//! spans are reserved for coordinator code so the span tree stays
+//! thread-count invariant.
 
 use crate::error::StoreError;
 use crate::faults::{self, FaultKind, FaultRegistry};
-use crate::format::{decode_record, encode_record};
+use crate::format::encode_record;
 use crate::hash::Digest;
 use crate::metrics::MetricsSink;
 use crate::retry;
@@ -67,8 +63,7 @@ use std::fs;
 use std::io::Write as _;
 use std::os::unix::fs::FileExt as _;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Which fault registry a store's failpoints consult.
@@ -81,115 +76,89 @@ enum FaultsHandle {
     Local(Arc<FaultRegistry>),
 }
 
-/// Which on-disk layout a constructor asked for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum LayoutChoice {
-    /// Whatever the root already holds (`segments/` → packed,
-    /// otherwise loose), creating a loose store on a fresh root.
-    Auto,
-    /// The packed segment layout, creating it on a fresh root.
-    Packed,
-}
-
 /// A handle to a content-addressed artifact store rooted at a
-/// directory. Cheap to clone; clones of one handle share the packed
-/// backend, everything else lives on disk.
+/// directory. Cheap to clone; clones share the segment index and the
+/// root's lock, which is released when the last clone drops.
 #[derive(Debug, Clone)]
 pub struct Store {
     root: PathBuf,
     sink: MetricsSink,
     faults: FaultsHandle,
-    /// `Some` when this store uses the packed segment layout.
-    packed: Option<Arc<PackedBackend>>,
+    backend: Arc<PackedBackend>,
 }
 
-/// Distinguishes this process's concurrent writers staging into the
-/// same `tmp/`.
-static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
+/// The file under a store root that the open store holds locked.
+const LOCK_FILE: &str = "lock";
 
-/// Tmp files older than this are treated as orphans of a crashed
-/// writer by the open-time sweep: no healthy `put` stages a file for
-/// anywhere near this long, so sweeping cannot race a live writer.
-pub const DEFAULT_TMP_MAX_AGE: Duration = Duration::from_secs(3600);
-
-/// A per-process random nonce baked into staged filenames, so two
-/// processes sharing a store (the sharded-run case) cannot collide in
-/// `tmp/` even if the OS recycles a crashed writer's PID.
-fn startup_nonce() -> u64 {
-    static NONCE: OnceLock<u64> = OnceLock::new();
-    *NONCE.get_or_init(|| {
-        // No `rand` dependency by policy; mix whatever per-process
-        // entropy std exposes — boot-relative time, PID, and ASLR —
-        // through the store's own hash.
-        let mut seed = Vec::new();
-        let now = std::time::SystemTime::now()
-            .duration_since(std::time::SystemTime::UNIX_EPOCH)
-            .unwrap_or_default();
-        seed.extend_from_slice(&now.as_nanos().to_le_bytes());
-        seed.extend_from_slice(&std::process::id().to_le_bytes());
-        seed.extend_from_slice(&(startup_nonce as fn() -> u64 as usize as u64).to_le_bytes());
-        crate::hash::checksum64(&seed)
-    })
-}
-
-/// Opens `dir` and fsyncs it, making a just-renamed directory entry
-/// durable. The sole dir-fsync helper — `put` goes through here, and
-/// the `store.put.sync_dir` failpoint tests its failure path.
+/// Opens `dir` and fsyncs it, making a just-created or renamed entry
+/// durable (segment seals and compactions).
 fn fsync_dir(dir: &Path) -> std::io::Result<()> {
     fs::File::open(dir)?.sync_all()
 }
 
+/// Takes the exclusive lock on `<root>/lock`. The returned file holds
+/// it until it is closed.
+fn lock_root(root: &Path) -> Result<fs::File, StoreError> {
+    let path = root.join(LOCK_FILE);
+    let file = fs::OpenOptions::new()
+        .create(true)
+        .truncate(false)
+        .write(true)
+        .open(&path)
+        .map_err(|e| StoreError::io(&path, &e))?;
+    match file.try_lock() {
+        Ok(()) => Ok(file),
+        Err(fs::TryLockError::WouldBlock) => {
+            let e = std::io::Error::other(
+                "already held by another open store (in this process or another); \
+                 one process holds a store root, and concurrent shards share it \
+                 through `ct serve` and `--store http://host:port`",
+            );
+            Err(StoreError::io(root, &e))
+        }
+        Err(fs::TryLockError::Error(e)) => Err(StoreError::io(&path, &e)),
+    }
+}
+
 impl Store {
-    /// Opens (creating if needed) a store rooted at `root`, reporting
-    /// metrics to the global [`ct_obs`] registry and consulting the
-    /// global fault registry. Stale `tmp/` orphans (older than
-    /// [`DEFAULT_TMP_MAX_AGE`]) are swept as a side effect,
-    /// best-effort.
+    /// Opens (creating if needed) the store rooted at `root` and holds
+    /// the root until the last clone drops, reporting metrics to the
+    /// global [`ct_obs`] registry and consulting the global fault
+    /// registry. Segment size thresholds come from
+    /// `CT_SEGMENT_ROLL_BYTES` / `CT_SEGMENT_SYNC_BYTES` (see
+    /// [`PackedOptions::from_env`]).
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError::Io`] when the directory tree cannot be
-    /// created.
+    /// Returns [`StoreError::Io`] when another open store holds the
+    /// root, when the root holds an old loose-layout store
+    /// (`objects/`), when the directory tree cannot be created, or
+    /// when a segment cannot be scanned.
     pub fn open(root: impl AsRef<Path>) -> Result<Self, StoreError> {
         Self::open_inner(
             root.as_ref(),
             MetricsSink::Global,
             FaultsHandle::Global,
-            LayoutChoice::Auto,
-            None,
+            PackedOptions::from_env(),
         )
     }
 
-    /// Opens (creating if needed) a store using the **packed** segment
-    /// layout: records append to `segments/seg-<nnnn>.ctseg` logs and
-    /// are served from an in-memory index. Size thresholds come from
-    /// `CT_SEGMENT_ROLL_BYTES` / `CT_SEGMENT_SYNC_BYTES` (see
-    /// [`PackedOptions::from_env`]).
-    ///
-    /// The packed layout assumes a single writing process; sharded
-    /// runs write sequentially (each invocation reopens and rescans).
+    /// [`Store::open`] under its name from when the segment layout was
+    /// one of two.
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError::Io`] when the directory tree cannot be
-    /// created, when the root already holds a loose store
-    /// (`objects/`), or when a segment cannot be scanned.
+    /// As [`Store::open`].
+    #[deprecated(note = "every store uses the segment layout; call `Store::open`")]
     pub fn open_packed(root: impl AsRef<Path>) -> Result<Self, StoreError> {
-        Self::open_inner(
-            root.as_ref(),
-            MetricsSink::Global,
-            FaultsHandle::Global,
-            LayoutChoice::Packed,
-            None,
-        )
+        Self::open(root)
     }
 
     /// Like [`Store::open`], but reporting to a caller-owned registry.
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError::Io`] when the directory tree cannot be
-    /// created.
+    /// As [`Store::open`].
     pub fn open_with_registry(
         root: impl AsRef<Path>,
         registry: Arc<ct_obs::Registry>,
@@ -198,8 +167,7 @@ impl Store {
             root.as_ref(),
             MetricsSink::Local(registry),
             FaultsHandle::Global,
-            LayoutChoice::Auto,
-            None,
+            PackedOptions::from_env(),
         )
     }
 
@@ -209,8 +177,7 @@ impl Store {
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError::Io`] when the directory tree cannot be
-    /// created.
+    /// As [`Store::open`].
     pub fn open_with_faults(
         root: impl AsRef<Path>,
         registry: Arc<ct_obs::Registry>,
@@ -220,20 +187,18 @@ impl Store {
             root.as_ref(),
             MetricsSink::Local(registry),
             FaultsHandle::Local(faults),
-            LayoutChoice::Auto,
-            None,
+            PackedOptions::from_env(),
         )
     }
 
-    /// Like [`Store::open_packed`], with caller-owned metrics and
-    /// fault registries plus explicit size thresholds — the
-    /// test-facing constructor for forcing segment rolls and group
-    /// syncs at tiny sizes.
+    /// Like [`Store::open_with_faults`], with explicit size thresholds
+    /// — the test-facing constructor for forcing segment rolls and
+    /// group syncs at tiny sizes.
     ///
     /// # Errors
     ///
-    /// As [`Store::open_packed`].
-    pub fn open_packed_with_options(
+    /// As [`Store::open`].
+    pub fn open_with_options(
         root: impl AsRef<Path>,
         registry: Arc<ct_obs::Registry>,
         faults: Arc<FaultRegistry>,
@@ -243,8 +208,7 @@ impl Store {
             root.as_ref(),
             MetricsSink::Local(registry),
             FaultsHandle::Local(faults),
-            LayoutChoice::Packed,
-            Some(options),
+            options,
         )
     }
 
@@ -252,82 +216,49 @@ impl Store {
         root: &Path,
         sink: MetricsSink,
         faults: FaultsHandle,
-        layout: LayoutChoice,
-        options: Option<PackedOptions>,
+        options: PackedOptions,
     ) -> Result<Self, StoreError> {
+        if root.join("objects").is_dir() {
+            let e = std::io::Error::other(
+                "holds an old loose-layout store (objects/), which is no longer read; \
+                 store roots are disposable caches, so delete this one and rerun",
+            );
+            return Err(StoreError::io(root, &e));
+        }
         let segments = root.join("segments");
-        let objects = root.join("objects");
-        // Layout resolution: an existing layout always wins Auto, and
-        // asking for packed on a loose root is a caller error — the
-        // two layouts never mix under one root.
-        let packed = match layout {
-            LayoutChoice::Packed => {
-                if objects.is_dir() {
-                    let e = std::io::Error::other(
-                        "root already holds a loose store; open it without --packed \
-                         or pick a fresh root for the packed store",
-                    );
-                    return Err(StoreError::io(&objects, &e));
-                }
-                true
-            }
-            LayoutChoice::Auto => segments.is_dir(),
-        };
-        let data_dir = if packed { &segments } else { &objects };
-        for dir in [data_dir, &root.join("tmp")] {
+        for dir in [&segments, &root.join("tmp")] {
             fs::create_dir_all(dir).map_err(|e| StoreError::io(dir, &e))?;
         }
-        let mut store = Self {
+        // Lock before the scan: the scan truncates torn tails, which
+        // only the root's holder may do.
+        let lock = lock_root(root)?;
+        let (state, stats) = scan_segments(&segments)?;
+        let store = Self {
             root: root.to_path_buf(),
             sink,
             faults,
-            packed: None,
-        };
-        if packed {
-            let (state, stats) = store.packed_scan_state(&segments)?;
-            store.add(
-                ct_obs::names::STORE_SEGMENT_FOOTER_LOADS,
-                stats.footer_loads as u64,
-            );
-            store.add(ct_obs::names::STORE_SEGMENT_SCANS, stats.scans as u64);
-            store.add(
-                ct_obs::names::STORE_SEGMENT_TRUNCATED_TAILS,
-                stats.truncated_tails as u64,
-            );
-            store.packed = Some(Arc::new(PackedBackend {
+            backend: Arc::new(PackedBackend {
                 dir: segments,
-                options: options.unwrap_or_else(PackedOptions::from_env),
+                options,
                 state: Mutex::new(state),
-            }));
-        }
-        // Crashed writers leave staging files behind forever otherwise;
-        // the age threshold keeps us clear of any live writer. Sweep
-        // failures must not fail `open` — the store works regardless.
-        let _ = store.sweep_tmp(DEFAULT_TMP_MAX_AGE);
+                lock,
+            }),
+        };
+        store.add(
+            ct_obs::names::STORE_SEGMENT_FOOTER_LOADS,
+            stats.footer_loads as u64,
+        );
+        store.add(ct_obs::names::STORE_SEGMENT_SCANS, stats.scans as u64);
+        store.add(
+            ct_obs::names::STORE_SEGMENT_TRUNCATED_TAILS,
+            stats.truncated_tails as u64,
+        );
         Ok(store)
-    }
-
-    /// Whether this store uses the packed segment layout.
-    pub fn is_packed(&self) -> bool {
-        self.packed.is_some()
     }
 
     /// The store's root directory.
     pub fn root(&self) -> &Path {
         &self.root
-    }
-
-    /// The on-disk path a record for `key` lives at in the **loose**
-    /// layout (whether or not it exists yet). Exposed for tests and
-    /// tooling that inspect or damage records deliberately; packed
-    /// stores keep no per-record files — damage those through their
-    /// `segments/seg-<nnnn>.ctseg` files instead.
-    pub fn record_path(&self, key: &Digest) -> PathBuf {
-        let hex = key.to_hex();
-        self.root
-            .join("objects")
-            .join(&hex[0..2])
-            .join(format!("{hex}.rec"))
     }
 
     fn add(&self, name: &str, delta: u64) {
@@ -386,11 +317,12 @@ impl Store {
 
     /// Fetches the payload stored under `key`.
     ///
-    /// Returns `Ok(None)` on a miss *and* on a corrupt record: a
-    /// record that fails frame validation (truncated, bad magic, wrong
-    /// version, checksum mismatch) is counted as `store.corrupt_records`,
-    /// evicted from disk, and reported as a miss, so the caller's
-    /// recompute-and-rewrite path handles both cases identically.
+    /// Returns `Ok(None)` on a miss *and* on a corrupt record: an
+    /// entry that fails validation (truncated, bad magic, wrong
+    /// version, checksum mismatch, wrong key) is counted as
+    /// `store.corrupt_records`, evicted by a tombstone, and reported
+    /// as a miss, so the caller's recompute-and-rewrite path handles
+    /// both cases identically.
     ///
     /// # Errors
     ///
@@ -398,16 +330,27 @@ impl Store {
     /// (e.g. permission errors) that survive the transient-retry
     /// budget — never for corrupt content.
     pub fn get(&self, key: &Digest) -> Result<Option<Vec<u8>>, StoreError> {
-        if self.packed.is_some() {
-            return self.packed_get(key);
-        }
-        let path = self.record_path(key);
+        let located = {
+            let state = self.backend.state.lock().expect("store state lock");
+            state.index.get(key).map(|e| {
+                let file = state.files.get(&e.seg).expect("indexed segment file");
+                (Arc::clone(file), *e)
+            })
+        };
+        let Some((file, entry)) = located else {
+            self.add(ct_obs::names::STORE_MISSES, 1);
+            return Ok(None);
+        };
+        // The pread happens outside the lock: readers never serialize
+        // behind appends. (A concurrent compaction renames the file
+        // away, but this fd still reads the old, valid bytes.)
         let read = self.retry_transient(|| {
             let fault = self.injected_fault(faults::sites::STORE_GET_READ);
             if let Some(kind @ (FaultKind::Io | FaultKind::Enospc)) = fault {
                 return Err(kind.io_error());
             }
-            let mut bytes = fs::read(&path)?;
+            let mut bytes = vec![0u8; entry.len as usize];
+            file.read_exact_at(&mut bytes, entry.offset)?;
             match fault {
                 // A read that tears or bit-rots in flight: the frame
                 // checksum below must catch both.
@@ -423,115 +366,52 @@ impl Store {
         });
         let bytes = match read {
             Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                self.add(ct_obs::names::STORE_MISSES, 1);
+            // An index entry pointing past EOF is a truncated segment:
+            // corruption, not an environmental error.
+            Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => {
+                self.add(ct_obs::names::STORE_CORRUPT_RECORDS, 1);
+                self.tombstone(key)?;
                 return Ok(None);
             }
-            Err(e) => return Err(StoreError::io(&path, &e)),
+            Err(e) => {
+                let path = segment::segment_path(&self.backend.dir, entry.seg);
+                return Err(StoreError::io(&path, &e));
+            }
         };
-        match decode_record(&bytes) {
-            Ok(payload) => {
+        match segment::validate_entry(&bytes, key) {
+            Some(payload) => {
                 self.add(ct_obs::names::STORE_HITS, 1);
                 Ok(Some(payload.to_vec()))
             }
-            Err(_corruption) => {
+            None => {
+                // Validate-or-evict: the eviction is a tombstone
+                // masking the corrupt entry, and the caller sees a
+                // plain miss.
                 self.add(ct_obs::names::STORE_CORRUPT_RECORDS, 1);
-                self.remove_file(&path)?;
+                self.tombstone(key)?;
                 Ok(None)
             }
         }
     }
 
-    /// Writes the framed bytes to the staged temp file and flushes
-    /// them to stable storage. The `store.put.write` failpoint sits
-    /// here: `io`/`enospc` fail the write, `corrupt` silently mangles
-    /// the frame (the write "succeeds"; the checksum catches it on
-    /// read), `torn` persists half the frame and then errors, like a
-    /// crash mid-write.
-    fn stage(&self, tmp: &Path, frame: &[u8]) -> std::io::Result<()> {
-        let mut f = fs::File::create(tmp)?;
-        match self.injected_fault(faults::sites::STORE_PUT_WRITE) {
-            Some(kind @ (FaultKind::Io | FaultKind::Enospc)) => return Err(kind.io_error()),
-            Some(FaultKind::PartialWrite) => {
-                f.write_all(&frame[..frame.len() / 2])?;
-                f.sync_all()?;
-                return Err(FaultKind::PartialWrite.io_error());
-            }
-            Some(FaultKind::Corruption) => {
-                let mut mangled = frame.to_vec();
-                if let Some(b) = mangled.last_mut() {
-                    *b ^= 0x01;
-                }
-                f.write_all(&mangled)?;
-            }
-            None => f.write_all(frame)?,
-        }
-        // Flush to stable storage before the rename publishes the
-        // record, so a crash cannot expose an empty committed file.
-        f.sync_all()
-    }
-
-    /// A fresh, never-reused staging path for a `put` of `key`. The
-    /// name carries the key (debuggability), PID plus a per-process
-    /// startup nonce (uniqueness across the processes of a sharded
-    /// run, even under PID reuse), and a process-local sequence
-    /// (uniqueness across this process's concurrent writers).
-    fn staged_path(&self, key: &Digest) -> PathBuf {
-        self.root.join("tmp").join(format!(
-            "{}.{}.{:016x}.{}.tmp",
-            key.to_hex(),
-            std::process::id(),
-            startup_nonce(),
-            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
-        ))
-    }
-
-    /// Atomically writes `payload` as the record for `key`,
-    /// overwriting any existing record. Durable on return: the staged
-    /// file is fsynced before the rename, and the shard directory is
-    /// fsynced after it, so a power cut cannot un-commit the record.
-    /// On failure the staged temp file is removed (best-effort), so an
-    /// *erroring* put leaves no residue — only a crashed process can
-    /// orphan a temp file, and the open-time sweep collects those.
+    /// Appends `payload` as the record for `key`, superseding any
+    /// existing record. Readers of this store see the old record or
+    /// the new one, never a torn hybrid. The append is durable after
+    /// the next group sync (every `sync_bytes`, at a segment seal, and
+    /// when the last handle drops).
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError::Io`] when staging, renaming, or the
-    /// directory fsync fails past the transient-retry budget.
+    /// Returns [`StoreError::Io`] when the append, or a group sync or
+    /// seal it triggers, fails past the transient-retry budget.
     pub fn put(&self, key: &Digest, payload: &[u8]) -> Result<(), StoreError> {
-        if self.packed.is_some() {
-            return self.packed_put(key, payload);
-        }
-        let path = self.record_path(key);
-        let dir = path.parent().expect("record path has a parent");
-        fs::create_dir_all(dir).map_err(|e| StoreError::io(dir, &e))?;
-
-        let tmp = self.staged_path(key);
         let frame = encode_record(payload);
-        let staged = self
-            .retry_transient(|| self.stage(&tmp, &frame))
-            .and_then(|()| {
-                self.retry_transient(|| {
-                    if let Some(kind) = self.injected_fault(faults::sites::STORE_PUT_RENAME) {
-                        return Err(kind.io_error());
-                    }
-                    fs::rename(&tmp, &path)
-                })
-            });
-        if let Err(e) = staged {
-            // Tmp hygiene: never leave our own staging residue behind.
-            let _ = fs::remove_file(&tmp);
-            return Err(StoreError::io(&path, &e));
-        }
-        if let Err(e) = self.retry_transient(|| {
-            if let Some(kind) = self.injected_fault(faults::sites::STORE_PUT_SYNC_DIR) {
-                return Err(kind.io_error());
-            }
-            fsync_dir(dir)
-        }) {
-            // The rename already landed; the record is visible but its
-            // directory entry is not yet provably durable.
-            return Err(StoreError::io(dir, &e));
+        let written = self.retry_transient(|| {
+            let mut state = self.backend.state.lock().expect("store state lock");
+            self.append_locked(&mut state, key, segment::KIND_PUT, &frame)
+        });
+        if let Err(e) = written {
+            return Err(StoreError::io(&self.backend.dir, &e));
         }
         self.add(ct_obs::names::STORE_RECORDS_WRITTEN, 1);
         self.observe_bytes(frame.len());
@@ -548,272 +428,155 @@ impl Store {
     /// Returns [`StoreError::Io`] when the removal itself fails.
     pub fn invalidate(&self, key: &Digest) -> Result<(), StoreError> {
         self.add(ct_obs::names::STORE_CORRUPT_RECORDS, 1);
-        if self.packed.is_some() {
-            self.packed_tombstone(key)?;
-            return Ok(());
-        }
-        self.remove_file(&self.record_path(key))
+        self.tombstone(key)?;
+        Ok(())
     }
 
     /// Evicts the record for `key`, returning whether it existed.
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError::Io`] when the removal fails for a reason
-    /// other than the record being absent.
+    /// Returns [`StoreError::Io`] when the removal fails.
     pub fn evict(&self, key: &Digest) -> Result<bool, StoreError> {
-        if self.packed.is_some() {
-            return self.packed_tombstone(key);
-        }
-        let path = self.record_path(key);
-        if !path.exists() {
-            return Ok(false);
-        }
-        self.remove_file(&path)?;
-        Ok(true)
+        self.tombstone(key)
     }
 
-    fn remove_file(&self, path: &Path) -> Result<(), StoreError> {
-        let removed = self.retry_transient(|| {
-            if let Some(kind) = self.injected_fault(faults::sites::STORE_EVICT_REMOVE) {
-                return Err(kind.io_error());
-            }
-            fs::remove_file(path)
-        });
-        match removed {
-            Ok(()) => {
-                self.add(ct_obs::names::STORE_EVICTIONS, 1);
-                Ok(())
-            }
-            // A concurrent evictor got there first; the record is gone
-            // either way.
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
-            Err(e) => Err(StoreError::io(path, &e)),
-        }
-    }
-
-    /// Removes `tmp/` staging files at least `max_age` old, returning
-    /// how many were swept (counted as `store.tmp_swept`). Only a
-    /// crashed writer leaves files here — a live `put` stages for
-    /// milliseconds and cleans up after itself on failure — so an age
-    /// threshold is all the live-writer protection needed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError::Io`] when the staging directory cannot be
-    /// listed; individual files that vanish or resist removal mid-sweep
-    /// are skipped (another sweeper may be racing us, harmlessly).
-    pub fn sweep_tmp(&self, max_age: Duration) -> Result<usize, StoreError> {
+    /// Removes every `tmp/` file, returning how many were swept
+    /// (counted as `store.tmp_swept`). Only a compaction stages there,
+    /// and only under the root's lock, so every file found is the
+    /// orphan of a crashed repair.
+    fn sweep_tmp(&self) -> Result<usize, StoreError> {
         let tmp_dir = self.root.join("tmp");
         let entries = fs::read_dir(&tmp_dir).map_err(|e| StoreError::io(&tmp_dir, &e))?;
-        let mut swept = 0;
-        for entry in entries.flatten() {
-            let old_enough = entry
-                .metadata()
-                .and_then(|m| m.modified())
-                .ok()
-                .and_then(|t| t.elapsed().ok())
-                // An unreadable mtime reads as "fresh": never sweep a
-                // file we cannot prove is old.
-                .is_some_and(|age| age >= max_age);
-            if old_enough && fs::remove_file(entry.path()).is_ok() {
-                swept += 1;
-            }
-        }
+        let swept = entries
+            .flatten()
+            .filter(|entry| fs::remove_file(entry.path()).is_ok())
+            .count();
         if swept > 0 {
             self.add(ct_obs::names::STORE_TMP_SWEPT, swept as u64);
         }
         Ok(swept)
     }
 
-    /// Walks the whole store, validating every record frame, and —
-    /// in repair mode — evicts corrupt records and sweeps orphaned
-    /// staging files. The read-only mode modifies nothing and is safe
-    /// to run against a store in active use; the *destructive* modes
-    /// (`--repair` eviction/compaction, `--prune`) assume exclusive
-    /// access and refuse when a live `ct serve` daemon holds the
-    /// store's serving lock ([`crate::lock::ServeLock`]).
+    /// Walks the whole store, validating every live entry, and — in
+    /// repair mode — tombstones corrupt entries, compacts the segments
+    /// that held them, and sweeps `tmp/`. The read-only mode modifies
+    /// nothing beyond what opening the store already did (truncating
+    /// a torn tail). Every mode is safe because this handle holds the
+    /// root: no other store can be writing to it.
     ///
     /// # Errors
     ///
     /// Returns [`StoreError::Io`] for environmental failures (an
-    /// unlistable directory, an unreadable record), and for a
-    /// destructive fsck of a store that is currently being served.
-    /// Corruption is never an error: it is what the walk exists to
-    /// count.
+    /// unlistable directory, an unreadable segment, a failed
+    /// compaction). Corruption is never an error: it is what the walk
+    /// exists to count.
     pub fn fsck(&self, options: &FsckOptions) -> Result<FsckReport, StoreError> {
-        if options.repair || options.prune_max_age.is_some() {
-            if let Some(pid) = crate::lock::served_by(&self.root) {
-                let e = std::io::Error::other(format!(
-                    "store is being served by pid {pid}: fsck --repair/--prune \
-                     would compact or delete records under a live server; \
-                     stop `ct serve` first (read-only fsck is always safe)"
-                ));
-                return Err(StoreError::io(
-                    &self.root.join(crate::lock::SERVE_LOCK_FILE),
-                    &e,
-                ));
-            }
-        }
-        let mut report = if self.packed.is_some() {
-            self.packed_fsck(options)?
-        } else {
-            self.loose_fsck(options)?
-        };
+        let mut report = self.fsck_segments(options)?;
         let tmp_dir = self.root.join("tmp");
         report.tmp_files = fs::read_dir(&tmp_dir)
             .map_err(|e| StoreError::io(&tmp_dir, &e))?
             .count();
         if options.repair {
-            report.tmp_swept = self.sweep_tmp(options.tmp_max_age)?;
-        }
-        Ok(report)
-    }
-
-    /// The record walk of [`Store::fsck`] for the loose layout.
-    fn loose_fsck(&self, options: &FsckOptions) -> Result<FsckReport, StoreError> {
-        let mut report = FsckReport::default();
-        let objects = self.root.join("objects");
-        let shards = fs::read_dir(&objects).map_err(|e| StoreError::io(&objects, &e))?;
-        for shard in shards.flatten() {
-            let shard_path = shard.path();
-            if !shard_path.is_dir() {
-                continue;
-            }
-            let records = fs::read_dir(&shard_path).map_err(|e| StoreError::io(&shard_path, &e))?;
-            for record in records.flatten() {
-                let path = record.path();
-                let bytes = fs::read(&path).map_err(|e| StoreError::io(&path, &e))?;
-                report.records_scanned += 1;
-                report.bytes_scanned += bytes.len() as u64;
-                if decode_record(&bytes).is_ok() {
-                    // A valid record can still be *stale*: age-based
-                    // pruning removes records not rewritten within the
-                    // caller's bound, keeping long-lived stores bounded.
-                    let stale = options.prune_max_age.is_some_and(|age| {
-                        record
-                            .metadata()
-                            .and_then(|m| m.modified())
-                            .ok()
-                            .and_then(|t| t.elapsed().ok())
-                            .is_some_and(|a| a >= age)
-                    });
-                    if stale {
-                        self.remove_file(&path)?;
-                        report.pruned += 1;
-                    }
-                    continue;
-                }
-                report.corrupt_records += 1;
-                if options.repair {
-                    self.add(ct_obs::names::STORE_CORRUPT_RECORDS, 1);
-                    self.remove_file(&path)?;
-                    report.repaired += 1;
-                }
-            }
+            report.tmp_swept = self.sweep_tmp()?;
         }
         Ok(report)
     }
 }
 
-/// The packed-layout implementation. Same public contract as the
-/// loose paths ([`Store::get`]/[`Store::put`]/… dispatch here when
-/// the backend is packed); see [`crate::segment`] for the on-disk
-/// format and recovery rules.
-impl Store {
-    /// Rebuilds the in-memory index by walking `dir`'s segments in id
-    /// order: sealed segments load their footer (O(1) entries read
-    /// per record, no payload I/O), unsealed ones are frame-scanned,
-    /// and a torn tail is truncated back to the last clean entry
-    /// boundary. The last unsealed segment becomes the append target;
-    /// a fresh one is created when every segment is sealed.
-    fn packed_scan_state(&self, dir: &Path) -> Result<(PackedState, OpenStats), StoreError> {
-        let mut stats = OpenStats::default();
-        let mut ids: Vec<u32> = Vec::new();
-        let listing = fs::read_dir(dir).map_err(|e| StoreError::io(dir, &e))?;
-        for entry in listing.flatten() {
-            if let Some(id) = entry
-                .file_name()
-                .to_str()
-                .and_then(segment::parse_segment_id)
-            {
-                ids.push(id);
+/// Rebuilds the in-memory index by walking `dir`'s segments in id
+/// order: sealed segments load their footer (O(1) entries read per
+/// record, no payload I/O), unsealed ones are frame-scanned, and a
+/// torn tail is truncated back to the last clean entry boundary. The
+/// last unsealed segment becomes the append target; a fresh one is
+/// created when every segment is sealed.
+fn scan_segments(dir: &Path) -> Result<(PackedState, OpenStats), StoreError> {
+    let mut stats = OpenStats::default();
+    let mut ids: Vec<u32> = Vec::new();
+    let listing = fs::read_dir(dir).map_err(|e| StoreError::io(dir, &e))?;
+    for entry in listing.flatten() {
+        if let Some(id) = entry
+            .file_name()
+            .to_str()
+            .and_then(segment::parse_segment_id)
+        {
+            ids.push(id);
+        }
+    }
+    ids.sort_unstable();
+    let mut index = HashMap::new();
+    let mut files = BTreeMap::new();
+    let mut active: Option<ActiveSegment> = None;
+    for (i, &id) in ids.iter().enumerate() {
+        let path = segment::segment_path(dir, id);
+        let bytes = fs::read(&path).map_err(|e| StoreError::io(&path, &e))?;
+        let file = fs::OpenOptions::new()
+            .read(true)
+            .write(true)
+            .open(&path)
+            .map_err(|e| StoreError::io(&path, &e))?;
+        if let Some(footer) = segment::decode_footer(&bytes) {
+            stats.footer_loads += 1;
+            for e in &footer.entries {
+                segment::apply_entry(&mut index, id, e);
+            }
+        } else {
+            stats.scans += 1;
+            let scan = segment::scan_entries(&bytes, bytes.len() as u64);
+            if scan.truncated {
+                stats.truncated_tails += 1;
+                file.set_len(scan.clean_len)
+                    .map_err(|e| StoreError::io(&path, &e))?;
+            }
+            for e in &scan.entries {
+                segment::apply_entry(&mut index, id, e);
+            }
+            if i == ids.len() - 1 {
+                active = Some(ActiveSegment {
+                    id,
+                    len: scan.clean_len,
+                    unsynced: 0,
+                    pending: scan.entries,
+                });
             }
         }
-        ids.sort_unstable();
-        let mut index = HashMap::new();
-        let mut files = BTreeMap::new();
-        let mut active: Option<ActiveSegment> = None;
-        for (i, &id) in ids.iter().enumerate() {
+        files.insert(id, Arc::new(file));
+    }
+    let active = match active {
+        Some(a) => a,
+        None => {
+            let id = ids.last().map_or(0, |last| last + 1);
             let path = segment::segment_path(dir, id);
-            let bytes = fs::read(&path).map_err(|e| StoreError::io(&path, &e))?;
             let file = fs::OpenOptions::new()
                 .read(true)
                 .write(true)
+                .create(true)
+                .truncate(false)
                 .open(&path)
                 .map_err(|e| StoreError::io(&path, &e))?;
-            if let Some(footer) = segment::decode_footer(&bytes) {
-                stats.footer_loads += 1;
-                for e in &footer.entries {
-                    segment::apply_entry(&mut index, id, e);
-                }
-            } else {
-                stats.scans += 1;
-                let scan = segment::scan_entries(&bytes, bytes.len() as u64);
-                if scan.truncated {
-                    stats.truncated_tails += 1;
-                    file.set_len(scan.clean_len)
-                        .map_err(|e| StoreError::io(&path, &e))?;
-                }
-                for e in &scan.entries {
-                    segment::apply_entry(&mut index, id, e);
-                }
-                if i == ids.len() - 1 {
-                    active = Some(ActiveSegment {
-                        id,
-                        len: scan.clean_len,
-                        unsynced: 0,
-                        pending: scan.entries,
-                    });
-                }
-            }
             files.insert(id, Arc::new(file));
-        }
-        let active = match active {
-            Some(a) => a,
-            None => {
-                let id = ids.last().map_or(0, |last| last + 1);
-                let path = segment::segment_path(dir, id);
-                let file = fs::OpenOptions::new()
-                    .read(true)
-                    .write(true)
-                    .create(true)
-                    .truncate(false)
-                    .open(&path)
-                    .map_err(|e| StoreError::io(&path, &e))?;
-                files.insert(id, Arc::new(file));
-                ActiveSegment {
-                    id,
-                    len: 0,
-                    unsynced: 0,
-                    pending: Vec::new(),
-                }
+            ActiveSegment {
+                id,
+                len: 0,
+                unsynced: 0,
+                pending: Vec::new(),
             }
-        };
-        Ok((
-            PackedState {
-                index,
-                files,
-                active,
-            },
-            stats,
-        ))
-    }
+        }
+    };
+    Ok((
+        PackedState {
+            index,
+            files,
+            active,
+        },
+        stats,
+    ))
+}
 
-    fn backend(&self) -> Arc<PackedBackend> {
-        Arc::clone(self.packed.as_ref().expect("packed backend present"))
-    }
-
+/// The segment-log mechanics behind [`Store::put`], [`Store::get`],
+/// eviction and [`Store::fsck`]; see [`crate::segment`] for the
+/// on-disk format and recovery rules.
+impl Store {
     /// Appends one entry to the active segment and indexes it, then
     /// group-syncs and seals when the byte thresholds say so. Caller
     /// holds the state lock. The `segment.append` failpoint sits at
@@ -822,9 +585,8 @@ impl Store {
     /// append overwrites it — exactly a crash mid-append), `corrupt`
     /// mangles a byte and "succeeds" for the frame checksum to catch
     /// on read.
-    fn packed_append_locked(
+    fn append_locked(
         &self,
-        backend: &PackedBackend,
         state: &mut PackedState,
         key: &Digest,
         kind: u8,
@@ -860,22 +622,22 @@ impl Store {
         state.active.len += entry.len() as u64;
         state.active.unsynced += entry.len() as u64;
         self.add(ct_obs::names::STORE_SEGMENT_APPENDS, 1);
-        if state.active.unsynced >= backend.options.sync_bytes {
-            self.packed_group_sync_locked(state)?;
+        let options = &self.backend.options;
+        if state.active.unsynced >= options.sync_bytes {
+            self.group_sync_locked(state)?;
         }
-        if state.active.len >= backend.options.roll_bytes {
-            self.packed_seal_locked(backend, state)?;
+        if state.active.len >= options.roll_bytes {
+            self.seal_locked(state)?;
         }
         Ok(())
     }
 
     /// The group fsync: one `fdatasync` covering every append since
     /// the last one. A failure errors the put that tripped the
-    /// threshold (the entry stays indexed and readable — mirroring
-    /// the loose layout's dir-fsync semantics, where the record is
-    /// visible but not yet provably durable); `unsynced` is reset
-    /// only on success so the next put retries the sync.
-    fn packed_group_sync_locked(&self, state: &mut PackedState) -> std::io::Result<()> {
+    /// threshold (the entry stays indexed and readable, just not yet
+    /// provably durable); `unsynced` is reset only on success so the
+    /// next put retries the sync.
+    fn group_sync_locked(&self, state: &mut PackedState) -> std::io::Result<()> {
         if let Some(k) = self.injected_fault(faults::sites::SEGMENT_SYNC) {
             return Err(k.io_error());
         }
@@ -893,11 +655,7 @@ impl Store {
     /// footer, fsync file and directory — and rolls to a fresh one.
     /// On failure the segment stays active and over-threshold, so the
     /// next put retries the seal.
-    fn packed_seal_locked(
-        &self,
-        backend: &PackedBackend,
-        state: &mut PackedState,
-    ) -> std::io::Result<()> {
+    fn seal_locked(&self, state: &mut PackedState) -> std::io::Result<()> {
         if let Some(k) = self.injected_fault(faults::sites::SEGMENT_FOOTER) {
             return Err(k.io_error());
         }
@@ -908,11 +666,11 @@ impl Store {
         let footer = segment::encode_footer(&state.active.pending);
         file.write_all_at(&footer, state.active.len)?;
         file.sync_data()?;
-        fsync_dir(&backend.dir)?;
+        fsync_dir(&self.backend.dir)?;
         state.active.unsynced = 0;
         self.add(ct_obs::names::STORE_SEGMENT_SEALS, 1);
         let id = state.active.id + 1;
-        let path = segment::segment_path(&backend.dir, id);
+        let path = segment::segment_path(&self.backend.dir, id);
         let fresh = fs::OpenOptions::new()
             .read(true)
             .write(true)
@@ -922,90 +680,11 @@ impl Store {
         Ok(())
     }
 
-    fn packed_put(&self, key: &Digest, payload: &[u8]) -> Result<(), StoreError> {
-        let backend = self.backend();
-        let frame = encode_record(payload);
-        let written = self.retry_transient(|| {
-            let mut state = backend.state.lock().expect("packed store lock");
-            self.packed_append_locked(&backend, &mut state, key, segment::KIND_PUT, &frame)
-        });
-        if let Err(e) = written {
-            return Err(StoreError::io(&backend.dir, &e));
-        }
-        self.add(ct_obs::names::STORE_RECORDS_WRITTEN, 1);
-        self.observe_bytes(frame.len());
-        Ok(())
-    }
-
-    fn packed_get(&self, key: &Digest) -> Result<Option<Vec<u8>>, StoreError> {
-        let backend = self.backend();
-        let located = {
-            let state = backend.state.lock().expect("packed store lock");
-            state.index.get(key).map(|e| {
-                let file = state.files.get(&e.seg).expect("indexed segment file");
-                (Arc::clone(file), *e)
-            })
-        };
-        let Some((file, entry)) = located else {
-            self.add(ct_obs::names::STORE_MISSES, 1);
-            return Ok(None);
-        };
-        // The pread happens outside the lock: readers never serialize
-        // behind appends. (A concurrent compaction renames the file
-        // away, but this fd still reads the old, valid bytes.)
-        let read = self.retry_transient(|| {
-            let fault = self.injected_fault(faults::sites::STORE_GET_READ);
-            if let Some(kind @ (FaultKind::Io | FaultKind::Enospc)) = fault {
-                return Err(kind.io_error());
-            }
-            let mut bytes = vec![0u8; entry.len as usize];
-            file.read_exact_at(&mut bytes, entry.offset)?;
-            match fault {
-                Some(FaultKind::Corruption) => {
-                    if let Some(b) = bytes.last_mut() {
-                        *b ^= 0x01;
-                    }
-                }
-                Some(FaultKind::PartialWrite) => bytes.truncate(bytes.len() / 2),
-                _ => {}
-            }
-            Ok(bytes)
-        });
-        let bytes = match read {
-            Ok(b) => b,
-            // An index entry pointing past EOF is a truncated segment:
-            // corruption, not an environmental error.
-            Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => {
-                self.add(ct_obs::names::STORE_CORRUPT_RECORDS, 1);
-                self.packed_tombstone(key)?;
-                return Ok(None);
-            }
-            Err(e) => {
-                let path = segment::segment_path(&backend.dir, entry.seg);
-                return Err(StoreError::io(&path, &e));
-            }
-        };
-        match segment::validate_entry(&bytes, key) {
-            Some(payload) => {
-                self.add(ct_obs::names::STORE_HITS, 1);
-                Ok(Some(payload.to_vec()))
-            }
-            None => {
-                // Validate-or-evict, packed edition: the eviction is a
-                // tombstone masking the corrupt entry, and the caller
-                // sees a plain miss.
-                self.add(ct_obs::names::STORE_CORRUPT_RECORDS, 1);
-                self.packed_tombstone(key)?;
-                Ok(None)
-            }
-        }
-    }
-
     /// Appends a tombstone masking `key` if it is live, returning
     /// whether it was. The `store.evict.remove` failpoint guards the
-    /// operation for layout parity with loose eviction.
-    fn packed_tombstone(&self, key: &Digest) -> Result<bool, StoreError> {
-        let backend = self.backend();
+    /// operation.
+    fn tombstone(&self, key: &Digest) -> Result<bool, StoreError> {
+        let backend = &self.backend;
         let guarded =
             self.retry_transient(
                 || match self.injected_fault(faults::sites::STORE_EVICT_REMOVE) {
@@ -1017,15 +696,15 @@ impl Store {
             return Err(StoreError::io(&backend.dir, &e));
         }
         {
-            let state = backend.state.lock().expect("packed store lock");
+            let state = backend.state.lock().expect("store state lock");
             if !state.index.contains_key(key) {
                 return Ok(false);
             }
         }
         let frame = encode_record(&[]);
         let appended = self.retry_transient(|| {
-            let mut state = backend.state.lock().expect("packed store lock");
-            self.packed_append_locked(&backend, &mut state, key, segment::KIND_TOMBSTONE, &frame)
+            let mut state = backend.state.lock().expect("store state lock");
+            self.append_locked(&mut state, key, segment::KIND_TOMBSTONE, &frame)
         });
         if let Err(e) = appended {
             return Err(StoreError::io(&backend.dir, &e));
@@ -1034,16 +713,16 @@ impl Store {
         Ok(true)
     }
 
-    /// The record walk of [`Store::fsck`] for the packed layout:
-    /// prune stale entries, validate every live entry end-to-end,
-    /// and — in repair mode — drop corrupt entries and compact every
-    /// segment that holds one (plus sealed segments whose live ratio
-    /// fell under [`segment::COMPACT_LIVE_RATIO`]).
-    fn packed_fsck(&self, options: &FsckOptions) -> Result<FsckReport, StoreError> {
-        let backend = self.backend();
+    /// The record walk of [`Store::fsck`]: prune stale entries,
+    /// validate every live entry end-to-end, and — in repair mode —
+    /// drop corrupt entries and compact every segment that holds one
+    /// (plus sealed segments whose live ratio fell under
+    /// [`segment::COMPACT_LIVE_RATIO`]).
+    fn fsck_segments(&self, options: &FsckOptions) -> Result<FsckReport, StoreError> {
+        let backend = &self.backend;
         let dir = backend.dir.clone();
         let mut report = FsckReport::default();
-        let mut guard = backend.state.lock().expect("packed store lock");
+        let mut guard = backend.state.lock().expect("store state lock");
         let state = &mut *guard;
 
         // Age-based pruning first: a pruned entry is tombstoned out of
@@ -1060,7 +739,7 @@ impl Store {
             stale.sort_unstable_by_key(|k| k.0);
             let frame = encode_record(&[]);
             for key in stale {
-                self.packed_append_locked(&backend, state, &key, segment::KIND_TOMBSTONE, &frame)
+                self.append_locked(state, &key, segment::KIND_TOMBSTONE, &frame)
                     .map_err(|e| StoreError::io(&dir, &e))?;
                 self.add(ct_obs::names::STORE_EVICTIONS, 1);
                 report.pruned += 1;
@@ -1106,14 +785,8 @@ impl Store {
             for key in &corrupt {
                 if let Some(e) = state.index.remove(key) {
                     dirty.insert(e.seg);
-                    self.packed_append_locked(
-                        &backend,
-                        state,
-                        key,
-                        segment::KIND_TOMBSTONE,
-                        &frame,
-                    )
-                    .map_err(|e| StoreError::io(&dir, &e))?;
+                    self.append_locked(state, key, segment::KIND_TOMBSTONE, &frame)
+                        .map_err(|e| StoreError::io(&dir, &e))?;
                     self.add(ct_obs::names::STORE_CORRUPT_RECORDS, 1);
                     self.add(ct_obs::names::STORE_EVICTIONS, 1);
                     report.repaired += 1;
@@ -1128,7 +801,7 @@ impl Store {
                 let low_ratio = id != state.active.id
                     && live / (image.len() as f64) < segment::COMPACT_LIVE_RATIO;
                 if dirty.contains(&id) || low_ratio {
-                    self.packed_compact_locked(&backend, state, id, &mut report)?;
+                    self.compact_locked(state, id, &mut report)?;
                 }
             }
         }
@@ -1140,14 +813,14 @@ impl Store {
     /// sealed with a fresh footer, via stage-then-rename under `tmp/`
     /// — a crash mid-compaction leaves the original segment
     /// untouched. Caller holds the state lock.
-    fn packed_compact_locked(
+    fn compact_locked(
         &self,
-        backend: &PackedBackend,
         state: &mut PackedState,
         id: u32,
         report: &mut FsckReport,
     ) -> Result<(), StoreError> {
-        let path = segment::segment_path(&backend.dir, id);
+        let dir = &self.backend.dir;
+        let path = segment::segment_path(dir, id);
         if let Some(kind) = self.injected_fault(faults::sites::SEGMENT_COMPACT) {
             return Err(StoreError::io(&path, &kind.io_error()));
         }
@@ -1197,18 +870,18 @@ impl Store {
             metas.push(EntryMeta { offset, ..e });
         }
         out.extend_from_slice(&segment::encode_footer(&metas));
-        let tmp = self.root.join("tmp").join(format!(
-            "seg-{id:04}.compact.{}.{:016x}.{}.tmp",
-            std::process::id(),
-            startup_nonce(),
-            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
+        // The root's lock makes this process the only stager, so the
+        // segment id alone names the staged file.
+        let tmp = self
+            .root
+            .join("tmp")
+            .join(format!("seg-{id:04}.compact.tmp"));
         let staged = (|| -> std::io::Result<fs::File> {
             let mut f = fs::File::create(&tmp)?;
             f.write_all(&out)?;
             f.sync_all()?;
             fs::rename(&tmp, &path)?;
-            fsync_dir(&backend.dir)?;
+            fsync_dir(dir)?;
             fs::OpenOptions::new().read(true).write(true).open(&path)
         })();
         let file = match staged {
@@ -1236,7 +909,7 @@ impl Store {
             // The active segment is sealed now; appends need a fresh
             // target.
             let next = state.files.keys().max().copied().unwrap_or(0) + 1;
-            let npath = segment::segment_path(&backend.dir, next);
+            let npath = segment::segment_path(dir, next);
             let nfile = fs::OpenOptions::new()
                 .read(true)
                 .write(true)
@@ -1261,37 +934,24 @@ fn files_insert_fresh(state: &mut PackedState, id: u32, file: fs::File) {
 }
 
 /// What [`Store::fsck`] is allowed to do.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FsckOptions {
-    /// Evict corrupt records and sweep orphaned staging files; `false`
-    /// reports only and modifies nothing.
+    /// Tombstone corrupt records, compact the segments that held them,
+    /// and sweep every `tmp/` file; `false` reports only.
     pub repair: bool,
-    /// Minimum age before a `tmp/` staging file counts as orphaned
-    /// (see [`Store::sweep_tmp`]).
-    pub tmp_max_age: Duration,
-    /// When set, *prune* valid records at least this old (loose: by
-    /// file mtime; packed: by entry write timestamp). Pruning acts
-    /// whenever set — with or without `repair` — because passing an
-    /// age is already an explicit destructive request.
+    /// When set, *prune* valid records whose entry was written at
+    /// least this long ago. Pruning acts whenever set — with or
+    /// without `repair` — because passing an age is already an
+    /// explicit destructive request.
     pub prune_max_age: Option<Duration>,
-}
-
-impl Default for FsckOptions {
-    fn default() -> Self {
-        Self {
-            repair: false,
-            tmp_max_age: DEFAULT_TMP_MAX_AGE,
-            prune_max_age: None,
-        }
-    }
 }
 
 /// What an [`Store::fsck`] walk found (and, in repair mode, fixed).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FsckReport {
-    /// Record files whose frame was validated.
+    /// Live entries whose frame was validated.
     pub records_scanned: usize,
-    /// Total record bytes read.
+    /// Total segment bytes read.
     pub bytes_scanned: u64,
     /// Records that failed frame validation.
     pub corrupt_records: usize,
@@ -1302,9 +962,9 @@ pub struct FsckReport {
     pub tmp_files: usize,
     /// Staging files swept as orphans (repair mode only).
     pub tmp_swept: usize,
-    /// Segment files walked (packed layout only).
+    /// Segment files walked.
     pub segments_scanned: usize,
-    /// Segments rewritten by compaction (packed repair mode only).
+    /// Segments rewritten by compaction (repair mode only).
     pub segments_compacted: usize,
     /// Valid-but-stale records pruned by age
     /// ([`FsckOptions::prune_max_age`]).
@@ -1357,30 +1017,60 @@ mod tests {
         h.finish()
     }
 
-    /// A unique on-disk root per test, with a local registry so counter
-    /// assertions are exact even under the parallel test runner.
-    fn scratch(tag: &str) -> (Store, Arc<ct_obs::Registry>, PathBuf) {
+    fn scratch_root(tag: &str) -> PathBuf {
         let root = std::env::temp_dir().join(format!("ct-store-unit-{}-{tag}", std::process::id()));
         let _ = fs::remove_dir_all(&root);
+        root
+    }
+
+    /// A default store at a unique root per test, with a local
+    /// registry so counter assertions are exact even under the
+    /// parallel test runner.
+    fn scratch(tag: &str) -> (Store, Arc<ct_obs::Registry>, PathBuf) {
+        let root = scratch_root(tag);
         let registry = Arc::new(ct_obs::Registry::new());
         let store = Store::open_with_registry(&root, Arc::clone(&registry)).unwrap();
         (store, registry, root)
     }
 
-    /// Like [`scratch`], with a private armed-fault registry.
-    fn faulty_scratch(tag: &str) -> (Store, Arc<ct_obs::Registry>, Arc<FaultRegistry>, PathBuf) {
-        let root =
-            std::env::temp_dir().join(format!("ct-store-fault-{}-{tag}", std::process::id()));
-        let _ = fs::remove_dir_all(&root);
+    /// Like [`scratch`], with a private armed-fault registry and
+    /// explicit segment thresholds.
+    fn faulty_scratch(
+        tag: &str,
+        options: PackedOptions,
+    ) -> (Store, Arc<ct_obs::Registry>, Arc<FaultRegistry>, PathBuf) {
+        let root = scratch_root(tag);
         let registry = Arc::new(ct_obs::Registry::new());
         let faults = Arc::new(FaultRegistry::with_obs(Arc::clone(&registry)));
         let store =
-            Store::open_with_faults(&root, Arc::clone(&registry), Arc::clone(&faults)).unwrap();
+            Store::open_with_options(&root, Arc::clone(&registry), Arc::clone(&faults), options)
+                .unwrap();
         (store, registry, faults, root)
     }
 
+    /// Tiny thresholds so tests exercise rolls and group syncs without
+    /// megabytes of payload.
+    const SMALL_SEGMENTS: PackedOptions = PackedOptions {
+        roll_bytes: 512,
+        sync_bytes: 128,
+    };
+
     fn counter(registry: &ct_obs::Registry, name: &str) -> u64 {
         registry.snapshot().counter(name).unwrap_or(0)
+    }
+
+    /// Rewrites the newest entry for `key` in segment 0 of the
+    /// (closed) store at `root` through `f`, as bit rot would.
+    fn damage_entry(root: &Path, key: &Digest, f: impl FnOnce(&mut [u8])) {
+        let seg = segment::segment_path(&root.join("segments"), 0);
+        let mut bytes = fs::read(&seg).unwrap();
+        let e = segment::scan_entries(&bytes, bytes.len() as u64)
+            .entries
+            .into_iter()
+            .rfind(|e| e.key == *key)
+            .expect("the key has an entry in segment 0");
+        f(&mut bytes[e.offset as usize..(e.offset + e.len) as usize]);
+        fs::write(&seg, bytes).unwrap();
     }
 
     #[test]
@@ -1393,6 +1083,7 @@ mod tests {
         assert_eq!(counter(&reg, ct_obs::names::STORE_MISSES), 1);
         assert_eq!(counter(&reg, ct_obs::names::STORE_HITS), 1);
         assert_eq!(counter(&reg, ct_obs::names::STORE_RECORDS_WRITTEN), 1);
+        assert_eq!(counter(&reg, ct_obs::names::STORE_SEGMENT_APPENDS), 1);
         let _ = fs::remove_dir_all(root);
     }
 
@@ -1403,6 +1094,10 @@ mod tests {
         store.put(&k, b"v1").unwrap();
         store.put(&k, b"v2").unwrap();
         assert_eq!(store.get(&k).unwrap(), Some(b"v2".to_vec()));
+        drop(store);
+        // The later entry wins on replay too.
+        let store = Store::open(&root).unwrap();
+        assert_eq!(store.get(&k).unwrap(), Some(b"v2".to_vec()));
         let _ = fs::remove_dir_all(root);
     }
 
@@ -1411,17 +1106,19 @@ mod tests {
         let (store, reg, root) = scratch("corrupt");
         let k = key("a");
         store.put(&k, b"payload").unwrap();
-        let path = store.record_path(&k);
+        drop(store);
+        damage_entry(&root, &k, |e| *e.last_mut().unwrap() ^= 0xff);
 
-        // Truncate mid-payload, as a crash during a non-atomic writer
-        // would have.
-        let bytes = fs::read(&path).unwrap();
-        fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
-
+        let store = Store::open_with_registry(&root, Arc::clone(&reg)).unwrap();
         assert_eq!(store.get(&k).unwrap(), None);
         assert_eq!(counter(&reg, ct_obs::names::STORE_CORRUPT_RECORDS), 1);
         assert_eq!(counter(&reg, ct_obs::names::STORE_EVICTIONS), 1);
-        assert!(!path.exists(), "corrupt record must be evicted");
+        // The eviction is a tombstone: after a reopen the key is a
+        // plain miss, not a second corrupt read.
+        drop(store);
+        let store = Store::open_with_registry(&root, Arc::clone(&reg)).unwrap();
+        assert_eq!(store.get(&k).unwrap(), None);
+        assert_eq!(counter(&reg, ct_obs::names::STORE_CORRUPT_RECORDS), 1);
 
         // Recompute-and-rewrite path: a fresh put fully heals the key.
         store.put(&k, b"payload").unwrap();
@@ -1454,35 +1151,48 @@ mod tests {
         assert_eq!(store.get(&k).unwrap(), None);
         assert_eq!(counter(&reg, ct_obs::names::STORE_CORRUPT_RECORDS), 1);
         assert_eq!(counter(&reg, ct_obs::names::STORE_EVICTIONS), 2);
+        // The tombstones replay on reopen: the key stays dead.
+        drop(store);
+        assert_eq!(Store::open(&root).unwrap().get(&k).unwrap(), None);
         let _ = fs::remove_dir_all(root);
     }
 
     #[test]
-    fn staged_names_embed_pid_and_startup_nonce() {
-        // The collision-avoidance contract for multi-process stores:
-        // a staged filename must be unique across processes even under
-        // PID reuse, so it carries key, PID, startup nonce, and
-        // sequence — and never repeats within a process.
-        let nonce = startup_nonce();
-        assert_eq!(nonce, startup_nonce(), "nonce is per-process stable");
-        let (store, _, root) = scratch("tmp-name");
-        let k = key("a");
-        let a = store.staged_path(&k);
-        let b = store.staged_path(&k);
-        assert_ne!(a, b, "every staged path is unique");
-        let name = a.file_name().unwrap().to_str().unwrap();
-        let expected_prefix = format!("{}.{}.{nonce:016x}.", k.to_hex(), std::process::id());
+    fn second_open_of_a_held_root_fails_until_the_last_clone_drops() {
+        let (store, _, root) = scratch("lock");
+        let e = Store::open(&root).unwrap_err().to_string();
         assert!(
-            name.starts_with(&expected_prefix) && name.ends_with(".tmp"),
-            "staged name {name:?} must carry key, PID, and nonce"
+            e.contains(&root.display().to_string()) && e.contains("already held"),
+            "{e}"
         );
+        assert!(e.contains("ct serve"), "the error names the way out: {e}");
+        // Clones share the one lock: the root stays held while any
+        // clone lives.
+        let clone = store.clone();
+        drop(store);
+        assert!(Store::open(&root).is_err(), "a live clone holds the root");
+        clone.put(&key("a"), b"x").unwrap();
+        drop(clone);
+        let reopened = Store::open(&root).unwrap();
+        assert_eq!(reopened.get(&key("a")).unwrap(), Some(b"x".to_vec()));
         let _ = fs::remove_dir_all(root);
     }
 
     #[test]
-    fn transient_write_fault_is_retried_to_success() {
-        let (store, reg, faults, root) = faulty_scratch("retry-write");
-        faults.arm(FaultSpec::once(sites::STORE_PUT_WRITE, 1, FaultKind::Io));
+    fn an_old_loose_root_is_refused_and_left_alone() {
+        let root = scratch_root("loose-root");
+        fs::create_dir_all(root.join("objects").join("ab")).unwrap();
+        let e = Store::open(&root).unwrap_err().to_string();
+        assert!(e.contains("old loose-layout store"), "{e}");
+        assert!(e.contains("delete"), "the error says what to do: {e}");
+        assert!(!root.join("segments").exists() && !root.join("lock").exists());
+        let _ = fs::remove_dir_all(root);
+    }
+
+    #[test]
+    fn transient_append_fault_is_retried_to_success() {
+        let (store, reg, faults, root) = faulty_scratch("retry-append", PackedOptions::default());
+        faults.arm(FaultSpec::once(sites::SEGMENT_APPEND, 1, FaultKind::Io));
         let k = key("a");
         store.put(&k, b"payload").unwrap();
         assert_eq!(store.get(&k).unwrap(), Some(b"payload".to_vec()));
@@ -1493,88 +1203,86 @@ mod tests {
     }
 
     #[test]
-    fn enospc_is_not_retried_and_leaves_no_tmp_residue() {
-        let (store, reg, faults, root) = faulty_scratch("enospc");
+    fn enospc_is_not_retried_and_a_disarmed_put_heals() {
+        let (store, reg, faults, root) = faulty_scratch("enospc", PackedOptions::default());
         faults.arm(FaultSpec::every(
-            sites::STORE_PUT_WRITE,
-            1,
-            FaultKind::Enospc,
-        ));
-        let e = store.put(&key("a"), b"payload").unwrap_err();
-        assert!(e.to_string().contains("disk-full"), "{e}");
-        assert_eq!(counter(&reg, ct_obs::names::STORE_RETRIES), 0);
-        let leftovers: Vec<_> = fs::read_dir(root.join("tmp")).unwrap().collect();
-        assert!(leftovers.is_empty(), "failed put must clean its tmp file");
-        let _ = fs::remove_dir_all(root);
-    }
-
-    #[test]
-    fn rename_fault_fails_put_and_cleans_tmp() {
-        let (store, reg, faults, root) = faulty_scratch("rename");
-        faults.arm(FaultSpec::every(
-            sites::STORE_PUT_RENAME,
-            1,
-            FaultKind::Enospc,
-        ));
-        assert!(store.put(&key("a"), b"payload").is_err());
-        assert!(fs::read_dir(root.join("tmp")).unwrap().next().is_none());
-        assert_eq!(counter(&reg, ct_obs::names::STORE_RECORDS_WRITTEN), 0);
-        // Disarm and the same put heals fully.
-        faults.disarm_all();
-        store.put(&key("a"), b"payload").unwrap();
-        assert_eq!(store.get(&key("a")).unwrap(), Some(b"payload".to_vec()));
-        let _ = fs::remove_dir_all(root);
-    }
-
-    #[test]
-    fn dir_fsync_failpoint_fails_put_after_publish() {
-        let (store, reg, faults, root) = faulty_scratch("sync-dir");
-        faults.arm(FaultSpec::every(
-            sites::STORE_PUT_SYNC_DIR,
+            sites::SEGMENT_APPEND,
             1,
             FaultKind::Enospc,
         ));
         let k = key("a");
-        assert!(store.put(&k, b"payload").is_err());
-        // The rename landed before the dir fsync failed: the record is
-        // visible and valid (just not provably durable yet), so the
-        // conservative error is honest, not destructive.
+        let e = store.put(&k, b"payload").unwrap_err();
+        assert!(e.to_string().contains("disk-full"), "{e}");
+        assert_eq!(counter(&reg, ct_obs::names::STORE_RETRIES), 0);
+        assert_eq!(counter(&reg, ct_obs::names::STORE_RECORDS_WRITTEN), 0);
+        assert_eq!(
+            store.get(&k).unwrap(),
+            None,
+            "a failed append publishes nothing"
+        );
         faults.disarm_all();
+        store.put(&k, b"payload").unwrap();
         assert_eq!(store.get(&k).unwrap(), Some(b"payload".to_vec()));
-        assert_eq!(counter(&reg, ct_obs::names::FAULTS_FIRED), 1);
         let _ = fs::remove_dir_all(root);
     }
 
     #[test]
-    fn torn_write_fault_fails_put_without_publishing() {
-        let (store, _, faults, root) = faulty_scratch("torn");
-        faults.arm(FaultSpec::every(
-            sites::STORE_PUT_WRITE,
+    fn group_sync_failure_fails_the_put_but_keeps_the_entry() {
+        let (store, reg, faults, root) = faulty_scratch("sync", SMALL_SEGMENTS);
+        faults.arm(FaultSpec::every(sites::SEGMENT_SYNC, 1, FaultKind::Enospc));
+        let k = key("a");
+        assert!(store.put(&k, &[7; 200]).is_err(), "200 bytes trip the sync");
+        // The entry landed before the sync failed: it is readable,
+        // just not yet provably durable, so the error is honest and
+        // not destructive.
+        faults.disarm_all();
+        assert_eq!(store.get(&k).unwrap(), Some(vec![7; 200]));
+        assert_eq!(counter(&reg, ct_obs::names::FAULTS_FIRED), 1);
+        assert_eq!(counter(&reg, ct_obs::names::STORE_SEGMENT_GROUP_SYNCS), 0);
+        // The next put retries the sync.
+        store.put(&key("b"), b"x").unwrap();
+        assert_eq!(counter(&reg, ct_obs::names::STORE_SEGMENT_GROUP_SYNCS), 1);
+        let _ = fs::remove_dir_all(root);
+    }
+
+    #[test]
+    fn torn_append_fails_put_without_publishing() {
+        let (store, _, faults, root) = faulty_scratch("torn", PackedOptions::default());
+        faults.arm(FaultSpec::once(
+            sites::SEGMENT_APPEND,
             1,
             FaultKind::PartialWrite,
         ));
-        let k = key("a");
-        assert!(store.put(&k, b"payload").is_err());
+        assert!(store.put(&key("a"), b"payload").is_err());
         assert_eq!(
-            fs::read_dir(root.join("objects").join(&k.to_hex()[..2]))
-                .map(|d| d.count())
-                .unwrap_or(0),
-            0,
-            "a torn stage must never publish a record"
+            store.get(&key("a")).unwrap(),
+            None,
+            "a torn append never publishes"
         );
+        // The next append of the same size overwrites the torn bytes.
+        store.put(&key("b"), b"payload").unwrap();
+        drop(store);
+        let registry = Arc::new(ct_obs::Registry::new());
+        let reopened = Store::open_with_registry(&root, Arc::clone(&registry)).unwrap();
+        assert_eq!(
+            counter(&registry, ct_obs::names::STORE_SEGMENT_TRUNCATED_TAILS),
+            0
+        );
+        assert_eq!(reopened.get(&key("a")).unwrap(), None);
+        assert_eq!(reopened.get(&key("b")).unwrap(), Some(b"payload".to_vec()));
         let _ = fs::remove_dir_all(root);
     }
 
     #[test]
-    fn corruption_fault_on_write_is_healed_on_read() {
-        let (store, reg, faults, root) = faulty_scratch("corrupt-write");
+    fn corruption_fault_on_append_is_healed_on_read() {
+        let (store, reg, faults, root) = faulty_scratch("corrupt-append", PackedOptions::default());
         faults.arm(FaultSpec::once(
-            sites::STORE_PUT_WRITE,
+            sites::SEGMENT_APPEND,
             1,
             FaultKind::Corruption,
         ));
         let k = key("a");
-        store.put(&k, b"payload").unwrap(); // "succeeds", frame mangled
+        store.put(&k, b"payload").unwrap(); // "succeeds", entry mangled
         assert_eq!(store.get(&k).unwrap(), None, "checksum must catch it");
         assert_eq!(counter(&reg, ct_obs::names::STORE_CORRUPT_RECORDS), 1);
         store.put(&k, b"payload").unwrap();
@@ -1583,8 +1291,25 @@ mod tests {
     }
 
     #[test]
+    fn read_corruption_is_evicted_and_healed() {
+        let (store, reg, faults, root) = faulty_scratch("read-corrupt", PackedOptions::default());
+        store.put(&key("a"), b"payload").unwrap();
+        faults.arm(FaultSpec::once(
+            sites::STORE_GET_READ,
+            1,
+            FaultKind::Corruption,
+        ));
+        assert_eq!(store.get(&key("a")).unwrap(), None, "checksum catches it");
+        assert_eq!(counter(&reg, ct_obs::names::STORE_CORRUPT_RECORDS), 1);
+        assert_eq!(counter(&reg, ct_obs::names::STORE_EVICTIONS), 1);
+        store.put(&key("a"), b"payload").unwrap();
+        assert_eq!(store.get(&key("a")).unwrap(), Some(b"payload".to_vec()));
+        let _ = fs::remove_dir_all(root);
+    }
+
+    #[test]
     fn read_fault_surfaces_after_retry_budget() {
-        let (store, reg, faults, root) = faulty_scratch("read-io");
+        let (store, reg, faults, root) = faulty_scratch("read-io", PackedOptions::default());
         store.put(&key("a"), b"payload").unwrap();
         faults.arm(FaultSpec::every(sites::STORE_GET_READ, 1, FaultKind::Io));
         assert!(store.get(&key("a")).is_err(), "budget exhausted → error");
@@ -1596,135 +1321,73 @@ mod tests {
     }
 
     #[test]
-    fn sweep_tmp_honors_age_threshold() {
-        let (store, reg, root) = scratch("sweep");
-        let orphan = root.join("tmp").join("deadbeef.999.0123456789abcdef.0.tmp");
-        fs::write(&orphan, b"staged then crashed").unwrap();
-        // Fresh files are live-writer territory: an hour-long minimum
-        // age must spare them.
-        assert_eq!(store.sweep_tmp(DEFAULT_TMP_MAX_AGE).unwrap(), 0);
-        assert!(orphan.exists());
-        // Age zero treats everything as orphaned.
-        assert_eq!(store.sweep_tmp(Duration::ZERO).unwrap(), 1);
-        assert!(!orphan.exists());
-        assert_eq!(counter(&reg, ct_obs::names::STORE_TMP_SWEPT), 1);
-        let _ = fs::remove_dir_all(root);
-    }
-
-    #[test]
     fn fsck_reports_then_repairs_corruption_and_orphans() {
         let (store, reg, root) = scratch("fsck");
         for i in 0..4 {
             store.put(&key(&format!("k{i}")), &[i as u8; 32]).unwrap();
         }
-        // Damage two records (truncation + bit flip) and orphan a
-        // staging file, as two crashed writers would have.
-        let p0 = store.record_path(&key("k0"));
-        let bytes = fs::read(&p0).unwrap();
-        fs::write(&p0, &bytes[..10]).unwrap();
-        let p1 = store.record_path(&key("k1"));
-        let mut bytes = fs::read(&p1).unwrap();
-        *bytes.last_mut().unwrap() ^= 0xff;
-        fs::write(&p1, bytes).unwrap();
-        fs::write(root.join("tmp").join("orphan.1.2.3.tmp"), b"x").unwrap();
+        drop(store);
+        // Damage two records (a payload bit flip, a wrong format
+        // version) and orphan a staging file, as a crashed repair
+        // would have.
+        damage_entry(&root, &key("k0"), |e| *e.last_mut().unwrap() ^= 0xff);
+        damage_entry(&root, &key("k1"), |e| {
+            let v = segment::ENTRY_HEADER_LEN + 8;
+            e[v..v + 4].copy_from_slice(&99u32.to_le_bytes());
+        });
+        fs::write(root.join("tmp").join("seg-0007.compact.tmp"), b"x").unwrap();
+        let seg = segment::segment_path(&root.join("segments"), 0);
+        let damaged = fs::read(&seg).unwrap();
 
         // Read-only pass: counts everything, repairs nothing.
+        let store = Store::open_with_registry(&root, Arc::clone(&reg)).unwrap();
         let report = store.fsck(&FsckOptions::default()).unwrap();
         assert_eq!(report.records_scanned, 4);
+        assert_eq!(report.segments_scanned, 1);
         assert_eq!(report.corrupt_records, 2);
         assert_eq!(report.repaired, 0);
         assert_eq!(report.tmp_files, 1);
         assert_eq!(report.tmp_swept, 0);
+        assert_eq!(report.segments_compacted, 0);
         assert!(!report.clean());
-        assert!(p0.exists(), "read-only fsck must not modify the store");
+        assert_eq!(
+            fs::read(&seg).unwrap(),
+            damaged,
+            "read-only fsck modifies nothing"
+        );
 
-        // Repair pass: evicts both corrupt records, sweeps the orphan.
+        // Repair pass: tombstones both corrupt records, compacts the
+        // segment that held them, sweeps the orphan.
         let report = store
             .fsck(&FsckOptions {
                 repair: true,
-                tmp_max_age: Duration::ZERO,
                 prune_max_age: None,
             })
             .unwrap();
         assert_eq!(report.corrupt_records, 2);
         assert_eq!(report.repaired, 2);
         assert_eq!(report.tmp_swept, 1);
-        assert!(!p0.exists() && !p1.exists());
+        assert_eq!(report.segments_compacted, 1);
         assert_eq!(counter(&reg, ct_obs::names::STORE_CORRUPT_RECORDS), 2);
         assert_eq!(counter(&reg, ct_obs::names::STORE_EVICTIONS), 2);
         assert_eq!(counter(&reg, ct_obs::names::STORE_TMP_SWEPT), 1);
+        assert_eq!(counter(&reg, ct_obs::names::STORE_SEGMENT_COMPACTIONS), 1);
 
-        // A third pass reports a clean store, and the summary format
-        // scripts grep is pinned.
+        // A third pass reports a clean store, the survivors read
+        // clean, and the summary format scripts grep is pinned.
         let report = store.fsck(&FsckOptions::default()).unwrap();
         assert!(report.clean());
         assert_eq!(report.records_scanned, 2);
         assert!(report.to_csv().contains("fsck,corrupt_records,0\n"));
         assert!(report.to_csv().starts_with("fsck,records_scanned,2\n"));
+        assert_eq!(store.get(&key("k0")).unwrap(), None);
+        assert_eq!(store.get(&key("k2")).unwrap(), Some(vec![2; 32]));
         let _ = fs::remove_dir_all(root);
     }
 
     #[test]
-    fn open_sweeps_only_provably_old_orphans() {
-        let root =
-            std::env::temp_dir().join(format!("ct-store-unit-{}-open-sweep", std::process::id()));
-        let _ = fs::remove_dir_all(&root);
-        fs::create_dir_all(root.join("tmp")).unwrap();
-        let fresh = root.join("tmp").join("fresh.1.2.3.tmp");
-        fs::write(&fresh, b"live writer staging").unwrap();
-        let _ = Store::open(&root).unwrap();
-        assert!(
-            fresh.exists(),
-            "open-time sweep must never race a live writer's fresh file"
-        );
-        let _ = fs::remove_dir_all(root);
-    }
-
-    /// A packed scratch store with tiny thresholds so tests exercise
-    /// rolls and group syncs without megabytes of payload.
-    fn packed_scratch(
-        tag: &str,
-        options: PackedOptions,
-    ) -> (Store, Arc<ct_obs::Registry>, Arc<FaultRegistry>, PathBuf) {
-        let root =
-            std::env::temp_dir().join(format!("ct-store-packed-{}-{tag}", std::process::id()));
-        let _ = fs::remove_dir_all(&root);
-        let registry = Arc::new(ct_obs::Registry::new());
-        let faults = Arc::new(FaultRegistry::with_obs(Arc::clone(&registry)));
-        let store = Store::open_packed_with_options(
-            &root,
-            Arc::clone(&registry),
-            Arc::clone(&faults),
-            options,
-        )
-        .unwrap();
-        (store, registry, faults, root)
-    }
-
-    const SMALL_SEGMENTS: PackedOptions = PackedOptions {
-        roll_bytes: 512,
-        sync_bytes: 128,
-    };
-
-    #[test]
-    fn packed_round_trip_overwrite_and_counters() {
-        let (store, reg, _, root) = packed_scratch("round-trip", SMALL_SEGMENTS);
-        assert!(store.is_packed());
-        let k = key("a");
-        assert_eq!(store.get(&k).unwrap(), None);
-        store.put(&k, b"v1").unwrap();
-        store.put(&k, b"v2").unwrap();
-        assert_eq!(store.get(&k).unwrap(), Some(b"v2".to_vec()));
-        assert_eq!(counter(&reg, ct_obs::names::STORE_MISSES), 1);
-        assert_eq!(counter(&reg, ct_obs::names::STORE_HITS), 1);
-        assert_eq!(counter(&reg, ct_obs::names::STORE_RECORDS_WRITTEN), 2);
-        assert_eq!(counter(&reg, ct_obs::names::STORE_SEGMENT_APPENDS), 2);
-        let _ = fs::remove_dir_all(root);
-    }
-
-    #[test]
-    fn packed_rolls_segments_and_reopens_from_footers() {
-        let (store, reg, _, root) = packed_scratch("roll", SMALL_SEGMENTS);
+    fn segments_roll_and_reopen_from_footers() {
+        let (store, reg, _, root) = faulty_scratch("roll", SMALL_SEGMENTS);
         for i in 0..12u8 {
             store.put(&key(&format!("k{i}")), &[i; 100]).unwrap();
         }
@@ -1736,12 +1399,11 @@ mod tests {
         assert!(counter(&reg, ct_obs::names::STORE_SEGMENT_GROUP_SYNCS) >= seals);
         drop(store);
 
-        // Reopen (auto-detected): sealed segments load from footers,
-        // only the unsealed tail is frame-scanned, and every record
-        // survives bit-for-bit.
+        // Reopen: sealed segments load from footers, only the
+        // unsealed tail is frame-scanned, and every record survives
+        // bit-for-bit.
         let registry = Arc::new(ct_obs::Registry::new());
         let reopened = Store::open_with_registry(&root, Arc::clone(&registry)).unwrap();
-        assert!(reopened.is_packed());
         assert_eq!(
             counter(&registry, ct_obs::names::STORE_SEGMENT_FOOTER_LOADS),
             seals
@@ -1758,30 +1420,14 @@ mod tests {
     }
 
     #[test]
-    fn packed_evict_tombstones_across_reopen() {
-        let (store, reg, _, root) = packed_scratch("evict", SMALL_SEGMENTS);
-        let k = key("a");
-        assert!(!store.evict(&k).unwrap());
-        store.put(&k, b"x").unwrap();
-        assert!(store.evict(&k).unwrap());
-        assert_eq!(store.get(&k).unwrap(), None);
-        assert_eq!(counter(&reg, ct_obs::names::STORE_EVICTIONS), 1);
-        drop(store);
-        // The tombstone replays on reopen: the key must stay dead.
-        let reopened = Store::open(&root).unwrap();
-        assert_eq!(reopened.get(&k).unwrap(), None);
-        let _ = fs::remove_dir_all(root);
-    }
-
-    #[test]
-    fn packed_truncated_tail_recovers_clean_prefix() {
-        let (store, _, _, root) = packed_scratch("torn-tail", SMALL_SEGMENTS);
+    fn truncated_tail_recovers_clean_prefix() {
+        let (store, _, root) = scratch("torn-tail");
         store.put(&key("a"), b"first").unwrap();
         store.put(&key("b"), b"second").unwrap();
         drop(store);
         // Tear the tail of the active segment, as a crash mid-append
         // would: the last entry loses its end.
-        let seg = root.join("segments").join("seg-0000.ctseg");
+        let seg = segment::segment_path(&root.join("segments"), 0);
         let bytes = fs::read(&seg).unwrap();
         fs::write(&seg, &bytes[..bytes.len() - 4]).unwrap();
 
@@ -1803,84 +1449,12 @@ mod tests {
     }
 
     #[test]
-    fn packed_corrupt_entry_evicts_on_read_and_fsck_compacts() {
-        let (store, reg, _, root) = packed_scratch("bit-flip", SMALL_SEGMENTS);
-        store.put(&key("a"), b"aaaa").unwrap();
-        store.put(&key("b"), b"bbbb").unwrap();
-        drop(store);
-        // Flip one payload byte mid-segment (inside entry "a", whose
-        // frame starts after the 25-byte entry header).
-        let seg = root.join("segments").join("seg-0000.ctseg");
-        let mut bytes = fs::read(&seg).unwrap();
-        let target = crate::segment::ENTRY_HEADER_LEN + crate::format::HEADER_LEN;
-        bytes[target] ^= 0xff;
-        fs::write(&seg, &bytes).unwrap();
-
-        let reopened = Store::open_with_registry(&root, Arc::clone(&reg)).unwrap();
-        // fsck (read-only) sees exactly one corrupt live entry.
-        let report = reopened.fsck(&FsckOptions::default()).unwrap();
-        assert_eq!(report.records_scanned, 2);
-        assert_eq!(report.segments_scanned, 1);
-        assert_eq!(report.corrupt_records, 1);
-        assert_eq!(report.segments_compacted, 0);
-        // Repair drops it and compacts the dirty segment.
-        let report = reopened
-            .fsck(&FsckOptions {
-                repair: true,
-                ..FsckOptions::default()
-            })
-            .unwrap();
-        assert_eq!(report.repaired, 1);
-        assert_eq!(report.segments_compacted, 1);
-        assert_eq!(counter(&reg, ct_obs::names::STORE_SEGMENT_COMPACTIONS), 1);
-        // The survivor reads clean; the corrupt key is a plain miss;
-        // a third fsck is clean.
-        assert_eq!(reopened.get(&key("b")).unwrap(), Some(b"bbbb".to_vec()));
-        assert_eq!(reopened.get(&key("a")).unwrap(), None);
-        assert!(reopened.fsck(&FsckOptions::default()).unwrap().clean());
-        let _ = fs::remove_dir_all(root);
-    }
-
-    #[test]
-    fn packed_read_path_evicts_corruption_like_loose() {
-        let (store, reg, faults, root) = packed_scratch("read-corrupt", SMALL_SEGMENTS);
-        store.put(&key("a"), b"payload").unwrap();
-        faults.arm(FaultSpec::once(
-            sites::STORE_GET_READ,
-            1,
-            FaultKind::Corruption,
-        ));
-        assert_eq!(store.get(&key("a")).unwrap(), None, "checksum catches it");
-        assert_eq!(counter(&reg, ct_obs::names::STORE_CORRUPT_RECORDS), 1);
-        assert_eq!(counter(&reg, ct_obs::names::STORE_EVICTIONS), 1);
-        // The eviction tombstoned the entry — and a fresh put heals.
-        store.put(&key("a"), b"payload").unwrap();
-        assert_eq!(store.get(&key("a")).unwrap(), Some(b"payload".to_vec()));
-        let _ = fs::remove_dir_all(root);
-    }
-
-    #[test]
-    fn packed_open_refuses_a_loose_root_and_vice_versa() {
-        let (_, _, root) = scratch("layout-conflict");
-        let e = Store::open_packed(&root).unwrap_err();
-        assert!(e.to_string().contains("loose store"), "{e}");
-        let _ = fs::remove_dir_all(&root);
-
-        // And auto-detection keeps opening packed roots as packed.
-        let (packed, _, _, proot) = packed_scratch("layout-auto", SMALL_SEGMENTS);
-        packed.put(&key("a"), b"x").unwrap();
-        drop(packed);
-        assert!(Store::open(&proot).unwrap().is_packed());
-        let _ = fs::remove_dir_all(proot);
-    }
-
-    #[test]
-    fn prune_removes_stale_records_in_both_layouts() {
-        // Loose: age zero prunes every valid record.
-        let (store, reg, root) = scratch("prune-loose");
+    fn prune_removes_stale_records() {
+        let (store, reg, root) = scratch("prune");
         for i in 0..3u8 {
             store.put(&key(&format!("k{i}")), &[i; 16]).unwrap();
         }
+        // Age zero prunes every valid record, with or without repair.
         let report = store
             .fsck(&FsckOptions {
                 prune_max_age: Some(Duration::ZERO),
@@ -1891,24 +1465,7 @@ mod tests {
         assert_eq!(report.corrupt_records, 0);
         assert_eq!(store.get(&key("k0")).unwrap(), None);
         assert_eq!(counter(&reg, ct_obs::names::STORE_EVICTIONS), 3);
-        let _ = fs::remove_dir_all(root);
-
-        // Packed: same contract, tombstone-based.
-        let (store, reg, _, root) = packed_scratch("prune-packed", SMALL_SEGMENTS);
-        for i in 0..3u8 {
-            store.put(&key(&format!("k{i}")), &[i; 16]).unwrap();
-        }
-        let report = store
-            .fsck(&FsckOptions {
-                prune_max_age: Some(Duration::ZERO),
-                ..FsckOptions::default()
-            })
-            .unwrap();
-        assert_eq!(report.pruned, 3);
-        assert_eq!(store.get(&key("k0")).unwrap(), None);
-        assert_eq!(counter(&reg, ct_obs::names::STORE_EVICTIONS), 3);
-        // Future-dated records never prune; fresh ones survive a
-        // bounded age.
+        // Fresh records survive a bounded age.
         store.put(&key("fresh"), b"new").unwrap();
         let report = store
             .fsck(&FsckOptions {
@@ -1922,16 +1479,12 @@ mod tests {
     }
 
     #[test]
-    fn packed_compaction_crash_leaves_original_segment_intact() {
-        let (store, _reg, faults, root) = packed_scratch("compact-crash", SMALL_SEGMENTS);
+    fn compaction_crash_leaves_original_segment_intact() {
+        let (store, _, faults, root) = faulty_scratch("compact-crash", SMALL_SEGMENTS);
         store.put(&key("a"), b"aaaa").unwrap();
         store.put(&key("b"), b"bbbb").unwrap();
         drop(store);
-        let seg = root.join("segments").join("seg-0000.ctseg");
-        let mut bytes = fs::read(&seg).unwrap();
-        let target = crate::segment::ENTRY_HEADER_LEN + crate::format::HEADER_LEN;
-        bytes[target] ^= 0xff;
-        fs::write(&seg, &bytes).unwrap();
+        damage_entry(&root, &key("a"), |e| *e.last_mut().unwrap() ^= 0xff);
 
         let registry = Arc::new(ct_obs::Registry::new());
         let store =
@@ -1941,13 +1494,12 @@ mod tests {
             1,
             FaultKind::Enospc,
         ));
+        let repair = FsckOptions {
+            repair: true,
+            prune_max_age: None,
+        };
         assert!(
-            store
-                .fsck(&FsckOptions {
-                    repair: true,
-                    ..FsckOptions::default()
-                })
-                .is_err(),
+            store.fsck(&repair).is_err(),
             "injected compaction crash must surface"
         );
         assert_eq!(
@@ -1957,13 +1509,7 @@ mod tests {
         // The heal is already durable — the corrupt entry was
         // tombstoned before compaction started — and nothing leaked
         // into tmp/. The survivor reads clean, here and after reopen.
-        let report = store
-            .fsck(&FsckOptions {
-                repair: true,
-                tmp_max_age: Duration::ZERO,
-                prune_max_age: None,
-            })
-            .unwrap();
+        let report = store.fsck(&repair).unwrap();
         assert!(
             report.clean(),
             "store healed despite the crashed compaction"

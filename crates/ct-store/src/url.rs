@@ -32,39 +32,21 @@ pub enum StoreUrl {
 }
 
 impl StoreUrl {
-    /// Opens the backend this URL names. `packed` selects the packed
-    /// segment layout for a fresh *local* root; an existing root
-    /// auto-detects its layout. Remote stores reject `packed`: the
-    /// layout is the serving side's choice (`ct serve --packed`), not
-    /// the client's.
+    /// Opens the backend this URL names: the local [`Store`], which
+    /// holds its root for as long as the backend lives, or the HTTP
+    /// client.
     ///
     /// # Errors
     ///
-    /// Local open failures ([`Store::open`]/[`Store::open_packed`]),
-    /// or `packed` against an `http://` URL. Connecting is lazy — a
-    /// down server surfaces on the first operation, which degrades to
+    /// Local open failures ([`Store::open`]), including a root that
+    /// another open store holds. Connecting is lazy — a down server
+    /// surfaces on the first operation, which degrades to
     /// compute-without-cache like any other store failure.
-    pub fn open(&self, packed: bool) -> Result<Arc<dyn StoreBackend>, StoreError> {
-        match self {
-            StoreUrl::Local(root) => {
-                let store = if packed {
-                    Store::open_packed(root)?
-                } else {
-                    Store::open(root)?
-                };
-                Ok(Arc::new(store))
-            }
-            StoreUrl::Http { authority } => {
-                if packed {
-                    let e = std::io::Error::other(
-                        "--packed chooses the on-disk layout, which belongs to the \
-                         server; pass it to `ct serve` instead of the http client",
-                    );
-                    return Err(StoreError::io(std::path::Path::new(&self.to_string()), &e));
-                }
-                Ok(Arc::new(RemoteStore::connect(authority.clone())))
-            }
-        }
+    pub fn open(&self) -> Result<Arc<dyn StoreBackend>, StoreError> {
+        Ok(match self {
+            StoreUrl::Local(root) => Arc::new(Store::open(root)?),
+            StoreUrl::Http { authority } => Arc::new(RemoteStore::connect(authority.clone())),
+        })
     }
 
     /// The local root, when this URL names one.
@@ -201,12 +183,5 @@ mod tests {
             let reparsed: StoreUrl = url.to_string().parse().unwrap();
             assert_eq!(url, reparsed, "round-trip of '{input}'");
         }
-    }
-
-    #[test]
-    fn packed_is_a_server_side_choice() {
-        let url: StoreUrl = "http://127.0.0.1:1".parse().unwrap();
-        let err = url.open(true).unwrap_err();
-        assert!(err.to_string().contains("ct serve"));
     }
 }

@@ -14,10 +14,11 @@
 //! identical to `ct figures` without a store.
 //!
 //! A store URL is a local directory (`path` or `file://path`) or a
-//! `ct serve` endpoint (`http://host:port`): `ct serve --store <dir>`
-//! hosts a local store over HTTP so shards on other machines can
-//! share it, and answers `GET /probe` state-probability queries from
-//! the artifacts it hosts.
+//! `ct serve` endpoint (`http://host:port`). One process at a time
+//! holds a local directory, so shards that run concurrently — on this
+//! machine or others — share a store through `ct serve --store <dir>`,
+//! which hosts it over HTTP and answers `GET /probe`
+//! state-probability queries from the artifacts it hosts.
 //!
 //! Worker-thread count comes from the `CT_THREADS` environment
 //! variable (default: all cores, capped at 16).
@@ -85,11 +86,6 @@ const CACHE_BYTES: FlagSpec = FlagSpec {
     value_name: Some("N"),
     help: "serve: in-memory record-cache budget in bytes (default 256 MiB)",
 };
-const PACKED: FlagSpec = FlagSpec {
-    name: "--packed",
-    value_name: None,
-    help: "create the store with the packed segment layout (existing stores auto-detect)",
-};
 const CONNECTIONS: FlagSpec = FlagSpec {
     name: "--connections",
     value_name: Some("N"),
@@ -148,12 +144,7 @@ const FULL: FlagSpec = FlagSpec {
 const REPAIR: FlagSpec = FlagSpec {
     name: "--repair",
     value_name: None,
-    help: "evict corrupt records and sweep orphaned tmp files",
-};
-const TMP_AGE: FlagSpec = FlagSpec {
-    name: "--tmp-age",
-    value_name: Some("secs"),
-    help: "min age before a tmp file counts as orphaned (default 3600)",
+    help: "evict corrupt records, compact their segments, sweep tmp/",
 };
 const PRUNE: FlagSpec = FlagSpec {
     name: "--prune",
@@ -198,40 +189,31 @@ const COMMANDS: &[CommandSpec] = &[
         name: "figures",
         summary: "reproduce Figs. 6-11, or only the numbered one",
         positionals: &[("number", false)],
-        flags: &[CSV, HAZARD, REGION, REALIZATIONS, STORE, PACKED, METRICS],
+        flags: &[CSV, HAZARD, REGION, REALIZATIONS, STORE, METRICS],
     },
     CommandSpec {
         name: "run",
         summary: "evaluate one shard of the ensemble into an artifact store",
         positionals: &[],
-        flags: &[
-            STORE,
-            PACKED,
-            SHARDS,
-            SHARD,
-            HAZARD,
-            REGION,
-            REALIZATIONS,
-            METRICS,
-        ],
+        flags: &[STORE, SHARDS, SHARD, HAZARD, REGION, REALIZATIONS, METRICS],
     },
     CommandSpec {
         name: "merge",
         summary: "assemble a sharded run from the store and print the figures",
         positionals: &[],
-        flags: &[STORE, PACKED, CSV, HAZARD, REGION, REALIZATIONS, METRICS],
+        flags: &[STORE, CSV, HAZARD, REGION, REALIZATIONS, METRICS],
     },
     CommandSpec {
         name: "fsck",
         summary: "validate every store record; --repair heals what it finds",
         positionals: &[],
-        flags: &[STORE, PACKED, REPAIR, TMP_AGE, PRUNE, METRICS],
+        flags: &[STORE, REPAIR, PRUNE, METRICS],
     },
     CommandSpec {
         name: "serve",
-        summary: "host a local store over http for remote shards and probes",
+        summary: "host a local store over http for concurrent shards and probes",
         positionals: &[],
-        flags: &[STORE, PACKED, ADDR, CACHE_BYTES],
+        flags: &[STORE, ADDR, CACHE_BYTES],
     },
     CommandSpec {
         name: "probe",
@@ -260,19 +242,19 @@ const COMMANDS: &[CommandSpec] = &[
         name: "placement",
         summary: "rank backup control sites",
         positionals: &[("config", true), ("scenario", true)],
-        flags: &[HAZARD, REGION, REALIZATIONS, STORE, PACKED, METRICS],
+        flags: &[HAZARD, REGION, REALIZATIONS, STORE, METRICS],
     },
     CommandSpec {
         name: "downtime",
         summary: "expected downtime per event (site: waiau|kahe)",
         positionals: &[("site", false)],
-        flags: &[HAZARD, REGION, REALIZATIONS, STORE, PACKED, METRICS],
+        flags: &[HAZARD, REGION, REALIZATIONS, STORE, METRICS],
     },
     CommandSpec {
         name: "grid",
         summary: "grid-impact summary",
         positionals: &[],
-        flags: &[HAZARD, REALIZATIONS, STORE, PACKED, METRICS],
+        flags: &[HAZARD, REALIZATIONS, STORE, METRICS],
     },
     CommandSpec {
         name: "gridprobe",
@@ -296,13 +278,13 @@ const COMMANDS: &[CommandSpec] = &[
         name: "hazard",
         summary: "flood probabilities (or inundation matrix) as CSV",
         positionals: &[],
-        flags: &[FULL, HAZARD, REGION, REALIZATIONS, STORE, PACKED, METRICS],
+        flags: &[FULL, HAZARD, REGION, REALIZATIONS, STORE, METRICS],
     },
     CommandSpec {
         name: "report",
         summary: "full case-study report (markdown)",
         positionals: &[],
-        flags: &[HAZARD, REGION, REALIZATIONS, STORE, PACKED, METRICS],
+        flags: &[HAZARD, REGION, REALIZATIONS, STORE, METRICS],
     },
 ];
 
@@ -323,8 +305,8 @@ fn usage() -> String {
          \x20          CT_STORE_RETRY_BUDGET_MS=<ms> backoff budget for transient store I/O (default 3)\n\
          \x20          CT_SERVE_IDLE_MS=<ms> serve: close kept-alive connections idle this long (default 5000)\n\
          \x20          CT_REMOTE_POOL=<n> client: idle kept-alive sockets pooled per store (default 8)\n\
-         \x20          CT_SEGMENT_ROLL_BYTES=<n> packed-store segment roll threshold (default 64 MiB)\n\
-         \x20          CT_SEGMENT_SYNC_BYTES=<n> packed-store group-fsync threshold (default 8 MiB)",
+         \x20          CT_SEGMENT_ROLL_BYTES=<n> store segment roll threshold (default 64 MiB)\n\
+         \x20          CT_SEGMENT_SYNC_BYTES=<n> store group-fsync threshold (default 8 MiB)",
     );
     s
 }
@@ -351,15 +333,14 @@ fn store_url(args: &CliArgs) -> Result<Option<StoreUrl>, Box<dyn std::error::Err
 }
 
 /// Opens the store backend named by `--store`, if any: local for a
-/// directory URL, the HTTP client for `http://host:port`. `--packed`
-/// selects the packed segment layout for a fresh local root; existing
-/// stores auto-detect their layout either way (opening an existing
-/// loose root with `--packed` is an error, never a silent rewrite).
+/// directory URL (held by this process until it exits, so a root
+/// that another process holds is an error), the HTTP client for
+/// `http://host:port`.
 fn open_store(
     args: &CliArgs,
 ) -> Result<Option<std::sync::Arc<dyn StoreBackend>>, Box<dyn std::error::Error>> {
     match store_url(args)? {
-        Some(url) => Ok(Some(url.open(args.flag("--packed"))?)),
+        Some(url) => Ok(Some(url.open()?)),
         None => Ok(None),
     }
 }
@@ -554,10 +535,7 @@ fn run_command(args: &CliArgs) -> Result<ExitCode, Box<dyn std::error::Error>> {
         }
         "serve" => {
             let root = require_local_root(args)?;
-            let mut options = ServeOptions {
-                packed: args.flag("--packed"),
-                ..ServeOptions::default()
-            };
+            let mut options = ServeOptions::default();
             if let Some(addr) = args.value("--addr") {
                 options.addr = addr.to_string();
             }
@@ -578,16 +556,9 @@ fn run_command(args: &CliArgs) -> Result<ExitCode, Box<dyn std::error::Error>> {
         }
         "fsck" => {
             let root = require_local_root(args)?;
-            let store = if args.flag("--packed") {
-                Store::open_packed(&root)?
-            } else {
-                Store::open(&root)?
-            };
+            let store = Store::open(&root)?;
             let options = ct_store::FsckOptions {
                 repair: args.flag("--repair"),
-                tmp_max_age: std::time::Duration::from_secs(
-                    args.parsed::<u64>("--tmp-age")?.unwrap_or(3600),
-                ),
                 prune_max_age: args
                     .parsed::<u64>("--prune")?
                     .map(std::time::Duration::from_secs),

@@ -4,9 +4,10 @@
 //! users type and scripts grep, so the contracts are pinned here
 //! rather than left to convention. The enums are tiny, so coverage is
 //! exhaustive: every variant, every case mix, and a corpus of
-//! near-miss junk.
+//! near-miss junk. One last contract runs the `ct` binary itself: a
+//! store directory that another open store holds is refused.
 
-use compound_threats::prelude::{HazardSpec, ProbeQuery, StoreUrl};
+use compound_threats::prelude::{HazardSpec, ProbeQuery, Store, StoreUrl};
 use ct_rand::{cases, SplitMix64};
 use ct_scada::oahu::SiteChoice;
 use ct_scada::RegionSpec;
@@ -314,6 +315,34 @@ fn display_parse_display_is_identity() {
         let h2 = h1.parse::<HazardSpec>().unwrap().to_string();
         assert_eq!(h1, h2);
     });
+}
+
+/// While this test holds a store root, `ct run` and a repairing
+/// `ct fsck` on the same directory exit non-zero, name the root, and
+/// point at `ct serve` for sharing a store.
+#[test]
+fn ct_refuses_a_store_root_another_store_holds() {
+    let root = std::env::temp_dir().join(format!("ct-cli-held-{}", std::process::id()));
+    std::fs::remove_dir_all(&root).ok();
+    let held = Store::open(&root).unwrap();
+    for args in [&["run", "--realizations", "4"][..], &["fsck", "--repair"]] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_ct"))
+            .args(args)
+            .arg("--store")
+            .arg(&root)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "ct {args:?} must fail: {stderr}");
+        assert!(
+            stderr.contains(&root.display().to_string())
+                && stderr.contains("already held")
+                && stderr.contains("ct serve"),
+            "ct {args:?}: {stderr}"
+        );
+    }
+    drop(held);
+    std::fs::remove_dir_all(&root).ok();
 }
 
 fn capitalize(s: &str) -> String {

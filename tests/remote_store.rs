@@ -2,8 +2,9 @@
 //! through `http://` are bit-identical to the local store (with exact
 //! `store.remote.*` counters), `/probe` answers state probabilities
 //! from hosted artifacts and caches the built study, malformed
-//! requests get 4xx without killing a worker, and the serve lock
-//! keeps destructive `fsck` off a store while it is served.
+//! requests get 4xx without killing a worker, and a served root is
+//! held: neither `fsck` nor a second server can open it underneath
+//! the live one.
 
 use compound_threats::figures::reproduce_all;
 use compound_threats::prelude::*;
@@ -284,26 +285,23 @@ fn serve_lock_blocks_destructive_fsck_and_second_servers() {
     let server = serve(&scratch.0);
     // A second server on the same root is refused loudly.
     let err = Server::bind(&scratch.0, &ServeOptions::default()).unwrap_err();
-    assert!(
-        err.to_string().contains("already being served"),
-        "got: {err}"
-    );
+    assert!(err.to_string().contains("already held"), "got: {err}");
+    // Opening a served root is refused outright, read-only fsck
+    // included: opening truncates torn segment tails, which must
+    // never happen under a live writer.
+    let err = Store::open(&scratch.0).unwrap_err();
+    assert!(err.to_string().contains("ct serve"), "got: {err}");
 
+    // Stopping the server releases the root; a destructive fsck now
+    // runs, and a new server can take the root back.
+    drop(server);
     let store = Store::open(&scratch.0).unwrap();
-    // Read-only fsck is always safe.
-    assert!(store.fsck(&FsckOptions::default()).unwrap().clean());
-    // Destructive fsck is refused while the store is served.
-    let destructive = FsckOptions {
+    let repair = FsckOptions {
         repair: true,
-        tmp_max_age: std::time::Duration::ZERO,
         prune_max_age: None,
     };
-    let err = store.fsck(&destructive).unwrap_err();
-    assert!(err.to_string().contains("being served"), "got: {err}");
-
-    // Stopping the server releases the lock; the same fsck now runs.
-    drop(server);
-    assert!(store.fsck(&destructive).is_ok());
+    assert!(store.fsck(&repair).unwrap().clean());
+    drop(store);
     let reopened = serve(&scratch.0);
     drop(reopened);
 }

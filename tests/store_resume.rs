@@ -3,10 +3,11 @@
 //! interrupted run resumes from whatever records survived, and every
 //! class of on-disk corruption degrades to recompute — counted, never
 //! trusted, never fatal. The failpoint layer (`ct_store::faults`)
-//! extends that contract to *live* I/O failure: ENOSPC, failed
-//! renames, failed evictions, and transient errors are injected
+//! extends that contract to *live* I/O failure: ENOSPC, failed group
+//! syncs, failed evictions, and transient errors are injected
 //! deterministically, and the figures must come out bit-identical
-//! anyway.
+//! anyway. Finally, the record bytes and keys a build writes are
+//! pinned per hazard.
 
 use compound_threats::artifact::{dem_key, ensemble_base_key, realization_key};
 use compound_threats::figures::reproduce_all;
@@ -14,9 +15,8 @@ use compound_threats::prelude::*;
 use compound_threats::report::figure_csv;
 use ct_geo::terrain::synthesize_oahu;
 use ct_store::faults::sites;
-use ct_store::{FaultKind, FaultRegistry, FaultSpec, FsckOptions, PackedOptions};
+use ct_store::{Digest, FaultKind, FaultRegistry, FaultSpec, FsckOptions, PackedOptions};
 use std::sync::Arc;
-use std::time::Duration;
 
 const REALIZATIONS: usize = 24;
 /// Records a build reads or writes besides its realizations (plan
@@ -50,6 +50,53 @@ impl Drop for Scratch {
     fn drop(&mut self) {
         std::fs::remove_dir_all(&self.0).ok();
     }
+}
+
+/// The storeless study's realization-record base key for `config`.
+fn base_key(config: &CaseStudyConfig) -> Digest {
+    let dem = synthesize_oahu(&config.terrain);
+    let pois = ct_scada::oahu::case_study_pois(&dem).unwrap();
+    let hazard = config.hazard.build_model(&dem, config.calibration);
+    ensemble_base_key(config, &dem, &pois, hazard.as_ref())
+}
+
+/// Rewrites the newest entry for `key` in the (closed) store at
+/// `root` through `f`, which sees the whole entry: the 25-byte entry
+/// header, then the record frame (see `ct_store::format`).
+fn damage_record(root: &std::path::Path, key: &Digest, f: impl FnOnce(&mut [u8])) {
+    let dir = root.join("segments");
+    let mut segments: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect();
+    segments.sort();
+    for path in segments.iter().rev() {
+        let mut bytes = std::fs::read(path).unwrap();
+        let scan = ct_store::segment::scan_entries(&bytes, bytes.len() as u64);
+        if let Some(e) = scan.entries.iter().rfind(|e| e.key == *key) {
+            f(&mut bytes[e.offset as usize..(e.offset + e.len) as usize]);
+            std::fs::write(path, bytes).unwrap();
+            return;
+        }
+    }
+    panic!("no entry for {key:?}");
+}
+
+/// Where a record frame starts inside a segment entry.
+const FRAME: usize = ct_store::segment::ENTRY_HEADER_LEN;
+
+/// The three ways a committed entry can rot that the frame check
+/// tells apart: a flipped payload byte, a flipped stored checksum,
+/// and a format version from an incompatible build. (A torn *tail*
+/// is dropped at open instead; see the packed damage campaign.)
+fn damage_three_classes(root: &std::path::Path, base: &Digest) {
+    damage_record(root, &realization_key(base, 0), |e| {
+        *e.last_mut().unwrap() ^= 0xff;
+    });
+    damage_record(root, &realization_key(base, 1), |e| e[FRAME + 20] ^= 0xff);
+    damage_record(root, &realization_key(base, 2), |e| {
+        e[FRAME + 8..FRAME + 12].copy_from_slice(&99u32.to_le_bytes());
+    });
 }
 
 /// All figure output as one CSV string — the user-visible artifact
@@ -89,17 +136,14 @@ fn interrupted_shard_resumes_and_merges_to_the_clean_answer() {
     let store = Store::open(&scratch.0).unwrap();
 
     // A full shard-0 run, then simulate a `kill -9` that happened
-    // mid-run by deleting a third of its records: what's left on disk
-    // is exactly what an interrupted process would have committed
-    // (writes are atomic, so partial *files* cannot exist — only
-    // missing records).
+    // mid-run by evicting some of its records: what's left is exactly
+    // what an interrupted process would have committed (a torn tail
+    // entry is truncated away at the next open, so only whole records
+    // survive — the rest are missing).
     let spec = ShardSpec::new(0, 2).unwrap();
     let first = run_shard(&config, &store, spec).unwrap();
     assert_eq!(first.computed, first.total);
-    let dem = synthesize_oahu(&config.terrain);
-    let pois = ct_scada::oahu::case_study_pois(&dem).unwrap();
-    let hazard = config.hazard.build_model(&dem, config.calibration);
-    let base = ensemble_base_key(&config, &dem, &pois, hazard.as_ref());
+    let base = base_key(&config);
     for i in (0..REALIZATIONS).filter(|i| spec.owns(*i)).take(4) {
         assert!(store.evict(&realization_key(&base, i)).unwrap());
     }
@@ -124,30 +168,9 @@ fn every_corruption_class_degrades_to_recompute_and_heals() {
 
     // Seed the store, then damage three records, one per corruption
     // class the frame format distinguishes.
-    let seed_store = Store::open(&scratch.0).unwrap();
-    let clean = CaseStudy::build_with_store(&config, Some(&seed_store)).unwrap();
-    let dem = synthesize_oahu(&config.terrain);
-    let pois = ct_scada::oahu::case_study_pois(&dem).unwrap();
-    let hazard = config.hazard.build_model(&dem, config.calibration);
-    let base = ensemble_base_key(&config, &dem, &pois, hazard.as_ref());
-
-    let damage = |i: usize, f: &dyn Fn(Vec<u8>) -> Vec<u8>| {
-        let path = seed_store.record_path(&realization_key(&base, i));
-        let bytes = std::fs::read(&path).unwrap();
-        std::fs::write(&path, f(bytes)).unwrap();
-    };
-    // Truncated mid-payload (a torn write from a crashed kernel).
-    damage(0, &|b| b[..b.len() / 2].to_vec());
-    // Flipped payload byte (bit rot): frame intact, checksum fails.
-    damage(1, &|mut b| {
-        b[30] ^= 0xff;
-        b
-    });
-    // Wrong format version (record from a future incompatible build).
-    damage(2, &|mut b| {
-        b[8..12].copy_from_slice(&99u32.to_le_bytes());
-        b
-    });
+    let clean = CaseStudy::build(&config).unwrap();
+    CaseStudy::build_with_store(&config, Some(&Store::open(&scratch.0).unwrap())).unwrap();
+    damage_three_classes(&scratch.0, &base_key(&config));
 
     // Rebuild through a store with a private registry so the counter
     // assertions are exact (the global registry is shared with other
@@ -170,6 +193,7 @@ fn every_corruption_class_degrades_to_recompute_and_heals() {
         (REALIZATIONS - 3 + DEM_RECORDS) as u64
     );
     assert_eq!(count(ct_obs::names::STORE_RECORDS_WRITTEN), 3);
+    drop((rebuilt, counting_store));
 
     // The rebuild healed the store: a third pass is all hits.
     let healed_reg = Arc::new(ct_obs::Registry::new());
@@ -199,9 +223,9 @@ fn different_configs_never_share_records() {
     // The terrain did not change, so the DEM record is shared.
     let mut b = a.clone();
     b.ensemble.seed += 1;
-    let before = count_records(&scratch.0);
+    let before = count_records(&store);
     CaseStudy::build_with_store(&b, Some(&store)).unwrap();
-    assert_eq!(count_records(&scratch.0), before + REALIZATIONS);
+    assert_eq!(count_records(&store), before + REALIZATIONS);
 }
 
 #[test]
@@ -216,6 +240,7 @@ fn a_dem_record_of_the_wrong_length_is_invalidated_and_resynthesized() {
     let key = dem_key(&ct_geo::terrain::oahu_region_spec(&config.terrain));
     let payload = store.get(&key).unwrap().expect("the build wrote its DEM");
     store.put(&key, &payload[..payload.len() - 8]).unwrap();
+    drop(store);
 
     let registry = Arc::new(ct_obs::Registry::new());
     let counting = Store::open_with_registry(&scratch.0, Arc::clone(&registry)).unwrap();
@@ -259,7 +284,7 @@ fn enospc_during_every_put_degrades_but_results_are_bit_identical() {
 
     let (store, registry, faults) = faulty_store(&scratch.0);
     faults.arm(FaultSpec::every(
-        sites::STORE_PUT_WRITE,
+        sites::SEGMENT_APPEND,
         1,
         FaultKind::Enospc,
     ));
@@ -288,34 +313,36 @@ fn enospc_during_every_put_degrades_but_results_are_bit_identical() {
 }
 
 #[test]
-fn rename_failure_degrades_and_leaves_no_tmp_residue() {
-    let scratch = Scratch::new("rename");
+fn group_sync_failure_degrades_but_keeps_records_readable() {
+    let scratch = Scratch::new("syncfail");
     let config = config();
     let clean = CaseStudy::build(&config).unwrap();
 
-    let (store, registry, faults) = faulty_store(&scratch.0);
-    faults.arm(FaultSpec::every(
-        sites::STORE_PUT_RENAME,
-        1,
-        FaultKind::Enospc,
-    ));
+    // Every put trips a group sync at these thresholds, and every
+    // sync fails: each put errors and degrades, yet its entry was
+    // appended and indexed before the sync.
+    let (store, registry, faults) = packed_faulty_store(&scratch.0, TINY_SEGMENTS);
+    faults.arm(FaultSpec::every(sites::SEGMENT_SYNC, 1, FaultKind::Enospc));
     let faulty = CaseStudy::build_with_store(&config, Some(&store)).unwrap();
-
     let snap = registry.snapshot();
     let count = |name| snap.counter(name).unwrap_or(0);
     assert_eq!(
         count(ct_obs::names::STORE_DEGRADED),
         (REALIZATIONS + DEM_RECORDS) as u64
     );
-    assert_eq!(count(ct_obs::names::STORE_RECORDS_WRITTEN), 0);
-    // Every failed put cleaned up after itself: the staging area holds
-    // nothing even though every single rename failed.
-    assert_eq!(
-        std::fs::read_dir(scratch.0.join("tmp")).unwrap().count(),
-        0,
-        "failed puts must not orphan tmp files"
-    );
+    assert_eq!(count(ct_obs::names::STORE_SEGMENT_GROUP_SYNCS), 0);
     assert_eq!(faulty.realizations(), clean.realizations());
+
+    // Nothing was lost: once the disk recovers, a rebuild is all hits
+    // and the first put's sync covers every earlier append.
+    faults.disarm_all();
+    let rebuilt = CaseStudy::build_with_store(&config, Some(&store)).unwrap();
+    let snap = registry.snapshot();
+    assert_eq!(
+        snap.counter(ct_obs::names::STORE_HITS),
+        Some((REALIZATIONS + DEM_RECORDS) as u64)
+    );
+    assert_eq!(rebuilt.realizations(), clean.realizations());
 }
 
 #[test]
@@ -325,9 +352,9 @@ fn transient_write_fault_is_absorbed_by_retry_not_degradation() {
     let clean = CaseStudy::build(&config).unwrap();
 
     let (store, registry, faults) = faulty_store(&scratch.0);
-    // Fires exactly once, on the first write attempt anywhere: the
-    // retry loop must absorb it invisibly.
-    faults.arm(FaultSpec::once(sites::STORE_PUT_WRITE, 1, FaultKind::Io));
+    // Fires exactly once, on the first append anywhere: the retry
+    // loop must absorb it invisibly.
+    faults.arm(FaultSpec::once(sites::SEGMENT_APPEND, 1, FaultKind::Io));
     let faulty = CaseStudy::build_with_store(&config, Some(&store)).unwrap();
 
     let snap = registry.snapshot();
@@ -349,16 +376,11 @@ fn evict_failure_during_corrupt_get_degrades_to_recompute() {
     let config = config();
 
     // Seed cleanly, then corrupt one record on disk.
-    let seed_store = Store::open(&scratch.0).unwrap();
-    let clean = CaseStudy::build_with_store(&config, Some(&seed_store)).unwrap();
-    let dem = synthesize_oahu(&config.terrain);
-    let pois = ct_scada::oahu::case_study_pois(&dem).unwrap();
-    let hazard = config.hazard.build_model(&dem, config.calibration);
-    let base = ensemble_base_key(&config, &dem, &pois, hazard.as_ref());
-    let victim = seed_store.record_path(&realization_key(&base, 0));
-    let mut bytes = std::fs::read(&victim).unwrap();
-    *bytes.last_mut().unwrap() ^= 0xff;
-    std::fs::write(&victim, bytes).unwrap();
+    let clean = CaseStudy::build(&config).unwrap();
+    CaseStudy::build_with_store(&config, Some(&Store::open(&scratch.0).unwrap())).unwrap();
+    damage_record(&scratch.0, &realization_key(&base_key(&config), 0), |e| {
+        *e.last_mut().unwrap() ^= 0xff;
+    });
 
     // Rebuild with the eviction path failing persistently: the corrupt
     // record is detected, its eviction fails past the retry budget,
@@ -391,40 +413,37 @@ fn fsck_reports_then_heals_a_damaged_store_exactly() {
     let scratch = Scratch::new("fsck");
     let config = config();
 
-    let registry = Arc::new(ct_obs::Registry::new());
-    let store = Store::open_with_registry(&scratch.0, Arc::clone(&registry)).unwrap();
-    let clean = CaseStudy::build_with_store(&config, Some(&store)).unwrap();
-    let clean_csv = figures_csv(&clean);
+    let store = Store::open(&scratch.0).unwrap();
+    let clean_csv = figures_csv(&CaseStudy::build_with_store(&config, Some(&store)).unwrap());
+    // Realizations, the DEM, and the plan histograms the figures put.
+    let records_total = count_records(&store);
+    drop(store);
 
     // Injected damage: three corrupt records (one per corruption class
-    // the frame distinguishes) and two orphaned staging files.
-    let dem = synthesize_oahu(&config.terrain);
-    let pois = ct_scada::oahu::case_study_pois(&dem).unwrap();
-    let hazard = config.hazard.build_model(&dem, config.calibration);
-    let base = ensemble_base_key(&config, &dem, &pois, hazard.as_ref());
-    let damage = |i: usize, f: &dyn Fn(Vec<u8>) -> Vec<u8>| {
-        let path = store.record_path(&realization_key(&base, i));
-        let bytes = std::fs::read(&path).unwrap();
-        std::fs::write(&path, f(bytes)).unwrap();
-    };
-    damage(0, &|b| b[..b.len() / 2].to_vec());
-    damage(1, &|mut b| {
-        b[30] ^= 0xff;
-        b
-    });
-    damage(2, &|mut b| {
-        b[8..12].copy_from_slice(&99u32.to_le_bytes());
-        b
-    });
+    // the frame distinguishes) and two orphans of a crashed repair.
+    damage_three_classes(&scratch.0, &base_key(&config));
     for n in 0..2 {
         std::fs::write(
-            scratch.0.join("tmp").join(format!("orphan.{n}.0.0.tmp")),
-            b"crashed writer residue",
+            scratch
+                .0
+                .join("tmp")
+                .join(format!("seg-99{n:02}.compact.tmp")),
+            b"crashed repair residue",
         )
         .unwrap();
     }
+    let segments = || -> Vec<Vec<u8>> {
+        let mut paths: Vec<_> = std::fs::read_dir(scratch.0.join("segments"))
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .collect();
+        paths.sort();
+        paths.iter().map(|p| std::fs::read(p).unwrap()).collect()
+    };
+    let damaged = segments();
 
-    let records_total = count_records(&scratch.0);
+    let registry = Arc::new(ct_obs::Registry::new());
+    let store = Store::open_with_registry(&scratch.0, Arc::clone(&registry)).unwrap();
 
     // Read-only pass: exact findings, zero modification.
     let report = store.fsck(&FsckOptions::default()).unwrap();
@@ -434,19 +453,19 @@ fn fsck_reports_then_heals_a_damaged_store_exactly() {
     assert_eq!(report.tmp_files, 2);
     assert_eq!(report.tmp_swept, 0);
     assert!(!report.clean());
-    assert_eq!(count_records(&scratch.0), records_total);
+    assert_eq!(segments(), damaged, "read-only fsck modifies nothing");
 
     // Repair pass heals every injected problem, exactly.
     let report = store
         .fsck(&FsckOptions {
             repair: true,
-            tmp_max_age: Duration::ZERO,
             prune_max_age: None,
         })
         .unwrap();
     assert_eq!(report.corrupt_records, 3);
     assert_eq!(report.repaired, 3);
     assert_eq!(report.tmp_swept, 2);
+    assert_eq!(report.segments_compacted, 1);
     let snap = registry.snapshot();
     assert_eq!(snap.counter(ct_obs::names::STORE_TMP_SWEPT), Some(2));
 
@@ -457,6 +476,8 @@ fn fsck_reports_then_heals_a_damaged_store_exactly() {
         report.clean(),
         "repair must leave a clean store: {report:?}"
     );
+    assert_eq!(count_records(&store), records_total - 3);
+    drop(store);
     let rebuilt_reg = Arc::new(ct_obs::Registry::new());
     let rebuilt_store = Store::open_with_registry(&scratch.0, Arc::clone(&rebuilt_reg)).unwrap();
     let rebuilt = CaseStudy::build_with_store(&config, Some(&rebuilt_store)).unwrap();
@@ -466,62 +487,6 @@ fn fsck_reports_then_heals_a_damaged_store_exactly() {
         Some((REALIZATIONS - 3 + DEM_RECORDS) as u64)
     );
     assert_eq!(figures_csv(&rebuilt), clean_csv);
-}
-
-#[test]
-fn full_fault_campaign_still_merges_to_bit_identical_figures() {
-    let scratch = Scratch::new("campaign");
-    let config = config();
-    let clean = CaseStudy::build(&config).unwrap();
-    let clean_csv = figures_csv(&clean);
-
-    // Every store failpoint armed at once, firing every Nth hit with
-    // coprime-ish periods so the failure pattern keeps shifting across
-    // sites. Transient faults exercise the retry loop; the rest
-    // exercise degradation. The packed-segment sites are armed too
-    // (they simply never fire here — this store uses the loose layout —
-    // but arming them proves an armed plan over every site is
-    // harmless).
-    let (store, registry, faults) = faulty_store(&scratch.0);
-    let armed = faults
-        .arm_plan(
-            "store.put.write:3:io, store.put.rename:5:io, store.put.sync_dir:7:enospc, \
-             store.get.read:3:io, store.evict.remove:2:io, \
-             segment.append:3:io, segment.sync:2:enospc, segment.footer:2:io, \
-             segment.compact:1:io",
-        )
-        .unwrap();
-    assert_eq!(armed, 9, "every registered failpoint site arms");
-
-    // A full sharded run under fire: both shards, then the merge.
-    for index in 0..2 {
-        let shard = ShardSpec::new(index, 2).unwrap();
-        run_shard(&config, &store, shard).unwrap();
-    }
-    let merged = CaseStudy::merge_from_store(&config, &store).unwrap();
-    let merged_csv = figures_csv(&merged);
-
-    let snap = registry.snapshot();
-    let count = |name| snap.counter(name).unwrap_or(0);
-    assert!(
-        count(ct_obs::names::FAULTS_FIRED) > 0,
-        "the campaign must actually have injected faults"
-    );
-    assert_eq!(merged.realizations(), clean.realizations());
-    assert_eq!(merged_csv, clean_csv);
-
-    // Whatever the campaign left behind, repair returns the store to
-    // health.
-    faults.disarm_all();
-    let report = store
-        .fsck(&FsckOptions {
-            repair: true,
-            tmp_max_age: Duration::ZERO,
-            prune_max_age: None,
-        })
-        .unwrap();
-    assert_eq!(report.repaired, report.corrupt_records);
-    assert!(store.fsck(&FsckOptions::default()).unwrap().clean());
 }
 
 /// Tiny thresholds so a 24-realization run spans several segments and
@@ -538,61 +503,9 @@ fn packed_faulty_store(
 ) -> (Store, Arc<ct_obs::Registry>, Arc<FaultRegistry>) {
     let registry = Arc::new(ct_obs::Registry::new());
     let faults = Arc::new(FaultRegistry::with_obs(Arc::clone(&registry)));
-    let store =
-        Store::open_packed_with_options(root, Arc::clone(&registry), Arc::clone(&faults), options)
-            .unwrap();
+    let store = Store::open_with_options(root, Arc::clone(&registry), Arc::clone(&faults), options)
+        .unwrap();
     (store, registry, faults)
-}
-
-#[test]
-fn packed_store_is_bit_identical_to_loose_with_the_same_keys() {
-    let scratch = Scratch::new("packedloose");
-    let config = config();
-    let loose_root = scratch.0.join("loose");
-    let packed_root = scratch.0.join("packed");
-
-    let loose = Store::open(&loose_root).unwrap();
-    let packed = Store::open_packed(&packed_root).unwrap();
-    assert!(!loose.is_packed());
-    assert!(packed.is_packed());
-
-    // The same run through both layouts: identical ensembles and
-    // byte-identical figures.
-    let via_loose = CaseStudy::build_with_store(&config, Some(&loose)).unwrap();
-    let via_packed = CaseStudy::build_with_store(&config, Some(&packed)).unwrap();
-    assert_eq!(via_loose.realizations(), via_packed.realizations());
-    assert_eq!(figures_csv(&via_loose), figures_csv(&via_packed));
-
-    // Identical keys: every realization record is stored under the
-    // same digest in both layouts, with byte-identical payloads.
-    let dem = synthesize_oahu(&config.terrain);
-    let pois = ct_scada::oahu::case_study_pois(&dem).unwrap();
-    let hazard = config.hazard.build_model(&dem, config.calibration);
-    let base = ensemble_base_key(&config, &dem, &pois, hazard.as_ref());
-    for i in 0..REALIZATIONS {
-        let key = realization_key(&base, i);
-        let l = loose.get(&key).unwrap().expect("loose record present");
-        let p = packed.get(&key).unwrap().expect("packed record present");
-        assert_eq!(l, p, "payloads must match across layouts");
-    }
-
-    // Reopening the packed root without `--packed` auto-detects the
-    // layout, and a warm rebuild is all hits.
-    drop(packed);
-    let registry = Arc::new(ct_obs::Registry::new());
-    let reopened = Store::open_with_registry(&packed_root, Arc::clone(&registry)).unwrap();
-    assert!(reopened.is_packed());
-    CaseStudy::build_with_store(&config, Some(&reopened)).unwrap();
-    let snap = registry.snapshot();
-    assert_eq!(
-        snap.counter(ct_obs::names::STORE_HITS),
-        Some((REALIZATIONS + DEM_RECORDS) as u64)
-    );
-    assert_eq!(
-        snap.counter(ct_obs::names::STORE_RECORDS_WRITTEN)
-            .unwrap_or(0),
-        0
-    );
 }
 
 #[test]
@@ -611,7 +524,7 @@ fn packed_damage_campaign_recovers_at_open_and_fsck_heals_exactly() {
         count(ct_obs::names::STORE_SEGMENT_GROUP_SYNCS)
             >= count(ct_obs::names::STORE_SEGMENT_SEALS)
     );
-    drop(store); // final group sync
+    drop((clean, store)); // final group sync, and the root is free
 
     let seg_dir = scratch.0.join("segments");
     let mut segments: Vec<std::path::PathBuf> = std::fs::read_dir(&seg_dir)
@@ -652,7 +565,6 @@ fn packed_damage_campaign_recovers_at_open_and_fsck_heals_exactly() {
     // + active), two truncated tails (torn append + chopped footer).
     let registry = Arc::new(ct_obs::Registry::new());
     let store = Store::open_with_registry(&scratch.0, Arc::clone(&registry)).unwrap();
-    assert!(store.is_packed());
     let snap = registry.snapshot();
     let count = |name| snap.counter(name).unwrap_or(0);
     assert_eq!(
@@ -676,7 +588,6 @@ fn packed_damage_campaign_recovers_at_open_and_fsck_heals_exactly() {
     let report = store
         .fsck(&FsckOptions {
             repair: true,
-            tmp_max_age: Duration::ZERO,
             prune_max_age: None,
         })
         .unwrap();
@@ -698,22 +609,83 @@ fn packed_damage_campaign_recovers_at_open_and_fsck_heals_exactly() {
 }
 
 #[test]
+fn full_fault_campaign_still_merges_to_bit_identical_figures() {
+    let scratch = Scratch::new("campaign");
+    let config = config();
+    let clean = CaseStudy::build(&config).unwrap();
+    let clean_csv = figures_csv(&clean);
+
+    // Every store failpoint armed at once on a store with the default
+    // segment thresholds, firing every Nth hit with coprime-ish periods
+    // so the failure pattern keeps shifting across sites. Transient
+    // faults exercise the retry loop; the rest exercise degradation.
+    let (store, registry, faults) = faulty_store(&scratch.0);
+    let armed = faults
+        .arm_plan(
+            "segment.append:3:io, segment.sync:2:enospc, segment.footer:2:io, \
+             store.get.read:3:io, store.evict.remove:2:io, segment.compact:1:io",
+        )
+        .unwrap();
+    assert_eq!(
+        armed,
+        sites::ALL.len(),
+        "every registered failpoint site arms"
+    );
+
+    // A full sharded run under fire: both shards, then the merge.
+    for index in 0..2 {
+        let shard = ShardSpec::new(index, 2).unwrap();
+        run_shard(&config, &store, shard).unwrap();
+    }
+    let merged = CaseStudy::merge_from_store(&config, &store).unwrap();
+    let merged_csv = figures_csv(&merged);
+
+    let snap = registry.snapshot();
+    let count = |name| snap.counter(name).unwrap_or(0);
+    assert!(
+        count(ct_obs::names::FAULTS_FIRED) > 0,
+        "the campaign must actually have injected faults"
+    );
+    assert_eq!(merged.realizations(), clean.realizations());
+    assert_eq!(merged_csv, clean_csv);
+
+    // Whatever the campaign left behind, repair returns the store to
+    // health.
+    faults.disarm_all();
+    let report = store
+        .fsck(&FsckOptions {
+            repair: true,
+            prune_max_age: None,
+        })
+        .unwrap();
+    assert_eq!(report.repaired, report.corrupt_records);
+    assert!(store.fsck(&FsckOptions::default()).unwrap().clean());
+}
+
+#[test]
 fn packed_fault_campaign_merges_bit_identical_and_repairs() {
     let scratch = Scratch::new("packedfire");
     let config = config();
     let clean = CaseStudy::build(&config).unwrap();
     let clean_csv = figures_csv(&clean);
 
-    // Every packed-layout failpoint plus the shared read site, armed
-    // at once with shifting periods, over a sharded run that rolls and
-    // group-syncs constantly thanks to the tiny thresholds.
+    // Every store failpoint armed at once with shifting periods, over
+    // a sharded run that rolls and group-syncs constantly thanks to
+    // the tiny thresholds. Transient faults exercise the retry loop;
+    // the rest exercise degradation. (Compaction runs only under
+    // `fsck --repair`, so its site stays quiet until the repair below.)
     let (store, registry, faults) = packed_faulty_store(&scratch.0, TINY_SEGMENTS);
     let armed = faults
         .arm_plan(
-            "segment.append:3:io, segment.sync:2:enospc, segment.footer:2:io, store.get.read:4:io",
+            "segment.append:3:io, segment.sync:2:enospc, segment.footer:2:io, \
+             store.get.read:4:io, store.evict.remove:2:io, segment.compact:1:io",
         )
         .unwrap();
-    assert_eq!(armed, 4);
+    assert_eq!(
+        armed,
+        sites::ALL.len(),
+        "every registered failpoint site arms"
+    );
 
     for index in 0..2 {
         let shard = ShardSpec::new(index, 2).unwrap();
@@ -730,7 +702,7 @@ fn packed_fault_campaign_merges_bit_identical_and_repairs() {
     );
     assert_eq!(merged.realizations(), clean.realizations());
     assert_eq!(merged_csv, clean_csv);
-    faults.disarm_all();
+    drop((merged, store)); // the root is free again
 
     // Crash-during-compaction: flip a record's checksum byte, then
     // fail the repair's compaction once. The tombstone written before
@@ -749,8 +721,6 @@ fn packed_fault_campaign_merges_bit_identical_and_repairs() {
     flipped[victim_len - 1] ^= 0xff;
     std::fs::write(&segments[0], flipped).unwrap();
 
-    let store = Store::open_with_registry(&scratch.0, Arc::new(ct_obs::Registry::new())).unwrap();
-    drop(store);
     let (store, _registry, faults) = {
         let registry = Arc::new(ct_obs::Registry::new());
         let faults = Arc::new(FaultRegistry::with_obs(Arc::clone(&registry)));
@@ -761,7 +731,6 @@ fn packed_fault_campaign_merges_bit_identical_and_repairs() {
     faults.arm(FaultSpec::once(sites::SEGMENT_COMPACT, 1, FaultKind::Io));
     let repair = FsckOptions {
         repair: true,
-        tmp_max_age: Duration::ZERO,
         prune_max_age: None,
     };
     assert!(
@@ -776,14 +745,53 @@ fn packed_fault_campaign_merges_bit_identical_and_repairs() {
     assert_eq!(figures_csv(&remerged), clean_csv);
 }
 
-fn count_records(root: &std::path::Path) -> usize {
-    let mut n = 0;
-    let objects = root.join("objects");
-    for shard in std::fs::read_dir(objects).into_iter().flatten().flatten() {
-        n += std::fs::read_dir(shard.path())
-            .into_iter()
-            .flatten()
-            .count();
+/// Live records in `store`, as fsck counts them.
+fn count_records(store: &Store) -> usize {
+    store.fsck(&FsckOptions::default()).unwrap().records_scanned
+}
+
+/// Realizations per hazard in the record-digest pins.
+const PINNED_REALIZATIONS: usize = 60;
+
+/// The digest of everything a store-backed build writes for one
+/// hazard: every realization key and payload in index order, then the
+/// DEM record's key and payload, folded through `StableHasher`.
+fn record_digest(hazard: HazardSpec) -> String {
+    let scratch = Scratch::new(&format!("pins-{hazard}"));
+    let config = CaseStudyConfig::builder()
+        .realizations(PINNED_REALIZATIONS)
+        .hazard(hazard)
+        .build()
+        .unwrap();
+    let store = Store::open(&scratch.0).unwrap();
+    let study = CaseStudy::build_with_store(&config, Some(&store)).unwrap();
+    let pois = ct_scada::oahu::case_study_pois(study.dem()).unwrap();
+    let model = config.hazard.build_model(study.dem(), config.calibration);
+    let base = ensemble_base_key(&config, study.dem(), &pois, model.as_ref());
+    let dem = dem_key(&ct_geo::terrain::oahu_region_spec(&config.terrain));
+    let keys = (0..PINNED_REALIZATIONS)
+        .map(|i| realization_key(&base, i))
+        .chain(std::iter::once(dem));
+    let mut h = ct_store::StableHasher::new();
+    for key in keys {
+        let payload = store.get(&key).unwrap().expect("the build wrote it");
+        h.update(&key.0);
+        h.write_usize(payload.len());
+        h.update(&payload);
     }
-    n
+    h.finish().to_hex()
+}
+
+/// The record bytes and keys a build writes, pinned per hazard. The
+/// pins were computed when the store still had a per-file layout
+/// beside the segment log, and both gave these digests.
+#[test]
+fn record_keys_and_bytes_are_pinned_per_hazard() {
+    for (hazard, pin) in [
+        (HazardSpec::Surge, "e8bfba804668b49476a13407e3f63829"),
+        (HazardSpec::Wind, "fcb650864b2a673f8a8981e7bef714b3"),
+        (HazardSpec::Compound, "7f7f8326725e804c06007fcdae86f328"),
+    ] {
+        assert_eq!(record_digest(hazard), pin, "{hazard} records");
+    }
 }
