@@ -1,20 +1,14 @@
-//! The per-connection state machine behind `ct serve`'s readiness
-//! loop.
+//! One kept-alive `ct serve` connection on a blocking socket.
 //!
-//! A [`Conn`] owns one nonblocking accepted socket and three pieces
-//! of state: an input buffer the readiness loop fills, an output
-//! buffer it drains, and the keep-alive accounting (requests served,
-//! last activity, close-after-flush). Each time the
-//! [`Poller`](crate::event::Poller) reports the socket ready, the
-//! worker calls
-//! [`Conn::on_ready`], which
+//! The server hands each accepted socket to a connection thread,
+//! which calls [`serve_connection`] until the connection ends. Each
+//! pass
 //!
-//! 1. reads until `WouldBlock` (or EOF),
+//! 1. reads what the peer has sent (one blocking read),
 //! 2. parses **every complete pipelined request** in the buffer with
 //!    [`ct_store::remote::parse_request`], routing each through the
-//!    [`Router`] and queueing its response — so pipelining costs no
-//!    extra wakeups,
-//! 3. writes queued bytes until `WouldBlock` or empty.
+//!    [`Router`] and queueing its response,
+//! 3. writes the whole batch with one `write_all`.
 //!
 //! Connection-mode rules, shared with the wire codec:
 //!
@@ -27,17 +21,18 @@
 //!   unknowable, so keeping the socket would misparse everything
 //!   after it;
 //! - the response to request number `max_requests` on one socket is
-//!   marked `Connection: close` and the socket drains and closes —
-//!   the bound that keeps one immortal client from pinning server
-//!   state forever.
-//!
-//! The worker loop owns policy outside the socket: accept, idle
-//! sweeps (`CT_SERVE_IDLE_MS`), lifetime histograms, and teardown.
+//!   marked `Connection: close` and the socket closes after it — the
+//!   bound that keeps one immortal client from holding a thread
+//!   forever;
+//! - a peer quiet for the idle timeout, or one that stops reading
+//!   its responses for as long, is closed and counted in
+//!   `serve.idle_closes`.
 
 use crate::error::CoreError;
 use ct_store::remote::{encode_response, parse_request, Request};
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 /// One response, however the request went.
@@ -90,136 +85,109 @@ impl Reply {
 }
 
 /// What the serving tier does with one parsed request. Implemented
-/// by the server's shared state; the connection state machine stays
-/// ignorant of routes.
+/// by the server's shared state; [`serve_connection`] stays ignorant
+/// of routes.
 pub trait Router {
     /// Routes one request to a reply. Must not panic on hostile
     /// input — malformed *content* is a 4xx reply, not an error.
     fn route(&self, request: &Request) -> Reply;
 }
 
-/// What the worker loop should do with the connection after an
-/// [`Conn::on_ready`] pass.
-#[derive(Debug, PartialEq, Eq)]
-pub enum Verdict {
-    /// Keep the registration; re-arm with write interest iff
-    /// `want_write` (queued bytes the socket would not take yet).
-    KeepGoing {
-        /// Output is pending; poll for writability.
-        want_write: bool,
-    },
-    /// Drained, errored, or told to close: deregister and drop.
-    Close,
+/// Serves one accepted socket until the peer closes it, a response
+/// says `Connection: close`, the peer goes idle, or `stop` is set.
+/// Never panics on wire input; a hostile byte stream ends, at worst,
+/// in a 4xx and a close.
+///
+/// Reads wait at most `min(tick, idle)`, which is how the thread
+/// notices `stop` and the idle deadline; a write may block for
+/// `idle`, so a peer that stops reading cannot hold the thread.
+/// Records `serve.conn_lifetime_ms` once, and `serve.idle_closes`
+/// when the idle deadline ends the connection.
+pub fn serve_connection(
+    mut stream: TcpStream,
+    router: &impl Router,
+    max_requests: u64,
+    idle: Duration,
+    tick: Duration,
+    stop: &AtomicBool,
+) {
+    let opened = Instant::now();
+    let idle = idle.max(Duration::from_millis(1));
+    let timeouts = stream
+        .set_read_timeout(Some(tick.min(idle).max(Duration::from_millis(1))))
+        .and_then(|()| stream.set_write_timeout(Some(idle)));
+    stream.set_nodelay(true).ok();
+    let mut session = Session::default();
+    let mut last_activity = opened;
+    let mut idle_close = false;
+    let mut chunk = [0u8; 16 * 1024];
+    while timeouts.is_ok() && !session.closing && !stop.load(Ordering::SeqCst) {
+        match stream.read(&mut chunk) {
+            // EOF: a complete request still in the buffer is answered
+            // (a half-closed client may be reading), a partial one
+            // gets the truncation 400.
+            Ok(0) => session.closing = true,
+            Ok(n) => session.inbuf.extend_from_slice(&chunk[..n]),
+            Err(e) if timed_out(&e) => {
+                idle_close = last_activity.elapsed() >= idle;
+                if idle_close {
+                    break;
+                }
+                continue;
+            }
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(_) => break,
+        }
+        last_activity = Instant::now();
+        session.drain_requests(router, max_requests);
+        if !session.outbuf.is_empty() {
+            if let Err(e) = stream.write_all(&session.outbuf) {
+                idle_close = timed_out(&e);
+                break;
+            }
+            session.outbuf.clear();
+            last_activity = Instant::now();
+        }
+    }
+    if idle_close {
+        ct_obs::add(ct_obs::names::SERVE_IDLE_CLOSES, 1);
+    }
+    ct_obs::histogram(
+        ct_obs::names::SERVE_CONN_LIFETIME_MS,
+        &ct_obs::names::SERVE_CONN_LIFETIME_MS_BOUNDS,
+    )
+    .observe(opened.elapsed().as_secs_f64() * 1000.0);
 }
 
-/// One kept-alive server connection.
-#[derive(Debug)]
-pub struct Conn {
-    stream: TcpStream,
+/// Whether a socket error is an expired read or write timeout.
+fn timed_out(e: &std::io::Error) -> bool {
+    matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
+}
+
+/// The buffers and keep-alive accounting of one connection.
+#[derive(Default)]
+struct Session {
     inbuf: Vec<u8>,
     outbuf: Vec<u8>,
-    /// Bytes of `outbuf` already written to the socket.
-    written: usize,
     /// Requests answered on this socket (including parse-level 4xx).
     requests: u64,
-    opened: Instant,
-    last_activity: Instant,
     /// Answer what is queued, then close instead of reading more.
-    close_after_flush: bool,
-    /// The peer is gone; queued bytes are undeliverable.
-    peer_gone: bool,
+    closing: bool,
 }
 
-impl Conn {
-    /// Adopts an accepted socket; the caller has already set it
-    /// nonblocking and registered it readable.
-    pub fn new(stream: TcpStream) -> Self {
-        let now = Instant::now();
-        Self {
-            stream,
-            inbuf: Vec::new(),
-            outbuf: Vec::new(),
-            written: 0,
-            requests: 0,
-            opened: now,
-            last_activity: now,
-            close_after_flush: false,
-            peer_gone: false,
-        }
-    }
-
-    /// The raw fd for poller registration.
-    pub fn fd(&self) -> i32 {
-        crate::event::source_fd(&self.stream)
-    }
-
-    /// How long this connection has been open, in milliseconds —
-    /// the `serve.conn_lifetime_ms` observation at close.
-    pub fn lifetime_ms(&self) -> f64 {
-        self.opened.elapsed().as_secs_f64() * 1000.0
-    }
-
-    /// How long since the peer last made progress (bytes read from
-    /// or written to it), as of `now`.
-    pub fn idle_for(&self, now: Instant) -> Duration {
-        now.saturating_duration_since(self.last_activity)
-    }
-
-    /// Runs the read → parse/route → write cycle for one readiness
-    /// report. Never panics on wire input; a hostile byte stream
-    /// ends, at worst, in a 4xx and [`Verdict::Close`].
-    pub fn on_ready(&mut self, router: &impl Router, max_requests: u64) -> Verdict {
-        if self.fill() {
-            self.drain_requests(router, max_requests);
-        }
-        self.flush()
-    }
-
-    /// Reads until `WouldBlock`/EOF. Returns whether routing should
-    /// run (false once the connection is beyond reading).
-    fn fill(&mut self) -> bool {
-        if self.close_after_flush || self.peer_gone {
-            return false;
-        }
-        let mut chunk = [0u8; 16 * 1024];
-        loop {
-            match self.stream.read(&mut chunk) {
-                Ok(0) => {
-                    // EOF. Anything already queued still flushes (a
-                    // half-closed client may be reading); a partial
-                    // request in the buffer is dealt with by the
-                    // parse loop's truncation answer below.
-                    self.peer_gone = self.inbuf.is_empty() && self.outbuf.len() == self.written;
-                    self.close_after_flush = true;
-                    return !self.inbuf.is_empty();
-                }
-                Ok(n) => {
-                    self.inbuf.extend_from_slice(&chunk[..n]);
-                    self.last_activity = Instant::now();
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return true,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.peer_gone = true;
-                    self.close_after_flush = true;
-                    return false;
-                }
-            }
-        }
-    }
-
+impl Session {
     /// Parses and routes every complete request in `inbuf`,
     /// queueing responses. Stops at a partial request (need more
     /// bytes), a parse error (answer, then close), or the
     /// max-requests bound.
     fn drain_requests(&mut self, router: &impl Router, max_requests: u64) {
         loop {
-            if self.close_after_flush && self.inbuf.is_empty() {
+            if self.closing && self.inbuf.is_empty() {
                 return;
             }
             match parse_request(&self.inbuf) {
                 Ok(None) => {
-                    if self.close_after_flush && !self.inbuf.is_empty() {
+                    if self.closing && !self.inbuf.is_empty() {
                         // EOF behind a partial request: answer the
                         // truncation like the one-shot server did,
                         // for clients that still read after shutdown.
@@ -254,7 +222,7 @@ impl Conn {
                     )
                     .observe(started.elapsed().as_secs_f64() * 1000.0);
                     if !keep {
-                        self.close_after_flush = true;
+                        self.closing = true;
                         self.inbuf.clear();
                         return;
                     }
@@ -266,7 +234,7 @@ impl Conn {
                         let detail = e.detail();
                         self.queue_bad(status, reason, &format!("{detail}\n"));
                     } else {
-                        self.close_after_flush = true;
+                        self.closing = true;
                     }
                     self.inbuf.clear();
                     return;
@@ -289,45 +257,17 @@ impl Conn {
             body.as_bytes(),
             false,
         ));
-        self.close_after_flush = true;
-    }
-
-    /// Writes queued bytes until `WouldBlock` or empty, then decides
-    /// the verdict.
-    fn flush(&mut self) -> Verdict {
-        if self.peer_gone {
-            return Verdict::Close;
-        }
-        while self.written < self.outbuf.len() {
-            match self.stream.write(&self.outbuf[self.written..]) {
-                Ok(0) => return Verdict::Close,
-                Ok(n) => {
-                    self.written += n;
-                    self.last_activity = Instant::now();
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => return Verdict::Close,
-            }
-        }
-        if self.written == self.outbuf.len() {
-            self.outbuf.clear();
-            self.written = 0;
-            if self.close_after_flush {
-                return Verdict::Close;
-            }
-        }
-        Verdict::KeepGoing {
-            want_write: self.written < self.outbuf.len(),
-        }
+        self.closing = true;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ct_store::remote::{parse_response, read_response, write_request, Response};
-    use std::net::TcpListener;
+    use ct_store::remote::{
+        encode_request, parse_response, read_response, write_request, Response,
+    };
+    use std::net::{Shutdown, TcpListener};
 
     /// Reads `n` pipelined responses off one socket — [`read_response`]
     /// deliberately rejects trailing bytes, so batched answers need
@@ -372,24 +312,45 @@ mod tests {
         }
     }
 
-    fn pair() -> (TcpStream, Conn) {
+    /// A loopback pair: the client end and the accepted server end.
+    fn pair() -> (TcpStream, TcpStream) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (server_end, _) = listener.accept().unwrap();
-        server_end.set_nonblocking(true).unwrap();
-        (client, Conn::new(server_end))
+        (client, server_end)
+    }
+
+    /// Serves `server_end` on this thread until the connection ends.
+    fn serve(server_end: TcpStream, max_requests: u64) {
+        let stop = AtomicBool::new(false);
+        let tick = Duration::from_millis(100);
+        serve_connection(
+            server_end,
+            &EchoRouter,
+            max_requests,
+            Duration::from_secs(5),
+            tick,
+            &stop,
+        );
+    }
+
+    /// Writes `targets` as pipelined keep-alive GETs in one write.
+    fn pipeline(client: &mut TcpStream, targets: &[&str]) {
+        let wire: Vec<u8> = targets
+            .iter()
+            .flat_map(|target| encode_request("GET", target, &[], true))
+            .collect();
+        client.write_all(&wire).unwrap();
     }
 
     #[test]
     fn pipelined_requests_are_answered_in_order_on_one_socket() {
-        let (mut client, mut conn) = pair();
-        write_request(&mut client, "GET", "/a", &[], true).unwrap();
-        write_request(&mut client, "GET", "/missing", &[], true).unwrap();
-        write_request(&mut client, "GET", "/b", &[], true).unwrap();
-        // Allow loopback delivery before the readiness pass.
-        std::thread::sleep(Duration::from_millis(30));
-        let verdict = conn.on_ready(&EchoRouter, 1000);
-        assert_eq!(verdict, Verdict::KeepGoing { want_write: false });
+        let (mut client, server_end) = pair();
+        pipeline(&mut client, &["/a", "/missing", "/b"]);
+        // The client half-closes; every queued request is still
+        // answered before the server closes.
+        client.shutdown(Shutdown::Write).unwrap();
+        serve(server_end, 1000);
 
         let responses = read_responses(&mut client, 3);
         assert_eq!((responses[0].status, responses[0].keep_alive), (200, true));
@@ -401,29 +362,23 @@ mod tests {
 
     #[test]
     fn parse_garbage_answers_400_and_closes() {
-        let (mut client, mut conn) = pair();
+        let (mut client, server_end) = pair();
         client.write_all(b"florble grumble\r\n\r\n").unwrap();
-        std::thread::sleep(Duration::from_millis(30));
-        let verdict = conn.on_ready(&EchoRouter, 1000);
-        assert_eq!(verdict, Verdict::Close);
+        // Returns without the client closing: the garbage closes it.
+        serve(server_end, 1000);
         let response = read_response(&mut client).unwrap();
         assert_eq!((response.status, response.keep_alive), (400, false));
     }
 
     #[test]
     fn max_requests_bound_marks_the_last_response_close() {
-        let (mut client, mut conn) = pair();
-        write_request(&mut client, "GET", "/1", &[], true).unwrap();
-        write_request(&mut client, "GET", "/2", &[], true).unwrap();
-        write_request(&mut client, "GET", "/3", &[], true).unwrap();
-        std::thread::sleep(Duration::from_millis(30));
-        let verdict = conn.on_ready(&EchoRouter, 2);
+        let (mut client, server_end) = pair();
+        pipeline(&mut client, &["/1", "/2", "/3"]);
+        serve(server_end, 2);
         // Request #2 hits the bound; #3 is never answered.
-        assert_eq!(verdict, Verdict::Close);
         let responses = read_responses(&mut client, 2);
         assert!(responses[0].keep_alive);
         assert!(!responses[1].keep_alive);
-        drop(conn);
         let mut rest = Vec::new();
         client.read_to_end(&mut rest).unwrap();
         assert!(rest.is_empty(), "socket must be closed with nothing queued");
@@ -431,11 +386,9 @@ mod tests {
 
     #[test]
     fn client_close_request_is_honored() {
-        let (mut client, mut conn) = pair();
+        let (mut client, server_end) = pair();
         write_request(&mut client, "GET", "/only", &[], false).unwrap();
-        std::thread::sleep(Duration::from_millis(30));
-        let verdict = conn.on_ready(&EchoRouter, 1000);
-        assert_eq!(verdict, Verdict::Close);
+        serve(server_end, 1000);
         let response = read_response(&mut client).unwrap();
         assert_eq!((response.status, response.keep_alive), (200, false));
     }

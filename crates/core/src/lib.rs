@@ -51,7 +51,6 @@ pub mod availability;
 pub mod check;
 pub mod conn;
 pub mod error;
-pub mod event;
 pub mod figures;
 pub mod grid_impact;
 pub mod parallel;

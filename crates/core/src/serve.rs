@@ -4,16 +4,18 @@
 //! share one cache (a store directory is held by one process): each
 //! shard points `--store http://host:port` at the daemon
 //! and the pipeline's [`ct_store::StoreBackend`] calls travel the wire
-//! instead of the local filesystem. The daemon is std-only: a
-//! nonblocking [`std::net::TcpListener`] plus a small pool of worker
-//! threads, each running a readiness loop (epoll via
-//! [`crate::event::Poller`], with a portable fallback) over its own
-//! set of per-connection state machines ([`crate::conn::Conn`]).
+//! instead of the local filesystem. The daemon is std-only blocking
+//! I/O: one accept thread takes connections from a
+//! [`std::net::TcpListener`] and hands each to a connection thread,
+//! which serves it with [`crate::conn::serve_connection`] and then
+//! waits for the next one. A thread is spawned only when none is
+//! idle, so a server holds one thread per connection it has had open
+//! at once, not one per connection it has accepted.
 //! Connections are kept alive and pipelined per HTTP/1.1 semantics,
 //! bounded by an idle timeout (`CT_SERVE_IDLE_MS`) and a
 //! max-requests-per-connection cap, so a client pays the TCP dial
-//! once per *session*, not once per artifact — see DESIGN.md for the
-//! fairness argument versus the old accept-queue model.
+//! once per *session*, not once per artifact — see DESIGN.md for why
+//! threads are reused and what a connection costs.
 //!
 //! Beyond raw object traffic, the server answers *analysis* questions
 //! directly: `GET /probe?scenario=…&site=…` (parsed by
@@ -36,12 +38,11 @@
 //!   [`ByteLru`] of *framed* records, so a warm `GET` costs no disk
 //!   I/O and no re-checksumming;
 //! - malformed requests are answered with 4xx and counted
-//!   (`serve.bad_requests`); they never kill a worker *or* the
-//!   readiness loop, and a routed 4xx never kills the connection.
+//!   (`serve.bad_requests`); they never kill a connection thread,
+//!   and a routed 4xx never kills the connection.
 
-use crate::conn::{Conn, Reply, Router, Verdict};
+use crate::conn::{serve_connection, Reply, Router};
 use crate::error::CoreError;
-use crate::event::{source_fd, Event, Poller};
 use crate::pipeline::{CaseStudy, CaseStudyConfig};
 use crate::probe::ProbeQuery;
 use ct_scada::Architecture;
@@ -51,24 +52,20 @@ use ct_store::{ByteLru, Digest, Store};
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
+use std::time::Duration;
 
 /// Default in-memory cache budget: 256 MiB of framed records.
 pub const DEFAULT_CACHE_BYTES: u64 = 256 * 1024 * 1024;
 /// Default bind address (loopback; front with a tunnel to go wider).
 pub const DEFAULT_ADDR: &str = "127.0.0.1:7171";
-/// Default worker-thread count. Each worker is a readiness loop
-/// multiplexing many kept-alive connections, so a handful saturate a
-/// NIC long before they saturate a core.
-pub const DEFAULT_THREADS: usize = 4;
 /// Default idle timeout for kept-alive connections, in milliseconds
 /// (`CT_SERVE_IDLE_MS` overrides).
 pub const DEFAULT_IDLE_MS: u64 = 5_000;
 /// Requests served on one connection before the server closes it
-/// (the final response says `Connection: close`). Bounds per-socket
-/// server state; clients just redial.
+/// (the final response says `Connection: close`). Bounds how long
+/// one client holds a connection thread; clients just redial.
 pub const DEFAULT_MAX_REQUESTS: u64 = 4_096;
 
 /// Ensemble size a `/probe` uses when the query does not say
@@ -76,12 +73,9 @@ pub const DEFAULT_MAX_REQUESTS: u64 = 4_096;
 /// question, not a reproduction run).
 pub const DEFAULT_PROBE_REALIZATIONS: usize = 60;
 
-/// The readiness-loop tick: the longest a worker sleeps between
-/// stop-flag checks and idle sweeps.
+/// The longest a connection thread blocks in a read before it checks
+/// the stop flag and the idle deadline.
 const WAIT_TICK: Duration = Duration::from_millis(100);
-
-/// The poller token reserved for the shared listener.
-const LISTENER_TOKEN: u64 = 0;
 
 /// Configuration for [`Server::bind`].
 #[derive(Debug, Clone)]
@@ -94,7 +88,8 @@ pub struct ServeOptions {
     pub packed: bool,
     /// Byte budget for the in-memory record cache.
     pub cache_bytes: u64,
-    /// Worker-thread count (minimum 1); each runs a readiness loop.
+    /// Ignored: each open connection has its own thread.
+    #[deprecated(note = "each open connection has its own thread; the field is ignored")]
     pub threads: usize,
     /// Close kept-alive connections idle longer than this
     /// (default `CT_SERVE_IDLE_MS`, else [`DEFAULT_IDLE_MS`]).
@@ -104,14 +99,14 @@ pub struct ServeOptions {
     pub max_requests: u64,
 }
 
-#[allow(deprecated)] // sets the ignored `packed` field
+#[allow(deprecated)] // sets the ignored `packed` and `threads` fields
 impl Default for ServeOptions {
     fn default() -> Self {
         Self {
             addr: DEFAULT_ADDR.to_string(),
             packed: false,
             cache_bytes: DEFAULT_CACHE_BYTES,
-            threads: DEFAULT_THREADS,
+            threads: 0,
             idle_ms: std::env::var("CT_SERVE_IDLE_MS")
                 .ok()
                 .and_then(|v| v.parse().ok())
@@ -125,7 +120,7 @@ impl Default for ServeOptions {
 /// keyword + ensemble size.
 type StudyKey = (ct_scada::RegionSpec, &'static str, usize);
 
-/// State shared by every worker thread.
+/// State shared by the accept thread and every connection thread.
 #[derive(Debug)]
 struct Shared {
     store: Store,
@@ -138,6 +133,9 @@ struct Shared {
     stop: AtomicBool,
     idle: Duration,
     max_requests: u64,
+    /// Connection threads spawned so far; they are reused, never
+    /// retired before shutdown.
+    conn_threads: AtomicUsize,
 }
 
 impl Router for Shared {
@@ -147,18 +145,18 @@ impl Router for Shared {
 }
 
 /// A running `ct serve` daemon. Binding opens the store, which holds
-/// its root; dropping the server shuts the workers down and then
-/// drops the store, releasing the root.
+/// its root; dropping the server joins every thread and then drops
+/// the store, releasing the root.
 #[derive(Debug)]
 pub struct Server {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    workers: Vec<std::thread::JoinHandle<()>>,
+    accept: Option<std::thread::JoinHandle<()>>,
 }
 
 impl Server {
     /// Opens (creating if needed) the store at `root`, binds the
-    /// listener, and starts the worker pool.
+    /// listener, and starts the accept thread.
     ///
     /// # Errors
     ///
@@ -172,9 +170,6 @@ impl Server {
         };
         let listener = TcpListener::bind(&options.addr).map_err(io_error)?;
         let addr = listener.local_addr().map_err(io_error)?;
-        // Every worker's poller watches the same listener; accepts
-        // must never block a readiness loop.
-        listener.set_nonblocking(true).map_err(io_error)?;
         let shared = Arc::new(Shared {
             store,
             cache: ByteLru::new(options.cache_bytes),
@@ -182,21 +177,17 @@ impl Server {
             stop: AtomicBool::new(false),
             idle: Duration::from_millis(options.idle_ms.max(1)),
             max_requests: options.max_requests.max(1),
+            conn_threads: AtomicUsize::new(0),
         });
-        let workers = (0..options.threads.max(1))
-            .map(|i| {
-                let listener = listener.try_clone().map_err(io_error)?;
-                let shared = Arc::clone(&shared);
-                Ok(std::thread::Builder::new()
-                    .name(format!("ct-serve-{i}"))
-                    .spawn(move || worker_loop(&listener, &shared))
-                    .expect("spawning a worker thread"))
-            })
-            .collect::<Result<Vec<_>, CoreError>>()?;
+        let accept_shared = Arc::clone(&shared);
+        let accept = std::thread::Builder::new()
+            .name("ct-serve-accept".into())
+            .spawn(move || accept_loop(listener, &accept_shared))
+            .map_err(io_error)?;
         Ok(Self {
             addr,
             shared,
-            workers,
+            accept: Some(accept),
         })
     }
 
@@ -210,13 +201,17 @@ impl Server {
         format!("http://{}", self.addr)
     }
 
-    /// Stops accepting, wakes every worker, and joins the pool.
-    /// Idempotent; also runs on drop.
+    /// Stops accepting and joins every thread; connection threads
+    /// notice within a 100 ms tick (or, blocked writing to a peer that
+    /// stopped reading, within the idle timeout). Idempotent; also
+    /// runs on drop.
     pub fn shutdown(&mut self) {
+        let Some(accept) = self.accept.take() else {
+            return;
+        };
         self.shared.stop.store(true, Ordering::SeqCst);
-        // A worker parked in `wait` is woken by its tick within
-        // [`WAIT_TICK`]; a connect poke makes the listener readable
-        // and wakes everyone sooner.
+        // A blocking accept has no tick: connect pokes wake it until
+        // it has seen the stop flag and joined its threads.
         let wake: SocketAddr = if self.addr.ip().is_unspecified() {
             SocketAddr::new(
                 "127.0.0.1".parse().expect("loopback parses"),
@@ -225,14 +220,15 @@ impl Server {
         } else {
             self.addr
         };
-        TcpStream::connect_timeout(&wake, Duration::from_millis(100)).ok();
-        for worker in self.workers.drain(..) {
-            worker.join().ok();
+        while !accept.is_finished() {
+            TcpStream::connect_timeout(&wake, Duration::from_millis(100)).ok();
+            std::thread::sleep(Duration::from_millis(10));
         }
+        accept.join().ok();
     }
 
     /// Blocks this thread until the process dies — the `ct serve`
-    /// foreground mode. The workers do all the accepting; this just
+    /// foreground mode. The accept thread does the serving; this just
     /// parks the main thread.
     pub fn join_forever(self) -> ! {
         loop {
@@ -247,116 +243,66 @@ impl Drop for Server {
     }
 }
 
-/// One worker: a readiness loop over the shared listener and this
-/// worker's own connections. Every worker registers the listener
-/// (level-triggered), so an accept burst wakes them all and they
-/// split the backlog.
-fn worker_loop(listener: &TcpListener, shared: &Shared) {
-    let Ok(poller) = Poller::new() else { return };
-    if poller
-        .add(source_fd(listener), LISTENER_TOKEN, true, false)
-        .is_err()
-    {
-        return;
-    }
-    let mut conns: HashMap<u64, Conn> = HashMap::new();
-    let mut next_token: u64 = LISTENER_TOKEN + 1;
-    let mut events: Vec<Event> = Vec::new();
-    loop {
-        poller.wait(&mut events, WAIT_TICK).ok();
-        if shared.stop.load(Ordering::SeqCst) {
-            for (_, conn) in conns.drain() {
-                close_conn(&poller, &conn, false);
+/// Accepts until the stop flag is set, handing each connection to an
+/// idle connection thread, or to a new one when none is idle. Returns
+/// once every connection thread has exited.
+fn accept_loop(listener: TcpListener, shared: &Shared) {
+    let (handoff, queue) = mpsc::channel::<TcpStream>();
+    let queue = Mutex::new(queue);
+    // Threads waiting on `queue` that no sent connection has claimed.
+    let idle_threads = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for accepted in listener.incoming() {
+            if shared.stop.load(Ordering::SeqCst) {
+                break;
             }
-            return;
-        }
-        for event in &events {
-            if event.token == LISTENER_TOKEN {
-                accept_burst(listener, &poller, &mut conns, &mut next_token);
+            let Ok(stream) = accepted else {
+                // Transient accept errors (EMFILE) must not spin a core.
+                std::thread::sleep(Duration::from_millis(5));
                 continue;
-            }
-            let verdict = match conns.get_mut(&event.token) {
-                Some(conn) => conn.on_ready(shared, shared.max_requests),
-                // A token can fire twice in one batch (read + hangup)
-                // after its first firing closed the connection.
-                None => continue,
             };
-            match verdict {
-                Verdict::KeepGoing { want_write } => {
-                    let conn = &conns[&event.token];
-                    poller.modify(conn.fd(), event.token, true, want_write).ok();
-                }
-                Verdict::Close => {
-                    if let Some(conn) = conns.remove(&event.token) {
-                        close_conn(&poller, &conn, false);
-                    }
-                }
-            }
-        }
-        sweep_idle(&poller, &mut conns, shared.idle);
-    }
-}
-
-/// Accepts every pending connection (until `WouldBlock`) and
-/// registers each with this worker's poller.
-fn accept_burst(
-    listener: &TcpListener,
-    poller: &Poller,
-    conns: &mut HashMap<u64, Conn>,
-    next_token: &mut u64,
-) {
-    loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if stream.set_nonblocking(true).is_err() {
+            let claimed = idle_threads
+                .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
+                .is_ok();
+            if !claimed {
+                let spawned = std::thread::Builder::new()
+                    .name("ct-serve-conn".into())
+                    .spawn_scoped(scope, || connection_thread(&queue, &idle_threads, shared));
+                if spawned.is_err() {
+                    // No thread to serve it: the connection is dropped.
                     continue;
                 }
-                stream.set_nodelay(true).ok();
-                let conn = Conn::new(stream);
-                let token = *next_token;
-                *next_token += 1;
-                if poller.add(conn.fd(), token, true, false).is_ok() {
-                    conns.insert(token, conn);
-                }
+                shared.conn_threads.fetch_add(1, Ordering::SeqCst);
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            // Transient accept errors (EMFILE) must not spin a core.
-            Err(_) => {
-                std::thread::sleep(Duration::from_millis(5));
-                return;
-            }
+            handoff.send(stream).ok();
         }
-    }
+        // Stop taking connections (pokes now fail fast), and let every
+        // thread's next `recv` see the closed channel.
+        drop(listener);
+        drop(handoff);
+    });
 }
 
-/// Closes connections whose peer has gone quiet for the idle
-/// timeout, counting `serve.idle_closes`.
-fn sweep_idle(poller: &Poller, conns: &mut HashMap<u64, Conn>, idle: Duration) {
-    let now = Instant::now();
-    let expired: Vec<u64> = conns
-        .iter()
-        .filter(|(_, conn)| conn.idle_for(now) >= idle)
-        .map(|(token, _)| *token)
-        .collect();
-    for token in expired {
-        if let Some(conn) = conns.remove(&token) {
-            close_conn(poller, &conn, true);
-        }
+/// Serves one handed-off connection after another until the accept
+/// thread closes the channel.
+fn connection_thread(
+    queue: &Mutex<mpsc::Receiver<TcpStream>>,
+    idle_threads: &AtomicUsize,
+    shared: &Shared,
+) {
+    loop {
+        let next = queue.lock().expect("connection queue lock").recv();
+        let Ok(stream) = next else { return };
+        serve_connection(
+            stream,
+            shared,
+            shared.max_requests,
+            shared.idle,
+            WAIT_TICK,
+            &shared.stop,
+        );
+        idle_threads.fetch_add(1, Ordering::SeqCst);
     }
-}
-
-/// Deregisters and accounts one closing connection.
-fn close_conn(poller: &Poller, conn: &Conn, idle: bool) {
-    poller.remove(conn.fd()).ok();
-    if idle {
-        ct_obs::add(ct_obs::names::SERVE_IDLE_CLOSES, 1);
-    }
-    ct_obs::histogram(
-        ct_obs::names::SERVE_CONN_LIFETIME_MS,
-        &ct_obs::names::SERVE_CONN_LIFETIME_MS_BOUNDS,
-    )
-    .observe(conn.lifetime_ms());
 }
 
 fn route(shared: &Shared, request: &Request) -> Reply {
@@ -488,4 +434,139 @@ fn cached_study(shared: &Shared, query: &ProbeQuery) -> Result<Arc<CaseStudy>, C
     let study = Arc::new(CaseStudy::build_with_store(&config, Some(&shared.store))?);
     studies.insert(key, Arc::clone(&study));
     Ok(study)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ct_store::remote::{encode_request, read_response, write_request};
+    use std::io::{ErrorKind, Read, Write};
+    use std::time::Instant;
+
+    /// A unique store root for one test, removed on drop.
+    struct Scratch(std::path::PathBuf);
+
+    impl Scratch {
+        fn new(tag: &str) -> Self {
+            let root = std::env::temp_dir().join(format!(
+                "ct-serve-{tag}-{}-{:?}",
+                std::process::id(),
+                std::thread::current().id()
+            ));
+            std::fs::remove_dir_all(&root).ok();
+            Self(root)
+        }
+
+        fn serve(&self, idle_ms: u64) -> Server {
+            let options = ServeOptions {
+                addr: "127.0.0.1:0".into(),
+                idle_ms,
+                ..ServeOptions::default()
+            };
+            Server::bind(&self.0, &options).unwrap()
+        }
+    }
+
+    impl Drop for Scratch {
+        fn drop(&mut self) {
+            std::fs::remove_dir_all(&self.0).ok();
+        }
+    }
+
+    fn idle_closes() -> u64 {
+        ct_obs::snapshot()
+            .counter(ct_obs::names::SERVE_IDLE_CLOSES)
+            .unwrap_or(0)
+    }
+
+    /// Reads until EOF or a reset; a read timeout fails the test.
+    fn read_until_closed(stream: &mut TcpStream) {
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let mut chunk = [0u8; 64 * 1024];
+        loop {
+            match stream.read(&mut chunk) {
+                Ok(0) => return,
+                Ok(_) => {}
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => {
+                    assert!(
+                        !matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut),
+                        "the server never closed the socket"
+                    );
+                    return;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sequential_connections_reuse_connection_threads() {
+        let scratch = Scratch::new("reuse");
+        let server = scratch.serve(DEFAULT_IDLE_MS);
+        for _ in 0..50 {
+            let mut client = TcpStream::connect(server.addr()).unwrap();
+            write_request(&mut client, "GET", "/healthz", &[], false).unwrap();
+            assert_eq!(read_response(&mut client).unwrap().status, 200);
+            let mut rest = Vec::new();
+            client.read_to_end(&mut rest).unwrap();
+            assert!(rest.is_empty(), "the server closes after the answer");
+        }
+        // The thread that served connection k may not be idle again
+        // when connection k + 1 arrives, so a second thread can start;
+        // after that the two take turns.
+        let spawned = server.shared.conn_threads.load(Ordering::SeqCst);
+        assert!(
+            spawned <= 2,
+            "{spawned} threads for 50 sequential connections"
+        );
+    }
+
+    #[test]
+    fn a_peer_that_stops_reading_is_closed_as_idle() {
+        let scratch = Scratch::new("unread");
+        let idle = Duration::from_millis(200);
+        let server = scratch.serve(idle.as_millis() as u64);
+        let mut client = TcpStream::connect(server.addr()).unwrap();
+        let key = format!("{:032x}", 7);
+        let frame = encode_record(&vec![0x5a; 512 * 1024]);
+        write_request(&mut client, "PUT", &format!("/objects/{key}"), &frame, true).unwrap();
+        assert_eq!(read_response(&mut client).unwrap().status, 204);
+
+        // 16 MiB of answers asked for and never read: far more than
+        // the loopback buffers hold, so the server's write stalls.
+        let before = idle_closes();
+        let wire: Vec<u8> = (0..32)
+            .flat_map(|_| encode_request("GET", &format!("/objects/{key}"), &[], true))
+            .collect();
+        client.write_all(&wire).unwrap();
+        let sent = Instant::now();
+        while idle_closes() == before {
+            assert!(sent.elapsed() < Duration::from_secs(5), "never closed");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let closed_after = sent.elapsed();
+        // Slack for scheduling on a loaded test host.
+        let bound = idle + WAIT_TICK + Duration::from_millis(500);
+        assert!(closed_after <= bound, "closed after {closed_after:?}");
+        read_until_closed(&mut client);
+    }
+
+    #[test]
+    fn dropping_a_server_with_a_kept_alive_client_releases_the_root() {
+        let scratch = Scratch::new("drop");
+        let server = scratch.serve(DEFAULT_IDLE_MS);
+        let mut client = TcpStream::connect(server.addr()).unwrap();
+        write_request(&mut client, "GET", "/healthz", &[], true).unwrap();
+        let response = read_response(&mut client).unwrap();
+        assert!(response.keep_alive);
+
+        let started = Instant::now();
+        drop(server);
+        let took = started.elapsed();
+        assert!(took < Duration::from_secs(1), "shutdown took {took:?}");
+        Store::open(&scratch.0).expect("the root is free once the server is gone");
+        read_until_closed(&mut client);
+    }
 }

@@ -622,10 +622,10 @@ fn redial(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::conn::{Conn, Reply, Router, Verdict};
+    use crate::conn::{serve_connection, Reply, Router};
     use ct_store::remote::Request;
     use std::net::TcpListener;
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
     /// A minimal keep-alive object server: 204 for PUT, 200 for GET.
     struct TinyRouter {
@@ -645,20 +645,19 @@ mod tests {
     /// Serves keep-alive connections with blocking accept + per-conn
     /// thread — enough server to point the generator at.
     fn tiny_server(listener: TcpListener, router: Arc<TinyRouter>) {
+        static STOP: AtomicBool = AtomicBool::new(false);
         for accepted in listener.incoming() {
             let Ok(stream) = accepted else { return };
             let router = Arc::clone(&router);
             std::thread::spawn(move || {
-                stream.set_nonblocking(true).ok();
-                let mut conn = Conn::new(stream);
-                loop {
-                    match conn.on_ready(router.as_ref(), u64::MAX) {
-                        Verdict::Close => return,
-                        Verdict::KeepGoing { .. } => {
-                            std::thread::sleep(Duration::from_millis(1));
-                        }
-                    }
-                }
+                serve_connection(
+                    stream,
+                    router.as_ref(),
+                    u64::MAX,
+                    Duration::from_secs(5),
+                    Duration::from_millis(100),
+                    &STOP,
+                );
             });
         }
     }

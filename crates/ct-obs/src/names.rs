@@ -149,7 +149,7 @@ pub const STORE_LRU_EVICTIONS: &str = "store.lru.evictions";
 /// HTTP requests accepted by `ct serve` (all routes).
 pub const SERVE_REQUESTS: &str = "serve.requests";
 /// Malformed, oversized, or unroutable requests answered with a 4xx
-/// status (the worker survives and keeps serving).
+/// status (the connection thread survives and keeps serving).
 pub const SERVE_BAD_REQUESTS: &str = "serve.bad_requests";
 /// `/probe` queries answered (cached or computed).
 pub const SERVE_PROBES: &str = "serve.probes";
@@ -159,8 +159,9 @@ pub const SERVE_PROBE_BUILDS: &str = "serve.probe_builds";
 /// Requests served on an already-established connection (request #2
 /// and beyond on a kept-alive socket; request #1 is never a reuse).
 pub const SERVE_KEEPALIVE_REUSES: &str = "serve.keepalive_reuses";
-/// Kept-alive connections closed by the server's idle sweep after
-/// `CT_SERVE_IDLE_MS` without a byte from the client.
+/// Kept-alive connections closed by the server after
+/// `CT_SERVE_IDLE_MS` without a byte from the client, or with a
+/// response write stalled that long by a client that stopped reading.
 pub const SERVE_IDLE_CLOSES: &str = "serve.idle_closes";
 /// Failpoints armed on a fault registry (test- or `CT_FAULTS`-driven).
 pub const FAULTS_ARMED: &str = "faults.armed";
@@ -194,7 +195,7 @@ pub const STORE_RETRY_WAIT_MS: &str = "store.retry_wait_ms";
 /// (connect + request + response, as seen by the client).
 pub const STORE_REMOTE_RTT_MS: &str = "store.remote.rtt_ms";
 /// Histogram: milliseconds to serve one HTTP request (read to flush,
-/// as seen by the server worker).
+/// as seen by the server's connection thread).
 pub const SERVE_REQUEST_MS: &str = "serve.request_ms";
 /// Histogram: milliseconds a server connection stayed open, accept to
 /// close (keep-alive stretches the tail; one observation per socket).

@@ -26,7 +26,7 @@
 //! (HTTP/1.1 semantics: keep-alive unless either side says `close`,
 //! and HTTP/1.0 peers get one request per connection exactly as
 //! before). [`parse_request`] is the single incremental parser both
-//! the server's readiness loop and the blocking [`read_request`]
+//! the server's connection threads and the one-shot [`read_request`]
 //! helper build on, so framing limits ([`MAX_HEAD_BYTES`],
 //! [`MAX_BODY_BYTES`]) apply identically on the one-shot and the
 //! pipelined path.
@@ -109,7 +109,7 @@ pub fn query_param<'a>(query: &'a str, name: &str) -> Option<&'a str> {
 }
 
 /// Why a request could not be parsed; maps onto the 4xx the server
-/// answers with (the worker survives every variant).
+/// answers with (the connection thread survives every variant).
 #[derive(Debug)]
 pub enum RequestError {
     /// Garbage, truncation, or an unparsable frame: 400.
@@ -246,8 +246,8 @@ pub fn parse_request(buf: &[u8]) -> Result<Option<(Request, usize)>, RequestErro
 
 /// Reads and validates one request from a blocking stream — the
 /// one-shot convenience over [`parse_request`] used by tests and
-/// simple clients; the server's readiness loop drives the parser
-/// directly.
+/// simple clients; the server's connection threads drive the parser
+/// directly, to route pipelined requests in batches.
 ///
 /// # Errors
 ///

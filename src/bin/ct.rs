@@ -544,10 +544,9 @@ fn run_command(args: &CliArgs) -> Result<ExitCode, Box<dyn std::error::Error>> {
             }
             let server = Server::bind(&root, &options)?;
             println!(
-                "serving {} at {} ({} workers, {} byte cache); GET /healthz, /metricsz, /probe",
+                "serving {} at {} ({} byte cache); GET /healthz, /metricsz, /probe",
                 root.display(),
                 server.url(),
-                options.threads,
                 options.cache_bytes,
             );
             use std::io::Write;
