@@ -20,8 +20,8 @@ use ct_scada::{
 };
 use ct_store::{Digest, StoreBackend};
 use ct_threat::{
-    classify, post_disaster_histogram, post_disaster_states, Attacker, PostDisasterState,
-    ThreatScenario, WorstCaseAttacker,
+    classify, post_disaster_histogram, Attacker, PostDisasterState, ThreatScenario,
+    WorstCaseAttacker,
 };
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -910,8 +910,9 @@ impl CaseStudy {
     /// the post-disaster flood pattern, so they are evaluated once per
     /// *distinct* pattern (at most eight for three sites) and weighted
     /// by the pattern's multiplicity; the histogram itself is memoized
-    /// per plan. Produces exactly the same profile as
-    /// [`CaseStudy::profile_with_plan_naive`] (asserted by tests).
+    /// per plan. Produces exactly the same profile as running the
+    /// attacker and classification once per realization (asserted by
+    /// this module's tests against that per-realization path).
     ///
     /// # Errors
     ///
@@ -947,29 +948,6 @@ impl CaseStudy {
             profile.record_n(classify(&attacker.attack(arch, post, budget)), *n);
         }
         Ok(profile)
-    }
-
-    /// The pre-memoization profiling path: attacker and classification
-    /// run once per realization instead of once per distinct flood
-    /// pattern (primary region). Kept as ground truth for the
-    /// equivalence tests and the profiling benchmark.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the plan references assets missing from
-    /// the ensemble's POI set.
-    pub fn profile_with_plan_naive(
-        &self,
-        plan: &SitePlan,
-        scenario: ThreatScenario,
-    ) -> Result<OutcomeProfile, CoreError> {
-        let posts = post_disaster_states(plan, &self.regions[0].set)?;
-        let budget = scenario.budget();
-        let arch = plan.architecture();
-        let attacker = WorstCaseAttacker;
-        Ok(OutcomeProfile::from_outcomes(posts.iter().map(|post| {
-            classify(&attacker.attack(arch, post, budget))
-        })))
     }
 
     /// Per-region outcome summary of the whole portfolio as CSV
@@ -1121,7 +1099,28 @@ mod tests {
     use ct_hydro::Realization;
     use ct_rand::cases;
     use ct_scada::topology_digest;
-    use ct_threat::OperationalState;
+    use ct_threat::{post_disaster_states, OperationalState};
+
+    impl CaseStudy {
+        /// The pre-memoization profiling path: attacker and
+        /// classification run once per realization instead of once per
+        /// distinct flood pattern (primary region). The ground truth
+        /// the memoized [`CaseStudy::profile_with_plan`] is checked
+        /// against.
+        fn profile_with_plan_naive(
+            &self,
+            plan: &SitePlan,
+            scenario: ThreatScenario,
+        ) -> Result<OutcomeProfile, CoreError> {
+            let posts = post_disaster_states(plan, &self.regions[0].set)?;
+            let budget = scenario.budget();
+            let arch = plan.architecture();
+            let attacker = WorstCaseAttacker;
+            Ok(OutcomeProfile::from_outcomes(posts.iter().map(|post| {
+                classify(&attacker.attack(arch, post, budget))
+            })))
+        }
+    }
 
     fn small_study() -> CaseStudy {
         CaseStudy::build(

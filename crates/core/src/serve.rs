@@ -9,10 +9,11 @@
 //! [`std::net::TcpListener`] and hands each to a connection thread,
 //! which serves it with [`crate::conn::serve_connection`] and then
 //! waits for the next one. A thread is spawned only when none is
-//! idle, so a server holds one thread per connection it has had open
-//! at once, not one per connection it has accepted.
+//! idle, and a thread that waits the idle timeout for a connection
+//! exits, so a server holds about one thread per connection open at
+//! once, not one per connection it has accepted.
 //! Connections are kept alive and pipelined per HTTP/1.1 semantics,
-//! bounded by an idle timeout (`CT_SERVE_IDLE_MS`) and a
+//! bounded by an idle timeout ([`ServeOptions::idle_ms`]) and a
 //! max-requests-per-connection cap, so a client pays the TCP dial
 //! once per *session*, not once per artifact — see DESIGN.md for why
 //! threads are reused and what a connection costs.
@@ -53,15 +54,16 @@ use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
-use std::time::Duration;
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 /// Default in-memory cache budget: 256 MiB of framed records.
 pub const DEFAULT_CACHE_BYTES: u64 = 256 * 1024 * 1024;
 /// Default bind address (loopback; front with a tunnel to go wider).
 pub const DEFAULT_ADDR: &str = "127.0.0.1:7171";
-/// Default idle timeout for kept-alive connections, in milliseconds
-/// (`CT_SERVE_IDLE_MS` overrides).
+/// Default idle timeout for kept-alive connections and for connection
+/// threads waiting for one, in milliseconds.
 pub const DEFAULT_IDLE_MS: u64 = 5_000;
 /// Requests served on one connection before the server closes it
 /// (the final response says `Connection: close`). Bounds how long
@@ -91,8 +93,9 @@ pub struct ServeOptions {
     /// Ignored: each open connection has its own thread.
     #[deprecated(note = "each open connection has its own thread; the field is ignored")]
     pub threads: usize,
-    /// Close kept-alive connections idle longer than this
-    /// (default `CT_SERVE_IDLE_MS`, else [`DEFAULT_IDLE_MS`]).
+    /// Close kept-alive connections idle longer than this, and retire
+    /// connection threads that wait this long for a connection
+    /// ([`DEFAULT_IDLE_MS`]).
     pub idle_ms: u64,
     /// Close a connection after this many requests
     /// ([`DEFAULT_MAX_REQUESTS`]).
@@ -107,10 +110,7 @@ impl Default for ServeOptions {
             packed: false,
             cache_bytes: DEFAULT_CACHE_BYTES,
             threads: 0,
-            idle_ms: std::env::var("CT_SERVE_IDLE_MS")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(DEFAULT_IDLE_MS),
+            idle_ms: DEFAULT_IDLE_MS,
             max_requests: DEFAULT_MAX_REQUESTS,
         }
     }
@@ -133,9 +133,11 @@ struct Shared {
     stop: AtomicBool,
     idle: Duration,
     max_requests: u64,
-    /// Connection threads spawned so far; they are reused, never
-    /// retired before shutdown.
+    /// Connection threads spawned so far.
     conn_threads: AtomicUsize,
+    /// Connection threads not yet exited: spawned minus those retired
+    /// after waiting the idle timeout for a connection.
+    live_threads: AtomicUsize,
 }
 
 impl Router for Shared {
@@ -178,6 +180,7 @@ impl Server {
             idle: Duration::from_millis(options.idle_ms.max(1)),
             max_requests: options.max_requests.max(1),
             conn_threads: AtomicUsize::new(0),
+            live_threads: AtomicUsize::new(0),
         });
         let accept_shared = Arc::clone(&shared);
         let accept = std::thread::Builder::new()
@@ -273,6 +276,7 @@ fn accept_loop(listener: TcpListener, shared: &Shared) {
                     continue;
                 }
                 shared.conn_threads.fetch_add(1, Ordering::SeqCst);
+                shared.live_threads.fetch_add(1, Ordering::SeqCst);
             }
             handoff.send(stream).ok();
         }
@@ -284,25 +288,54 @@ fn accept_loop(listener: TcpListener, shared: &Shared) {
 }
 
 /// Serves one handed-off connection after another until the accept
-/// thread closes the channel.
+/// thread closes the channel, or until it has waited the idle timeout
+/// for a connection and can take itself out of `idle_threads`.
 fn connection_thread(
     queue: &Mutex<mpsc::Receiver<TcpStream>>,
     idle_threads: &AtomicUsize,
     shared: &Shared,
 ) {
+    // `None` while the thread is owed the connection it was spawned or
+    // claimed for; `Some(t)` once it went idle at `t` and counts in
+    // `idle_threads`.
+    let mut idle_since: Option<Instant> = None;
     loop {
-        let next = queue.lock().expect("connection queue lock").recv();
-        let Ok(stream) = next else { return };
-        serve_connection(
-            stream,
-            shared,
-            shared.max_requests,
-            shared.idle,
-            WAIT_TICK,
-            &shared.stop,
-        );
-        idle_threads.fetch_add(1, Ordering::SeqCst);
+        let next = {
+            let queue = queue.lock().expect("connection queue lock");
+            match idle_since {
+                None => queue.recv().map_err(|_| RecvTimeoutError::Disconnected),
+                Some(t) => queue.recv_timeout(shared.idle.saturating_sub(t.elapsed())),
+            }
+        };
+        match next {
+            Ok(stream) => {
+                serve_connection(
+                    stream,
+                    shared,
+                    shared.max_requests,
+                    shared.idle,
+                    WAIT_TICK,
+                    &shared.stop,
+                );
+                idle_threads.fetch_add(1, Ordering::SeqCst);
+                idle_since = Some(Instant::now());
+            }
+            Err(RecvTimeoutError::Timeout) => {
+                // Retire with the same claim the accept loop makes; if
+                // it fails, every idle thread has been claimed, so a
+                // connection is on its way and this thread must stay.
+                let retired = idle_threads
+                    .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
+                    .is_ok();
+                if retired {
+                    break;
+                }
+                idle_since = None;
+            }
+            Err(RecvTimeoutError::Disconnected) => break,
+        }
     }
+    shared.live_threads.fetch_sub(1, Ordering::SeqCst);
 }
 
 fn route(shared: &Shared, request: &Request) -> Reply {
@@ -551,6 +584,40 @@ mod tests {
         let bound = idle + WAIT_TICK + Duration::from_millis(500);
         assert!(closed_after <= bound, "closed after {closed_after:?}");
         read_until_closed(&mut client);
+    }
+
+    #[test]
+    fn idle_connection_threads_retire() {
+        let scratch = Scratch::new("retire");
+        let idle = Duration::from_millis(200);
+        let server = scratch.serve(idle.as_millis() as u64);
+        let live = || server.shared.live_threads.load(Ordering::SeqCst);
+        let clients: Vec<TcpStream> = (0..8)
+            .map(|_| {
+                let mut client = TcpStream::connect(server.addr()).unwrap();
+                write_request(&mut client, "GET", "/healthz", &[], true).unwrap();
+                assert!(read_response(&mut client).unwrap().keep_alive);
+                client
+            })
+            .collect();
+        // Eight connections open at once: one thread each.
+        assert_eq!(live(), 8);
+
+        drop(clients);
+        let closed = Instant::now();
+        while live() > 0 {
+            assert!(
+                closed.elapsed() <= 2 * idle + Duration::from_millis(500),
+                "{} threads still alive after {:?}",
+                live(),
+                closed.elapsed()
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+
+        let mut client = TcpStream::connect(server.addr()).unwrap();
+        write_request(&mut client, "GET", "/healthz", &[], false).unwrap();
+        assert_eq!(read_response(&mut client).unwrap().status, 200);
     }
 
     #[test]

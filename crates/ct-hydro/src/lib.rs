@@ -68,6 +68,6 @@ pub use parametric::{ParametricSurge, SurgeCalibration};
 pub use passage::{InRange, WindVector};
 pub use realization::{Realization, RealizationSet};
 pub use stations::{Station, StationId, Stations};
-pub use swe::{ShallowWaterConfig, ShallowWaterSolver, SweWorkspace};
+pub use swe::{ShallowWaterConfig, ShallowWaterSolver};
 pub use track::{StormTrack, TrackPoint};
 pub use wind::{HollandWindField, WindSample};

@@ -128,30 +128,6 @@ pub trait Forcing {
         101_000.0
     }
 
-    /// Fills one time level of forcing for every cell in a single
-    /// virtual call — the solver's hot path. `cells` holds the cell
-    /// centres in row-major order; the output slices are parallel to
-    /// it. The default implementation falls back to the per-point
-    /// methods; implementations with expensive per-time-level setup
-    /// (e.g. [`StormForcing`]'s wind-field construction) override it
-    /// to hoist that setup out of the per-cell loop. Overrides must
-    /// produce exactly the values of the per-point methods.
-    fn fill_forcing(
-        &self,
-        t_s: f64,
-        cells: &[EnuKm],
-        tau_east: &mut [f64],
-        tau_north: &mut [f64],
-        pressure: &mut [f64],
-    ) {
-        for (i, &p) in cells.iter().enumerate() {
-            let (te, tn) = self.wind_stress(t_s, p);
-            tau_east[i] = te;
-            tau_north[i] = tn;
-            pressure[i] = self.pressure_pa(t_s, p);
-        }
-    }
-
     /// Still-water offset (tide), m.
     fn tide_m(&self) -> f64 {
         0.0
@@ -250,118 +226,12 @@ impl Forcing for StormForcing<'_> {
         field.pressure_hpa(r_km) * 100.0
     }
 
-    fn fill_forcing(
-        &self,
-        t_s: f64,
-        cells: &[EnuKm],
-        tau_east: &mut [f64],
-        tau_north: &mut [f64],
-        pressure: &mut [f64],
-    ) {
-        // Same math as the per-point methods, with the storm-centre
-        // lookup and wind-field construction hoisted out of the cell
-        // loop: those are per-time-level quantities, and rebuilding
-        // them per cell dominated the forcing update.
-        let t_h = t_s / 3600.0;
-        let center = self.storm.track.position(t_h);
-        let Ok(field) = self.storm.wind_field(t_h) else {
-            tau_east.fill(0.0);
-            tau_north.fill(0.0);
-            pressure.fill(101_000.0);
-            return;
-        };
-        for (i, &p) in cells.iter().enumerate() {
-            let ll = self.projection.to_latlon(p);
-            let w = field.wind_at(center, ll);
-            let cd = Self::drag_coefficient(w.speed_ms);
-            let tau = crate::wind::AIR_DENSITY * cd * w.speed_ms * w.speed_ms;
-            let dir = w.toward_deg.to_radians();
-            tau_east[i] = tau * dir.sin();
-            tau_north[i] = tau * dir.cos();
-            pressure[i] = field.pressure_hpa(center.distance_km(ll)) * 100.0;
-        }
-    }
-
     fn tide_m(&self) -> f64 {
         self.storm.tide_m
     }
 
     fn window_s(&self) -> (f64, f64) {
         self.window_s
-    }
-}
-
-/// Reusable scratch state for [`ShallowWaterSolver`] runs.
-///
-/// An ensemble run simulates hundreds of storms over the same grid;
-/// the solver state (a dozen `n`-cell arrays) lives here so it is
-/// allocated once and recycled across runs instead of reallocated per
-/// run — and, for the step-local buffers the old kernel cloned, per
-/// time step. Reuse is purely an allocation optimisation:
-/// [`ShallowWaterSolver::run_forced_with_workspace`] clears every
-/// buffer before use, so results are bit-identical whether a
-/// workspace is fresh or recycled (asserted by the solver tests).
-#[derive(Debug, Clone, Default)]
-pub struct SweWorkspace {
-    eta: Vec<f64>,
-    u: Vec<f64>,
-    v: Vec<f64>,
-    new_u: Vec<f64>,
-    new_v: Vec<f64>,
-    new_eta: Vec<f64>,
-    max_eta: Vec<f64>,
-    tau_e: Vec<f64>,
-    tau_n: Vec<f64>,
-    p_atm: Vec<f64>,
-    d_eta: Vec<f64>,
-    du: Vec<f64>,
-    dv: Vec<f64>,
-    centers: Vec<EnuKm>,
-    /// Column index of each cell — the flattened kernels look this up
-    /// instead of paying an integer division per cell per sweep.
-    col: Vec<u32>,
-    /// Membership mask of `active_cells`.
-    active: Vec<bool>,
-    /// Sorted indices of cells the kernels must visit: every cell with
-    /// water above its bed ("damp") plus a one-cell ring around them.
-    /// The set only grows as the wetting front advances.
-    active_cells: Vec<usize>,
-    /// Active cells with at least one inactive neighbour — the only
-    /// cells that can grow the active set, so the per-step growth scan
-    /// is proportional to the front line, not the active area.
-    frontier: Vec<usize>,
-}
-
-impl SweWorkspace {
-    /// An empty workspace; buffers are sized on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn reset(&mut self, n: usize) {
-        fn refill(buf: &mut Vec<f64>, n: usize, value: f64) {
-            buf.clear();
-            buf.resize(n, value);
-        }
-        refill(&mut self.eta, n, 0.0);
-        refill(&mut self.u, n, 0.0);
-        refill(&mut self.v, n, 0.0);
-        refill(&mut self.new_u, n, 0.0);
-        refill(&mut self.new_v, n, 0.0);
-        refill(&mut self.new_eta, n, 0.0);
-        refill(&mut self.max_eta, n, f64::NAN);
-        refill(&mut self.tau_e, n, 0.0);
-        refill(&mut self.tau_n, n, 0.0);
-        refill(&mut self.p_atm, n, 101_000.0);
-        refill(&mut self.d_eta, n, 0.0);
-        refill(&mut self.du, n, 0.0);
-        refill(&mut self.dv, n, 0.0);
-        self.centers.clear();
-        self.col.clear();
-        self.active.clear();
-        self.active.resize(n, false);
-        self.active_cells.clear();
-        self.frontier.clear();
     }
 }
 
@@ -426,22 +296,6 @@ impl ShallowWaterSolver {
     /// Returns [`HydroError::SolverDiverged`] if the state becomes
     /// non-finite.
     pub fn run(&self, storm: &StormParams) -> Result<SurgeOutcome, HydroError> {
-        self.run_with_workspace(&mut SweWorkspace::new(), storm)
-    }
-
-    /// Like [`ShallowWaterSolver::run`], but recycles the scratch
-    /// buffers in `ws` — the fast path for ensemble loops that
-    /// simulate many storms back to back.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HydroError::SolverDiverged`] if the state becomes
-    /// non-finite.
-    pub fn run_with_workspace(
-        &self,
-        ws: &mut SweWorkspace,
-        storm: &StormParams,
-    ) -> Result<SurgeOutcome, HydroError> {
         let (ext_e, ext_n) = self.bed.extent_km();
         let center = EnuKm::new(
             self.bed.origin().east + ext_e / 2.0,
@@ -454,7 +308,7 @@ impl ShallowWaterSolver {
             self.config.window_before_hours,
             self.config.window_after_hours,
         );
-        self.run_forced_with_workspace(ws, &forcing)
+        self.run_forced(&forcing)
     }
 
     /// Simulates with arbitrary forcing.
@@ -464,35 +318,7 @@ impl ShallowWaterSolver {
     /// Returns [`HydroError::SolverDiverged`] if the state becomes
     /// non-finite.
     pub fn run_forced(&self, forcing: &dyn Forcing) -> Result<SurgeOutcome, HydroError> {
-        self.run_forced_with_workspace(&mut SweWorkspace::new(), forcing)
-    }
-
-    /// [`ShallowWaterSolver::run_forced`] with caller-owned scratch
-    /// buffers.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HydroError::SolverDiverged`] if the state becomes
-    /// non-finite.
-    pub fn run_forced_with_workspace(
-        &self,
-        ws: &mut SweWorkspace,
-        forcing: &dyn Forcing,
-    ) -> Result<SurgeOutcome, HydroError> {
-        Ok(self.run_impl(ws, forcing, None)?.0)
-    }
-
-    /// Runs the pre-optimisation kernel: full row-major sweeps, per-run
-    /// allocations, per-cell forcing calls. Kept as the ground truth
-    /// for the equivalence tests and the ablation benchmark; the
-    /// optimised kernel must reproduce its output bit for bit.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HydroError::SolverDiverged`] if the state becomes
-    /// non-finite.
-    pub fn run_forced_reference(&self, forcing: &dyn Forcing) -> Result<SurgeOutcome, HydroError> {
-        Ok(self.run_impl_reference(forcing, None)?.0)
+        Ok(self.simulate(forcing, None)?.0)
     }
 
     /// Simulates with arbitrary forcing, additionally recording the
@@ -511,528 +337,13 @@ impl ShallowWaterSolver {
         forcing: &dyn Forcing,
         probe: EnuKm,
     ) -> Result<(SurgeOutcome, Vec<(f64, f64)>), HydroError> {
-        self.run_impl(&mut SweWorkspace::new(), forcing, Some(probe))
+        self.simulate(forcing, Some(probe))
     }
 
-    /// The optimised kernel. Structurally this follows
-    /// [`ShallowWaterSolver::run_impl_reference`] exactly; it differs
-    /// only in how the work is laid out:
-    ///
-    /// - all state lives in the reusable [`SweWorkspace`] (no per-run
-    ///   or per-step allocation),
-    /// - forcing is filled through one [`Forcing::fill_forcing`] call
-    ///   per time level instead of two virtual calls per cell,
-    /// - the nested row/column sweeps are flattened to single-index
-    ///   kernels over a sorted active-cell list.
-    ///
-    /// The active set is every "damp" cell (`eta > bed`) plus a
-    /// one-cell ring, plus all open-boundary sea cells; it only grows.
-    /// Skipped cells are provably inert: their velocities are zero,
-    /// every face between two non-damp cells carries exactly zero flux
-    /// (`h_face = max(eta - sill, 0) = 0`), and smoothing of a cell
-    /// whose whole neighbourhood is dry is an exact no-op. Visiting
-    /// the survivors in ascending index order preserves the reference
-    /// kernel's floating-point accumulation order, so the output is
-    /// bit-identical (asserted in the tests below).
-    fn run_impl(
-        &self,
-        ws: &mut SweWorkspace,
-        forcing: &dyn Forcing,
-        probe: Option<EnuKm>,
-    ) -> Result<(SurgeOutcome, Vec<(f64, f64)>), HydroError> {
-        let cfg = &self.config;
-        let cols = self.bed.cols();
-        let rows = self.bed.rows();
-        let n = cols * rows;
-        let dx = cfg.cell_km * 1000.0;
-        let bed = self.bed.as_slice();
-        let tide = forcing.tide_m();
-
-        ws.reset(n);
-        let SweWorkspace {
-            eta,
-            u,
-            v,
-            new_u,
-            new_v,
-            new_eta,
-            max_eta,
-            tau_e,
-            tau_n,
-            p_atm,
-            d_eta,
-            du,
-            dv,
-            centers,
-            col,
-            active,
-            active_cells,
-            frontier,
-        } = ws;
-
-        // Rebind the buffers as bare slices: the kernels below index
-        // them millions of times, and a slice gives LLVM a single
-        // no-alias data pointer where `&mut Vec` adds a level of
-        // indirection it cannot always hoist.
-        let mut eta: &mut [f64] = eta;
-        let mut u: &mut [f64] = u;
-        let mut v: &mut [f64] = v;
-        let mut new_u: &mut [f64] = new_u;
-        let mut new_v: &mut [f64] = new_v;
-        let mut new_eta: &mut [f64] = new_eta;
-        let max_eta: &mut [f64] = max_eta;
-        let tau_e: &mut [f64] = tau_e;
-        let tau_n: &mut [f64] = tau_n;
-        let p_atm: &mut [f64] = p_atm;
-        let d_eta: &mut [f64] = d_eta;
-        let du: &mut [f64] = du;
-        let dv: &mut [f64] = dv;
-
-        centers.reserve(n);
-        col.reserve(n);
-        for r in 0..rows {
-            for c2 in 0..cols {
-                centers.push(self.bed.cell_center(c2, r));
-                col.push(c2 as u32);
-            }
-        }
-
-        for i in 0..n {
-            let z = bed[i];
-            eta[i] = if z < tide {
-                tide + forcing.initial_eta_m(centers[i])
-            } else {
-                z
-            };
-        }
-
-        // Seed the active set: damp cells plus their ring, plus every
-        // open-boundary sea cell (the relaxation below can re-wet those
-        // even if the initial perturbation left them dry).
-        for i in 0..n {
-            let boundary_sea = bed[i] < tide
-                && (i % cols == 0 || i % cols == cols - 1 || i < cols || i + cols >= n);
-            if eta[i] > bed[i] || boundary_sea {
-                active[i] = true;
-                if i % cols > 0 {
-                    active[i - 1] = true;
-                }
-                if i % cols + 1 < cols {
-                    active[i + 1] = true;
-                }
-                if i >= cols {
-                    active[i - cols] = true;
-                }
-                if i + cols < n {
-                    active[i + cols] = true;
-                }
-            }
-        }
-        active_cells.extend((0..n).filter(|&i| active[i]));
-        let has_inactive_neighbor = |active: &[bool], col: &[u32], i: usize| {
-            let c2 = col[i] as usize;
-            (c2 > 0 && !active[i - 1])
-                || (c2 + 1 < cols && !active[i + 1])
-                || (i >= cols && !active[i - cols])
-                || (i + cols < n && !active[i + cols])
-        };
-        frontier.extend(
-            active_cells
-                .iter()
-                .copied()
-                .filter(|&i| has_inactive_neighbor(active, col, i)),
-        );
-
-        // Iteration strategy: the sorted index list wins while the set
-        // is sparse, but once most cells are active the indirection
-        // costs more than the skipped cells save, so a masked full
-        // sweep takes over. Both visit exactly the active cells in
-        // ascending order, so the floating-point accumulation order —
-        // and therefore the output — is unchanged.
-        let mut dense = active_cells.len() * 2 >= n;
-        macro_rules! for_active {
-            (|$i:ident| $body:block) => {
-                if dense {
-                    for $i in 0..n {
-                        if active[$i] {
-                            $body
-                        }
-                    }
-                } else {
-                    for &$i in active_cells.iter() {
-                        $body
-                    }
-                }
-            };
-        }
-
-        // Time step from the (clipped) deepest water.
-        let max_h = bed.iter().map(|&z| (tide - z).max(0.0)).fold(0.0, f64::max);
-        let c = (G * max_h).sqrt().max(1.0);
-        let dt = (cfg.cfl * dx / (c + 10.0)).max(0.05);
-        let (t_start, t_end) = forcing.window_s();
-        let steps = ((t_end - t_start) / dt).ceil() as usize;
-        let forcing_every = ((cfg.forcing_update_minutes * 60.0 / dt).round() as usize).max(1);
-        let probe_idx = probe
-            .and_then(|p| self.bed.cell_of(p))
-            .map(|(c, r)| r * cols + c);
-        let mut series: Vec<(f64, f64)> = Vec::new();
-        let mut max_speed: f64 = 0.0;
-
-        for step in 0..steps {
-            let t = t_start + step as f64 * dt;
-            if step % forcing_every == 0 {
-                forcing.fill_forcing(
-                    t,
-                    &centers[..],
-                    &mut tau_e[..],
-                    &mut tau_n[..],
-                    &mut p_atm[..],
-                );
-            }
-
-            // Momentum update on wet cells.
-            for_active!(|i| {
-                let h = eta[i] - bed[i];
-                if h <= cfg.dry_tolerance_m {
-                    new_u[i] = 0.0;
-                    new_v[i] = 0.0;
-                    continue;
-                }
-                let c2 = col[i] as usize;
-                let grad = |a: usize, b: usize, d: f64| {
-                    // Surface + pressure gradient between wet cells;
-                    // one-sided near dry neighbours.
-                    (eta[b] - eta[a] + (p_atm[b] - p_atm[a]) / (RHO_WATER * G)) / d
-                };
-                let wet = |j: usize| eta[j] - bed[j] > cfg.dry_tolerance_m;
-                // East gradient.
-                let ge = {
-                    let left = c2 > 0 && wet(i - 1);
-                    let right = c2 + 1 < cols && wet(i + 1);
-                    match (left, right) {
-                        (true, true) => grad(i - 1, i + 1, 2.0 * dx),
-                        (true, false) => grad(i - 1, i, dx),
-                        (false, true) => grad(i, i + 1, dx),
-                        (false, false) => 0.0,
-                    }
-                };
-                let gn = {
-                    let south = i >= cols && wet(i - cols);
-                    let north = i + cols < n && wet(i + cols);
-                    match (south, north) {
-                        (true, true) => grad(i - cols, i + cols, 2.0 * dx),
-                        (true, false) => grad(i - cols, i, dx),
-                        (false, true) => grad(i, i + cols, dx),
-                        (false, false) => 0.0,
-                    }
-                };
-                let h_eff = h.max(0.5);
-                let speed = (u[i] * u[i] + v[i] * v[i]).sqrt();
-                // Manning friction, semi-implicit for stability.
-                let cf = G * cfg.manning_n * cfg.manning_n * speed / h_eff.powf(4.0 / 3.0);
-                let denom = 1.0 + dt * cf;
-                new_u[i] = (u[i] + dt * (-G * ge + tau_e[i] / (RHO_WATER * h_eff))) / denom;
-                new_v[i] = (v[i] + dt * (-G * gn + tau_n[i] / (RHO_WATER * h_eff))) / denom;
-                // Hard speed clamp: keeps the explicit scheme from
-                // blowing up during violent wetting fronts.
-                let sp = (new_u[i] * new_u[i] + new_v[i] * new_v[i]).sqrt();
-                if sp > 15.0 {
-                    new_u[i] *= 15.0 / sp;
-                    new_v[i] *= 15.0 / sp;
-                }
-                max_speed = max_speed.max(sp.min(15.0));
-            });
-            // Inactive cells hold zero velocity in both buffers, so the
-            // swap reproduces the reference's clone-then-overwrite.
-            std::mem::swap(&mut u, &mut new_u);
-            std::mem::swap(&mut v, &mut new_v);
-
-            // Continuity: upwind face fluxes with overtopping. Faces
-            // whose west/south cell is inactive are skipped — both
-            // endpoints of such a face are non-damp, so the flux is
-            // exactly zero.
-            new_eta.copy_from_slice(&eta[..]);
-            for_active!(|i| {
-                let c2 = col[i] as usize;
-                // East face between i and i+1.
-                if c2 + 1 < cols {
-                    let j = i + 1;
-                    let u_face = 0.5 * (u[i] + u[j]);
-                    let sill = bed[i].max(bed[j]);
-                    let h_face = if u_face > 0.0 {
-                        (eta[i] - sill).max(0.0)
-                    } else {
-                        (eta[j] - sill).max(0.0)
-                    };
-                    let flux = u_face * h_face * dt / dx;
-                    new_eta[i] -= flux;
-                    new_eta[j] += flux;
-                }
-                // North face between i and i+cols.
-                if i + cols < n {
-                    let j = i + cols;
-                    let v_face = 0.5 * (v[i] + v[j]);
-                    let sill = bed[i].max(bed[j]);
-                    let h_face = if v_face > 0.0 {
-                        (eta[i] - sill).max(0.0)
-                    } else {
-                        (eta[j] - sill).max(0.0)
-                    };
-                    let flux = v_face * h_face * dt / dx;
-                    new_eta[i] -= flux;
-                    new_eta[j] += flux;
-                }
-            });
-            std::mem::swap(&mut eta, &mut new_eta);
-
-            // Conservative smoothing: a collocated (A-grid) scheme
-            // supports checkerboard modes; exchanging a small fraction
-            // of the surface difference across wet-wet faces damps
-            // them without losing mass. Velocities get plain
-            // diffusion.
-            let smooth = 0.02;
-            if dense {
-                // Dense regime: these light stencils are bound by loop
-                // overhead, and plain full sweeps vectorise where the
-                // masked or indirect forms cannot. Visiting an inactive
-                // cell here is an exact no-op (its depth is zero, its
-                // velocities and scratch entries are +0.0, and no
-                // active neighbour writes into it), so the sweep
-                // produces bit-identical state.
-                for r in 0..rows {
-                    for c2 in 0..cols {
-                        let i = r * cols + c2;
-                        if eta[i] - bed[i] <= cfg.dry_tolerance_m {
-                            continue;
-                        }
-                        if c2 + 1 < cols {
-                            let j = i + 1;
-                            if eta[j] - bed[j] > cfg.dry_tolerance_m {
-                                let ex = smooth * (eta[j] - eta[i]);
-                                d_eta[i] += ex;
-                                d_eta[j] -= ex;
-                            }
-                        }
-                        if i + cols < n {
-                            let j = i + cols;
-                            if eta[j] - bed[j] > cfg.dry_tolerance_m {
-                                let ex = smooth * (eta[j] - eta[i]);
-                                d_eta[i] += ex;
-                                d_eta[j] -= ex;
-                            }
-                        }
-                    }
-                }
-                for i in 0..n {
-                    eta[i] += d_eta[i];
-                    d_eta[i] = 0.0;
-                }
-            } else {
-                for &i in active_cells.iter() {
-                    if eta[i] - bed[i] <= cfg.dry_tolerance_m {
-                        continue;
-                    }
-                    let c2 = col[i] as usize;
-                    if c2 + 1 < cols {
-                        let j = i + 1;
-                        if eta[j] - bed[j] > cfg.dry_tolerance_m {
-                            let ex = smooth * (eta[j] - eta[i]);
-                            d_eta[i] += ex;
-                            d_eta[j] -= ex;
-                        }
-                    }
-                    if i + cols < n {
-                        let j = i + cols;
-                        if eta[j] - bed[j] > cfg.dry_tolerance_m {
-                            let ex = smooth * (eta[j] - eta[i]);
-                            d_eta[i] += ex;
-                            d_eta[j] -= ex;
-                        }
-                    }
-                }
-                for &i in active_cells.iter() {
-                    eta[i] += d_eta[i];
-                    d_eta[i] = 0.0;
-                }
-            }
-            if dense {
-                for r in 0..rows {
-                    for c2 in 0..cols {
-                        let i = r * cols + c2;
-                        let mut su = 0.0;
-                        let mut sv = 0.0;
-                        let mut count = 0.0;
-                        let mut visit = |j: usize| {
-                            su += u[j];
-                            sv += v[j];
-                            count += 1.0;
-                        };
-                        if c2 > 0 {
-                            visit(i - 1);
-                        }
-                        if c2 + 1 < cols {
-                            visit(i + 1);
-                        }
-                        if i >= cols {
-                            visit(i - cols);
-                        }
-                        if i + cols < n {
-                            visit(i + cols);
-                        }
-                        if count > 0.0 {
-                            du[i] = 0.05 * (su / count - u[i]);
-                            dv[i] = 0.05 * (sv / count - v[i]);
-                        }
-                    }
-                }
-                for i in 0..n {
-                    u[i] += du[i];
-                    v[i] += dv[i];
-                    du[i] = 0.0;
-                    dv[i] = 0.0;
-                }
-            } else {
-                for &i in active_cells.iter() {
-                    let c2 = col[i] as usize;
-                    let mut su = 0.0;
-                    let mut sv = 0.0;
-                    let mut count = 0.0;
-                    let mut visit = |j: usize| {
-                        su += u[j];
-                        sv += v[j];
-                        count += 1.0;
-                    };
-                    if c2 > 0 {
-                        visit(i - 1);
-                    }
-                    if c2 + 1 < cols {
-                        visit(i + 1);
-                    }
-                    if i >= cols {
-                        visit(i - cols);
-                    }
-                    if i + cols < n {
-                        visit(i + cols);
-                    }
-                    if count > 0.0 {
-                        du[i] = 0.05 * (su / count - u[i]);
-                        dv[i] = 0.05 * (sv / count - v[i]);
-                    }
-                }
-                for &i in active_cells.iter() {
-                    u[i] += du[i];
-                    v[i] += dv[i];
-                    du[i] = 0.0;
-                    dv[i] = 0.0;
-                }
-            }
-
-            // Open-boundary relaxation toward the tidal still level.
-            for r in 0..rows {
-                for c2 in [0usize, cols - 1] {
-                    let i = r * cols + c2;
-                    if bed[i] < tide {
-                        eta[i] += 0.2 * (tide - eta[i]);
-                    }
-                }
-            }
-            for c2 in 0..cols {
-                for r in [0usize, rows - 1] {
-                    let i = r * cols + c2;
-                    if bed[i] < tide {
-                        eta[i] += 0.2 * (tide - eta[i]);
-                    }
-                }
-            }
-
-            // Track the wet envelope; detect divergence cheaply. Only
-            // active cells can have changed state.
-            let mut any_nonfinite = false;
-            for_active!(|i| {
-                let h = eta[i] - bed[i];
-                // `h > tol` proves eta[i] is finite here, so "NaN or
-                // smaller" is exactly the old `!(max >= eta)` test and
-                // the update collapses to a plain store.
-                if h > cfg.dry_tolerance_m && (max_eta[i].is_nan() || max_eta[i] < eta[i]) {
-                    max_eta[i] = eta[i];
-                }
-                if !eta[i].is_finite() {
-                    any_nonfinite = true;
-                }
-            });
-            if any_nonfinite {
-                return Err(HydroError::SolverDiverged { at_time_s: t });
-            }
-            if let Some(pi) = probe_idx {
-                series.push((t, eta[pi]));
-            }
-
-            // Grow the active set: every damp cell must carry its full
-            // neighbour ring into the next step. Only frontier cells
-            // (active with an inactive neighbour) can add anything, so
-            // the scan is proportional to the wetting front, not the
-            // active area. Newly activated cells are dry (their state
-            // never changed while inactive), so one pass suffices; the
-            // list is re-sorted to keep the ascending accumulation
-            // order.
-            let before = active_cells.len();
-            for &i in frontier.iter() {
-                if eta[i] > bed[i] {
-                    let c2 = col[i] as usize;
-                    if c2 > 0 && !active[i - 1] {
-                        active[i - 1] = true;
-                        active_cells.push(i - 1);
-                    }
-                    if c2 + 1 < cols && !active[i + 1] {
-                        active[i + 1] = true;
-                        active_cells.push(i + 1);
-                    }
-                    if i >= cols && !active[i - cols] {
-                        active[i - cols] = true;
-                        active_cells.push(i - cols);
-                    }
-                    if i + cols < n && !active[i + cols] {
-                        active[i + cols] = true;
-                        active_cells.push(i + cols);
-                    }
-                }
-            }
-            if active_cells.len() > before {
-                // Activations can retire old frontier cells (their last
-                // inactive neighbour may just have been activated) and
-                // enlist the newly activated ones; an interior active
-                // cell can never re-enter the frontier because the set
-                // only grows.
-                frontier.extend_from_slice(&active_cells[before..]);
-                frontier.retain(|&i| has_inactive_neighbor(active, col, i));
-                active_cells.sort_unstable();
-                dense = active_cells.len() * 2 >= n;
-            }
-        }
-
-        let mut max_grid = self.bed.map(|_| f64::NAN);
-        max_grid.as_mut_slice().copy_from_slice(&max_eta[..]);
-        ct_obs::add(ct_obs::names::SWE_SOLVES, 1);
-        ct_obs::add(ct_obs::names::SWE_STEPS, steps as u64);
-        ct_obs::histogram(
-            ct_obs::names::SWE_STEPS_PER_SOLVE,
-            &ct_obs::names::SWE_STEPS_PER_SOLVE_BOUNDS,
-        )
-        .observe(steps as f64);
-        Ok((
-            SurgeOutcome {
-                max_eta: max_grid,
-                bed: self.bed.clone(),
-                steps,
-                dt_s: dt,
-                max_speed_ms: max_speed,
-            },
-            series,
-        ))
-    }
-
-    fn run_impl_reference(
+    /// The time-stepping kernel: full row-major sweeps over every cell,
+    /// with the forcing sampled per cell. The step-local buffers are
+    /// allocated once per run and swapped or re-zeroed between steps.
+    fn simulate(
         &self,
         forcing: &dyn Forcing,
         probe: Option<EnuKm>,
@@ -1064,6 +375,15 @@ impl ShallowWaterSolver {
         let mut tau_e = vec![0.0f64; n];
         let mut tau_n = vec![0.0f64; n];
         let mut p_atm = vec![101_000.0f64; n];
+        // Step-local scratch: the momentum update writes every cell of
+        // `new_u`/`new_v`, `new_eta` is refilled from `eta` before the
+        // fluxes land, and the smoothing increments are zeroed after use.
+        let mut new_u = vec![0.0f64; n];
+        let mut new_v = vec![0.0f64; n];
+        let mut new_eta = vec![0.0f64; n];
+        let mut d_eta = vec![0.0f64; n];
+        let mut du = vec![0.0f64; n];
+        let mut dv = vec![0.0f64; n];
 
         // Time step from the (clipped) deepest water.
         let max_h = bed.iter().map(|&z| (tide - z).max(0.0)).fold(0.0, f64::max);
@@ -1095,8 +415,6 @@ impl ShallowWaterSolver {
             }
 
             // Momentum update on wet cells.
-            let mut new_u = u.clone();
-            let mut new_v = v.clone();
             for r in 0..rows {
                 for c2 in 0..cols {
                     let i = idx(c2, r);
@@ -1150,11 +468,11 @@ impl ShallowWaterSolver {
                     max_speed = max_speed.max(sp.min(15.0));
                 }
             }
-            u = new_u;
-            v = new_v;
+            std::mem::swap(&mut u, &mut new_u);
+            std::mem::swap(&mut v, &mut new_v);
 
             // Continuity: upwind face fluxes with overtopping.
-            let mut new_eta = eta.clone();
+            new_eta.copy_from_slice(&eta);
             for r in 0..rows {
                 for c2 in 0..cols {
                     let i = idx(c2, r);
@@ -1188,7 +506,7 @@ impl ShallowWaterSolver {
                     }
                 }
             }
-            eta = new_eta;
+            std::mem::swap(&mut eta, &mut new_eta);
 
             // Conservative smoothing: a collocated (A-grid) scheme
             // supports checkerboard modes; exchanging a small fraction
@@ -1196,7 +514,6 @@ impl ShallowWaterSolver {
             // them without losing mass. Velocities get plain
             // diffusion.
             let smooth = 0.02;
-            let mut d_eta = vec![0.0f64; n];
             for r in 0..rows {
                 for c2 in 0..cols {
                     let i = idx(c2, r);
@@ -1223,9 +540,8 @@ impl ShallowWaterSolver {
             }
             for i in 0..n {
                 eta[i] += d_eta[i];
+                d_eta[i] = 0.0;
             }
-            let mut du = vec![0.0f64; n];
-            let mut dv = vec![0.0f64; n];
             for r in 0..rows {
                 for c2 in 0..cols {
                     let i = idx(c2, r);
@@ -1258,6 +574,8 @@ impl ShallowWaterSolver {
             for i in 0..n {
                 u[i] += du[i];
                 v[i] += dv[i];
+                du[i] = 0.0;
+                dv[i] = 0.0;
             }
 
             // Open-boundary relaxation toward the tidal still level.
@@ -1302,6 +620,13 @@ impl ShallowWaterSolver {
 
         let mut max_grid = self.bed.map(|_| f64::NAN);
         max_grid.as_mut_slice().copy_from_slice(&max_eta);
+        ct_obs::add(ct_obs::names::SWE_SOLVES, 1);
+        ct_obs::add(ct_obs::names::SWE_STEPS, steps as u64);
+        ct_obs::histogram(
+            ct_obs::names::SWE_STEPS_PER_SOLVE,
+            &ct_obs::names::SWE_STEPS_PER_SOLVE_BOUNDS,
+        )
+        .observe(steps as f64);
         Ok((
             SurgeOutcome {
                 max_eta: max_grid,
@@ -1346,7 +671,7 @@ mod tests {
     }
 
     /// Frictionless tilted initial surface — excites the fundamental
-    /// seiche mode. Used by the Merian-period and probe-equivalence
+    /// seiche mode. Used by the Merian-period and probe-digest
     /// tests.
     #[derive(Debug)]
     struct Tilt;
@@ -1363,26 +688,34 @@ mod tests {
         }
     }
 
-    /// Asserts two outcomes are identical to the bit (signed zeros
-    /// compare equal; NaN only matches NaN).
-    fn assert_outcomes_identical(fast: &SurgeOutcome, reference: &SurgeOutcome) {
-        assert_eq!(fast.steps, reference.steps);
-        assert_eq!(fast.dt_s.to_bits(), reference.dt_s.to_bits());
-        assert_eq!(
-            fast.max_speed_ms.to_bits(),
-            reference.max_speed_ms.to_bits()
-        );
-        assert_eq!(fast.bed.as_slice(), reference.bed.as_slice());
-        for (i, (a, b)) in fast
-            .max_eta
-            .as_slice()
-            .iter()
-            .zip(reference.max_eta.as_slice())
-            .enumerate()
-        {
-            let same = (a.is_nan() && b.is_nan()) || a.to_bits() == b.to_bits() || a == b;
-            assert!(same, "max_eta differs at cell {i}: {a:?} vs {b:?}");
+    /// 64-bit FNV-1a over a stream of words.
+    fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for w in words {
+            for b in w.to_le_bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
         }
+        h
+    }
+
+    /// Digest of every number an outcome carries: the step count, then
+    /// the bit patterns of `dt_s`, `max_speed_ms`, the bed and the
+    /// maximum-elevation envelope.
+    fn outcome_digest(out: &SurgeOutcome) -> u64 {
+        let scalars = [
+            out.steps as u64,
+            out.dt_s.to_bits(),
+            out.max_speed_ms.to_bits(),
+        ];
+        let grids = out.bed.as_slice().iter().chain(out.max_eta.as_slice());
+        fnv1a(scalars.into_iter().chain(grids.map(|x| x.to_bits())))
+    }
+
+    /// Digest of a probe series: `(t_s, eta_m)` bit patterns in order.
+    fn series_digest(series: &[(f64, f64)]) -> u64 {
+        fnv1a(series.iter().flat_map(|&(t, e)| [t.to_bits(), e.to_bits()]))
     }
 
     #[test]
@@ -1519,9 +852,18 @@ mod tests {
         assert!((mid - 0.3).abs() < 0.05, "tide level {mid}");
     }
 
+    // The digests below pin the kernel's output bit for bit, so any
+    // change to the arithmetic or its order shows up here. Each was
+    // measured identically from an active-set kernel and a row-major
+    // sweep.
+
     #[test]
-    fn active_set_kernel_matches_reference_bitwise() {
-        for (tau_east, tau_north) in [(0.0, 0.0), (1.0, 0.0), (0.4, -0.7)] {
+    fn flat_basin_winds_match_pinned_digests() {
+        for (tau_east, tau_north, digest) in [
+            (0.0, 0.0, 0xc429_d286_a3f5_9126_u64),
+            (1.0, 0.0, 0x97d4_5d1e_6140_f342),
+            (0.4, -0.7, 0x5bcc_1bdf_3d62_3d13),
+        ] {
             let (bed, proj) = flat_basin(12.0);
             let solver = ShallowWaterSolver::from_bed(bed, proj, quiet_config());
             let wind = UniformWind {
@@ -1529,17 +871,20 @@ mod tests {
                 tau_north,
                 duration_s: 3600.0,
             };
-            let fast = solver.run_forced(&wind).unwrap();
-            let reference = solver.run_forced_reference(&wind).unwrap();
-            assert_outcomes_identical(&fast, &reference);
+            let out = solver.run_forced(&wind).unwrap();
+            assert_eq!(
+                outcome_digest(&out),
+                digest,
+                "wind ({tau_east}, {tau_north})"
+            );
         }
     }
 
     #[test]
-    fn wetting_front_matches_reference_bitwise() {
+    fn wetting_front_matches_pinned_digest() {
         // Sloping beach: deep water in the west, a dry berm in the
         // east. Strong eastward wind drives the wetting front onto
-        // initially-dry land, exercising active-set growth.
+        // initially-dry land.
         let cols = 40;
         let rows = 12;
         let grid = Grid::from_fn(cols, rows, EnuKm::new(0.0, 0.0), 1.0, |p| {
@@ -1559,42 +904,36 @@ mod tests {
             tau_north: 0.0,
             duration_s: 2.0 * 3600.0,
         };
-        let fast = solver.run_forced(&wind).unwrap();
-        let reference = solver.run_forced_reference(&wind).unwrap();
-        let wetted_land = fast
+        let out = solver.run_forced(&wind).unwrap();
+        let wetted_land = out
             .max_eta
             .as_slice()
             .iter()
-            .zip(fast.bed.as_slice())
+            .zip(out.bed.as_slice())
             .filter(|(m, &z)| !m.is_nan() && z > 0.0)
             .count();
         assert!(
             wetted_land > 0,
             "beach never wetted; test exercises nothing"
         );
-        assert_outcomes_identical(&fast, &reference);
+        assert_eq!(outcome_digest(&out), 0x944c_6159_d866_f7d9);
     }
 
     #[test]
-    fn probe_series_matches_reference_bitwise() {
+    fn probe_series_matches_pinned_digest() {
         let (bed, proj) = flat_basin(20.0);
         let solver = ShallowWaterSolver::from_bed(bed, proj, quiet_config());
         let probe = EnuKm::new(27.5, 5.5);
-        let (fast, fast_series) = solver.run_forced_with_probe(&Tilt, probe).unwrap();
-        let (reference, ref_series) = solver.run_impl_reference(&Tilt, Some(probe)).unwrap();
-        assert_outcomes_identical(&fast, &reference);
-        assert_eq!(fast_series.len(), ref_series.len());
-        for ((ta, ea), (tb, eb)) in fast_series.iter().zip(&ref_series) {
-            assert_eq!(ta.to_bits(), tb.to_bits());
-            assert_eq!(ea.to_bits(), eb.to_bits(), "probe eta diverged at t={ta}");
-        }
+        let (out, series) = solver.run_forced_with_probe(&Tilt, probe).unwrap();
+        assert_eq!(series.len(), out.steps);
+        assert_eq!(outcome_digest(&out), 0xd2a7_66be_9285_3646);
+        assert_eq!(series_digest(&series), 0xc87c_b364_765a_af45);
     }
 
     #[test]
-    fn storm_forcing_batch_matches_reference_bitwise() {
-        // A hurricane passing the basin: exercises the batched
-        // StormForcing::fill_forcing override against the reference
-        // kernel's per-cell wind_stress/pressure_pa calls.
+    fn passing_storm_matches_pinned_digest() {
+        // A hurricane passing the basin: exercises StormForcing's
+        // per-cell wind_stress/pressure_pa calls.
         let (bed, proj) = flat_basin(15.0);
         let solver = ShallowWaterSolver::from_bed(bed, proj, quiet_config());
         let storm = StormParams {
@@ -1607,32 +946,8 @@ mod tests {
             tide_m: 0.2,
         };
         let forcing = StormForcing::new(&storm, proj, EnuKm::new(15.0, 5.0), 2.0, 1.0);
-        let fast = solver.run_forced(&forcing).unwrap();
-        let reference = solver.run_forced_reference(&forcing).unwrap();
-        assert!(fast.max_speed_ms > 0.0, "storm produced no motion");
-        assert_outcomes_identical(&fast, &reference);
-    }
-
-    #[test]
-    fn workspace_reuse_is_bit_deterministic() {
-        let (bed, proj) = flat_basin(15.0);
-        let solver = ShallowWaterSolver::from_bed(bed, proj, quiet_config());
-        let first = UniformWind {
-            tau_east: 0.8,
-            tau_north: 0.1,
-            duration_s: 1800.0,
-        };
-        let second = UniformWind {
-            tau_east: -0.3,
-            tau_north: 0.6,
-            duration_s: 2400.0,
-        };
-        let mut ws = SweWorkspace::new();
-        let reused_1 = solver.run_forced_with_workspace(&mut ws, &first).unwrap();
-        let reused_2 = solver.run_forced_with_workspace(&mut ws, &second).unwrap();
-        let fresh_1 = solver.run_forced(&first).unwrap();
-        let fresh_2 = solver.run_forced(&second).unwrap();
-        assert_outcomes_identical(&reused_1, &fresh_1);
-        assert_outcomes_identical(&reused_2, &fresh_2);
+        let out = solver.run_forced(&forcing).unwrap();
+        assert!(out.max_speed_ms > 0.0, "storm produced no motion");
+        assert_eq!(outcome_digest(&out), 0x0a5a_6bdb_1f51_3bb2);
     }
 }

@@ -160,7 +160,7 @@ pub const SERVE_PROBE_BUILDS: &str = "serve.probe_builds";
 /// and beyond on a kept-alive socket; request #1 is never a reuse).
 pub const SERVE_KEEPALIVE_REUSES: &str = "serve.keepalive_reuses";
 /// Kept-alive connections closed by the server after
-/// `CT_SERVE_IDLE_MS` without a byte from the client, or with a
+/// the serve idle timeout without a byte from the client, or with a
 /// response write stalled that long by a client that stopped reading.
 pub const SERVE_IDLE_CLOSES: &str = "serve.idle_closes";
 /// Failpoints armed on a fault registry (test- or `CT_FAULTS`-driven).

@@ -32,7 +32,7 @@
 //! - [`RemoteStore`] + [`mod@remote`]: a zero-dependency HTTP/1.1
 //!   client (and the shared keep-alive wire codec) for a store
 //!   hosted by `ct serve`, drawing kept-alive sockets from the
-//!   bounded [`mod@pool`] (`CT_REMOTE_POOL`);
+//!   bounded [`mod@pool`];
 //! - [`StoreUrl`]: `--store` argument parsing — bare path,
 //!   `file://path`, or `http://host:port` — selecting the backend;
 //! - [`ByteLru`]: the byte-budgeted in-memory cache the server

@@ -7,8 +7,8 @@
 //! out of a [`ConnPool`], use them for one exchange, and check them
 //! back in while the server keeps the other end open.
 //!
-//! The pool holds at most `CT_REMOTE_POOL` idle sockets (default
-//! [`DEFAULT_POOL_CAP`]); more concurrent checkouts simply dial, and
+//! The pool holds at most [`DEFAULT_POOL_CAP`] idle sockets; more
+//! concurrent checkouts simply dial, and
 //! surplus checkins are dropped on the floor — the bound caps idle
 //! sockets, never concurrency. Every checkout health-checks the
 //! candidate with a nonblocking 1-byte peek: a socket the server
@@ -29,25 +29,12 @@ use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::Mutex;
 use std::time::Duration;
 
-/// Idle sockets kept per pool when `CT_REMOTE_POOL` is unset.
+/// Idle sockets kept per pool.
 pub const DEFAULT_POOL_CAP: usize = 8;
 
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
 /// Generous because a cold `/probe` may build a whole case study.
 const IO_TIMEOUT: Duration = Duration::from_secs(60);
-
-/// The idle-socket cap: `CT_REMOTE_POOL`, default
-/// [`DEFAULT_POOL_CAP`]; zero disables pooling (every exchange
-/// dials, nothing is kept).
-fn pool_cap() -> usize {
-    static CAP: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *CAP.get_or_init(|| {
-        std::env::var("CT_REMOTE_POOL")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(DEFAULT_POOL_CAP)
-    })
-}
 
 /// A bounded pool of idle kept-alive connections to one authority.
 /// Shared by every clone of the owning [`crate::RemoteStore`].
@@ -60,10 +47,10 @@ pub struct ConnPool {
 }
 
 impl ConnPool {
-    /// An empty pool for `authority`, counting on `sink`, capped by
-    /// `CT_REMOTE_POOL`.
+    /// An empty pool for `authority`, counting on `sink`, capped at
+    /// [`DEFAULT_POOL_CAP`].
     pub(crate) fn new(authority: String, sink: MetricsSink) -> Self {
-        Self::with_cap(authority, pool_cap(), sink)
+        Self::with_cap(authority, DEFAULT_POOL_CAP, sink)
     }
 
     /// An empty pool with an explicit idle cap (tests).

@@ -32,9 +32,8 @@
 //! pipelined path.
 //!
 //! [`RemoteStore`] implements [`StoreBackend`] over this protocol
-//! through a bounded [`crate::pool::ConnPool`] of kept-alive sockets
-//! (`CT_REMOTE_POOL`), with the store's budget-aware transient
-//! retries (`CT_STORE_RETRY_BUDGET_MS`, extended to
+//! through a bounded [`crate::pool::ConnPool`] of kept-alive sockets,
+//! with the store's budget-aware transient retries (extended to
 //! connection-lifecycle errors) — a stale pooled socket or a
 //! briefly-restarting server costs milliseconds, and a dead one
 //! degrades callers to compute-without-cache exactly like a failing
@@ -440,8 +439,8 @@ pub fn parse_response(buf: &[u8]) -> std::io::Result<Option<(Response, usize)>> 
 
 /// The HTTP client backend: a [`StoreBackend`] whose records live on
 /// a `ct serve` daemon. Cheap to clone — clones share one bounded
-/// [`ConnPool`] of kept-alive sockets (`CT_REMOTE_POOL`,
-/// health-checked on checkout), so shard/merge runs stop paying a
+/// [`ConnPool`] of kept-alive sockets (health-checked on
+/// checkout), so shard/merge runs stop paying a
 /// TCP dial per artifact. Budget-aware retries absorb transient
 /// connect/transport errors (a retired stale socket redials under
 /// the same budget), `store.remote.*` counters and a round-trip

@@ -6,23 +6,13 @@
 //! sleeping, so retry counts stay deterministic under scheduler noise
 //! — which the fault-campaign tests rely on.
 
-use std::sync::OnceLock;
 use std::time::Duration;
 
 /// The per-operation backoff budget, in milliseconds of planned
 /// sleep, that a store operation may spend absorbing transient I/O
-/// errors before surfacing them (configurable via
-/// `CT_STORE_RETRY_BUDGET_MS`; default 3, which admits exactly two
-/// retries of the 1, 2, 4, ... ms backoff schedule).
-pub(crate) fn budget_ms() -> u64 {
-    static BUDGET: OnceLock<u64> = OnceLock::new();
-    *BUDGET.get_or_init(|| {
-        std::env::var("CT_STORE_RETRY_BUDGET_MS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(3)
-    })
-}
+/// errors before surfacing them: 3, which admits exactly two retries
+/// of the 1, 2, 4, ... ms backoff schedule.
+pub(crate) const BUDGET_MS: u64 = 3;
 
 /// The error classes worth retrying on a local disk: scheduler noise
 /// and timeouts. Disk-full, permissions, and corruption are not
@@ -55,7 +45,7 @@ pub(crate) fn is_remote_transient(e: &std::io::Error) -> bool {
 
 /// Runs `op`, retrying errors classified transient by `transient`
 /// with exponential backoff while the next planned sleep still fits
-/// the deadline budget ([`budget_ms`]). `observe` is called with each
+/// the deadline budget ([`BUDGET_MS`]). `observe` is called with each
 /// backoff's planned milliseconds *before* the sleep, so the caller
 /// can count the retry and feed its latency histogram.
 /// Non-transient errors and exhausted budgets surface unchanged.
@@ -64,14 +54,13 @@ pub(crate) fn retry<T>(
     mut observe: impl FnMut(u64),
     mut op: impl FnMut() -> std::io::Result<T>,
 ) -> std::io::Result<T> {
-    let budget = budget_ms();
     let mut spent: u64 = 0;
     let mut attempt: u32 = 0;
     loop {
         match op() {
             Err(e) if transient(&e) => {
                 let wait = 1u64 << attempt.min(6);
-                if spent + wait > budget {
+                if spent + wait > BUDGET_MS {
                     return Err(e);
                 }
                 attempt += 1;

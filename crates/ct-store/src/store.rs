@@ -33,8 +33,7 @@
 //!
 //! Transient I/O errors (`Interrupted`/`TimedOut`/`WouldBlock`) are
 //! absorbed by deadline-budgeted retry-with-backoff
-//! (`CT_STORE_RETRY_BUDGET_MS` of planned sleep per operation,
-//! default 3 ms; retries counted as `store.retries`, backoff sleeps
+//! (3 ms of planned sleep per operation; retries counted as `store.retries`, backoff sleeps
 //! observed on the `store.retry_wait_ms` histogram); everything else
 //! surfaces as [`StoreError::Io`] for callers to degrade on. Every
 //! fragile operation passes a named failpoint ([`crate::faults`]) so
@@ -295,8 +294,7 @@ impl Store {
 
     /// Runs `op`, retrying transient I/O errors with exponential
     /// backoff while the next planned sleep still fits the
-    /// per-operation deadline budget (`CT_STORE_RETRY_BUDGET_MS`; see
-    /// [`crate::retry`]). Non-transient errors and exhausted budgets
+    /// per-operation deadline budget (see [`crate::retry`]). Non-transient errors and exhausted budgets
     /// surface unchanged; each backoff sleep is observed on the
     /// `store.retry_wait_ms` histogram so retry latency (p50/p99) is
     /// visible in `--metrics` snapshots.

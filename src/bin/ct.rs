@@ -302,9 +302,6 @@ fn usage() -> String {
          stores:    --store <dir> | file://<dir> | http://host:port (see 'ct serve')\n\
          env:       CT_THREADS=<n> caps the worker-thread count\n\
          \x20          CT_FAULTS=site:nth:kind[:limit],... arms deterministic failpoints\n\
-         \x20          CT_STORE_RETRY_BUDGET_MS=<ms> backoff budget for transient store I/O (default 3)\n\
-         \x20          CT_SERVE_IDLE_MS=<ms> serve: close kept-alive connections idle this long (default 5000)\n\
-         \x20          CT_REMOTE_POOL=<n> client: idle kept-alive sockets pooled per store (default 8)\n\
          \x20          CT_SEGMENT_ROLL_BYTES=<n> store segment roll threshold (default 64 MiB)\n\
          \x20          CT_SEGMENT_SYNC_BYTES=<n> store group-fsync threshold (default 8 MiB)",
     );

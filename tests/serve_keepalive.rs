@@ -4,15 +4,15 @@
 //! Property layer: the server-side request parser
 //! ([`ct_store::remote::parse_request`]) must survive arbitrary
 //! garbage without panicking, agree with itself across every split
-//! point of a valid byte stream (readiness loops deliver bytes in
+//! point of a valid byte stream (socket reads deliver bytes in
 //! arbitrary fragments), and parse pipelined concatenations
 //! sequentially.
 //!
 //! Integration layer: a live server honors keep-alive across
 //! requests, keeps the connection alive through a *routed* 4xx,
 //! closes after garbage with a 400 (and keeps serving everyone
-//! else), enforces the idle timeout (`CT_SERVE_IDLE_MS` /
-//! `ServeOptions::idle_ms`) and the max-requests bound, and counts
+//! else), enforces the idle timeout (`ServeOptions::idle_ms`) and
+//! the max-requests bound, and counts
 //! all of it (`serve.keepalive_reuses`, `serve.idle_closes`,
 //! `serve.bad_requests`).
 
@@ -233,7 +233,7 @@ fn idle_connections_are_swept_and_counted() {
     write_request(&mut stream, "GET", "/healthz", &[], true).unwrap();
     assert_eq!(read_responses(&mut stream, 1)[0].status, 200);
 
-    // Go quiet past the idle timeout (+ the worker's sweep tick).
+    // Go quiet past the idle timeout (+ the connection thread's read tick).
     stream
         .set_read_timeout(Some(Duration::from_secs(5)))
         .unwrap();
