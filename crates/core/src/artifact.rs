@@ -1,8 +1,8 @@
 //! Content addresses and binary codecs for cached pipeline artifacts.
 //!
 //! The artifact store ([`ct_store`]) holds per-realization inundation
-//! outcomes, per-plan flood-pattern histograms and per-region
-//! synthesized DEMs. Everything here is
+//! outcomes, per-plan flood-pattern histograms and the synthesized
+//! DEM. Everything here is
 //! about *addressing* those records correctly: a record's key is a
 //! stable hash of every input that can change its value — the full
 //! case-study configuration, the synthesized DEM, the storm-ensemble
@@ -36,10 +36,11 @@ use ct_threat::PostDisasterState;
 /// realization payloads are tagged with the hazard id. Pre-hazard (v1)
 /// stores therefore read as cold, never as aliased surge hits.
 ///
-/// v3: the pipeline is region-generic — the base key carries the
-/// region spec, the region index within the portfolio, and the
-/// ensemble's `anchor_lat` (newly region-dependent). Single-region (v2)
-/// stores read as cold misses, never as aliased region-0 hits.
+/// v3: the base key carries the ensemble's `anchor_lat` and, ahead of
+/// the terrain fields, the literal region name `"oahu"` and region
+/// index 0. v2 stores therefore read as cold misses. The pipeline now
+/// runs Oahu only, and v3 keys still hash that name and index, so
+/// every v3 record stays addressable without a version bump.
 pub const PIPELINE_KERNEL_VERSION: u32 = 3;
 
 /// The run-level base address: a stable hash of the case-study
@@ -60,31 +61,16 @@ pub fn ensemble_base_key(
     pois: &[Poi],
     hazard: &dyn HazardModel,
 ) -> Digest {
-    region_base_key(config, &config.ensemble, dem, pois, hazard, 0)
-}
-
-/// [`ensemble_base_key`] for one region of a portfolio run. Synthetic
-/// regions derive per-region ensembles (re-anchored, re-seeded) from
-/// the config's, so the key hashes the *effective* ensemble passed
-/// here plus the region spec and the region's index within the
-/// portfolio. Region 0 of the Oahu spec with the config's own ensemble
-/// is exactly [`ensemble_base_key`].
-pub fn region_base_key(
-    config: &CaseStudyConfig,
-    ensemble: &ct_hydro::EnsembleConfig,
-    dem: &Dem,
-    pois: &[Poi],
-    hazard: &dyn HazardModel,
-    region_index: usize,
-) -> Digest {
     let mut h = StableHasher::new();
     h.write_str("compound-threats/ensemble");
     h.write_u32(PIPELINE_KERNEL_VERSION);
     h.write_u32(ct_hydro::HYDRO_KERNEL_VERSION);
     h.write_u32(ct_hazard::HAZARD_KERNEL_VERSION);
 
-    h.write_str(&config.region.to_string());
-    h.write_usize(region_index);
+    // Region name and index, fixed since the pipeline runs Oahu only
+    // (see `PIPELINE_KERNEL_VERSION`).
+    h.write_str("oahu");
+    h.write_usize(0);
 
     let t = &config.terrain;
     h.write_u64(t.seed);
@@ -93,7 +79,7 @@ pub fn region_base_key(
 
     hash_dem(&mut h, dem);
 
-    let e = ensemble;
+    let e = &config.ensemble;
     h.write_u64(e.seed);
     h.write_str(&format!("{:?}", e.category));
     h.write_f64(e.ambient_pressure_hpa);
@@ -145,11 +131,11 @@ fn hash_dem(h: &mut StableHasher, dem: &Dem) {
     h.write_f64(origin.lon);
 }
 
-/// The address of a region's synthesized DEM: a stable hash of
+/// The address of the synthesized DEM: a stable hash of
 /// [`ct_geo::TERRAIN_KERNEL_VERSION`] and every field of the terrain
 /// spec. Hazard, ensemble, realization count and threads are left out
-/// because the DEM depends on none of them, so every hazard run over
-/// one region shares one record.
+/// because the DEM depends on none of them, so every hazard run shares
+/// one record.
 pub fn dem_key(spec: &RegionTerrainSpec) -> Digest {
     // Destructured so a new spec field cannot be left out of the key.
     let RegionTerrainSpec {
@@ -602,10 +588,9 @@ mod tests {
 
     /// Regression for two store migrations, each reconstructed
     /// verbatim and shown not to collide with any current key:
-    /// - the region-generic pipeline: the single-region recipe
-    ///   (pipeline v2, no region spec/index, no anchor latitude), so
-    ///   older records read as cold misses, never as aliased region-0
-    ///   hits;
+    /// - pipeline v3: the v2 recipe (no region name/index, no anchor
+    ///   latitude), so older records read as cold misses, never as
+    ///   aliased hits;
     /// - the in-tree generator: today's recipe under
     ///   `HYDRO_KERNEL_VERSION = 1`, whose storms came from whichever
     ///   `rand` was linked, so those records never alias storms of the
@@ -628,7 +613,7 @@ mod tests {
             h.write_u32(hydro);
             h.write_u32(ct_hazard::HAZARD_KERNEL_VERSION);
             if pipeline >= 3 {
-                h.write_str(&c.region.to_string());
+                h.write_str("oahu");
                 h.write_usize(0);
             }
             let t = &c.terrain;
@@ -705,31 +690,6 @@ mod tests {
     }
 
     #[test]
-    fn region_keys_separate_spec_index_and_anchor() {
-        let (config, dem, pois) = study_inputs();
-        let hazard = config.hazard.build_model(&dem, config.calibration);
-        let key = |c: &CaseStudyConfig, e: &ct_hydro::EnsembleConfig, r: usize| {
-            region_base_key(c, e, &dem, &pois, hazard.as_ref(), r)
-        };
-        let base = key(&config, &config.ensemble, 0);
-        // Region 0 with the config's own ensemble IS the classic key.
-        assert_eq!(
-            base,
-            ensemble_base_key(&config, &dem, &pois, hazard.as_ref())
-        );
-        // A different region index must not share records.
-        assert_ne!(key(&config, &config.ensemble, 1), base);
-        // A different portfolio spec must not share records.
-        let mut synth = config.clone();
-        synth.region = "synth:7:3:24".parse().unwrap();
-        assert_ne!(key(&synth, &config.ensemble, 0), base);
-        // A re-anchored ensemble must not share records.
-        let mut moved = config.ensemble.clone();
-        moved.anchor_lat += 1.0;
-        assert_ne!(key(&config, &moved, 0), base);
-    }
-
-    #[test]
     fn realization_keys_are_distinct_per_index() {
         let (config, dem, pois) = study_inputs();
         let base = base_key(&config, &dem, &pois);
@@ -797,31 +757,24 @@ mod tests {
         assert!(decode_histogram(b"junk", arch).is_none());
     }
 
-    /// The DEM record round-trips bit for bit, for the Oahu preset and
-    /// a synthetic region: every elevation, the re-derived coastline,
-    /// and therefore the DEM digest every realization key hashes.
+    /// The DEM record round-trips bit for bit for the Oahu preset:
+    /// every elevation, the re-derived coastline, and therefore the
+    /// DEM digest every realization key hashes.
     #[test]
     fn dem_codec_round_trips_bit_exactly() {
-        let synth: ct_scada::RegionSpec = "synth:7:3:24".parse().unwrap();
-        let specs = [
-            ct_geo::terrain::oahu_region_spec(&Default::default()),
-            synth.terrain_specs(&Default::default())[1].clone(),
-        ];
-        for spec in &specs {
-            let fresh = ct_geo::synthesize_region(spec).unwrap();
-            let decoded = decode_dem(&encode_dem(&fresh)).expect("valid payload");
-            let bits = |d: &Dem| -> Vec<u64> {
-                d.elevation_grid()
-                    .as_slice()
-                    .iter()
-                    .map(|e| e.to_bits())
-                    .collect()
-            };
-            assert_eq!(bits(&decoded), bits(&fresh), "{}", spec.name);
-            assert_eq!(decoded.coastline_cells(), fresh.coastline_cells());
-            assert_eq!(decoded, fresh);
-            assert_eq!(dem_digest(&decoded), dem_digest(&fresh));
-        }
+        let fresh = synthesize_oahu(&Default::default());
+        let decoded = decode_dem(&encode_dem(&fresh)).expect("valid payload");
+        let bits = |d: &Dem| -> Vec<u64> {
+            d.elevation_grid()
+                .as_slice()
+                .iter()
+                .map(|e| e.to_bits())
+                .collect()
+        };
+        assert_eq!(bits(&decoded), bits(&fresh));
+        assert_eq!(decoded.coastline_cells(), fresh.coastline_cells());
+        assert_eq!(decoded, fresh);
+        assert_eq!(dem_digest(&decoded), dem_digest(&fresh));
     }
 
     #[test]

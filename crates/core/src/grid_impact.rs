@@ -123,10 +123,8 @@ pub fn grid_impact(
     config: &GridImpactConfig,
 ) -> Result<GridImpactSummary, CoreError> {
     let grid = grid_oahu::grid();
-    // Regenerate the storms the primary region was actually evaluated
-    // under — for synthetic portfolios that is the region's derived
-    // (re-anchored, re-seeded) ensemble, not the config's.
-    let storms = TrackEnsemble::new(study.region(0).ensemble().clone())?.generate();
+    // Regenerate the storms the study was evaluated under.
+    let storms = TrackEnsemble::new(study.config().ensemble.clone())?.generate();
     let set = study.realizations();
     assert_eq!(
         storms.len(),

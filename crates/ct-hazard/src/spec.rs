@@ -37,28 +37,12 @@ impl HazardSpec {
     }
 
     /// Builds the live model for this spec: the surge model is
-    /// calibrated against the synthesized terrain's coastal stations,
-    /// the wind model uses the default fragility parameterization,
-    /// and `compound` is the union of both.
+    /// calibrated against the synthesized terrain's coastal stations
+    /// ([`Stations::from_dem`]), the wind model uses the default
+    /// fragility parameterization (it needs no bathymetry, so `dem`
+    /// only feeds the surge part), and `compound` is the union of both.
     pub fn build_model(self, dem: &Dem, calibration: SurgeCalibration) -> Box<dyn HazardModel> {
-        self.build_model_with_stations(dem, Stations::from_dem(dem), calibration)
-    }
-
-    /// [`build_model`](Self::build_model) with an explicit station
-    /// set. The Oahu pipeline passes [`Stations::from_dem`] (the named
-    /// shoreline stations); synthetic portfolio regions pass
-    /// [`Stations::cardinal_from_dem`], whose stations are derived
-    /// from the region's own coastline extremes. `dem` is unused for
-    /// the wind hazard (wind needs no bathymetry) but kept in the
-    /// signature so every spec builds uniformly.
-    pub fn build_model_with_stations(
-        self,
-        dem: &Dem,
-        stations: Stations,
-        calibration: SurgeCalibration,
-    ) -> Box<dyn HazardModel> {
-        let _ = dem;
-        let surge = || SurgeHazard::new(ParametricSurge::new(stations.clone(), calibration));
+        let surge = || SurgeHazard::new(ParametricSurge::new(Stations::from_dem(dem), calibration));
         match self {
             HazardSpec::Surge => Box::new(surge()),
             HazardSpec::Wind => Box::new(WindFragilityHazard::default()),
@@ -153,35 +137,5 @@ mod tests {
             HazardSpec::Compound.build_model(&dem, cal).hazard_id(),
             "compound(surge+wind)"
         );
-    }
-
-    #[test]
-    fn explicit_stations_match_the_default_oahu_build() {
-        // `build_model` is `build_model_with_stations(from_dem(dem))`:
-        // same stations → same parameter digests for every spec.
-        let dem = synthesize_oahu(&OahuTerrainConfig::default());
-        let cal = SurgeCalibration::default();
-        for spec in HazardSpec::ALL {
-            let implicit = spec.build_model(&dem, cal);
-            let explicit = spec.build_model_with_stations(&dem, Stations::from_dem(&dem), cal);
-            let digest = |m: &dyn HazardModel| {
-                let mut h = ct_store::StableHasher::new();
-                m.digest_params(&mut h);
-                h.finish()
-            };
-            assert_eq!(implicit.hazard_id(), explicit.hazard_id());
-            assert_eq!(digest(implicit.as_ref()), digest(explicit.as_ref()));
-        }
-        // The explicit hook exists because station sets genuinely
-        // differ: the cardinal set places stations at coastline
-        // extremes, not at Oahu's named shoreline sites. (Station
-        // geometry is keyed by the region digest, not digest_params.)
-        assert_ne!(Stations::from_dem(&dem), Stations::cardinal_from_dem(&dem));
-        let surge = HazardSpec::Surge.build_model_with_stations(
-            &dem,
-            Stations::cardinal_from_dem(&dem),
-            cal,
-        );
-        assert_eq!(surge.hazard_id(), "surge");
     }
 }

@@ -133,66 +133,6 @@ impl Stations {
         }
     }
 
-    /// Builds a cardinal station set for an arbitrary (synthetic)
-    /// region: one station at the southern-, western-, northern-, and
-    /// eastern-most coastline cells, shelf factors measured from the
-    /// DEM exactly as [`Stations::from_dem`] does. The Oahu-specific
-    /// [`StationId::Ewa`] and [`StationId::PearlHarbor`] ids mirror
-    /// the south station so [`Stations::get`] stays total over
-    /// [`StationId::ALL`].
-    pub fn cardinal_from_dem(dem: &Dem) -> Self {
-        let coast = dem.coastline_cells();
-        let origin = *dem.projection();
-        let extreme = |pick: fn(&ct_geo::EnuKm, &ct_geo::EnuKm) -> bool| {
-            let mut best = None;
-            for c in coast {
-                match best {
-                    None => best = Some(*c),
-                    Some(b) if pick(c, &b) => best = Some(*c),
-                    Some(_) => {}
-                }
-            }
-            best.unwrap_or(ct_geo::EnuKm::new(0.0, 0.0))
-        };
-        let defs: [(StationId, ct_geo::EnuKm, f64); 4] = [
-            (StationId::South, extreme(|c, b| c.north < b.north), 0.0),
-            (StationId::West, extreme(|c, b| c.east < b.east), 90.0),
-            (StationId::North, extreme(|c, b| c.north > b.north), 180.0),
-            (StationId::East, extreme(|c, b| c.east > b.east), 270.0),
-        ];
-        let measured: Vec<Station> = defs
-            .iter()
-            .map(|&(id, cell, onshore)| {
-                let offshore = (onshore + 180.0) % 360.0;
-                let depth = dem
-                    .mean_offshore_depth(cell, offshore, SHELF_RANGE_KM)
-                    .unwrap_or(REFERENCE_DEPTH_M)
-                    .max(2.0);
-                Station {
-                    id,
-                    pos: origin.to_latlon(cell),
-                    onshore_bearing_deg: onshore,
-                    shelf_factor: (REFERENCE_DEPTH_M / depth).sqrt().clamp(0.4, 2.5),
-                }
-            })
-            .collect();
-        let south = measured[0];
-        let mut stations = vec![south];
-        stations.push(Station {
-            id: StationId::Ewa,
-            ..south
-        });
-        stations.extend_from_slice(&measured[1..]);
-        stations.push(Station {
-            id: StationId::PearlHarbor,
-            ..south
-        });
-        Self {
-            stations,
-            harbor_amplification: 1.3,
-        }
-    }
-
     /// All stations.
     pub fn iter(&self) -> impl Iterator<Item = &Station> {
         self.stations.iter()
@@ -316,25 +256,5 @@ mod tests {
         for id in StationId::ALL {
             assert!(!id.to_string().is_empty());
         }
-    }
-
-    #[test]
-    fn cardinal_stations_cover_all_ids() {
-        let dem = synthesize_oahu(&OahuTerrainConfig::default());
-        let s = Stations::cardinal_from_dem(&dem);
-        for id in StationId::ALL {
-            let st = s.get(id);
-            assert_eq!(st.id, id);
-            assert!((0.4..=2.5).contains(&st.shelf_factor));
-        }
-        // Cardinal geometry: the south station sits south of the north
-        // station, the west station west of the east station.
-        assert!(s.get(StationId::South).pos.lat < s.get(StationId::North).pos.lat);
-        assert!(s.get(StationId::West).pos.lon < s.get(StationId::East).pos.lon);
-        // Derived ids mirror the south station.
-        assert_eq!(
-            s.get(StationId::PearlHarbor).shelf_factor,
-            s.get(StationId::South).shelf_factor
-        );
     }
 }

@@ -13,10 +13,10 @@ pub const HAZARD_ASSET_EXPOSURES: &str = "hazard.asset_exposures";
 /// Component-hazard evaluations performed inside compound hazards
 /// (one per part per realization).
 pub const HAZARD_COMPOUND_COMPONENT_EVALUATIONS: &str = "hazard.compound_component_evaluations";
-/// Region DEMs synthesized from their terrain spec (a DEM read from
-/// the artifact store does not count).
+/// DEMs synthesized from their terrain spec (a DEM read from the
+/// artifact store does not count).
 pub const GEO_DEM_SYNTHESIZED: &str = "geo.dem_synthesized";
-/// Storm ensembles sampled (one per region whose realizations were not
+/// Storm ensembles sampled (one per build whose realizations were not
 /// all read from the artifact store).
 pub const HYDRO_ENSEMBLES_SAMPLED: &str = "hydro.ensembles_sampled";
 /// Hurricane realizations evaluated against the POI set.
@@ -167,9 +167,6 @@ pub const SERVE_IDLE_CLOSES: &str = "serve.idle_closes";
 pub const FAULTS_ARMED: &str = "faults.armed";
 /// Failpoint firings: armed faults actually injected at their site.
 pub const FAULTS_FIRED: &str = "faults.fired";
-/// Regions prepared in the active portfolio (one per region per
-/// pipeline build).
-pub const PORTFOLIO_REGIONS: &str = "portfolio.regions";
 /// Candidate points scanned by spatial-index range queries (bucket
 /// superset, before the exact distance filter).
 pub const SPATIAL_CANDIDATES: &str = "spatial.candidates";
@@ -292,7 +289,6 @@ pub fn register_defaults(registry: &crate::Registry) {
         SERVE_IDLE_CLOSES,
         FAULTS_ARMED,
         FAULTS_FIRED,
-        PORTFOLIO_REGIONS,
         SPATIAL_CANDIDATES,
         SPATIAL_HITS,
         SPATIAL_QUERIES,
@@ -318,12 +314,11 @@ mod tests {
         let reg = crate::Registry::new();
         register_defaults(&reg);
         let snap = reg.snapshot();
-        assert_eq!(snap.counters.len(), 73);
+        assert_eq!(snap.counters.len(), 72);
         assert_eq!(snap.counter(GEO_DEM_SYNTHESIZED), Some(0));
         assert_eq!(snap.counter(HYDRO_ENSEMBLES_SAMPLED), Some(0));
         assert_eq!(snap.counter(HYDRO_PEAK_SCAN_EVALUATED), Some(0));
         assert_eq!(snap.counter(HYDRO_PEAK_SCAN_SKIPPED), Some(0));
-        assert_eq!(snap.counter(PORTFOLIO_REGIONS), Some(0));
         assert_eq!(snap.counter(SPATIAL_CANDIDATES), Some(0));
         assert_eq!(snap.counter(SPATIAL_HITS), Some(0));
         assert_eq!(snap.counter(SERVE_KEEPALIVE_REUSES), Some(0));

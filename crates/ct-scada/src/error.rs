@@ -30,14 +30,6 @@ pub enum ScadaError {
         /// The offending asset id.
         id: String,
     },
-    /// The synthetic-portfolio generator could not satisfy a
-    /// placement rule (e.g. no land position found for an asset).
-    Placement {
-        /// Region index that failed.
-        region: usize,
-        /// What could not be placed.
-        what: String,
-    },
     /// A hazard-model error while deriving site profiles.
     Hydro(ct_hydro::HydroError),
 }
@@ -57,9 +49,6 @@ impl fmt::Display for ScadaError {
             ),
             ScadaError::NotAControlSite { id } => {
                 write!(f, "asset '{id}' cannot host SCADA masters")
-            }
-            ScadaError::Placement { region, what } => {
-                write!(f, "region {region} placement failed: {what}")
             }
             ScadaError::Hydro(e) => write!(f, "hazard model error: {e}"),
         }

@@ -30,14 +30,9 @@ pub mod asset;
 pub mod error;
 pub mod export;
 pub mod oahu;
-pub mod portfolio;
 pub mod topology;
 
 pub use architecture::{Architecture, SitePlan};
 pub use asset::{Asset, AssetKind};
 pub use error::ScadaError;
-pub use portfolio::{
-    oahu_roles, site_plan_for, topology_digest, ParseRegionSpecError, RegionDef, RegionSpec,
-    SiteRoles,
-};
 pub use topology::{Topology, TopologyBuilder};

@@ -11,6 +11,7 @@ use crate::asset::{Asset, AssetKind};
 use crate::error::ScadaError;
 use crate::topology::Topology;
 use ct_geo::LatLon;
+use std::sync::OnceLock;
 
 /// Asset id of the Honolulu control center.
 pub const HONOLULU_CC: &str = "honolulu-cc";
@@ -296,7 +297,10 @@ pub fn case_study_pois(dem: &ct_geo::Dem) -> Result<Vec<ct_hydro::Poi>, ScadaErr
 /// Propagates site-plan validation errors (cannot occur for the
 /// built-in topology).
 pub fn site_plan(architecture: Architecture, choice: SiteChoice) -> Result<SitePlan, ScadaError> {
-    let topo = topology();
+    // Built once: every profile asks for a plan, and the topology
+    // never changes.
+    static TOPOLOGY: OnceLock<Topology> = OnceLock::new();
+    let topo = TOPOLOGY.get_or_init(topology);
     let ids: Vec<String> = match architecture.site_count() {
         1 => vec![HONOLULU_CC.to_string()],
         2 => vec![HONOLULU_CC.to_string(), choice.backup_asset().to_string()],
@@ -306,7 +310,7 @@ pub fn site_plan(architecture: Architecture, choice: SiteChoice) -> Result<SiteP
             DRFORTRESS.to_string(),
         ],
     };
-    SitePlan::new(architecture, &topo, ids)
+    SitePlan::new(architecture, topo, ids)
 }
 
 #[cfg(test)]

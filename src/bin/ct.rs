@@ -26,8 +26,7 @@
 //! Scenarios: `hurricane`, `intrusion`, `isolation`, `compound`.
 //! Configs: `2`, `2-2`, `6`, `6-6`, `6+6+6`.
 //! Hazard engines (`--hazard`): `surge`, `wind`, `compound`.
-//! Regions (`--region`): `oahu` (default) or a seeded synthetic
-//! portfolio, `synth:<seed>:<regions>:<assets>`.
+//! Every study is the paper's Oahu case study.
 
 use compound_threats::availability::{downtime_report, DowntimeModel};
 use compound_threats::check::{check_cell, CheckMode, CheckOptions};
@@ -42,7 +41,7 @@ use compound_threats::prelude::{
 use compound_threats::report::{figure_csv, figure_table, profile_bar};
 use compound_threats::{CaseStudy, CaseStudyConfig};
 use compound_threats_suite::cli::{CliArgs, CommandSpec, FlagSpec};
-use ct_scada::{export, oahu, Architecture, RegionSpec};
+use ct_scada::{export, oahu, Architecture};
 use ct_threat::ThreatScenario;
 use std::process::ExitCode;
 
@@ -60,11 +59,6 @@ const HAZARD: FlagSpec = FlagSpec {
     name: "--hazard",
     value_name: Some("h"),
     help: "hazard engine: surge | wind | compound (default surge)",
-};
-const REGION: FlagSpec = FlagSpec {
-    name: "--region",
-    value_name: Some("spec"),
-    help: "region portfolio: oahu | synth:<seed>:<regions>:<assets> (default oahu)",
 };
 const CSV: FlagSpec = FlagSpec {
     name: "--csv",
@@ -189,19 +183,19 @@ const COMMANDS: &[CommandSpec] = &[
         name: "figures",
         summary: "reproduce Figs. 6-11, or only the numbered one",
         positionals: &[("number", false)],
-        flags: &[CSV, HAZARD, REGION, REALIZATIONS, STORE, METRICS],
+        flags: &[CSV, HAZARD, REALIZATIONS, STORE, METRICS],
     },
     CommandSpec {
         name: "run",
         summary: "evaluate one shard of the ensemble into an artifact store",
         positionals: &[],
-        flags: &[STORE, SHARDS, SHARD, HAZARD, REGION, REALIZATIONS, METRICS],
+        flags: &[STORE, SHARDS, SHARD, HAZARD, REALIZATIONS, METRICS],
     },
     CommandSpec {
         name: "merge",
         summary: "assemble a sharded run from the store and print the figures",
         positionals: &[],
-        flags: &[STORE, CSV, HAZARD, REGION, REALIZATIONS, METRICS],
+        flags: &[STORE, CSV, HAZARD, REALIZATIONS, METRICS],
     },
     CommandSpec {
         name: "fsck",
@@ -219,7 +213,7 @@ const COMMANDS: &[CommandSpec] = &[
         name: "probe",
         summary: "ask a serving store for one scenario's outcome profile",
         positionals: &[("scenario", true), ("site", true)],
-        flags: &[STORE, HAZARD, REGION, REALIZATIONS, METRICS],
+        flags: &[STORE, HAZARD, REALIZATIONS, METRICS],
     },
     CommandSpec {
         name: "bench-serve",
@@ -242,13 +236,13 @@ const COMMANDS: &[CommandSpec] = &[
         name: "placement",
         summary: "rank backup control sites",
         positionals: &[("config", true), ("scenario", true)],
-        flags: &[HAZARD, REGION, REALIZATIONS, STORE, METRICS],
+        flags: &[HAZARD, REALIZATIONS, STORE, METRICS],
     },
     CommandSpec {
         name: "downtime",
         summary: "expected downtime per event (site: waiau|kahe)",
         positionals: &[("site", false)],
-        flags: &[HAZARD, REGION, REALIZATIONS, STORE, METRICS],
+        flags: &[HAZARD, REALIZATIONS, STORE, METRICS],
     },
     CommandSpec {
         name: "grid",
@@ -270,21 +264,21 @@ const COMMANDS: &[CommandSpec] = &[
     },
     CommandSpec {
         name: "topology",
-        summary: "export a region portfolio's assets as CSV",
+        summary: "export the Oahu topology's assets as CSV",
         positionals: &[],
-        flags: &[REGION, METRICS],
+        flags: &[METRICS],
     },
     CommandSpec {
         name: "hazard",
         summary: "flood probabilities (or inundation matrix) as CSV",
         positionals: &[],
-        flags: &[FULL, HAZARD, REGION, REALIZATIONS, STORE, METRICS],
+        flags: &[FULL, HAZARD, REALIZATIONS, STORE, METRICS],
     },
     CommandSpec {
         name: "report",
         summary: "full case-study report (markdown)",
         positionals: &[],
-        flags: &[HAZARD, REGION, REALIZATIONS, STORE, METRICS],
+        flags: &[HAZARD, REALIZATIONS, STORE, METRICS],
     },
 ];
 
@@ -298,7 +292,6 @@ fn usage() -> String {
          scenarios: hurricane | intrusion | isolation | compound\n\
          configs:   2 | 2-2 | 6 | 6-6 | 6+6+6\n\
          hazards:   surge | wind | compound\n\
-         regions:   oahu | synth:<seed>:<regions>:<assets>\n\
          stores:    --store <dir> | file://<dir> | http://host:port (see 'ct serve')\n\
          env:       CT_THREADS=<n> caps the worker-thread count\n\
          \x20          CT_FAULTS=site:nth:kind[:limit],... arms deterministic failpoints\n\
@@ -311,9 +304,6 @@ fn usage() -> String {
 /// The study's configuration from the common flags.
 fn study_config(args: &CliArgs) -> Result<CaseStudyConfig, Box<dyn std::error::Error>> {
     let mut builder = CaseStudyConfig::builder();
-    if let Some(region) = args.parsed::<RegionSpec>("--region")? {
-        builder = builder.region(region);
-    }
     if let Some(n) = args.parsed::<usize>("--realizations")? {
         builder = builder.realizations(n);
     }
@@ -396,19 +386,12 @@ fn build_study(args: &CliArgs) -> Result<CaseStudy, Box<dyn std::error::Error>> 
 }
 
 /// Prints every figure (or only `only`), as CSV or tables — shared by
-/// `figures` and `merge` so the two paths cannot drift apart. A
-/// multi-region portfolio gets the per-region outcome summary instead
-/// of the Oahu figure set (the figures are the paper's, and the paper
-/// is Oahu).
+/// `figures` and `merge` so the two paths cannot drift apart.
 fn print_figures(
     study: &CaseStudy,
     only: Option<Figure>,
     csv: bool,
 ) -> Result<(), Box<dyn std::error::Error>> {
-    if study.region_count() > 1 {
-        print!("{}", study.portfolio_summary()?);
-        return Ok(());
-    }
     let figures = match only {
         Some(figure) => vec![reproduce(study, figure)?],
         None => reproduce_all(study)?,
@@ -594,16 +577,12 @@ fn run_command(args: &CliArgs) -> Result<ExitCode, Box<dyn std::error::Error>> {
                 site,
                 hazard: HazardSpec::default(),
                 realizations: compound_threats::serve::DEFAULT_PROBE_REALIZATIONS,
-                region: RegionSpec::default(),
             };
             if let Some(hazard) = args.parsed::<HazardSpec>("--hazard")? {
                 query.hazard = hazard;
             }
             if let Some(n) = args.parsed::<usize>("--realizations")? {
                 query.realizations = n;
-            }
-            if let Some(region) = args.parsed::<RegionSpec>("--region")? {
-                query.region = region;
             }
             println!("# GET {}", query.target());
             print!("{}", query.fetch(&authority)?);
@@ -801,25 +780,7 @@ fn run_command(args: &CliArgs) -> Result<ExitCode, Box<dyn std::error::Error>> {
                 );
             }
         }
-        "topology" => {
-            let spec = args
-                .parsed::<RegionSpec>("--region")?
-                .unwrap_or(RegionSpec::Oahu);
-            let terrain = ct_geo::terrain::OahuTerrainConfig::default();
-            for (r, terrain_spec) in spec.terrain_specs(&terrain).iter().enumerate() {
-                let def = if spec.is_synthetic() {
-                    let dem = ct_geo::synthesize_region(terrain_spec)?;
-                    spec.region_def(r, &dem)?
-                } else {
-                    let dem = ct_geo::terrain::synthesize_oahu(&terrain);
-                    spec.region_def(r, &dem)?
-                };
-                if spec.region_count() > 1 {
-                    println!("# region {} ({})", def.index, def.name);
-                }
-                print!("{}", export::to_csv(&def.topology));
-            }
-        }
+        "topology" => print!("{}", export::to_csv(&oahu::topology())),
         "report" => {
             let study = build_study(args)?;
             let report = compound_threats::summary::write_report(

@@ -5,12 +5,12 @@
 //! rather than left to convention. The enums are tiny, so coverage is
 //! exhaustive: every variant, every case mix, and a corpus of
 //! near-miss junk. One last contract runs the `ct` binary itself: a
-//! store directory that another open store holds is refused.
+//! store directory that another open store holds is refused, and so is
+//! a removed flag.
 
 use compound_threats::prelude::{HazardSpec, ProbeQuery, Store, StoreUrl};
 use ct_rand::{cases, SplitMix64};
 use ct_scada::oahu::SiteChoice;
-use ct_scada::RegionSpec;
 use ct_threat::ThreatScenario;
 use std::path::Path;
 
@@ -231,24 +231,11 @@ fn probe_queries_round_trip() {
         let site = pick(rng, &SITES);
         let hazard = pick(rng, &HazardSpec::ALL);
         let realizations = 1 + rng.below(4999) as usize;
-        let region = if rng.below(2) == 1 {
-            RegionSpec::Oahu
-        } else {
-            let seed = rng.below(1000);
-            let regions = 1 + rng.below(7) as usize;
-            let assets = 4 + rng.below(196) as usize;
-            RegionSpec::Synth {
-                seed,
-                regions,
-                assets: assets.max(regions * 4),
-            }
-        };
         let query = ProbeQuery {
             scenario,
             site,
             hazard,
             realizations,
-            region,
         };
         let reparsed: ProbeQuery = query.to_string().parse().unwrap();
         assert_eq!(query, reparsed);
@@ -264,7 +251,7 @@ fn probe_unknown_keys_are_rejected_by_name() {
         let key = word(rng, LOWER, 1, 12);
         if matches!(
             key.as_str(),
-            "scenario" | "site" | "hazard" | "realizations" | "region"
+            "scenario" | "site" | "hazard" | "realizations"
         ) {
             return;
         }
@@ -319,13 +306,23 @@ fn display_parse_display_is_identity() {
 
 /// While this test holds a store root, `ct run` and a repairing
 /// `ct fsck` on the same directory exit non-zero, name the root, and
-/// point at `ct serve` for sharing a store.
+/// point at `ct serve` for sharing a store. The removed `--region`
+/// flag fails in the parser, before the store is touched.
 #[test]
 fn ct_refuses_a_store_root_another_store_holds() {
     let root = std::env::temp_dir().join(format!("ct-cli-held-{}", std::process::id()));
     std::fs::remove_dir_all(&root).ok();
     let held = Store::open(&root).unwrap();
-    for args in [&["run", "--realizations", "4"][..], &["fsck", "--repair"]] {
+    let root_s = root.display().to_string();
+    let held_root = [root_s.as_str(), "already held", "ct serve"];
+    for (args, fragments) in [
+        (&["run", "--realizations", "4"][..], &held_root[..]),
+        (&["fsck", "--repair"], &held_root),
+        (
+            &["figures", "--region", "oahu"],
+            &["unknown flag '--region' for 'figures'"],
+        ),
+    ] {
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_ct"))
             .args(args)
             .arg("--store")
@@ -335,9 +332,7 @@ fn ct_refuses_a_store_root_another_store_holds() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(!out.status.success(), "ct {args:?} must fail: {stderr}");
         assert!(
-            stderr.contains(&root.display().to_string())
-                && stderr.contains("already held")
-                && stderr.contains("ct serve"),
+            fragments.iter().all(|f| stderr.contains(f)),
             "ct {args:?}: {stderr}"
         );
     }

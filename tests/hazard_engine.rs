@@ -2,18 +2,23 @@
 //!
 //! The load-bearing one: routing the original surge model through the
 //! [`HazardModel`] trait must be *bit-identical* to the pre-refactor
-//! hard-wired pipeline (retained as
-//! [`CaseStudy::build_reference_surge`]) — every realization f64,
-//! every figure byte, every Table I probability. The seam is then
+//! hard-wired pipeline (kept here as [`build_reference_surge`]) —
+//! every realization f64, every figure byte, every Table I
+//! probability. The seam is then
 //! proven by running the wind-fragility and compound hazards through
 //! the same pipeline end-to-end, and by showing the artifact store
 //! keeps the three engines' records apart.
 
 use compound_threats::artifact::ensemble_base_key;
 use compound_threats::figures::{reproduce_all, Figure};
+use compound_threats::parallel::{default_threads, par_map_dynamic};
 use compound_threats::prelude::*;
 use compound_threats::report::figure_csv;
 use ct_geo::terrain::synthesize_oahu;
+use ct_hydro::{
+    FloodThreshold, ParametricSurge, RealizationSet, Stations, StormParams, TrackEnsemble,
+};
+use ct_store::StableHasher;
 
 /// Large enough for the acceptance criterion (n ≥ 200) while keeping
 /// the test suite's wall-clock sane.
@@ -72,6 +77,64 @@ fn all_profiles(study: &CaseStudy) -> Vec<(Figure, Architecture, OutcomeProfile)
         .collect()
 }
 
+/// The pre-refactor, hard-wired surge pipeline, kept as ground truth:
+/// Oahu terrain → POIs → [`ParametricSurge`] →
+/// [`RealizationSet::evaluate_storm`] per sampled storm, with no
+/// [`HazardModel`] indirection and no store. `config.hazard` is
+/// ignored here by construction.
+fn build_reference_surge(config: &CaseStudyConfig) -> RealizationSet {
+    let dem = synthesize_oahu(&config.terrain);
+    let pois = ct_scada::oahu::case_study_pois(&dem).unwrap();
+    let model = ParametricSurge::new(Stations::from_dem(&dem), config.calibration);
+    let storms = TrackEnsemble::new(config.ensemble.clone())
+        .unwrap()
+        .generate();
+    let threads = if config.threads == 0 {
+        default_threads()
+    } else {
+        config.threads
+    };
+    let indexed: Vec<(usize, StormParams)> = storms.into_iter().enumerate().collect();
+    let realizations = par_map_dynamic(&indexed, threads, |(i, storm)| {
+        RealizationSet::evaluate_storm(*i, storm, &model, &pois)
+    })
+    .into_iter()
+    .collect::<Result<Vec<_>, _>>()
+    .unwrap();
+    let mut set = RealizationSet::from_parts(pois, realizations);
+    if let Some(depth_m) = config.flood_threshold_m {
+        set.set_threshold(FloodThreshold::new(depth_m).unwrap());
+    }
+    set
+}
+
+/// Digests of the study the reference pipeline gave at
+/// `EQUIVALENCE_N` surge realizations, pinned when that study could
+/// still be built as a `CaseStudy`: its figure CSV at the 0.5 m and
+/// 1.0 m flood thresholds, and every profile at 0.5 m.
+const REFERENCE_FIGURES_DIGEST: &str = "12772a130deefeaf8db717778bb42135";
+const REFERENCE_FIGURES_1M_DIGEST: &str = "b0aea878065f6986c38d630213c4619e";
+const REFERENCE_PROFILES_DIGEST: &str = "663cb38d94f68d75b07fb373609ef47b";
+
+fn csv_digest(csv: &str) -> String {
+    let mut h = StableHasher::new();
+    h.write_str(csv);
+    h.finish().to_hex()
+}
+
+fn profiles_digest(profiles: &[(Figure, Architecture, OutcomeProfile)]) -> String {
+    let mut h = StableHasher::new();
+    for (fig, arch, p) in profiles {
+        h.write_u32(fig.number());
+        h.write_str(arch.label());
+        for f in [p.green(), p.orange(), p.red(), p.gray()] {
+            h.write_f64(f);
+        }
+        h.write_usize(p.total());
+    }
+    h.finish().to_hex()
+}
+
 /// The tentpole acceptance criterion: surge through the trait is
 /// bit-identical to the pre-refactor hard-wired pipeline at n ≥ 200 —
 /// in the raw realizations, in every profile, and in the rendered
@@ -79,35 +142,41 @@ fn all_profiles(study: &CaseStudy) -> Vec<(Figure, Architecture, OutcomeProfile)
 #[test]
 fn surge_via_trait_is_bit_identical_to_the_reference_pipeline() {
     let config = config(HazardSpec::Surge, EQUIVALENCE_N);
-    let reference = CaseStudy::build_reference_surge(&config).unwrap();
+    let reference = build_reference_surge(&config);
     let via_trait = CaseStudy::build(&config).unwrap();
 
     // RealizationSet's PartialEq compares every f64, so equality here
     // is bit equality of the whole ensemble.
-    assert_eq!(reference.realizations(), via_trait.realizations());
-    assert_eq!(all_profiles(&reference), all_profiles(&via_trait));
-    let golden = figures_csv(&reference);
-    assert_eq!(golden, figures_csv(&via_trait));
+    assert_eq!(&reference, via_trait.realizations());
 
     // The store-backed path reproduces the same bytes, cold and warm.
     let scratch = Scratch::new("equivalence");
     let store = Store::open(&scratch.0).unwrap();
     let cold = CaseStudy::build_with_store(&config, Some(&store)).unwrap();
     let warm = CaseStudy::build_with_store(&config, Some(&store)).unwrap();
-    assert_eq!(reference.realizations(), cold.realizations());
-    assert_eq!(reference.realizations(), warm.realizations());
-    assert_eq!(golden, figures_csv(&cold));
-    assert_eq!(golden, figures_csv(&warm));
+    assert_eq!(&reference, cold.realizations());
+    assert_eq!(&reference, warm.realizations());
+    for study in [&via_trait, &cold, &warm] {
+        assert_eq!(
+            profiles_digest(&all_profiles(study)),
+            REFERENCE_PROFILES_DIGEST
+        );
+        assert_eq!(csv_digest(&figures_csv(study)), REFERENCE_FIGURES_DIGEST);
+    }
 
     // The reference path also honors a non-default threshold the same
     // way (`with_flood_threshold` sensitivity stays aligned).
-    let loose = config.clone();
-    let reference_t = CaseStudy::build_reference_surge(&loose)
-        .unwrap()
-        .with_flood_threshold(1.0)
-        .unwrap();
+    let loose = CaseStudyConfig {
+        flood_threshold_m: Some(1.0),
+        ..config.clone()
+    };
+    let reference_t = build_reference_surge(&loose);
     let trait_t = via_trait.with_flood_threshold(1.0).unwrap();
-    assert_eq!(figures_csv(&reference_t), figures_csv(&trait_t));
+    assert_eq!(&reference_t, trait_t.realizations());
+    assert_eq!(
+        csv_digest(&figures_csv(&trait_t)),
+        REFERENCE_FIGURES_1M_DIGEST
+    );
 }
 
 /// The seam proof: wind and compound run the full pipeline end-to-end

@@ -86,7 +86,7 @@ fn serve_backed_shard_and_merge_match_local_bit_for_bit() {
     let shard = ShardSpec::new(0, 2).unwrap();
     let owned = (REALIZATIONS / 2) as u64;
     // Store operations per shard run: the owned realizations plus the
-    // region's one DEM record.
+    // one DEM record.
     let records = owned + 1;
 
     // Cold shard over the wire: every owned realization and the DEM

@@ -20,8 +20,7 @@ use std::sync::Arc;
 
 const REALIZATIONS: usize = 24;
 /// Records a build reads or writes besides its realizations (plan
-/// histograms come only with figures): one DEM per region, and Oahu
-/// is one region.
+/// histograms come only with figures): the one Oahu DEM.
 const DEM_RECORDS: usize = 1;
 
 fn config() -> CaseStudyConfig {

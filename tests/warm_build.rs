@@ -1,5 +1,5 @@
 //! What a warm build leaves out. With every record in the store, a
-//! build reads its DEMs and realizations and synthesizes, samples and
+//! build reads its DEM and realizations and synthesizes, samples and
 //! evaluates nothing; evicting one realization record costs exactly
 //! one ensemble draw and one evaluation. The output stays
 //! bit-identical to a storeless build either way.
@@ -80,7 +80,7 @@ fn warm_builds_read_instead_of_recomputing() {
     assert_eq!(warm.realizations(), clean.realizations());
     assert_eq!(figures_csv(&warm), golden);
 
-    // Another hazard over the same region reads the shared DEM record
+    // Another hazard over the same terrain reads the shared DEM record
     // but has no realizations of its own yet.
     let mut wind = config.clone();
     wind.hazard = HazardSpec::Wind;
@@ -97,19 +97,4 @@ fn warm_builds_read_instead_of_recomputing() {
     assert_eq!(cost, [0, 1, 1], "one evicted realization");
     assert_eq!(healed.realizations(), clean.realizations());
     assert_eq!(figures_csv(&healed), golden);
-
-    // The same holds per region of a synthetic portfolio.
-    let portfolio = CaseStudyConfig::builder()
-        .region("synth:5:3:24".parse().unwrap())
-        .hazard(HazardSpec::Wind)
-        .realizations(6)
-        .build()
-        .unwrap();
-    let scratch = Scratch::new("synth");
-    let store = Store::open(&scratch.0).unwrap();
-    let build = || CaseStudy::build_with_store(&portfolio, Some(&store)).unwrap();
-    let (_, cost) = work(build);
-    assert_eq!(cost, [3, 3, 18], "cold portfolio build");
-    let (_, cost) = work(build);
-    assert_eq!(cost, [0, 0, 0], "warm portfolio build");
 }
