@@ -12,7 +12,7 @@ use ct_geo::{synthesize_region, Dem};
 use ct_hazard::{HazardModel, HazardSpec};
 use ct_hydro::{EnsembleConfig, Poi, Realization, RealizationSet, SurgeCalibration, TrackEnsemble};
 use ct_scada::{oahu, Architecture, SitePlan, Topology};
-use ct_store::{Digest, StoreBackend};
+use ct_store::{Digest, StoreBackend, StoreError};
 use ct_threat::{
     classify, post_disaster_histogram, Attacker, PostDisasterState, ThreatScenario,
     WorstCaseAttacker,
@@ -350,7 +350,18 @@ fn load_record<T>(
     key: &Digest,
     decode: impl FnOnce(&[u8]) -> Option<T>,
 ) -> Option<T> {
-    match store.get(key) {
+    decode_loaded(store, key, store.get(key), decode)
+}
+
+/// The decode half of [`load_record`], for a read already made (one
+/// result of [`StoreBackend::get_many`]).
+fn decode_loaded<T>(
+    store: &dyn StoreBackend,
+    key: &Digest,
+    loaded: Result<Option<Vec<u8>>, StoreError>,
+    decode: impl FnOnce(&[u8]) -> Option<T>,
+) -> Option<T> {
+    match loaded {
         Ok(Some(bytes)) => {
             let decoded = decode(&bytes);
             if decoded.is_none() && store.invalidate(key).is_err() {
@@ -403,8 +414,13 @@ fn timed_par_map<T: Sync, R: Send>(
 /// Produces the given realizations of `ensemble`, in input order,
 /// and how many were read from the store.
 ///
-/// With a store, every realization's record is loaded first, in
-/// parallel under a `store_load` span. Only then, if any is missing,
+/// With a store, every realization's record is loaded first, under a
+/// `store_load` span on this thread: one [`StoreBackend::get_many`]
+/// call reads the whole batch (a local store in a few coalesced
+/// reads, a remote one in pipelined GETs), and the records are then
+/// decoded in order, by [`load_record`]'s rules: an undecodable record
+/// is invalidated and a failed read degrades to a recompute. Only
+/// then, if any is missing,
 /// is the ensemble sampled, on this thread under the
 /// `ensemble_generate` span, and only the misses are evaluated and
 /// written back, under `hazard_evaluate`: a fully warm build samples
@@ -420,11 +436,22 @@ fn evaluate_tasks(
 ) -> Result<(Vec<Realization>, usize), CoreError> {
     let threads = prepared.threads;
     let mut out: Vec<Option<Realization>> = match store {
-        Some((store, base)) => timed_par_map("store_load", indices, threads, |&i| {
-            load_record(store, &artifact::realization_key(base, i), |b| {
-                artifact::decode_realization(b, prepared.pois.len(), &prepared.hazard_id)
-            })
-        }),
+        Some((store, base)) => {
+            let _s = ct_obs::span("store_load");
+            let keys: Vec<Digest> = indices
+                .iter()
+                .map(|&i| artifact::realization_key(base, i))
+                .collect();
+            let loaded = store.get_many(&keys);
+            keys.iter()
+                .zip(loaded)
+                .map(|(key, got)| {
+                    decode_loaded(store, key, got, |b| {
+                        artifact::decode_realization(b, prepared.pois.len(), &prepared.hazard_id)
+                    })
+                })
+                .collect()
+        }
         None => indices.iter().map(|_| None).collect(),
     };
     let misses: Vec<usize> = (0..indices.len()).filter(|&t| out[t].is_none()).collect();

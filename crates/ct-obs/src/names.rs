@@ -83,6 +83,10 @@ pub const PLACEMENT_CANDIDATES_RANKED: &str = "placement.candidates_ranked";
 pub const STORE_HITS: &str = "store.hits";
 /// Artifact-store record lookups that found nothing.
 pub const STORE_MISSES: &str = "store.misses";
+/// Positioned reads a local store issued for record reads: one per
+/// run of adjacent entries a batched read coalesced, one per entry
+/// read alone (retried attempts included).
+pub const STORE_READ_CALLS: &str = "store.read_calls";
 /// Artifact-store records written (atomic temp-then-rename commits).
 pub const STORE_RECORDS_WRITTEN: &str = "store.records_written";
 /// Records that failed frame or payload validation (truncated, bad
@@ -132,7 +136,9 @@ pub const STORE_REMOTE_ERRORS: &str = "store.remote.errors";
 /// request itself is wrong; retrying would repeat the refusal, so the
 /// retry loop is skipped entirely).
 pub const STORE_REMOTE_PERMANENT: &str = "store.remote.permanent";
-/// Pooled connections checked out healthy and reused (no dial).
+/// Requests that reused a kept-alive connection instead of dialing:
+/// a pooled connection checked out healthy, plus each further GET a
+/// batch pipelined on its connection.
 pub const STORE_REMOTE_POOL_HITS: &str = "store.remote.pool.hits";
 /// Fresh TCP connections dialed by the client pool (pool empty, or
 /// every idle candidate was stale).
@@ -255,6 +261,7 @@ pub fn register_defaults(registry: &crate::Registry) {
         PLACEMENT_CANDIDATES_RANKED,
         STORE_HITS,
         STORE_MISSES,
+        STORE_READ_CALLS,
         STORE_RECORDS_WRITTEN,
         STORE_CORRUPT_RECORDS,
         STORE_EVICTIONS,
@@ -314,7 +321,7 @@ mod tests {
         let reg = crate::Registry::new();
         register_defaults(&reg);
         let snap = reg.snapshot();
-        assert_eq!(snap.counters.len(), 72);
+        assert_eq!(snap.counters.len(), 73);
         assert_eq!(snap.counter(GEO_DEM_SYNTHESIZED), Some(0));
         assert_eq!(snap.counter(HYDRO_ENSEMBLES_SAMPLED), Some(0));
         assert_eq!(snap.counter(HYDRO_PEAK_SCAN_EVALUATED), Some(0));
@@ -332,6 +339,7 @@ mod tests {
         assert_eq!(snap.counter(SWE_STEPS), Some(0));
         assert_eq!(snap.counter(HAZARD_REALIZATIONS_EVALUATED), Some(0));
         assert_eq!(snap.counter(STORE_HITS), Some(0));
+        assert_eq!(snap.counter(STORE_READ_CALLS), Some(0));
         assert_eq!(snap.counter(STORE_SEGMENT_APPENDS), Some(0));
         assert_eq!(snap.counter(STORE_SEGMENT_COMPACTIONS), Some(0));
         assert_eq!(snap.gauge(BUILD_THREADS), Some(0.0));

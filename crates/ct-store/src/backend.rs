@@ -46,6 +46,14 @@ pub trait StoreBackend: Send + Sync + std::fmt::Debug {
     /// Environmental failures only — never corruption.
     fn get(&self, key: &Digest) -> Result<Option<Vec<u8>>, StoreError>;
 
+    /// Fetches the payloads stored under `keys`, in input order, each
+    /// with exactly the result and the counters [`StoreBackend::get`]
+    /// would give it. Backends override it to answer a batch in fewer
+    /// reads or round trips; the default loops over `get`.
+    fn get_many(&self, keys: &[Digest]) -> Vec<Result<Option<Vec<u8>>, StoreError>> {
+        keys.iter().map(|key| self.get(key)).collect()
+    }
+
     /// Atomically stores `payload` under `key`, overwriting any
     /// existing record.
     ///
@@ -96,6 +104,10 @@ pub trait StoreBackend: Send + Sync + std::fmt::Debug {
 impl StoreBackend for Store {
     fn get(&self, key: &Digest) -> Result<Option<Vec<u8>>, StoreError> {
         Store::get(self, key)
+    }
+
+    fn get_many(&self, keys: &[Digest]) -> Vec<Result<Option<Vec<u8>>, StoreError>> {
+        Store::get_many(self, keys)
     }
 
     fn put(&self, key: &Digest, payload: &[u8]) -> Result<(), StoreError> {

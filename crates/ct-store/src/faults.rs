@@ -36,7 +36,8 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 /// The canonical failpoint site names.
 pub mod sites {
-    /// Reading a record's entry inside `Store::get`.
+    /// Reading a record's entry inside `Store::get` or
+    /// `Store::get_many`: hit once per record and attempt.
     pub const STORE_GET_READ: &str = "store.get.read";
     /// Tombstoning a record (evictions, invalidations, corrupt
     /// cleanup).

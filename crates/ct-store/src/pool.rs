@@ -4,8 +4,9 @@
 //! operation to match the PR-7 server's one-request-per-connection
 //! contract. With keep-alive on both sides, the dial (and the slow
 //! start that follows it) is pure waste — so clients check sockets
-//! out of a [`ConnPool`], use them for one exchange, and check them
-//! back in while the server keeps the other end open.
+//! out of a [`ConnPool`], use them for one exchange (or one pipelined
+//! batch of GETs), and check them back in while the server keeps the
+//! other end open.
 //!
 //! The pool holds at most [`DEFAULT_POOL_CAP`] idle sockets; more
 //! concurrent checkouts simply dial, and
@@ -20,7 +21,8 @@
 //! error, which the caller's retry budget absorbs with a fresh dial.
 //!
 //! Counters on the owning store's sink: `store.remote.pool.hits`
-//! (healthy reuse), `store.remote.pool.dials` (fresh connections),
+//! (healthy reuse; a pipelined batch adds one per further request),
+//! `store.remote.pool.dials` (fresh connections),
 //! `store.remote.pool.retired` (stale sockets dropped at checkout).
 
 use crate::metrics::MetricsSink;

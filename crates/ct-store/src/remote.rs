@@ -573,33 +573,127 @@ impl RemoteStore {
     fn object_target(key: &Digest) -> String {
         format!("/objects/{}", key.to_hex())
     }
-}
 
-impl StoreBackend for RemoteStore {
-    fn get(&self, key: &Digest) -> Result<Option<Vec<u8>>, StoreError> {
-        self.add(ct_obs::names::STORE_REMOTE_GETS, 1);
-        let target = Self::object_target(key);
-        let (status, body) = self.op("GET", &target, &[])?;
+    /// A GET's answer as [`StoreBackend::get`] gives it, counting the
+    /// hit, the miss or the frame that failed its checksum; `None` for
+    /// a status a GET is not answered with.
+    fn get_answer(&self, status: u16, body: &[u8]) -> Option<Option<Vec<u8>>> {
         match status {
-            200 => match decode_record(&body) {
+            200 => match decode_record(body) {
                 Ok(payload) => {
                     self.add(ct_obs::names::STORE_REMOTE_HITS, 1);
-                    Ok(Some(payload.to_vec()))
+                    Some(Some(payload.to_vec()))
                 }
                 // The frame checksum caught wire damage: report a
                 // miss so the caller recomputes, exactly like a
                 // corrupt record on local disk.
                 Err(_) => {
                     self.add(ct_obs::names::STORE_CORRUPT_RECORDS, 1);
-                    Ok(None)
+                    Some(None)
                 }
             },
             404 => {
                 self.add(ct_obs::names::STORE_REMOTE_MISSES, 1);
-                Ok(None)
+                Some(None)
             }
-            s => Err(self.fail(&target, &format!("unexpected status {s} for GET"))),
+            _ => None,
         }
+    }
+
+    /// Sends one GET per key down one pooled connection at once
+    /// (pipelined; the server answers in order) and pushes each 200 or
+    /// 404 answer onto `out` as [`StoreBackend::get`] would give it.
+    /// Stops at the first transport failure, unparsable answer, other
+    /// status, or `Connection: close`, and drops the socket then;
+    /// the keys past `out`'s new end are left for the caller.
+    fn get_pipelined(&self, keys: &[Digest], out: &mut Vec<Result<Option<Vec<u8>>, StoreError>>) {
+        let started = Instant::now();
+        let Ok(mut stream) = self.pool.checkout() else {
+            return;
+        };
+        let mut wire = Vec::new();
+        for key in keys {
+            wire.extend(encode_request("GET", &Self::object_target(key), &[], true));
+        }
+        if stream
+            .write_all(&wire)
+            .and_then(|()| stream.flush())
+            .is_err()
+        {
+            return;
+        }
+        let mut buf: Vec<u8> = Vec::new();
+        let mut at = 0;
+        let mut chunk = [0u8; 16 * 1024];
+        let mut answered = 0;
+        while answered < keys.len() {
+            match parse_response(&buf[at..]) {
+                Ok(Some((response, used))) => {
+                    at += used;
+                    let Some(answer) = self.get_answer(response.status, &response.body) else {
+                        return;
+                    };
+                    self.add(ct_obs::names::STORE_REMOTE_GETS, 1);
+                    if answered > 0 {
+                        // A further request that rode the kept-alive
+                        // connection without a dial.
+                        self.add(ct_obs::names::STORE_REMOTE_POOL_HITS, 1);
+                    }
+                    self.sink.observe(
+                        ct_obs::names::STORE_REMOTE_RTT_MS,
+                        &ct_obs::names::STORE_REMOTE_RTT_MS_BOUNDS,
+                        started.elapsed().as_secs_f64() * 1000.0,
+                    );
+                    out.push(Ok(answer));
+                    answered += 1;
+                    if !response.keep_alive {
+                        return;
+                    }
+                }
+                Ok(None) => match stream.read(&mut chunk) {
+                    Ok(n) if n > 0 => buf.extend_from_slice(&chunk[..n]),
+                    _ => return,
+                },
+                Err(_) => return,
+            }
+        }
+        if at == buf.len() {
+            self.pool.checkin(stream);
+        }
+    }
+}
+
+/// GETs [`RemoteStore::get_many`] pipelines on one connection at a
+/// time. Small enough that a batch's requests and answers fit the
+/// socket buffers, so neither side blocks writing while the other
+/// does too.
+const GET_BATCH: usize = 64;
+
+impl StoreBackend for RemoteStore {
+    fn get(&self, key: &Digest) -> Result<Option<Vec<u8>>, StoreError> {
+        self.add(ct_obs::names::STORE_REMOTE_GETS, 1);
+        let target = Self::object_target(key);
+        let (status, body) = self.op("GET", &target, &[])?;
+        self.get_answer(status, &body)
+            .ok_or_else(|| self.fail(&target, &format!("unexpected status {status} for GET")))
+    }
+
+    /// Pipelines the GETs in batches of 64 on one pooled
+    /// keep-alive connection each. The keys a batch leaves unanswered
+    /// (the connection failed, or the server closed it or answered
+    /// something other than 200 or 404) go through [`StoreBackend::get`]
+    /// one by one, with its retry budget, so every key gets the
+    /// result and the counters a lone `get` would give it.
+    fn get_many(&self, keys: &[Digest]) -> Vec<Result<Option<Vec<u8>>, StoreError>> {
+        let mut out = Vec::with_capacity(keys.len());
+        for batch in keys.chunks(GET_BATCH) {
+            let done = out.len();
+            self.get_pipelined(batch, &mut out);
+            for key in &batch[out.len() - done..] {
+                out.push(self.get(key));
+            }
+        }
+        out
     }
 
     fn put(&self, key: &Digest, payload: &[u8]) -> Result<(), StoreError> {

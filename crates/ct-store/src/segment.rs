@@ -50,6 +50,7 @@ use crate::hash::{checksum64, Digest};
 use std::collections::BTreeMap;
 use std::collections::HashMap;
 use std::fs;
+use std::os::unix::fs::FileExt as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -161,6 +162,13 @@ pub struct PackedState {
     pub files: BTreeMap<u32, Arc<fs::File>>,
     /// The append target.
     pub active: ActiveSegment,
+}
+
+impl PackedState {
+    /// The open handle of segment `seg`, which the index points into.
+    pub fn file(&self, seg: u32) -> Arc<fs::File> {
+        Arc::clone(self.files.get(&seg).expect("indexed segment file"))
+    }
 }
 
 /// What rebuilding the index at open observed — reported as
@@ -316,10 +324,39 @@ pub struct Footer {
 /// segment is unsealed (or its footer is damaged) and must be
 /// frame-scanned instead.
 pub fn decode_footer(bytes: &[u8]) -> Option<Footer> {
-    if bytes.len() < TRAILER_LEN {
+    decode_footer_tail(bytes, bytes.len() as u64)
+}
+
+/// Reads the footer of the segment `file`, `len` bytes long, with two
+/// positioned reads: the trailer, then the entry list it declares.
+/// The data region is not read. `Ok(None)` means the segment has no
+/// intact footer and must be frame-scanned instead.
+///
+/// # Errors
+///
+/// A failed read.
+pub fn read_footer(file: &fs::File, len: u64) -> std::io::Result<Option<Footer>> {
+    let Some(body_at) = len.checked_sub(TRAILER_LEN as u64) else {
+        return Ok(None);
+    };
+    let mut trailer = [0u8; TRAILER_LEN];
+    file.read_exact_at(&mut trailer, body_at)?;
+    let entries_bytes = u64::from_le_bytes(trailer[8..16].try_into().expect("8 bytes"));
+    if trailer[24..32] != FOOTER_MAGIC || entries_bytes > body_at {
+        return Ok(None);
+    }
+    let mut tail = vec![0u8; TRAILER_LEN + entries_bytes as usize];
+    file.read_exact_at(&mut tail, body_at - entries_bytes)?;
+    Ok(decode_footer_tail(&tail, len))
+}
+
+/// Decodes the footer out of `tail`, the last bytes of a segment
+/// `len` bytes long (the whole image, or at least its footer).
+fn decode_footer_tail(tail: &[u8], len: u64) -> Option<Footer> {
+    if tail.len() < TRAILER_LEN {
         return None;
     }
-    let trailer = &bytes[bytes.len() - TRAILER_LEN..];
+    let trailer = &tail[tail.len() - TRAILER_LEN..];
     if trailer[24..32] != FOOTER_MAGIC {
         return None;
     }
@@ -328,14 +365,16 @@ pub fn decode_footer(bytes: &[u8]) -> Option<Footer> {
     let stored = u64::from_le_bytes(trailer[16..24].try_into().expect("8 bytes"));
     let count = usize::try_from(count).ok()?;
     let entries_bytes = usize::try_from(entries_bytes).ok()?;
-    if entries_bytes != count * FOOTER_ENTRY_LEN || bytes.len() < TRAILER_LEN + entries_bytes {
+    if entries_bytes != count.checked_mul(FOOTER_ENTRY_LEN)?
+        || tail.len() - TRAILER_LEN < entries_bytes
+    {
         return None;
     }
-    let body = &bytes[bytes.len() - TRAILER_LEN - entries_bytes..bytes.len() - TRAILER_LEN];
+    let body = &tail[tail.len() - TRAILER_LEN - entries_bytes..tail.len() - TRAILER_LEN];
     if checksum64(body) != stored {
         return None;
     }
-    let data_len = (bytes.len() - TRAILER_LEN - entries_bytes) as u64;
+    let data_len = len - (TRAILER_LEN + entries_bytes) as u64;
     let mut entries = Vec::with_capacity(count);
     for chunk in body.chunks_exact(FOOTER_ENTRY_LEN) {
         let e = EntryMeta {

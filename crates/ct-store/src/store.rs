@@ -9,7 +9,9 @@
 //!
 //! Records append to the active segment with one *group* fsync per
 //! `CT_SEGMENT_SYNC_BYTES` of data and are served by positioned reads
-//! off an in-memory key → (segment, offset, len) index. Reads validate
+//! off an in-memory key → (segment, offset, len) index;
+//! [`Store::get_many`] reads a batch of keys with one read per run of
+//! adjacent entries (`store.read_calls`). Reads validate
 //! the record frame and *evict* anything corrupt by appending a
 //! tombstone, reporting a miss — so a torn or rotted record degrades
 //! to recompute-and-rewrite. See [`crate::segment`] for the format and
@@ -40,12 +42,12 @@
 //! the crash paths are testable deterministically.
 //!
 //! Every operation reports to [`ct_obs`] counters (`store.hits`,
-//! `store.misses`, `store.records_written`, `store.corrupt_records`,
-//! `store.evictions`, `store.retries`, `store.degraded`,
-//! `store.tmp_swept`, and `store.segment.*`). Methods deliberately
-//! open no [`ct_obs`] spans: they are called from worker threads, and
-//! spans are reserved for coordinator code so the span tree stays
-//! thread-count invariant.
+//! `store.misses`, `store.read_calls`, `store.records_written`,
+//! `store.corrupt_records`, `store.evictions`, `store.retries`,
+//! `store.degraded`, `store.tmp_swept`, and `store.segment.*`).
+//! Methods deliberately open no [`ct_obs`] spans: they are called
+//! from worker threads, and spans are reserved for coordinator code
+//! so the span tree stays thread-count invariant.
 
 use crate::error::StoreError;
 use crate::faults::{self, FaultKind, FaultRegistry};
@@ -57,6 +59,7 @@ use crate::segment::{
     self, ActiveSegment, EntryMeta, IndexEntry, OpenStats, PackedBackend, PackedOptions,
     PackedState,
 };
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fs;
 use std::io::Write as _;
@@ -88,6 +91,29 @@ pub struct Store {
 
 /// The file under a store root that the open store holds locked.
 const LOCK_FILE: &str = "lock";
+
+/// The most bytes [`Store::get_many`] reads with one positioned read:
+/// a run of adjacent entries stops growing before it would pass this
+/// (an entry larger than it is read alone).
+const MAX_RUN_BYTES: u64 = 1 << 20;
+
+/// The end of the run that starts at `entries[start]`: the following
+/// entries that sit right behind their predecessor in the same
+/// segment, while the run stays within [`MAX_RUN_BYTES`]. `entries`
+/// is sorted by (segment, offset).
+fn run_end(entries: &[(Digest, IndexEntry)], start: usize) -> usize {
+    let first = entries[start].1;
+    let mut end = start + 1;
+    while let Some((_, next)) = entries.get(end) {
+        let prev = entries[end - 1].1;
+        let adjacent = next.seg == first.seg && next.offset == prev.offset + prev.len;
+        if !adjacent || next.offset + next.len - first.offset > MAX_RUN_BYTES {
+            break;
+        }
+        end += 1;
+    }
+    end
+}
 
 /// Opens `dir` and fsyncs it, making a just-created or renamed entry
 /// durable (segment seals and compactions).
@@ -313,7 +339,9 @@ impl Store {
         )
     }
 
-    /// Fetches the payload stored under `key`.
+    /// Fetches the payload stored under `key`: the one-key case of
+    /// [`Store::get_many`], through the same read, validate and evict
+    /// path.
     ///
     /// Returns `Ok(None)` on a miss *and* on a corrupt record: an
     /// entry that fails validation (truncated, bad magic, wrong
@@ -330,16 +358,136 @@ impl Store {
     pub fn get(&self, key: &Digest) -> Result<Option<Vec<u8>>, StoreError> {
         let located = {
             let state = self.backend.state.lock().expect("store state lock");
-            state.index.get(key).map(|e| {
-                let file = state.files.get(&e.seg).expect("indexed segment file");
-                (Arc::clone(file), *e)
-            })
+            state.index.get(key).map(|e| (state.file(e.seg), *e))
         };
         let Some((file, entry)) = located else {
             self.add(ct_obs::names::STORE_MISSES, 1);
             return Ok(None);
         };
-        // The pread happens outside the lock: readers never serialize
+        let mut got = Ok(None);
+        self.read_run(&file, &[(*key, entry)], |_, r| got = r);
+        got
+    }
+
+    /// Fetches the payloads stored under `keys`, in input order, each
+    /// exactly as [`Store::get`] would: the same results, the same
+    /// `store.hits`/`store.misses`, and a corrupt entry is evicted and
+    /// reported as a miss. Every key is looked up under one lock; the
+    /// hits are read in (segment, offset) order, each run of adjacent
+    /// entries, up to 1 MiB, with one positioned read. A repeated key
+    /// is read once; its repeats count as hits (or as misses, when the
+    /// first read evicted it), as the sequential gets would.
+    pub fn get_many(&self, keys: &[Digest]) -> Vec<Result<Option<Vec<u8>>, StoreError>> {
+        let mut out: Vec<Result<Option<Vec<u8>>, StoreError>> =
+            keys.iter().map(|_| Ok(None)).collect();
+        // (entry, input position) per hit, and the file of each segment
+        // a hit lives in.
+        let mut hits: Vec<(IndexEntry, usize)> = Vec::with_capacity(keys.len());
+        let mut files: BTreeMap<u32, Arc<fs::File>> = BTreeMap::new();
+        {
+            let state = self.backend.state.lock().expect("store state lock");
+            for (at, key) in keys.iter().enumerate() {
+                if let Some(e) = state.index.get(key) {
+                    files.entry(e.seg).or_insert_with(|| state.file(e.seg));
+                    hits.push((*e, at));
+                }
+            }
+        }
+        self.add(
+            ct_obs::names::STORE_MISSES,
+            (keys.len() - hits.len()) as u64,
+        );
+        hits.sort_unstable_by_key(|(e, at)| (e.seg, e.offset, *at));
+        // The first occurrence of each entry, and every later one
+        // with the position of its first.
+        let mut unique: Vec<(Digest, IndexEntry)> = Vec::with_capacity(hits.len());
+        let mut unique_at: Vec<usize> = Vec::with_capacity(hits.len());
+        let mut repeats: Vec<(usize, usize)> = Vec::new();
+        for &(e, at) in &hits {
+            match unique.last() {
+                Some((_, last)) if *last == e => {
+                    repeats.push((at, *unique_at.last().expect("paired")));
+                }
+                _ => {
+                    unique.push((keys[at], e));
+                    unique_at.push(at);
+                }
+            }
+        }
+        let mut start = 0;
+        while start < unique.len() {
+            let end = run_end(&unique, start);
+            let file = &files[&unique[start].1.seg];
+            self.read_run(file, &unique[start..end], |i, r| {
+                out[unique_at[start + i]] = r;
+            });
+            start = end;
+        }
+        for (at, first) in repeats {
+            out[at] = match &out[first] {
+                Ok(Some(payload)) => {
+                    self.add(ct_obs::names::STORE_HITS, 1);
+                    Ok(Some(payload.clone()))
+                }
+                Ok(None) => {
+                    self.add(ct_obs::names::STORE_MISSES, 1);
+                    Ok(None)
+                }
+                Err(e) => Err(e.clone()),
+            };
+        }
+        out
+    }
+
+    /// Reads, validates and (when corrupt) evicts the entries of one
+    /// run: adjacent entries of `file`, in offset order. A run of more
+    /// than one entry is read with one positioned read; each entry is
+    /// then checked by [`Store::read_entry`] as if read alone. If that
+    /// read fails (a segment cut short under an entry), each entry is
+    /// read alone instead, so every record keeps its own outcome.
+    /// `emit(i, result)` receives entry `i`'s result.
+    fn read_run(
+        &self,
+        file: &fs::File,
+        run: &[(Digest, IndexEntry)],
+        mut emit: impl FnMut(usize, Result<Option<Vec<u8>>, StoreError>),
+    ) {
+        let first = run[0].1.offset;
+        let image = (run.len() > 1)
+            .then(|| {
+                let last = run[run.len() - 1].1;
+                let mut bytes = vec![0u8; (last.offset + last.len - first) as usize];
+                self.add(ct_obs::names::STORE_READ_CALLS, 1);
+                file.read_exact_at(&mut bytes, first).ok().map(|()| bytes)
+            })
+            .flatten();
+        let mut hits = 0;
+        for (i, (key, entry)) in run.iter().enumerate() {
+            let within = image.as_deref().map(|image| {
+                let at = (entry.offset - first) as usize;
+                &image[at..at + entry.len as usize]
+            });
+            let got = self.read_entry(file, key, entry, within);
+            hits += u64::from(matches!(got, Ok(Some(_))));
+            emit(i, got);
+        }
+        self.add(ct_obs::names::STORE_HITS, hits);
+    }
+
+    /// Validates one entry, read from `within` (its bytes, already
+    /// read with its run) or else by its own positioned read, and
+    /// evicts it when corrupt; the caller counts the hits. The
+    /// `store.get.read` failpoint fires once per entry and attempt:
+    /// `io`/`enospc` fail the read, `corrupt`/`torn` mangle the bytes
+    /// read for the validation to catch.
+    fn read_entry(
+        &self,
+        file: &fs::File,
+        key: &Digest,
+        entry: &IndexEntry,
+        within: Option<&[u8]>,
+    ) -> Result<Option<Vec<u8>>, StoreError> {
+        // Reads happen outside the lock: readers never serialize
         // behind appends. (A concurrent compaction renames the file
         // away, but this fd still reads the old, valid bytes.)
         let read = self.retry_transient(|| {
@@ -347,17 +495,24 @@ impl Store {
             if let Some(kind @ (FaultKind::Io | FaultKind::Enospc)) = fault {
                 return Err(kind.io_error());
             }
-            let mut bytes = vec![0u8; entry.len as usize];
-            file.read_exact_at(&mut bytes, entry.offset)?;
+            let mut bytes = match within {
+                Some(b) => Cow::Borrowed(b),
+                None => {
+                    let mut b = vec![0u8; entry.len as usize];
+                    self.add(ct_obs::names::STORE_READ_CALLS, 1);
+                    file.read_exact_at(&mut b, entry.offset)?;
+                    Cow::Owned(b)
+                }
+            };
             match fault {
                 // A read that tears or bit-rots in flight: the frame
                 // checksum below must catch both.
                 Some(FaultKind::Corruption) => {
-                    if let Some(b) = bytes.last_mut() {
+                    if let Some(b) = bytes.to_mut().last_mut() {
                         *b ^= 0x01;
                     }
                 }
-                Some(FaultKind::PartialWrite) => bytes.truncate(bytes.len() / 2),
+                Some(FaultKind::PartialWrite) => bytes.to_mut().truncate(entry.len as usize / 2),
                 _ => {}
             }
             Ok(bytes)
@@ -377,10 +532,7 @@ impl Store {
             }
         };
         match segment::validate_entry(&bytes, key) {
-            Some(payload) => {
-                self.add(ct_obs::names::STORE_HITS, 1);
-                Ok(Some(payload.to_vec()))
-            }
+            Some(payload) => Ok(Some(payload.to_vec())),
             None => {
                 // Validate-or-evict: the eviction is a tombstone
                 // masking the corrupt entry, and the caller sees a
@@ -483,8 +635,10 @@ impl Store {
 }
 
 /// Rebuilds the in-memory index by walking `dir`'s segments in id
-/// order: sealed segments load their footer (O(1) entries read per
-/// record, no payload I/O), unsealed ones are frame-scanned, and a
+/// order: sealed segments load their footer (two positioned reads,
+/// trailer then entry list, and no payload I/O), unsealed ones and
+/// sealed ones whose footer is damaged are read whole and
+/// frame-scanned, and a
 /// torn tail is truncated back to the last clean entry boundary. The
 /// last unsealed segment becomes the append target; a fresh one is
 /// created when every segment is sealed.
@@ -507,19 +661,23 @@ fn scan_segments(dir: &Path) -> Result<(PackedState, OpenStats), StoreError> {
     let mut active: Option<ActiveSegment> = None;
     for (i, &id) in ids.iter().enumerate() {
         let path = segment::segment_path(dir, id);
-        let bytes = fs::read(&path).map_err(|e| StoreError::io(&path, &e))?;
         let file = fs::OpenOptions::new()
             .read(true)
             .write(true)
             .open(&path)
             .map_err(|e| StoreError::io(&path, &e))?;
-        if let Some(footer) = segment::decode_footer(&bytes) {
+        let footer = file
+            .metadata()
+            .and_then(|meta| segment::read_footer(&file, meta.len()))
+            .map_err(|e| StoreError::io(&path, &e))?;
+        if let Some(footer) = footer {
             stats.footer_loads += 1;
             for e in &footer.entries {
                 segment::apply_entry(&mut index, id, e);
             }
         } else {
             stats.scans += 1;
+            let bytes = fs::read(&path).map_err(|e| StoreError::io(&path, &e))?;
             let scan = segment::scan_entries(&bytes, bytes.len() as u64);
             if scan.truncated {
                 stats.truncated_tails += 1;
@@ -744,33 +902,36 @@ impl Store {
             }
         }
 
-        // Load every segment image once, then validate each live
-        // entry's bytes end-to-end (key, frame, checksum).
+        // Validate each live entry's bytes end-to-end (key, frame,
+        // checksum), one segment image in memory at a time: the live
+        // entries sorted by (segment, offset) are walked alongside
+        // the segments in id order.
         let ids: Vec<u32> = state.files.keys().copied().collect();
-        let mut images: HashMap<u32, Vec<u8>> = HashMap::new();
-        for &id in &ids {
-            let path = segment::segment_path(&dir, id);
-            let bytes = fs::read(&path).map_err(|e| StoreError::io(&path, &e))?;
-            report.segments_scanned += 1;
-            report.bytes_scanned += bytes.len() as u64;
-            images.insert(id, bytes);
-        }
         let mut live: Vec<(Digest, IndexEntry)> =
             state.index.iter().map(|(k, e)| (*k, *e)).collect();
         live.sort_unstable_by_key(|(_, e)| (e.seg, e.offset));
+        let mut live = live.into_iter().peekable();
         let mut corrupt: Vec<Digest> = Vec::new();
         let mut live_bytes: HashMap<u32, u64> = HashMap::new();
-        for (key, e) in live {
-            report.records_scanned += 1;
-            let ok = images[&e.seg]
-                .get(e.offset as usize..(e.offset + e.len) as usize)
-                .and_then(|b| segment::validate_entry(b, &key))
-                .is_some();
-            if ok {
-                *live_bytes.entry(e.seg).or_default() += e.len;
-            } else {
-                report.corrupt_records += 1;
-                corrupt.push(key);
+        let mut sizes: HashMap<u32, u64> = HashMap::new();
+        for &id in &ids {
+            let path = segment::segment_path(&dir, id);
+            let image = fs::read(&path).map_err(|e| StoreError::io(&path, &e))?;
+            report.segments_scanned += 1;
+            report.bytes_scanned += image.len() as u64;
+            sizes.insert(id, image.len() as u64);
+            while let Some((key, e)) = live.next_if(|(_, e)| e.seg == id) {
+                report.records_scanned += 1;
+                let ok = image
+                    .get(e.offset as usize..(e.offset + e.len) as usize)
+                    .and_then(|b| segment::validate_entry(b, &key))
+                    .is_some();
+                if ok {
+                    *live_bytes.entry(id).or_default() += e.len;
+                } else {
+                    report.corrupt_records += 1;
+                    corrupt.push(key);
+                }
             }
         }
 
@@ -791,13 +952,13 @@ impl Store {
                 }
             }
             for &id in &ids {
-                let image = &images[&id];
-                if image.is_empty() {
+                let size = sizes[&id];
+                if size == 0 {
                     continue;
                 }
                 let live = *live_bytes.get(&id).unwrap_or(&0) as f64;
-                let low_ratio = id != state.active.id
-                    && live / (image.len() as f64) < segment::COMPACT_LIVE_RATIO;
+                let low_ratio =
+                    id != state.active.id && live / (size as f64) < segment::COMPACT_LIVE_RATIO;
                 if dirty.contains(&id) || low_ratio {
                     self.compact_locked(state, id, &mut report)?;
                 }
@@ -1537,5 +1698,275 @@ mod tests {
         assert!(
             csv.ends_with("fsck,segments_scanned,0\nfsck,segments_compacted,0\nfsck,pruned,2\n")
         );
+    }
+
+    type Got = Vec<Result<Option<Vec<u8>>, StoreError>>;
+
+    /// The counters a read moves, read off `registry` after `read`.
+    fn read_counters(registry: &ct_obs::Registry, read: impl FnOnce() -> Got) -> (Got, [u64; 6]) {
+        let names = [
+            ct_obs::names::STORE_HITS,
+            ct_obs::names::STORE_MISSES,
+            ct_obs::names::STORE_CORRUPT_RECORDS,
+            ct_obs::names::STORE_EVICTIONS,
+            ct_obs::names::STORE_RETRIES,
+            ct_obs::names::FAULTS_FIRED,
+        ];
+        let before = names.map(|n| counter(registry, n));
+        let got = read();
+        let mut moved = names.map(|n| counter(registry, n));
+        for (m, b) in moved.iter_mut().zip(before) {
+            *m -= b;
+        }
+        (got, moved)
+    }
+
+    #[test]
+    fn get_many_equals_sequential_gets_across_segments() {
+        ct_rand::cases(24, |rng| {
+            let (store, reg, _, root) = faulty_scratch("get-many-prop", SMALL_SEGMENTS);
+            let labels: Vec<String> = (0..(4 + rng.below(20))).map(|i| format!("k{i}")).collect();
+            // Puts, some of them overwrites (a superseded entry leaves
+            // a gap in its segment) and some evictions.
+            for _ in 0..(labels.len() + rng.below(12) as usize) {
+                let label = &labels[rng.below(labels.len() as u64) as usize];
+                let payload = vec![rng.below(256) as u8; rng.below(150) as usize];
+                store.put(&key(label), &payload).unwrap();
+                if rng.below(8) == 0 {
+                    store.evict(&key(label)).unwrap();
+                }
+            }
+            assert!(counter(&reg, ct_obs::names::STORE_SEGMENT_SEALS) >= 1);
+            let store = if rng.below(2) == 0 {
+                // Sealed segments reindexed from their footers.
+                drop(store);
+                Store::open_with_options(
+                    &root,
+                    Arc::clone(&reg),
+                    Arc::new(FaultRegistry::new()),
+                    SMALL_SEGMENTS,
+                )
+                .unwrap()
+            } else {
+                store
+            };
+            // Present, missing and repeated keys, in any order.
+            let keys: Vec<Digest> = (0..(1 + rng.below(40)))
+                .map(|_| match rng.below(4) {
+                    0 => key(&format!("missing{}", rng.below(4))),
+                    _ => key(&labels[rng.below(labels.len() as u64) as usize]),
+                })
+                .collect();
+            let (sequential, moved) =
+                read_counters(&reg, || keys.iter().map(|k| store.get(k)).collect());
+            let reads = counter(&reg, ct_obs::names::STORE_READ_CALLS);
+            let (batched, batched_moved) = read_counters(&reg, || store.get_many(&keys));
+            let batched_reads = counter(&reg, ct_obs::names::STORE_READ_CALLS) - reads;
+            assert_eq!(batched, sequential);
+            assert_eq!(batched_moved, moved);
+            let hits = sequential
+                .iter()
+                .filter(|g| matches!(g, Ok(Some(_))))
+                .count();
+            assert!(
+                batched_reads <= hits as u64,
+                "{batched_reads} reads for {hits} hits"
+            );
+            let _ = fs::remove_dir_all(root);
+        });
+    }
+
+    #[test]
+    fn get_many_coalesces_adjacent_entries_into_one_read() {
+        let (store, reg, root) = scratch("get-many-coalesce");
+        let keys: Vec<Digest> = (0..10).map(|i| key(&format!("k{i}"))).collect();
+        for (i, k) in keys.iter().enumerate() {
+            store.put(k, &[i as u8; 40]).unwrap();
+        }
+        let mut shuffled = keys.clone();
+        shuffled.reverse();
+        let got = store.get_many(&shuffled);
+        for (i, g) in got.into_iter().enumerate() {
+            assert_eq!(g.unwrap(), Some(vec![9 - i as u8; 40]));
+        }
+        assert_eq!(counter(&reg, ct_obs::names::STORE_READ_CALLS), 1);
+        // A lone get reads its one entry.
+        store.get(&keys[0]).unwrap();
+        assert_eq!(counter(&reg, ct_obs::names::STORE_READ_CALLS), 2);
+        let _ = fs::remove_dir_all(root);
+    }
+
+    #[test]
+    fn corrupt_entry_inside_a_coalesced_run_is_evicted_alone() {
+        let (store, reg, root) = scratch("get-many-corrupt");
+        let keys: Vec<Digest> = ["a", "b", "c"].iter().map(|l| key(l)).collect();
+        for k in &keys {
+            store.put(k, b"payload").unwrap();
+        }
+        drop(store);
+        damage_entry(&root, &keys[1], |e| *e.last_mut().unwrap() ^= 0xff);
+
+        let store = Store::open_with_registry(&root, Arc::clone(&reg)).unwrap();
+        // The corrupt key asked twice: as with two gets, the first
+        // read evicts it and the second is a plain miss.
+        let asked = [keys[0], keys[1], keys[1], keys[2]];
+        let got: Vec<_> = store
+            .get_many(&asked)
+            .into_iter()
+            .map(Result::unwrap)
+            .collect();
+        let hit = Some(b"payload".to_vec());
+        assert_eq!(got, [hit.clone(), None, None, hit.clone()]);
+        assert_eq!(counter(&reg, ct_obs::names::STORE_READ_CALLS), 1);
+        assert_eq!(counter(&reg, ct_obs::names::STORE_HITS), 2);
+        assert_eq!(counter(&reg, ct_obs::names::STORE_MISSES), 1);
+        assert_eq!(counter(&reg, ct_obs::names::STORE_CORRUPT_RECORDS), 1);
+        assert_eq!(counter(&reg, ct_obs::names::STORE_EVICTIONS), 1);
+        // The tombstone replays: after a reopen the key is a plain
+        // miss and its neighbours still hit.
+        drop(store);
+        let registry = Arc::new(ct_obs::Registry::new());
+        let store = Store::open_with_registry(&root, Arc::clone(&registry)).unwrap();
+        let got: Vec<_> = store
+            .get_many(&keys)
+            .into_iter()
+            .map(Result::unwrap)
+            .collect();
+        assert_eq!(got, [hit.clone(), None, hit]);
+        assert_eq!(counter(&registry, ct_obs::names::STORE_MISSES), 1);
+        assert_eq!(counter(&registry, ct_obs::names::STORE_CORRUPT_RECORDS), 0);
+        let _ = fs::remove_dir_all(root);
+    }
+
+    #[test]
+    fn read_faults_in_a_batch_strike_one_record_as_a_lone_get_would() {
+        // Failpoint plans that strike the second record read, on every
+        // attempt for `io` (three firings exhaust the retry budget) and
+        // once for the rest.
+        let plans: [(FaultKind, &[u64]); 4] = [
+            (FaultKind::Io, &[2, 3, 4]),
+            (FaultKind::Enospc, &[2]),
+            (FaultKind::Corruption, &[2]),
+            (FaultKind::PartialWrite, &[2]),
+        ];
+        for (kind, firings) in plans {
+            let run = |batched: bool| {
+                let tag = format!("get-many-fault-{kind}-{batched}");
+                let (store, reg, faults, root) = faulty_scratch(&tag, PackedOptions::default());
+                let keys: Vec<Digest> = (0..4).map(|i| key(&format!("k{i}"))).collect();
+                for k in &keys {
+                    store.put(k, b"payload").unwrap();
+                }
+                for &nth in firings {
+                    faults.arm(FaultSpec::once(sites::STORE_GET_READ, nth, kind));
+                }
+                let (got, moved) = read_counters(&reg, || {
+                    if batched {
+                        store.get_many(&keys)
+                    } else {
+                        keys.iter().map(|k| store.get(k)).collect()
+                    }
+                });
+                faults.disarm_all();
+                let after: Got = keys.iter().map(|k| store.get(k)).collect();
+                let _ = fs::remove_dir_all(root);
+                (got, moved, after)
+            };
+            let (sequential, moved, after) = run(false);
+            let (batched, batched_moved, batched_after) = run(true);
+            let shape = |got: &Got| -> Vec<Option<Option<Vec<u8>>>> {
+                got.iter().map(|g| g.as_ref().ok().cloned()).collect()
+            };
+            assert_eq!(shape(&batched), shape(&sequential), "{kind}");
+            assert_eq!(batched_moved, moved, "{kind}");
+            assert_eq!(shape(&batched_after), shape(&after), "{kind}");
+            let hit = Some(Some(b"payload".to_vec()));
+            let struck = match kind {
+                FaultKind::Io | FaultKind::Enospc => None,
+                _ => Some(None),
+            };
+            let evicted = u64::from(struck.is_some());
+            assert_eq!(
+                shape(&batched),
+                [hit.clone(), struck, hit.clone(), hit.clone()],
+                "{kind}"
+            );
+            assert_eq!(batched_moved[2..4], [evicted, evicted], "{kind}");
+            // A corrupt read's record is gone; an I/O failure's stays.
+            let kept = if evicted == 1 {
+                Some(None)
+            } else {
+                hit.clone()
+            };
+            assert_eq!(shape(&batched_after)[1], kept, "{kind}");
+        }
+    }
+
+    #[test]
+    fn open_reads_only_the_footer_of_a_sealed_segment() {
+        let (store, reg, _, root) = faulty_scratch("footer-only", SMALL_SEGMENTS);
+        for i in 0..12u8 {
+            store.put(&key(&format!("k{i}")), &[i; 100]).unwrap();
+        }
+        let seals = counter(&reg, ct_obs::names::STORE_SEGMENT_SEALS);
+        assert!(seals >= 2);
+        drop(store);
+        let reopen = || {
+            let registry = Arc::new(ct_obs::Registry::new());
+            let store = Store::open_with_registry(&root, Arc::clone(&registry)).unwrap();
+            let index = store.backend.state.lock().unwrap().index.clone();
+            let count = |name| counter(&registry, name);
+            (
+                index,
+                count(ct_obs::names::STORE_SEGMENT_FOOTER_LOADS),
+                count(ct_obs::names::STORE_SEGMENT_SCANS),
+            )
+        };
+        let (index, footer_loads, scans) = reopen();
+        assert_eq!(footer_loads, seals);
+
+        // Damage segment 0's data region: open never reads it, so the
+        // index and the footer loads are unchanged.
+        let seg = segment::segment_path(&root.join("segments"), 0);
+        let mut bytes = fs::read(&seg).unwrap();
+        let footer = segment::decode_footer(&bytes).unwrap();
+        for b in &mut bytes[..footer.data_len as usize] {
+            *b = !*b;
+        }
+        fs::write(&seg, &bytes).unwrap();
+        assert_eq!(reopen(), (index.clone(), footer_loads, scans));
+
+        // Damage its footer instead: that segment is scanned, and the
+        // scan rebuilds the same index.
+        for b in &mut bytes[..footer.data_len as usize] {
+            *b = !*b;
+        }
+        let at = bytes.len() - segment::TRAILER_LEN - 3;
+        bytes[at] ^= 0xff;
+        fs::write(&seg, &bytes).unwrap();
+        assert_eq!(reopen(), (index, footer_loads - 1, scans + 1));
+        let _ = fs::remove_dir_all(root);
+    }
+
+    #[test]
+    fn fsck_walks_a_multi_segment_store() {
+        let (store, _, _, root) = faulty_scratch("fsck-multi", SMALL_SEGMENTS);
+        for i in 0..12u8 {
+            store.put(&key(&format!("k{i}")), &[i; 100]).unwrap();
+        }
+        drop(store);
+        damage_entry(&root, &key("k0"), |e| *e.last_mut().unwrap() ^= 0xff);
+        let segments = fs::read_dir(root.join("segments")).unwrap().count();
+        let bytes: u64 = fs::read_dir(root.join("segments"))
+            .unwrap()
+            .map(|e| e.unwrap().metadata().unwrap().len())
+            .sum();
+        let store = Store::open(&root).unwrap();
+        let report = store.fsck(&FsckOptions::default()).unwrap();
+        assert_eq!(report.segments_scanned, segments);
+        assert_eq!(report.bytes_scanned, bytes);
+        assert_eq!(report.records_scanned, 12);
+        assert_eq!(report.corrupt_records, 1);
+        let _ = fs::remove_dir_all(root);
     }
 }

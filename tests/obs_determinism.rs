@@ -148,6 +148,9 @@ fn counters_and_span_tree_are_thread_count_invariant() {
     assert_eq!(count(ct_obs::names::HYDRO_PEAK_SCAN_SKIPPED), 5602);
     assert_eq!(count(ct_obs::names::STORE_MISSES), 61);
     assert_eq!(count(ct_obs::names::STORE_HITS), 61);
+    // The warm build reads the DEM record alone and its 60 adjacent
+    // realization records with one coalesced read.
+    assert_eq!(count(ct_obs::names::STORE_READ_CALLS), 2);
     assert!(stored
         .2
         .iter()
