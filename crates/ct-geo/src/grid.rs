@@ -101,27 +101,10 @@ impl<T> Grid<T> {
         self.cell_km
     }
 
-    /// Total extent of the domain `(east_km, north_km)`.
-    pub fn extent_km(&self) -> (f64, f64) {
-        (
-            self.cols as f64 * self.cell_km,
-            self.rows as f64 * self.cell_km,
-        )
-    }
-
     /// Returns the value at `(col, row)`, or `None` when out of range.
     pub fn get(&self, col: usize, row: usize) -> Option<&T> {
         if col < self.cols && row < self.rows {
             self.data.get(row * self.cols + col)
-        } else {
-            None
-        }
-    }
-
-    /// Mutable access to the value at `(col, row)`.
-    pub fn get_mut(&mut self, col: usize, row: usize) -> Option<&mut T> {
-        if col < self.cols && row < self.rows {
-            self.data.get_mut(row * self.cols + col)
         } else {
             None
         }
@@ -140,22 +123,6 @@ impl<T> Grid<T> {
         )
     }
 
-    /// Maps a point to the containing cell `(col, row)`, or `None` when
-    /// outside the domain.
-    pub fn cell_of(&self, p: EnuKm) -> Option<(usize, usize)> {
-        let c = (p.east - self.origin.east) / self.cell_km;
-        let r = (p.north - self.origin.north) / self.cell_km;
-        if c < 0.0 || r < 0.0 {
-            return None;
-        }
-        let (c, r) = (c as usize, r as usize);
-        if c < self.cols && r < self.rows {
-            Some((c, r))
-        } else {
-            None
-        }
-    }
-
     /// Iterates over `(col, row, &value)` in row-major order.
     pub fn iter(&self) -> impl Iterator<Item = (usize, usize, &T)> {
         let cols = self.cols;
@@ -168,11 +135,6 @@ impl<T> Grid<T> {
     /// Raw row-major data slice.
     pub fn as_slice(&self) -> &[T] {
         &self.data
-    }
-
-    /// Raw mutable row-major data slice.
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
-        &mut self.data
     }
 
     /// Produces a new grid of the same shape by mapping every value.
@@ -213,26 +175,6 @@ impl Grid<f64> {
         let b = v01 * (1.0 - tx) + v11 * tx;
         Some(a * (1.0 - ty) + b * ty)
     }
-
-    /// Minimum and maximum values over the grid.
-    ///
-    /// # Panics
-    ///
-    /// Never panics: grids are guaranteed non-empty at construction.
-    pub fn min_max(&self) -> (f64, f64) {
-        let mut min = f64::INFINITY;
-        let mut max = f64::NEG_INFINITY;
-        for &v in &self.data {
-            min = min.min(v);
-            max = max.max(v);
-        }
-        (min, max)
-    }
-
-    /// Sum of all cell values.
-    pub fn sum(&self) -> f64 {
-        self.data.iter().sum()
-    }
 }
 
 #[cfg(test)]
@@ -259,22 +201,11 @@ mod tests {
     }
 
     #[test]
-    fn get_and_cell_of_agree() {
+    fn cell_center_is_the_cell_midpoint() {
         let g = unit_grid();
-        let p = EnuKm::new(1.3, 2.7);
-        let (c, r) = g.cell_of(p).unwrap();
-        assert_eq!((c, r), (6, 6));
-        let center = g.cell_center(c, r);
+        let center = g.cell_center(6, 6);
         assert!((center.east - 1.5).abs() < 1e-12);
         assert!((center.north - 2.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cell_of_out_of_domain() {
-        let g = unit_grid();
-        assert_eq!(g.cell_of(EnuKm::new(-5.01, 0.0)), None);
-        assert_eq!(g.cell_of(EnuKm::new(5.01, 0.0)), None);
-        assert_eq!(g.cell_of(EnuKm::new(0.0, 4.01)), None);
     }
 
     #[test]
@@ -301,13 +232,6 @@ mod tests {
         assert_eq!(h.cols(), g.cols());
         assert_eq!(h.cell_km(), g.cell_km());
         assert!((h.sample(EnuKm::new(1.0, 1.0)).unwrap() - 6.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn min_max_and_sum() {
-        let g = Grid::filled(2, 2, EnuKm::default(), 1.0, 3.0).unwrap();
-        assert_eq!(g.min_max(), (3.0, 3.0));
-        assert_eq!(g.sum(), 12.0);
     }
 
     #[test]

@@ -175,8 +175,7 @@ fn project_ring(projection: &Projection, ring: &[LatLon]) -> Result<Polygon, Geo
 
 /// Synthesizes a region DEM from its spec.
 ///
-/// The raster covers the outline plus surrounding ocean so the
-/// shallow-water surge solver has room for offshore dynamics. The
+/// The raster covers the outline plus surrounding ocean. The
 /// elevation formula is the original Oahu formula, parameterized only
 /// through the spec's sectors/ridges/waters — the Oahu preset is
 /// bit-identical to the pre-refactor generator.

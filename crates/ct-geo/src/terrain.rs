@@ -226,8 +226,7 @@ pub fn oahu_region_spec(config: &OahuTerrainConfig) -> RegionTerrainSpec {
 
 /// Synthesizes the Oahu DEM.
 ///
-/// The raster covers the island plus ~15 km of surrounding ocean so the
-/// shallow-water surge solver has room for offshore dynamics.
+/// The raster covers the island plus ~15 km of surrounding ocean.
 pub fn synthesize_oahu(config: &OahuTerrainConfig) -> Dem {
     synthesize_region(&oahu_region_spec(config)).expect("the Oahu preset is a valid region spec")
 }

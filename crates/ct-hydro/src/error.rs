@@ -31,11 +31,6 @@ pub enum HydroError {
     },
     /// Ensemble configuration requested zero realizations.
     EmptyEnsemble,
-    /// The solver became unstable (non-finite state detected).
-    SolverDiverged {
-        /// Simulation time (s) at which divergence was detected.
-        at_time_s: f64,
-    },
     /// An underlying geospatial error.
     Geo(ct_geo::GeoError),
 }
@@ -59,9 +54,6 @@ impl fmt::Display for HydroError {
                 write!(f, "invalid parameter {name} = {value}")
             }
             HydroError::EmptyEnsemble => write!(f, "ensemble must have >= 1 realization"),
-            HydroError::SolverDiverged { at_time_s } => {
-                write!(f, "shallow-water solver diverged at t = {at_time_s} s")
-            }
             HydroError::Geo(e) => write!(f, "geospatial error: {e}"),
         }
     }

@@ -1,18 +1,13 @@
 //! Hurricane hazard substrate: parametric cyclone wind fields, storm
-//! tracks, Monte-Carlo track ensembles, storm-surge models and
-//! per-asset inundation — the stand-in for the ADCIRC simulation used
-//! by the paper.
+//! tracks, Monte-Carlo track ensembles, a parametric storm-surge
+//! model and per-asset inundation. The paper takes per-asset peak
+//! inundation from 1000 given ADCIRC realizations; here that input
+//! comes from [`ParametricSurge`] alone.
 //!
-//! Two surge models are provided:
-//!
-//! * [`ParametricSurge`] — a fast wind-setup + inverse-barometer +
-//!   tide estimator evaluated at coastal reference [`stations`]. This
-//!   drives the 1000-realization ensembles in the case study.
-//! * [`ShallowWaterSolver`] — a 2-D depth-averaged shallow-water
-//!   solver with wind-stress and pressure forcing on the synthetic
-//!   Oahu DEM (the closest laptop-scale equivalent of ADCIRC). It is
-//!   used to cross-validate the parametric model and by the
-//!   `surge_explorer` example.
+//! [`ParametricSurge`] is a fast wind-setup + inverse-barometer + tide
+//! estimator evaluated at coastal reference [`stations`]. It has not
+//! been checked against a physics model (EXPERIMENTS.md, "Surrogate
+//! vs shallow-water solver").
 //!
 //! The pipeline output is a [`RealizationSet`]: for every sampled
 //! hurricane, the peak inundation depth at every point of interest.
@@ -42,9 +37,7 @@ pub mod parametric;
 pub mod passage;
 pub mod realization;
 pub mod sampling;
-pub mod shoreline;
 pub mod stations;
-pub mod swe;
 pub mod track;
 pub mod wind;
 
@@ -68,6 +61,5 @@ pub use parametric::{ParametricSurge, SurgeCalibration};
 pub use passage::{InRange, WindVector};
 pub use realization::{Realization, RealizationSet};
 pub use stations::{Station, StationId, Stations};
-pub use swe::{ShallowWaterConfig, ShallowWaterSolver};
 pub use track::{StormTrack, TrackPoint};
 pub use wind::{HollandWindField, WindSample};

@@ -4,8 +4,9 @@
 //! wind setup (proportional to the square of the peak onshore wind,
 //! amplified by the station's shelf factor), wave setup, the inverse
 //! barometer effect, and the sampled tide. This is the model used for
-//! the 1000-realization ensembles; it is cross-validated against the
-//! 2-D shallow-water solver in `tests/surge_crossval.rs`.
+//! the 1000-realization ensembles. It has not been checked against a
+//! physics model (EXPERIMENTS.md, "Surrogate vs shallow-water
+//! solver").
 
 use crate::ensemble::StormParams;
 use crate::error::HydroError;
@@ -361,6 +362,15 @@ mod tests {
     }
 
     #[test]
+    fn windward_east_sees_less_than_the_southern_shelf() {
+        let m = model();
+        let s = m.station_surge(&direct_hit_storm()).unwrap();
+        let shelf = s.get(StationId::South).max(s.get(StationId::Ewa));
+        let east = s.get(StationId::East);
+        assert!(east < shelf, "east {east} vs shelf {shelf}");
+    }
+
+    #[test]
     fn distant_storm_produces_little_surge() {
         let m = model();
         let s = m.station_surge(&miss_storm()).unwrap();
@@ -387,10 +397,13 @@ mod tests {
     fn stronger_storm_higher_surge() {
         let m = model();
         let mut storm = direct_hit_storm();
-        let weak = m.station_surge(&storm).unwrap().get(StationId::South);
+        let weak = m.station_surge(&storm).unwrap();
         storm.central_pressure_hpa = 940.0; // Cat 4 deficit
-        let strong = m.station_surge(&storm).unwrap().get(StationId::South);
-        assert!(strong > weak + 1.0, "weak {weak} strong {strong}");
+        let strong = m.station_surge(&storm).unwrap();
+        for id in [StationId::South, StationId::Ewa] {
+            let (weak, strong) = (weak.get(id), strong.get(id));
+            assert!(strong > weak + 1.0, "{id}: weak {weak} strong {strong}");
+        }
     }
 
     #[test]

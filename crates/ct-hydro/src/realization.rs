@@ -70,8 +70,7 @@ impl RealizationSet {
         Self::from_storms(&storms, model, pois)
     }
 
-    /// Evaluates an explicit storm list (used by tests and by the
-    /// shallow-water cross-validation, which swaps the surge model).
+    /// Evaluates an explicit storm list with a given surge model.
     ///
     /// # Errors
     ///

@@ -29,15 +29,8 @@ pub const HYDRO_PEAK_SCAN_EVALUATED: &str = "hydro.peak_scan.evaluated";
 /// In-range steps the peak scans skipped because a bound on the wind
 /// speed showed they could not raise the running peak.
 pub const HYDRO_PEAK_SCAN_SKIPPED: &str = "hydro.peak_scan.skipped";
-/// Shallow-water solver invocations.
-pub const SWE_SOLVES: &str = "swe.solves";
-/// Shallow-water solver time steps executed.
-pub const SWE_STEPS: &str = "swe.steps";
 /// Attacker strategy invocations.
 pub const ATTACKER_ATTACKS: &str = "attacker.attacks";
-/// Candidate final states examined across attacker searches (1 per
-/// greedy attack; the full enumeration for the exhaustive attacker).
-pub const ATTACKER_CANDIDATES_EXAMINED: &str = "attacker.candidates_examined";
 /// Discrete events dispatched by the simulator (deliveries, timers,
 /// faults).
 pub const SIMNET_EVENTS_DISPATCHED: &str = "simnet.events_dispatched";
@@ -185,8 +178,6 @@ pub const SPATIAL_HITS: &str = "spatial.hits";
 pub const SPATIAL_QUERIES: &str = "spatial.queries";
 /// Effective worker-thread count of the last pipeline build (gauge).
 pub const BUILD_THREADS: &str = "build.threads";
-/// Histogram: time steps per shallow-water solve.
-pub const SWE_STEPS_PER_SOLVE: &str = "swe.steps_per_solve";
 /// Histogram: distinct flood patterns per profiled site plan.
 pub const PROFILE_PATTERNS_PER_PLAN: &str = "profile.patterns_per_plan";
 /// Histogram: committed record sizes (framed bytes on disk).
@@ -204,8 +195,6 @@ pub const SERVE_REQUEST_MS: &str = "serve.request_ms";
 /// close (keep-alive stretches the tail; one observation per socket).
 pub const SERVE_CONN_LIFETIME_MS: &str = "serve.conn_lifetime_ms";
 
-/// Bucket bounds for [`SWE_STEPS_PER_SOLVE`].
-pub const SWE_STEPS_PER_SOLVE_BOUNDS: [f64; 6] = [250.0, 500.0, 1000.0, 2000.0, 4000.0, 8000.0];
 /// Bucket bounds for [`PROFILE_PATTERNS_PER_PLAN`].
 pub const PROFILE_PATTERNS_PER_PLAN_BOUNDS: [f64; 6] = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0];
 /// Bucket bounds for [`STORE_RECORD_BYTES`].
@@ -222,8 +211,9 @@ pub const SERVE_CONN_LIFETIME_MS_BOUNDS: [f64; 7] =
 
 /// Registers the full canonical metric set on `registry` so
 /// snapshots list every standard counter even when a run never
-/// exercises its code path (e.g. `ct figures` never steps the SWE
-/// solver, but its `--metrics` output still reports `swe.steps,0`).
+/// exercises its code path (e.g. `ct figures` never model-checks a
+/// Table I cell, but its `--metrics` output still reports
+/// `check.states_checked,0`).
 pub fn register_defaults(registry: &crate::Registry) {
     for name in [
         HAZARD_REALIZATIONS_EVALUATED,
@@ -235,10 +225,7 @@ pub fn register_defaults(registry: &crate::Registry) {
         HYDRO_POI_EVALUATIONS,
         HYDRO_PEAK_SCAN_EVALUATED,
         HYDRO_PEAK_SCAN_SKIPPED,
-        SWE_SOLVES,
-        SWE_STEPS,
         ATTACKER_ATTACKS,
-        ATTACKER_CANDIDATES_EXAMINED,
         SIMNET_EVENTS_DISPATCHED,
         SIMNET_MESSAGES_DROPPED,
         SIMNET_TIMERS_SUPPRESSED,
@@ -303,7 +290,6 @@ pub fn register_defaults(registry: &crate::Registry) {
         registry.counter(name);
     }
     registry.gauge(BUILD_THREADS);
-    registry.histogram(SWE_STEPS_PER_SOLVE, &SWE_STEPS_PER_SOLVE_BOUNDS);
     registry.histogram(PROFILE_PATTERNS_PER_PLAN, &PROFILE_PATTERNS_PER_PLAN_BOUNDS);
     registry.histogram(STORE_RECORD_BYTES, &STORE_RECORD_BYTES_BOUNDS);
     registry.histogram(STORE_RETRY_WAIT_MS, &STORE_RETRY_WAIT_MS_BOUNDS);
@@ -321,7 +307,7 @@ mod tests {
         let reg = crate::Registry::new();
         register_defaults(&reg);
         let snap = reg.snapshot();
-        assert_eq!(snap.counters.len(), 73);
+        assert_eq!(snap.counters.len(), 70);
         assert_eq!(snap.counter(GEO_DEM_SYNTHESIZED), Some(0));
         assert_eq!(snap.counter(HYDRO_ENSEMBLES_SAMPLED), Some(0));
         assert_eq!(snap.counter(HYDRO_PEAK_SCAN_EVALUATED), Some(0));
@@ -336,13 +322,12 @@ mod tests {
         assert_eq!(snap.counter(STORE_LRU_EVICTIONS), Some(0));
         assert_eq!(snap.counter(FAULTS_FIRED), Some(0));
         assert_eq!(snap.counter(STORE_DEGRADED), Some(0));
-        assert_eq!(snap.counter(SWE_STEPS), Some(0));
         assert_eq!(snap.counter(HAZARD_REALIZATIONS_EVALUATED), Some(0));
         assert_eq!(snap.counter(STORE_HITS), Some(0));
         assert_eq!(snap.counter(STORE_READ_CALLS), Some(0));
         assert_eq!(snap.counter(STORE_SEGMENT_APPENDS), Some(0));
         assert_eq!(snap.counter(STORE_SEGMENT_COMPACTIONS), Some(0));
         assert_eq!(snap.gauge(BUILD_THREADS), Some(0.0));
-        assert_eq!(snap.histograms.len(), 7);
+        assert_eq!(snap.histograms.len(), 6);
     }
 }

@@ -1,7 +1,7 @@
 //! Content-addressed on-disk artifact store for ensemble outputs.
 //!
 //! The expensive artifacts of a case-study run — per-realization
-//! inundation outcomes, shallow-water surge envelopes, flood-pattern
+//! inundation outcomes, terrain rasters, flood-pattern
 //! histograms — are pure functions of their inputs. This crate gives
 //! them a durable home keyed by a *stable* content hash of those
 //! inputs, so re-running a sweep recomputes only what is missing:

@@ -6,10 +6,9 @@
 //! * [`PostDisasterState`] / [`SystemState`] — the system after the
 //!   natural disaster and after the cyberattack;
 //! * [`WorstCaseAttacker`] — the paper's three-rule greedy attacker
-//!   (Sec. V-B), with an [`ExhaustiveAttacker`] baseline that searches
-//!   every attack combination (the "computationally inefficient"
-//!   alternative the paper mentions); property tests assert they
-//!   agree;
+//!   (Sec. V-B); `tests/attacker_equivalence.rs` checks it against an
+//!   exhaustive search of every attack combination (the
+//!   "computationally inefficient" alternative the paper mentions);
 //! * [`classify()`](fn@classify) — Table I: maps a post-attack [`SystemState`] to an
 //!   [`OperationalState`] (green / orange / red / gray).
 //!
@@ -32,7 +31,7 @@ pub mod scenario;
 pub mod state;
 
 pub use apply::{post_disaster_histogram, post_disaster_states};
-pub use attacker::{Attacker, ExhaustiveAttacker, WorstCaseAttacker};
+pub use attacker::{Attacker, WorstCaseAttacker};
 pub use classify::{classify, OperationalState};
 pub use scenario::{AttackBudget, ParseScenarioError, ThreatScenario};
 pub use state::{PostDisasterState, SiteState, SiteStatus, SystemState};

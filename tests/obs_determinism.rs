@@ -130,7 +130,7 @@ fn counters_and_span_tree_are_thread_count_invariant() {
     );
     assert_eq!(count(ct_obs::names::FIGURES_REPRODUCED), 2);
     assert!(count(ct_obs::names::PROFILE_PLANS_EVALUATED) > 0);
-    assert!(count(ct_obs::names::ATTACKER_CANDIDATES_EXAMINED) > 0);
+    assert!(count(ct_obs::names::ATTACKER_ATTACKS) > 0);
     assert!(baseline
         .2
         .iter()
@@ -164,22 +164,22 @@ fn snapshot_csv_matches_golden_format() {
     // labels) must show up as a diff here, not in downstream parsers.
     let reg = ct_obs::Registry::new();
     reg.counter("hydro.realizations_evaluated").add(60);
-    reg.counter("swe.steps").add(12_000);
+    reg.counter("store.hits").add(12_000);
     reg.gauge("build.threads").set(4.0);
-    let h = reg.histogram("swe.steps_per_solve", &[250.0, 500.0]);
+    let h = reg.histogram("store.record_bytes", &[250.0, 500.0]);
     h.observe(200.0);
     h.observe(300.0);
     h.observe(900.0);
     let golden = "\
 kind,name,field,value
 counter,hydro.realizations_evaluated,value,60
-counter,swe.steps,value,12000
+counter,store.hits,value,12000
 gauge,build.threads,value,4
-hist,swe.steps_per_solve,le_250,1
-hist,swe.steps_per_solve,le_500,1
-hist,swe.steps_per_solve,le_inf,1
-hist,swe.steps_per_solve,count,3
-hist,swe.steps_per_solve,sum,1400
+hist,store.record_bytes,le_250,1
+hist,store.record_bytes,le_500,1
+hist,store.record_bytes,le_inf,1
+hist,store.record_bytes,count,3
+hist,store.record_bytes,sum,1400
 ";
     assert_eq!(reg.snapshot().to_csv(), golden);
 }
