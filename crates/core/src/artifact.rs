@@ -1,11 +1,12 @@
 //! Content addresses and binary codecs for cached pipeline artifacts.
 //!
 //! The artifact store ([`ct_store`]) holds per-realization inundation
-//! outcomes, per-plan flood-pattern histograms and the synthesized
-//! DEM. Everything here is
+//! outcomes, per-plan flood-pattern histograms and the sites record:
+//! the POIs and coastal stations the pipeline measures on the
+//! synthesized DEM. Everything here is
 //! about *addressing* those records correctly: a record's key is a
 //! stable hash of every input that can change its value — the full
-//! case-study configuration, the synthesized DEM, the storm-ensemble
+//! case-study configuration, the terrain spec, the storm-ensemble
 //! parameters, the tracked POI set, and the kernel versions of the
 //! numerics — so a stale artifact can never be mistaken for a current
 //! one. Anything that does *not* change a record's value (worker
@@ -19,10 +20,11 @@
 //! mismatch so callers degrade to recompute-and-rewrite.
 
 use crate::pipeline::CaseStudyConfig;
-use ct_geo::{Dem, EnuKm, Grid, LatLon, Projection, RegionTerrainSpec};
+use ct_geo::terrain::oahu_region_spec;
+use ct_geo::{Dem, LatLon, RegionTerrainSpec};
 use ct_hazard::HazardModel;
-use ct_hydro::{Poi, Realization};
-use ct_scada::SitePlan;
+use ct_hydro::{Poi, Realization, Station, StationId, Stations};
+use ct_scada::{SitePlan, Topology};
 use ct_store::{Digest, StableHasher};
 use ct_threat::PostDisasterState;
 
@@ -41,10 +43,15 @@ use ct_threat::PostDisasterState;
 /// index 0. v2 stores therefore read as cold misses. The pipeline now
 /// runs Oahu only, and v3 keys still hash that name and index, so
 /// every v3 record stays addressable without a version bump.
-pub const PIPELINE_KERNEL_VERSION: u32 = 3;
+///
+/// v4: the base key hashes the terrain spec's [`dem_key`] where it
+/// hashed every DEM cell, and the surge hazard's parameter digest
+/// covers its stations. Builds read the [`sites_key`] record instead
+/// of a DEM record. v3 stores read as cold misses.
+pub const PIPELINE_KERNEL_VERSION: u32 = 4;
 
 /// The run-level base address: a stable hash of the case-study
-/// configuration, the DEM it synthesized, the storm-ensemble
+/// configuration, the terrain spec's [`dem_key`], the storm-ensemble
 /// parameters, the tracked POI set, the hazard engine (id + its full
 /// parameter digest), and the kernel versions.
 ///
@@ -52,15 +59,13 @@ pub const PIPELINE_KERNEL_VERSION: u32 = 3;
 /// `flood_threshold_m` (applied after evaluation), and
 /// `ensemble.realizations` (realization `i` is a function of the seed
 /// and `i` alone, so runs of different sizes share records). The surge
-/// calibration is *not* hashed here: it is an input of the surge
-/// hazard, so it enters through [`HazardModel::digest_params`] exactly
-/// when the selected hazard actually uses it.
-pub fn ensemble_base_key(
-    config: &CaseStudyConfig,
-    dem: &Dem,
-    pois: &[Poi],
-    hazard: &dyn HazardModel,
-) -> Digest {
+/// calibration and stations are *not* hashed here: they are inputs of
+/// the surge hazard, so they enter through
+/// [`HazardModel::digest_params`] exactly when the selected hazard
+/// actually uses them. What the DEM feeds a run is covered twice: by
+/// the spec it is synthesized from and by the POIs and hazard digest
+/// measured on it.
+pub fn base_key(config: &CaseStudyConfig, pois: &[Poi], hazard: &dyn HazardModel) -> Digest {
     let mut h = StableHasher::new();
     h.write_str("compound-threats/ensemble");
     h.write_u32(PIPELINE_KERNEL_VERSION);
@@ -77,7 +82,7 @@ pub fn ensemble_base_key(
     h.write_f64(t.cell_km);
     h.write_f64(t.noise_amp_m);
 
-    hash_dem(&mut h, dem);
+    h.update(&dem_key(&oahu_region_spec(t)).0);
 
     let e = &config.ensemble;
     h.write_u64(e.seed);
@@ -108,6 +113,17 @@ pub fn ensemble_base_key(
     h.finish()
 }
 
+/// [`base_key`]; the DEM is no longer hashed.
+#[deprecated(note = "use `artifact::base_key`, which needs no DEM")]
+pub fn ensemble_base_key(
+    config: &CaseStudyConfig,
+    _dem: &Dem,
+    pois: &[Poi],
+    hazard: &dyn HazardModel,
+) -> Digest {
+    base_key(config, pois, hazard)
+}
+
 /// The digest of a DEM alone, under the exact recipe the base key
 /// uses. The Oahu preset's digest is pinned in tests and CI so any
 /// drift in the named terrain (which would silently re-key every
@@ -131,11 +147,12 @@ fn hash_dem(h: &mut StableHasher, dem: &Dem) {
     h.write_f64(origin.lon);
 }
 
-/// The address of the synthesized DEM: a stable hash of
-/// [`ct_geo::TERRAIN_KERNEL_VERSION`] and every field of the terrain
-/// spec. Hazard, ensemble, realization count and threads are left out
-/// because the DEM depends on none of them, so every hazard run shares
-/// one record.
+/// The terrain spec's digest: a stable hash of
+/// [`ct_geo::TERRAIN_KERNEL_VERSION`] and every field of the spec,
+/// which together fix the synthesized DEM cell for cell. Hazard,
+/// ensemble, realization count and threads are left out because the
+/// DEM depends on none of them. It stands for the DEM in every
+/// [`base_key`] and under the [`sites_key`].
 pub fn dem_key(spec: &RegionTerrainSpec) -> Digest {
     // Destructured so a new spec field cannot be left out of the key.
     let RegionTerrainSpec {
@@ -225,6 +242,20 @@ fn hash_ring(h: &mut StableHasher, ring: &[LatLon]) {
     for &p in ring {
         hash_latlon(h, p);
     }
+}
+
+/// The address of the sites record ([`encode_sites`]): the terrain
+/// spec's [`dem_key`] plus the pipeline and hydro kernel versions,
+/// since the record holds what the pipeline (the POIs) and the hydro
+/// kernel (the stations' shelf factors) measure on the DEM. Every
+/// hazard run over the same terrain shares one record.
+pub fn sites_key(spec: &RegionTerrainSpec) -> Digest {
+    let mut h = StableHasher::new();
+    h.write_str("compound-threats/sites");
+    h.write_u32(PIPELINE_KERNEL_VERSION);
+    h.write_u32(ct_hydro::HYDRO_KERNEL_VERSION);
+    h.update(&dem_key(spec).0);
+    h.finish()
 }
 
 /// The address of one realization's inundation record.
@@ -356,59 +387,93 @@ pub fn decode_histogram(
     Some(out)
 }
 
-/// Encodes a DEM record payload:
-/// `cols u64 | rows u64 | grid origin east f64 | north f64 | cell_km
-/// f64 | projection origin lat f64 | lon f64 | elevation f64×(cols·rows)`
-/// (little-endian, `f64` by bit pattern, cells row-major). The
-/// coastline is not stored: [`decode_dem`] re-derives it.
-pub fn encode_dem(dem: &Dem) -> Vec<u8> {
-    let grid = dem.elevation_grid();
-    let origin = dem.projection().origin();
-    let mut out = Vec::with_capacity(56 + 8 * grid.as_slice().len());
-    out.extend_from_slice(&(grid.cols() as u64).to_le_bytes());
-    out.extend_from_slice(&(grid.rows() as u64).to_le_bytes());
-    for v in [
-        grid.origin().east,
-        grid.origin().north,
-        grid.cell_km(),
-        origin.lat,
-        origin.lon,
-    ] {
-        out.extend_from_slice(&v.to_bits().to_le_bytes());
+/// Encodes the sites record payload: the case-study POIs and the
+/// surge stations, the only inputs a build measures on the DEM.
+/// `n u64 | (id_len u64 | id bytes | lat f64 | lon f64 | elevation
+/// f64 | shore_km f64 | override u8)×n | m u64 | (id u8 | lat f64 |
+/// lon f64 | onshore_bearing f64 | shelf_factor f64)×m | harbor
+/// amplification f64` (little-endian, `f64` by bit pattern). A
+/// station is stored as its position in [`StationId::ALL`]; an
+/// override as that position plus one, 0 meaning none.
+pub fn encode_sites(pois: &[Poi], stations: &Stations) -> Vec<u8> {
+    let mut out = (pois.len() as u64).to_le_bytes().to_vec();
+    for p in pois {
+        out.extend_from_slice(&(p.id.len() as u64).to_le_bytes());
+        out.extend_from_slice(p.id.as_bytes());
+        let pos = p.pos;
+        for v in [pos.lat, pos.lon, p.ground_elevation_m, p.shore_distance_km] {
+            out.extend_from_slice(&v.to_bits().to_le_bytes());
+        }
+        out.push(p.station_override.map_or(0, |id| station_code(id) + 1));
     }
-    for &e in grid.as_slice() {
-        out.extend_from_slice(&e.to_bits().to_le_bytes());
+    out.extend_from_slice(&(stations.iter().count() as u64).to_le_bytes());
+    for st in stations.iter() {
+        out.push(station_code(st.id));
+        let (pos, bearing) = (st.pos, st.onshore_bearing_deg);
+        for v in [pos.lat, pos.lon, bearing, st.shelf_factor] {
+            out.extend_from_slice(&v.to_bits().to_le_bytes());
+        }
     }
+    out.extend_from_slice(&stations.harbor_amplification.to_bits().to_le_bytes());
     out
 }
 
-/// Decodes a DEM record through [`Dem::new`], so the coastline is
-/// derived exactly as at synthesis. Returns `None` unless the payload
-/// holds exactly one elevation per cell of a valid grid.
-pub fn decode_dem(bytes: &[u8]) -> Option<Dem> {
+/// Decodes the sites record. Returns `None` unless it holds one POI
+/// per asset of `topology`, in order, each with that asset's id and
+/// position (so a record measured for another topology never reaches
+/// the analysis), and every station exactly once.
+pub fn decode_sites(bytes: &[u8], topology: &Topology) -> Option<(Vec<Poi>, Stations)> {
     let mut r = Reader::new(bytes);
-    let cols = usize::try_from(r.u64()?).ok()?;
-    let rows = usize::try_from(r.u64()?).ok()?;
-    let origin = EnuKm::new(r.f64()?, r.f64()?);
-    let cell_km = r.f64()?;
-    let projection = Projection::new(LatLon {
-        lat: r.f64()?,
-        lon: r.f64()?,
-    });
-    let cells = r.take(cols.checked_mul(rows)?.checked_mul(8)?)?;
+    let assets = topology.assets();
+    if usize::try_from(r.u64()?).ok()? != assets.len() {
+        return None;
+    }
+    let mut pois = Vec::with_capacity(assets.len());
+    for asset in assets {
+        let id_len = usize::try_from(r.u64()?).ok()?;
+        let same_site = r.take(id_len)? == asset.id.as_bytes() && r.latlon()? == asset.pos;
+        if !same_site {
+            return None;
+        }
+        pois.push(Poi {
+            id: asset.id.clone(),
+            pos: asset.pos,
+            ground_elevation_m: r.f64()?,
+            shore_distance_km: r.f64()?,
+            station_override: match r.u8()? {
+                0 => None,
+                code => Some(station_id(code - 1)?),
+            },
+        });
+    }
+    if r.u64()? != StationId::ALL.len() as u64 {
+        return None;
+    }
+    let mut stations = Vec::with_capacity(StationId::ALL.len());
+    for _ in StationId::ALL {
+        stations.push(Station {
+            id: station_id(r.u8()?)?,
+            pos: r.latlon()?,
+            onshore_bearing_deg: r.f64()?,
+            shelf_factor: r.f64()?,
+        });
+    }
+    let harbor_amplification = r.f64()?;
     r.finish()?;
-    // `from_fn` visits cells row-major, the order they were written,
-    // and asks for exactly one elevation per chunk.
-    let mut elevations = cells.chunks_exact(8).map(|chunk| {
-        let mut le = [0; 8];
-        le.copy_from_slice(chunk);
-        f64::from_le_bytes(le)
-    });
-    let grid = Grid::from_fn(cols, rows, origin, cell_km, |_| {
-        elevations.next().unwrap_or(f64::NAN)
-    })
-    .ok()?;
-    Some(Dem::new(grid, projection))
+    Some((pois, Stations::from_parts(stations, harbor_amplification)?))
+}
+
+/// A station's position in [`StationId::ALL`], its code in the sites
+/// record.
+fn station_code(id: StationId) -> u8 {
+    StationId::ALL
+        .iter()
+        .position(|&s| s == id)
+        .expect("every id is in ALL") as u8
+}
+
+fn station_id(code: u8) -> Option<StationId> {
+    StationId::ALL.get(usize::from(code)).copied()
 }
 
 /// A bounds-checked little-endian cursor; every read is `Option` so
@@ -442,6 +507,15 @@ impl<'a> Reader<'a> {
         Some(f64::from_bits(self.u64()?))
     }
 
+    /// Latitude then longitude. Not [`LatLon::new`], whose range
+    /// checks would panic on a malformed payload in debug builds.
+    fn latlon(&mut self) -> Option<LatLon> {
+        Some(LatLon {
+            lat: self.f64()?,
+            lon: self.f64()?,
+        })
+    }
+
     /// Succeeds only when the payload was consumed exactly.
     fn finish(&self) -> Option<()> {
         (self.pos == self.bytes.len()).then_some(())
@@ -455,45 +529,65 @@ mod tests {
     use ct_hazard::HazardSpec;
     use ct_scada::{oahu, Architecture};
 
-    fn study_inputs() -> (CaseStudyConfig, Dem, Vec<Poi>) {
+    /// The default study's configuration, DEM, POIs and stations.
+    fn study_inputs() -> (CaseStudyConfig, Dem, Vec<Poi>, Stations) {
         let config = CaseStudyConfig::default();
         let dem = synthesize_oahu(&config.terrain);
         let pois = oahu::case_study_pois(&dem).unwrap();
-        (config, dem, pois)
+        let stations = Stations::from_dem(&dem);
+        (config, dem, pois, stations)
     }
 
-    fn base_key(config: &CaseStudyConfig, dem: &Dem, pois: &[Poi]) -> Digest {
-        let hazard = config.hazard.build_model(dem, config.calibration);
-        ensemble_base_key(config, dem, pois, hazard.as_ref())
+    /// The base key of `config` over `pois` and `stations`.
+    fn key(config: &CaseStudyConfig, pois: &[Poi], stations: &Stations) -> Digest {
+        let hazard = config.hazard.build(stations, config.calibration);
+        base_key(config, pois, hazard.as_ref())
     }
 
     #[test]
     fn base_key_is_deterministic_and_input_sensitive() {
-        let (config, dem, pois) = study_inputs();
-        let a = base_key(&config, &dem, &pois);
-        let b = base_key(&config, &dem, &pois);
-        assert_eq!(a, b);
+        let (config, _, pois, stations) = study_inputs();
+        let key_of = |c: &CaseStudyConfig| key(c, &pois, &stations);
+        let a = key_of(&config);
+        assert_eq!(key_of(&config), a);
 
         let mut seeded = config.clone();
         seeded.ensemble.seed += 1;
-        assert_ne!(base_key(&seeded, &dem, &pois), a);
+        assert_ne!(key_of(&seeded), a);
 
         // Surge calibration enters via the surge hazard's param digest.
         let mut calibrated = config.clone();
         calibrated.calibration.ib_m_per_hpa *= 2.0;
-        assert_ne!(base_key(&calibrated, &dem, &pois), a);
+        assert_ne!(key_of(&calibrated), a);
+
+        // The terrain enters through its spec's digest.
+        let mut reseeded = config.clone();
+        reseeded.terrain.seed += 1;
+        assert_ne!(key_of(&reseeded), a);
+    }
+
+    /// The deprecated shim ignores its DEM and gives the live key.
+    #[test]
+    #[allow(deprecated)]
+    fn the_dem_taking_shim_forwards_to_the_base_key() {
+        let (config, dem, pois, stations) = study_inputs();
+        let hazard = config.hazard.build_model(&dem, config.calibration);
+        assert_eq!(
+            ensemble_base_key(&config, &dem, &pois, hazard.as_ref()),
+            key(&config, &pois, &stations)
+        );
     }
 
     #[test]
     fn base_key_ignores_size_threads_and_threshold() {
-        let (config, dem, pois) = study_inputs();
-        let a = base_key(&config, &dem, &pois);
+        let (config, _, pois, stations) = study_inputs();
+        let a = key(&config, &pois, &stations);
         let mut other = config.clone();
         other.ensemble.realizations = 7;
         other.threads = 3;
         other.flood_threshold_m = Some(1.25);
         assert_eq!(
-            base_key(&other, &dem, &pois),
+            key(&other, &pois, &stations),
             a,
             "size/threads/threshold must not invalidate records"
         );
@@ -501,12 +595,13 @@ mod tests {
 
     #[test]
     fn base_key_separates_hazards() {
-        let (config, dem, pois) = study_inputs();
+        let (config, _, pois, stations) = study_inputs();
+        let key_of = |c: &CaseStudyConfig| key(c, &pois, &stations);
         let mut keys = Vec::new();
         for hazard in HazardSpec::ALL {
             let mut c = config.clone();
             c.hazard = hazard;
-            keys.push(base_key(&c, &dem, &pois));
+            keys.push(key_of(&c));
         }
         for i in 0..keys.len() {
             for j in (i + 1)..keys.len() {
@@ -523,83 +618,32 @@ mod tests {
         // not churn their keys.
         let mut wind = config.clone();
         wind.hazard = HazardSpec::Wind;
-        let wind_key = base_key(&wind, &dem, &pois);
+        let wind_key = key_of(&wind);
         let mut recalibrated = wind.clone();
         recalibrated.calibration.ib_m_per_hpa *= 2.0;
-        assert_eq!(base_key(&recalibrated, &dem, &pois), wind_key);
+        assert_eq!(key_of(&recalibrated), wind_key);
     }
 
-    /// Regression for the PR-3 → PR-4 store migration: the pre-hazard
-    /// key recipe (kernel v1, calibration hashed inline, no hazard
-    /// id/digest) reconstructed verbatim must not collide with any v2
-    /// key, so records written by older binaries read as cold misses —
-    /// never as aliased surge hits.
-    #[test]
-    fn pre_hazard_store_keys_are_invisible_not_aliased() {
-        let (config, dem, pois) = study_inputs();
-        let mut h = StableHasher::new();
-        h.write_str("compound-threats/ensemble");
-        h.write_u32(1); // PIPELINE_KERNEL_VERSION before the hazard engine
-        h.write_u32(1); // HYDRO_KERNEL_VERSION before the in-tree generator
-        let t = &config.terrain;
-        h.write_u64(t.seed);
-        h.write_f64(t.cell_km);
-        h.write_f64(t.noise_amp_m);
-        hash_dem(&mut h, &dem);
-        let e = &config.ensemble;
-        h.write_u64(e.seed);
-        h.write_str(&format!("{:?}", e.category));
-        h.write_f64(e.ambient_pressure_hpa);
-        h.write_f64(e.base_passing_lon);
-        h.write_f64(e.cross_track_mean_km);
-        h.write_f64(e.cross_track_sd_km);
-        h.write_f64(e.heading_mean_deg);
-        h.write_f64(e.heading_sd_deg);
-        let c = &config.calibration;
-        h.write_f64(c.setup_coefficient);
-        h.write_f64(c.ib_m_per_hpa);
-        h.write_f64(c.ib_decay_km);
-        h.write_f64(c.wave_setup_fraction);
-        h.write_f64(c.attenuation_m_per_km);
-        h.write_f64(c.scan_step_hours);
-        h.write_usize(pois.len());
-        for poi in &pois {
-            h.write_str(&poi.id);
-            h.write_f64(poi.pos.lat);
-            h.write_f64(poi.pos.lon);
-            h.write_f64(poi.ground_elevation_m);
-            h.write_f64(poi.shore_distance_km);
-            match poi.station_override {
-                None => h.write_str("nearest"),
-                Some(id) => h.write_str(&format!("{id:?}")),
-            }
-        }
-        let pre_hazard = h.finish();
-        for hazard in HazardSpec::ALL {
-            let mut c = config.clone();
-            c.hazard = hazard;
-            assert_ne!(
-                base_key(&c, &dem, &pois),
-                pre_hazard,
-                "a PR-3-era store must read as a miss under {hazard}"
-            );
-        }
-    }
-
-    /// Regression for two store migrations, each reconstructed
-    /// verbatim and shown not to collide with any current key:
+    /// Regression for four store migrations, each reconstructed and
+    /// shown not to collide with any current key:
+    /// - pipeline v2: the pre-hazard v1 recipe (calibration hashed
+    ///   inline, no hazard version, id or digest), so records written
+    ///   before the hazard engine never read as aliased surge hits;
     /// - pipeline v3: the v2 recipe (no region name/index, no anchor
     ///   latitude), so older records read as cold misses, never as
     ///   aliased hits;
-    /// - the in-tree generator: today's recipe under
+    /// - the in-tree generator: the v3 recipe under
     ///   `HYDRO_KERNEL_VERSION = 1`, whose storms came from whichever
     ///   `rand` was linked, so those records never alias storms of the
-    ///   `ct-rand` stream.
+    ///   `ct-rand` stream;
+    /// - pipeline v4: the v3 recipe, which hashed every DEM cell.
     ///
     /// The same recipe at today's versions must equal the live key,
-    /// which shows the reconstruction is verbatim.
+    /// which shows the reconstruction is verbatim. (The hazard digest
+    /// is today's in v2 and v3; before v4 the surge digest left the
+    /// stations out, which only separates the keys further.)
     #[test]
-    fn pre_region_store_keys_are_invisible_not_aliased() {
+    fn older_store_keys_are_invisible_not_aliased() {
         fn recipe(
             c: &CaseStudyConfig,
             dem: &Dem,
@@ -611,7 +655,9 @@ mod tests {
             h.write_str("compound-threats/ensemble");
             h.write_u32(pipeline);
             h.write_u32(hydro);
-            h.write_u32(ct_hazard::HAZARD_KERNEL_VERSION);
+            if pipeline >= 2 {
+                h.write_u32(ct_hazard::HAZARD_KERNEL_VERSION);
+            }
             if pipeline >= 3 {
                 h.write_str("oahu");
                 h.write_usize(0);
@@ -620,7 +666,11 @@ mod tests {
             h.write_u64(t.seed);
             h.write_f64(t.cell_km);
             h.write_f64(t.noise_amp_m);
-            hash_dem(&mut h, dem);
+            if pipeline >= 4 {
+                h.update(&dem_key(&oahu_region_spec(t)).0);
+            } else {
+                hash_dem(&mut h, dem);
+            }
             let e = &c.ensemble;
             h.write_u64(e.seed);
             h.write_str(&format!("{:?}", e.category));
@@ -633,8 +683,18 @@ mod tests {
             h.write_f64(e.cross_track_sd_km);
             h.write_f64(e.heading_mean_deg);
             h.write_f64(e.heading_sd_deg);
-            h.write_str(&hazard.hazard_id());
-            hazard.digest_params(&mut h);
+            if pipeline >= 2 {
+                h.write_str(&hazard.hazard_id());
+                hazard.digest_params(&mut h);
+            } else {
+                let cal = &c.calibration;
+                h.write_f64(cal.setup_coefficient);
+                h.write_f64(cal.ib_m_per_hpa);
+                h.write_f64(cal.ib_decay_km);
+                h.write_f64(cal.wave_setup_fraction);
+                h.write_f64(cal.attenuation_m_per_km);
+                h.write_f64(cal.scan_step_hours);
+            }
             h.write_usize(pois.len());
             for poi in pois {
                 h.write_str(&poi.id);
@@ -650,15 +710,20 @@ mod tests {
             h.finish()
         }
 
-        let (config, dem, pois) = study_inputs();
+        let (config, dem, pois, stations) = study_inputs();
         for hazard_spec in HazardSpec::ALL {
             let mut c = config.clone();
             c.hazard = hazard_spec;
-            let hazard = c.hazard.build_model(&dem, c.calibration);
-            let live = base_key(&c, &dem, &pois);
+            let hazard = c.hazard.build(&stations, c.calibration);
+            let live = key(&c, &pois, &stations);
             let current = (PIPELINE_KERNEL_VERSION, ct_hydro::HYDRO_KERNEL_VERSION);
             assert_eq!(recipe(&c, &dem, &pois, hazard.as_ref(), current), live);
-            for (era, versions) in [("single-region", (2, 1)), ("linked-rand", (3, 1))] {
+            for (era, versions) in [
+                ("pre-hazard", (1, 1)),
+                ("single-region", (2, 1)),
+                ("linked-rand", (3, 1)),
+                ("dem-hashed", (3, 2)),
+            ] {
                 assert_ne!(
                     recipe(&c, &dem, &pois, hazard.as_ref(), versions),
                     live,
@@ -675,10 +740,11 @@ mod tests {
     /// The terrain kernel version is pinned beside it: the two change
     /// together. A synthesis change that moves the digest must also
     /// bump `TERRAIN_KERNEL_VERSION`, or stores would keep serving the
-    /// old DEM record under the unchanged spec key.
+    /// old sites record and realizations under the unchanged spec
+    /// key.
     #[test]
     fn oahu_dem_digest_is_pinned() {
-        let (_, dem, _) = study_inputs();
+        let (_, dem, _, _) = study_inputs();
         assert_eq!(
             dem_digest(&dem).to_hex(),
             "bdb63530bd71b6d1aa8bdc3951c7b858",
@@ -691,8 +757,8 @@ mod tests {
 
     #[test]
     fn realization_keys_are_distinct_per_index() {
-        let (config, dem, pois) = study_inputs();
-        let base = base_key(&config, &dem, &pois);
+        let (config, _, pois, stations) = study_inputs();
+        let base = key(&config, &pois, &stations);
         assert_ne!(realization_key(&base, 0), realization_key(&base, 1));
     }
 
@@ -757,50 +823,62 @@ mod tests {
         assert!(decode_histogram(b"junk", arch).is_none());
     }
 
-    /// The DEM record round-trips bit for bit for the Oahu preset:
-    /// every elevation, the re-derived coastline, and therefore the
-    /// DEM digest every realization key hashes.
+    /// The sites record round-trips bit for bit for the Oahu preset:
+    /// every POI and station, in order.
     #[test]
-    fn dem_codec_round_trips_bit_exactly() {
-        let fresh = synthesize_oahu(&Default::default());
-        let decoded = decode_dem(&encode_dem(&fresh)).expect("valid payload");
-        let bits = |d: &Dem| -> Vec<u64> {
-            d.elevation_grid()
-                .as_slice()
-                .iter()
-                .map(|e| e.to_bits())
-                .collect()
-        };
-        assert_eq!(bits(&decoded), bits(&fresh));
-        assert_eq!(decoded.coastline_cells(), fresh.coastline_cells());
-        assert_eq!(decoded, fresh);
-        assert_eq!(dem_digest(&decoded), dem_digest(&fresh));
+    fn sites_codec_round_trips_bit_exactly() {
+        let (_, _, pois, stations) = study_inputs();
+        let bytes = encode_sites(&pois, &stations);
+        assert!(bytes.len() < 2048, "{} bytes", bytes.len());
+        let decoded = decode_sites(&bytes, &oahu::topology()).expect("valid payload");
+        assert_eq!(decoded, (pois, stations));
+        assert_eq!(encode_sites(&decoded.0, &decoded.1), bytes);
     }
 
     #[test]
-    fn dem_codec_rejects_malformed_payloads() {
-        let bytes = encode_dem(&synthesize_oahu(&Default::default()));
-        assert!(
-            decode_dem(&bytes[..bytes.len() - 8]).is_none(),
-            "one cell short"
-        );
+    fn sites_codec_rejects_malformed_payloads() {
+        let (_, _, pois, stations) = study_inputs();
+        let topology = oahu::topology();
+        let bytes = encode_sites(&pois, &stations);
+        let decode = |b: &[u8]| decode_sites(b, &topology);
+        assert!(decode(&bytes[..bytes.len() - 1]).is_none(), "truncated");
         let mut long = bytes.clone();
-        long.extend_from_slice(&0f64.to_bits().to_le_bytes());
-        assert!(decode_dem(&long).is_none(), "one cell too many");
-        let mut empty_grid = bytes.clone();
-        empty_grid[..8].copy_from_slice(&0u64.to_le_bytes());
-        assert!(decode_dem(&empty_grid[..56]).is_none(), "zero columns");
-        assert!(decode_dem(&[]).is_none());
+        long.push(0);
+        assert!(decode(&long).is_none(), "trailing junk");
+        assert!(decode(&[]).is_none());
+        assert!(
+            decode(&encode_sites(&pois[1..], &stations)).is_none(),
+            "one POI short"
+        );
+        let mut renamed = pois.clone();
+        renamed[0].id.push('x');
+        assert!(
+            decode(&encode_sites(&renamed, &stations)).is_none(),
+            "a POI of another topology"
+        );
+        // One station short: drop the last station entry (id byte and
+        // four f64s, ahead of the harbor amplification) and its count.
+        let station_bytes = 1 + 4 * 8;
+        let mut short = bytes.clone();
+        let end = short.len() - 8;
+        short.drain(end - station_bytes..end);
+        let count_at = end - 6 * station_bytes - 8;
+        short[count_at..count_at + 8].copy_from_slice(&5u64.to_le_bytes());
+        assert!(decode(&short).is_none(), "one station short");
     }
 
+    /// The spec's digest, and the sites record's key built on it.
     #[test]
     fn dem_keys_follow_the_terrain_spec_only() {
         let oahu = ct_geo::terrain::oahu_region_spec(&Default::default());
         let key = dem_key(&oahu);
         assert_eq!(dem_key(&oahu.clone()), key);
+        assert_eq!(sites_key(&oahu.clone()), sites_key(&oahu));
+        assert_ne!(sites_key(&oahu), key, "the record has its own address");
         let mut reseeded = oahu.clone();
         reseeded.seed += 1;
         assert_ne!(dem_key(&reseeded), key);
+        assert_ne!(sites_key(&reseeded), sites_key(&oahu));
         let mut finer = oahu.clone();
         finer.cell_km = 0.25;
         assert_ne!(dem_key(&finer), key);
@@ -811,8 +889,8 @@ mod tests {
 
     #[test]
     fn histogram_keys_separate_threshold_size_and_plan() {
-        let (config, dem, pois) = study_inputs();
-        let base = base_key(&config, &dem, &pois);
+        let (config, _, pois, stations) = study_inputs();
+        let base = key(&config, &pois, &stations);
         let plan = oahu::site_plan(Architecture::C2_2, oahu::SiteChoice::Waiau).unwrap();
         let k = plan_histogram_key(&base, 1000, 0.5, &plan);
         assert_ne!(plan_histogram_key(&base, 999, 0.5, &plan), k);

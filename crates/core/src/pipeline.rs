@@ -1,16 +1,19 @@
 //! The analysis pipeline (Fig. 5) for the paper's Oahu case study:
-//! terrain synthesis (or its store record), the topology and its POIs,
-//! the hazard ensemble evaluated at every asset, and profiling under
-//! each threat scenario.
+//! the topology, its POIs and the surge stations measured on the
+//! synthesized terrain (or read from their store record), the hazard
+//! ensemble evaluated at every asset, and profiling under each threat
+//! scenario.
 
 use crate::artifact;
 use crate::error::CoreError;
 use crate::parallel::{default_threads, par_map_dynamic};
 use crate::profile::OutcomeProfile;
+use ct_geo::synthesize_region;
 use ct_geo::terrain::{oahu_region_spec, OahuTerrainConfig};
-use ct_geo::{synthesize_region, Dem};
 use ct_hazard::{HazardModel, HazardSpec};
-use ct_hydro::{EnsembleConfig, Poi, Realization, RealizationSet, SurgeCalibration, TrackEnsemble};
+use ct_hydro::{
+    EnsembleConfig, Poi, Realization, RealizationSet, Stations, SurgeCalibration, TrackEnsemble,
+};
 use ct_scada::{oahu, Architecture, SitePlan, Topology};
 use ct_store::{Digest, StoreBackend, StoreError};
 use ct_threat::{
@@ -237,12 +240,11 @@ struct StoreContext {
     base: Digest,
 }
 
-/// A fully-prepared case study: Oahu's terrain, topology, and hazard
-/// ensemble, ready to evaluate architectures under threat scenarios.
+/// A fully-prepared case study: Oahu's topology and hazard ensemble,
+/// ready to evaluate architectures under threat scenarios.
 #[derive(Debug)]
 pub struct CaseStudy {
     config: CaseStudyConfig,
-    dem: Dem,
     topology: Topology,
     set: RealizationSet,
     /// Memoized flood-pattern histograms per site plan. A plan's
@@ -263,7 +265,6 @@ impl Clone for CaseStudy {
         // disk entries cannot be confused across thresholds.
         Self {
             config: self.config.clone(),
-            dem: self.dem.clone(),
             topology: self.topology.clone(),
             set: self.set.clone(),
             histograms: Mutex::new(HashMap::new()),
@@ -275,7 +276,6 @@ impl Clone for CaseStudy {
 /// The prepared (pre-evaluation) inputs: everything that is cheap and
 /// deterministic, shared by full builds and shard runs.
 struct Prepared {
-    dem: Dem,
     topology: Topology,
     pois: Vec<Poi>,
     hazard: Box<dyn HazardModel>,
@@ -286,9 +286,10 @@ struct Prepared {
 }
 
 impl Prepared {
-    /// Gets the terrain (see [`oahu_dem`]), builds the topology and
-    /// its POIs, and instantiates the configured hazard engine. Opens
-    /// `terrain` and `topology` spans under the caller's current span.
+    /// Builds the topology, gets its POIs and the surge stations (see
+    /// [`oahu_sites`]), and instantiates the configured hazard engine.
+    /// Opens `topology` and `terrain` spans under the caller's current
+    /// span.
     fn new(config: &CaseStudyConfig, store: Option<&dyn StoreBackend>) -> Result<Self, CoreError> {
         let threads = if config.threads == 0 {
             default_threads()
@@ -296,17 +297,17 @@ impl Prepared {
             config.threads
         };
         ct_obs::gauge(ct_obs::names::BUILD_THREADS, threads as f64);
-        let dem = {
-            let _s = ct_obs::span("terrain");
-            oahu_dem(&config.terrain, store)?
+        let topology = {
+            let _s = ct_obs::span("topology");
+            oahu::topology()
         };
-        let _s = ct_obs::span("topology");
-        let topology = oahu::topology();
-        let pois = oahu::case_study_pois(&dem)?;
-        let hazard = config.hazard.build_model(&dem, config.calibration);
+        let (pois, stations) = {
+            let _s = ct_obs::span("terrain");
+            oahu_sites(&config.terrain, &topology, store)?
+        };
+        let hazard = config.hazard.build(&stations, config.calibration);
         let hazard_id = hazard.hazard_id();
         Ok(Self {
-            dem,
             topology,
             pois,
             hazard,
@@ -317,27 +318,32 @@ impl Prepared {
 
     /// The run's base content address.
     fn base_key(&self, config: &CaseStudyConfig) -> Digest {
-        artifact::ensemble_base_key(config, &self.dem, &self.pois, self.hazard.as_ref())
+        artifact::base_key(config, &self.pois, self.hazard.as_ref())
     }
 }
 
-/// Oahu's DEM: read from the store under its terrain-spec key
-/// ([`artifact::dem_key`]), else synthesized and written back.
-fn oahu_dem(
+/// Oahu's sites: the case-study POIs and the surge stations, all that
+/// a build measures on the DEM. Read from the store's sites record
+/// ([`artifact::sites_key`]), so a warm build synthesizes no terrain;
+/// else measured on a freshly synthesized DEM and written back.
+fn oahu_sites(
     terrain: &OahuTerrainConfig,
+    topology: &Topology,
     store: Option<&dyn StoreBackend>,
-) -> Result<Dem, CoreError> {
+) -> Result<(Vec<Poi>, Stations), CoreError> {
     let spec = oahu_region_spec(terrain);
-    let Some(store) = store else {
-        return Ok(synthesize_region(&spec)?);
-    };
-    let key = artifact::dem_key(&spec);
-    if let Some(dem) = load_record(store, &key, artifact::decode_dem) {
-        return Ok(dem);
+    let stored = store.map(|store| (store, artifact::sites_key(&spec)));
+    if let Some((store, key)) = &stored {
+        if let Some(sites) = load_record(*store, key, |b| artifact::decode_sites(b, topology)) {
+            return Ok(sites);
+        }
     }
     let dem = synthesize_region(&spec)?;
-    store_record(store, &key, &artifact::encode_dem(&dem));
-    Ok(dem)
+    let (pois, stations) = (oahu::case_study_pois(&dem)?, Stations::from_dem(&dem));
+    if let Some((store, key)) = &stored {
+        store_record(*store, key, &artifact::encode_sites(&pois, &stations));
+    }
+    Ok((pois, stations))
 }
 
 /// Reads and decodes the record at `key`; `None` means compute it. A
@@ -573,7 +579,6 @@ impl CaseStudy {
         drop(build_span);
         Ok(Self {
             config: config.clone(),
-            dem: prepared.dem,
             topology: prepared.topology,
             set,
             histograms: Mutex::new(HashMap::new()),
@@ -621,11 +626,6 @@ impl CaseStudy {
         } else {
             self.config.threads
         }
-    }
-
-    /// The synthesized terrain.
-    pub fn dem(&self) -> &Dem {
-        &self.dem
     }
 
     /// The power-asset topology.
@@ -884,7 +884,6 @@ mod tests {
         let set = RealizationSet::from_parts(pois, realizations);
         CaseStudy {
             config,
-            dem,
             topology,
             set,
             histograms: Mutex::new(HashMap::new()),

@@ -17,17 +17,8 @@ pub struct Dem {
     projection: Projection,
     /// Cell centres of land cells that touch at least one sea cell.
     coastline: Vec<EnuKm>,
-    /// Lazily-built nearest-shore index over `coastline`. Derived
-    /// state: excluded from equality.
+    /// Lazily-built nearest-shore index over `coastline`.
     shore_index: OnceLock<ShoreIndex>,
-}
-
-impl PartialEq for Dem {
-    fn eq(&self, other: &Self) -> bool {
-        self.elevation == other.elevation
-            && self.projection == other.projection
-            && self.coastline == other.coastline
-    }
 }
 
 impl Dem {

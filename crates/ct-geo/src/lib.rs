@@ -44,9 +44,10 @@ pub mod region;
 pub mod terrain;
 
 /// Version of the terrain synthesis baked into the artifact store's
-/// DEM record keys. Bump when [`synthesize_region`] can return a
-/// different DEM for an unchanged [`RegionTerrainSpec`]; stored DEMs
-/// then read as misses and are synthesized afresh.
+/// terrain-spec digest, which keys every record measured on the DEM.
+/// Bump when [`synthesize_region`] can return a different DEM for an
+/// unchanged [`RegionTerrainSpec`]; those records then read as misses
+/// and the DEM is synthesized afresh.
 pub const TERRAIN_KERNEL_VERSION: u32 = 1;
 
 pub use coords::{EnuKm, LatLon, LatLonTrig, Projection, EARTH_RADIUS_KM};

@@ -14,9 +14,8 @@
 //! to the original hard-wired generator (a DEM-digest pin in `core`
 //! asserts this).
 
-use crate::coords::{EnuKm, LatLon, Projection};
+use crate::coords::{EnuKm, LatLon};
 use crate::dem::Dem;
-use crate::polygon::Polygon;
 use crate::region::{synthesize_region, CoastSector, RegionTerrainSpec, RidgeSpec, SectorRule};
 
 /// Projection origin used for all Oahu work: roughly the island centre.
@@ -125,44 +124,12 @@ fn pearl_harbor_points() -> Vec<LatLon> {
         .collect()
 }
 
-/// The island outline as a polygon in the local frame.
-pub fn oahu_outline(projection: &Projection) -> Polygon {
-    let verts = oahu_outline_points()
-        .iter()
-        .map(|&p| projection.to_enu(p))
-        .collect();
-    Polygon::new(verts).expect("outline has >= 3 vertices")
-}
-
-/// Pearl Harbor water body, cut out of the island as an inland sea.
-pub fn pearl_harbor(projection: &Projection) -> Polygon {
-    let verts = pearl_harbor_points()
-        .iter()
-        .map(|&p| projection.to_enu(p))
-        .collect();
-    Polygon::new(verts).expect("harbor has >= 3 vertices")
-}
-
-/// Classifies a point by the coastal region its nearest shoreline
-/// belongs to.
-pub fn coast_region(outline: &Polygon, p: EnuKm) -> CoastRegion {
-    let q = outline.closest_boundary_point(p);
-    if q.east <= -12.5 && q.north <= 18.0 {
-        CoastRegion::West
-    } else if q.north <= -9.0 {
-        CoastRegion::South
-    } else if q.north >= 20.0 {
-        CoastRegion::North
-    } else {
-        CoastRegion::East
-    }
-}
-
 /// The Oahu case study expressed as a region spec.
 ///
-/// The sector table and rules mirror [`coast_region`] exactly (West,
-/// South, North, East in that order), so the spec-driven generator
-/// reproduces the original elevation field bit for bit.
+/// The sector table holds the [`CoastRegion`]s West, South, North and
+/// East in that order, and the rules give a point the region of its
+/// nearest shoreline point. The spec-driven generator reproduces the
+/// original elevation field bit for bit.
 pub fn oahu_region_spec(config: &OahuTerrainConfig) -> RegionTerrainSpec {
     let sector = |r: CoastRegion| CoastSector {
         terrain_slope_m_per_km: r.terrain_slope_m_per_km(),
@@ -234,6 +201,8 @@ pub fn synthesize_oahu(config: &OahuTerrainConfig) -> Dem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coords::Projection;
+    use crate::polygon::Polygon;
 
     fn dem() -> Dem {
         synthesize_oahu(&OahuTerrainConfig::default())
@@ -322,16 +291,28 @@ mod tests {
 
     #[test]
     fn coast_region_classification() {
+        let spec = oahu_region_spec(&OahuTerrainConfig::default());
         let proj = Projection::new(OAHU_ORIGIN);
-        let outline = oahu_outline(&proj);
-        let kahe = proj.to_enu(LatLon::new(21.354, -158.125));
-        assert_eq!(coast_region(&outline, kahe), CoastRegion::West);
-        let honolulu = proj.to_enu(LatLon::new(21.30, -157.86));
-        assert_eq!(coast_region(&outline, honolulu), CoastRegion::South);
-        let north = proj.to_enu(LatLon::new(21.68, -158.0));
-        assert_eq!(coast_region(&outline, north), CoastRegion::North);
-        let windward = proj.to_enu(LatLon::new(21.45, -157.80));
-        assert_eq!(coast_region(&outline, windward), CoastRegion::East);
+        let outline = Polygon::new(spec.outline.iter().map(|&p| proj.to_enu(p)).collect());
+        let outline = outline.unwrap();
+        for (lat, lon, region) in [
+            (21.354, -158.125, CoastRegion::West),
+            (21.30, -157.86, CoastRegion::South),
+            (21.68, -158.0, CoastRegion::North),
+            (21.45, -157.80, CoastRegion::East),
+            (21.10, -158.0, CoastRegion::South),
+            (21.50, -158.30, CoastRegion::West),
+        ] {
+            let sector = spec.sector_of(&outline, proj.to_enu(LatLon::new(lat, lon)));
+            assert_eq!(
+                (sector.terrain_slope_m_per_km, sector.shelf_slope_m_per_km),
+                (
+                    region.terrain_slope_m_per_km(),
+                    region.shelf_slope_m_per_km()
+                ),
+                "({lat}, {lon}) should be {region:?}"
+            );
+        }
     }
 
     #[test]
@@ -340,29 +321,5 @@ mod tests {
         let e = d.elevation_at(LatLon::new(21.36, -157.99)).unwrap();
         assert!(e < 0.0, "harbor should be water, got {e}");
         assert!(e > -30.0, "harbor should be shallow, got {e}");
-    }
-
-    #[test]
-    fn spec_sector_rules_match_coast_region() {
-        let spec = oahu_region_spec(&OahuTerrainConfig::default());
-        let proj = Projection::new(OAHU_ORIGIN);
-        let outline = oahu_outline(&proj);
-        for &(lat, lon) in &[
-            (21.354, -158.125),
-            (21.30, -157.86),
-            (21.68, -158.0),
-            (21.45, -157.80),
-            (21.10, -158.0),
-            (21.50, -158.30),
-        ] {
-            let p = proj.to_enu(LatLon::new(lat, lon));
-            let expected = coast_region(&outline, p);
-            let got = spec.sector_of(&outline, p);
-            assert_eq!(
-                got.terrain_slope_m_per_km,
-                expected.terrain_slope_m_per_km(),
-                "sector mismatch at ({lat}, {lon})"
-            );
-        }
     }
 }

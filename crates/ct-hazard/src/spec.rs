@@ -10,8 +10,9 @@ use std::fmt;
 use std::str::FromStr;
 
 /// Which hazard engine a run uses. This is the *configuration-level*
-/// name a user types (`ct run --hazard wind`); [`HazardSpec::build_model`]
-/// turns it into the live [`HazardModel`] once the terrain is synthesized.
+/// name a user types (`ct run --hazard wind`); [`HazardSpec::build`]
+/// turns it into the live [`HazardModel`] once the coastal stations
+/// are known.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum HazardSpec {
     /// Storm-surge inundation (the paper's original hazard; default).
@@ -37,12 +38,12 @@ impl HazardSpec {
     }
 
     /// Builds the live model for this spec: the surge model is
-    /// calibrated against the synthesized terrain's coastal stations
-    /// ([`Stations::from_dem`]), the wind model uses the default
-    /// fragility parameterization (it needs no bathymetry, so `dem`
-    /// only feeds the surge part), and `compound` is the union of both.
-    pub fn build_model(self, dem: &Dem, calibration: SurgeCalibration) -> Box<dyn HazardModel> {
-        let surge = || SurgeHazard::new(ParametricSurge::new(Stations::from_dem(dem), calibration));
+    /// calibrated against the terrain's coastal `stations`, the wind
+    /// model uses the default fragility parameterization (it needs no
+    /// bathymetry, so `stations` only feed the surge part), and
+    /// `compound` is the union of both.
+    pub fn build(self, stations: &Stations, calibration: SurgeCalibration) -> Box<dyn HazardModel> {
+        let surge = || SurgeHazard::new(ParametricSurge::new(stations.clone(), calibration));
         match self {
             HazardSpec::Surge => Box::new(surge()),
             HazardSpec::Wind => Box::new(WindFragilityHazard::default()),
@@ -54,6 +55,12 @@ impl HazardSpec {
                 .expect("two parts is never empty"),
             ),
         }
+    }
+
+    /// [`HazardSpec::build`] over the stations measured on `dem`.
+    #[deprecated(note = "use `HazardSpec::build` with `Stations::from_dem(dem)`")]
+    pub fn build_model(self, dem: &Dem, calibration: SurgeCalibration) -> Box<dyn HazardModel> {
+        self.build(&Stations::from_dem(dem), calibration)
     }
 }
 
@@ -126,15 +133,12 @@ mod tests {
 
     #[test]
     fn built_models_carry_the_expected_ids() {
-        let dem = synthesize_oahu(&OahuTerrainConfig::default());
+        let stations = Stations::from_dem(&synthesize_oahu(&OahuTerrainConfig::default()));
         let cal = SurgeCalibration::default();
+        assert_eq!(HazardSpec::Surge.build(&stations, cal).hazard_id(), "surge");
+        assert_eq!(HazardSpec::Wind.build(&stations, cal).hazard_id(), "wind");
         assert_eq!(
-            HazardSpec::Surge.build_model(&dem, cal).hazard_id(),
-            "surge"
-        );
-        assert_eq!(HazardSpec::Wind.build_model(&dem, cal).hazard_id(), "wind");
-        assert_eq!(
-            HazardSpec::Compound.build_model(&dem, cal).hazard_id(),
+            HazardSpec::Compound.build(&stations, cal).hazard_id(),
             "compound(surge+wind)"
         );
     }

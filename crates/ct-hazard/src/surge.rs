@@ -22,11 +22,6 @@ impl SurgeHazard {
     pub fn new(model: ParametricSurge) -> Self {
         Self { model }
     }
-
-    /// The underlying surge model.
-    pub fn model(&self) -> &ParametricSurge {
-        &self.model
-    }
 }
 
 impl HazardModel for SurgeHazard {
@@ -34,6 +29,8 @@ impl HazardModel for SurgeHazard {
         "surge".to_string()
     }
 
+    /// The calibration, then every station in list order (the order
+    /// settles nearest-station ties) and the harbor amplification.
     fn digest_params(&self, h: &mut StableHasher) {
         let c = self.model.calibration();
         h.write_f64(c.setup_coefficient);
@@ -42,6 +39,16 @@ impl HazardModel for SurgeHazard {
         h.write_f64(c.wave_setup_fraction);
         h.write_f64(c.attenuation_m_per_km);
         h.write_f64(c.scan_step_hours);
+        let stations = self.model.stations();
+        h.write_usize(stations.iter().count());
+        for st in stations.iter() {
+            h.write_str(&format!("{:?}", st.id));
+            h.write_f64(st.pos.lat);
+            h.write_f64(st.pos.lon);
+            h.write_f64(st.onshore_bearing_deg);
+            h.write_f64(st.shelf_factor);
+        }
+        h.write_f64(stations.harbor_amplification);
     }
 
     fn evaluate(
@@ -58,44 +65,34 @@ impl HazardModel for SurgeHazard {
 mod tests {
     use super::*;
     use ct_geo::terrain::{synthesize_oahu, OahuTerrainConfig};
-    use ct_geo::LatLon;
-    use ct_hydro::{EnsembleConfig, Stations, SurgeCalibration, TrackEnsemble};
+    use ct_hydro::{Stations, SurgeCalibration};
 
-    #[test]
-    fn surge_via_trait_matches_direct_kernel() {
-        let dem = synthesize_oahu(&OahuTerrainConfig::default());
-        let pois = vec![
-            Poi::from_dem("honolulu-cc", LatLon::new(21.307, -157.858), &dem).unwrap(),
-            Poi::from_dem("kahe", LatLon::new(21.356, -158.122), &dem).unwrap(),
-        ];
-        let model = ParametricSurge::new(Stations::from_dem(&dem), SurgeCalibration::default());
-        let hazard = SurgeHazard::new(model.clone());
-        let storms = TrackEnsemble::new(EnsembleConfig {
-            realizations: 12,
-            ..EnsembleConfig::default()
-        })
-        .unwrap()
-        .generate();
-        for (i, storm) in storms.iter().enumerate() {
-            let direct = RealizationSet::evaluate_storm(i, storm, &model, &pois).unwrap();
-            let via_trait = hazard.evaluate(i, storm, &pois).unwrap();
-            assert_eq!(direct, via_trait, "realization {i} diverged");
-        }
+    fn digest(stations: Stations, cal: SurgeCalibration) -> ct_store::Digest {
+        let mut h = StableHasher::new();
+        SurgeHazard::new(ParametricSurge::new(stations, cal)).digest_params(&mut h);
+        h.finish()
     }
 
     #[test]
     fn digest_is_calibration_sensitive() {
-        let dem = synthesize_oahu(&OahuTerrainConfig::default());
-        let digest = |cal: SurgeCalibration| {
-            let mut h = StableHasher::new();
-            SurgeHazard::new(ParametricSurge::new(Stations::from_dem(&dem), cal))
-                .digest_params(&mut h);
-            h.finish()
-        };
-        let base = digest(SurgeCalibration::default());
-        assert_eq!(base, digest(SurgeCalibration::default()));
+        let stations = Stations::from_dem(&synthesize_oahu(&OahuTerrainConfig::default()));
+        let base = digest(stations.clone(), SurgeCalibration::default());
+        assert_eq!(base, digest(stations.clone(), SurgeCalibration::default()));
         let mut other = SurgeCalibration::default();
         other.ib_m_per_hpa *= 2.0;
-        assert_ne!(base, digest(other));
+        assert_ne!(base, digest(stations, other));
+    }
+
+    /// The stations are surge parameters: store keys no longer hash
+    /// the DEM they are measured on, so the digest must cover them.
+    #[test]
+    fn digest_is_shelf_factor_sensitive() {
+        let stations = Stations::from_dem(&synthesize_oahu(&OahuTerrainConfig::default()));
+        let cal = SurgeCalibration::default();
+        let base = digest(stations.clone(), cal);
+        let mut parts: Vec<_> = stations.iter().copied().collect();
+        parts[3].shelf_factor *= 1.01;
+        let nudged = Stations::from_parts(parts, stations.harbor_amplification).unwrap();
+        assert_ne!(base, digest(nudged, cal));
     }
 }

@@ -44,22 +44,9 @@ pub fn flood_probabilities_to_csv(set: &RealizationSet) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ensemble::EnsembleConfig;
-    use crate::inundation::Poi;
-    use ct_geo::terrain::{synthesize_oahu, OahuTerrainConfig};
-    use ct_geo::LatLon;
 
     fn set() -> RealizationSet {
-        let dem = synthesize_oahu(&OahuTerrainConfig::default());
-        let pois = vec![
-            Poi::from_dem("a", LatLon::new(21.307, -157.858), &dem).unwrap(),
-            Poi::from_dem("b", LatLon::new(21.356, -158.122), &dem).unwrap(),
-        ];
-        let cfg = EnsembleConfig {
-            realizations: 5,
-            ..EnsembleConfig::default()
-        };
-        RealizationSet::generate(&cfg, &dem, &pois).unwrap()
+        crate::realization::tests::surge_set(["a", "b"], 5)
     }
 
     #[test]

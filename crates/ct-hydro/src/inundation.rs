@@ -114,13 +114,6 @@ impl Poi {
         }
     }
 
-    /// Pins this POI to a specific coastal station instead of the
-    /// nearest one.
-    pub fn with_station(mut self, station: StationId) -> Self {
-        self.station_override = Some(station);
-        self
-    }
-
     /// Inundation depth (m) at this POI given the peak water-surface
     /// elevation at its assigned coastal station.
     ///

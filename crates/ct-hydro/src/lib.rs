@@ -16,15 +16,24 @@
 //!
 //! # Example
 //!
+//! One surge realization per sampled storm, assembled into a set (the
+//! pipeline does the same through `ct_hazard::SurgeHazard`, which
+//! calls [`RealizationSet::evaluate_storm`]):
+//!
 //! ```
 //! use ct_geo::terrain::{synthesize_oahu, OahuTerrainConfig};
-//! use ct_hydro::{EnsembleConfig, Poi, RealizationSet};
 //! use ct_geo::LatLon;
+//! use ct_hydro::{EnsembleConfig, ParametricSurge, Poi, RealizationSet};
+//! use ct_hydro::{Stations, SurgeCalibration, TrackEnsemble};
 //!
 //! let dem = synthesize_oahu(&OahuTerrainConfig::default());
 //! let pois = vec![Poi::from_dem("honolulu-cc", LatLon::new(21.307, -157.858), &dem).unwrap()];
+//! let model = ParametricSurge::new(Stations::from_dem(&dem), SurgeCalibration::default());
 //! let cfg = EnsembleConfig { realizations: 25, ..EnsembleConfig::default() };
-//! let set = RealizationSet::generate(&cfg, &dem, &pois).unwrap();
+//! let storms = TrackEnsemble::new(cfg).unwrap().generate();
+//! let evaluate = |(i, storm)| RealizationSet::evaluate_storm(i, storm, &model, &pois);
+//! let realizations = storms.iter().enumerate().map(evaluate).collect::<Result<_, _>>();
+//! let set = RealizationSet::from_parts(pois, realizations.unwrap());
 //! assert_eq!(set.len(), 25);
 //! ```
 

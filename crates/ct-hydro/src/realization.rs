@@ -4,12 +4,11 @@
 //! consumes — the direct analogue of the paper's 1000 ADCIRC
 //! realizations tracked at the power-asset locations.
 
-use crate::ensemble::{EnsembleConfig, StormParams, TrackEnsemble};
+use crate::ensemble::StormParams;
 use crate::error::HydroError;
 use crate::inundation::{FloodThreshold, Poi};
-use crate::parametric::{ParametricSurge, SurgeCalibration};
+use crate::parametric::ParametricSurge;
 use crate::stations::{StationId, Stations};
-use ct_geo::Dem;
 
 /// The outcome of one sampled hurricane: peak inundation depth (m) at
 /// every point of interest, in POI order.
@@ -45,65 +44,6 @@ pub struct RealizationSet {
 }
 
 impl RealizationSet {
-    /// Generates the ensemble using the default parametric surge model
-    /// built from `dem`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates ensemble-configuration and storm-parameter errors.
-    pub fn generate(config: &EnsembleConfig, dem: &Dem, pois: &[Poi]) -> Result<Self, HydroError> {
-        let model = ParametricSurge::new(Stations::from_dem(dem), SurgeCalibration::default());
-        Self::generate_with(config, &model, pois)
-    }
-
-    /// Generates the ensemble with an explicit surge model.
-    ///
-    /// # Errors
-    ///
-    /// Propagates ensemble-configuration and storm-parameter errors.
-    pub fn generate_with(
-        config: &EnsembleConfig,
-        model: &ParametricSurge,
-        pois: &[Poi],
-    ) -> Result<Self, HydroError> {
-        let storms = TrackEnsemble::new(config.clone())?.generate();
-        Self::from_storms(&storms, model, pois)
-    }
-
-    /// Evaluates an explicit storm list with a given surge model.
-    ///
-    /// # Errors
-    ///
-    /// Propagates storm-parameter errors.
-    pub fn from_storms(
-        storms: &[StormParams],
-        model: &ParametricSurge,
-        pois: &[Poi],
-    ) -> Result<Self, HydroError> {
-        let assignments = station_assignments(model.stations(), pois);
-        let cal = model.calibration();
-        let mut realizations = Vec::with_capacity(storms.len());
-        for (index, storm) in storms.iter().enumerate() {
-            let surge = model.station_surge(storm)?;
-            let inundation_m: Vec<f64> = pois
-                .iter()
-                .zip(&assignments)
-                .map(|(poi, st)| poi.inundation_m(surge.get(*st), cal))
-                .collect();
-            realizations.push(Realization {
-                index,
-                tide_m: storm.tide_m,
-                max_station_surge_m: surge.max_surge_m(),
-                inundation_m,
-            });
-        }
-        Ok(Self {
-            pois: pois.to_vec(),
-            realizations,
-            threshold: FloodThreshold::default(),
-        })
-    }
-
     /// Assembles a set from pre-computed parts (used by parallel
     /// evaluators that compute [`Realization`]s on worker threads).
     ///
@@ -126,8 +66,9 @@ impl RealizationSet {
         }
     }
 
-    /// Evaluates a single storm against the POIs (the per-storm step
-    /// of [`RealizationSet::from_storms`], exposed for parallel use).
+    /// Evaluates a single storm against the POIs: the surge kernel
+    /// behind `ct_hazard::SurgeHazard`, one storm per call so callers
+    /// can spread an ensemble over worker threads.
     ///
     /// # Errors
     ///
@@ -257,22 +198,37 @@ fn station_assignments(stations: &Stations, pois: &[Poi]) -> Vec<StationId> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use ct_geo::terrain::{synthesize_oahu, OahuTerrainConfig};
     use ct_geo::LatLon;
 
-    fn small_set() -> RealizationSet {
+    /// Default-calibration surge realizations of the first `n` storms
+    /// of the default ensemble at two POIs named `ids`: Honolulu's
+    /// waterfront, then Kahe.
+    pub(crate) fn surge_set(ids: [&str; 2], n: usize) -> RealizationSet {
+        use crate::{EnsembleConfig, SurgeCalibration, TrackEnsemble};
         let dem = synthesize_oahu(&OahuTerrainConfig::default());
         let pois = vec![
-            Poi::from_dem("honolulu-cc", LatLon::new(21.307, -157.858), &dem).unwrap(),
-            Poi::from_dem("kahe", LatLon::new(21.356, -158.122), &dem).unwrap(),
+            Poi::from_dem(ids[0], LatLon::new(21.307, -157.858), &dem).unwrap(),
+            Poi::from_dem(ids[1], LatLon::new(21.356, -158.122), &dem).unwrap(),
         ];
-        let cfg = EnsembleConfig {
-            realizations: 60,
+        let model = ParametricSurge::new(Stations::from_dem(&dem), SurgeCalibration::default());
+        let config = EnsembleConfig {
+            realizations: n,
             ..EnsembleConfig::default()
         };
-        RealizationSet::generate(&cfg, &dem, &pois).unwrap()
+        let storms = TrackEnsemble::new(config).unwrap().generate();
+        let realizations = storms
+            .iter()
+            .enumerate()
+            .map(|(i, storm)| RealizationSet::evaluate_storm(i, storm, &model, &pois).unwrap())
+            .collect();
+        RealizationSet::from_parts(pois, realizations)
+    }
+
+    fn small_set() -> RealizationSet {
+        surge_set(["honolulu-cc", "kahe"], 60)
     }
 
     #[test]
@@ -289,13 +245,6 @@ mod tests {
                 assert!(d >= 0.0 && d.is_finite());
             }
         }
-    }
-
-    #[test]
-    fn generation_is_deterministic() {
-        let a = small_set();
-        let b = small_set();
-        assert_eq!(a.realizations(), b.realizations());
     }
 
     #[test]

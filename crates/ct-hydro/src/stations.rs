@@ -133,6 +133,21 @@ impl Stations {
         }
     }
 
+    /// Reassembles a station set from its stations, in list order
+    /// (which decides [`Stations::nearest`]'s ties), and the harbor
+    /// amplification. `None` unless every [`StationId`] appears
+    /// exactly once, since [`Stations::get`] relies on that.
+    pub fn from_parts(stations: Vec<Station>, harbor_amplification: f64) -> Option<Self> {
+        let complete = stations.len() == StationId::ALL.len()
+            && StationId::ALL
+                .iter()
+                .all(|id| stations.iter().filter(|s| s.id == *id).count() == 1);
+        complete.then_some(Self {
+            stations,
+            harbor_amplification,
+        })
+    }
+
     /// All stations.
     pub fn iter(&self) -> impl Iterator<Item = &Station> {
         self.stations.iter()
@@ -180,6 +195,18 @@ mod tests {
             assert_eq!(st.id, id);
         }
         assert_eq!(s.iter().count(), 6);
+    }
+
+    #[test]
+    fn from_parts_rebuilds_and_wants_every_id_once() {
+        let s = stations();
+        let parts: Vec<Station> = s.iter().copied().collect();
+        let rebuilt = Stations::from_parts(parts.clone(), s.harbor_amplification).unwrap();
+        assert_eq!(rebuilt, s);
+        assert!(Stations::from_parts(parts[1..].to_vec(), 1.3).is_none());
+        let mut twice = parts.clone();
+        twice[1].id = twice[0].id;
+        assert!(Stations::from_parts(twice, 1.3).is_none());
     }
 
     #[test]

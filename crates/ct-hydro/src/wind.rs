@@ -134,16 +134,6 @@ impl HollandWindField {
         (term + rf2 * rf2).sqrt() - rf2
     }
 
-    /// Surface pressure (hPa) at radial distance `r_km`.
-    pub fn pressure_hpa(&self, r_km: f64) -> f64 {
-        if r_km <= 1e-6 {
-            return self.central_pressure_hpa;
-        }
-        let x = (self.rmax_km / r_km).powf(self.b);
-        self.central_pressure_hpa
-            + (self.ambient_pressure_hpa - self.central_pressure_hpa) * (-x).exp()
-    }
-
     /// Wind at geographic point `p` for a storm centred at `center`.
     ///
     /// Circulation is counter-clockwise (northern hemisphere), rotated
@@ -219,19 +209,6 @@ mod tests {
         let f = cat2_field();
         assert!(f.gradient_wind_ms(500.0) < 8.0);
         assert_eq!(f.gradient_wind_ms(0.0), 0.0);
-    }
-
-    #[test]
-    fn pressure_profile_monotone() {
-        let f = cat2_field();
-        assert_eq!(f.pressure_hpa(0.0), 970.0);
-        let mut prev = f.pressure_hpa(1.0);
-        for r in [5.0, 15.0, 30.0, 60.0, 150.0, 400.0] {
-            let p = f.pressure_hpa(r);
-            assert!(p >= prev, "pressure must rise outward");
-            prev = p;
-        }
-        assert!((f.pressure_hpa(2000.0) - 1010.0).abs() < 1.0);
     }
 
     #[test]

@@ -44,17 +44,6 @@ fn holland_profile_shape() {
     });
 }
 
-/// Surface pressure lies between central and ambient pressure.
-#[test]
-fn holland_pressure_bounded() {
-    cases(256, |rng| {
-        let field = random_field(rng);
-        let p = field.pressure_hpa(rng.range_f64(0.0, 2000.0));
-        assert!(p >= field.central_pressure_hpa - 1e-9);
-        assert!(p <= field.ambient_pressure_hpa + 1e-9);
-    });
-}
-
 /// Wind speed at a geographic point never exceeds the gradient
 /// peak plus the full translation contribution.
 #[test]

@@ -80,6 +80,9 @@ pub const STORE_MISSES: &str = "store.misses";
 /// run of adjacent entries a batched read coalesced, one per entry
 /// read alone (retried attempts included).
 pub const STORE_READ_CALLS: &str = "store.read_calls";
+/// Payload bytes artifact-store lookups returned (`get` and
+/// `get_many`, local or remote; frames and corrupt records excluded).
+pub const STORE_BYTES_READ: &str = "store.bytes_read";
 /// Artifact-store records written (atomic temp-then-rename commits).
 pub const STORE_RECORDS_WRITTEN: &str = "store.records_written";
 /// Records that failed frame or payload validation (truncated, bad
@@ -249,6 +252,7 @@ pub fn register_defaults(registry: &crate::Registry) {
         STORE_HITS,
         STORE_MISSES,
         STORE_READ_CALLS,
+        STORE_BYTES_READ,
         STORE_RECORDS_WRITTEN,
         STORE_CORRUPT_RECORDS,
         STORE_EVICTIONS,
@@ -307,7 +311,7 @@ mod tests {
         let reg = crate::Registry::new();
         register_defaults(&reg);
         let snap = reg.snapshot();
-        assert_eq!(snap.counters.len(), 70);
+        assert_eq!(snap.counters.len(), 71);
         assert_eq!(snap.counter(GEO_DEM_SYNTHESIZED), Some(0));
         assert_eq!(snap.counter(HYDRO_ENSEMBLES_SAMPLED), Some(0));
         assert_eq!(snap.counter(HYDRO_PEAK_SCAN_EVALUATED), Some(0));
@@ -325,6 +329,7 @@ mod tests {
         assert_eq!(snap.counter(HAZARD_REALIZATIONS_EVALUATED), Some(0));
         assert_eq!(snap.counter(STORE_HITS), Some(0));
         assert_eq!(snap.counter(STORE_READ_CALLS), Some(0));
+        assert_eq!(snap.counter(STORE_BYTES_READ), Some(0));
         assert_eq!(snap.counter(STORE_SEGMENT_APPENDS), Some(0));
         assert_eq!(snap.counter(STORE_SEGMENT_COMPACTIONS), Some(0));
         assert_eq!(snap.gauge(BUILD_THREADS), Some(0.0));

@@ -582,6 +582,7 @@ impl RemoteStore {
             200 => match decode_record(body) {
                 Ok(payload) => {
                     self.add(ct_obs::names::STORE_REMOTE_HITS, 1);
+                    self.add(ct_obs::names::STORE_BYTES_READ, payload.len() as u64);
                     Some(Some(payload.to_vec()))
                 }
                 // The frame checksum caught wire damage: report a

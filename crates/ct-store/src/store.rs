@@ -427,6 +427,7 @@ impl Store {
             out[at] = match &out[first] {
                 Ok(Some(payload)) => {
                     self.add(ct_obs::names::STORE_HITS, 1);
+                    self.add(ct_obs::names::STORE_BYTES_READ, payload.len() as u64);
                     Ok(Some(payload.clone()))
                 }
                 Ok(None) => {
@@ -461,17 +462,21 @@ impl Store {
                 file.read_exact_at(&mut bytes, first).ok().map(|()| bytes)
             })
             .flatten();
-        let mut hits = 0;
+        let (mut hits, mut bytes) = (0, 0);
         for (i, (key, entry)) in run.iter().enumerate() {
             let within = image.as_deref().map(|image| {
                 let at = (entry.offset - first) as usize;
                 &image[at..at + entry.len as usize]
             });
             let got = self.read_entry(file, key, entry, within);
-            hits += u64::from(matches!(got, Ok(Some(_))));
+            if let Ok(Some(payload)) = &got {
+                hits += 1;
+                bytes += payload.len() as u64;
+            }
             emit(i, got);
         }
         self.add(ct_obs::names::STORE_HITS, hits);
+        self.add(ct_obs::names::STORE_BYTES_READ, bytes);
     }
 
     /// Validates one entry, read from `within` (its bytes, already

@@ -96,19 +96,36 @@ fn site_columns(plan: &SitePlan, set: &RealizationSet) -> Result<Vec<usize>, Sca
 mod tests {
     use super::*;
     use ct_geo::terrain::{synthesize_oahu, OahuTerrainConfig};
-    use ct_hydro::EnsembleConfig;
+    use ct_geo::Dem;
+    use ct_hazard::{HazardModel, SurgeHazard};
+    use ct_hydro::{
+        EnsembleConfig, ParametricSurge, Poi, Stations, SurgeCalibration, TrackEnsemble,
+    };
     use ct_scada::{oahu, Architecture};
+
+    /// Default-calibration surge realizations of the first `n` storms
+    /// of the default ensemble at `pois`.
+    fn surge_set(dem: &Dem, pois: Vec<Poi>, n: usize) -> RealizationSet {
+        let model = ParametricSurge::new(Stations::from_dem(dem), SurgeCalibration::default());
+        let hazard = SurgeHazard::new(model);
+        let config = EnsembleConfig {
+            realizations: n,
+            ..EnsembleConfig::default()
+        };
+        let storms = TrackEnsemble::new(config).unwrap().generate();
+        let realizations = storms
+            .iter()
+            .enumerate()
+            .map(|(i, storm)| hazard.evaluate(i, storm, &pois).unwrap())
+            .collect();
+        RealizationSet::from_parts(pois, realizations)
+    }
 
     #[test]
     fn states_follow_flood_columns() {
         let dem = synthesize_oahu(&OahuTerrainConfig::default());
         let topo = oahu::topology();
-        let pois = topo.to_pois(&dem).unwrap();
-        let cfg = EnsembleConfig {
-            realizations: 80,
-            ..EnsembleConfig::default()
-        };
-        let set = RealizationSet::generate(&cfg, &dem, &pois).unwrap();
+        let set = surge_set(&dem, topo.to_pois(&dem).unwrap(), 80);
         let plan = oahu::site_plan(Architecture::C2_2, oahu::SiteChoice::Waiau).unwrap();
         let states = post_disaster_states(&plan, &set).unwrap();
         assert_eq!(states.len(), 80);
@@ -179,12 +196,7 @@ mod tests {
         let dem = synthesize_oahu(&OahuTerrainConfig::default());
         let topo = oahu::topology();
         // POIs missing the control sites entirely.
-        let pois = vec![];
-        let cfg = EnsembleConfig {
-            realizations: 3,
-            ..EnsembleConfig::default()
-        };
-        let set = RealizationSet::generate(&cfg, &dem, &pois).unwrap();
+        let set = surge_set(&dem, vec![], 3);
         let plan = oahu::site_plan(Architecture::C2, oahu::SiteChoice::Waiau).unwrap();
         let err = post_disaster_states(&plan, &set).unwrap_err();
         assert!(matches!(err, ScadaError::UnknownAsset { .. }));

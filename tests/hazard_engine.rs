@@ -9,7 +9,7 @@
 //! the same pipeline end-to-end, and by showing the artifact store
 //! keeps the three engines' records apart.
 
-use compound_threats::artifact::ensemble_base_key;
+use compound_threats::artifact::base_key;
 use compound_threats::figures::{reproduce_all, Figure};
 use compound_threats::parallel::{default_threads, par_map_dynamic};
 use compound_threats::prelude::*;
@@ -276,9 +276,10 @@ fn store_keeps_hazard_records_apart_and_warm_hits_within_a_hazard() {
     // disagrees on the base address for identical config/terrain/POIs.
     let dem = synthesize_oahu(&surge.terrain);
     let pois = ct_scada::oahu::case_study_pois(&dem).unwrap();
+    let stations = Stations::from_dem(&dem);
     let key = |cfg: &CaseStudyConfig| {
-        let hazard = cfg.hazard.build_model(&dem, cfg.calibration);
-        ensemble_base_key(cfg, &dem, &pois, hazard.as_ref())
+        let hazard = cfg.hazard.build(&stations, cfg.calibration);
+        base_key(cfg, &pois, hazard.as_ref())
     };
     let keys = [key(&surge), key(&wind), key(&compound)];
     assert_ne!(keys[0], keys[1]);

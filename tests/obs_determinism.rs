@@ -138,7 +138,7 @@ fn counters_and_span_tree_are_thread_count_invariant() {
 
     // Through a store, the cold build does all the work once and the
     // warm one reads it back: one DEM and one ensemble in total, and
-    // one store hit per realization plus the DEM.
+    // one store hit per realization plus the sites record.
     let stored = assert_thread_count_invariant(store_run_with);
     let count = |name: &str| counter(&stored, name);
     assert_eq!(count(ct_obs::names::GEO_DEM_SYNTHESIZED), 1);
@@ -148,9 +148,11 @@ fn counters_and_span_tree_are_thread_count_invariant() {
     assert_eq!(count(ct_obs::names::HYDRO_PEAK_SCAN_SKIPPED), 5602);
     assert_eq!(count(ct_obs::names::STORE_MISSES), 61);
     assert_eq!(count(ct_obs::names::STORE_HITS), 61);
-    // The warm build reads the DEM record alone and its 60 adjacent
-    // realization records with one coalesced read.
+    // The warm build reads the sites record alone and its 60 adjacent
+    // realization records with one coalesced read: 1,245 payload bytes
+    // of sites and 205 per surge realization.
     assert_eq!(count(ct_obs::names::STORE_READ_CALLS), 2);
+    assert_eq!(count(ct_obs::names::STORE_BYTES_READ), 1245 + 60 * 205);
     assert!(stored
         .2
         .iter()

@@ -166,8 +166,8 @@ fn a_server_stopped_mid_batch_degrades_to_per_key_gets() {
         .counter(ct_obs::names::STORE_REMOTE_GETS)
         .unwrap();
 
-    // The merge reads the DEM record, then the realizations in one
-    // batch; the relay answers the DEM and 10 of them.
+    // The merge reads the sites record, then the realizations in one
+    // batch; the relay answers the sites record and 10 of them.
     let answered = 10;
     let relay = relay_that_stops_after(server.addr(), 1 + answered);
     let reg = Arc::new(ct_obs::Registry::new());

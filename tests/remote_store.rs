@@ -86,11 +86,11 @@ fn serve_backed_shard_and_merge_match_local_bit_for_bit() {
     let shard = ShardSpec::new(0, 2).unwrap();
     let owned = (REALIZATIONS / 2) as u64;
     // Store operations per shard run: the owned realizations plus the
-    // one DEM record.
+    // one sites record.
     let records = owned + 1;
 
-    // Cold shard over the wire: every owned realization and the DEM
-    // is a remote miss, computed, and written back — exactly once each.
+    // Cold shard over the wire: every owned realization and the sites
+    // record is a remote miss, computed, and written back — exactly once each.
     let cold_reg = Arc::new(ct_obs::Registry::new());
     let cold = RemoteStore::connect_with_registry(server.addr().to_string(), Arc::clone(&cold_reg));
     let report = run_shard(&config, &cold, shard).unwrap();

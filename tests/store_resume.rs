@@ -9,19 +9,20 @@
 //! anyway. Finally, the record bytes and keys a build writes are
 //! pinned per hazard.
 
-use compound_threats::artifact::{dem_key, ensemble_base_key, realization_key};
+use compound_threats::artifact::{self, realization_key, sites_key};
 use compound_threats::figures::reproduce_all;
 use compound_threats::prelude::*;
 use compound_threats::report::figure_csv;
-use ct_geo::terrain::synthesize_oahu;
+use ct_geo::terrain::{oahu_region_spec, synthesize_oahu};
+use ct_hydro::Stations;
 use ct_store::faults::sites;
 use ct_store::{Digest, FaultKind, FaultRegistry, FaultSpec, FsckOptions, PackedOptions};
 use std::sync::Arc;
 
 const REALIZATIONS: usize = 24;
 /// Records a build reads or writes besides its realizations (plan
-/// histograms come only with figures): the one Oahu DEM.
-const DEM_RECORDS: usize = 1;
+/// histograms come only with figures): the one Oahu sites record.
+const SITES_RECORDS: usize = 1;
 
 fn config() -> CaseStudyConfig {
     CaseStudyConfig::builder()
@@ -55,8 +56,10 @@ impl Drop for Scratch {
 fn base_key(config: &CaseStudyConfig) -> Digest {
     let dem = synthesize_oahu(&config.terrain);
     let pois = ct_scada::oahu::case_study_pois(&dem).unwrap();
-    let hazard = config.hazard.build_model(&dem, config.calibration);
-    ensemble_base_key(config, &dem, &pois, hazard.as_ref())
+    let hazard = config
+        .hazard
+        .build(&Stations::from_dem(&dem), config.calibration);
+    artifact::base_key(config, &pois, hazard.as_ref())
 }
 
 /// Rewrites the newest entry for `key` in the (closed) store at
@@ -189,7 +192,7 @@ fn every_corruption_class_degrades_to_recompute_and_heals() {
     assert_eq!(count(ct_obs::names::STORE_EVICTIONS), 3);
     assert_eq!(
         count(ct_obs::names::STORE_HITS),
-        (REALIZATIONS - 3 + DEM_RECORDS) as u64
+        (REALIZATIONS - 3 + SITES_RECORDS) as u64
     );
     assert_eq!(count(ct_obs::names::STORE_RECORDS_WRITTEN), 3);
     drop((rebuilt, counting_store));
@@ -201,7 +204,7 @@ fn every_corruption_class_degrades_to_recompute_and_heals() {
     let snap = healed_reg.snapshot();
     assert_eq!(
         snap.counter(ct_obs::names::STORE_HITS).unwrap_or(0),
-        (REALIZATIONS + DEM_RECORDS) as u64
+        (REALIZATIONS + SITES_RECORDS) as u64
     );
     assert_eq!(
         snap.counter(ct_obs::names::STORE_CORRUPT_RECORDS)
@@ -219,7 +222,7 @@ fn different_configs_never_share_records() {
 
     // Same size, different seed: a full recompute, not a single hit —
     // checked by confirming the store grew by a full second ensemble.
-    // The terrain did not change, so the DEM record is shared.
+    // The terrain did not change, so the sites record is shared.
     let mut b = a.clone();
     b.ensemble.seed += 1;
     let before = count_records(&store);
@@ -228,17 +231,20 @@ fn different_configs_never_share_records() {
 }
 
 #[test]
-fn a_dem_record_of_the_wrong_length_is_invalidated_and_resynthesized() {
-    let scratch = Scratch::new("demshape");
+fn a_sites_record_one_entry_short_is_invalidated_and_resynthesized() {
+    let scratch = Scratch::new("sitesshape");
     let config = config();
     let store = Store::open(&scratch.0).unwrap();
     let clean_csv = figures_csv(&CaseStudy::build_with_store(&config, Some(&store)).unwrap());
 
-    // Rewrite the DEM record one elevation short through the store
+    // Rewrite the sites record one POI short through the store
     // itself, so its frame and checksum are valid.
-    let key = dem_key(&ct_geo::terrain::oahu_region_spec(&config.terrain));
-    let payload = store.get(&key).unwrap().expect("the build wrote its DEM");
-    store.put(&key, &payload[..payload.len() - 8]).unwrap();
+    let key = sites_key(&oahu_region_spec(&config.terrain));
+    let payload = store.get(&key).unwrap().expect("the build wrote its sites");
+    let topology = ct_scada::oahu::topology();
+    let (pois, stations) = artifact::decode_sites(&payload, &topology).unwrap();
+    let short = artifact::encode_sites(&pois[..pois.len() - 1], &stations);
+    store.put(&key, &short).unwrap();
     drop(store);
 
     let registry = Arc::new(ct_obs::Registry::new());
@@ -247,11 +253,12 @@ fn a_dem_record_of_the_wrong_length_is_invalidated_and_resynthesized() {
     let snap = registry.snapshot();
     let count = |name| snap.counter(name).unwrap_or(0);
     // The short record passed the frame check (a hit), failed the
-    // shape check (one corrupt record, evicted), and was synthesized
-    // again and written back; every realization still hit.
+    // shape check (one corrupt record, evicted), and was measured on
+    // a newly synthesized DEM and written back (the one write); every
+    // realization still hit.
     assert_eq!(
         count(ct_obs::names::STORE_HITS),
-        (REALIZATIONS + DEM_RECORDS) as u64
+        (REALIZATIONS + SITES_RECORDS) as u64
     );
     assert_eq!(count(ct_obs::names::STORE_MISSES), 0);
     assert_eq!(count(ct_obs::names::STORE_CORRUPT_RECORDS), 1);
@@ -260,7 +267,7 @@ fn a_dem_record_of_the_wrong_length_is_invalidated_and_resynthesized() {
     assert_eq!(count(ct_obs::names::STORE_DEGRADED), 0);
     assert_eq!(figures_csv(&rebuilt), clean_csv);
     assert_eq!(
-        counting.get(&key).unwrap().expect("DEM written back"),
+        counting.get(&key).unwrap().expect("sites written back"),
         payload,
         "the healed record is the original synthesis"
     );
@@ -296,11 +303,11 @@ fn enospc_during_every_put_degrades_but_results_are_bit_identical() {
     assert_eq!(count(ct_obs::names::FAULTS_ARMED), 1);
     assert_eq!(
         count(ct_obs::names::FAULTS_FIRED),
-        (REALIZATIONS + DEM_RECORDS) as u64
+        (REALIZATIONS + SITES_RECORDS) as u64
     );
     assert_eq!(
         count(ct_obs::names::STORE_DEGRADED),
-        (REALIZATIONS + DEM_RECORDS) as u64
+        (REALIZATIONS + SITES_RECORDS) as u64
     );
     assert_eq!(count(ct_obs::names::STORE_RECORDS_WRITTEN), 0);
     // ENOSPC is not transient: the retry loop must not have burned
@@ -327,7 +334,7 @@ fn group_sync_failure_degrades_but_keeps_records_readable() {
     let count = |name| snap.counter(name).unwrap_or(0);
     assert_eq!(
         count(ct_obs::names::STORE_DEGRADED),
-        (REALIZATIONS + DEM_RECORDS) as u64
+        (REALIZATIONS + SITES_RECORDS) as u64
     );
     assert_eq!(count(ct_obs::names::STORE_SEGMENT_GROUP_SYNCS), 0);
     assert_eq!(faulty.realizations(), clean.realizations());
@@ -339,7 +346,7 @@ fn group_sync_failure_degrades_but_keeps_records_readable() {
     let snap = registry.snapshot();
     assert_eq!(
         snap.counter(ct_obs::names::STORE_HITS),
-        Some((REALIZATIONS + DEM_RECORDS) as u64)
+        Some((REALIZATIONS + SITES_RECORDS) as u64)
     );
     assert_eq!(rebuilt.realizations(), clean.realizations());
 }
@@ -363,7 +370,7 @@ fn transient_write_fault_is_absorbed_by_retry_not_degradation() {
     assert_eq!(count(ct_obs::names::STORE_DEGRADED), 0);
     assert_eq!(
         count(ct_obs::names::STORE_RECORDS_WRITTEN),
-        (REALIZATIONS + DEM_RECORDS) as u64,
+        (REALIZATIONS + SITES_RECORDS) as u64,
         "the retried put must succeed"
     );
     assert_eq!(faulty.realizations(), clean.realizations());
@@ -402,7 +409,7 @@ fn evict_failure_during_corrupt_get_degrades_to_recompute() {
     assert_eq!(count(ct_obs::names::FAULTS_FIRED), 3);
     assert_eq!(
         count(ct_obs::names::STORE_HITS),
-        (REALIZATIONS - 1 + DEM_RECORDS) as u64
+        (REALIZATIONS - 1 + SITES_RECORDS) as u64
     );
     assert_eq!(rebuilt.realizations(), clean.realizations());
 }
@@ -414,7 +421,7 @@ fn fsck_reports_then_heals_a_damaged_store_exactly() {
 
     let store = Store::open(&scratch.0).unwrap();
     let clean_csv = figures_csv(&CaseStudy::build_with_store(&config, Some(&store)).unwrap());
-    // Realizations, the DEM, and the plan histograms the figures put.
+    // Realizations, the sites, and the plan histograms the figures put.
     let records_total = count_records(&store);
     drop(store);
 
@@ -483,7 +490,7 @@ fn fsck_reports_then_heals_a_damaged_store_exactly() {
     let snap = rebuilt_reg.snapshot();
     assert_eq!(
         snap.counter(ct_obs::names::STORE_HITS),
-        Some((REALIZATIONS - 3 + DEM_RECORDS) as u64)
+        Some((REALIZATIONS - 3 + SITES_RECORDS) as u64)
     );
     assert_eq!(figures_csv(&rebuilt), clean_csv);
 }
@@ -754,7 +761,7 @@ const PINNED_REALIZATIONS: usize = 60;
 
 /// The digest of everything a store-backed build writes for one
 /// hazard: every realization key and payload in index order, then the
-/// DEM record's key and payload, folded through `StableHasher`.
+/// sites record's key and payload, folded through `StableHasher`.
 fn record_digest(hazard: HazardSpec) -> String {
     let scratch = Scratch::new(&format!("pins-{hazard}"));
     let config = CaseStudyConfig::builder()
@@ -763,14 +770,13 @@ fn record_digest(hazard: HazardSpec) -> String {
         .build()
         .unwrap();
     let store = Store::open(&scratch.0).unwrap();
-    let study = CaseStudy::build_with_store(&config, Some(&store)).unwrap();
-    let pois = ct_scada::oahu::case_study_pois(study.dem()).unwrap();
-    let model = config.hazard.build_model(study.dem(), config.calibration);
-    let base = ensemble_base_key(&config, study.dem(), &pois, model.as_ref());
-    let dem = dem_key(&ct_geo::terrain::oahu_region_spec(&config.terrain));
+    CaseStudy::build_with_store(&config, Some(&store)).unwrap();
+    let base = base_key(&config);
     let keys = (0..PINNED_REALIZATIONS)
         .map(|i| realization_key(&base, i))
-        .chain(std::iter::once(dem));
+        .chain(std::iter::once(sites_key(&oahu_region_spec(
+            &config.terrain,
+        ))));
     let mut h = ct_store::StableHasher::new();
     for key in keys {
         let payload = store.get(&key).unwrap().expect("the build wrote it");
@@ -782,14 +788,16 @@ fn record_digest(hazard: HazardSpec) -> String {
 }
 
 /// The record bytes and keys a build writes, pinned per hazard. The
-/// pins were computed when the store still had a per-file layout
-/// beside the segment log, and both gave these digests.
+/// pins moved when the base key began hashing the terrain spec instead
+/// of the DEM and the sites record replaced the DEM record
+/// (`PIPELINE_KERNEL_VERSION` 4); the 1000 realization payloads of
+/// each hazard hashed the same before and after.
 #[test]
 fn record_keys_and_bytes_are_pinned_per_hazard() {
     for (hazard, pin) in [
-        (HazardSpec::Surge, "e8bfba804668b49476a13407e3f63829"),
-        (HazardSpec::Wind, "fcb650864b2a673f8a8981e7bef714b3"),
-        (HazardSpec::Compound, "7f7f8326725e804c06007fcdae86f328"),
+        (HazardSpec::Surge, "dd8f8a65df7bf21184b72cf90da5fe90"),
+        (HazardSpec::Wind, "c081222f662a298215e699519c133d36"),
+        (HazardSpec::Compound, "ab1dcfa660fbe970ef5578ff0308600e"),
     ] {
         assert_eq!(record_digest(hazard), pin, "{hazard} records");
     }
