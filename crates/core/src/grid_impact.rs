@@ -13,9 +13,8 @@
 use crate::error::CoreError;
 use crate::parallel::{default_threads, par_map};
 use crate::pipeline::CaseStudy;
-use ct_geo::SpatialIndex;
 use ct_grid::{oahu as grid_oahu, simulate_cascade, DamageModel, GridNetwork};
-use ct_hydro::TrackEnsemble;
+use ct_hydro::{ScanSites, TrackEnsemble};
 use ct_scada::{oahu, Architecture};
 use ct_threat::{
     classify, post_disaster_states, Attacker, OperationalState, ThreatScenario, WorstCaseAttacker,
@@ -136,10 +135,11 @@ pub fn grid_impact(
     } else {
         study.config().threads
     };
-    // Line midpoints are storm-invariant: index them once and share
-    // the index across workers (bit-identical to `DamageModel::sample`,
-    // which indexes them per storm — see the ct-grid equivalence tests).
-    let midpoints = SpatialIndex::new(DamageModel::line_midpoints(&grid));
+    // Line midpoints are storm-invariant: prepare their scan sites once
+    // and share them across workers (bit-identical to
+    // `DamageModel::sample`, which prepares them per storm — see the
+    // ct-grid equivalence tests).
+    let midpoints = DamageModel::scan_sites(DamageModel::line_midpoints(&grid));
     let indexed: Vec<usize> = (0..storms.len()).collect();
     let per: Vec<Result<(f64, f64, usize), CoreError>> = par_map(&indexed, threads, |&r| {
         evaluate_one(&grid, config, study, &storms[r], r, &midpoints)
@@ -166,7 +166,7 @@ fn evaluate_one(
     study: &CaseStudy,
     storm: &ct_hydro::StormParams,
     realization: usize,
-    midpoints: &SpatialIndex,
+    midpoints: &ScanSites,
 ) -> Result<(f64, f64, usize), CoreError> {
     // Flooded buses: any grid bus whose namesake asset flooded.
     let set = study.realizations();
@@ -178,7 +178,7 @@ fn evaluate_one(
         .filter(|(_, &f)| f)
         .map(|(p, _)| p.id.clone())
         .collect();
-    let peaks = config.damage.peak_winds_at_indexed(storm, midpoints);
+    let peaks = config.damage.peak_winds(storm, midpoints)?;
     let damage = config
         .damage
         .sample_with_peaks(grid, &flooded, realization, &peaks);

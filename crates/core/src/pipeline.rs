@@ -147,13 +147,21 @@ impl CaseStudyConfigBuilder {
     ///
     /// # Errors
     ///
-    /// [`CoreError::InvalidConfig`] when the ensemble is empty or the
-    /// flood threshold is negative or non-finite.
+    /// [`CoreError::InvalidConfig`] when the ensemble is empty, the
+    /// flood threshold is negative or non-finite, or the calibration's
+    /// `scan_step_hours` is not finite and positive.
     pub fn build(self) -> Result<CaseStudyConfig, CoreError> {
         if self.config.ensemble.realizations == 0 {
             return Err(CoreError::InvalidConfig {
                 field: "realizations",
                 reason: "ensemble must contain at least 1 realization".into(),
+            });
+        }
+        let step_hours = self.config.calibration.scan_step_hours;
+        if ct_hydro::check_scan_step(step_hours).is_err() {
+            return Err(CoreError::InvalidConfig {
+                field: "scan_step_hours",
+                reason: format!("must be finite and positive, got {step_hours}"),
             });
         }
         if let Some(depth_m) = self.config.flood_threshold_m {
@@ -853,6 +861,27 @@ mod tests {
                     }
                 ),
                 "threshold {bad} should be rejected"
+            );
+        }
+        // Only the rejection: a scan with such a step would never end.
+        for bad in [0.0, -0.5, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let calibration = SurgeCalibration {
+                scan_step_hours: bad,
+                ..SurgeCalibration::default()
+            };
+            let e = CaseStudyConfig::builder()
+                .calibration(calibration)
+                .build()
+                .unwrap_err();
+            assert!(
+                matches!(
+                    e,
+                    CoreError::InvalidConfig {
+                        field: "scan_step_hours",
+                        ..
+                    }
+                ),
+                "scan step {bad} should be rejected"
             );
         }
     }

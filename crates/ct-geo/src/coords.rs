@@ -132,11 +132,38 @@ impl LatLonTrig {
 
     /// Bit-identical to `self.pos().bearing_deg(other.pos())`.
     pub fn bearing_deg(&self, other: &LatLonTrig) -> f64 {
+        bearing_vector_deg(self.bearing_vector(other))
+    }
+
+    /// The vector `(y, x)` whose angle [`bearing_deg`](Self::bearing_deg)
+    /// takes: `y / |(y, x)|` and `x / |(y, x)|` are the sine and cosine
+    /// of the bearing to `other`.
+    pub fn bearing_vector(&self, other: &LatLonTrig) -> (f64, f64) {
         let dlon = other.lon_rad - self.lon_rad;
         let y = dlon.sin() * other.cos_lat;
         let x = self.cos_lat * other.sin_lat - self.sin_lat * other.cos_lat * dlon.cos();
-        (y.atan2(x).to_degrees() + 360.0) % 360.0
+        (y, x)
     }
+
+    /// The sine of the latitude.
+    pub fn sin_lat(&self) -> f64 {
+        self.sin_lat
+    }
+
+    /// The point's unit vector `(cos φ cos λ, cos φ sin λ, sin φ)`. The
+    /// chord `|u - v|` between two points never exceeds their
+    /// great-circle distance on the unit sphere.
+    pub fn unit_vector(&self) -> [f64; 3] {
+        let (sin_lon, cos_lon) = self.lon_rad.sin_cos();
+        [self.cos_lat * cos_lon, self.cos_lat * sin_lon, self.sin_lat]
+    }
+}
+
+/// The bearing in degrees clockwise from north, in `[0, 360)`, of a
+/// [`LatLonTrig::bearing_vector`]; bit-identical to
+/// [`LatLonTrig::bearing_deg`].
+pub fn bearing_vector_deg((y, x): (f64, f64)) -> f64 {
+    (y.atan2(x).to_degrees() + 360.0) % 360.0
 }
 
 impl fmt::Display for LatLon {

@@ -14,9 +14,7 @@
 //! * deterministic procedural [`noise`] and a region-generic terrain
 //!   synthesizer ([`region::synthesize_region`]) with a synthetic Oahu
 //!   preset ([`terrain::synthesize_oahu`]);
-//! * uniform-grid spatial indexes ([`index::ShoreIndex`],
-//!   [`index::SpatialIndex`]) for nearest-shore and
-//!   hazard-footprint→asset range queries.
+//! * a uniform-grid nearest-shore index ([`index::ShoreIndex`]).
 //!
 //! Everything here is deterministic: the same inputs always produce the
 //! same terrain, which is what makes the downstream Monte-Carlo
@@ -50,10 +48,10 @@ pub mod terrain;
 /// and the DEM is synthesized afresh.
 pub const TERRAIN_KERNEL_VERSION: u32 = 1;
 
-pub use coords::{EnuKm, LatLon, LatLonTrig, Projection, EARTH_RADIUS_KM};
+pub use coords::{bearing_vector_deg, EnuKm, LatLon, LatLonTrig, Projection, EARTH_RADIUS_KM};
 pub use dem::Dem;
 pub use error::GeoError;
 pub use grid::Grid;
-pub use index::{ShoreIndex, SpatialIndex};
+pub use index::ShoreIndex;
 pub use polygon::Polygon;
 pub use region::{synthesize_region, CoastSector, RegionTerrainSpec, RidgeSpec, SectorRule};

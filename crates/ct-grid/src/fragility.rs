@@ -8,8 +8,8 @@
 //! criterion the SCADA analysis uses.
 
 use crate::network::{BusId, GridNetwork, LineId, OutageSet};
-use ct_geo::{LatLon, SpatialIndex};
-use ct_hydro::StormParams;
+use ct_geo::LatLon;
+use ct_hydro::{check_scan_step, HydroError, PeakOf, ScanSites, StormParams};
 use std::collections::BTreeSet;
 
 /// Fragility parameters.
@@ -59,52 +59,38 @@ impl DamageModel {
         1.0 / (1.0 + (-(gust_ms - self.line_v50_ms) / self.line_spread_ms).exp())
     }
 
-    /// Peak sustained wind (m/s) at a point over the storm passage,
-    /// scanning the Holland wind field along the track at
-    /// `scan_step_hours` intervals: the scalar reference scan, kept as
-    /// the oracle the batched kernel is tested against.
-    pub fn peak_wind_at(&self, storm: &StormParams, p: LatLon) -> f64 {
-        let (t0, t1) = storm.track.time_span_hours();
-        let mut peak: f64 = 0.0;
-        let mut t = t0;
-        while t <= t1 {
-            let center = storm.track.position(t);
-            if center.distance_km(p) < 400.0 {
-                if let Ok(field) = storm.wind_field(t) {
-                    peak = peak.max(field.wind_at(center, p).speed_ms);
-                }
-            }
-            t += self.scan_step_hours;
-        }
-        peak
+    /// The sites [`peak_winds`](Self::peak_winds) scans: each point's
+    /// wind speed. Prepare them once and share them across storms.
+    pub fn scan_sites(points: impl IntoIterator<Item = LatLon>) -> ScanSites {
+        ScanSites::new(points.into_iter().map(|p| (p, PeakOf::Speed)))
     }
 
-    /// The wind kernel: peak sustained wind (m/s) at every point of a
-    /// prebuilt [`SpatialIndex`], in index order. One
-    /// [`StormParams::peak_scan`] whose range gate is the index's
-    /// `for_each_within` footprint (the same strict `< 400 km` gate),
-    /// one query per time step, its haversine reused as the wind
-    /// radius. Bit-identical to [`peak_wind_at`](Self::peak_wind_at)
-    /// per point. An unphysical storm, whose every step's field errors,
-    /// peaks at zero everywhere, as the scalar scan skips such steps.
-    pub fn peak_winds_at_indexed(&self, storm: &StormParams, index: &SpatialIndex) -> Vec<f64> {
-        storm
-            .peak_scan(
-                self.scan_step_hours,
-                index.len(),
-                |center, in_range| {
-                    index.for_each_within(center, 400.0, |i, site, r_km| {
-                        in_range.push(i, site, r_km);
-                    });
-                },
-                |_, w| w.speed_ms(),
-            )
-            .unwrap_or_else(|_| vec![0.0; index.len()])
+    /// The wind kernel: peak sustained wind (m/s) at every site over
+    /// the storm passage, scanned at `scan_step_hours` intervals, in
+    /// site order. One [`StormParams::peak_scan`]: the Holland field
+    /// at every step, for every site within 400 km of the centre, and
+    /// bit-identical to that scalar scan per site. An unphysical storm,
+    /// whose every step's field errors, peaks at zero everywhere, as
+    /// the scalar scan skips such steps.
+    ///
+    /// # Errors
+    ///
+    /// [`check_scan_step`]'s error when `scan_step_hours` is not finite
+    /// and positive.
+    pub fn peak_winds(
+        &self,
+        storm: &StormParams,
+        sites: &ScanSites,
+    ) -> Result<Vec<f64>, HydroError> {
+        check_scan_step(self.scan_step_hours)?;
+        Ok(storm
+            .peak_scan(self.scan_step_hours, sites, None)
+            .unwrap_or_else(|_| vec![0.0; sites.len()]))
     }
 
     /// Midpoints of every line span, in line order — the point set the
     /// fragility scan evaluates winds at. Exposed so callers sampling
-    /// many storms can index it once.
+    /// many storms can prepare its scan sites once.
     pub fn line_midpoints(grid: &GridNetwork) -> Vec<LatLon> {
         grid.lines()
             .iter()
@@ -119,23 +105,27 @@ impl DamageModel {
     /// Samples the grid damage for one realization: wind draws per
     /// line (deterministic in `(seed, realization_idx, line)`) plus
     /// the flooded buses supplied by the hazard model.
+    ///
+    /// # Errors
+    ///
+    /// [`peak_winds`](Self::peak_winds)' error.
     pub fn sample(
         &self,
         grid: &GridNetwork,
         storm: &StormParams,
         flooded_bus_names: &BTreeSet<String>,
         realization_idx: usize,
-    ) -> DamageSample {
-        let midpoints = SpatialIndex::new(Self::line_midpoints(grid));
-        let peaks = self.peak_winds_at_indexed(storm, &midpoints);
-        self.sample_with_peaks(grid, flooded_bus_names, realization_idx, &peaks)
+    ) -> Result<DamageSample, HydroError> {
+        let midpoints = Self::scan_sites(Self::line_midpoints(grid));
+        let peaks = self.peak_winds(storm, &midpoints)?;
+        Ok(self.sample_with_peaks(grid, flooded_bus_names, realization_idx, &peaks))
     }
 
     /// [`sample`](Self::sample) with the wind scan already done:
     /// consumes precomputed per-line peak winds (one entry per line,
-    /// as returned by [`peak_winds_at_indexed`](Self::peak_winds_at_indexed)
-    /// over the line midpoints) so callers sharing one midpoint index
-    /// across storms don't rebuild it per realization. Identical output to
+    /// as returned by [`peak_winds`](Self::peak_winds) over the line
+    /// midpoints) so callers sharing one set of midpoint sites across
+    /// storms don't prepare it per realization. Identical output to
     /// [`sample`](Self::sample) for matching peaks.
     pub fn sample_with_peaks(
         &self,
@@ -224,8 +214,8 @@ mod tests {
         let grid = crate::oahu::grid();
         let m = DamageModel::default();
         let none = BTreeSet::new();
-        let hit = m.sample(&grid, &direct_hit(), &none, 0);
-        let miss = m.sample(&grid, &distant(), &none, 0);
+        let hit = m.sample(&grid, &direct_hit(), &none, 0).unwrap();
+        let miss = m.sample(&grid, &distant(), &none, 0).unwrap();
         let sum = |s: &DamageSample| s.line_fail_probability.iter().sum::<f64>();
         assert!(
             sum(&hit) > sum(&miss) + 0.5,
@@ -242,7 +232,7 @@ mod tests {
         let m = DamageModel::default();
         let mut flooded = BTreeSet::new();
         flooded.insert("waiau-pp".to_string());
-        let s = m.sample(&grid, &distant(), &flooded, 0);
+        let s = m.sample(&grid, &distant(), &flooded, 0).unwrap();
         let waiau = grid.bus_id("waiau-pp").unwrap();
         assert!(s.outages.buses.contains(&waiau));
         assert_eq!(s.outages.buses.len(), 1);
@@ -253,10 +243,10 @@ mod tests {
         let grid = crate::oahu::grid();
         let m = DamageModel::default();
         let none = BTreeSet::new();
-        let a = m.sample(&grid, &direct_hit(), &none, 7);
-        let b = m.sample(&grid, &direct_hit(), &none, 7);
+        let a = m.sample(&grid, &direct_hit(), &none, 7).unwrap();
+        let b = m.sample(&grid, &direct_hit(), &none, 7).unwrap();
         assert_eq!(a, b);
-        let c = m.sample(&grid, &direct_hit(), &none, 8);
+        let c = m.sample(&grid, &direct_hit(), &none, 8).unwrap();
         // Same probabilities, (very likely) different draws.
         assert_eq!(a.line_fail_probability, c.line_fail_probability);
     }
@@ -285,8 +275,10 @@ mod tests {
         let none = BTreeSet::new();
         // Two freshly-constructed models with identical parameters
         // draw identical damage: no hidden RNG state.
-        let a = base.sample(&grid, &direct_hit(), &none, 3);
-        let b = DamageModel::default().sample(&grid, &direct_hit(), &none, 3);
+        let a = base.sample(&grid, &direct_hit(), &none, 3).unwrap();
+        let b = DamageModel::default()
+            .sample(&grid, &direct_hit(), &none, 3)
+            .unwrap();
         assert_eq!(a, b);
         // A different seed keeps probabilities (physics) but may
         // change draws; the draw function itself must differ.
@@ -294,7 +286,7 @@ mod tests {
             seed: base.seed + 1,
             ..base
         };
-        let c = reseeded.sample(&grid, &direct_hit(), &none, 3);
+        let c = reseeded.sample(&grid, &direct_hit(), &none, 3).unwrap();
         assert_eq!(a.line_fail_probability, c.line_fail_probability);
         assert_ne!(
             fragility_draw(base.seed, 3, 0),
@@ -361,17 +353,32 @@ mod tests {
         vec![through, tied, far, unphysical]
     }
 
-    /// `index` is `SpatialIndex::new(points)`.
-    fn assert_kernel_matches_scalar(
-        m: &DamageModel,
-        storm: &StormParams,
-        points: &[LatLon],
-        index: &SpatialIndex,
-    ) {
-        let peaks = m.peak_winds_at_indexed(storm, index);
+    /// The scalar reference scan: peak sustained wind at `p`, the
+    /// Holland field rebuilt at every step within 400 km, steps whose
+    /// field errors skipped.
+    fn peak_wind_at(m: &DamageModel, storm: &StormParams, p: LatLon) -> f64 {
+        let (t0, t1) = storm.track.time_span_hours();
+        let mut peak: f64 = 0.0;
+        let mut t = t0;
+        while t <= t1 {
+            let center = storm.track.position(t);
+            if center.distance_km(p) < 400.0 {
+                if let Ok(field) = storm.wind_field(t) {
+                    peak = peak.max(field.wind_at(center, p).speed_ms);
+                }
+            }
+            t += m.scan_step_hours;
+        }
+        peak
+    }
+
+    fn assert_kernel_matches_scalar(m: &DamageModel, storm: &StormParams, points: &[LatLon]) {
+        let peaks = m
+            .peak_winds(storm, &DamageModel::scan_sites(points.iter().copied()))
+            .unwrap();
         assert_eq!(peaks.len(), points.len());
         for (i, &p) in points.iter().enumerate() {
-            let scalar = m.peak_wind_at(storm, p);
+            let scalar = peak_wind_at(m, storm, p);
             assert_eq!(
                 scalar.to_bits(),
                 peaks[i].to_bits(),
@@ -389,7 +396,6 @@ mod tests {
         let grid = crate::oahu::grid();
         let mut points: Vec<LatLon> = grid.buses().iter().map(|b| b.pos).collect();
         points.extend(DamageModel::line_midpoints(&grid));
-        let index = SpatialIndex::new(points.clone());
         let mut storms = ct_hydro::TrackEnsemble::new(ct_hydro::EnsembleConfig {
             realizations: 200,
             ..ct_hydro::EnsembleConfig::default()
@@ -399,48 +405,66 @@ mod tests {
         storms.extend(far_starts());
         storms.extend(edge_storms(points[0]));
         for storm in &storms {
-            assert_kernel_matches_scalar(&m, storm, &points, &index);
+            assert_kernel_matches_scalar(&m, storm, &points);
         }
     }
 
     #[test]
-    fn indexed_peak_winds_match_the_linear_scan_bitwise() {
+    fn peak_winds_match_the_scalar_scan_on_edge_storms() {
         let m = DamageModel::default();
         let grid = crate::oahu::grid();
         let points: Vec<LatLon> = grid.buses().iter().map(|b| b.pos).collect();
-        let index = SpatialIndex::new(points.clone());
+        let sites = DamageModel::scan_sites(points.iter().copied());
         let [far, never] = far_starts();
         let mut storms = vec![direct_hit(), distant(), far, never.clone()];
         storms.extend(edge_storms(points[0]));
         for storm in &storms {
-            assert_kernel_matches_scalar(&m, storm, &points, &index);
+            assert_kernel_matches_scalar(&m, storm, &points);
         }
         let unphysical = storms.last().unwrap();
-        assert!(m
-            .peak_winds_at_indexed(unphysical, &index)
-            .iter()
-            .all(|&v| v == 0.0));
-        assert!(m
-            .peak_winds_at_indexed(&never, &index)
-            .iter()
-            .all(|&v| v == 0.0));
-        assert!(m
-            .peak_winds_at_indexed(&direct_hit(), &SpatialIndex::new(Vec::new()))
-            .is_empty());
+        for storm in [unphysical, &never] {
+            assert!(m
+                .peak_winds(storm, &sites)
+                .unwrap()
+                .iter()
+                .all(|&v| v == 0.0));
+        }
+        let none = DamageModel::scan_sites([]);
+        assert!(m.peak_winds(&direct_hit(), &none).unwrap().is_empty());
+    }
+
+    /// Only the rejection is exercised: a scan with this step would
+    /// never end.
+    #[test]
+    fn a_non_positive_scan_step_is_rejected() {
+        let m = DamageModel {
+            scan_step_hours: 0.0,
+            ..DamageModel::default()
+        };
+        let grid = crate::oahu::grid();
+        let sites = DamageModel::scan_sites(DamageModel::line_midpoints(&grid));
+        assert!(matches!(
+            m.peak_winds(&direct_hit(), &sites),
+            Err(HydroError::InvalidParameter {
+                name: "scan_step_hours",
+                ..
+            })
+        ));
+        assert!(m.sample(&grid, &direct_hit(), &BTreeSet::new(), 0).is_err());
     }
 
     #[test]
-    fn storm_blocked_peak_winds_match_per_storm_rows_bitwise() {
-        // One midpoint index shared across a block of storms (as
+    fn shared_sites_give_the_per_storm_samples_bitwise() {
+        // One set of midpoint sites shared across storms (as
         // `grid_impact` does) gives the gusts `sample` computes with
-        // its own index per storm.
+        // its own sites per storm.
         let m = DamageModel::default();
         let grid = crate::oahu::grid();
-        let shared = SpatialIndex::new(DamageModel::line_midpoints(&grid));
+        let shared = DamageModel::scan_sites(DamageModel::line_midpoints(&grid));
         let none = BTreeSet::new();
         for (r, storm) in [direct_hit(), distant()].iter().enumerate() {
-            let row = m.peak_winds_at_indexed(storm, &shared);
-            let sampled = m.sample(&grid, storm, &none, r);
+            let row = m.peak_winds(storm, &shared).unwrap();
+            let sampled = m.sample(&grid, storm, &none, r).unwrap();
             assert_eq!(row.len(), sampled.line_peak_gust_ms.len());
             for (i, (peak, gust)) in row.iter().zip(&sampled.line_peak_gust_ms).enumerate() {
                 assert_eq!(
@@ -458,10 +482,10 @@ mod tests {
         let m = DamageModel::default();
         let mut flooded = BTreeSet::new();
         flooded.insert("waiau-pp".to_string());
-        let midpoints = SpatialIndex::new(DamageModel::line_midpoints(&grid));
+        let midpoints = DamageModel::scan_sites(DamageModel::line_midpoints(&grid));
         for (r, storm) in [(0usize, direct_hit()), (11, distant())] {
-            let peaks = m.peak_winds_at_indexed(&storm, &midpoints);
-            let direct = m.sample(&grid, &storm, &flooded, r);
+            let peaks = m.peak_winds(&storm, &midpoints).unwrap();
+            let direct = m.sample(&grid, &storm, &flooded, r).unwrap();
             let blocked = m.sample_with_peaks(&grid, &flooded, r, &peaks);
             assert_eq!(direct, blocked);
         }

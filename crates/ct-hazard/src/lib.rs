@@ -48,6 +48,7 @@
 
 pub mod compound;
 pub mod model;
+mod prepared;
 pub mod spec;
 pub mod surge;
 pub mod wind;

@@ -2,7 +2,10 @@
 //! behind the [`HazardModel`] seam.
 
 use crate::model::HazardModel;
-use ct_hydro::{HydroError, ParametricSurge, Poi, Realization, RealizationSet, StormParams};
+use crate::prepared::PoiPrepared;
+use ct_hydro::{
+    HydroError, ParametricSurge, Poi, Realization, RealizationSet, StationId, StormParams,
+};
 use ct_store::StableHasher;
 
 /// Storm-surge inundation evaluated by the calibrated parametric
@@ -11,16 +14,21 @@ use ct_store::StableHasher;
 /// and [`SurgeHazard::evaluate`] delegates to the same
 /// [`RealizationSet::evaluate_storm`] kernel, so the output is
 /// bit-identical to the hard-wired path (pinned by the
-/// `hazard_engine` equivalence tests).
+/// `hazard_engine` equivalence tests). Each POI's station is found once
+/// per POI set, not once per storm.
 #[derive(Debug, Clone)]
 pub struct SurgeHazard {
     model: ParametricSurge,
+    poi_stations: PoiPrepared<Vec<StationId>>,
 }
 
 impl SurgeHazard {
     /// Wraps a calibrated surge model.
     pub fn new(model: ParametricSurge) -> Self {
-        Self { model }
+        Self {
+            model,
+            poi_stations: PoiPrepared::default(),
+        }
     }
 }
 
@@ -57,7 +65,11 @@ impl HazardModel for SurgeHazard {
         storm: &StormParams,
         pois: &[Poi],
     ) -> Result<Realization, HydroError> {
-        RealizationSet::evaluate_storm(index, storm, &self.model, pois)
+        self.poi_stations.with(
+            pois,
+            |pois| self.model.poi_stations(pois),
+            |stations| RealizationSet::evaluate_storm(index, storm, &self.model, pois, stations),
+        )
     }
 }
 

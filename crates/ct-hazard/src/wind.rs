@@ -2,9 +2,9 @@
 //! fragility, mapped onto the pipeline's severity axis.
 
 use crate::model::HazardModel;
-use ct_geo::SpatialIndex;
+use crate::prepared::PoiPrepared;
 use ct_grid::{fragility_draw, DamageModel};
-use ct_hydro::{FloodThreshold, HydroError, Poi, Realization, StormParams};
+use ct_hydro::{FloodThreshold, HydroError, Poi, Realization, ScanSites, StormParams};
 use ct_store::StableHasher;
 
 /// Severity cap (m). The exceedance ratio `p / u` is unbounded as the
@@ -37,9 +37,13 @@ pub const MAX_SEVERITY_M: f64 = 1.0e3;
 /// fixed draw. Diagnostics: `tide_m` carries the storm's tide anomaly
 /// (unused by wind failures), `max_station_surge_m` carries the
 /// largest per-asset peak gust in m/s.
-#[derive(Debug, Clone, Copy, PartialEq)]
+///
+/// The POIs' scan sites are prepared once per POI set, not once per
+/// storm.
+#[derive(Debug, Clone)]
 pub struct WindFragilityHazard {
     damage: DamageModel,
+    sites: PoiPrepared<ScanSites>,
 }
 
 impl Default for WindFragilityHazard {
@@ -51,17 +55,15 @@ impl Default for WindFragilityHazard {
 impl WindFragilityHazard {
     /// Wraps a fragility parameterization.
     pub fn new(damage: DamageModel) -> Self {
-        Self { damage }
+        Self {
+            damage,
+            sites: PoiPrepared::default(),
+        }
     }
 
     /// The fragility parameters.
     pub fn damage(&self) -> &DamageModel {
         &self.damage
-    }
-
-    /// Peak gust (m/s) at a POI over the storm passage.
-    pub fn peak_gust_ms(&self, storm: &StormParams, poi: &Poi) -> f64 {
-        self.damage.gust_factor * self.damage.peak_wind_at(storm, poi.pos)
     }
 
     /// The severity mapping for one asset (see the type docs).
@@ -92,12 +94,14 @@ impl HazardModel for WindFragilityHazard {
         storm: &StormParams,
         pois: &[Poi],
     ) -> Result<Realization, HydroError> {
-        // The storm-passage wind kernel over a spatial index: one
-        // Holland field per time step, and only the POIs inside the
-        // 400 km footprint are visited at each step (bit-identical to
-        // the per-POI scan — see `DamageModel::peak_winds_at_indexed`).
-        let spatial = SpatialIndex::new(pois.iter().map(|poi| poi.pos).collect());
-        let peaks = self.damage.peak_winds_at_indexed(storm, &spatial);
+        // The storm-passage wind kernel: one Holland field per time
+        // step, bit-identical to the per-POI scalar scan (see
+        // `DamageModel::peak_winds`).
+        let peaks = self.sites.with(
+            pois,
+            |pois| DamageModel::scan_sites(pois.iter().map(|poi| poi.pos)),
+            |sites| self.damage.peak_winds(storm, sites),
+        )?;
         let mut max_gust_ms: f64 = 0.0;
         let inundation_m = peaks
             .iter()
@@ -183,9 +187,12 @@ mod tests {
         let storm = direct_hit();
         let pois = pois();
         let r = hazard.evaluate(7, &storm, &pois).unwrap();
-        for (j, poi) in pois.iter().enumerate() {
-            let gust = hazard.peak_gust_ms(&storm, poi);
-            let p = hazard.damage().line_failure_probability(gust);
+        let damage = hazard.damage();
+        let sites = DamageModel::scan_sites(pois.iter().map(|poi| poi.pos));
+        let peaks = damage.peak_winds(&storm, &sites).unwrap();
+        for (j, peak) in peaks.iter().enumerate() {
+            let gust = damage.gust_factor * peak;
+            let p = damage.line_failure_probability(gust);
             let u = fragility_draw(hazard.damage().seed, 7, j as u64);
             assert_eq!(
                 threshold.is_flooded(r.inundation_m[j]),
@@ -208,24 +215,12 @@ mod tests {
     }
 
     #[test]
-    fn batched_evaluation_matches_the_per_poi_gust_scan_bitwise() {
-        // `evaluate` goes through the storm-passage wind kernel; the
-        // public scalar `peak_gust_ms` is the per-POI reference path.
-        // Severities recomputed from scalar gusts must match bitwise.
-        let hazard = WindFragilityHazard::default();
-        for storm in [direct_hit(), distant()] {
-            let pois = pois();
-            let r = hazard.evaluate(11, &storm, &pois).unwrap();
-            for (j, poi) in pois.iter().enumerate() {
-                let gust = hazard.peak_gust_ms(&storm, poi);
-                let u = fragility_draw(hazard.damage().seed, 11, j as u64);
-                assert_eq!(
-                    hazard.severity_m(gust, u).to_bits(),
-                    r.inundation_m[j].to_bits(),
-                    "asset {j}: batched severity diverged from the scalar path"
-                );
-            }
-        }
+    fn a_non_positive_scan_step_is_an_error() {
+        let hazard = WindFragilityHazard::new(DamageModel {
+            scan_step_hours: -1.0,
+            ..DamageModel::default()
+        });
+        assert!(hazard.evaluate(0, &direct_hit(), &pois()).is_err());
     }
 
     #[test]

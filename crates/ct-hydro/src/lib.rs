@@ -31,7 +31,8 @@
 //! let model = ParametricSurge::new(Stations::from_dem(&dem), SurgeCalibration::default());
 //! let cfg = EnsembleConfig { realizations: 25, ..EnsembleConfig::default() };
 //! let storms = TrackEnsemble::new(cfg).unwrap().generate();
-//! let evaluate = |(i, storm)| RealizationSet::evaluate_storm(i, storm, &model, &pois);
+//! let stations = model.poi_stations(&pois);
+//! let evaluate = |(i, storm)| RealizationSet::evaluate_storm(i, storm, &model, &pois, &stations);
 //! let realizations = storms.iter().enumerate().map(evaluate).collect::<Result<_, _>>();
 //! let set = RealizationSet::from_parts(pois, realizations.unwrap());
 //! assert_eq!(set.len(), 25);
@@ -67,7 +68,7 @@ pub use ensemble::{EnsembleConfig, StormParams, TrackEnsemble};
 pub use error::HydroError;
 pub use inundation::{FloodThreshold, Poi};
 pub use parametric::{ParametricSurge, SurgeCalibration};
-pub use passage::{InRange, WindVector};
+pub use passage::{check_scan_step, PeakOf, ScanSites};
 pub use realization::{Realization, RealizationSet};
 pub use stations::{Station, StationId, Stations};
 pub use track::{StormTrack, TrackPoint};

@@ -10,8 +10,9 @@
 
 use crate::ensemble::StormParams;
 use crate::error::HydroError;
+use crate::inundation::Poi;
+use crate::passage::{PeakOf, ScanSites};
 use crate::stations::{Station, StationId, Stations};
-use ct_geo::LatLonTrig;
 
 /// Tunable coefficients of the parametric surge model.
 ///
@@ -85,14 +86,21 @@ impl StationSurge {
 pub struct ParametricSurge {
     stations: Stations,
     calibration: SurgeCalibration,
+    /// The open-coast stations, each peaking on its onshore component,
+    /// prepared for [`StormParams::peak_scan`].
+    sites: ScanSites,
 }
 
 impl ParametricSurge {
     /// Creates the model from a station set and calibration.
     pub fn new(stations: Stations, calibration: SurgeCalibration) -> Self {
+        let sites = ScanSites::new(
+            open_coast(&stations).map(|st| (st.pos, PeakOf::Toward(st.onshore_bearing_deg))),
+        );
         Self {
             stations,
             calibration,
+            sites,
         }
     }
 
@@ -106,48 +114,36 @@ impl ParametricSurge {
         &self.calibration
     }
 
+    /// The station each POI reads its surge from: its override, else
+    /// the nearest station (first of equal minima).
+    pub fn poi_stations(&self, pois: &[Poi]) -> Vec<StationId> {
+        pois.iter()
+            .map(|p| {
+                p.station_override
+                    .unwrap_or_else(|| self.stations.nearest(p.pos).id)
+            })
+            .collect()
+    }
+
     /// Evaluates peak surge at every station for `storm`.
     ///
     /// One [`StormParams::peak_scan`] over the open-coast stations
-    /// folds each station's peak onshore wind, gated at 400 km, while
-    /// its range gate also tracks each station's closest approach.
+    /// folds each station's peak onshore wind, gated at 400 km, and
+    /// its closest approach.
     ///
     /// # Errors
     ///
-    /// Returns an error if the storm parameters are unphysical.
+    /// Returns an error if the storm parameters are unphysical or the
+    /// calibration's `scan_step_hours` is not finite and positive.
     pub fn station_surge(&self, storm: &StormParams) -> Result<StationSurge, HydroError> {
-        // Pearl Harbor is derived from the south station below.
-        let open_coast: Vec<&Station> = self
-            .stations
-            .iter()
-            .filter(|st| st.id != StationId::PearlHarbor)
-            .collect();
-        let sites: Vec<LatLonTrig> = open_coast
-            .iter()
-            .map(|st| LatLonTrig::new(st.pos))
-            .collect();
-        let mut min_dist = vec![f64::INFINITY; sites.len()];
+        let mut closest_km = vec![f64::INFINITY; self.sites.len()];
         let peak_onshore = storm.peak_scan(
             self.calibration.scan_step_hours,
-            sites.len(),
-            |center, in_range| {
-                for (i, site) in sites.iter().enumerate() {
-                    let d = center.distance_km(site);
-                    min_dist[i] = min_dist[i].min(d);
-                    // Beyond 400 km the Cat 1-5 wind contribution is negligible.
-                    if d < 400.0 {
-                        in_range.push(i, site, d);
-                    }
-                }
-            },
-            |i, w| {
-                w.sample()
-                    .component_toward(open_coast[i].onshore_bearing_deg)
-            },
+            &self.sites,
+            Some(&mut closest_km),
         )?;
-        let mut met: Vec<(StationId, f64)> = open_coast
-            .iter()
-            .zip(peak_onshore.iter().zip(&min_dist))
+        let mut met: Vec<(StationId, f64)> = open_coast(&self.stations)
+            .zip(peak_onshore.iter().zip(&closest_km))
             .map(|(station, (&peak, &dist))| {
                 let surge = self.met_surge(storm, peak, dist) * station.shelf_factor;
                 (station.id, surge)
@@ -181,11 +177,17 @@ impl ParametricSurge {
     }
 }
 
+/// The stations whose surge the scan measures: all but Pearl Harbor,
+/// which is derived from the south station.
+fn open_coast(stations: &Stations) -> impl Iterator<Item = &Station> {
+    stations.iter().filter(|st| st.id != StationId::PearlHarbor)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ensemble::{EnsembleConfig, TrackEnsemble};
-    use crate::track::{StormTrack, TrackPoint};
+    use crate::track::StormTrack;
     use ct_geo::terrain::{synthesize_oahu, OahuTerrainConfig};
     use ct_geo::LatLon;
 
@@ -219,116 +221,6 @@ mod tests {
                 s
             }
         }
-    }
-
-    /// The station-major scan `station_surge` replaced: one storm
-    /// passage per station, the field rebuilt at every in-range step.
-    fn station_surge_reference(
-        m: &ParametricSurge,
-        storm: &StormParams,
-    ) -> Result<StationSurge, HydroError> {
-        let cal = m.calibration();
-        let mut met: Vec<(StationId, f64)> = Vec::new();
-        for st in m.stations().iter() {
-            if st.id == StationId::PearlHarbor {
-                continue;
-            }
-            let (t0, t1) = storm.track.time_span_hours();
-            let mut peak_onshore: f64 = 0.0;
-            let mut min_dist = f64::INFINITY;
-            let mut t = t0;
-            while t <= t1 {
-                let center = storm.track.position(t);
-                let d = center.distance_km(st.pos);
-                min_dist = min_dist.min(d);
-                if d < 400.0 {
-                    let w = storm.wind_field(t)?.wind_at(center, st.pos);
-                    peak_onshore = peak_onshore.max(w.component_toward(st.onshore_bearing_deg));
-                }
-                t += cal.scan_step_hours;
-            }
-            let eta_wind = cal.setup_coefficient * peak_onshore * peak_onshore;
-            let ib_weight = (-(min_dist / cal.ib_decay_km).powi(2)).exp();
-            let eta_ib = cal.ib_m_per_hpa * storm.pressure_deficit_hpa() * ib_weight;
-            let surge = (eta_wind * (1.0 + cal.wave_setup_fraction) + eta_ib) * st.shelf_factor;
-            met.push((st.id, surge));
-        }
-        let south = met
-            .iter()
-            .find(|(id, _)| *id == StationId::South)
-            .unwrap()
-            .1;
-        met.push((
-            StationId::PearlHarbor,
-            south * m.stations().harbor_amplification,
-        ));
-        Ok(StationSurge {
-            entries: met
-                .into_iter()
-                .map(|(id, v)| (id, v + storm.tide_m))
-                .collect(),
-        })
-    }
-
-    /// Storms that probe the peak scan's order and bound at `site`: a
-    /// bent track through it, the calm eye at the step evaluated first;
-    /// a track whose stationary leg ties every step on it for closest
-    /// to `rmax`; a track never within 400 km; an unphysical storm.
-    fn edge_storms(site: LatLon) -> Vec<StormParams> {
-        let point = |t_hours, pos| TrackPoint { t_hours, pos };
-        let through = StormParams {
-            track: StormTrack::new(vec![
-                point(0.0, site.destination(200.0, 150.0)),
-                point(5.0, site),
-                point(12.0, site.destination(30.0, 200.0)),
-            ])
-            .unwrap(),
-            rmax_km: 5.0,
-            ..direct_hit_storm()
-        };
-        let near = site.destination(90.0, 35.0);
-        let tied = StormParams {
-            track: StormTrack::new(vec![
-                point(0.0, near.destination(180.0, 250.0)),
-                point(4.0, near),
-                point(8.0, near),
-                point(14.0, near.destination(20.0, 200.0)),
-            ])
-            .unwrap(),
-            ..direct_hit_storm()
-        };
-        let far = StormParams {
-            track: StormTrack::straight(site.destination(270.0, 900.0), 0.0, 6.0, 24.0).unwrap(),
-            ..direct_hit_storm()
-        };
-        let unphysical = StormParams {
-            central_pressure_hpa: 1010.0,
-            ..direct_hit_storm()
-        };
-        vec![through, tied, far, unphysical]
-    }
-
-    #[test]
-    fn time_major_scan_matches_the_station_major_reference_bitwise() {
-        // The full seed-42 ensemble: a bound that drops a term passes
-        // on a few hundred storms and fails here.
-        let m = model();
-        let mut storms = TrackEnsemble::new(EnsembleConfig::default())
-            .unwrap()
-            .generate();
-        assert_eq!(storms.len(), 1000);
-        storms.push(direct_hit_storm());
-        storms.push(miss_storm());
-        storms.extend(edge_storms(m.stations().get(StationId::South).pos));
-        let bits = |s: StationSurge| -> Vec<(StationId, u64)> {
-            s.iter().map(|(id, v)| (id, v.to_bits())).collect()
-        };
-        for (i, storm) in storms.iter().enumerate() {
-            let got = m.station_surge(storm).map(bits);
-            let want = station_surge_reference(&m, storm).map(bits);
-            assert_eq!(got, want, "storm {i}");
-        }
-        assert!(m.station_surge(storms.last().unwrap()).is_err());
     }
 
     #[test]

@@ -1,53 +1,201 @@
 //! The storm-passage kernel: the peak of a wind-derived value at a set
-//! of points over a storm's passage, each time step's centre trig and
-//! Holland field built once and shared by every point in range.
+//! of sites over a storm's passage, each time step's centre trig and
+//! Holland field built once and shared by every site.
 //!
 //! [`StormParams::peak_scan`] walks the passage `t0, t0 + dt, …` up to
-//! the track's end exactly as the scalar scans do. At each step the
-//! caller's range gate reports the points in range together with their
-//! haversine distance from the centre, the value the gate already
-//! computed. The scan then folds each point's peak:
+//! the track's end exactly as the scalar scans do. A site is in range
+//! of a step when its haversine distance from the centre is below
+//! 400 km. The sites are [`ScanSites`], prepared once per study:
+//! each site's trig, its unit vector on the sphere, and what its peak
+//! is of ([`PeakOf`]). Each site's peak starts at `0.0`. The site is
+//! evaluated first at the step whose chord distance lies closest to
+//! `rmax_km`, where the Holland profile peaks (ties go to the first
+//! such step), then at every other step in time order. A `(step,
+//! site)` pair that provably cannot raise the running peak is dropped
+//! by the cheapest of three tests that shows it:
 //!
-//! 1. First the point's in-range step whose distance lies closest to
-//!    `rmax_km`, where the Holland profile peaks (ties go to the first
-//!    such step).
-//! 2. Then every other in-range step, in time order. A step computes
-//!    the gradient wind `v_rot` and the asymmetry weight `asym` first;
-//!    when `(|v_rot| + 0.6·v_motion·asym)·(1 + 1e-12)` is at or below
-//!    the running peak, the wind cannot raise it, and the bearing, the
-//!    inflow rotation and the final `sqrt` are skipped. A NaN bound
-//!    never skips.
+//! 1. **Culled**, before any trig. The chord `|u_c − u_s|` between the
+//!    unit vectors of centre and site is never longer than their arc,
+//!    so `R·|u_c − u_s|·(1 − 1e-9) − 1e-6` km bounds the haversine from
+//!    below. A table built once per storm bounds the wind speed beyond
+//!    each of a geometric series of radii from `rmax` out to the gate:
+//!    `(sqrt(b·Δp/ρ · x·e^(−x)) + max over steps of 0.6·v_motion)·(1 +
+//!    1e-9)` at `x = (rmax/r)^b`. That is the Holland speed without its
+//!    Coriolis term, which only lowers it, plus the most the motion
+//!    asymmetry adds. Past `rmax` the profile falls with `r`, and a
+//!    suffix max keeps the table non-increasing. A site's *reach* is
+//!    the smallest tabled radius whose bound is at or below its peak,
+//!    recomputed only when the peak rises. A pair whose lower bound is
+//!    at or past the reach, or past the gate, is culled.
+//! 2. **Skipped by the speed bound.** The haversine `r` and the
+//!    gradient wind `v_rot` are computed; when
+//!    `(|v_rot| + 0.6·v_motion·asym)·(1 + 1e-12)` is at or below the
+//!    peak, the bearing, the inflow rotation and the final `sqrt` are
+//!    not.
+//! 3. **Skipped by the direction bound**, for a component toward a
+//!    bearing `b`. The component is
+//!    `v_rot·cos(β − φ) + 0.6·v_motion·asym·cos(m − b)`, with β the
+//!    bearing of the site from the centre, `φ = 90° + inflow + b` and
+//!    `m` the storm's heading. β's sine and cosine come from the
+//!    bearing vector, with no `atan2`. When that value plus
+//!    `1e-9·(|v_rot| + |motion|)` is at or below the peak, the
+//!    `atan2`/`sin`/`cos`/`atan2`/`cos` chain is not computed.
 //!
-//! Every evaluated expression keeps the operand order of
-//! [`HollandWindField::wind_at`], and the peaks equal the time-ordered
-//! scalar scans bit for bit: `max` over non-NaN values does not depend
-//! on the order, and a skipped value is at most the running peak. The
-//! scan reports its work to `hydro.peak_scan.evaluated` and
-//! `hydro.peak_scan.skipped`, one add each per scan.
+//! Every evaluated expression keeps the operands and order of
+//! [`HollandWindField::wind_at`] and the scalar scans, and the peaks
+//! equal those scans bit for bit: `max` over non-NaN values does not
+//! depend on the order, and each bound exceeds what it bounds by a
+//! slack far above rounding, so a dropped value is at most the running
+//! peak. A NaN bound never drops a pair. The scan reports its work to
+//! `hydro.peak_scan.evaluated`, `hydro.peak_scan.skipped` (tests 2 and
+//! 3) and `hydro.peak_scan.culled` (test 1), one add each per scan.
 
 use crate::ensemble::StormParams;
 use crate::error::HydroError;
-use crate::wind::{HollandWindField, WindSample, AIR_DENSITY};
-use ct_geo::LatLonTrig;
+use crate::wind::{coriolis_at, HollandWindField, WindSample, AIR_DENSITY, INFLOW_ANGLE_DEG};
+use ct_geo::{bearing_vector_deg, LatLon, LatLonTrig, EARTH_RADIUS_KM};
 use std::cmp::Ordering;
 
 static EVALUATED: ct_obs::CachedCounter =
     ct_obs::CachedCounter::new(ct_obs::names::HYDRO_PEAK_SCAN_EVALUATED);
 static SKIPPED: ct_obs::CachedCounter =
     ct_obs::CachedCounter::new(ct_obs::names::HYDRO_PEAK_SCAN_SKIPPED);
+static CULLED: ct_obs::CachedCounter =
+    ct_obs::CachedCounter::new(ct_obs::names::HYDRO_PEAK_SCAN_CULLED);
 
-/// Relative slack on the skip bound, far above the few ulps by which a
+/// The footprint gate, km: a site is in range of a step when its
+/// haversine distance from the storm centre is below this. Beyond it
+/// the Cat 1-5 wind contribution is negligible.
+const GATE_KM: f64 = 400.0;
+
+/// Relative slack on the speed bound, far above the few ulps by which a
 /// computed speed can exceed `|v_rot| + 0.6·v_motion·asym`.
 const BOUND_SLACK: f64 = 1.0 + 1e-12;
+/// Relative slack on the bound table.
+const TABLE_SLACK: f64 = 1.0 + 1e-9;
+/// Slack on the direction bound, relative to `|v_rot| + |motion|`.
+const DIRECTION_SLACK: f64 = 1e-9;
+/// Relative and absolute (km) slack on the chord lower bound.
+const CHORD_SLACK: f64 = 1.0 - 1e-9;
+const CHORD_SLACK_KM: f64 = 1e-6;
+/// Ratio of consecutive radii in the bound table, and its most rows.
+const TABLE_RATIO: f64 = 1.1;
+const TABLE_ROWS: usize = 64;
+
+/// Checks a peak scan's time step: finite and positive, without which
+/// the passage never ends.
+///
+/// # Errors
+///
+/// [`HydroError::InvalidParameter`] for any other step.
+pub fn check_scan_step(step_hours: f64) -> Result<(), HydroError> {
+    if step_hours.is_finite() && step_hours > 0.0 {
+        Ok(())
+    } else {
+        Err(HydroError::InvalidParameter {
+            name: "scan_step_hours",
+            value: step_hours,
+        })
+    }
+}
+
+/// What a peak scan takes the peak of at a site.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum PeakOf {
+    /// The wind speed, m/s.
+    Speed,
+    /// The wind's component toward a compass bearing in degrees
+    /// ([`WindSample::component_toward`]), m/s.
+    Toward(f64),
+}
+
+/// The sites of a peak scan, prepared once and shared by every storm.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ScanSites {
+    sites: Vec<ScanSite>,
+}
+
+#[derive(Debug, Clone, PartialEq)]
+struct ScanSite {
+    trig: LatLonTrig,
+    unit: [f64; 3],
+    value: SiteValue,
+}
+
+/// A [`PeakOf`] with the trig of a component's bearing `b` hoisted.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum SiteValue {
+    Speed,
+    Toward {
+        bearing_deg: f64,
+        sin_b: f64,
+        cos_b: f64,
+        /// Sine and cosine of `φ = 90° + inflow + b`: the circulation
+        /// blows toward `b` at sites that bear φ from the centre.
+        sin_phi: f64,
+        cos_phi: f64,
+    },
+}
+
+impl ScanSites {
+    /// Prepares `sites`, each a position and what its peak is of.
+    pub fn new(sites: impl IntoIterator<Item = (LatLon, PeakOf)>) -> Self {
+        let sites = sites
+            .into_iter()
+            .map(|(pos, of)| {
+                let trig = LatLonTrig::new(pos);
+                let value = match of {
+                    PeakOf::Speed => SiteValue::Speed,
+                    PeakOf::Toward(b) => {
+                        let (sin_b, cos_b) = b.to_radians().sin_cos();
+                        let phi = (90.0 + INFLOW_ANGLE_DEG + b).to_radians();
+                        let (sin_phi, cos_phi) = phi.sin_cos();
+                        SiteValue::Toward {
+                            bearing_deg: b,
+                            sin_b,
+                            cos_b,
+                            sin_phi,
+                            cos_phi,
+                        }
+                    }
+                };
+                ScanSite {
+                    trig,
+                    unit: trig.unit_vector(),
+                    value,
+                }
+            })
+            .collect();
+        Self { sites }
+    }
+
+    /// Number of sites.
+    pub fn len(&self) -> usize {
+        self.sites.len()
+    }
+
+    /// Whether there are no sites.
+    pub fn is_empty(&self) -> bool {
+        self.sites.is_empty()
+    }
+}
+
+impl SiteValue {
+    /// The value of wind `w`, as the scalar scans compute it.
+    fn of(self, w: WindVector) -> f64 {
+        match self {
+            SiteValue::Speed => w.speed_ms(),
+            SiteValue::Toward { bearing_deg, .. } => w.sample().component_toward(bearing_deg),
+        }
+    }
+}
 
 /// East and north wind components (m/s) at a point, as a peak scan
 /// evaluates them.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WindVector {
-    /// Eastward component, m/s.
-    pub east_ms: f64,
-    /// Northward component, m/s.
-    pub north_ms: f64,
+struct WindVector {
+    east_ms: f64,
+    north_ms: f64,
 }
 
 impl WindVector {
@@ -59,58 +207,16 @@ impl WindVector {
     };
 
     /// Wind speed; bit-identical to `wind_at(..).speed_ms`.
-    pub fn speed_ms(self) -> f64 {
+    fn speed_ms(self) -> f64 {
         (self.east_ms * self.east_ms + self.north_ms * self.north_ms).sqrt()
     }
 
     /// Speed and direction; bit-identical to `wind_at(..)`.
-    pub fn sample(self) -> WindSample {
+    fn sample(self) -> WindSample {
         WindSample {
             speed_ms: self.speed_ms(),
             toward_deg: (self.east_ms.atan2(self.north_ms).to_degrees() + 360.0) % 360.0,
         }
-    }
-}
-
-/// The points a peak scan's range gate reports in range at one step;
-/// see [`StormParams::peak_scan`].
-#[derive(Debug)]
-pub struct InRange<'p> {
-    rmax_km: f64,
-    step: u32,
-    hits: Vec<Hit<'p>>,
-    /// Per point, the hit evaluated first and its `|r - rmax|`.
-    first: Vec<Option<(usize, f64)>>,
-}
-
-/// One in-range `(step, point)` pair.
-#[derive(Debug)]
-struct Hit<'p> {
-    step: u32,
-    point: u32,
-    r_km: f64,
-    site: &'p LatLonTrig,
-}
-
-impl<'p> InRange<'p> {
-    /// Reports point `point` at `site`, `r_km` from this step's centre
-    /// (`centre.distance_km(site)`).
-    ///
-    /// # Panics
-    ///
-    /// If `point` is not below the scan's point count.
-    pub fn push(&mut self, point: usize, site: &'p LatLonTrig, r_km: f64) {
-        let key = (r_km - self.rmax_km).abs();
-        let first = &mut self.first[point];
-        if first.is_none_or(|(_, best)| key < best) {
-            *first = Some((self.hits.len(), key));
-        }
-        self.hits.push(Hit {
-            step: self.step,
-            point: point as u32,
-            r_km,
-            site,
-        });
     }
 }
 
@@ -123,31 +229,55 @@ struct Passage<'a> {
     t_end: f64,
     /// Motion of the last segment looked up, which every step on that
     /// segment shares.
-    motion: Option<(usize, (f64, f64))>,
+    motion: Option<(usize, StepMotion)>,
 }
 
-/// One time step of a storm passage: the storm centre and its wind
-/// field.
+/// The storm's translation over one track segment.
+#[derive(Debug, Clone, Copy)]
+struct StepMotion {
+    /// `0.6 · v_motion`.
+    motion_06: f64,
+    /// Sine and cosine of the heading.
+    sin: f64,
+    cos: f64,
+}
+
+/// One time step of a storm passage: the storm centre and the parts of
+/// its wind field that vary by step.
 #[derive(Debug, Clone)]
 struct PassageStep {
     center: LatLonTrig,
-    field: Result<StepField, HydroError>,
+    unit: [f64; 3],
+    /// `|f|`, the Coriolis parameter's magnitude at the centre.
+    abs_coriolis: f64,
+    motion: StepMotion,
 }
 
-/// A [`HollandWindField`] with the constants of one step hoisted.
+/// The constants of a storm's Holland field, shared by every step.
 #[derive(Debug, Clone, Copy)]
-struct StepField {
+struct StormField {
     rmax_km: f64,
     b: f64,
     /// `b · Δp / ρ`.
     b_dp_rho: f64,
-    /// `|f|`, the Coriolis parameter's magnitude.
-    abs_coriolis: f64,
-    inflow_angle_deg: f64,
-    /// `0.6 · v_motion`.
-    motion_06: f64,
-    motion_sin: f64,
-    motion_cos: f64,
+}
+
+/// Bounds on a storm's wind speed beyond a geometric series of radii.
+#[derive(Debug, Clone)]
+struct BoundTable {
+    /// Per tabled radius `r`, in increasing order: a bound on the speed
+    /// at every distance of at least `r`, non-increasing down the
+    /// rows, and the squared chord at and past which a pair lies at
+    /// least `r` away.
+    rows: Vec<(f64, f64)>,
+}
+
+/// What a scan did, added to the counters once per scan.
+#[derive(Debug, Default)]
+struct Work {
+    evaluated: u64,
+    skipped: u64,
+    culled: u64,
 }
 
 impl StormParams {
@@ -164,75 +294,285 @@ impl StormParams {
         }
     }
 
-    /// The peak of `value` at each of `points` points over this storm's
-    /// passage scanned every `step_hours`, as the module docs describe.
+    /// The peak over this storm's passage, scanned every `step_hours`,
+    /// of each site's value, as the module docs describe. A site never
+    /// in range peaks at `0.0`. Equals, bit for bit, the time-ordered
+    /// fold `peak = peak.max(value(wind))` over each site's in-range
+    /// steps, up to the sign of a zero peak.
     ///
-    /// At every step, `gate` gets the storm centre and reports each
-    /// point in range through [`InRange::push`]. `value` maps a point's
-    /// wind to the quantity whose peak is taken; it must not exceed the
-    /// wind speed. Peaks start at `0.0`, so a point never in range
-    /// peaks at `0.0`. Equals, bit for bit, the time-ordered fold
-    /// `peak = peak.max(value(i, wind))` over the in-range steps, up to
-    /// the sign of a zero peak.
+    /// When `closest_km` is given, each of its entries receives its
+    /// site's closest approach: the least haversine distance from any
+    /// step's centre, in range or not.
     ///
     /// # Errors
     ///
-    /// The error [`StormParams::wind_field`] returns for unphysical
-    /// storm parameters, if any point is in range at any step. It
-    /// depends on the storm alone, not on the step.
-    pub fn peak_scan<'p>(
+    /// [`check_scan_step`]'s error for a step that is not finite and
+    /// positive. Else the error [`StormParams::wind_field`] returns for
+    /// unphysical storm parameters, if any site is in range at any step;
+    /// it depends on the storm alone, not on the step.
+    ///
+    /// # Panics
+    ///
+    /// If `closest_km`'s length is not the site count.
+    pub fn peak_scan(
         &self,
         step_hours: f64,
-        points: usize,
-        mut gate: impl FnMut(&LatLonTrig, &mut InRange<'p>),
-        value: impl Fn(usize, WindVector) -> f64,
+        sites: &ScanSites,
+        mut closest_km: Option<&mut [f64]>,
     ) -> Result<Vec<f64>, HydroError> {
-        let mut in_range = InRange {
-            rmax_km: self.rmax_km,
-            step: 0,
-            hits: Vec::new(),
-            first: vec![None; points],
-        };
-        let steps: Vec<PassageStep> = self
-            .passage(step_hours)
-            .inspect(|step| {
-                gate(&step.center, &mut in_range);
-                in_range.step += 1;
-            })
-            .collect();
-        let InRange { hits, first, .. } = in_range;
-        let mut peaks = vec![0.0_f64; points];
-        let mut evaluated = 0_u64;
-        let mut skipped = 0_u64;
-        // Each point's likely-peak step, with nothing yet to bound it.
-        for &(h, _) in first.iter().flatten() {
-            let hit = &hits[h];
-            let step = &steps[hit.step as usize];
-            let field = step.field.as_ref().map_err(Clone::clone)?;
-            let point = hit.point as usize;
-            if let Some(w) = field.wind_above(&step.center, hit.site, hit.r_km, f64::NEG_INFINITY) {
-                peaks[point] = peaks[point].max(value(point, w));
-            }
-            evaluated += 1;
+        check_scan_step(step_hours)?;
+        if let Some(closest) = &closest_km {
+            assert_eq!(closest.len(), sites.len(), "one closest approach per site");
         }
-        for (h, hit) in hits.iter().enumerate() {
-            let point = hit.point as usize;
-            if first[point].is_some_and(|(f, _)| f == h) {
+        let steps: Vec<PassageStep> = self.passage(step_hours).collect();
+        let field = StormField::new(self);
+        // An unphysical storm has no table: only the gate culls, and its
+        // first in-range pair reports the field error.
+        let table = field.as_ref().ok().map(|f| {
+            let max_motion_06 = steps
+                .iter()
+                .map(|s| s.motion.motion_06.abs())
+                .fold(0.0, f64::max);
+            BoundTable::new(f, max_motion_06)
+        });
+        let mut work = Work::default();
+        let mut chords = Vec::with_capacity(steps.len());
+        let mut peaks = Vec::with_capacity(sites.len());
+        for (i, site) in sites.sites.iter().enumerate() {
+            chords.clear();
+            chords.extend(steps.iter().map(|step| chord2(&step.unit, &site.unit)));
+            let closest = closest_km.as_deref_mut().map(|c| &mut c[i]);
+            let scan = SiteScan {
+                field: &field,
+                table: table.as_ref(),
+                steps: &steps,
+                chords: &chords,
+                site,
+            };
+            peaks.push(scan.peak(closest, &mut work)?);
+        }
+        EVALUATED.add(work.evaluated);
+        SKIPPED.add(work.skipped);
+        CULLED.add(work.culled);
+        Ok(peaks)
+    }
+}
+
+/// One site's scan over a passage.
+struct SiteScan<'a> {
+    field: &'a Result<StormField, HydroError>,
+    table: Option<&'a BoundTable>,
+    steps: &'a [PassageStep],
+    /// The squared chord from each step's centre to the site.
+    chords: &'a [f64],
+    site: &'a ScanSite,
+}
+
+impl SiteScan<'_> {
+    /// The site's peak, and its closest approach into `closest`.
+    fn peak(&self, closest: Option<&mut f64>, work: &mut Work) -> Result<f64, HydroError> {
+        let site = self.site;
+        let limit_at = |peak| self.table.map_or(chord2_limit(GATE_KM), |t| t.limit(peak));
+        let mut peak = 0.0_f64;
+        let mut limit = limit_at(peak);
+        let prime = self.prime_step();
+        if let Some(s) = prime {
+            let step = &self.steps[s];
+            let r_km = step.center.distance_km(&site.trig);
+            if r_km < GATE_KM {
+                let field = self.field.as_ref().map_err(Clone::clone)?;
+                if let Some(v) = field.value_above(step, site, r_km, f64::NEG_INFINITY) {
+                    peak = peak.max(v);
+                }
+                work.evaluated += 1;
+                limit = limit_at(peak);
+            }
+        }
+        // The closest approach so far, and the squared chord at and past
+        // which a step cannot come closer.
+        let mut min_km = f64::INFINITY;
+        let mut min_limit = f64::INFINITY;
+        let track_closest = closest.is_some();
+        for (s, (step, &c2)) in self.steps.iter().zip(self.chords).enumerate() {
+            let mut r = None;
+            if track_closest && c2 < min_limit {
+                let d = step.center.distance_km(&site.trig);
+                if d < min_km {
+                    min_km = d;
+                    min_limit = chord2_limit(d);
+                }
+                r = Some(d);
+            }
+            if Some(s) == prime {
                 continue;
             }
-            let step = &steps[hit.step as usize];
-            let field = step.field.as_ref().map_err(Clone::clone)?;
-            match field.wind_above(&step.center, hit.site, hit.r_km, peaks[point]) {
-                Some(w) => {
-                    peaks[point] = peaks[point].max(value(point, w));
-                    evaluated += 1;
+            if c2 >= limit {
+                work.culled += 1;
+                continue;
+            }
+            let r_km = r.unwrap_or_else(|| step.center.distance_km(&site.trig));
+            // Out of range, NaN included.
+            if r_km.partial_cmp(&GATE_KM).is_none_or(Ordering::is_ge) {
+                continue;
+            }
+            let field = self.field.as_ref().map_err(Clone::clone)?;
+            match field.value_above(step, site, r_km, peak) {
+                Some(v) => {
+                    let old = peak;
+                    peak = peak.max(v);
+                    if peak > old {
+                        limit = limit_at(peak);
+                    }
+                    work.evaluated += 1;
                 }
-                None => skipped += 1,
+                None => work.skipped += 1,
             }
         }
-        EVALUATED.add(evaluated);
-        SKIPPED.add(skipped);
-        Ok(peaks)
+        if let Some(closest) = closest {
+            *closest = min_km;
+        }
+        Ok(peak)
+    }
+
+    /// The step whose chord distance lies closest to `rmax_km` (the
+    /// first of ties), or `None` for an unphysical storm.
+    fn prime_step(&self) -> Option<usize> {
+        let field = self.field.as_ref().ok()?;
+        let target = (field.rmax_km / EARTH_RADIUS_KM).powi(2);
+        let mut best: Option<(usize, f64)> = None;
+        for (s, &c2) in self.chords.iter().enumerate() {
+            let key = (c2 - target).abs();
+            if best.is_none_or(|(_, k)| key < k) {
+                best = Some((s, key));
+            }
+        }
+        best.map(|(s, _)| s)
+    }
+}
+
+/// `|u - v|²`.
+fn chord2(u: &[f64; 3], v: &[f64; 3]) -> f64 {
+    let (dx, dy, dz) = (u[0] - v[0], u[1] - v[1], u[2] - v[2]);
+    dx * dx + dy * dy + dz * dz
+}
+
+/// The squared chord at and past which the chord lower bound
+/// `R·chord·(1 − 1e-9) − 1e-6` is at least `km`, so the haversine is.
+fn chord2_limit(km: f64) -> f64 {
+    let chord = (km + CHORD_SLACK_KM) / (EARTH_RADIUS_KM * CHORD_SLACK);
+    chord * chord
+}
+
+impl StormField {
+    /// The constants every step's [`HollandWindField`] shares; the
+    /// field's error for unphysical storm parameters.
+    fn new(storm: &StormParams) -> Result<Self, HydroError> {
+        // The latitude moves only the Coriolis term, which each step
+        // takes from its own centre.
+        let f = HollandWindField::new(
+            storm.central_pressure_hpa,
+            storm.ambient_pressure_hpa,
+            storm.rmax_km,
+            storm.b,
+            0.0,
+        )?;
+        Ok(Self {
+            rmax_km: f.rmax_km,
+            b: f.b,
+            b_dp_rho: f.b * f.pressure_deficit_pa() / AIR_DENSITY,
+        })
+    }
+
+    /// The value at `site` of the wind at `step`, given `r_km =
+    /// center.distance_km(site)`, or `None` when it provably cannot
+    /// exceed `peak`. Bit-identical to the value of
+    /// `storm.wind_field(t)?.wind_at(center, site)`.
+    fn value_above(
+        &self,
+        step: &PassageStep,
+        site: &ScanSite,
+        r_km: f64,
+        peak: f64,
+    ) -> Option<f64> {
+        if r_km <= 1e-6 {
+            return Some(site.value.of(WindVector::CALM));
+        }
+        // Gradient wind, `HollandWindField::gradient_wind_ms`.
+        let r_m = r_km * 1000.0;
+        let x = (self.rmax_km / r_km).powf(self.b);
+        let term = self.b_dp_rho * x * (-x).exp();
+        let rf2 = r_m * step.abs_coriolis / 2.0;
+        let v_rot = (term + rf2 * rf2).sqrt() - rf2;
+        let asym = 2.0 * (r_km * self.rmax_km) / (r_km * r_km + self.rmax_km * self.rmax_km);
+        let motion = step.motion.motion_06 * asym;
+        // The triangle inequality on the two terms below.
+        let spread = v_rot.abs() + motion.abs();
+        if spread * BOUND_SLACK <= peak {
+            return None;
+        }
+        let (y, x) = step.center.bearing_vector(&site.trig);
+        if let SiteValue::Toward {
+            sin_b,
+            cos_b,
+            sin_phi,
+            cos_phi,
+            ..
+        } = site.value
+        {
+            let rotation = v_rot * (x * cos_phi + y * sin_phi) / (x * x + y * y).sqrt();
+            let drift = motion * (step.motion.cos * cos_b + step.motion.sin * sin_b);
+            if rotation + drift + DIRECTION_SLACK * spread <= peak {
+                return None;
+            }
+        }
+        // Inflow-rotated circulation plus the motion asymmetry,
+        // `HollandWindField::wind_at`.
+        let beta = bearing_vector_deg((y, x));
+        let toward_rad = (beta - 90.0 - INFLOW_ANGLE_DEG).to_radians();
+        let (ve, vn) = (v_rot * toward_rad.sin(), v_rot * toward_rad.cos());
+        Some(site.value.of(WindVector {
+            east_ms: ve + motion * step.motion.sin,
+            north_ms: vn + motion * step.motion.cos,
+        }))
+    }
+}
+
+impl BoundTable {
+    /// The table for a storm whose field is `field` and whose fastest
+    /// step moves at `max_motion_06 / 0.6`.
+    fn new(field: &StormField, max_motion_06: f64) -> Self {
+        let mut rows = Vec::new();
+        let mut r = field.rmax_km;
+        while r < GATE_KM && rows.len() < TABLE_ROWS {
+            let x = (field.rmax_km / r).powf(field.b);
+            let holland = (field.b_dp_rho * x * (-x).exp()).sqrt();
+            rows.push(((holland + max_motion_06) * TABLE_SLACK, chord2_limit(r)));
+            r *= TABLE_RATIO;
+        }
+        Self::from_rows(rows)
+    }
+
+    /// A table over `(bound, chord² limit)` rows, the bounds made
+    /// non-increasing by a suffix max. A NaN bound bounds nothing.
+    fn from_rows(mut rows: Vec<(f64, f64)>) -> Self {
+        let mut max = f64::NEG_INFINITY;
+        for (bound, _) in rows.iter_mut().rev() {
+            if bound.is_nan() {
+                *bound = f64::INFINITY;
+            }
+            max = max.max(*bound);
+            *bound = max;
+        }
+        Self { rows }
+    }
+
+    /// The squared chord at and past which a pair cannot raise `peak`:
+    /// that of the site's reach, else of the gate.
+    fn limit(&self, peak: f64) -> f64 {
+        let k = self.rows.partition_point(|&(bound, _)| bound > peak);
+        self.rows
+            .get(k)
+            .map_or(chord2_limit(GATE_KM), |&(_, limit)| limit)
     }
 }
 
@@ -247,80 +587,29 @@ impl Iterator for Passage<'_> {
         let t = self.t;
         self.t += self.step_hours;
         let storm = self.storm;
-        let center = storm.track.position(t);
         let seg = storm.track.segment_at(t);
-        let (heading, speed) = match self.motion {
+        let motion = match self.motion {
             Some((cached, motion)) if cached == seg => motion,
             _ => {
-                let motion = storm.track.segment_motion(seg);
+                // `HollandWindField::with_motion(heading, speed)`.
+                let (heading, speed) = storm.track.segment_motion(seg);
+                let m_rad = heading.to_radians();
+                let motion = StepMotion {
+                    motion_06: 0.6 * speed,
+                    sin: m_rad.sin(),
+                    cos: m_rad.cos(),
+                };
                 self.motion = Some((seg, motion));
                 motion
             }
         };
-        // The same field `StormParams::wind_field(t)` builds.
-        let field = HollandWindField::new(
-            storm.central_pressure_hpa,
-            storm.ambient_pressure_hpa,
-            storm.rmax_km,
-            storm.b,
-            center.lat,
-        )
-        .map(|f| StepField::new(&f.with_motion(heading, speed)));
+        let center = LatLonTrig::new(storm.track.position(t));
         Some(PassageStep {
-            center: LatLonTrig::new(center),
-            field,
-        })
-    }
-}
-
-impl StepField {
-    fn new(f: &HollandWindField) -> Self {
-        let m_rad = f.motion_toward_deg.to_radians();
-        Self {
-            rmax_km: f.rmax_km,
-            b: f.b,
-            b_dp_rho: f.b * f.pressure_deficit_pa() / AIR_DENSITY,
-            abs_coriolis: f.coriolis().abs(),
-            inflow_angle_deg: f.inflow_angle_deg,
-            motion_06: 0.6 * f.motion_speed_ms,
-            motion_sin: m_rad.sin(),
-            motion_cos: m_rad.cos(),
-        }
-    }
-
-    /// The wind at `site`, given `r_km = center.distance_km(site)`, or
-    /// `None` when its speed provably cannot exceed `peak`.
-    /// Bit-identical to `storm.wind_field(t)?.wind_at(center, site)`.
-    fn wind_above(
-        &self,
-        center: &LatLonTrig,
-        site: &LatLonTrig,
-        r_km: f64,
-        peak: f64,
-    ) -> Option<WindVector> {
-        if r_km <= 1e-6 {
-            return Some(WindVector::CALM);
-        }
-        // Gradient wind, `HollandWindField::gradient_wind_ms`.
-        let r_m = r_km * 1000.0;
-        let x = (self.rmax_km / r_km).powf(self.b);
-        let term = self.b_dp_rho * x * (-x).exp();
-        let rf2 = r_m * self.abs_coriolis / 2.0;
-        let v_rot = (term + rf2 * rf2).sqrt() - rf2;
-        let asym = 2.0 * (r_km * self.rmax_km) / (r_km * r_km + self.rmax_km * self.rmax_km);
-        let motion = self.motion_06 * asym;
-        // The triangle inequality on the two terms below.
-        if (v_rot.abs() + motion.abs()) * BOUND_SLACK <= peak {
-            return None;
-        }
-        // Inflow-rotated circulation plus the motion asymmetry,
-        // `HollandWindField::wind_at`.
-        let beta = center.bearing_deg(site);
-        let toward_rad = (beta - 90.0 - self.inflow_angle_deg).to_radians();
-        let (ve, vn) = (v_rot * toward_rad.sin(), v_rot * toward_rad.cos());
-        Some(WindVector {
-            east_ms: ve + motion * self.motion_sin,
-            north_ms: vn + motion * self.motion_cos,
+            // `HollandWindField::coriolis` at the centre's latitude.
+            abs_coriolis: coriolis_at(center.sin_lat()).abs(),
+            unit: center.unit_vector(),
+            center,
+            motion,
         })
     }
 }
@@ -330,7 +619,7 @@ mod tests {
     use super::*;
     use crate::ensemble::{EnsembleConfig, TrackEnsemble};
     use crate::track::{StormTrack, TrackPoint};
-    use ct_geo::LatLon;
+    use ct_rand::cases;
 
     fn storm(track: StormTrack) -> StormParams {
         StormParams {
@@ -352,6 +641,9 @@ mod tests {
         while t <= t1 {
             let step = steps.next().expect("one step per scan time");
             assert_eq!(step.center.pos(), storm.track.position(t), "t={t}");
+            let field = storm.wind_field(t).unwrap();
+            assert_eq!(step.abs_coriolis, field.coriolis().abs(), "t={t}");
+            assert_eq!(step.motion.motion_06, 0.6 * field.motion_speed_ms);
             t += step_hours;
         }
         assert!(steps.next().is_none());
@@ -388,27 +680,47 @@ mod tests {
         assert_steps_match_scalar_scan(&storm(bent), 0.75);
     }
 
+    fn one_site(pos: LatLon) -> ScanSites {
+        ScanSites::new([(pos, PeakOf::Speed)])
+    }
+
     #[test]
     fn unphysical_storms_report_the_field_error_only_when_in_range() {
         let mut s =
             storm(StormTrack::straight(LatLon::new(19.2, -158.35), 5.0, 6.0, 48.0).unwrap());
         s.central_pressure_hpa = s.ambient_pressure_hpa;
-        let site = LatLonTrig::new(LatLon::new(21.3, -157.9));
-        let scan = |radius_km: f64| {
-            s.peak_scan(
-                1.0,
-                1,
-                |center, in_range| {
-                    let r = center.distance_km(&site);
-                    if r < radius_km {
-                        in_range.push(0, &site, r);
-                    }
-                },
-                |_, w| w.speed_ms(),
-            )
-        };
-        assert_eq!(scan(400.0).unwrap_err(), s.wind_field(0.0).unwrap_err());
-        assert_eq!(scan(0.0).unwrap(), vec![0.0]);
+        let near = one_site(LatLon::new(21.3, -157.9));
+        let far = one_site(LatLon::new(21.3, -150.0));
+        assert_eq!(
+            s.peak_scan(1.0, &near, None).unwrap_err(),
+            s.wind_field(0.0).unwrap_err()
+        );
+        assert_eq!(s.peak_scan(1.0, &far, None).unwrap(), vec![0.0]);
+    }
+
+    /// Only the rejection is exercised: a scan with a zero or negative
+    /// step would never end. NaN and infinite steps end after one step
+    /// unguarded, so those reach the kernel's own check.
+    #[test]
+    fn non_positive_and_non_finite_steps_are_rejected() {
+        for step in [0.0, -0.0, -1.0, f64::NEG_INFINITY, f64::INFINITY, f64::NAN] {
+            assert!(
+                matches!(
+                    check_scan_step(step),
+                    Err(HydroError::InvalidParameter {
+                        name: "scan_step_hours",
+                        ..
+                    })
+                ),
+                "step {step}"
+            );
+        }
+        assert!(check_scan_step(0.5).is_ok());
+        let s = storm(StormTrack::straight(LatLon::new(19.2, -158.35), 5.0, 6.0, 48.0).unwrap());
+        let sites = one_site(LatLon::new(21.3, -157.9));
+        for step in [f64::NAN, f64::INFINITY] {
+            assert!(s.peak_scan(step, &sites, None).is_err(), "step {step}");
+        }
     }
 
     #[test]
@@ -416,5 +728,69 @@ mod tests {
         let f = HollandWindField::new(966.0, 1010.0, 35.0, 1.6, 21.0).unwrap();
         let eye = LatLon::new(21.0, -158.0);
         assert_eq!(WindVector::CALM.sample(), f.wind_at(eye, eye));
+    }
+
+    /// A pair at haversine distance `d` is never culled at a limit of
+    /// `d`: the chord bound stays below the haversine, coincident and
+    /// near-coincident points included.
+    #[test]
+    fn the_chord_bound_never_exceeds_the_haversine() {
+        cases(512, |rng| {
+            let a = LatLon::new(rng.range_f64(-60.0, 60.0), rng.range_f64(-170.0, 170.0));
+            let km = match rng.below(3) {
+                0 => 0.0,
+                1 => rng.range_f64(0.0, 1e-6),
+                _ => rng.range_f64(0.0, 2.0 * GATE_KM),
+            };
+            let b = a.destination(rng.range_f64(0.0, 360.0), km);
+            let (ta, tb) = (LatLonTrig::new(a), LatLonTrig::new(b));
+            let d = ta.distance_km(&tb);
+            let c2 = chord2(&ta.unit_vector(), &tb.unit_vector());
+            assert!(c2 < chord2_limit(d), "{a} to {b}: d {d}, chord² {c2}");
+        });
+    }
+
+    #[test]
+    fn the_bound_table_is_non_increasing_and_bounds_every_speed_past_its_radius() {
+        // The suffix max orders even rows that arrive out of order.
+        let table =
+            BoundTable::from_rows(vec![(3.0, 1.0), (5.0, 2.0), (f64::NAN, 3.0), (1.0, 4.0)]);
+        let bounds: Vec<f64> = table.rows.iter().map(|r| r.0).collect();
+        assert_eq!(
+            bounds,
+            vec![f64::INFINITY; 3]
+                .into_iter()
+                .chain([1.0])
+                .collect::<Vec<_>>()
+        );
+        assert_eq!(table.limit(1.0), 4.0);
+        assert_eq!(table.limit(0.5), chord2_limit(GATE_KM));
+        // Every storm speed at distance r is at most the bound of each
+        // tabled radius at or below r.
+        cases(64, |rng| {
+            let mut s =
+                storm(StormTrack::straight(LatLon::new(19.2, -158.35), 5.0, 6.0, 48.0).unwrap());
+            s.rmax_km = rng.range_f64(5.0, 80.0);
+            s.b = rng.range_f64(0.6, 3.4);
+            s.central_pressure_hpa = rng.range_f64(900.0, 1005.0);
+            let motion = rng.range_f64(0.0, 15.0);
+            let f = s
+                .wind_field(0.0)
+                .unwrap()
+                .with_motion(rng.range_f64(0.0, 360.0), motion);
+            let table = BoundTable::new(&StormField::new(&s).unwrap(), 0.6 * motion);
+            let center = LatLon::new(21.0, -158.0);
+            for _ in 0..40 {
+                let r = rng.range_f64(s.rmax_km, GATE_KM);
+                let speed = f.wind_at(center, center.destination(rng.range_f64(0.0, 360.0), r));
+                let mut radius = s.rmax_km;
+                for &(bound, _) in &table.rows {
+                    if radius <= r * (1.0 - 1e-9) {
+                        assert!(speed.speed_ms <= bound, "r {r}: {speed:?} > {bound}");
+                    }
+                    radius *= TABLE_RATIO;
+                }
+            }
+        });
     }
 }

@@ -8,7 +8,7 @@ use crate::ensemble::StormParams;
 use crate::error::HydroError;
 use crate::inundation::{FloodThreshold, Poi};
 use crate::parametric::ParametricSurge;
-use crate::stations::{StationId, Stations};
+use crate::stations::StationId;
 
 /// The outcome of one sampled hurricane: peak inundation depth (m) at
 /// every point of interest, in POI order.
@@ -66,18 +66,25 @@ impl RealizationSet {
         }
     }
 
-    /// Evaluates a single storm against the POIs: the surge kernel
-    /// behind `ct_hazard::SurgeHazard`, one storm per call so callers
-    /// can spread an ensemble over worker threads.
+    /// Evaluates a single storm against the POIs, each reading the
+    /// surge of its station in `poi_stations` (from
+    /// [`ParametricSurge::poi_stations`], computed once per POI set):
+    /// the surge kernel behind `ct_hazard::SurgeHazard`, one storm per
+    /// call so callers can spread an ensemble over worker threads.
     ///
     /// # Errors
     ///
     /// Propagates storm-parameter errors.
+    ///
+    /// # Panics
+    ///
+    /// If `poi_stations` and `pois` differ in length.
     pub fn evaluate_storm(
         index: usize,
         storm: &StormParams,
         model: &ParametricSurge,
         pois: &[Poi],
+        poi_stations: &[StationId],
     ) -> Result<Realization, HydroError> {
         static REALIZATIONS: ct_obs::CachedCounter =
             ct_obs::CachedCounter::new(ct_obs::names::HYDRO_REALIZATIONS_EVALUATED);
@@ -85,10 +92,11 @@ impl RealizationSet {
             ct_obs::CachedCounter::new(ct_obs::names::HYDRO_POI_EVALUATIONS);
         let surge = model.station_surge(storm)?;
         let cal = model.calibration();
+        assert_eq!(poi_stations.len(), pois.len(), "one station per POI");
         let inundation_m = pois
             .iter()
-            .zip(station_assignments(model.stations(), pois))
-            .map(|(poi, st)| poi.inundation_m(surge.get(st), cal))
+            .zip(poi_stations)
+            .map(|(poi, &st)| poi.inundation_m(surge.get(st), cal))
             .collect();
         REALIZATIONS.add(1);
         POI_EVALUATIONS.add(pois.len() as u64);
@@ -186,17 +194,6 @@ impl RealizationSet {
     }
 }
 
-/// The station each POI reads its surge from: its override, else the
-/// nearest station (first of equal minima).
-fn station_assignments(stations: &Stations, pois: &[Poi]) -> Vec<StationId> {
-    pois.iter()
-        .map(|p| {
-            p.station_override
-                .unwrap_or_else(|| stations.nearest(p.pos).id)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
@@ -207,7 +204,7 @@ pub(crate) mod tests {
     /// of the default ensemble at two POIs named `ids`: Honolulu's
     /// waterfront, then Kahe.
     pub(crate) fn surge_set(ids: [&str; 2], n: usize) -> RealizationSet {
-        use crate::{EnsembleConfig, SurgeCalibration, TrackEnsemble};
+        use crate::{EnsembleConfig, Stations, SurgeCalibration, TrackEnsemble};
         let dem = synthesize_oahu(&OahuTerrainConfig::default());
         let pois = vec![
             Poi::from_dem(ids[0], LatLon::new(21.307, -157.858), &dem).unwrap(),
@@ -219,10 +216,13 @@ pub(crate) mod tests {
             ..EnsembleConfig::default()
         };
         let storms = TrackEnsemble::new(config).unwrap().generate();
+        let poi_stations = model.poi_stations(&pois);
         let realizations = storms
             .iter()
             .enumerate()
-            .map(|(i, storm)| RealizationSet::evaluate_storm(i, storm, &model, &pois).unwrap())
+            .map(|(i, storm)| {
+                RealizationSet::evaluate_storm(i, storm, &model, &pois, &poi_stations).unwrap()
+            })
             .collect();
         RealizationSet::from_parts(pois, realizations)
     }

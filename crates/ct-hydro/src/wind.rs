@@ -6,6 +6,10 @@ use ct_geo::LatLon;
 /// Air density at sea level, kg/m³.
 pub const AIR_DENSITY: f64 = 1.15;
 
+/// Surface inflow angle every [`HollandWindField::new`] field starts
+/// with, degrees.
+pub const INFLOW_ANGLE_DEG: f64 = 20.0;
+
 /// A wind observation at a point: speed and the compass direction the
 /// air is moving *toward*.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -23,6 +27,12 @@ impl WindSample {
         let delta = (self.toward_deg - bearing_deg).to_radians();
         self.speed_ms * delta.cos()
     }
+}
+
+/// The Coriolis parameter `2 Ω sin(φ)` (1/s) at a latitude of sine
+/// `sin_lat`.
+pub(crate) fn coriolis_at(sin_lat: f64) -> f64 {
+    2.0 * 7.2921e-5 * sin_lat
 }
 
 /// Holland (1980) parametric gradient-wind model of a tropical
@@ -94,7 +104,7 @@ impl HollandWindField {
             latitude_deg,
             motion_toward_deg: 0.0,
             motion_speed_ms: 0.0,
-            inflow_angle_deg: 20.0,
+            inflow_angle_deg: INFLOW_ANGLE_DEG,
         })
     }
 
@@ -112,7 +122,7 @@ impl HollandWindField {
 
     /// Coriolis parameter `f = 2 Ω sin(φ)` (1/s).
     pub fn coriolis(&self) -> f64 {
-        2.0 * 7.2921e-5 * self.latitude_deg.to_radians().sin()
+        coriolis_at(self.latitude_deg.to_radians().sin())
     }
 
     /// Maximum gradient wind speed (m/s), at `r = Rmax` ignoring the

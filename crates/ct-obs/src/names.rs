@@ -24,11 +24,16 @@ pub const HYDRO_REALIZATIONS_EVALUATED: &str = "hydro.realizations_evaluated";
 /// Per-POI inundation evaluations.
 pub const HYDRO_POI_EVALUATIONS: &str = "hydro.poi_evaluations";
 /// Wind evaluations completed by the storm-passage peak scans (one per
-/// in-range step and point whose wind was computed in full).
+/// in-range step and site whose wind was computed in full).
 pub const HYDRO_PEAK_SCAN_EVALUATED: &str = "hydro.peak_scan.evaluated";
-/// In-range steps the peak scans skipped because a bound on the wind
-/// speed showed they could not raise the running peak.
+/// In-range steps the peak scans skipped after computing the gradient
+/// wind, because a bound on the wind speed, or on a component's
+/// direction, showed they could not raise the running peak.
 pub const HYDRO_PEAK_SCAN_SKIPPED: &str = "hydro.peak_scan.skipped";
+/// Steps the peak scans culled before any trig, because a chord lower
+/// bound on the distance put the site past the storm's reach or the
+/// 400 km gate.
+pub const HYDRO_PEAK_SCAN_CULLED: &str = "hydro.peak_scan.culled";
 /// Attacker strategy invocations.
 pub const ATTACKER_ATTACKS: &str = "attacker.attacks";
 /// Discrete events dispatched by the simulator (deliveries, timers,
@@ -170,7 +175,9 @@ pub const FAULTS_ARMED: &str = "faults.armed";
 /// Failpoint firings: armed faults actually injected at their site.
 pub const FAULTS_FIRED: &str = "faults.fired";
 /// Candidate points scanned by spatial-index range queries (bucket
-/// superset, before the exact distance filter).
+/// superset, before the exact distance filter). No code path issues
+/// such queries any more; the three `spatial.*` names stay registered,
+/// at 0, for readers of existing snapshots.
 pub const SPATIAL_CANDIDATES: &str = "spatial.candidates";
 /// Points returned by spatial-index range queries (after the exact
 /// distance filter).
@@ -228,6 +235,7 @@ pub fn register_defaults(registry: &crate::Registry) {
         HYDRO_POI_EVALUATIONS,
         HYDRO_PEAK_SCAN_EVALUATED,
         HYDRO_PEAK_SCAN_SKIPPED,
+        HYDRO_PEAK_SCAN_CULLED,
         ATTACKER_ATTACKS,
         SIMNET_EVENTS_DISPATCHED,
         SIMNET_MESSAGES_DROPPED,
@@ -311,11 +319,12 @@ mod tests {
         let reg = crate::Registry::new();
         register_defaults(&reg);
         let snap = reg.snapshot();
-        assert_eq!(snap.counters.len(), 71);
+        assert_eq!(snap.counters.len(), 72);
         assert_eq!(snap.counter(GEO_DEM_SYNTHESIZED), Some(0));
         assert_eq!(snap.counter(HYDRO_ENSEMBLES_SAMPLED), Some(0));
         assert_eq!(snap.counter(HYDRO_PEAK_SCAN_EVALUATED), Some(0));
         assert_eq!(snap.counter(HYDRO_PEAK_SCAN_SKIPPED), Some(0));
+        assert_eq!(snap.counter(HYDRO_PEAK_SCAN_CULLED), Some(0));
         assert_eq!(snap.counter(SPATIAL_CANDIDATES), Some(0));
         assert_eq!(snap.counter(SPATIAL_HITS), Some(0));
         assert_eq!(snap.counter(SERVE_KEEPALIVE_REUSES), Some(0));

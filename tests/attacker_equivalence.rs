@@ -159,10 +159,7 @@ fn rule_one_preempts_isolation() {
         ThreatScenario::HurricaneIntrusionIsolation.budget(),
     );
     assert_eq!(state.effective_intrusions(), 1);
-    assert!(state
-        .sites
-        .iter()
-        .all(|s| s.status == SiteStatus::Up));
+    assert!(state.sites.iter().all(|s| s.status == SiteStatus::Up));
 }
 
 #[test]

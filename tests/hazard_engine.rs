@@ -15,8 +15,9 @@ use compound_threats::parallel::{default_threads, par_map_dynamic};
 use compound_threats::prelude::*;
 use compound_threats::report::figure_csv;
 use ct_geo::terrain::synthesize_oahu;
+use ct_geo::LatLon;
 use ct_hydro::{
-    FloodThreshold, ParametricSurge, RealizationSet, Stations, StormParams, TrackEnsemble,
+    FloodThreshold, ParametricSurge, Poi, RealizationSet, Stations, StormParams, TrackEnsemble,
 };
 use ct_store::StableHasher;
 
@@ -95,8 +96,9 @@ fn build_reference_surge(config: &CaseStudyConfig) -> RealizationSet {
         config.threads
     };
     let indexed: Vec<(usize, StormParams)> = storms.into_iter().enumerate().collect();
+    let poi_stations = model.poi_stations(&pois);
     let realizations = par_map_dynamic(&indexed, threads, |(i, storm)| {
-        RealizationSet::evaluate_storm(*i, storm, &model, &pois)
+        RealizationSet::evaluate_storm(*i, storm, &model, &pois, &poi_stations)
     })
     .into_iter()
     .collect::<Result<Vec<_>, _>>()
@@ -287,9 +289,8 @@ fn store_keeps_hazard_records_apart_and_warm_hits_within_a_hazard() {
     assert_ne!(keys[1], keys[2]);
 }
 
-/// The storm-passage wind kernel (`DamageModel::peak_winds_at_indexed`,
-/// used by `WindFragilityHazard::evaluate` and the line-fragility
-/// sampler) is
+/// The storm-passage wind kernel (`DamageModel::peak_winds`, used by
+/// `WindFragilityHazard::evaluate` and the line-fragility sampler) is
 /// bit-identical to the per-POI scalar scan over the pipeline's real
 /// POIs and sampled ensemble storms, and a compound evaluation built
 /// on batched parts stays the exact per-asset max of those parts.
@@ -318,7 +319,7 @@ fn batched_hazard_evaluation_is_bit_identical_to_the_per_poi_path() {
         for (j, poi) in pois.iter().enumerate() {
             // Per-POI reference path: the scalar gust scan plus the
             // documented severity mapping, asset by asset.
-            let gust = wind.peak_gust_ms(storm, poi);
+            let gust = damage.gust_factor * oracle::peak_wind(&damage, storm, poi.pos);
             let p = damage.line_failure_probability(gust);
             let u = fragility_draw(damage.seed, i as u64, j as u64);
             let severity = (switch_height_m * p / u.max(f64::MIN_POSITIVE)).min(MAX_SEVERITY_M);
@@ -335,7 +336,8 @@ fn batched_hazard_evaluation_is_bit_identical_to_the_per_poi_path() {
         seed: damage.seed + 1,
         ..damage
     });
-    let compound = CompoundHazard::union(vec![Box::new(wind), Box::new(reseeded)]).unwrap();
+    let compound =
+        CompoundHazard::union(vec![Box::new(wind.clone()), Box::new(reseeded.clone())]).unwrap();
     for (i, storm) in storms.iter().enumerate() {
         let a = wind.evaluate(i, storm, &pois).unwrap();
         let b = reseeded.evaluate(i, storm, &pois).unwrap();
@@ -364,4 +366,350 @@ fn sharded_wind_run_merges_to_the_clean_answer() {
     let clean = CaseStudy::build(&cfg).unwrap();
     assert_eq!(merged.realizations(), clean.realizations());
     assert_eq!(figures_csv(&merged), figures_csv(&clean));
+}
+
+/// The scalar scans the storm-passage kernel must reproduce bit for
+/// bit: one storm passage per site, the Holland field rebuilt at every
+/// in-range step and the value folded in time order.
+mod oracle {
+    use ct_geo::LatLon;
+    use ct_grid::{fragility_draw, DamageModel};
+    use ct_hazard::wind::MAX_SEVERITY_M;
+    use ct_hydro::{
+        FloodThreshold, HydroError, ParametricSurge, Poi, Realization, StationId, StormParams,
+    };
+
+    /// Peak sustained wind at `p` within 400 km; a step whose field
+    /// errors is skipped.
+    pub fn peak_wind(damage: &DamageModel, storm: &StormParams, p: LatLon) -> f64 {
+        let (t0, t1) = storm.track.time_span_hours();
+        let mut peak: f64 = 0.0;
+        let mut t = t0;
+        while t <= t1 {
+            let center = storm.track.position(t);
+            if center.distance_km(p) < 400.0 {
+                if let Ok(field) = storm.wind_field(t) {
+                    peak = peak.max(field.wind_at(center, p).speed_ms);
+                }
+            }
+            t += damage.scan_step_hours;
+        }
+        peak
+    }
+
+    /// The wind-fragility realization: each POI's scalar peak gust
+    /// through the documented severity mapping.
+    pub fn wind(
+        damage: &DamageModel,
+        index: usize,
+        storm: &StormParams,
+        pois: &[Poi],
+    ) -> Realization {
+        let switch_height_m = FloodThreshold::default().depth_m();
+        let mut max_gust_ms: f64 = 0.0;
+        let inundation_m = pois
+            .iter()
+            .enumerate()
+            .map(|(j, poi)| {
+                let gust = damage.gust_factor * peak_wind(damage, storm, poi.pos);
+                max_gust_ms = max_gust_ms.max(gust);
+                let p = damage.line_failure_probability(gust);
+                let u = fragility_draw(damage.seed, index as u64, j as u64);
+                (switch_height_m * p / u.max(f64::MIN_POSITIVE)).min(MAX_SEVERITY_M)
+            })
+            .collect();
+        Realization {
+            index,
+            tide_m: storm.tide_m,
+            max_station_surge_m: max_gust_ms,
+            inundation_m,
+        }
+    }
+
+    /// Per open-coast station, in station order: its peak onshore wind
+    /// within 400 km and its closest approach over every step.
+    pub fn station_winds(
+        model: &ParametricSurge,
+        storm: &StormParams,
+    ) -> Result<Vec<(StationId, f64, f64)>, HydroError> {
+        let step_hours = model.calibration().scan_step_hours;
+        let mut out = Vec::new();
+        for st in model.stations().iter() {
+            if st.id == StationId::PearlHarbor {
+                continue;
+            }
+            let (t0, t1) = storm.track.time_span_hours();
+            let mut peak_onshore: f64 = 0.0;
+            let mut min_dist = f64::INFINITY;
+            let mut t = t0;
+            while t <= t1 {
+                let center = storm.track.position(t);
+                let d = center.distance_km(st.pos);
+                min_dist = min_dist.min(d);
+                if d < 400.0 {
+                    let w = storm.wind_field(t)?.wind_at(center, st.pos);
+                    peak_onshore = peak_onshore.max(w.component_toward(st.onshore_bearing_deg));
+                }
+                t += step_hours;
+            }
+            out.push((st.id, peak_onshore, min_dist));
+        }
+        Ok(out)
+    }
+
+    /// Each station's surge with the tide, in `station_surge`'s order:
+    /// the open coast, then Pearl Harbor.
+    pub fn station_surge(
+        model: &ParametricSurge,
+        storm: &StormParams,
+    ) -> Result<Vec<(StationId, f64)>, HydroError> {
+        let cal = model.calibration();
+        let mut met: Vec<(StationId, f64)> = station_winds(model, storm)?
+            .into_iter()
+            .map(|(id, peak, min_dist)| {
+                let eta_wind = cal.setup_coefficient * peak * peak;
+                let ib_weight = (-(min_dist / cal.ib_decay_km).powi(2)).exp();
+                let eta_ib = cal.ib_m_per_hpa * storm.pressure_deficit_hpa() * ib_weight;
+                let shelf = model.stations().get(id).shelf_factor;
+                (
+                    id,
+                    (eta_wind * (1.0 + cal.wave_setup_fraction) + eta_ib) * shelf,
+                )
+            })
+            .collect();
+        let south = met
+            .iter()
+            .find(|(id, _)| *id == StationId::South)
+            .unwrap()
+            .1;
+        met.push((
+            StationId::PearlHarbor,
+            south * model.stations().harbor_amplification,
+        ));
+        Ok(met
+            .into_iter()
+            .map(|(id, v)| (id, v + storm.tide_m))
+            .collect())
+    }
+
+    /// The surge realization: each POI reads the surge of its override
+    /// station, else of its nearest.
+    pub fn surge(
+        model: &ParametricSurge,
+        index: usize,
+        storm: &StormParams,
+        pois: &[Poi],
+    ) -> Result<Realization, HydroError> {
+        let surge = station_surge(model, storm)?;
+        let at = |id| surge.iter().find(|(s, _)| *s == id).unwrap().1;
+        let inundation_m = pois
+            .iter()
+            .map(|poi| {
+                let st = poi
+                    .station_override
+                    .unwrap_or_else(|| model.stations().nearest(poi.pos).id);
+                poi.inundation_m(at(st), model.calibration())
+            })
+            .collect();
+        Ok(Realization {
+            index,
+            tide_m: storm.tide_m,
+            max_station_surge_m: surge.iter().map(|s| s.1).fold(f64::NEG_INFINITY, f64::max),
+            inundation_m,
+        })
+    }
+
+    /// Surge ∪ wind: the per-asset max of the two realizations.
+    pub fn compound(surge: &Realization, wind: &Realization) -> Realization {
+        Realization {
+            max_station_surge_m: surge.max_station_surge_m.max(wind.max_station_surge_m),
+            inundation_m: surge
+                .inundation_m
+                .iter()
+                .zip(&wind.inundation_m)
+                .map(|(s, w)| s.max(*w))
+                .collect(),
+            ..surge.clone()
+        }
+    }
+}
+
+/// Storms that probe the kernel's bounds, each checked against the
+/// oracle to do what its name says. Sites: the South and North surge
+/// stations and the first case-study POI.
+fn kernel_fixtures(stations: &Stations, poi: LatLon) -> Vec<StormParams> {
+    use ct_hydro::{StationId, StormTrack, TrackPoint};
+    let point = |t_hours, pos| TrackPoint { t_hours, pos };
+    let bent = |points: Vec<TrackPoint>| StormParams {
+        track: StormTrack::new(points).unwrap(),
+        central_pressure_hpa: 962.0,
+        ambient_pressure_hpa: 1010.0,
+        rmax_km: 30.0,
+        b: 1.6,
+        tide_m: 0.2,
+    };
+    let south = stations.get(StationId::South).pos;
+    let north = stations.get(StationId::North).pos;
+    let mut storms = Vec::new();
+    for site in [south, poi] {
+        // The eye passes exactly over the site at t = 6 h, a step of
+        // both scans.
+        storms.push(bent(vec![
+            point(0.0, site.destination(200.0, 150.0)),
+            point(6.0, site),
+            point(14.0, site.destination(30.0, 220.0)),
+        ]));
+        // The track grazes the 400 km gate at t = 6 h, just inside and
+        // just outside it.
+        for km in [399.9999, 400.0001] {
+            let vertex = site.destination(180.0, km);
+            storms.push(bent(vec![
+                point(0.0, vertex.destination(270.0, 150.0)),
+                point(6.0, vertex),
+                point(12.0, vertex.destination(90.0, 150.0)),
+            ]));
+        }
+        // A stationary leg 35 km east of the site, every step on it
+        // tied for closest to rmax.
+        let near = site.destination(90.0, 35.0);
+        storms.push(bent(vec![
+            point(0.0, near.destination(180.0, 250.0)),
+            point(4.0, near),
+            point(8.0, near),
+            point(14.0, near.destination(20.0, 200.0)),
+        ]));
+        // Slow northward at 1 m/s, passing exactly rmax (30 km) west
+        // of the site at t = 10 h, the step evaluated first; then fast
+        // legs at 15 m/s, over its north and down its east side at 1.15
+        // rmax, with the site on their right, where the motion adds to
+        // the circulation: the bound must carry the fastest step's
+        // motion, not the first step's.
+        let west = site.destination(270.0, 30.0);
+        let east = site.destination(90.0, 34.5);
+        storms.push(bent(vec![
+            point(0.0, west.destination(180.0, 36.0)),
+            point(10.0, west),
+            point(20.0, west.destination(0.0, 36.0)),
+            point(21.5, east.destination(0.0, 60.0)),
+            point(23.7, east.destination(180.0, 60.0)),
+        ]));
+    }
+    // West of the North station heading north: its wind blows
+    // offshore at every step, so its peak onshore wind stays 0.
+    storms.push(bent(vec![
+        point(
+            0.0,
+            north.destination(270.0, 110.0).destination(180.0, 110.0),
+        ),
+        point(
+            10.0,
+            north.destination(270.0, 110.0).destination(0.0, 110.0),
+        ),
+    ]));
+    // Unphysical: no pressure deficit.
+    storms.push(StormParams {
+        central_pressure_hpa: 1010.0,
+        ..storms[0].clone()
+    });
+    storms
+}
+
+/// The case-study POIs plus sites 160 to 1,100 km away, so the 400 km
+/// gate is decided per site and step.
+fn wide_pois(pois: &[Poi]) -> Vec<Poi> {
+    let far = [
+        ("lihue", LatLon::new(21.98, -159.37)),
+        ("hilo", LatLon::new(19.72, -155.08)),
+        ("open-sea-se", LatLon::new(17.0, -152.0)),
+        ("open-sea-nw", LatLon::new(25.0, -166.0)),
+    ];
+    let mut wide = pois.to_vec();
+    wide.extend(
+        far.into_iter()
+            .map(|(id, pos)| Poi::with_site_profile(id, pos, 1.5, 0.2)),
+    );
+    wide
+}
+
+/// The tier-1 bit-identity contract of the storm-passage kernel: over
+/// the full seed-42 1000-storm ensemble and the edge fixtures, every
+/// station surge and every surge, wind and compound realization equals
+/// the scalar oracles bit for bit, on the case-study POIs and on a
+/// site set wider than the 400 km gate. An unphysical storm gives the
+/// oracle's error for surge and compound and zero peak winds for wind.
+#[test]
+fn kernel_realizations_equal_the_scalar_oracles_bitwise() {
+    use ct_grid::DamageModel;
+    use ct_hydro::{EnsembleConfig, Realization, StationId, SurgeCalibration};
+
+    let cfg = config(HazardSpec::Surge, 1000);
+    let dem = synthesize_oahu(&cfg.terrain);
+    let pois = ct_scada::oahu::case_study_pois(&dem).unwrap();
+    let wide = wide_pois(&pois);
+    let stations = Stations::from_dem(&dem);
+    let cal = SurgeCalibration::default();
+    let model = ParametricSurge::new(stations.clone(), cal);
+    let damage = DamageModel::default();
+    let [surge, wind, compound] = HazardSpec::ALL.map(|spec| spec.build(&stations, cal));
+
+    let mut storms = TrackEnsemble::new(EnsembleConfig::default())
+        .unwrap()
+        .generate();
+    assert_eq!(storms.len(), 1000);
+    let fixtures = kernel_fixtures(&stations, pois[0].pos);
+
+    // The fixtures do what their names say.
+    let winds = |storm: &StormParams| oracle::station_winds(&model, storm).unwrap();
+    let at = |storm: &StormParams, id| winds(storm).into_iter().find(|w| w.0 == id).unwrap();
+    let south = StationId::South;
+    assert!(at(&fixtures[0], south).2 <= 1e-6, "eye over South");
+    assert!((399.999..400.0).contains(&at(&fixtures[1], south).2));
+    assert!((400.0..400.001).contains(&at(&fixtures[2], south).2));
+    let offshore = at(&fixtures[fixtures.len() - 2], StationId::North);
+    assert!(offshore.1 == 0.0 && offshore.2 < 400.0, "{offshore:?}");
+    let unphysical = fixtures.last().unwrap();
+    assert!(oracle::station_surge(&model, unphysical).is_err());
+    storms.extend(fixtures);
+
+    let bits = |r: &Realization| {
+        let severities: Vec<u64> = r.inundation_m.iter().map(|v| v.to_bits()).collect();
+        (
+            r.index,
+            r.tide_m.to_bits(),
+            r.max_station_surge_m.to_bits(),
+            severities,
+        )
+    };
+    for (i, storm) in storms.iter().enumerate() {
+        let got = model.station_surge(storm).map(|s| {
+            s.iter()
+                .map(|(id, v)| (id, v.to_bits()))
+                .collect::<Vec<_>>()
+        });
+        let want = oracle::station_surge(&model, storm).map(|s| {
+            s.iter()
+                .map(|&(id, v)| (id, v.to_bits()))
+                .collect::<Vec<_>>()
+        });
+        assert_eq!(got, want, "storm {i}: station surges");
+        for sites in [&pois, &wide] {
+            let want_surge = oracle::surge(&model, i, storm, sites);
+            let want_wind = oracle::wind(&damage, i, storm, sites);
+            let want_compound = want_surge.clone().map(|s| oracle::compound(&s, &want_wind));
+            let cases = [
+                (&surge, want_surge),
+                (&wind, Ok(want_wind)),
+                (&compound, want_compound),
+            ];
+            for (hazard, want) in cases {
+                assert_eq!(
+                    hazard.evaluate(i, storm, sites).map(|r| bits(&r)),
+                    want.map(|r| bits(&r)),
+                    "storm {i}, {} sites, {}",
+                    sites.len(),
+                    hazard.hazard_id()
+                );
+            }
+        }
+    }
 }

@@ -114,10 +114,12 @@ fn counters_and_span_tree_are_thread_count_invariant() {
     assert_eq!(count(ct_obs::names::HYDRO_ENSEMBLES_SAMPLED), 1);
     assert_eq!(count(ct_obs::names::HYDRO_REALIZATIONS_EVALUATED), 60);
     assert_eq!(count(ct_obs::names::HAZARD_REALIZATIONS_EVALUATED), 60);
-    // The surge peak scans' work: full wind evaluations and in-range
-    // steps skipped by the bound, one add of each per scan.
-    assert_eq!(count(ct_obs::names::HYDRO_PEAK_SCAN_EVALUATED), 8443);
-    assert_eq!(count(ct_obs::names::HYDRO_PEAK_SCAN_SKIPPED), 5602);
+    // The surge peak scans' work: full wind evaluations, in-range
+    // steps skipped by the speed or direction bound, and steps culled
+    // before any trig, one add of each per scan.
+    assert_eq!(count(ct_obs::names::HYDRO_PEAK_SCAN_EVALUATED), 1933);
+    assert_eq!(count(ct_obs::names::HYDRO_PEAK_SCAN_SKIPPED), 8891);
+    assert_eq!(count(ct_obs::names::HYDRO_PEAK_SCAN_CULLED), 3226);
     let exposures = count(ct_obs::names::HAZARD_ASSET_EXPOSURES);
     assert!(
         exposures > 0 && exposures % 60 == 0,
@@ -144,8 +146,9 @@ fn counters_and_span_tree_are_thread_count_invariant() {
     assert_eq!(count(ct_obs::names::GEO_DEM_SYNTHESIZED), 1);
     assert_eq!(count(ct_obs::names::HYDRO_ENSEMBLES_SAMPLED), 1);
     assert_eq!(count(ct_obs::names::HAZARD_REALIZATIONS_EVALUATED), 60);
-    assert_eq!(count(ct_obs::names::HYDRO_PEAK_SCAN_EVALUATED), 8443);
-    assert_eq!(count(ct_obs::names::HYDRO_PEAK_SCAN_SKIPPED), 5602);
+    assert_eq!(count(ct_obs::names::HYDRO_PEAK_SCAN_EVALUATED), 1933);
+    assert_eq!(count(ct_obs::names::HYDRO_PEAK_SCAN_SKIPPED), 8891);
+    assert_eq!(count(ct_obs::names::HYDRO_PEAK_SCAN_CULLED), 3226);
     assert_eq!(count(ct_obs::names::STORE_MISSES), 61);
     assert_eq!(count(ct_obs::names::STORE_HITS), 61);
     // The warm build reads the sites record alone and its 60 adjacent
