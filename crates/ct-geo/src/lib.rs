@@ -9,8 +9,10 @@
 //! * a generic raster [`Grid`] with bilinear sampling;
 //! * a digital elevation model ([`Dem`]) with land/sea masking,
 //!   coastline extraction and distance-to-shore queries;
-//! * closed [`Polygon`]s with point-in-polygon and signed-distance
-//!   queries, used to describe island outlines;
+//! * closed [`Polygon`]s with point-in-polygon and boundary-distance
+//!   queries, used to describe island outlines, and the
+//!   [`BoundaryWalk`] that answers all of them in one pass per raster
+//!   cell;
 //! * deterministic procedural [`noise`] and a region-generic terrain
 //!   synthesizer ([`region::synthesize_region`]) with a synthetic Oahu
 //!   preset ([`terrain::synthesize_oahu`]);
@@ -53,5 +55,5 @@ pub use dem::Dem;
 pub use error::GeoError;
 pub use grid::Grid;
 pub use index::ShoreIndex;
-pub use polygon::Polygon;
+pub use polygon::{BoundaryHit, BoundaryWalk, Polygon};
 pub use region::{synthesize_region, CoastSector, RegionTerrainSpec, RidgeSpec, SectorRule};

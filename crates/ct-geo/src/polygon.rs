@@ -1,4 +1,6 @@
-//! Closed polygons with containment and signed-distance queries.
+//! Closed polygons with containment and boundary-distance queries,
+//! and the one-walk form of the three that terrain synthesis runs per
+//! raster cell.
 
 use crate::coords::EnuKm;
 use crate::error::GeoError;
@@ -7,6 +9,11 @@ use crate::error::GeoError;
 ///
 /// Vertices are stored in order; the closing edge from the last vertex
 /// back to the first is implicit. Winding order does not matter.
+///
+/// [`Polygon::contains`], [`Polygon::boundary_distance_km`] and
+/// [`Polygon::closest_boundary_point`] each walk every edge for one
+/// point. They are the reference that [`Polygon::boundary_walk`], which
+/// terrain synthesis runs, is tested against bit for bit.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Polygon {
     vertices: Vec<EnuKm>,
@@ -66,17 +73,6 @@ impl Polygon {
         best
     }
 
-    /// Signed distance: negative inside, positive outside, zero on the
-    /// boundary (up to floating point).
-    pub fn signed_distance_km(&self, p: EnuKm) -> f64 {
-        let d = self.boundary_distance_km(p);
-        if self.contains(p) {
-            -d
-        } else {
-            d
-        }
-    }
-
     /// Closest point on the polygon boundary to `p`.
     pub fn closest_boundary_point(&self, p: EnuKm) -> EnuKm {
         let mut best = f64::INFINITY;
@@ -95,36 +91,184 @@ impl Polygon {
         best_pt
     }
 
-    /// Signed area via the shoelace formula (km²). Positive for
-    /// counter-clockwise winding.
-    pub fn signed_area_km2(&self) -> f64 {
+    /// A walk over the edges prepared for a stream of queries, such as
+    /// the cell centres of a raster scan.
+    pub fn boundary_walk(&self) -> BoundaryWalk {
         let n = self.vertices.len();
-        let mut acc = 0.0;
-        let mut j = n - 1;
-        for i in 0..n {
-            let (a, b) = (self.vertices[j], self.vertices[i]);
-            acc += a.east * b.north - b.east * a.north;
-            j = i;
+        let edges = (0..n)
+            .map(|i| Edge::new(self.vertices[(i + n - 1) % n], self.vertices[i]))
+            .collect();
+        BoundaryWalk {
+            edges,
+            seed: 0,
+            row_north: f64::NAN,
+            crossings: Vec::new(),
+            evaluated: 0,
+            culled: 0,
         }
-        acc / 2.0
+    }
+}
+
+/// What one walk of a polygon's edges finds about a point; each field
+/// is bit-identical to the answer of the matching [`Polygon`] query.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct BoundaryHit {
+    /// Even-odd containment, as [`Polygon::contains`].
+    pub inside: bool,
+    /// Unsigned boundary distance, as [`Polygon::boundary_distance_km`].
+    pub distance_km: f64,
+    /// Closest boundary point, as [`Polygon::closest_boundary_point`].
+    pub closest: EnuKm,
+}
+
+impl BoundaryHit {
+    /// Signed distance: negative inside, positive outside.
+    pub fn signed_distance_km(&self) -> f64 {
+        if self.inside {
+            -self.distance_km
+        } else {
+            self.distance_km
+        }
+    }
+}
+
+/// Slack (km) on the distance an edge's bounding box must exceed
+/// before the walk culls it. Rounding moves a computed segment
+/// distance or box bound by a few ulps of the coordinates, under
+/// 1e-11 km for any point within an Earth radius of the origin; the
+/// slack keeps a culled edge's computed distance strictly above the
+/// best one, so a cull can change neither the minimum nor which edge
+/// first reaches it.
+const CULL_SLACK_KM: f64 = 1e-9;
+
+/// One edge, from the previous vertex `a` to the vertex `b`, with its
+/// bounding box.
+#[derive(Debug, Clone, Copy)]
+struct Edge {
+    a: EnuKm,
+    b: EnuKm,
+    min: EnuKm,
+    max: EnuKm,
+}
+
+impl Edge {
+    fn new(a: EnuKm, b: EnuKm) -> Self {
+        Self {
+            a,
+            b,
+            min: EnuKm::new(a.east.min(b.east), a.north.min(b.north)),
+            max: EnuKm::new(a.east.max(b.east), a.north.max(b.north)),
+        }
     }
 
-    /// Unsigned area in km².
-    pub fn area_km2(&self) -> f64 {
-        self.signed_area_km2().abs()
+    /// Squared distance from `p` to the bounding box: a lower bound on
+    /// the squared distance to the segment.
+    fn box_distance2(&self, p: EnuKm) -> f64 {
+        let de = (self.min.east - p.east)
+            .max(p.east - self.max.east)
+            .max(0.0);
+        let dn = (self.min.north - p.north)
+            .max(p.north - self.max.north)
+            .max(0.0);
+        de * de + dn * dn
+    }
+}
+
+/// A polygon's edges prepared for many queries: one walk per query
+/// answers containment, boundary distance and closest point together.
+///
+/// The crossings of the even-odd rule depend only on the query's
+/// north, so they are computed once per raster row. An edge's closest
+/// point and distance are computed only when its bounding box comes
+/// within the best distance so far (plus a slack of 1e-9 km); the bound
+/// starts at the distance to the previous query's nearest edge, which
+/// for neighbouring cells is usually the answer.
+#[derive(Debug, Clone)]
+pub struct BoundaryWalk {
+    edges: Vec<Edge>,
+    /// The previous query's nearest edge.
+    seed: usize,
+    /// The north the crossings were computed for (NaN before any).
+    row_north: f64,
+    /// East coordinates where the row crosses an edge.
+    crossings: Vec<f64>,
+    evaluated: u64,
+    culled: u64,
+}
+
+impl BoundaryWalk {
+    /// Containment, boundary distance and closest boundary point of `p`.
+    pub fn query(&mut self, p: EnuKm) -> BoundaryHit {
+        let inside = self.contains(p);
+        let seed = self.edges[self.seed];
+        let seed_pt = segment_closest_point(p, seed.a, seed.b);
+        let seed_d = p.distance_km(seed_pt);
+        let mut reach2 = (seed_d + CULL_SLACK_KM).powi(2);
+        let mut best = f64::INFINITY;
+        let mut best_pt = self.edges[0].b;
+        let mut best_edge = self.seed;
+        for (i, e) in self.edges.iter().enumerate() {
+            let (q, d) = if i == self.seed {
+                (seed_pt, seed_d)
+            } else if e.box_distance2(p) > reach2 {
+                self.culled += 1;
+                continue;
+            } else {
+                self.evaluated += 1;
+                let q = segment_closest_point(p, e.a, e.b);
+                (q, p.distance_km(q))
+            };
+            // The first strict minimum wins, as in the per-query walk.
+            if d < best {
+                best = d;
+                best_pt = q;
+                best_edge = i;
+                if d < seed_d {
+                    reach2 = (d + CULL_SLACK_KM).powi(2);
+                }
+            }
+        }
+        self.evaluated += 1;
+        self.seed = best_edge;
+        BoundaryHit {
+            inside,
+            distance_km: best,
+            closest: best_pt,
+        }
     }
 
-    /// Axis-aligned bounding box `(min, max)`.
-    pub fn bounding_box(&self) -> (EnuKm, EnuKm) {
-        let mut min = EnuKm::new(f64::INFINITY, f64::INFINITY);
-        let mut max = EnuKm::new(f64::NEG_INFINITY, f64::NEG_INFINITY);
-        for v in &self.vertices {
-            min.east = min.east.min(v.east);
-            min.north = min.north.min(v.north);
-            max.east = max.east.max(v.east);
-            max.north = max.north.max(v.north);
+    /// Even-odd containment of `p`, as [`Polygon::contains`], from the
+    /// crossings of `p`'s row.
+    pub fn contains(&mut self, p: EnuKm) -> bool {
+        if p.north.to_bits() != self.row_north.to_bits() {
+            self.cross_row(p.north);
         }
-        (min, max)
+        self.crossings.iter().filter(|&&x| p.east < x).count() % 2 == 1
+    }
+
+    /// Edges whose closest point and distance were computed, over all
+    /// queries so far.
+    pub fn edges_evaluated(&self) -> u64 {
+        self.evaluated
+    }
+
+    /// Edges skipped by the bounding-box cull, over all queries so far.
+    pub fn edges_culled(&self) -> u64 {
+        self.culled
+    }
+
+    /// The even-odd crossings of the row at `north`, with the
+    /// expressions of [`Polygon::contains`].
+    fn cross_row(&mut self, north: f64) {
+        self.row_north = north;
+        self.crossings.clear();
+        for e in &self.edges {
+            let (vi, vj) = (e.b, e.a);
+            if (vi.north > north) != (vj.north > north) {
+                let t = (north - vi.north) / (vj.north - vi.north);
+                self.crossings.push(vi.east + t * (vj.east - vi.east));
+            }
+        }
     }
 }
 
@@ -177,9 +321,11 @@ mod tests {
 
     #[test]
     fn signed_distance_signs() {
-        let sq = square();
-        assert!((sq.signed_distance_km(EnuKm::new(5.0, 5.0)) + 5.0).abs() < 1e-12);
-        assert!((sq.signed_distance_km(EnuKm::new(13.0, 5.0)) - 3.0).abs() < 1e-12);
+        let mut walk = square().boundary_walk();
+        let inner = walk.query(EnuKm::new(5.0, 5.0)).signed_distance_km();
+        assert!((inner + 5.0).abs() < 1e-12);
+        let outer = walk.query(EnuKm::new(13.0, 5.0)).signed_distance_km();
+        assert!((outer - 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -190,22 +336,6 @@ mod tests {
         // Corner case: nearest to a vertex.
         let q = sq.closest_boundary_point(EnuKm::new(12.0, 12.0));
         assert!((q.east - 10.0).abs() < 1e-12 && (q.north - 10.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn area() {
-        assert!((square().area_km2() - 100.0).abs() < 1e-12);
-        // Winding order reversal preserves unsigned area.
-        let mut verts = square().vertices().to_vec();
-        verts.reverse();
-        assert!((Polygon::new(verts).unwrap().area_km2() - 100.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn bounding_box() {
-        let (min, max) = square().bounding_box();
-        assert_eq!((min.east, min.north), (0.0, 0.0));
-        assert_eq!((max.east, max.north), (10.0, 10.0));
     }
 
     #[test]
@@ -223,6 +353,5 @@ mod tests {
         assert!(l.contains(EnuKm::new(2.0, 8.0)));
         assert!(!l.contains(EnuKm::new(8.0, 8.0)));
         assert!(l.contains(EnuKm::new(8.0, 2.0)));
-        assert!((l.area_km2() - 75.0).abs() < 1e-12);
     }
 }

@@ -17,7 +17,7 @@ use crate::dem::Dem;
 use crate::error::GeoError;
 use crate::grid::Grid;
 use crate::noise::fbm;
-use crate::polygon::Polygon;
+use crate::polygon::{BoundaryWalk, Polygon};
 
 /// One coastal sector's slope parameters: how fast the land rises
 /// inland and how fast the sea floor drops offshore.
@@ -99,13 +99,13 @@ pub struct RegionTerrainSpec {
 }
 
 impl RegionTerrainSpec {
-    /// The sector a point drains to, by its nearest shoreline point.
-    pub fn sector_of(&self, outline: &Polygon, p: EnuKm) -> CoastSector {
-        let q = outline.closest_boundary_point(p);
+    /// The sector of a shoreline point: a point drains to the sector of
+    /// its closest boundary point.
+    pub(crate) fn sector_at(&self, shore: EnuKm) -> CoastSector {
         let idx = self
             .sector_rules
             .iter()
-            .find(|r| r.matches(q))
+            .find(|r| r.matches(shore))
             .map_or(self.fallback_sector, |r| r.sector);
         self.sectors[idx.min(self.sectors.len() - 1)]
     }
@@ -206,30 +206,54 @@ pub fn synthesize_region(spec: &RegionTerrainSpec) -> Result<Dem, GeoError> {
     let cols = (spec.extent_km.0 / spec.cell_km).round() as usize;
     let rows = (spec.extent_km.1 / spec.cell_km).round() as usize;
 
+    let mut outline = outline.boundary_walk();
+    let mut waters: Vec<BoundaryWalk> = waters.iter().map(Polygon::boundary_walk).collect();
     let grid = Grid::from_fn(cols, rows, spec.domain_origin, spec.cell_km, |p| {
-        elevation_at(spec, &outline, &waters, &ridge_list, p)
+        elevation_at(spec, &mut outline, &mut waters, &ridge_list, p)
     })?;
+    let walks = || std::iter::once(&outline).chain(&waters);
+    ct_obs::add(
+        ct_obs::names::GEO_TERRAIN_EDGES_EVALUATED,
+        walks().map(BoundaryWalk::edges_evaluated).sum(),
+    );
+    ct_obs::add(
+        ct_obs::names::GEO_TERRAIN_EDGES_CULLED,
+        walks().map(BoundaryWalk::edges_culled).sum(),
+    );
     ct_obs::add(ct_obs::names::GEO_DEM_SYNTHESIZED, 1);
     Ok(Dem::new(grid, projection))
 }
 
+/// The elevation of the cell centred at `p`. Each polygon is walked
+/// at most once; the water bodies are combined in spec order, so the
+/// first one holding `p` sets an inland-water depth.
 fn elevation_at(
     spec: &RegionTerrainSpec,
-    outline: &Polygon,
-    waters: &[Polygon],
+    outline: &mut BoundaryWalk,
+    waters: &mut [BoundaryWalk],
     ridge_list: &[Ridge],
     p: EnuKm,
 ) -> f64 {
-    let sdf_out = outline.signed_distance_km(p);
-    let water_sdfs: Vec<f64> = waters.iter().map(|w| w.signed_distance_km(p)).collect();
+    let shore = outline.query(p);
+    let sdf_out = shore.signed_distance_km();
     // Land = inside the outline and outside every inland water body.
     let mut land_sdf = sdf_out;
-    for &w in &water_sdfs {
+    let mut inland_water = None;
+    for water in waters.iter_mut() {
+        // Off the land, a water body's distance can neither make land
+        // nor set a depth unless the body holds `p`.
+        if !(sdf_out < 0.0 || water.contains(p)) {
+            continue;
+        }
+        let w = water.query(p).signed_distance_km();
         land_sdf = land_sdf.max(-w);
+        if inland_water.is_none() && w < 0.0 {
+            inland_water = Some(w);
+        }
     }
     if land_sdf < 0.0 {
         let dist_inland = -land_sdf;
-        let sector = spec.sector_of(outline, p);
+        let sector = spec.sector_at(shore.closest);
         let base = 0.5 + sector.terrain_slope_m_per_km * dist_inland;
         let ridge: f64 = ridge_list
             .iter()
@@ -238,12 +262,12 @@ fn elevation_at(
         let amp = spec.noise_amp_m + 0.10 * base;
         let n = amp * fbm(spec.seed, p, 0.15, 4);
         (base + ridge + n).max(0.2)
-    } else if let Some(w) = water_sdfs.iter().copied().find(|&w| w < 0.0) {
+    } else if let Some(w) = inland_water {
         // Inside an inland water body: shallow, dredged-channel depths.
         -(4.0 + 6.0 * (-w).min(1.5))
     } else {
         // Open sea: shelf deepening away from the region.
-        let sector = spec.sector_of(outline, p);
+        let sector = spec.sector_at(shore.closest);
         let depth = 2.0 + sector.shelf_slope_m_per_km * sdf_out;
         -depth.min(4500.0)
     }

@@ -294,7 +294,7 @@ mod tests {
         let spec = oahu_region_spec(&OahuTerrainConfig::default());
         let proj = Projection::new(OAHU_ORIGIN);
         let outline = Polygon::new(spec.outline.iter().map(|&p| proj.to_enu(p)).collect());
-        let outline = outline.unwrap();
+        let mut walk = outline.unwrap().boundary_walk();
         for (lat, lon, region) in [
             (21.354, -158.125, CoastRegion::West),
             (21.30, -157.86, CoastRegion::South),
@@ -303,7 +303,8 @@ mod tests {
             (21.10, -158.0, CoastRegion::South),
             (21.50, -158.30, CoastRegion::West),
         ] {
-            let sector = spec.sector_of(&outline, proj.to_enu(LatLon::new(lat, lon)));
+            let shore = walk.query(proj.to_enu(LatLon::new(lat, lon))).closest;
+            let sector = spec.sector_at(shore);
             assert_eq!(
                 (sector.terrain_slope_m_per_km, sector.shelf_slope_m_per_km),
                 (

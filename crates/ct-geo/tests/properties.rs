@@ -79,7 +79,7 @@ fn polygon_sdf_sign_matches_containment() {
             EnuKm::new(cx - r, cy + r),
         ])
         .expect("square");
-        let sdf = poly.signed_distance_km(p);
+        let sdf = poly.boundary_walk().query(p).signed_distance_km();
         // Skip points within numerical reach of the boundary.
         if sdf.abs() <= 1e-6 {
             return;

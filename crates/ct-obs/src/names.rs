@@ -16,6 +16,12 @@ pub const HAZARD_COMPOUND_COMPONENT_EVALUATIONS: &str = "hazard.compound_compone
 /// DEMs synthesized from their terrain spec (a DEM read from the
 /// artifact store does not count).
 pub const GEO_DEM_SYNTHESIZED: &str = "geo.dem_synthesized";
+/// Polygon edges whose closest point and distance terrain synthesis
+/// computed (one add per synthesized DEM, over every cell and polygon).
+pub const GEO_TERRAIN_EDGES_EVALUATED: &str = "geo.terrain.edges_evaluated";
+/// Polygon edges terrain synthesis skipped because their bounding box
+/// lay beyond the best boundary distance (one add per synthesized DEM).
+pub const GEO_TERRAIN_EDGES_CULLED: &str = "geo.terrain.edges_culled";
 /// Storm ensembles sampled (one per build whose realizations were not
 /// all read from the artifact store).
 pub const HYDRO_ENSEMBLES_SAMPLED: &str = "hydro.ensembles_sampled";
@@ -230,6 +236,8 @@ pub fn register_defaults(registry: &crate::Registry) {
         HAZARD_ASSET_EXPOSURES,
         HAZARD_COMPOUND_COMPONENT_EVALUATIONS,
         GEO_DEM_SYNTHESIZED,
+        GEO_TERRAIN_EDGES_EVALUATED,
+        GEO_TERRAIN_EDGES_CULLED,
         HYDRO_ENSEMBLES_SAMPLED,
         HYDRO_REALIZATIONS_EVALUATED,
         HYDRO_POI_EVALUATIONS,
@@ -319,8 +327,10 @@ mod tests {
         let reg = crate::Registry::new();
         register_defaults(&reg);
         let snap = reg.snapshot();
-        assert_eq!(snap.counters.len(), 72);
+        assert_eq!(snap.counters.len(), 74);
         assert_eq!(snap.counter(GEO_DEM_SYNTHESIZED), Some(0));
+        assert_eq!(snap.counter(GEO_TERRAIN_EDGES_EVALUATED), Some(0));
+        assert_eq!(snap.counter(GEO_TERRAIN_EDGES_CULLED), Some(0));
         assert_eq!(snap.counter(HYDRO_ENSEMBLES_SAMPLED), Some(0));
         assert_eq!(snap.counter(HYDRO_PEAK_SCAN_EVALUATED), Some(0));
         assert_eq!(snap.counter(HYDRO_PEAK_SCAN_SKIPPED), Some(0));

@@ -111,6 +111,12 @@ fn counters_and_span_tree_are_thread_count_invariant() {
     // evaluated, profiles computed, attacker candidates examined.
     let count = |name: &str| counter(&baseline, name);
     assert_eq!(count(ct_obs::names::GEO_DEM_SYNTHESIZED), 1);
+    // Terrain synthesis walks the Oahu outline (16 edges) at every one
+    // of the 184 × 156 cells and Pearl Harbor (9 edges) where it can
+    // matter; each edge is either evaluated or culled by its bounding
+    // box, one add of each per synthesized DEM.
+    assert_eq!(count(ct_obs::names::GEO_TERRAIN_EDGES_EVALUATED), 65165);
+    assert_eq!(count(ct_obs::names::GEO_TERRAIN_EDGES_CULLED), 458539);
     assert_eq!(count(ct_obs::names::HYDRO_ENSEMBLES_SAMPLED), 1);
     assert_eq!(count(ct_obs::names::HYDRO_REALIZATIONS_EVALUATED), 60);
     assert_eq!(count(ct_obs::names::HAZARD_REALIZATIONS_EVALUATED), 60);
@@ -144,6 +150,8 @@ fn counters_and_span_tree_are_thread_count_invariant() {
     let stored = assert_thread_count_invariant(store_run_with);
     let count = |name: &str| counter(&stored, name);
     assert_eq!(count(ct_obs::names::GEO_DEM_SYNTHESIZED), 1);
+    assert_eq!(count(ct_obs::names::GEO_TERRAIN_EDGES_EVALUATED), 65165);
+    assert_eq!(count(ct_obs::names::GEO_TERRAIN_EDGES_CULLED), 458539);
     assert_eq!(count(ct_obs::names::HYDRO_ENSEMBLES_SAMPLED), 1);
     assert_eq!(count(ct_obs::names::HAZARD_REALIZATIONS_EVALUATED), 60);
     assert_eq!(count(ct_obs::names::HYDRO_PEAK_SCAN_EVALUATED), 1933);
