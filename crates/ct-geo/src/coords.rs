@@ -154,8 +154,25 @@ impl LatLonTrig {
     /// chord `|u - v|` between two points never exceeds their
     /// great-circle distance on the unit sphere.
     pub fn unit_vector(&self) -> [f64; 3] {
+        self.frame()[0]
+    }
+
+    /// The point's [`unit_vector`](Self::unit_vector) and the unit
+    /// vectors east and north of it, from one `sin_cos`. The dot
+    /// products of `other`'s unit vector with the east and north
+    /// vectors are, up to rounding, the `(y, x)` of
+    /// [`bearing_vector`](Self::bearing_vector).
+    pub fn frame(&self) -> [[f64; 3]; 3] {
         let (sin_lon, cos_lon) = self.lon_rad.sin_cos();
-        [self.cos_lat * cos_lon, self.cos_lat * sin_lon, self.sin_lat]
+        [
+            [self.cos_lat * cos_lon, self.cos_lat * sin_lon, self.sin_lat],
+            [-sin_lon, cos_lon, 0.0],
+            [
+                -self.sin_lat * cos_lon,
+                -self.sin_lat * sin_lon,
+                self.cos_lat,
+            ],
+        ]
     }
 }
 
@@ -294,6 +311,31 @@ mod tests {
                 assert_eq!(ta.pos(), a);
                 assert_eq!(ta.distance_km(&tb).to_bits(), a.distance_km(b).to_bits());
                 assert_eq!(ta.bearing_deg(&tb).to_bits(), a.bearing_deg(b).to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn frame_dot_products_give_the_bearing_vector() {
+        let pts = [
+            LatLon::new(21.307, -157.858),
+            LatLon::new(19.2, -158.35),
+            LatLon::new(25.9, -163.1),
+            LatLon::new(-33.9, 151.2),
+            LatLon::new(0.0, 179.9),
+        ];
+        let dot = |a: &[f64; 3], b: &[f64; 3]| a[0] * b[0] + a[1] * b[1] + a[2] * b[2];
+        for &a in &pts {
+            let [unit, east, north] = LatLonTrig::new(a).frame();
+            assert!((dot(&unit, &unit) - 1.0).abs() < 1e-15);
+            assert!(dot(&unit, &east).abs() < 1e-15 && dot(&unit, &north).abs() < 1e-15);
+            assert!(dot(&east, &north).abs() < 1e-15);
+            for &b in &pts {
+                let (ta, tb) = (LatLonTrig::new(a), LatLonTrig::new(b));
+                let (y, x) = ta.bearing_vector(&tb);
+                let u = tb.unit_vector();
+                assert!((dot(&east, &u) - y).abs() < 1e-15, "{a} to {b}");
+                assert!((dot(&north, &u) - x).abs() < 1e-15, "{a} to {b}");
             }
         }
     }

@@ -185,6 +185,8 @@ impl TrackEnsemble {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::passage::{PeakOf, ScanSites};
+    use crate::track::tests::closest_approach;
 
     #[test]
     fn rejects_empty() {
@@ -245,9 +247,18 @@ mod tests {
         };
         let storms = TrackEnsemble::new(cfg).unwrap().generate();
         let island = LatLon::new(21.45, -158.0);
+        let sites = ScanSites::new([(island, PeakOf::Speed)]);
         let mut close = 0;
         for s in &storms {
-            let (_, d) = s.track.closest_approach(island, 0.5);
+            let mut closest = [f64::INFINITY];
+            s.peak_scan(0.5, &sites, Some(&mut closest)).unwrap();
+            let d = closest[0];
+            let (_, want) = closest_approach(&s.track, island, 0.5);
+            assert_eq!(
+                d.to_bits(),
+                want.to_bits(),
+                "kernel and scalar closest approach"
+            );
             if d < 150.0 {
                 close += 1;
             }

@@ -14,19 +14,40 @@
 //! site)` pair that provably cannot raise the running peak is dropped
 //! by the cheapest of three tests that shows it:
 //!
-//! 1. **Culled**, before any trig. The chord `|u_c − u_s|` between the
-//!    unit vectors of centre and site is never longer than their arc,
-//!    so `R·|u_c − u_s|·(1 − 1e-9) − 1e-6` km bounds the haversine from
-//!    below. A table built once per storm bounds the wind speed beyond
-//!    each of a geometric series of radii from `rmax` out to the gate:
-//!    `(sqrt(b·Δp/ρ · x·e^(−x)) + max over steps of 0.6·v_motion)·(1 +
-//!    1e-9)` at `x = (rmax/r)^b`. That is the Holland speed without its
-//!    Coriolis term, which only lowers it, plus the most the motion
-//!    asymmetry adds. Past `rmax` the profile falls with `r`, and a
-//!    suffix max keeps the table non-increasing. A site's *reach* is
-//!    the smallest tabled radius whose bound is at or below its peak,
-//!    recomputed only when the peak rises. A pair whose lower bound is
-//!    at or past the reach, or past the gate, is culled.
+//! 1. **Culled**, before any trig, in one of two ways.
+//!    - **By distance.** The chord `|u_c − u_s|` between the unit
+//!      vectors of centre and site is never longer than their arc, so
+//!      `R·|u_c − u_s|·(1 − 1e-9) − 1e-6` km bounds the haversine from
+//!      below. A table built once per storm bounds the wind speed
+//!      beyond each of a geometric series of radii `r` from `rmax` out
+//!      to the gate: `(T/(sqrt(T + c²) + c) + max over steps of
+//!      0.6·v_motion · asym(r))·(1 + 1e-9)`, with `T = b·Δp/ρ ·
+//!      x·e^(−x)` at `x = (rmax/r)^b`, `c = r·1000·f_min/2·(1 − 1e-9)`
+//!      for `f_min` the least `|f|` over the steps, and `asym(r) =
+//!      2·r·rmax/(r² + rmax²)`. The first term is the gradient wind
+//!      `sqrt(T + c²) − c` in a form free of cancellation; it falls as
+//!      `c` rises and rises with `T`. Past `rmax`, `T` and `asym` fall
+//!      with `r` while every step's `c` at a distance of at least `r`
+//!      is at least the row's, so a row bounds every speed at or
+//!      beyond its radius. A suffix max keeps the table
+//!      non-increasing. A site's *reach* is the smallest tabled radius
+//!      whose bound is at or below its peak, recomputed only when the
+//!      peak rises. A pair whose lower bound is at or past the reach,
+//!      or past the gate, is culled.
+//!    - **By side**, for a component toward a bearing `b`, and only
+//!      for a pair whose chord is within that of an arc of `400·(1 −
+//!      1e-9)` km, so surely in range. Each step keeps its centre's
+//!      east and north unit vectors; their dot products with the
+//!      site's unit vector are the bearing vector `(y, x)` up to
+//!      rounding. The circulation's component toward `b` is
+//!      `v_rot ≥ 0` times `(x·cos φ + y·sin φ)/|(y, x)|` (φ as in test
+//!      3). When that sum is at or below `−1e-12`, which no rounding of
+//!      either vector's parts, all of size at most 1, can cross, the
+//!      circulation blows away from `b`, and the value is at most the
+//!      drift's `max(0, 0.6·v_motion·cos(m − b))`. The pair is culled
+//!      when that plus `1e-9·(sqrt(b·Δp/(ρ·e)) + 0.6·v_motion)`, a
+//!      slack on the largest speed the pair can have, is at or below
+//!      the peak. A NaN or zero bearing vector never culls.
 //! 2. **Skipped by the speed bound.** The haversine `r` and the
 //!    gradient wind `v_rot` are computed; when
 //!    `(|v_rot| + 0.6·v_motion·asym)·(1 + 1e-12)` is at or below the
@@ -48,7 +69,9 @@
 //! slack far above rounding, so a dropped value is at most the running
 //! peak. A NaN bound never drops a pair. The scan reports its work to
 //! `hydro.peak_scan.evaluated`, `hydro.peak_scan.skipped` (tests 2 and
-//! 3) and `hydro.peak_scan.culled` (test 1), one add each per scan.
+//! 3) and `hydro.peak_scan.culled` (test 1), one add each per scan. The
+//! step evaluated first computes its haversine only when its chord
+//! bound is below the gate.
 
 use crate::ensemble::StormParams;
 use crate::error::HydroError;
@@ -73,6 +96,12 @@ const GATE_KM: f64 = 400.0;
 const BOUND_SLACK: f64 = 1.0 + 1e-12;
 /// Relative slack on the bound table.
 const TABLE_SLACK: f64 = 1.0 + 1e-9;
+/// Relative slack that shrinks the bound table's Coriolis term.
+const CORIOLIS_SLACK: f64 = 1.0 - 1e-9;
+/// Absolute slack on the side of the centre a site lies on, far above
+/// the rounding by which the frame's dot products and the bearing
+/// vector, both of size at most 1, can differ.
+const SIDE_SLACK: f64 = 1e-12;
 /// Slack on the direction bound, relative to `|v_rot| + |motion|`.
 const DIRECTION_SLACK: f64 = 1e-9;
 /// Relative and absolute (km) slack on the chord lower bound.
@@ -180,6 +209,35 @@ impl ScanSites {
     }
 }
 
+impl ScanSite {
+    /// For a `Toward` site on the far side of the circulation at
+    /// `step`, where `v_rot ≥ 0` blows away from its bearing `b`, a
+    /// bound on its value from the drift alone, slack included; else
+    /// `None`. A NaN or zero bearing vector gives `None`.
+    fn offshore_bound(&self, step: &PassageStep, field: &StormField) -> Option<f64> {
+        let SiteValue::Toward {
+            sin_b,
+            cos_b,
+            sin_phi,
+            cos_phi,
+            ..
+        } = self.value
+        else {
+            return None;
+        };
+        // The bearing vector `(y, x)`, up to rounding; the rotation's
+        // component toward `b` has the sign of `x·cos φ + y·sin φ`.
+        // A NaN sum is not at or below the slack.
+        let (y, x) = (dot(&step.east, &self.unit), dot(&step.north, &self.unit));
+        (x * cos_phi + y * sin_phi <= -SIDE_SLACK).then(|| {
+            // `0.6·v_motion·asym·cos(m − b)`, with `asym` in [0, 1].
+            let motion = step.motion;
+            let drift = (motion.motion_06 * (motion.cos * cos_b + motion.sin * sin_b)).max(0.0);
+            drift + DIRECTION_SLACK * (field.v_max + motion.motion_06.abs())
+        })
+    }
+}
+
 impl SiteValue {
     /// The value of wind `w`, as the scalar scans compute it.
     fn of(self, w: WindVector) -> f64 {
@@ -248,6 +306,9 @@ struct StepMotion {
 struct PassageStep {
     center: LatLonTrig,
     unit: [f64; 3],
+    /// The unit vectors east and north of the centre.
+    east: [f64; 3],
+    north: [f64; 3],
     /// `|f|`, the Coriolis parameter's magnitude at the centre.
     abs_coriolis: f64,
     motion: StepMotion,
@@ -260,6 +321,9 @@ struct StormField {
     b: f64,
     /// `b · Δp / ρ`.
     b_dp_rho: f64,
+    /// `sqrt(b · Δp / (ρ · e))`, the Holland speed's peak: no step's
+    /// `v_rot` exceeds it.
+    v_max: f64,
 }
 
 /// Bounds on a storm's wind speed beyond a geometric series of radii.
@@ -333,8 +397,13 @@ impl StormParams {
                 .iter()
                 .map(|s| s.motion.motion_06.abs())
                 .fold(0.0, f64::max);
-            BoundTable::new(f, max_motion_06)
+            let f_min = steps
+                .iter()
+                .map(|s| s.abs_coriolis)
+                .fold(f64::INFINITY, f64::min);
+            BoundTable::new(f, max_motion_06, f_min)
         });
+        let in_gate = chord2_within(GATE_KM);
         let mut work = Work::default();
         let mut chords = Vec::with_capacity(steps.len());
         let mut peaks = Vec::with_capacity(sites.len());
@@ -347,6 +416,7 @@ impl StormParams {
                 table: table.as_ref(),
                 steps: &steps,
                 chords: &chords,
+                in_gate,
                 site,
             };
             peaks.push(scan.peak(closest, &mut work)?);
@@ -365,6 +435,8 @@ struct SiteScan<'a> {
     steps: &'a [PassageStep],
     /// The squared chord from each step's centre to the site.
     chords: &'a [f64],
+    /// [`chord2_within`] the gate.
+    in_gate: f64,
     site: &'a ScanSite,
 }
 
@@ -376,7 +448,7 @@ impl SiteScan<'_> {
         let mut peak = 0.0_f64;
         let mut limit = limit_at(peak);
         let prime = self.prime_step();
-        if let Some(s) = prime {
+        if let Some(s) = prime.filter(|&s| self.chords[s] < chord2_limit(GATE_KM)) {
             let step = &self.steps[s];
             let r_km = step.center.distance_km(&site.trig);
             if r_km < GATE_KM {
@@ -406,7 +478,7 @@ impl SiteScan<'_> {
             if Some(s) == prime {
                 continue;
             }
-            if c2 >= limit {
+            if c2 >= limit || (c2 < self.in_gate && self.offshore_at_most(step, peak)) {
                 work.culled += 1;
                 continue;
             }
@@ -434,6 +506,16 @@ impl SiteScan<'_> {
         Ok(peak)
     }
 
+    /// Whether [`ScanSite::offshore_bound`] shows that `step` cannot
+    /// raise `peak`; never for an unphysical storm.
+    fn offshore_at_most(&self, step: &PassageStep, peak: f64) -> bool {
+        self.field
+            .as_ref()
+            .ok()
+            .and_then(|field| self.site.offshore_bound(step, field))
+            .is_some_and(|bound| bound <= peak)
+    }
+
     /// The step whose chord distance lies closest to `rmax_km` (the
     /// first of ties), or `None` for an unphysical storm.
     fn prime_step(&self) -> Option<usize> {
@@ -456,6 +538,18 @@ fn chord2(u: &[f64; 3], v: &[f64; 3]) -> f64 {
     dx * dx + dy * dy + dz * dz
 }
 
+/// `u · v`.
+fn dot(u: &[f64; 3], v: &[f64; 3]) -> f64 {
+    u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+}
+
+/// The squared chord below which the haversine is below `km`: that of
+/// an arc of `km·(1 − 1e-9)`.
+fn chord2_within(km: f64) -> f64 {
+    let chord = 2.0 * (km * CHORD_SLACK / (2.0 * EARTH_RADIUS_KM)).sin();
+    chord * chord
+}
+
 /// The squared chord at and past which the chord lower bound
 /// `R·chord·(1 − 1e-9) − 1e-6` is at least `km`, so the haversine is.
 fn chord2_limit(km: f64) -> f64 {
@@ -476,10 +570,12 @@ impl StormField {
             storm.b,
             0.0,
         )?;
+        let b_dp_rho = f.b * f.pressure_deficit_pa() / AIR_DENSITY;
         Ok(Self {
             rmax_km: f.rmax_km,
             b: f.b,
-            b_dp_rho: f.b * f.pressure_deficit_pa() / AIR_DENSITY,
+            b_dp_rho,
+            v_max: (b_dp_rho * (-1.0_f64).exp()).sqrt(),
         })
     }
 
@@ -538,15 +634,25 @@ impl StormField {
 }
 
 impl BoundTable {
-    /// The table for a storm whose field is `field` and whose fastest
-    /// step moves at `max_motion_06 / 0.6`.
-    fn new(field: &StormField, max_motion_06: f64) -> Self {
+    /// The table for a storm whose field is `field`, whose fastest
+    /// step moves at `max_motion_06 / 0.6` and whose least `|f|` over
+    /// its steps is `f_min`.
+    fn new(field: &StormField, max_motion_06: f64, f_min: f64) -> Self {
+        let rmax = field.rmax_km;
         let mut rows = Vec::new();
-        let mut r = field.rmax_km;
+        let mut r = rmax;
         while r < GATE_KM && rows.len() < TABLE_ROWS {
-            let x = (field.rmax_km / r).powf(field.b);
-            let holland = (field.b_dp_rho * x * (-x).exp()).sqrt();
-            rows.push(((holland + max_motion_06) * TABLE_SLACK, chord2_limit(r)));
+            let x = (rmax / r).powf(field.b);
+            let term = field.b_dp_rho * x * (-x).exp();
+            // `sqrt(term + c²) − c`, which falls as `c` rises, at the
+            // least `c` of any step `r` or more away.
+            let c = r * 1000.0 * f_min / 2.0 * CORIOLIS_SLACK;
+            let v_rot = term / ((term + c * c).sqrt() + c);
+            let asym = 2.0 * (r * rmax) / (r * r + rmax * rmax);
+            rows.push((
+                (v_rot + max_motion_06 * asym) * TABLE_SLACK,
+                chord2_limit(r),
+            ));
             r *= TABLE_RATIO;
         }
         Self::from_rows(rows)
@@ -604,10 +710,13 @@ impl Iterator for Passage<'_> {
             }
         };
         let center = LatLonTrig::new(storm.track.position(t));
+        let [unit, east, north] = center.frame();
         Some(PassageStep {
             // `HollandWindField::coriolis` at the centre's latitude.
             abs_coriolis: coriolis_at(center.sin_lat()).abs(),
-            unit: center.unit_vector(),
+            unit,
+            east,
+            north,
             center,
             motion,
         })
@@ -732,14 +841,17 @@ mod tests {
 
     /// A pair at haversine distance `d` is never culled at a limit of
     /// `d`: the chord bound stays below the haversine, coincident and
-    /// near-coincident points included.
+    /// near-coincident points included. A pair whose chord is within
+    /// the gate's is in range.
     #[test]
-    fn the_chord_bound_never_exceeds_the_haversine() {
-        cases(512, |rng| {
+    fn the_chord_bounds_bracket_the_haversine() {
+        let in_gate = chord2_within(GATE_KM);
+        cases(1024, |rng| {
             let a = LatLon::new(rng.range_f64(-60.0, 60.0), rng.range_f64(-170.0, 170.0));
-            let km = match rng.below(3) {
+            let km = match rng.below(4) {
                 0 => 0.0,
                 1 => rng.range_f64(0.0, 1e-6),
+                2 => GATE_KM + rng.range_f64(-1e-3, 1e-3),
                 _ => rng.range_f64(0.0, 2.0 * GATE_KM),
             };
             let b = a.destination(rng.range_f64(0.0, 360.0), km);
@@ -747,7 +859,74 @@ mod tests {
             let d = ta.distance_km(&tb);
             let c2 = chord2(&ta.unit_vector(), &tb.unit_vector());
             assert!(c2 < chord2_limit(d), "{a} to {b}: d {d}, chord² {c2}");
+            assert!(
+                c2 >= in_gate || d < GATE_KM,
+                "{a} to {b}: d {d}, chord² {c2}"
+            );
         });
+    }
+
+    /// Every pair the offshore bound is given for has a `wind_at`
+    /// component toward the site's bearing at or below it: coincident
+    /// and near-coincident centres, and sites at right angles to the
+    /// circulation's onshore direction, included.
+    #[test]
+    fn the_offshore_bound_bounds_every_component_it_is_given_for() {
+        let mut bounded = 0;
+        cases(256, |rng| {
+            let start = LatLon::new(rng.range_f64(-10.0, 50.0), rng.range_f64(-170.0, 170.0));
+            let heading = rng.range_f64(0.0, 360.0);
+            let mut s = storm(
+                StormTrack::straight(start, heading, rng.range_f64(0.0, 15.0), 24.0).unwrap(),
+            );
+            s.rmax_km = rng.range_f64(5.0, 80.0);
+            s.b = rng.range_f64(0.6, 3.4);
+            s.central_pressure_hpa = rng.range_f64(900.0, 1005.0);
+            let field = StormField::new(&s).unwrap();
+            // `t = k` exactly, so step k is the scalar scan's `t = k`.
+            let steps: Vec<PassageStep> = s.passage(1.0).collect();
+            for _ in 0..32 {
+                let k = rng.below(steps.len() as u64) as usize;
+                let step = &steps[k];
+                let onshore = match rng.below(3) {
+                    0 => heading,
+                    _ => rng.range_f64(0.0, 360.0),
+                };
+                // The circulation blows toward `onshore` at sites bearing
+                // φ from the centre; ±90° from φ it blows across it.
+                let phi = 90.0 + INFLOW_ANGLE_DEG + onshore;
+                let bearing = match rng.below(3) {
+                    0 => phi + 90.0 + rng.range_f64(-1e-6, 1e-6),
+                    1 => phi - 90.0 + rng.range_f64(-1e-6, 1e-6),
+                    _ => rng.range_f64(0.0, 360.0),
+                };
+                let km = match rng.below(4) {
+                    0 => 0.0,
+                    1 => rng.range_f64(0.0, 1e-3),
+                    _ => rng.range_f64(0.0, GATE_KM),
+                };
+                let pos = step.center.pos().destination(bearing.rem_euclid(360.0), km);
+                let sites = ScanSites::new([(pos, PeakOf::Toward(onshore))]);
+                if let Some(bound) = sites.sites[0].offshore_bound(step, &field) {
+                    let wind = s
+                        .wind_field(k as f64)
+                        .unwrap()
+                        .wind_at(step.center.pos(), pos);
+                    let value = wind.component_toward(onshore);
+                    assert!(value <= bound, "k {k}, {pos}: {value} > {bound}");
+                    bounded += 1;
+                }
+            }
+        });
+        assert!(bounded > 2000, "only {bounded} pairs bounded");
+        // A speed site is never bounded so.
+        let s = storm(StormTrack::straight(LatLon::new(19.2, -158.35), 5.0, 6.0, 48.0).unwrap());
+        let step = s.passage(1.0).next().unwrap();
+        let field = StormField::new(&s).unwrap();
+        let north = step.center.pos().destination(0.0, 100.0);
+        assert!(one_site(north).sites[0]
+            .offshore_bound(&step, &field)
+            .is_none());
     }
 
     #[test]
@@ -765,30 +944,59 @@ mod tests {
         );
         assert_eq!(table.limit(1.0), 4.0);
         assert_eq!(table.limit(0.5), chord2_limit(GATE_KM));
-        // Every storm speed at distance r is at most the bound of each
-        // tabled radius at or below r.
-        cases(64, |rng| {
+        // Every storm speed at distance r, at a centre whose |f| is at
+        // least the floor's and moving at most the table's fastest
+        // motion, is at most the bound of each tabled radius at or
+        // below r.
+        cases(128, |rng| {
             let mut s =
                 storm(StormTrack::straight(LatLon::new(19.2, -158.35), 5.0, 6.0, 48.0).unwrap());
             s.rmax_km = rng.range_f64(5.0, 80.0);
             s.b = rng.range_f64(0.6, 3.4);
             s.central_pressure_hpa = rng.range_f64(900.0, 1005.0);
-            let motion = rng.range_f64(0.0, 15.0);
-            let f = s
-                .wind_field(0.0)
+            let max_motion = rng.range_f64(0.0, 15.0);
+            let floor_deg = match rng.below(3) {
+                0 => 0.0,
+                _ => rng.range_f64(0.0, 70.0),
+            };
+            let f_min = coriolis_at(floor_deg.to_radians().sin()).abs();
+            let table = BoundTable::new(&StormField::new(&s).unwrap(), 0.6 * max_motion, f_min);
+            let radii: Vec<f64> = (0..table.rows.len() as i32)
+                .map(|k| s.rmax_km * TABLE_RATIO.powi(k))
+                .collect();
+            for _ in 0..40 {
+                let lat = match rng.below(3) {
+                    0 => floor_deg,
+                    _ => rng.range_f64(floor_deg, 75.0),
+                };
+                let lat = if rng.below(2) == 0 { lat } else { -lat };
+                let motion = match rng.below(2) {
+                    0 => max_motion,
+                    _ => rng.range_f64(0.0, max_motion),
+                };
+                let f = HollandWindField::new(
+                    s.central_pressure_hpa,
+                    s.ambient_pressure_hpa,
+                    s.rmax_km,
+                    s.b,
+                    lat,
+                )
                 .unwrap()
                 .with_motion(rng.range_f64(0.0, 360.0), motion);
-            let table = BoundTable::new(&StormField::new(&s).unwrap(), 0.6 * motion);
-            let center = LatLon::new(21.0, -158.0);
-            for _ in 0..40 {
-                let r = rng.range_f64(s.rmax_km, GATE_KM);
+                // Just past a tabled radius, where its row is tightest,
+                // or anywhere in the table's span.
+                let r = match rng.below(2) {
+                    0 => {
+                        (radii[rng.below(radii.len() as u64) as usize] * (1.0 + 1e-8)).min(GATE_KM)
+                    }
+                    _ => rng.range_f64(s.rmax_km, GATE_KM),
+                };
+                let center = LatLon::new(lat, -158.0);
                 let speed = f.wind_at(center, center.destination(rng.range_f64(0.0, 360.0), r));
-                let mut radius = s.rmax_km;
-                for &(bound, _) in &table.rows {
+                for (&radius, &(bound, _)) in radii.iter().zip(&table.rows) {
                     if radius <= r * (1.0 - 1e-9) {
                         assert!(speed.speed_ms <= bound, "r {r}: {speed:?} > {bound}");
                     }
-                    radius *= TABLE_RATIO;
                 }
             }
         });

@@ -135,15 +135,24 @@ impl StormTrack {
         let heading = a.pos.bearing_deg(b.pos);
         (heading, dist_km * 1000.0 / dt_s)
     }
+}
 
-    /// Closest approach of the track to `p`: `(t_hours, distance_km)`,
-    /// sampled at `step_hours` resolution.
-    pub fn closest_approach(&self, p: LatLon, step_hours: f64) -> (f64, f64) {
-        let (t0, t1) = self.time_span_hours();
-        let mut best = (t0, self.position(t0).distance_km(p));
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+
+    /// Closest approach of `track` to `p`: `(t_hours, distance_km)`,
+    /// sampled every `step_hours` from the track's start. The kernel
+    /// reports the distance from [`StormParams::peak_scan`]; this scalar
+    /// form is the oracle its tests compare with.
+    ///
+    /// [`StormParams::peak_scan`]: crate::StormParams::peak_scan
+    pub(crate) fn closest_approach(track: &StormTrack, p: LatLon, step_hours: f64) -> (f64, f64) {
+        let (t0, t1) = track.time_span_hours();
+        let mut best = (t0, track.position(t0).distance_km(p));
         let mut t = t0;
         while t <= t1 {
-            let d = self.position(t).distance_km(p);
+            let d = track.position(t).distance_km(p);
             if d < best.1 {
                 best = (t, d);
             }
@@ -151,11 +160,6 @@ impl StormTrack {
         }
         best
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
 
     #[test]
     fn rejects_bad_tracks() {
@@ -211,7 +215,7 @@ mod tests {
         // Track passing due north along lon -158.3; observer at -158.0.
         let track = StormTrack::straight(LatLon::new(19.5, -158.3), 0.0, 6.0, 48.0).unwrap();
         let obs = LatLon::new(21.3, -158.0);
-        let (t, d) = track.closest_approach(obs, 0.25);
+        let (t, d) = closest_approach(&track, obs, 0.25);
         assert!(d < 40.0, "closest distance {d}");
         assert!(t > 4.0 && t < 40.0, "closest time {t}");
     }

@@ -535,8 +535,9 @@ mod oracle {
 }
 
 /// Storms that probe the kernel's bounds, each checked against the
-/// oracle to do what its name says. Sites: the South and North surge
-/// stations and the first case-study POI.
+/// oracle to do what its name says. Sites: the South, North and East
+/// surge stations, the first case-study POI and the far north site of
+/// [`wide_pois`].
 fn kernel_fixtures(stations: &Stations, poi: LatLon) -> Vec<StormParams> {
     use ct_hydro::{StationId, StormTrack, TrackPoint};
     let point = |t_hours, pos| TrackPoint { t_hours, pos };
@@ -550,6 +551,7 @@ fn kernel_fixtures(stations: &Stations, poi: LatLon) -> Vec<StormParams> {
     };
     let south = stations.get(StationId::South).pos;
     let north = stations.get(StationId::North).pos;
+    let east = stations.get(StationId::East).pos;
     let mut storms = Vec::new();
     for site in [south, poi] {
         // The eye passes exactly over the site at t = 6 h, a step of
@@ -594,6 +596,40 @@ fn kernel_fixtures(stations: &Stations, poi: LatLon) -> Vec<StormParams> {
             point(23.7, east.destination(180.0, 60.0)),
         ]));
     }
+    // From the equator, where |f| and so the bound table's Coriolis
+    // floor are 0, to a pass 40 km west of the South station.
+    storms.push(bent(vec![
+        point(0.0, LatLon::new(0.0, -158.3)),
+        point(60.0, south.destination(270.0, 40.0)),
+        point(72.0, south.destination(20.0, 150.0)),
+    ]));
+    // At 47–53° N, where the floor is nearly three times Oahu's, past
+    // the far north site at 29 km.
+    storms.push(bent(vec![
+        point(0.0, LatLon::new(47.0, -163.0)),
+        point(10.0, LatLon::new(50.0, -160.4)),
+        point(20.0, LatLon::new(53.0, -157.0)),
+    ]));
+    // Creeping 50 m in 6 h onto the North and East stations and off
+    // again: bearing vectors of zero length and a few metres.
+    for site in [north, east] {
+        storms.push(bent(vec![
+            point(0.0, site.destination(200.0, 0.05)),
+            point(6.0, site),
+            point(12.0, site.destination(20.0, 0.05)),
+        ]));
+    }
+    // Heading exactly along the onshore bearing of the North station
+    // (due south) and of the South station (due north), 40 km to the
+    // west: where the circulation blows offshore, the drift blows
+    // fully onshore.
+    for (site, dlat) in [(north, -1.0), (south, 1.0)] {
+        let lon = site.lon - 0.4;
+        storms.push(bent(vec![
+            point(0.0, LatLon::new(site.lat - 2.5 * dlat, lon)),
+            point(24.0, LatLon::new(site.lat + 1.5 * dlat, lon)),
+        ]));
+    }
     // West of the North station heading north: its wind blows
     // offshore at every step, so its peak onshore wind stays 0.
     storms.push(bent(vec![
@@ -615,13 +651,14 @@ fn kernel_fixtures(stations: &Stations, poi: LatLon) -> Vec<StormParams> {
 }
 
 /// The case-study POIs plus sites 160 to 1,100 km away, so the 400 km
-/// gate is decided per site and step.
+/// gate is decided per site and step, and one far north at 50° N.
 fn wide_pois(pois: &[Poi]) -> Vec<Poi> {
     let far = [
         ("lihue", LatLon::new(21.98, -159.37)),
         ("hilo", LatLon::new(19.72, -155.08)),
         ("open-sea-se", LatLon::new(17.0, -152.0)),
         ("open-sea-nw", LatLon::new(25.0, -166.0)),
+        ("open-sea-n50", LatLon::new(50.0, -160.0)),
     ];
     let mut wide = pois.to_vec();
     wide.extend(
@@ -665,6 +702,22 @@ fn kernel_realizations_equal_the_scalar_oracles_bitwise() {
     assert!(at(&fixtures[0], south).2 <= 1e-6, "eye over South");
     assert!((399.999..400.0).contains(&at(&fixtures[1], south).2));
     assert!((400.0..400.001).contains(&at(&fixtures[2], south).2));
+    assert_eq!(
+        fixtures[10].track.position(0.0).lat,
+        0.0,
+        "from the equator"
+    );
+    assert!(at(&fixtures[10], south).2 < 400.0, "in range of South");
+    let n50 = LatLon::new(50.0, -160.0);
+    assert!((28.0..30.0).contains(&fixtures[11].track.position(10.0).distance_km(n50)));
+    for (storm, id) in [
+        (&fixtures[12], StationId::North),
+        (&fixtures[13], StationId::East),
+    ] {
+        assert!(at(storm, id).2 <= 1e-6, "eye over {id:?}");
+    }
+    assert_eq!(fixtures[14].track.motion(12.0).0, 180.0, "due south");
+    assert_eq!(fixtures[15].track.motion(12.0).0, 0.0, "due north");
     let offshore = at(&fixtures[fixtures.len() - 2], StationId::North);
     assert!(offshore.1 == 0.0 && offshore.2 < 400.0, "{offshore:?}");
     let unphysical = fixtures.last().unwrap();

@@ -103,6 +103,14 @@ fn counter(projection: &Projection, name: &str) -> u64 {
         .unwrap_or(0)
 }
 
+/// The (step, site) pairs the peak scans accounted for: evaluated,
+/// skipped and culled.
+fn peak_scan_pairs(count: &dyn Fn(&str) -> u64) -> u64 {
+    count(ct_obs::names::HYDRO_PEAK_SCAN_EVALUATED)
+        + count(ct_obs::names::HYDRO_PEAK_SCAN_SKIPPED)
+        + count(ct_obs::names::HYDRO_PEAK_SCAN_CULLED)
+}
+
 #[test]
 fn counters_and_span_tree_are_thread_count_invariant() {
     let baseline = assert_thread_count_invariant(run_with);
@@ -122,10 +130,12 @@ fn counters_and_span_tree_are_thread_count_invariant() {
     assert_eq!(count(ct_obs::names::HAZARD_REALIZATIONS_EVALUATED), 60);
     // The surge peak scans' work: full wind evaluations, in-range
     // steps skipped by the speed or direction bound, and steps culled
-    // before any trig, one add of each per scan.
+    // before any trig, one add of each per scan. A tighter cull moves
+    // pairs from skipped to culled; their sum is the work offered.
     assert_eq!(count(ct_obs::names::HYDRO_PEAK_SCAN_EVALUATED), 1933);
-    assert_eq!(count(ct_obs::names::HYDRO_PEAK_SCAN_SKIPPED), 8891);
-    assert_eq!(count(ct_obs::names::HYDRO_PEAK_SCAN_CULLED), 3226);
+    assert_eq!(count(ct_obs::names::HYDRO_PEAK_SCAN_SKIPPED), 5688);
+    assert_eq!(count(ct_obs::names::HYDRO_PEAK_SCAN_CULLED), 6429);
+    assert_eq!(peak_scan_pairs(&count), 14050);
     let exposures = count(ct_obs::names::HAZARD_ASSET_EXPOSURES);
     assert!(
         exposures > 0 && exposures % 60 == 0,
@@ -155,8 +165,9 @@ fn counters_and_span_tree_are_thread_count_invariant() {
     assert_eq!(count(ct_obs::names::HYDRO_ENSEMBLES_SAMPLED), 1);
     assert_eq!(count(ct_obs::names::HAZARD_REALIZATIONS_EVALUATED), 60);
     assert_eq!(count(ct_obs::names::HYDRO_PEAK_SCAN_EVALUATED), 1933);
-    assert_eq!(count(ct_obs::names::HYDRO_PEAK_SCAN_SKIPPED), 8891);
-    assert_eq!(count(ct_obs::names::HYDRO_PEAK_SCAN_CULLED), 3226);
+    assert_eq!(count(ct_obs::names::HYDRO_PEAK_SCAN_SKIPPED), 5688);
+    assert_eq!(count(ct_obs::names::HYDRO_PEAK_SCAN_CULLED), 6429);
+    assert_eq!(peak_scan_pairs(&count), 14050);
     assert_eq!(count(ct_obs::names::STORE_MISSES), 61);
     assert_eq!(count(ct_obs::names::STORE_HITS), 61);
     // The warm build reads the sites record alone and its 60 adjacent
