@@ -44,14 +44,14 @@ use ct_threat::PostDisasterState;
 /// runs Oahu only, and v3 keys still hash that name and index, so
 /// every v3 record stays addressable without a version bump.
 ///
-/// v4: the base key hashes the terrain spec's [`dem_key`] where it
+/// v4: the base key hashes the terrain spec's `dem_key` where it
 /// hashed every DEM cell, and the surge hazard's parameter digest
 /// covers its stations. Builds read the [`sites_key`] record instead
 /// of a DEM record. v3 stores read as cold misses.
-pub const PIPELINE_KERNEL_VERSION: u32 = 4;
+pub(crate) const PIPELINE_KERNEL_VERSION: u32 = 4;
 
 /// The run-level base address: a stable hash of the case-study
-/// configuration, the terrain spec's [`dem_key`], the storm-ensemble
+/// configuration, the terrain spec's `dem_key`, the storm-ensemble
 /// parameters, the tracked POI set, the hazard engine (id + its full
 /// parameter digest), and the kernel versions.
 ///
@@ -153,7 +153,7 @@ fn hash_dem(h: &mut StableHasher, dem: &Dem) {
 /// ensemble, realization count and threads are left out because the
 /// DEM depends on none of them. It stands for the DEM in every
 /// [`base_key`] and under the [`sites_key`].
-pub fn dem_key(spec: &RegionTerrainSpec) -> Digest {
+pub(crate) fn dem_key(spec: &RegionTerrainSpec) -> Digest {
     // Destructured so a new spec field cannot be left out of the key.
     let RegionTerrainSpec {
         name,
@@ -245,7 +245,7 @@ fn hash_ring(h: &mut StableHasher, ring: &[LatLon]) {
 }
 
 /// The address of the sites record ([`encode_sites`]): the terrain
-/// spec's [`dem_key`] plus the pipeline and hydro kernel versions,
+/// spec's `dem_key` plus the pipeline and hydro kernel versions,
 /// since the record holds what the pipeline (the POIs) and the hydro
 /// kernel (the stations' shelf factors) measure on the DEM. Every
 /// hazard run over the same terrain shares one record.
@@ -345,7 +345,7 @@ pub fn decode_realization(
 
 /// Encodes a flood-pattern histogram payload:
 /// `n_entries u64 | (sites u64 | flag u8×sites | count u64)×n`.
-pub fn encode_histogram(hist: &[(PostDisasterState, usize)]) -> Vec<u8> {
+pub(crate) fn encode_histogram(hist: &[(PostDisasterState, usize)]) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(&(hist.len() as u64).to_le_bytes());
     for (state, count) in hist {

@@ -11,16 +11,16 @@
 use crate::error::CoreError;
 use crate::pipeline::CaseStudy;
 use ct_scada::{oahu::SiteChoice, Architecture};
-use ct_threat::{OperationalState, ThreatScenario};
+use ct_threat::ThreatScenario;
 use std::fmt;
 
 /// Success probabilities of the attacker's two capabilities.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AttackerPower {
     /// Probability the server intrusion succeeds.
-    pub intrusion_success: f64,
+    pub(crate) intrusion_success: f64,
     /// Probability the site isolation succeeds.
-    pub isolation_success: f64,
+    pub(crate) isolation_success: f64,
 }
 
 impl AttackerPower {
@@ -49,14 +49,6 @@ impl AttackerPower {
             isolation_success,
         })
     }
-
-    /// The paper's implicit worst-case attacker: everything succeeds.
-    pub fn worst_case() -> Self {
-        Self {
-            intrusion_success: 1.0,
-            isolation_success: 1.0,
-        }
-    }
 }
 
 /// An expected outcome distribution (fractions, not counts).
@@ -73,16 +65,6 @@ pub struct ExpectedProfile {
 }
 
 impl ExpectedProfile {
-    /// The probability of a given state.
-    pub fn fraction(&self, state: OperationalState) -> f64 {
-        match state {
-            OperationalState::Green => self.green,
-            OperationalState::Orange => self.orange,
-            OperationalState::Red => self.red,
-            OperationalState::Gray => self.gray,
-        }
-    }
-
     /// Whether the four fractions sum to ~1.
     pub fn is_normalized(&self) -> bool {
         (self.green + self.orange + self.red + self.gray - 1.0).abs() < 1e-9
@@ -205,7 +187,7 @@ mod tests {
             &s,
             Architecture::C6_6,
             SiteChoice::Waiau,
-            AttackerPower::worst_case(),
+            AttackerPower::new(1.0, 1.0).unwrap(),
         )
         .unwrap();
         let worst = s

@@ -44,7 +44,7 @@ impl Default for DowntimeModel {
 impl DowntimeModel {
     /// Hours of downtime attributed to one realization ending in
     /// `state`.
-    pub fn hours_for(&self, state: OperationalState) -> f64 {
+    pub(crate) fn hours_for(&self, state: OperationalState) -> f64 {
         match state {
             OperationalState::Green => 0.0,
             OperationalState::Orange => self.orange_hours,
@@ -66,11 +66,11 @@ impl DowntimeModel {
 #[derive(Debug, Clone, PartialEq)]
 pub struct DowntimeReport {
     /// The scenario evaluated.
-    pub scenario: ThreatScenario,
+    pub(crate) scenario: ThreatScenario,
     /// The backup siting evaluated.
-    pub choice: SiteChoice,
+    pub(crate) choice: SiteChoice,
     /// `(architecture, expected hours per event)` rows.
-    pub rows: Vec<(Architecture, f64)>,
+    pub(crate) rows: Vec<(Architecture, f64)>,
 }
 
 impl DowntimeReport {

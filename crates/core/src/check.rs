@@ -126,7 +126,7 @@ pub struct CheckOptions {
 /// Virtual-time horizon of every checked execution. Long enough for
 /// the slowest recovery path (cold-backup activation at ~32 s virtual
 /// with the default attack time) plus the resume margin.
-pub fn check_horizon() -> SimTime {
+pub(crate) fn check_horizon() -> SimTime {
     SimTime::from_secs(40.0)
 }
 
@@ -143,7 +143,7 @@ pub fn check_horizon() -> SimTime {
 /// is already charged to `max_gap`, so the consistent tolerance for
 /// it is the same gap the verdict accepts mid-run: anything beyond
 /// `orange_gap` of silence at the end is still red.
-pub fn check_config() -> VerdictConfig {
+pub(crate) fn check_config() -> VerdictConfig {
     let defaults = VerdictConfig::default();
     VerdictConfig {
         run_duration: check_horizon(),
@@ -169,7 +169,7 @@ pub struct StateCheck {
     /// (exhaustive choice-point indices) or `seed=s` (randomized).
     pub counterexample: Option<String>,
     /// Tier-specific counters, emitted verbatim into the CSV.
-    pub detail: Vec<(&'static str, String)>,
+    pub(crate) detail: Vec<(&'static str, String)>,
 }
 
 impl StateCheck {
@@ -184,11 +184,11 @@ impl StateCheck {
 #[derive(Debug, Clone)]
 pub struct CheckReport {
     /// The architecture column.
-    pub architecture: Architecture,
+    pub(crate) architecture: Architecture,
     /// The threat-scenario row.
-    pub scenario: ThreatScenario,
+    pub(crate) scenario: ThreatScenario,
     /// Schedule tier used.
-    pub mode: CheckMode,
+    pub(crate) mode: CheckMode,
     /// Every reachable state, checked.
     pub states: Vec<StateCheck>,
 }

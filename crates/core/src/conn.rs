@@ -36,20 +36,20 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 /// One response, however the request went.
-pub struct Reply {
+pub(crate) struct Reply {
     /// HTTP status code.
-    pub status: u16,
+    pub(crate) status: u16,
     /// Status-line reason phrase.
-    pub reason: &'static str,
+    pub(crate) reason: &'static str,
     /// `Content-Type` header value.
-    pub content_type: &'static str,
+    pub(crate) content_type: &'static str,
     /// Response body.
-    pub body: Vec<u8>,
+    pub(crate) body: Vec<u8>,
 }
 
 impl Reply {
     /// A plain-text reply.
-    pub fn text(status: u16, reason: &'static str, body: impl Into<String>) -> Self {
+    pub(crate) fn text(status: u16, reason: &'static str, body: impl Into<String>) -> Self {
         Reply {
             status,
             reason,
@@ -59,7 +59,7 @@ impl Reply {
     }
 
     /// A framed store record.
-    pub fn record(frame: Vec<u8>) -> Self {
+    pub(crate) fn record(frame: Vec<u8>) -> Self {
         Reply {
             status: 200,
             reason: "OK",
@@ -69,17 +69,17 @@ impl Reply {
     }
 
     /// An empty 204.
-    pub fn no_content() -> Self {
+    pub(crate) fn no_content() -> Self {
         Reply::text(204, "No Content", "")
     }
 
     /// A 400 with a one-line explanation.
-    pub fn bad_request(message: &str) -> Self {
+    pub(crate) fn bad_request(message: &str) -> Self {
         Reply::text(400, "Bad Request", format!("{message}\n"))
     }
 
     /// A 500 carrying the error's display form.
-    pub fn server_error(e: &CoreError) -> Self {
+    pub(crate) fn server_error(e: &CoreError) -> Self {
         Reply::text(500, "Internal Server Error", format!("{e}\n"))
     }
 }
@@ -87,7 +87,7 @@ impl Reply {
 /// What the serving tier does with one parsed request. Implemented
 /// by the server's shared state; [`serve_connection`] stays ignorant
 /// of routes.
-pub trait Router {
+pub(crate) trait Router {
     /// Routes one request to a reply. Must not panic on hostile
     /// input — malformed *content* is a 4xx reply, not an error.
     fn route(&self, request: &Request) -> Reply;
@@ -103,7 +103,7 @@ pub trait Router {
 /// `idle`, so a peer that stops reading cannot hold the thread.
 /// Records `serve.conn_lifetime_ms` once, and `serve.idle_closes`
 /// when the idle deadline ends the connection.
-pub fn serve_connection(
+pub(crate) fn serve_connection(
     mut stream: TcpStream,
     router: &impl Router,
     max_requests: u64,

@@ -66,7 +66,7 @@ impl Figure {
     }
 
     /// The paper's caption for the figure.
-    pub fn caption(self) -> String {
+    pub(crate) fn caption(self) -> String {
         let sites = match self.site_choice() {
             SiteChoice::Waiau => "Honolulu + Waiau + DRFortress",
             SiteChoice::Kahe => "Honolulu + Kahe + DRFortress",

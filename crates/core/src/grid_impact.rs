@@ -25,12 +25,12 @@ use std::collections::BTreeSet;
 #[derive(Debug, Clone, PartialEq)]
 pub struct GridImpactConfig {
     /// Fragility model for hurricane damage.
-    pub damage: DamageModel,
+    pub(crate) damage: DamageModel,
     /// Whether overloaded lines trip iteratively after the damage.
-    pub cascade: bool,
+    pub(crate) cascade: bool,
     /// Served fraction below which a realization counts as a *major*
     /// loss of load.
-    pub major_loss_threshold: f64,
+    pub(crate) major_loss_threshold: f64,
 }
 
 impl Default for GridImpactConfig {
@@ -52,7 +52,7 @@ impl Default for GridImpactConfig {
 #[derive(Debug, Clone, PartialEq)]
 pub struct GridImpactSummary {
     /// Served fraction per realization with SCADA-directed shedding.
-    pub served_supervised: Vec<f64>,
+    pub(crate) served_supervised: Vec<f64>,
     /// Served fraction per realization with the unchecked cascade.
     pub served_blind: Vec<f64>,
     /// Lines tripped by cascading overloads, per realization (blind
@@ -61,12 +61,6 @@ pub struct GridImpactSummary {
 }
 
 impl GridImpactSummary {
-    /// Served fraction per realization under the blind model
-    /// (compatibility accessor).
-    pub fn served_fraction(&self) -> &[f64] {
-        &self.served_blind
-    }
-
     fn mean(v: &[f64]) -> f64 {
         if v.is_empty() {
             1.0

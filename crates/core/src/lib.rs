@@ -49,21 +49,21 @@ pub mod artifact;
 pub mod attacker_power;
 pub mod availability;
 pub mod check;
-pub mod conn;
+mod conn;
 pub mod error;
 pub mod figures;
 pub mod grid_impact;
 pub mod parallel;
-pub mod pipeline;
+mod pipeline;
 pub mod placement;
 pub mod prelude;
-pub mod probe;
-pub mod profile;
+mod probe;
+mod profile;
 pub mod report;
 pub mod sensitivity;
 pub mod serve;
 pub mod summary;
-pub mod traffic;
+mod traffic;
 
 pub use error::CoreError;
 pub use figures::{Figure, FigureData};

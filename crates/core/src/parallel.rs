@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// # Panics
 ///
 /// Propagates panics from worker closures.
-pub fn par_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
+pub(crate) fn par_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,

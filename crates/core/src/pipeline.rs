@@ -92,32 +92,10 @@ impl CaseStudyConfigBuilder {
         self
     }
 
-    /// Full hurricane-ensemble parameters (see also
-    /// [`CaseStudyConfigBuilder::realizations`] for the common case).
-    #[must_use]
-    pub fn ensemble(mut self, ensemble: EnsembleConfig) -> Self {
-        self.config.ensemble = ensemble;
-        self
-    }
-
     /// Number of hurricane realizations (must be ≥ 1).
     #[must_use]
     pub fn realizations(mut self, n: usize) -> Self {
         self.config.ensemble.realizations = n;
-        self
-    }
-
-    /// Ensemble RNG seed.
-    #[must_use]
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.config.ensemble.seed = seed;
-        self
-    }
-
-    /// Surge-model calibration.
-    #[must_use]
-    pub fn calibration(mut self, calibration: SurgeCalibration) -> Self {
-        self.config.calibration = calibration;
         self
     }
 
@@ -147,21 +125,13 @@ impl CaseStudyConfigBuilder {
     ///
     /// # Errors
     ///
-    /// [`CoreError::InvalidConfig`] when the ensemble is empty, the
-    /// flood threshold is negative or non-finite, or the calibration's
-    /// `scan_step_hours` is not finite and positive.
+    /// [`CoreError::InvalidConfig`] when the ensemble is empty or the
+    /// flood threshold is negative or non-finite.
     pub fn build(self) -> Result<CaseStudyConfig, CoreError> {
         if self.config.ensemble.realizations == 0 {
             return Err(CoreError::InvalidConfig {
                 field: "realizations",
                 reason: "ensemble must contain at least 1 realization".into(),
-            });
-        }
-        let step_hours = self.config.calibration.scan_step_hours;
-        if ct_hydro::check_scan_step(step_hours).is_err() {
-            return Err(CoreError::InvalidConfig {
-                field: "scan_step_hours",
-                reason: format!("must be finite and positive, got {step_hours}"),
             });
         }
         if let Some(depth_m) = self.config.flood_threshold_m {
@@ -207,16 +177,6 @@ impl ShardSpec {
             });
         }
         Ok(Self { index, count })
-    }
-
-    /// This shard's index.
-    pub fn index(&self) -> usize {
-        self.index
-    }
-
-    /// Total number of shards.
-    pub fn count(&self) -> usize {
-        self.count
     }
 
     /// Whether realization `i` belongs to this shard.
@@ -617,7 +577,7 @@ impl CaseStudy {
     }
 
     /// The configuration the study was built from.
-    pub fn config(&self) -> &CaseStudyConfig {
+    pub(crate) fn config(&self) -> &CaseStudyConfig {
         &self.config
     }
 
@@ -677,7 +637,7 @@ impl CaseStudy {
     ///
     /// Returns an error when the plan references assets missing from
     /// the ensemble's POI set.
-    pub fn profile_with_plan(
+    pub(crate) fn profile_with_plan(
         &self,
         plan: &SitePlan,
         scenario: ThreatScenario,
@@ -861,27 +821,6 @@ mod tests {
                     }
                 ),
                 "threshold {bad} should be rejected"
-            );
-        }
-        // Only the rejection: a scan with such a step would never end.
-        for bad in [0.0, -0.5, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            let calibration = SurgeCalibration {
-                scan_step_hours: bad,
-                ..SurgeCalibration::default()
-            };
-            let e = CaseStudyConfig::builder()
-                .calibration(calibration)
-                .build()
-                .unwrap_err();
-            assert!(
-                matches!(
-                    e,
-                    CoreError::InvalidConfig {
-                        field: "scan_step_hours",
-                        ..
-                    }
-                ),
-                "scan step {bad} should be rejected"
             );
         }
     }
@@ -1118,6 +1057,22 @@ mod tests {
         let kahe = s.flood_probability(ct_scada::oahu::KAHE).unwrap();
         assert_eq!(kahe, 0.0, "Kahe never floods");
         assert!(s.flood_probability("nope").is_err());
+    }
+
+    #[test]
+    fn a_higher_flood_threshold_floods_less_often() {
+        let s = small_study();
+        let p = |depth_m| {
+            s.with_flood_threshold(depth_m)
+                .unwrap()
+                .flood_probability(ct_scada::oahu::HONOLULU_CC)
+                .unwrap()
+        };
+        assert!(p(0.2) >= p(0.5));
+        assert!(p(0.5) >= p(1.5));
+        // The paper's 0.5 m threshold is the study's own.
+        let base = s.flood_probability(ct_scada::oahu::HONOLULU_CC).unwrap();
+        assert!((p(0.5) - base).abs() < 1e-12);
     }
 
     #[test]

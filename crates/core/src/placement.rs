@@ -94,21 +94,6 @@ pub fn rank_backup_sites(
     Ok(results)
 }
 
-/// The best backup site per [`rank_backup_sites`], if any.
-///
-/// # Errors
-///
-/// Propagates pipeline errors.
-pub fn best_backup_site(
-    study: &CaseStudy,
-    architecture: Architecture,
-    scenario: ThreatScenario,
-) -> Result<Option<PlacementResult>, CoreError> {
-    Ok(rank_backup_sites(study, architecture, scenario)?
-        .into_iter()
-        .next())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,17 +140,6 @@ mod tests {
                 .map(|r| (&r.backup_asset_id, r.profile.orange()))
                 .collect::<Vec<_>>()
         );
-    }
-
-    #[test]
-    fn best_site_is_first_in_ranking() {
-        let s = study();
-        let ranking = rank_backup_sites(&s, Architecture::C2_2, ThreatScenario::Hurricane).unwrap();
-        let best = best_backup_site(&s, Architecture::C2_2, ThreatScenario::Hurricane)
-            .unwrap()
-            .unwrap();
-        assert_eq!(ranking[0], best);
-        assert!(!ranking.is_empty());
     }
 
     #[test]

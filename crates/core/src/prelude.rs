@@ -25,7 +25,7 @@ pub use crate::pipeline::{
 pub use crate::probe::ProbeQuery;
 pub use crate::profile::OutcomeProfile;
 pub use crate::serve::{ServeOptions, Server};
-pub use crate::traffic::{bench_serve, BenchMode, BenchOp, BenchServeOptions};
+pub use crate::traffic::{bench_serve, BenchMode, BenchOp, BenchRow, BenchServeOptions};
 pub use ct_hazard::{CompoundHazard, HazardModel, HazardSpec, SurgeHazard, WindFragilityHazard};
 pub use ct_scada::{oahu::SiteChoice, Architecture};
 pub use ct_store::{RemoteStore, Store, StoreBackend, StoreUrl};

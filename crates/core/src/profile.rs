@@ -16,20 +16,6 @@ impl OutcomeProfile {
         Self::default()
     }
 
-    /// Builds a profile from per-realization outcomes.
-    pub fn from_outcomes(outcomes: impl IntoIterator<Item = OperationalState>) -> Self {
-        let mut p = Self::default();
-        for o in outcomes {
-            p.record(o);
-        }
-        p
-    }
-
-    /// Records one realization outcome.
-    pub fn record(&mut self, outcome: OperationalState) {
-        self.record_n(outcome, 1);
-    }
-
     /// Records `n` realizations with the same outcome — the weighted
     /// form used when outcomes are evaluated per distinct flood
     /// pattern rather than per realization.
@@ -52,12 +38,12 @@ impl OutcomeProfile {
     }
 
     /// Count of a specific outcome.
-    pub fn count(&self, state: OperationalState) -> usize {
+    pub(crate) fn count(&self, state: OperationalState) -> usize {
         self.counts[Self::slot(state)]
     }
 
     /// Probability of a specific outcome (0 for an empty profile).
-    pub fn fraction(&self, state: OperationalState) -> f64 {
+    pub(crate) fn fraction(&self, state: OperationalState) -> f64 {
         let total = self.total();
         if total == 0 {
             0.0
@@ -92,33 +78,6 @@ impl OutcomeProfile {
             .iter()
             .all(|&s| (self.fraction(s) - other.fraction(s)).abs() <= tol)
     }
-
-    /// Merges another profile into this one.
-    pub fn merge(&mut self, other: &OutcomeProfile) {
-        for i in 0..4 {
-            self.counts[i] += other.counts[i];
-        }
-    }
-
-    /// Builds a profile from fractions of a nominal total (used by
-    /// the probabilistic-attacker mixture model). Fractions are
-    /// rounded to counts out of `total`.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if fractions are negative.
-    pub fn from_fractions(green: f64, orange: f64, red: f64, gray: f64, total: usize) -> Self {
-        debug_assert!(green >= 0.0 && orange >= 0.0 && red >= 0.0 && gray >= 0.0);
-        let t = total as f64;
-        Self {
-            counts: [
-                (green * t).round() as usize,
-                (orange * t).round() as usize,
-                (red * t).round() as usize,
-                (gray * t).round() as usize,
-            ],
-        }
-    }
 }
 
 impl fmt::Display for OutcomeProfile {
@@ -138,6 +97,17 @@ impl fmt::Display for OutcomeProfile {
 mod tests {
     use super::*;
     use OperationalState::*;
+
+    impl OutcomeProfile {
+        /// Builds a profile from per-realization outcomes.
+        pub(crate) fn from_outcomes(outcomes: impl IntoIterator<Item = OperationalState>) -> Self {
+            let mut p = Self::default();
+            for o in outcomes {
+                p.record_n(o, 1);
+            }
+            p
+        }
+    }
 
     #[test]
     fn counting_and_fractions() {
@@ -167,15 +137,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_accumulates() {
-        let mut a = OutcomeProfile::from_outcomes([Green]);
-        let b = OutcomeProfile::from_outcomes([Red, Red]);
-        a.merge(&b);
-        assert_eq!(a.total(), 3);
-        assert_eq!(a.count(Red), 2);
-    }
-
-    #[test]
     fn approx_eq_tolerance() {
         let a = OutcomeProfile::from_outcomes(vec![Green; 95].into_iter().chain(vec![Red; 5]));
         let b = OutcomeProfile::from_outcomes(vec![Green; 94].into_iter().chain(vec![Red; 6]));
@@ -190,12 +151,5 @@ mod tests {
             p.to_string(),
             "green 50.0% / orange 0.0% / red 50.0% / gray 0.0%"
         );
-    }
-
-    #[test]
-    fn from_fractions_round_trips() {
-        let p = OutcomeProfile::from_fractions(0.905, 0.0, 0.095, 0.0, 1000);
-        assert_eq!(p.count(Green), 905);
-        assert_eq!(p.count(Red), 95);
     }
 }

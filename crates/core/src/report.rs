@@ -51,7 +51,7 @@ pub fn figure_table(data: &FigureData) -> String {
 }
 
 /// Renders a figure as a Markdown table.
-pub fn figure_markdown(data: &FigureData) -> String {
+pub(crate) fn figure_markdown(data: &FigureData) -> String {
     let mut out = String::new();
     writeln!(
         out,

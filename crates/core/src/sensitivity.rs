@@ -8,7 +8,6 @@
 //! for.
 
 use crate::error::CoreError;
-use crate::parallel::par_map_dynamic;
 use crate::pipeline::{CaseStudy, CaseStudyConfig};
 use crate::profile::OutcomeProfile;
 use ct_hydro::{Category, EnsembleConfig};
@@ -23,7 +22,7 @@ pub struct CategoryPoint {
     /// Honolulu control-center flood probability at this intensity.
     pub p_honolulu_flood: f64,
     /// `(architecture, profile)` under the evaluated scenario.
-    pub rows: Vec<(Architecture, OutcomeProfile)>,
+    pub(crate) rows: Vec<(Architecture, OutcomeProfile)>,
 }
 
 impl CategoryPoint {
@@ -74,52 +73,6 @@ pub fn category_sweep(
         .collect()
 }
 
-/// Case-study outcomes for one flood threshold.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ThresholdPoint {
-    /// Asset-failure flood depth (m).
-    pub threshold_m: f64,
-    /// Honolulu control-center flood probability at this threshold.
-    pub p_honolulu_flood: f64,
-    /// `(architecture, profile)` under the evaluated scenario.
-    pub rows: Vec<(Architecture, OutcomeProfile)>,
-}
-
-/// Sweeps the asset-failure flood threshold (the paper's 0.5 m switch
-/// height), reusing the already-evaluated ensemble — only the
-/// exceedance test changes, so this is cheap.
-///
-/// # Errors
-///
-/// Propagates pipeline errors and invalid thresholds.
-pub fn threshold_sweep(
-    study: &CaseStudy,
-    thresholds_m: &[f64],
-    scenario: ThreatScenario,
-    choice: SiteChoice,
-) -> Result<Vec<ThresholdPoint>, CoreError> {
-    let _span = ct_obs::span("threshold_sweep");
-    // Each threshold re-tests exceedance over the whole ensemble;
-    // points are independent, so evaluate them work-stealing in
-    // parallel (the category sweep stays serial because each of its
-    // points already parallelises its own ensemble build).
-    par_map_dynamic(thresholds_m, study.threads(), |&threshold_m| {
-        let variant = study.with_flood_threshold(threshold_m)?;
-        let p_honolulu_flood = variant.flood_probability(ct_scada::oahu::HONOLULU_CC)?;
-        let rows = Architecture::ALL
-            .iter()
-            .map(|&arch| variant.profile(arch, scenario, choice).map(|p| (arch, p)))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(ThresholdPoint {
-            threshold_m,
-            p_honolulu_flood,
-            rows,
-        })
-    })
-    .into_iter()
-    .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,33 +118,6 @@ mod tests {
         let g = |p: &CategoryPoint| p.profile(Architecture::C2).unwrap().green();
         assert!(g(&points[0]) >= g(&points[1]));
         assert!(g(&points[1]) > g(&points[2]));
-    }
-
-    #[test]
-    fn threshold_sweep_is_monotone() {
-        let study = CaseStudy::build(
-            &CaseStudyConfig::builder()
-                .realizations(200)
-                .build()
-                .unwrap(),
-        )
-        .unwrap();
-        let points = threshold_sweep(
-            &study,
-            &[0.2, 0.5, 1.5],
-            ThreatScenario::Hurricane,
-            SiteChoice::Waiau,
-        )
-        .unwrap();
-        assert_eq!(points.len(), 3);
-        // A more forgiving (higher) threshold floods less often.
-        assert!(points[0].p_honolulu_flood >= points[1].p_honolulu_flood);
-        assert!(points[1].p_honolulu_flood >= points[2].p_honolulu_flood);
-        // And the paper's 0.5 m point matches the study's baseline.
-        let base = study
-            .flood_probability(ct_scada::oahu::HONOLULU_CC)
-            .unwrap();
-        assert!((points[1].p_honolulu_flood - base).abs() < 1e-12);
     }
 
     #[test]

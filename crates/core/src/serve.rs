@@ -7,7 +7,7 @@
 //! instead of the local filesystem. The daemon is std-only blocking
 //! I/O: one accept thread takes connections from a
 //! [`std::net::TcpListener`] and hands each to a connection thread,
-//! which serves it with [`crate::conn::serve_connection`] and then
+//! which serves it with `conn::serve_connection` and then
 //! waits for the next one. A thread is spawned only when none is
 //! idle, and a thread that waits the idle timeout for a connection
 //! exits, so a server holds about one thread per connection open at
@@ -59,16 +59,16 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Default in-memory cache budget: 256 MiB of framed records.
-pub const DEFAULT_CACHE_BYTES: u64 = 256 * 1024 * 1024;
+pub(crate) const DEFAULT_CACHE_BYTES: u64 = 256 * 1024 * 1024;
 /// Default bind address (loopback; front with a tunnel to go wider).
-pub const DEFAULT_ADDR: &str = "127.0.0.1:7171";
+pub(crate) const DEFAULT_ADDR: &str = "127.0.0.1:7171";
 /// Default idle timeout for kept-alive connections and for connection
 /// threads waiting for one, in milliseconds.
-pub const DEFAULT_IDLE_MS: u64 = 5_000;
+pub(crate) const DEFAULT_IDLE_MS: u64 = 5_000;
 /// Requests served on one connection before the server closes it
 /// (the final response says `Connection: close`). Bounds how long
 /// one client holds a connection thread; clients just redial.
-pub const DEFAULT_MAX_REQUESTS: u64 = 4_096;
+pub(crate) const DEFAULT_MAX_REQUESTS: u64 = 4_096;
 
 /// Ensemble size a `/probe` uses when the query does not say
 /// (deliberately smaller than the paper's 1000: a probe is a live
@@ -95,10 +95,10 @@ pub struct ServeOptions {
     pub threads: usize,
     /// Close kept-alive connections idle longer than this, and retire
     /// connection threads that wait this long for a connection
-    /// ([`DEFAULT_IDLE_MS`]).
+    /// (`DEFAULT_IDLE_MS`).
     pub idle_ms: u64,
     /// Close a connection after this many requests
-    /// ([`DEFAULT_MAX_REQUESTS`]).
+    /// (`DEFAULT_MAX_REQUESTS`).
     pub max_requests: u64,
 }
 
@@ -207,7 +207,7 @@ impl Server {
     /// notice within a 100 ms tick (or, blocked writing to a peer that
     /// stopped reading, within the idle timeout). Idempotent; also
     /// runs on drop.
-    pub fn shutdown(&mut self) {
+    pub(crate) fn shutdown(&mut self) {
         let Some(accept) = self.accept.take() else {
             return;
         };

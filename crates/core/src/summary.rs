@@ -16,10 +16,10 @@ use std::fmt::Write as _;
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReportOptions {
     /// Downtime durations used in the availability section.
-    pub downtime: DowntimeModel,
+    pub(crate) downtime: DowntimeModel,
     /// Include the placement-search section (adds a full ranking per
     /// architecture).
-    pub include_placement: bool,
+    pub(crate) include_placement: bool,
 }
 
 impl Default for ReportOptions {

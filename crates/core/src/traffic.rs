@@ -119,27 +119,27 @@ impl Default for BenchServeOptions {
 #[derive(Debug, Clone)]
 pub struct BenchRow {
     /// The verb this phase issued.
-    pub op: BenchOp,
+    pub(crate) op: BenchOp,
     /// The discipline it ran under.
-    pub mode: BenchMode,
+    pub(crate) mode: BenchMode,
     /// Connections held open.
-    pub connections: usize,
+    pub(crate) connections: usize,
     /// In-flight window (closed loop) or offered rate (open loop).
-    pub inflight: usize,
+    pub(crate) inflight: usize,
     /// Responses completed inside the measurement window.
-    pub ops: u64,
+    pub(crate) ops: u64,
     /// Wall-clock seconds actually measured.
-    pub elapsed_s: f64,
+    pub(crate) elapsed_s: f64,
     /// Completed ops per second.
-    pub ops_per_s: f64,
+    pub(crate) ops_per_s: f64,
     /// Median request latency, milliseconds.
-    pub p50_ms: f64,
+    pub(crate) p50_ms: f64,
     /// 99th-percentile request latency, milliseconds.
-    pub p99_ms: f64,
+    pub(crate) p99_ms: f64,
     /// Non-2xx responses (server refusals, never silent).
-    pub errors: u64,
+    pub(crate) errors: u64,
     /// Fresh dials after a server-side close or transport error.
-    pub redials: u64,
+    pub(crate) redials: u64,
 }
 
 impl BenchRow {

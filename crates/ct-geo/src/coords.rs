@@ -1,6 +1,5 @@
 //! Geographic coordinates and a local tangent-plane projection.
 
-use crate::error::GeoError;
 use std::fmt;
 
 /// Mean Earth radius in kilometres (spherical approximation).
@@ -22,8 +21,7 @@ impl LatLon {
     /// # Panics
     ///
     /// Panics in debug builds if `lat` is outside `[-90, 90]` or `lon`
-    /// outside `[-180, 180]`. Use [`LatLon::try_new`] for validated
-    /// construction.
+    /// outside `[-180, 180]`.
     pub fn new(lat: f64, lon: f64) -> Self {
         debug_assert!(
             (-90.0..=90.0).contains(&lat),
@@ -34,19 +32,6 @@ impl LatLon {
             "longitude out of range: {lon}"
         );
         Self { lat, lon }
-    }
-
-    /// Creates a coordinate, validating ranges.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GeoError::InvalidCoordinate`] if latitude is outside
-    /// `[-90, 90]` or longitude outside `[-180, 180]`.
-    pub fn try_new(lat: f64, lon: f64) -> Result<Self, GeoError> {
-        if !(-90.0..=90.0).contains(&lat) || !(-180.0..=180.0).contains(&lon) {
-            return Err(GeoError::InvalidCoordinate { lat, lon });
-        }
-        Ok(Self { lat, lon })
     }
 
     /// Great-circle (haversine) distance to `other` in kilometres.
@@ -271,13 +256,6 @@ mod tests {
         lat: 21.45,
         lon: -158.0,
     };
-
-    #[test]
-    fn try_new_validates() {
-        assert!(LatLon::try_new(91.0, 0.0).is_err());
-        assert!(LatLon::try_new(0.0, 181.0).is_err());
-        assert!(LatLon::try_new(21.3, -157.8).is_ok());
-    }
 
     #[test]
     fn haversine_known_distance() {

@@ -62,7 +62,7 @@ impl Dem {
 
     /// Bilinearly-interpolated elevation (m) at a local point, or
     /// `None` outside the domain.
-    pub fn elevation_at_enu(&self, p: EnuKm) -> Option<f64> {
+    pub(crate) fn elevation_at_enu(&self, p: EnuKm) -> Option<f64> {
         self.elevation.sample(p)
     }
 
@@ -73,17 +73,11 @@ impl Dem {
             .is_some_and(|e| e > 0.0)
     }
 
-    /// Cell centres of all coastline cells (land cells adjacent to
-    /// sea), in local km.
-    pub fn coastline_cells(&self) -> &[EnuKm] {
-        &self.coastline
-    }
-
     /// Nearest coastline cell centre to a local point, with its
     /// distance in km. `None` when the DEM contains no coastline.
     ///
-    /// Served by a lazily-built [`ShoreIndex`]; bit-identical to the
-    /// linear scan over [`Self::coastline_cells`].
+    /// Served by a lazily-built `ShoreIndex`; bit-identical to the
+    /// linear scan over the coastline cells.
     pub fn nearest_shore(&self, p: EnuKm) -> Option<(EnuKm, f64)> {
         self.shore_index
             .get_or_init(|| ShoreIndex::new(&self.coastline))
@@ -135,18 +129,6 @@ impl Dem {
             Some(depths.iter().sum::<f64>() / depths.len() as f64)
         }
     }
-
-    /// Fraction of cells that are land.
-    pub fn land_fraction(&self) -> f64 {
-        let total = self.elevation.cols() * self.elevation.rows();
-        let land = self
-            .elevation
-            .as_slice()
-            .iter()
-            .filter(|&&e| e > 0.0)
-            .count();
-        land as f64 / total as f64
-    }
 }
 
 /// Finds land cells with at least one 4-neighbour sea cell.
@@ -177,6 +159,20 @@ mod tests {
     use super::*;
     use crate::coords::LatLon;
 
+    impl Dem {
+        /// Fraction of cells that are land.
+        pub(crate) fn land_fraction(&self) -> f64 {
+            let total = self.elevation.cols() * self.elevation.rows();
+            let land = self
+                .elevation
+                .as_slice()
+                .iter()
+                .filter(|&&e| e > 0.0)
+                .count();
+            land as f64 / total as f64
+        }
+    }
+
     /// A toy island: a 10 km-radius cone centred at the origin,
     /// surrounded by sea deepening outward.
     fn cone_island() -> Dem {
@@ -206,7 +202,7 @@ mod tests {
     #[test]
     fn coastline_ring_extracted() {
         let dem = cone_island();
-        let ring = dem.coastline_cells();
+        let ring = &dem.coastline;
         assert!(!ring.is_empty());
         for c in ring {
             let r = (c.east * c.east + c.north * c.north).sqrt();

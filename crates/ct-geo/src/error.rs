@@ -17,13 +17,6 @@ pub enum GeoError {
         /// Number of vertices supplied.
         vertices: usize,
     },
-    /// An invalid latitude/longitude was supplied.
-    InvalidCoordinate {
-        /// Offending latitude in degrees.
-        lat: f64,
-        /// Offending longitude in degrees.
-        lon: f64,
-    },
 }
 
 impl fmt::Display for GeoError {
@@ -35,9 +28,6 @@ impl fmt::Display for GeoError {
             GeoError::EmptyGrid => write!(f, "grid must have at least one row and column"),
             GeoError::DegeneratePolygon { vertices } => {
                 write!(f, "polygon needs at least 3 vertices, got {vertices}")
-            }
-            GeoError::InvalidCoordinate { lat, lon } => {
-                write!(f, "invalid coordinate lat={lat} lon={lon}")
             }
         }
     }
@@ -55,10 +45,6 @@ mod tests {
             GeoError::OutOfBounds { what: "x".into() },
             GeoError::EmptyGrid,
             GeoError::DegeneratePolygon { vertices: 2 },
-            GeoError::InvalidCoordinate {
-                lat: 100.0,
-                lon: 0.0,
-            },
         ];
         for e in errs {
             assert!(!e.to_string().is_empty());

@@ -19,31 +19,6 @@ pub struct Grid<T> {
 }
 
 impl<T: Clone> Grid<T> {
-    /// Creates a grid filled with `fill`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GeoError::EmptyGrid`] if `cols` or `rows` is zero, or
-    /// `cell_km` is not strictly positive.
-    pub fn filled(
-        cols: usize,
-        rows: usize,
-        origin: EnuKm,
-        cell_km: f64,
-        fill: T,
-    ) -> Result<Self, GeoError> {
-        if cols == 0 || rows == 0 || cell_km.is_nan() || cell_km <= 0.0 {
-            return Err(GeoError::EmptyGrid);
-        }
-        Ok(Self {
-            cols,
-            rows,
-            origin,
-            cell_km,
-            data: vec![fill; cols * rows],
-        })
-    }
-
     /// Creates a grid by evaluating `f` at every cell centre.
     ///
     /// # Errors
@@ -123,29 +98,9 @@ impl<T> Grid<T> {
         )
     }
 
-    /// Iterates over `(col, row, &value)` in row-major order.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, usize, &T)> {
-        let cols = self.cols;
-        self.data
-            .iter()
-            .enumerate()
-            .map(move |(i, v)| (i % cols, i / cols, v))
-    }
-
     /// Raw row-major data slice.
     pub fn as_slice(&self) -> &[T] {
         &self.data
-    }
-
-    /// Produces a new grid of the same shape by mapping every value.
-    pub fn map<U>(&self, f: impl FnMut(&T) -> U) -> Grid<U> {
-        Grid {
-            cols: self.cols,
-            rows: self.rows,
-            origin: self.origin,
-            cell_km: self.cell_km,
-            data: self.data.iter().map(f).collect(),
-        }
     }
 }
 
@@ -191,11 +146,11 @@ mod tests {
     #[test]
     fn rejects_empty() {
         assert_eq!(
-            Grid::filled(0, 4, EnuKm::default(), 1.0, 0.0),
+            Grid::from_fn(0, 4, EnuKm::default(), 1.0, |_| 0.0),
             Err(GeoError::EmptyGrid)
         );
         assert_eq!(
-            Grid::filled(4, 4, EnuKm::default(), 0.0, 0.0),
+            Grid::from_fn(4, 4, EnuKm::default(), 0.0, |_| 0.0),
             Err(GeoError::EmptyGrid)
         );
     }
@@ -223,22 +178,5 @@ mod tests {
         let g = unit_grid();
         assert!(g.sample(EnuKm::new(-20.0, 0.0)).is_none());
         assert!(g.sample(EnuKm::new(0.0, 40.0)).is_none());
-    }
-
-    #[test]
-    fn map_preserves_geometry() {
-        let g = unit_grid();
-        let h = g.map(|v| v * 2.0);
-        assert_eq!(h.cols(), g.cols());
-        assert_eq!(h.cell_km(), g.cell_km());
-        assert!((h.sample(EnuKm::new(1.0, 1.0)).unwrap() - 6.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn iter_covers_all_cells() {
-        let g = unit_grid();
-        assert_eq!(g.iter().count(), 80);
-        let (c, r, _) = g.iter().last().unwrap();
-        assert_eq!((c, r), (9, 7));
     }
 }

@@ -11,7 +11,7 @@ use crate::coords::EnuKm;
 
 /// A uniform-grid nearest-neighbour index over local-frame points.
 #[derive(Debug, Clone)]
-pub struct ShoreIndex {
+pub(crate) struct ShoreIndex {
     points: Vec<EnuKm>,
     origin: EnuKm,
     cell_km: f64,
@@ -23,7 +23,7 @@ pub struct ShoreIndex {
 impl ShoreIndex {
     /// Builds the index. Bucket size adapts to the point density so
     /// typical queries touch O(1) buckets.
-    pub fn new(points: &[EnuKm]) -> Self {
+    pub(crate) fn new(points: &[EnuKm]) -> Self {
         if points.is_empty() {
             return Self {
                 points: Vec::new(),
@@ -65,22 +65,12 @@ impl ShoreIndex {
         }
     }
 
-    /// Number of indexed points.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// Whether the index holds no points.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
     /// Nearest indexed point to `p` with its distance in km, or `None`
     /// for an empty index. Equals the linear scan
     /// `points.iter().map(|&c| (c, c.distance_km(p))).min_by(total_cmp)`
     /// bit for bit (ties break to the lowest index, i.e. the first
     /// minimum in iteration order).
-    pub fn nearest(&self, p: EnuKm) -> Option<(EnuKm, f64)> {
+    pub(crate) fn nearest(&self, p: EnuKm) -> Option<(EnuKm, f64)> {
         if self.points.is_empty() {
             return None;
         }

@@ -16,7 +16,7 @@
 //! * deterministic procedural [`noise`] and a region-generic terrain
 //!   synthesizer ([`region::synthesize_region`]) with a synthetic Oahu
 //!   preset ([`terrain::synthesize_oahu`]);
-//! * a uniform-grid nearest-shore index ([`index::ShoreIndex`]).
+//! * a uniform-grid nearest-shore index (`index::ShoreIndex`).
 //!
 //! Everything here is deterministic: the same inputs always produce the
 //! same terrain, which is what makes the downstream Monte-Carlo
@@ -33,14 +33,14 @@
 //! assert!(elev > 0.0, "downtown Honolulu is on land");
 //! ```
 
-pub mod coords;
-pub mod dem;
+mod coords;
+mod dem;
 pub mod error;
-pub mod grid;
-pub mod index;
+mod grid;
+mod index;
 pub mod noise;
-pub mod polygon;
-pub mod region;
+mod polygon;
+mod region;
 pub mod terrain;
 
 /// Version of the terrain synthesis baked into the artifact store's
@@ -54,6 +54,5 @@ pub use coords::{bearing_vector_deg, EnuKm, LatLon, LatLonTrig, Projection, EART
 pub use dem::Dem;
 pub use error::GeoError;
 pub use grid::Grid;
-pub use index::ShoreIndex;
 pub use polygon::{BoundaryHit, BoundaryWalk, Polygon};
 pub use region::{synthesize_region, CoastSector, RegionTerrainSpec, RidgeSpec, SectorRule};

@@ -52,7 +52,7 @@ pub fn value_noise(seed: u64, p: EnuKm, freq: f64) -> f64 {
 
 /// Fractal Brownian motion: `octaves` layers of [`value_noise`] with
 /// doubling frequency and halving amplitude. Result stays in `[-1, 1]`.
-pub fn fbm(seed: u64, p: EnuKm, base_freq: f64, octaves: u32) -> f64 {
+pub(crate) fn fbm(seed: u64, p: EnuKm, base_freq: f64, octaves: u32) -> f64 {
     let mut total = 0.0;
     let mut amp = 1.0;
     let mut freq = base_freq;

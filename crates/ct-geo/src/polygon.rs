@@ -239,7 +239,7 @@ impl BoundaryWalk {
 
     /// Even-odd containment of `p`, as [`Polygon::contains`], from the
     /// crossings of `p`'s row.
-    pub fn contains(&mut self, p: EnuKm) -> bool {
+    pub(crate) fn contains(&mut self, p: EnuKm) -> bool {
         if p.north.to_bits() != self.row_north.to_bits() {
             self.cross_row(p.north);
         }

@@ -118,7 +118,7 @@ impl RegionTerrainSpec {
     /// with fewer than three vertices; [`GeoError::EmptyGrid`] for a
     /// non-positive cell size or empty domain or an empty sector
     /// table.
-    pub fn validate(&self) -> Result<(), GeoError> {
+    pub(crate) fn validate(&self) -> Result<(), GeoError> {
         if self.outline.len() < 3 {
             return Err(GeoError::DegeneratePolygon {
                 vertices: self.outline.len(),

@@ -9,7 +9,7 @@
 //! SCADA sites sit at realistic elevations and surge exposures; tests in
 //! `ct-scada` pin those properties.
 //!
-//! The actual synthesis lives in [`crate::region`]; this module encodes
+//! The actual synthesis lives in `region`; this module encodes
 //! Oahu as a [`RegionTerrainSpec`] preset. The preset is bit-identical
 //! to the original hard-wired generator (a DEM-digest pin in `core`
 //! asserts this).
@@ -19,7 +19,7 @@ use crate::dem::Dem;
 use crate::region::{synthesize_region, CoastSector, RegionTerrainSpec, RidgeSpec, SectorRule};
 
 /// Projection origin used for all Oahu work: roughly the island centre.
-pub const OAHU_ORIGIN: LatLon = LatLon {
+pub(crate) const OAHU_ORIGIN: LatLon = LatLon {
     lat: 21.45,
     lon: -158.0,
 };
@@ -27,7 +27,7 @@ pub const OAHU_ORIGIN: LatLon = LatLon {
 /// Coastal exposure regions of the island, classified by which stretch
 /// of coastline a point drains to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CoastRegion {
+pub(crate) enum CoastRegion {
     /// Wai'anae (leeward) coast: steep terrain, narrow shelf.
     West,
     /// Honolulu / Ewa plain: low-lying, broad shallow shelf.
@@ -40,7 +40,7 @@ pub enum CoastRegion {
 
 impl CoastRegion {
     /// Onshore terrain slope for the region, metres per km inland.
-    pub fn terrain_slope_m_per_km(self) -> f64 {
+    pub(crate) fn terrain_slope_m_per_km(self) -> f64 {
         match self {
             CoastRegion::West => 9.0,
             CoastRegion::South => 1.1,
@@ -50,7 +50,7 @@ impl CoastRegion {
     }
 
     /// Offshore sea-floor slope, metres of depth per km offshore.
-    pub fn shelf_slope_m_per_km(self) -> f64 {
+    pub(crate) fn shelf_slope_m_per_km(self) -> f64 {
         match self {
             CoastRegion::West => 60.0,
             CoastRegion::South => 10.0,
@@ -126,7 +126,7 @@ fn pearl_harbor_points() -> Vec<LatLon> {
 
 /// The Oahu case study expressed as a region spec.
 ///
-/// The sector table holds the [`CoastRegion`]s West, South, North and
+/// The sector table holds the `CoastRegion`s West, South, North and
 /// East in that order, and the rules give a point the region of its
 /// nearest shoreline point. The spec-driven generator reproduces the
 /// original elevation field bit for bit.

@@ -15,7 +15,7 @@ pub struct CascadeOutcome {
     /// Number of redistribution rounds executed.
     pub rounds: usize,
     /// Outages at the end (initial damage plus trips).
-    pub final_outages: OutageSet,
+    pub(crate) final_outages: OutageSet,
 }
 
 impl CascadeOutcome {

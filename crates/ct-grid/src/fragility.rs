@@ -47,9 +47,9 @@ pub struct DamageSample {
     pub outages: OutageSet,
     /// Failure probability evaluated per line (diagnostics, parallel
     /// to the line list).
-    pub line_fail_probability: Vec<f64>,
+    pub(crate) line_fail_probability: Vec<f64>,
     /// Peak gust evaluated per line (m/s).
-    pub line_peak_gust_ms: Vec<f64>,
+    pub(crate) line_peak_gust_ms: Vec<f64>,
 }
 
 impl DamageModel {
@@ -103,30 +103,12 @@ impl DamageModel {
     }
 
     /// Samples the grid damage for one realization: wind draws per
-    /// line (deterministic in `(seed, realization_idx, line)`) plus
-    /// the flooded buses supplied by the hazard model.
-    ///
-    /// # Errors
-    ///
-    /// [`peak_winds`](Self::peak_winds)' error.
-    pub fn sample(
-        &self,
-        grid: &GridNetwork,
-        storm: &StormParams,
-        flooded_bus_names: &BTreeSet<String>,
-        realization_idx: usize,
-    ) -> Result<DamageSample, HydroError> {
-        let midpoints = Self::scan_sites(Self::line_midpoints(grid));
-        let peaks = self.peak_winds(storm, &midpoints)?;
-        Ok(self.sample_with_peaks(grid, flooded_bus_names, realization_idx, &peaks))
-    }
-
-    /// [`sample`](Self::sample) with the wind scan already done:
-    /// consumes precomputed per-line peak winds (one entry per line,
-    /// as returned by [`peak_winds`](Self::peak_winds) over the line
-    /// midpoints) so callers sharing one set of midpoint sites across
-    /// storms don't prepare it per realization. Identical output to
-    /// [`sample`](Self::sample) for matching peaks.
+    /// line (deterministic in `(seed, realization_idx, line)`) from
+    /// precomputed per-line peak winds (one entry per line, as returned
+    /// by [`peak_winds`](Self::peak_winds) over the line midpoints, so
+    /// callers sharing one set of midpoint sites across storms don't
+    /// prepare it per realization), plus the flooded buses supplied by
+    /// the hazard model.
     pub fn sample_with_peaks(
         &self,
         grid: &GridNetwork,
@@ -182,6 +164,22 @@ fn hash_unit(seed: u64, realization: u64, line: u64) -> f64 {
 mod tests {
     use super::*;
     use ct_hydro::{StormTrack, TrackPoint};
+
+    impl DamageModel {
+        /// [`DamageModel::sample_with_peaks`] with the wind scan over the
+        /// line midpoints done here.
+        fn sample(
+            &self,
+            grid: &GridNetwork,
+            storm: &StormParams,
+            flooded_bus_names: &BTreeSet<String>,
+            realization_idx: usize,
+        ) -> Result<DamageSample, HydroError> {
+            let midpoints = Self::scan_sites(Self::line_midpoints(grid));
+            let peaks = self.peak_winds(storm, &midpoints)?;
+            Ok(self.sample_with_peaks(grid, flooded_bus_names, realization_idx, &peaks))
+        }
+    }
 
     fn direct_hit() -> StormParams {
         StormParams {
@@ -473,21 +471,6 @@ mod tests {
                     "storm {r} line {i}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn sample_with_precomputed_peaks_matches_sample() {
-        let grid = crate::oahu::grid();
-        let m = DamageModel::default();
-        let mut flooded = BTreeSet::new();
-        flooded.insert("waiau-pp".to_string());
-        let midpoints = DamageModel::scan_sites(DamageModel::line_midpoints(&grid));
-        for (r, storm) in [(0usize, direct_hit()), (11, distant())] {
-            let peaks = m.peak_winds(&storm, &midpoints).unwrap();
-            let direct = m.sample(&grid, &storm, &flooded, r).unwrap();
-            let blocked = m.sample_with_peaks(&grid, &flooded, r, &peaks);
-            assert_eq!(direct, blocked);
         }
     }
 

@@ -14,8 +14,8 @@
 //!   transmission lines with susceptances and thermal limits;
 //! * [`dc_power_flow`] — DC (linearised) power flow per electrical
 //!   island, with proportional dispatch and load shedding, solved by
-//!   an in-crate dense Gaussian-elimination kernel ([`linalg`]);
-//! * [`cascade`] — iterative tripping of thermally overloaded lines;
+//!   an in-crate dense Gaussian-elimination kernel (`linalg`);
+//! * `cascade` — iterative tripping of thermally overloaded lines;
 //! * [`fragility`] — wind fragility of lines and flood failure of
 //!   substations, driven by the same hurricane realizations as the
 //!   SCADA analysis;
@@ -32,12 +32,12 @@
 //! assert!(intact.served_fraction() > 0.999);
 //! ```
 
-pub mod cascade;
+mod cascade;
 pub mod fragility;
-pub mod linalg;
-pub mod network;
+mod linalg;
+mod network;
 pub mod oahu;
-pub mod powerflow;
+mod powerflow;
 
 pub use cascade::{simulate_cascade, CascadeOutcome};
 pub use fragility::{fragility_draw, DamageModel, DamageSample};

@@ -13,7 +13,7 @@
 // The elimination inner loop indexes both `a[row]` and `a[col]`; an
 // iterator form would need `split_at_mut` gymnastics for no clarity gain.
 #[allow(clippy::needless_range_loop)]
-pub fn solve(mut a: Vec<Vec<f64>>, mut b: Vec<f64>) -> Option<Vec<f64>> {
+pub(crate) fn solve(mut a: Vec<Vec<f64>>, mut b: Vec<f64>) -> Option<Vec<f64>> {
     let n = a.len();
     assert!(a.iter().all(|row| row.len() == n), "matrix must be square");
     assert_eq!(b.len(), n, "rhs length must match");

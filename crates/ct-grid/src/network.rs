@@ -102,7 +102,7 @@ impl std::error::Error for GridError {}
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct OutageSet {
     /// Out-of-service buses.
-    pub buses: BTreeSet<BusId>,
+    pub(crate) buses: BTreeSet<BusId>,
     /// Out-of-service lines.
     pub lines: BTreeSet<LineId>,
 }
@@ -111,17 +111,6 @@ impl OutageSet {
     /// Nothing out of service.
     pub fn none() -> Self {
         Self::default()
-    }
-
-    /// Whether the outage set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.buses.is_empty() && self.lines.is_empty()
-    }
-
-    /// Merges another outage set into this one.
-    pub fn merge(&mut self, other: &OutageSet) {
-        self.buses.extend(other.buses.iter().copied());
-        self.lines.extend(other.lines.iter().copied());
     }
 }
 
@@ -183,28 +172,12 @@ impl GridNetwork {
         &self.lines
     }
 
-    /// Looks up a bus id by name.
-    pub fn bus_id(&self, name: &str) -> Option<BusId> {
-        self.buses.iter().position(|b| b.name == name).map(BusId)
-    }
-
     /// Total nominal demand (MW).
     pub fn total_demand_mw(&self) -> f64 {
         self.buses
             .iter()
             .map(|b| match b.kind {
                 BusKind::Load { demand_mw } => demand_mw,
-                _ => 0.0,
-            })
-            .sum()
-    }
-
-    /// Total generation capacity (MW).
-    pub fn total_capacity_mw(&self) -> f64 {
-        self.buses
-            .iter()
-            .map(|b| match b.kind {
-                BusKind::Generator { capacity_mw } => capacity_mw,
                 _ => 0.0,
             })
             .sum()
@@ -259,6 +232,24 @@ mod tests {
             name: name.to_string(),
             kind,
             pos: LatLon::new(21.3, -157.9),
+        }
+    }
+
+    impl GridNetwork {
+        /// Looks up a bus id by name.
+        pub(crate) fn bus_id(&self, name: &str) -> Option<BusId> {
+            self.buses.iter().position(|b| b.name == name).map(BusId)
+        }
+
+        /// Total generation capacity (MW).
+        pub(crate) fn total_capacity_mw(&self) -> f64 {
+            self.buses
+                .iter()
+                .map(|b| match b.kind {
+                    BusKind::Generator { capacity_mw } => capacity_mw,
+                    _ => 0.0,
+                })
+                .sum()
         }
     }
 
@@ -335,16 +326,5 @@ mod tests {
         // Buses 1 and 2 remain, still joined by line(1,2).
         assert_eq!(islands.len(), 1);
         assert_eq!(islands[0], vec![BusId(1), BusId(2)]);
-    }
-
-    #[test]
-    fn outage_merge() {
-        let mut a = OutageSet::none();
-        a.buses.insert(BusId(1));
-        let mut b = OutageSet::none();
-        b.lines.insert(LineId(0));
-        a.merge(&b);
-        assert!(!a.is_empty());
-        assert!(a.buses.contains(&BusId(1)) && a.lines.contains(&LineId(0)));
     }
 }

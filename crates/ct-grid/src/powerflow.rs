@@ -15,7 +15,7 @@ pub struct IslandState {
     /// Demand actually served after shedding (MW).
     pub served_mw: f64,
     /// Generation dispatched (MW), equal to `served_mw`.
-    pub dispatched_mw: f64,
+    pub(crate) dispatched_mw: f64,
 }
 
 /// Solved state of the whole network under an outage set.
@@ -46,7 +46,7 @@ impl GridState {
     }
 
     /// Lines whose flow exceeds their thermal limit.
-    pub fn overloaded_lines(&self, grid: &GridNetwork) -> Vec<LineId> {
+    pub(crate) fn overloaded_lines(&self, grid: &GridNetwork) -> Vec<LineId> {
         self.flows_mw
             .iter()
             .filter(|(id, flow)| flow.abs() > grid.lines()[id.0].capacity_mw)

@@ -38,11 +38,6 @@ impl CompoundHazard {
         }
         Ok(Self { parts })
     }
-
-    /// The component hazards.
-    pub fn parts(&self) -> &[Box<dyn HazardModel>] {
-        &self.parts
-    }
 }
 
 impl HazardModel for CompoundHazard {

@@ -46,11 +46,11 @@
 //! shared mutable RNG state, so realizations can be computed on any
 //! worker thread, in any order, or resumed from a store shard.
 
-pub mod compound;
-pub mod model;
+mod compound;
+mod model;
 mod prepared;
-pub mod spec;
-pub mod surge;
+mod spec;
+mod surge;
 pub mod wind;
 
 /// Version of the hazard-engine semantics baked into artifact-store

@@ -5,8 +5,8 @@ use std::fmt;
 /// Saffir-Simpson hurricane category.
 ///
 /// The case study in the paper simulates a **Category 2** hurricane
-/// striking Oahu. Categories carry typical sustained-wind and
-/// central-pressure-deficit ranges used to sample storm intensity.
+/// striking Oahu. Categories carry typical central-pressure-deficit
+/// ranges used to sample storm intensity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Category {
     /// 33-42 m/s sustained winds.
@@ -31,17 +31,6 @@ impl Category {
         Category::Cat5,
     ];
 
-    /// Range of maximum sustained wind speeds (m/s) for the category.
-    pub fn wind_range_ms(self) -> (f64, f64) {
-        match self {
-            Category::Cat1 => (33.0, 42.0),
-            Category::Cat2 => (43.0, 49.0),
-            Category::Cat3 => (50.0, 58.0),
-            Category::Cat4 => (58.0, 70.0),
-            Category::Cat5 => (70.0, 85.0),
-        }
-    }
-
     /// Typical central pressure deficit range (hPa below ambient).
     pub fn pressure_deficit_range_hpa(self) -> (f64, f64) {
         match self {
@@ -53,26 +42,8 @@ impl Category {
         }
     }
 
-    /// Classifies a maximum sustained wind speed into a category.
-    /// Winds below hurricane strength return `None`.
-    pub fn from_wind_ms(v: f64) -> Option<Category> {
-        if v < 33.0 {
-            None
-        } else if v < 43.0 {
-            Some(Category::Cat1)
-        } else if v < 50.0 {
-            Some(Category::Cat2)
-        } else if v < 58.0 {
-            Some(Category::Cat3)
-        } else if v < 70.0 {
-            Some(Category::Cat4)
-        } else {
-            Some(Category::Cat5)
-        }
-    }
-
     /// Numeric category (1-5).
-    pub fn number(self) -> u8 {
+    pub(crate) fn number(self) -> u8 {
         match self {
             Category::Cat1 => 1,
             Category::Cat2 => 2,
@@ -92,32 +63,6 @@ impl fmt::Display for Category {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn classification_round_trips() {
-        for cat in Category::ALL {
-            let (lo, hi) = cat.wind_range_ms();
-            let mid = (lo + hi) / 2.0;
-            assert_eq!(Category::from_wind_ms(mid), Some(cat), "{cat} at {mid} m/s");
-        }
-    }
-
-    #[test]
-    fn sub_hurricane_is_none() {
-        assert_eq!(Category::from_wind_ms(20.0), None);
-        assert_eq!(Category::from_wind_ms(32.9), None);
-    }
-
-    #[test]
-    fn ranges_are_ordered_and_contiguousish() {
-        let mut prev_hi = 0.0;
-        for cat in Category::ALL {
-            let (lo, hi) = cat.wind_range_ms();
-            assert!(lo < hi);
-            assert!(lo >= prev_hi - 1.0, "{cat} overlaps too much");
-            prev_hi = hi;
-        }
-    }
 
     #[test]
     fn pressure_deficit_increases_with_category() {

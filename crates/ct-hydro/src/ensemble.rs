@@ -126,11 +126,6 @@ impl TrackEnsemble {
         Ok(Self { config })
     }
 
-    /// The configuration this ensemble samples from.
-    pub fn config(&self) -> &EnsembleConfig {
-        &self.config
-    }
-
     /// Generates all storms in the ensemble, deterministically from
     /// the seed.
     pub fn generate(&self) -> Vec<StormParams> {

@@ -5,7 +5,7 @@
 //! comes from [`ParametricSurge`] alone.
 //!
 //! [`ParametricSurge`] is a fast wind-setup + inverse-barometer + tide
-//! estimator evaluated at coastal reference [`stations`]. It has not
+//! estimator evaluated at coastal reference `stations`. It has not
 //! been checked against a physics model (EXPERIMENTS.md, "Surrogate
 //! vs shallow-water solver").
 //!
@@ -38,17 +38,17 @@
 //! assert_eq!(set.len(), 25);
 //! ```
 
-pub mod category;
-pub mod ensemble;
+mod category;
+mod ensemble;
 pub mod error;
 pub mod export;
-pub mod inundation;
-pub mod parametric;
-pub mod passage;
-pub mod realization;
-pub mod sampling;
-pub mod stations;
-pub mod track;
+mod inundation;
+mod parametric;
+mod passage;
+mod realization;
+mod sampling;
+mod stations;
+mod track;
 pub mod wind;
 
 /// Version of the hydro numerics baked into artifact-store content
@@ -67,7 +67,7 @@ pub use category::Category;
 pub use ensemble::{EnsembleConfig, StormParams, TrackEnsemble};
 pub use error::HydroError;
 pub use inundation::{FloodThreshold, Poi};
-pub use parametric::{ParametricSurge, SurgeCalibration};
+pub use parametric::{ParametricSurge, StationSurge, SurgeCalibration};
 pub use passage::{check_scan_step, PeakOf, ScanSites};
 pub use realization::{Realization, RealizationSet};
 pub use stations::{Station, StationId, Stations};

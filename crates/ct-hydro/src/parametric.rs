@@ -73,7 +73,7 @@ impl StationSurge {
     }
 
     /// The largest surge across stations.
-    pub fn max_surge_m(&self) -> f64 {
+    pub(crate) fn max_surge_m(&self) -> f64 {
         self.entries
             .iter()
             .map(|(_, v)| *v)

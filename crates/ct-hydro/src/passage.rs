@@ -69,9 +69,10 @@
 //! slack far above rounding, so a dropped value is at most the running
 //! peak. A NaN bound never drops a pair. The scan reports its work to
 //! `hydro.peak_scan.evaluated`, `hydro.peak_scan.skipped` (tests 2 and
-//! 3) and `hydro.peak_scan.culled` (test 1), one add each per scan. The
-//! step evaluated first computes its haversine only when its chord
-//! bound is below the gate.
+//! 3) and `hydro.peak_scan.culled` (test 1, and a pair whose haversine
+//! is at or past the gate), one add each per scan, so the three sum to
+//! the steps times the sites. The step evaluated first computes its
+//! haversine only when its chord bound is below the gate.
 
 use crate::ensemble::StormParams;
 use crate::error::HydroError;
@@ -382,8 +383,22 @@ impl StormParams {
         &self,
         step_hours: f64,
         sites: &ScanSites,
-        mut closest_km: Option<&mut [f64]>,
+        closest_km: Option<&mut [f64]>,
     ) -> Result<Vec<f64>, HydroError> {
+        let (peaks, work) = self.scan(step_hours, sites, closest_km)?;
+        EVALUATED.add(work.evaluated);
+        SKIPPED.add(work.skipped);
+        CULLED.add(work.culled);
+        Ok(peaks)
+    }
+
+    /// [`StormParams::peak_scan`], with the work it did.
+    fn scan(
+        &self,
+        step_hours: f64,
+        sites: &ScanSites,
+        mut closest_km: Option<&mut [f64]>,
+    ) -> Result<(Vec<f64>, Work), HydroError> {
         check_scan_step(step_hours)?;
         if let Some(closest) = &closest_km {
             assert_eq!(closest.len(), sites.len(), "one closest approach per site");
@@ -421,10 +436,7 @@ impl StormParams {
             };
             peaks.push(scan.peak(closest, &mut work)?);
         }
-        EVALUATED.add(work.evaluated);
-        SKIPPED.add(work.skipped);
-        CULLED.add(work.culled);
-        Ok(peaks)
+        Ok((peaks, work))
     }
 }
 
@@ -458,7 +470,11 @@ impl SiteScan<'_> {
                 }
                 work.evaluated += 1;
                 limit = limit_at(peak);
+            } else {
+                work.culled += 1;
             }
+        } else if prime.is_some() {
+            work.culled += 1;
         }
         // The closest approach so far, and the squared chord at and past
         // which a step cannot come closer.
@@ -485,6 +501,7 @@ impl SiteScan<'_> {
             let r_km = r.unwrap_or_else(|| step.center.distance_km(&site.trig));
             // Out of range, NaN included.
             if r_km.partial_cmp(&GATE_KM).is_none_or(Ordering::is_ge) {
+                work.culled += 1;
                 continue;
             }
             let field = self.field.as_ref().map_err(Clone::clone)?;
@@ -830,6 +847,56 @@ mod tests {
         for step in [f64::NAN, f64::INFINITY] {
             assert!(s.peak_scan(step, &sites, None).is_err(), "step {step}");
         }
+    }
+
+    /// Every (step, site) pair a scan is offered lands in exactly one
+    /// of its three counts: near sites, a site past the gate at every
+    /// step, and sites whose chord and haversine straddle the gate.
+    #[test]
+    fn each_scan_counts_every_pair_once() {
+        cases(128, |rng| {
+            let start = LatLon::new(rng.range_f64(10.0, 30.0), rng.range_f64(-165.0, -150.0));
+            let mut s = storm(
+                StormTrack::straight(
+                    start,
+                    rng.range_f64(0.0, 360.0),
+                    rng.range_f64(0.0, 15.0),
+                    rng.range_f64(6.0, 48.0),
+                )
+                .unwrap(),
+            );
+            s.rmax_km = rng.range_f64(5.0, 80.0);
+            s.b = rng.range_f64(0.6, 3.4);
+            s.central_pressure_hpa = rng.range_f64(900.0, 1005.0);
+            let step_hours = rng.range_f64(0.25, 2.0);
+            let steps = s.passage(step_hours).count() as u64;
+            let far = start.destination(rng.range_f64(0.0, 360.0), 5000.0);
+            let mut sites = vec![(far, PeakOf::Speed)];
+            for _ in 0..6 {
+                let km = match rng.below(3) {
+                    0 => GATE_KM + rng.range_f64(-1e-3, 1e-3),
+                    _ => rng.range_f64(0.0, 2.0 * GATE_KM),
+                };
+                let of = match rng.below(2) {
+                    0 => PeakOf::Speed,
+                    _ => PeakOf::Toward(rng.range_f64(0.0, 360.0)),
+                };
+                sites.push((start.destination(rng.range_f64(0.0, 360.0), km), of));
+            }
+            for (k, &site) in sites.iter().enumerate() {
+                let (peaks, work) = s.scan(step_hours, &ScanSites::new([site]), None).unwrap();
+                let counted = work.evaluated + work.skipped + work.culled;
+                assert_eq!(counted, steps, "{site:?}: {work:?}");
+                if k == 0 {
+                    assert_eq!((peaks[0], work.culled), (0.0, steps), "{work:?}");
+                }
+            }
+            let all = ScanSites::new(sites);
+            let mut closest = vec![0.0; all.len()];
+            let (_, work) = s.scan(step_hours, &all, Some(&mut closest)).unwrap();
+            let counted = work.evaluated + work.skipped + work.culled;
+            assert_eq!(counted, steps * all.len() as u64, "{work:?}");
+        });
     }
 
     #[test]

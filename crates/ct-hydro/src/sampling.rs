@@ -6,7 +6,7 @@
 use ct_rand::SplitMix64;
 
 /// Samples a standard normal via the Box-Muller transform.
-pub fn standard_normal(rng: &mut SplitMix64) -> f64 {
+pub(crate) fn standard_normal(rng: &mut SplitMix64) -> f64 {
     // Avoid ln(0) by sampling u1 from the half-open (0, 1].
     let u1: f64 = 1.0 - rng.unit_f64();
     let u2: f64 = rng.unit_f64();
@@ -14,7 +14,7 @@ pub fn standard_normal(rng: &mut SplitMix64) -> f64 {
 }
 
 /// Samples `N(mean, sd)`.
-pub fn normal(rng: &mut SplitMix64, mean: f64, sd: f64) -> f64 {
+pub(crate) fn normal(rng: &mut SplitMix64, mean: f64, sd: f64) -> f64 {
     mean + sd * standard_normal(rng)
 }
 
@@ -25,7 +25,7 @@ pub fn normal(rng: &mut SplitMix64, mean: f64, sd: f64) -> f64 {
 /// # Panics
 ///
 /// Panics in debug builds if `lo > hi` or `sd < 0`.
-pub fn truncated_normal(rng: &mut SplitMix64, mean: f64, sd: f64, lo: f64, hi: f64) -> f64 {
+pub(crate) fn truncated_normal(rng: &mut SplitMix64, mean: f64, sd: f64, lo: f64, hi: f64) -> f64 {
     debug_assert!(lo <= hi, "truncation bounds inverted");
     debug_assert!(sd >= 0.0, "negative standard deviation");
     for _ in 0..64 {
@@ -38,7 +38,7 @@ pub fn truncated_normal(rng: &mut SplitMix64, mean: f64, sd: f64, lo: f64, hi: f
 }
 
 /// Samples uniformly from `[lo, hi)`.
-pub fn uniform(rng: &mut SplitMix64, lo: f64, hi: f64) -> f64 {
+pub(crate) fn uniform(rng: &mut SplitMix64, lo: f64, hi: f64) -> f64 {
     if lo == hi {
         return lo;
     }

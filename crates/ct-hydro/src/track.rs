@@ -77,11 +77,6 @@ impl StormTrack {
         ])
     }
 
-    /// The track fixes.
-    pub fn points(&self) -> &[TrackPoint] {
-        &self.points
-    }
-
     /// Start and end of the simulated window, in hours.
     pub fn time_span_hours(&self) -> (f64, f64) {
         (

@@ -4,11 +4,11 @@ use crate::error::HydroError;
 use ct_geo::LatLon;
 
 /// Air density at sea level, kg/m³.
-pub const AIR_DENSITY: f64 = 1.15;
+pub(crate) const AIR_DENSITY: f64 = 1.15;
 
 /// Surface inflow angle every [`HollandWindField::new`] field starts
 /// with, degrees.
-pub const INFLOW_ANGLE_DEG: f64 = 20.0;
+pub(crate) const INFLOW_ANGLE_DEG: f64 = 20.0;
 
 /// A wind observation at a point: speed and the compass direction the
 /// air is moving *toward*.
@@ -17,7 +17,7 @@ pub struct WindSample {
     /// Wind speed in m/s.
     pub speed_ms: f64,
     /// Direction of air motion, degrees clockwise from north.
-    pub toward_deg: f64,
+    pub(crate) toward_deg: f64,
 }
 
 impl WindSample {
@@ -44,22 +44,22 @@ pub(crate) fn coriolis_at(sin_lat: f64) -> f64 {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HollandWindField {
     /// Central pressure, hPa.
-    pub central_pressure_hpa: f64,
+    pub(crate) central_pressure_hpa: f64,
     /// Ambient (environmental) pressure, hPa.
-    pub ambient_pressure_hpa: f64,
+    pub(crate) ambient_pressure_hpa: f64,
     /// Radius of maximum winds, km.
     pub rmax_km: f64,
     /// Holland shape parameter `B` (typically 1.0-2.5).
-    pub b: f64,
+    pub(crate) b: f64,
     /// Latitude used for the Coriolis parameter, degrees.
-    pub latitude_deg: f64,
+    pub(crate) latitude_deg: f64,
     /// Storm forward velocity: heading (deg clockwise from north).
-    pub motion_toward_deg: f64,
+    pub(crate) motion_toward_deg: f64,
     /// Storm forward speed, m/s.
-    pub motion_speed_ms: f64,
+    pub(crate) motion_speed_ms: f64,
     /// Surface inflow angle, degrees (wind spirals inward by this
     /// much relative to pure circular flow).
-    pub inflow_angle_deg: f64,
+    pub(crate) inflow_angle_deg: f64,
 }
 
 impl HollandWindField {
@@ -116,12 +116,12 @@ impl HollandWindField {
     }
 
     /// Pressure deficit `Δp` in Pa.
-    pub fn pressure_deficit_pa(&self) -> f64 {
+    pub(crate) fn pressure_deficit_pa(&self) -> f64 {
         (self.ambient_pressure_hpa - self.central_pressure_hpa) * 100.0
     }
 
     /// Coriolis parameter `f = 2 Ω sin(φ)` (1/s).
-    pub fn coriolis(&self) -> f64 {
+    pub(crate) fn coriolis(&self) -> f64 {
         coriolis_at(self.latitude_deg.to_radians().sin())
     }
 

@@ -141,7 +141,7 @@ mod tests {
         // The global registry is shared across tests in this binary,
         // so use names no other test touches.
         add("lib.round_trip", 2);
-        counter("lib.round_trip").inc();
+        counter("lib.round_trip").add(1);
         assert_eq!(snapshot().counter("lib.round_trip"), Some(3));
     }
 

@@ -187,7 +187,7 @@ pub const FAULTS_FIRED: &str = "faults.fired";
 pub const SPATIAL_CANDIDATES: &str = "spatial.candidates";
 /// Points returned by spatial-index range queries (after the exact
 /// distance filter).
-pub const SPATIAL_HITS: &str = "spatial.hits";
+pub(crate) const SPATIAL_HITS: &str = "spatial.hits";
 /// Spatial-index range queries issued (one per `within_km` call), so
 /// `spatial.candidates / spatial.queries` is the mean scan width — the
 /// number a brute-force scan would pin at the indexed point count.

@@ -12,11 +12,6 @@ use std::sync::{Arc, Mutex, RwLock};
 pub struct Counter(Arc<AtomicU64>);
 
 impl Counter {
-    /// Adds one.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
     /// Adds `delta`.
     pub fn add(&self, delta: u64) {
         self.0.fetch_add(delta, Ordering::Relaxed);
@@ -39,7 +34,7 @@ impl Gauge {
     }
 
     /// Current value.
-    pub fn get(&self) -> f64 {
+    pub(crate) fn get(&self) -> f64 {
         f64::from_bits(self.0.load(Ordering::Relaxed))
     }
 }
@@ -88,11 +83,6 @@ impl Histogram {
                 Err(seen) => current = seen,
             }
         }
-    }
-
-    /// Total number of observations.
-    pub fn count(&self) -> u64 {
-        self.0.count.load(Ordering::Relaxed)
     }
 }
 
@@ -291,7 +281,7 @@ mod tests {
                 let c = c.clone();
                 s.spawn(move || {
                     for _ in 0..1000 {
-                        c.inc();
+                        c.add(1);
                     }
                 });
             }
@@ -349,7 +339,7 @@ mod tests {
     #[test]
     fn names_are_sanitized_for_csv() {
         let reg = Registry::new();
-        reg.counter("bad,name\nhere").inc();
+        reg.counter("bad,name\nhere").add(1);
         let snap = reg.snapshot();
         assert_eq!(snap.counter("bad_name_here"), Some(1));
     }

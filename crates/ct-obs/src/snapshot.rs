@@ -9,13 +9,13 @@ pub struct HistogramSnapshot {
     pub name: String,
     /// Inclusive upper bucket bounds (sorted). An implicit `+inf`
     /// bucket follows the last bound.
-    pub bounds: Vec<f64>,
+    pub(crate) bounds: Vec<f64>,
     /// Per-bucket observation counts (`bounds.len() + 1` entries).
     pub buckets: Vec<u64>,
     /// Total observations.
     pub count: u64,
     /// Sum of observed values.
-    pub sum: f64,
+    pub(crate) sum: f64,
 }
 
 /// One span path's aggregated statistics at snapshot time.
@@ -26,10 +26,10 @@ pub struct SpanSnapshot {
     /// Times the span was entered.
     pub calls: u64,
     /// Total wall-clock nanoseconds across calls.
-    pub wall_ns: u64,
+    pub(crate) wall_ns: u64,
     /// Total CPU-proxy nanoseconds across calls (worker busy time
     /// when attributed, wall time otherwise).
-    pub cpu_ns: u64,
+    pub(crate) cpu_ns: u64,
 }
 
 /// A point-in-time view of a [`crate::Registry`], sorted by metric
@@ -39,7 +39,7 @@ pub struct Snapshot {
     /// `(name, value)` counters.
     pub counters: Vec<(String, u64)>,
     /// `(name, value)` gauges.
-    pub gauges: Vec<(String, f64)>,
+    pub(crate) gauges: Vec<(String, f64)>,
     /// Histograms.
     pub histograms: Vec<HistogramSnapshot>,
     /// Span statistics, sorted by path.

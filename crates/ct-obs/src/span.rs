@@ -47,11 +47,6 @@ impl<'a> SpanGuard<'a> {
         }
     }
 
-    /// The span's full slash-separated path.
-    pub fn path(&self) -> &str {
-        &self.path
-    }
-
     /// Attributes CPU-proxy time to the span — typically the summed
     /// per-item busy time of parallel workers running inside it.
     /// Shared references suffice, so workers can report concurrently.

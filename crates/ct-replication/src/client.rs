@@ -26,19 +26,19 @@ struct Outstanding {
 #[derive(Debug, Clone)]
 pub struct Rtu {
     /// All server nodes this RTU polls.
-    pub servers: Vec<NodeId>,
+    pub(crate) servers: Vec<NodeId>,
     /// Matching replies required to accept a response.
-    pub need_matching: usize,
+    pub(crate) need_matching: usize,
     /// Poll cycle.
-    pub interval: SimTime,
+    pub(crate) interval: SimTime,
     /// Retransmit an unanswered request after this long.
-    pub retransmit_after: SimTime,
+    pub(crate) retransmit_after: SimTime,
     /// Namespace offset so multiple RTUs use disjoint request ids.
-    pub id_base: ReqId,
+    pub(crate) id_base: ReqId,
     next: ReqId,
     outstanding: BTreeMap<ReqId, Outstanding>,
     /// Accepted responses: `(time, request, digest)`.
-    pub accepted_log: Vec<(SimTime, ReqId, Digest)>,
+    pub(crate) accepted_log: Vec<(SimTime, ReqId, Digest)>,
     /// Number of accepted responses whose digest failed the integrity
     /// check — any non-zero value is a safety violation.
     pub bad_accepts: u64,
@@ -46,7 +46,7 @@ pub struct Rtu {
 
 impl Rtu {
     /// Creates an RTU polling `servers`.
-    pub fn new(servers: Vec<NodeId>, need_matching: usize, id_base: ReqId) -> Self {
+    pub(crate) fn new(servers: Vec<NodeId>, need_matching: usize, id_base: ReqId) -> Self {
         Self {
             servers,
             need_matching: need_matching.max(1),

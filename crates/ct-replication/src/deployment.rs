@@ -23,21 +23,21 @@ pub struct DeploymentSpec {
     /// Display name (matches the paper's configuration labels).
     pub name: String,
     /// Replication style.
-    pub style: ReplicationStyle,
+    pub(crate) style: ReplicationStyle,
     /// Replicas/masters per control site.
-    pub site_replicas: Vec<usize>,
+    pub(crate) site_replicas: Vec<usize>,
     /// Indices (into `site_replicas`) of cold-backup sites.
-    pub cold_sites: Vec<usize>,
+    pub(crate) cold_sites: Vec<usize>,
     /// Delay before a cold site activates after detecting primary
     /// death. The paper quotes minutes; the simulation scales this to
     /// tens of virtual seconds.
-    pub activation_delay: SimTime,
+    pub(crate) activation_delay: SimTime,
     /// Intrusions tolerated by each quorum group.
-    pub f: usize,
+    pub(crate) f: usize,
     /// Replicas concurrently in proactive recovery.
-    pub k: usize,
+    pub(crate) k: usize,
     /// Whether the proactive-recovery rotation runs.
-    pub proactive_recovery: bool,
+    pub(crate) proactive_recovery: bool,
     /// Field clients (RTUs) polling the system. All live in the
     /// never-attacked field site; more RTUs mean denser coverage of
     /// the service-availability signal.
@@ -109,29 +109,13 @@ impl DeploymentSpec {
         }
     }
 
-    /// All five paper configurations, in the paper's order.
-    pub fn all_paper_configs() -> Vec<DeploymentSpec> {
-        vec![
-            Self::config_2(),
-            Self::config_2_2(),
-            Self::config_6(),
-            Self::config_6_6(),
-            Self::config_6p6p6(),
-        ]
-    }
-
     /// Number of control sites.
-    pub fn site_count(&self) -> usize {
+    pub(crate) fn site_count(&self) -> usize {
         self.site_replicas.len()
     }
 
-    /// Total servers across sites.
-    pub fn server_count(&self) -> usize {
-        self.site_replicas.iter().sum()
-    }
-
     /// Whether `site` is a cold backup.
-    pub fn is_cold(&self, site: usize) -> bool {
+    pub(crate) fn is_cold(&self, site: usize) -> bool {
         self.cold_sites.contains(&site)
     }
 }
@@ -144,13 +128,13 @@ pub struct BuiltDeployment {
     /// Network configuration (one extra site hosts the RTUs).
     pub net: NetConfig,
     /// Replica/master groups, as node-id lists (for safety checks).
-    pub groups: Vec<Vec<NodeId>>,
+    pub(crate) groups: Vec<Vec<NodeId>>,
     /// Node id of the first RTU (kept for single-client callers).
     pub client: NodeId,
     /// Node ids of every RTU.
-    pub clients: Vec<NodeId>,
+    pub(crate) clients: Vec<NodeId>,
     /// First node id of each control site.
-    pub site_base: Vec<usize>,
+    pub(crate) site_base: Vec<usize>,
 }
 
 /// Builds the actors and network for a deployment.
@@ -186,8 +170,7 @@ pub fn build(spec: &DeploymentSpec) -> BuiltDeployment {
                 for idx in 0..count {
                     let hot = !spec.is_cold(site);
                     let acting = hot && site == 0 && idx == 0;
-                    let mut m =
-                        Master::new(idx, site_peers.clone(), all_servers.clone(), hot, acting);
+                    let mut m = Master::new(idx, all_servers.clone(), hot, acting);
                     if spec.is_cold(site) {
                         m.cold_activation_delay = Some(spec.activation_delay);
                     }
@@ -284,16 +267,26 @@ pub fn build(spec: &DeploymentSpec) -> BuiltDeployment {
 mod tests {
     use super::*;
 
+    impl DeploymentSpec {
+        /// All five paper configurations, in the paper's order.
+        pub(crate) fn all_paper_configs() -> Vec<DeploymentSpec> {
+            vec![
+                Self::config_2(),
+                Self::config_2_2(),
+                Self::config_6(),
+                Self::config_6_6(),
+                Self::config_6p6p6(),
+            ]
+        }
+    }
+
     #[test]
     fn paper_configs_have_expected_shapes() {
         let all = DeploymentSpec::all_paper_configs();
         let names: Vec<&str> = all.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(names, vec!["2", "2-2", "6", "6-6", "6+6+6"]);
-        assert_eq!(all[0].server_count(), 2);
-        assert_eq!(all[1].server_count(), 4);
-        assert_eq!(all[2].server_count(), 6);
-        assert_eq!(all[3].server_count(), 12);
-        assert_eq!(all[4].server_count(), 18);
+        let servers: Vec<usize> = all.iter().map(|s| s.site_replicas.iter().sum()).collect();
+        assert_eq!(servers, vec![2, 4, 6, 12, 18]);
         assert!(all[1].is_cold(1));
         assert!(!all[4].is_cold(2));
     }

@@ -23,34 +23,31 @@
 //! green/orange/red/gray classification — the framework's rule-based
 //! classifier is cross-validated against these executions.
 //!
-//! The [`properties`] module goes beyond single-schedule runs: it
+//! The `properties` module goes beyond single-schedule runs: it
 //! states Table I as executable predicates ([`ReplicationProperty`])
 //! and checks them with bounded exhaustive schedule exploration
 //! ([`explore_scenario`]) and seeded randomized fault campaigns
 //! ([`randomized_campaign`]).
 
-pub mod client;
-pub mod deployment;
-pub mod master;
-pub mod msg;
-pub mod properties;
-pub mod replica;
-pub mod role;
-pub mod verdict;
+mod client;
+mod deployment;
+mod master;
+mod msg;
+mod properties;
+mod replica;
+mod role;
+mod verdict;
 
 pub use client::Rtu;
 pub use deployment::{
     build as build_deployment, BuiltDeployment, DeploymentSpec, ReplicationStyle,
 };
 pub use master::Master;
-pub use msg::{correct_digest, fake_request, Digest, ProtocolMsg, ReqId};
+pub use msg::{Digest, ProtocolMsg};
 pub use properties::{
     default_campaign_dist, explore_scenario, randomized_campaign, severity, worse, CampaignOutcome,
     CampaignViolation, ExploreOutcome, ReplicationProperty,
 };
-pub use replica::Replica;
+pub use replica::{ColdConfig, RecoverySchedule, Replica};
 pub use role::Role;
-pub use verdict::{
-    prepare_run, run_scenario, summarize, FaultScenario, ObservedState, PreparedRun, SimVerdict,
-    VerdictConfig,
-};
+pub use verdict::{run_scenario, FaultScenario, ObservedState, SimVerdict, VerdictConfig};

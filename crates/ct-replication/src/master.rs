@@ -25,41 +25,37 @@ const COLD_DETECT: SimTime = SimTime(2_000_000);
 #[derive(Debug, Clone)]
 pub struct Master {
     /// Index of this master within its site (0 = first in line).
-    pub index_in_site: usize,
-    /// Masters in the same site, in takeover order (includes self).
-    pub site_peers: Vec<NodeId>,
+    pub(crate) index_in_site: usize,
     /// Every master in the deployment (heartbeat fan-out).
-    pub all_masters: Vec<NodeId>,
+    pub(crate) all_masters: Vec<NodeId>,
     /// Whether this master has been compromised.
-    pub byzantine: bool,
+    pub(crate) byzantine: bool,
     /// Whether this master is currently answering RTU polls.
-    pub acting: bool,
+    pub(crate) acting: bool,
     /// Hot site: standbys take over within seconds. Cold sites wait
     /// for `cold_activation_delay` first.
-    pub hot: bool,
+    pub(crate) hot: bool,
     /// Activation delay for cold-site masters.
-    pub cold_activation_delay: Option<SimTime>,
+    pub(crate) cold_activation_delay: Option<SimTime>,
     /// Replies sent (diagnostics).
-    pub replies_sent: u64,
+    pub(crate) replies_sent: u64,
     last_heard_acting: SimTime,
     activation_scheduled: bool,
     /// Set once the cold site has taken over.
-    pub activated: bool,
+    pub(crate) activated: bool,
 }
 
 impl Master {
     /// Creates a master. The very first master of the hot site should
     /// be constructed with `acting = true`.
-    pub fn new(
+    pub(crate) fn new(
         index_in_site: usize,
-        site_peers: Vec<NodeId>,
         all_masters: Vec<NodeId>,
         hot: bool,
         acting: bool,
     ) -> Self {
         Self {
             index_in_site,
-            site_peers,
             all_masters,
             byzantine: false,
             acting,
@@ -173,8 +169,8 @@ mod tests {
     fn pair() -> (Master, Master) {
         let peers = vec![NodeId(0), NodeId(1)];
         (
-            Master::new(0, peers.clone(), peers.clone(), true, true),
-            Master::new(1, peers.clone(), peers, true, false),
+            Master::new(0, peers.clone(), true, true),
+            Master::new(1, peers, true, false),
         )
     }
 
@@ -251,7 +247,7 @@ mod tests {
     #[test]
     fn cold_master_waits_for_activation_delay() {
         let peers = vec![NodeId(2), NodeId(3)];
-        let mut cold = Master::new(0, peers.clone(), peers, false, false);
+        let mut cold = Master::new(0, peers, false, false);
         cold.cold_activation_delay = Some(SimTime::from_secs(20.0));
         let mut buf = CommandBuffer::new();
         {
@@ -277,7 +273,7 @@ mod tests {
     #[test]
     fn cold_activation_aborts_if_primary_returns() {
         let peers = vec![NodeId(2), NodeId(3)];
-        let mut cold = Master::new(0, peers.clone(), peers, false, false);
+        let mut cold = Master::new(0, peers, false, false);
         cold.cold_activation_delay = Some(SimTime::from_secs(20.0));
         let mut buf = CommandBuffer::new();
         {

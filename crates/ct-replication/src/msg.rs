@@ -1,7 +1,7 @@
 //! Protocol messages shared by all replication styles.
 
 /// Identifier of a client request (a SCADA poll or command).
-pub type ReqId = u64;
+pub(crate) type ReqId = u64;
 
 /// A digest standing in for the request contents. Correct nodes
 /// compute it deterministically from the request id; a Byzantine node
@@ -9,13 +9,13 @@ pub type ReqId = u64;
 pub type Digest = u64;
 
 /// The digest a correct node computes for a request.
-pub fn correct_digest(req: ReqId) -> Digest {
+pub(crate) fn correct_digest(req: ReqId) -> Digest {
     req.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(7)
 }
 
 /// A fabricated request id a Byzantine leader uses to equivocate:
 /// competing with the real request for the same sequence slot.
-pub fn fake_request(req: ReqId) -> ReqId {
+pub(crate) fn fake_request(req: ReqId) -> ReqId {
     req ^ 0x5A5A_5A5A
 }
 
@@ -107,22 +107,6 @@ impl ct_simnet::StateHash for ProtocolMsg {
                 h.write_u64(view);
             }
             ProtocolMsg::Heartbeat => h.write_u8(5),
-        }
-    }
-}
-
-impl ct_simnet::MsgClass for ProtocolMsg {
-    /// Message classes targetable by [`ct_simnet::ScheduleDist`]:
-    /// `request`, `reply`, `propose`, `accept`, `view_change`,
-    /// `heartbeat`.
-    fn msg_class(&self) -> &'static str {
-        match self {
-            ProtocolMsg::Request { .. } => "request",
-            ProtocolMsg::Reply { .. } => "reply",
-            ProtocolMsg::Propose { .. } => "propose",
-            ProtocolMsg::Accept { .. } => "accept",
-            ProtocolMsg::ViewChange { .. } => "view_change",
-            ProtocolMsg::Heartbeat => "heartbeat",
         }
     }
 }

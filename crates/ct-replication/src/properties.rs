@@ -21,7 +21,7 @@
 //!    delivery orderings via [`Explorer`], with jitter forced to zero
 //!    so reordering-within-a-window stands in for latency noise.
 //! 2. [`randomized_campaign`] — many seeded schedules under a
-//!    [`ScheduleDist`] of per-message-class discard / delay /
+//!    [`ScheduleDist`] of per-send discard / delay /
 //!    duplicate faults. Run `i` of a campaign with base seed `s` uses
 //!    schedule seed `s + i`, so any counterexample is replayed by a
 //!    single-schedule campaign at its reported seed.
@@ -57,14 +57,14 @@ pub enum ReplicationProperty {
 
 impl ReplicationProperty {
     /// All properties, in reporting order.
-    pub const ALL: [ReplicationProperty; 3] = [
+    pub(crate) const ALL: [ReplicationProperty; 3] = [
         ReplicationProperty::Agreement,
         ReplicationProperty::NoSplitBrain,
         ReplicationProperty::LivenessUnderQuorum,
     ];
 
     /// Stable name used in violation records and CSV output.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             ReplicationProperty::Agreement => "agreement",
             ReplicationProperty::NoSplitBrain => "no-split-brain",
@@ -74,7 +74,7 @@ impl ReplicationProperty {
 
     /// The observed state a violation of this property implies:
     /// safety violations are gray, liveness violations are red.
-    pub fn implied_state(self) -> ObservedState {
+    pub(crate) fn implied_state(self) -> ObservedState {
         match self {
             ReplicationProperty::Agreement | ReplicationProperty::NoSplitBrain => {
                 ObservedState::Gray
@@ -124,7 +124,11 @@ fn field_reachable(sim: &Sim<Role>, node: NodeId, field_site: SiteId) -> bool {
 /// sites with a field-reachable acting master. More than one at a
 /// time is a split brain — two authorities with divergent state can
 /// both answer RTU polls.
-pub fn authority_count(sim: &Sim<Role>, groups: &[Vec<NodeId>], field_site: SiteId) -> usize {
+pub(crate) fn authority_count(
+    sim: &Sim<Role>,
+    groups: &[Vec<NodeId>],
+    field_site: SiteId,
+) -> usize {
     let mut count = 0usize;
     for group in groups {
         let Some(&first) = group.first() else {
@@ -250,8 +254,6 @@ pub struct ExploreOutcome {
     pub stats: ExploreStats,
     /// Property violations with replayable choice-point traces.
     pub violations: Vec<ExploreViolation>,
-    /// Verdicts of every terminal state, in DFS order.
-    pub verdicts: Vec<SimVerdict>,
     /// Worst observed state across all terminals and violations.
     pub worst: ObservedState,
 }
@@ -315,7 +317,6 @@ pub fn explore_scenario(
     ExploreOutcome {
         stats: report.stats,
         violations: report.violations,
-        verdicts: report.terminals,
         worst,
     }
 }
@@ -325,21 +326,19 @@ pub fn explore_scenario(
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CampaignViolation {
     /// Which property failed.
-    pub property: ReplicationProperty,
+    pub(crate) property: ReplicationProperty,
     /// Human-readable description.
-    pub detail: String,
+    pub(crate) detail: String,
     /// Schedule seed of the violating run: a one-schedule campaign
     /// with this base seed reproduces it exactly.
     pub seed: u64,
     /// Index of the run within the campaign.
-    pub run_index: u64,
+    pub(crate) run_index: u64,
 }
 
 /// Result of a randomized schedule campaign.
 #[derive(Debug, Clone)]
 pub struct CampaignOutcome {
-    /// Schedules run.
-    pub schedules: u64,
     /// Runs classified green.
     pub green: u64,
     /// Runs classified orange.
@@ -371,7 +370,7 @@ impl CampaignOutcome {
 }
 
 /// The default fault mix for campaigns: light uniform discard /
-/// delay / duplicate on every message class — enough to shuffle
+/// delay / duplicate on every message — enough to shuffle
 /// delivery order and drop individual protocol messages without
 /// modelling a new attack (site isolation and intrusions are the
 /// scenario's job, not the schedule's).
@@ -403,7 +402,6 @@ pub fn randomized_campaign(
     schedules: u64,
 ) -> CampaignOutcome {
     let mut out = CampaignOutcome {
-        schedules,
         green: 0,
         orange: 0,
         red: 0,
@@ -472,7 +470,6 @@ mod tests {
         assert!(out.violations.is_empty(), "{:?}", out.violations);
         assert_eq!(out.worst, ObservedState::Green);
         assert!(out.stats.terminals >= 1);
-        assert!(out.verdicts.iter().all(|v| v.state == ObservedState::Green));
     }
 
     #[test]
@@ -512,7 +509,7 @@ mod tests {
                 &cfg(),
                 &explore_cfg(),
             );
-            (out.stats, out.worst, out.verdicts.len())
+            (out.stats, out.worst)
         };
         assert_eq!(run(), run());
     }
@@ -532,7 +529,7 @@ mod tests {
             &explore_cfg(),
         );
         assert!(out.violations.is_empty(), "{:?}", out.violations);
-        assert_eq!(out.worst, ObservedState::Orange, "{:?}", out.verdicts);
+        assert_eq!(out.worst, ObservedState::Orange);
     }
 
     #[test]

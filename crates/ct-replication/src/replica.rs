@@ -43,16 +43,16 @@ const COLD_DETECT: SimTime = SimTime(2_000_000);
 #[derive(Debug, Clone, PartialEq)]
 pub struct ColdConfig {
     /// Delay between detecting active-site death and taking over.
-    pub activation_delay: SimTime,
+    pub(crate) activation_delay: SimTime,
 }
 
 /// Proactive recovery schedule for one replica.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecoverySchedule {
     /// When this replica's first recovery window opens.
-    pub start: SimTime,
+    pub(crate) start: SimTime,
     /// How long a recovery takes (the replica is silent meanwhile).
-    pub duration: SimTime,
+    pub(crate) duration: SimTime,
 }
 
 #[derive(Debug, Clone)]
@@ -65,25 +65,25 @@ struct PendingReq {
 #[derive(Debug, Clone)]
 pub struct Replica {
     /// My index within the group (position in `peers`).
-    pub group_index: usize,
+    pub(crate) group_index: usize,
     /// The replica group, in index order (includes self).
-    pub peers: Vec<NodeId>,
+    pub(crate) peers: Vec<NodeId>,
     /// Site index of each group member (for striped leader rotation).
-    pub peer_sites: Vec<usize>,
+    pub(crate) peer_sites: Vec<usize>,
     /// Maximum tolerated intrusions.
-    pub f: usize,
+    pub(crate) f: usize,
     /// Whether this replica has been compromised (Byzantine).
-    pub byzantine: bool,
+    pub(crate) byzantine: bool,
     /// Whether this replica participates in the protocol (cold-backup
     /// replicas start inactive).
-    pub active: bool,
+    pub(crate) active: bool,
     /// Cold-backup behaviour, for inactive backup groups.
-    pub cold: Option<ColdConfig>,
+    pub(crate) cold: Option<ColdConfig>,
     /// Cold replicas send nothing; active replicas heartbeat these
     /// nodes so backups can detect active-site death.
-    pub heartbeat_targets: Vec<NodeId>,
+    pub(crate) heartbeat_targets: Vec<NodeId>,
     /// Proactive recovery schedule (active replicas only).
-    pub recovery: Option<RecoverySchedule>,
+    pub(crate) recovery: Option<RecoverySchedule>,
 
     view: u64,
     next_seq: u64,
@@ -99,9 +99,9 @@ pub struct Replica {
     my_votes: BTreeSet<(u64, u64, ReqId)>,
     /// Committed slot → request (the replicated log; safety checks
     /// compare these across the group).
-    pub committed_slots: BTreeMap<(u64, u64), ReqId>,
+    pub(crate) committed_slots: BTreeMap<(u64, u64), ReqId>,
     /// First-commit time per request.
-    pub committed_reqs: BTreeMap<ReqId, SimTime>,
+    pub(crate) committed_reqs: BTreeMap<ReqId, SimTime>,
     vc_votes: BTreeMap<u64, BTreeSet<usize>>,
     last_vc_sent: SimTime,
     last_primary_heard: SimTime,
@@ -115,7 +115,12 @@ impl Replica {
     ///
     /// Panics if `peers` and `peer_sites` disagree in length or
     /// `group_index` is out of range.
-    pub fn new(group_index: usize, peers: Vec<NodeId>, peer_sites: Vec<usize>, f: usize) -> Self {
+    pub(crate) fn new(
+        group_index: usize,
+        peers: Vec<NodeId>,
+        peer_sites: Vec<usize>,
+        f: usize,
+    ) -> Self {
         assert_eq!(peers.len(), peer_sites.len(), "peer/site length mismatch");
         assert!(group_index < peers.len(), "group index out of range");
         Self {
@@ -146,29 +151,24 @@ impl Replica {
     }
 
     /// Group size.
-    pub fn n(&self) -> usize {
+    pub(crate) fn n(&self) -> usize {
         self.peers.len()
     }
 
     /// Commit quorum: `⌊(n + f) / 2⌋ + 1`.
-    pub fn quorum(&self) -> usize {
+    pub(crate) fn quorum(&self) -> usize {
         (self.n() + self.f) / 2 + 1
     }
 
-    /// Current view.
-    pub fn view(&self) -> u64 {
-        self.view
-    }
-
     /// Whether this replica is currently the leader.
-    pub fn is_leader(&self) -> bool {
+    pub(crate) fn is_leader(&self) -> bool {
         self.leader_of(self.view) == self.group_index
     }
 
     /// Group index of the leader of `view`, striped across sites:
     /// successive views move leadership to the next site first, so a
     /// whole-site outage costs at most one view change.
-    pub fn leader_of(&self, view: u64) -> usize {
+    pub(crate) fn leader_of(&self, view: u64) -> usize {
         let mut site_order: Vec<usize> = self.peer_sites.clone();
         site_order.sort_unstable();
         site_order.dedup();
@@ -721,12 +721,12 @@ mod tests {
             let mut ctx = buf.ctx(now, NodeId(4));
             r.on_message(NodeId(1), ProtocolMsg::ViewChange { view: 1 }, &mut ctx);
         }
-        assert_eq!(r.view(), 0, "one vote (f) is not enough");
+        assert_eq!(r.view, 0, "one vote (f) is not enough");
         {
             let mut ctx = buf.ctx(now, NodeId(4));
             r.on_message(NodeId(2), ProtocolMsg::ViewChange { view: 1 }, &mut ctx);
         }
-        assert_eq!(r.view(), 1, "f+1 votes adopt the view");
+        assert_eq!(r.view, 1, "f+1 votes adopt the view");
     }
 
     #[test]

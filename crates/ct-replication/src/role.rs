@@ -23,7 +23,7 @@ pub enum Role {
 
 impl Role {
     /// The replica inside, if any.
-    pub fn as_replica(&self) -> Option<&Replica> {
+    pub(crate) fn as_replica(&self) -> Option<&Replica> {
         match self {
             Role::Replica(r) => Some(r),
             _ => None,
@@ -31,7 +31,7 @@ impl Role {
     }
 
     /// The master inside, if any.
-    pub fn as_master(&self) -> Option<&Master> {
+    pub(crate) fn as_master(&self) -> Option<&Master> {
         match self {
             Role::Master(m) => Some(m),
             _ => None,
@@ -52,7 +52,7 @@ impl Role {
     ///
     /// Panics when applied to an RTU: the threat model compromises
     /// servers, not field devices.
-    pub fn set_byzantine(&mut self) {
+    pub(crate) fn set_byzantine(&mut self) {
         match self {
             Role::Replica(r) => r.byzantine = true,
             Role::Master(m) => m.byzantine = true,

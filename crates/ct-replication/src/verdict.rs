@@ -93,15 +93,15 @@ pub struct SimVerdict {
     /// No safety violation observed.
     pub safe: bool,
     /// Responses were being accepted at the end of the run.
-    pub resumed: bool,
+    pub(crate) resumed: bool,
     /// Longest service gap inside the measurement window.
     pub max_gap: SimTime,
     /// Responses accepted over the whole run.
-    pub accepted: u64,
+    pub(crate) accepted: u64,
     /// Responses accepted whose integrity check failed.
     pub bad_accepts: u64,
     /// Conflicting slot commits detected across a replica group.
-    pub slot_conflicts: u64,
+    pub(crate) slot_conflicts: u64,
 }
 
 /// A deployment with its scenario faults installed but virtual time
@@ -109,21 +109,21 @@ pub struct SimVerdict {
 /// verdict runs ([`run_scenario`]), exhaustive exploration, and
 /// randomized campaigns (`crate::properties`).
 #[derive(Debug, Clone)]
-pub struct PreparedRun {
+pub(crate) struct PreparedRun {
     /// The simulation, faults armed, not yet started.
-    pub sim: Sim<Role>,
+    pub(crate) sim: Sim<Role>,
     /// Replica/master groups as node-id lists.
-    pub groups: Vec<Vec<NodeId>>,
+    pub(crate) groups: Vec<Vec<NodeId>>,
     /// Node ids of every RTU.
-    pub clients: Vec<NodeId>,
+    pub(crate) clients: Vec<NodeId>,
     /// The never-attacked field site hosting the RTUs.
-    pub field_site: SiteId,
+    pub(crate) field_site: SiteId,
 }
 
 /// Builds `spec`, installs the scenario's intrusions and hurricane
 /// outages, and arms the isolation attack at
 /// [`VerdictConfig::attack_time`] — everything short of running.
-pub fn prepare_run(
+pub(crate) fn prepare_run(
     spec: &DeploymentSpec,
     scenario: &FaultScenario,
     config: &VerdictConfig,
@@ -171,7 +171,7 @@ pub fn run_scenario(
 /// Counts slots where two replicas in the same group committed
 /// different requests (divergent state machines) — the agreement
 /// property's safety scan, also used per-step by exploration.
-pub fn slot_conflict_count(sim: &Sim<Role>, groups: &[Vec<NodeId>]) -> u64 {
+pub(crate) fn slot_conflict_count(sim: &Sim<Role>, groups: &[Vec<NodeId>]) -> u64 {
     let mut slot_conflicts = 0u64;
     for group in groups {
         let mut by_slot: BTreeMap<(u64, u64), u64> = BTreeMap::new();
@@ -200,7 +200,7 @@ pub fn slot_conflict_count(sim: &Sim<Role>, groups: &[Vec<NodeId>]) -> u64 {
 /// continuity over the RTUs' accept times. Gap and resumption
 /// measures are taken against `config.run_duration`, so summarizing
 /// before that time treats the remainder as silence.
-pub fn summarize(
+pub(crate) fn summarize(
     sim: &Sim<Role>,
     groups: &[Vec<NodeId>],
     clients: &[NodeId],

@@ -67,7 +67,7 @@ impl Architecture {
 
     /// Server intrusions each active replica group tolerates while
     /// remaining correct (`f`).
-    pub fn intrusion_tolerance(self) -> usize {
+    pub(crate) fn intrusion_tolerance(self) -> usize {
         match self {
             Architecture::C2 | Architecture::C2_2 => 0,
             _ => 1,
@@ -80,14 +80,8 @@ impl Architecture {
         self.intrusion_tolerance() + 1
     }
 
-    /// Whether the last-listed backup site is a cold backup that needs
-    /// activation (orange downtime) rather than an active site.
-    pub fn has_cold_backup(self) -> bool {
-        matches!(self, Architecture::C2_2 | Architecture::C6_6)
-    }
-
     /// Whether all sites actively replicate (config `6+6+6`).
-    pub fn is_active_active(self) -> bool {
+    pub(crate) fn is_active_active(self) -> bool {
         matches!(self, Architecture::C6P6P6)
     }
 
@@ -169,12 +163,6 @@ impl SitePlan {
     pub fn primary(&self) -> &str {
         &self.site_asset_ids[0]
     }
-
-    /// The backup control center's asset id, if the architecture has
-    /// a second site.
-    pub fn backup(&self) -> Option<&str> {
-        self.site_asset_ids.get(1).map(String::as_str)
-    }
 }
 
 #[cfg(test)]
@@ -223,8 +211,6 @@ mod tests {
         assert_eq!(C6_6.replicas_per_site(), 6);
         assert_eq!(C2.gray_threshold(), 1);
         assert_eq!(C6.gray_threshold(), 2);
-        assert!(C2_2.has_cold_backup() && C6_6.has_cold_backup());
-        assert!(!C6P6P6.has_cold_backup());
         assert_eq!(C6P6P6.min_sites_for_green(), 2);
         assert_eq!(C2.min_sites_for_green(), 1);
     }
@@ -269,7 +255,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(p.primary(), "cc");
-        assert_eq!(p.backup(), Some("pp"));
+        assert_eq!(p.site_asset_ids()[1], "pp");
         assert_eq!(p.architecture(), Architecture::C6P6P6);
     }
 }

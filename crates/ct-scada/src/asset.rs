@@ -19,7 +19,7 @@ pub enum AssetKind {
 
 impl AssetKind {
     /// Whether SCADA masters/replicas can be hosted here.
-    pub fn can_host_control(self) -> bool {
+    pub(crate) fn can_host_control(self) -> bool {
         matches!(
             self,
             AssetKind::ControlCenter | AssetKind::DataCenter | AssetKind::PowerPlant
@@ -47,7 +47,7 @@ pub struct Asset {
     /// Human-readable name.
     pub name: String,
     /// Asset class.
-    pub kind: AssetKind,
+    pub(crate) kind: AssetKind,
     /// Geographic position.
     pub pos: LatLon,
 }

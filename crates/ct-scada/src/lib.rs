@@ -25,12 +25,12 @@
 //! assert!(topo.asset(plan.primary()).is_some());
 //! ```
 
-pub mod architecture;
-pub mod asset;
+mod architecture;
+mod asset;
 pub mod error;
 pub mod export;
 pub mod oahu;
-pub mod topology;
+mod topology;
 
 pub use architecture::{Architecture, SitePlan};
 pub use asset::{Asset, AssetKind};

@@ -41,7 +41,7 @@ pub enum SiteChoice {
 
 impl SiteChoice {
     /// The backup site's asset id.
-    pub fn backup_asset(self) -> &'static str {
+    pub(crate) fn backup_asset(self) -> &'static str {
         match self {
             SiteChoice::Waiau => WAIAU,
             SiteChoice::Kahe => KAHE,
@@ -68,7 +68,7 @@ impl std::fmt::Display for SiteChoice {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseSiteChoiceError {
     /// The rejected input.
-    pub input: String,
+    pub(crate) input: String,
 }
 
 impl std::fmt::Display for ParseSiteChoiceError {
@@ -237,7 +237,7 @@ pub fn topology() -> Topology {
 /// protection, unlike the switchyard-level 0.5 m assumption used for
 /// plants and substations. (The paper's ADCIRC data likewise never
 /// floods the data centers; see EXPERIMENTS.md.)
-pub const DATA_CENTER_PLATFORM_M: f64 = 2.5;
+pub(crate) const DATA_CENTER_PLATFORM_M: f64 = 2.5;
 
 /// Derives the case-study POIs for the hazard model from the DEM,
 /// applying two documented hydraulic couplings the paper's inundation
@@ -252,7 +252,7 @@ pub const DATA_CENTER_PLATFORM_M: f64 = 2.5;
 ///    lowland as one hydraulic unit: Waiau's flood profile is
 ///    evaluated at the unit's reference profile (the Honolulu control
 ///    center) against the same south-shore station.
-/// 2. **Data-center flood hardening** ([`DATA_CENTER_PLATFORM_M`]).
+/// 2. **Data-center flood hardening** (`DATA_CENTER_PLATFORM_M`).
 ///
 /// # Errors
 ///
@@ -325,8 +325,9 @@ mod tests {
             assert!(t.asset(id).is_some(), "missing {id}");
         }
         assert!(t.assets().len() >= 18, "Fig. 4 shows a dense topology");
-        assert!(t.assets_of_kind(AssetKind::Substation).len() >= 10);
-        assert!(t.assets_of_kind(AssetKind::PowerPlant).len() >= 4);
+        let of_kind = |kind| t.assets().iter().filter(|a| a.kind == kind).count();
+        assert!(of_kind(AssetKind::Substation) >= 10);
+        assert!(of_kind(AssetKind::PowerPlant) >= 4);
     }
 
     #[test]
@@ -355,7 +356,7 @@ mod tests {
                 assert_eq!(plan.site_asset_ids().len(), arch.site_count());
                 assert_eq!(plan.primary(), HONOLULU_CC);
                 if arch.site_count() >= 2 {
-                    assert_eq!(plan.backup(), Some(choice.backup_asset()));
+                    assert_eq!(plan.site_asset_ids()[1], choice.backup_asset());
                 }
             }
         }

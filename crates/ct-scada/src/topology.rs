@@ -1,6 +1,6 @@
 //! Geospatial SCADA topologies.
 
-use crate::asset::{Asset, AssetKind};
+use crate::asset::Asset;
 use crate::error::ScadaError;
 use ct_geo::Dem;
 use ct_hydro::Poi;
@@ -15,16 +15,11 @@ pub struct Topology {
 
 impl Topology {
     /// Starts building a topology.
-    pub fn builder(name: impl Into<String>) -> TopologyBuilder {
+    pub(crate) fn builder(name: impl Into<String>) -> TopologyBuilder {
         TopologyBuilder {
             name: name.into(),
             assets: Vec::new(),
         }
-    }
-
-    /// The topology's name.
-    pub fn name(&self) -> &str {
-        &self.name
     }
 
     /// All assets, in insertion order.
@@ -35,11 +30,6 @@ impl Topology {
     /// Looks up an asset by id.
     pub fn asset(&self, id: &str) -> Option<&Asset> {
         self.assets.iter().find(|a| a.id == id)
-    }
-
-    /// Assets of a given kind.
-    pub fn assets_of_kind(&self, kind: AssetKind) -> Vec<&Asset> {
-        self.assets.iter().filter(|a| a.kind == kind).collect()
     }
 
     /// Assets that can host SCADA control sites.
@@ -63,12 +53,6 @@ impl Topology {
             .map(|a| Poi::from_dem(a.id.clone(), a.pos, dem).map_err(ScadaError::from))
             .collect()
     }
-
-    /// Index of an asset id within [`Topology::assets`] order (the
-    /// column order of [`Topology::to_pois`]).
-    pub fn asset_index(&self, id: &str) -> Option<usize> {
-        self.assets.iter().position(|a| a.id == id)
-    }
 }
 
 /// Builder for [`Topology`].
@@ -80,7 +64,7 @@ pub struct TopologyBuilder {
 
 impl TopologyBuilder {
     /// Adds an asset.
-    pub fn asset(mut self, asset: Asset) -> Self {
+    pub(crate) fn asset(mut self, asset: Asset) -> Self {
         self.assets.push(asset);
         self
     }
@@ -91,7 +75,7 @@ impl TopologyBuilder {
     ///
     /// Returns [`ScadaError::DuplicateAsset`] when two assets share an
     /// id.
-    pub fn build(self) -> Result<Topology, ScadaError> {
+    pub(crate) fn build(self) -> Result<Topology, ScadaError> {
         for (i, a) in self.assets.iter().enumerate() {
             if self.assets[..i].iter().any(|b| b.id == a.id) {
                 return Err(ScadaError::DuplicateAsset { id: a.id.clone() });
@@ -107,6 +91,7 @@ impl TopologyBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::asset::AssetKind;
     use ct_geo::LatLon;
 
     fn tiny() -> Topology {
@@ -130,12 +115,11 @@ mod tests {
     #[test]
     fn lookup_and_kinds() {
         let t = tiny();
-        assert_eq!(t.name(), "tiny");
+        assert_eq!(t.name, "tiny");
         assert!(t.asset("cc").is_some());
         assert!(t.asset("nope").is_none());
-        assert_eq!(t.assets_of_kind(AssetKind::Substation).len(), 1);
+        assert_eq!(t.assets()[1].kind, AssetKind::Substation);
         assert_eq!(t.control_candidates().len(), 1);
-        assert_eq!(t.asset_index("sub"), Some(1));
     }
 
     #[test]

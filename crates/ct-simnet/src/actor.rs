@@ -66,11 +66,6 @@ impl<M> Ctx<'_, M> {
         self.now
     }
 
-    /// This node's id.
-    pub fn self_id(&self) -> NodeId {
-        self.self_id
-    }
-
     /// Sends `msg` to `to`. Delivery is subject to network latency and
     /// may be dropped by partitions or crashes; sending to self is
     /// delivered with loopback latency.
@@ -181,7 +176,6 @@ mod tests {
         ctx.broadcast([NodeId(0), NodeId(1), NodeId(2)], 20);
         ctx.set_timer(SimTime::from_millis(5.0), 7);
         assert_eq!(ctx.now(), SimTime::from_secs(1.0));
-        assert_eq!(ctx.self_id(), NodeId(0));
         // broadcast skips self: 1 send + 2 broadcast + 1 timer.
         assert_eq!(commands.len(), 4);
     }

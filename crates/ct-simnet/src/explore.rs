@@ -16,7 +16,7 @@
 //!    actors), so skipping them is a partial-order reduction, not a
 //!    loss of coverage.
 //! 2. [`ScheduleDist`] — a seeded randomized tier for campaigns past
-//!    the exhaustive horizon: per-message-class discard / delay /
+//!    the exhaustive horizon: per-send discard / delay /
 //!    duplicate probabilities applied at send time
 //!    (see [`Sim::set_schedule_dist`]). The same seed always yields
 //!    the same perturbed schedule, so any counterexample found by a
@@ -46,14 +46,8 @@ pub trait StateHash {
     fn state_hash(&self, h: &mut StableHasher);
 }
 
-/// Classification of messages for the randomized schedule tier.
-pub trait MsgClass {
-    /// A small, stable class label (e.g. `"propose"`, `"heartbeat"`).
-    fn msg_class(&self) -> &'static str;
-}
-
-/// Per-class fault probabilities for [`ScheduleDist`]. All default
-/// to zero (no perturbation).
+/// The fault probabilities of a [`ScheduleDist`], rolled per send.
+/// All default to zero (no perturbation).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ClassFaults {
     /// Probability a send is discarded outright.
@@ -67,19 +61,15 @@ pub struct ClassFaults {
     pub duplicate: f64,
 }
 
-/// A seeded distribution over schedule perturbations, by message
-/// class. Build with [`ScheduleDist::new`] and the [`class`]
-/// builder; install with [`Sim::set_schedule_dist`].
-///
-/// [`class`]: ScheduleDist::class
+/// A seeded distribution over schedule perturbations, the same for
+/// every message. Build with [`ScheduleDist::new`] or
+/// [`ScheduleDist::uniform`]; install with [`Sim::set_schedule_dist`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScheduleDist {
     /// Seed of the dedicated schedule RNG stream.
     pub seed: u64,
-    /// Faults applied to classes without an explicit entry.
-    pub default: ClassFaults,
-    /// Per-class overrides, first match wins.
-    pub per_class: Vec<(&'static str, ClassFaults)>,
+    /// Faults applied to every send.
+    pub(crate) faults: ClassFaults,
 }
 
 impl ScheduleDist {
@@ -87,24 +77,13 @@ impl ScheduleDist {
     pub fn new(seed: u64) -> Self {
         Self {
             seed,
-            default: ClassFaults::default(),
-            per_class: Vec::new(),
+            faults: ClassFaults::default(),
         }
     }
 
-    /// A distribution applying `faults` to every message class.
+    /// A distribution applying `faults` to every message.
     pub fn uniform(seed: u64, faults: ClassFaults) -> Self {
-        Self {
-            seed,
-            default: faults,
-            per_class: Vec::new(),
-        }
-    }
-
-    /// Overrides the faults for one message class.
-    pub fn class(mut self, name: &'static str, faults: ClassFaults) -> Self {
-        self.per_class.push((name, faults));
-        self
+        Self { seed, faults }
     }
 
     /// The same distribution under a different seed (campaigns derive
@@ -113,15 +92,6 @@ impl ScheduleDist {
         let mut d = self.clone();
         d.seed = seed;
         d
-    }
-
-    /// The fault probabilities for a message class.
-    pub fn faults_for(&self, class: &str) -> ClassFaults {
-        self.per_class
-            .iter()
-            .find(|(name, _)| *name == class)
-            .map(|&(_, f)| f)
-            .unwrap_or(self.default)
     }
 }
 
@@ -172,11 +142,11 @@ pub struct ExploreStats {
     /// Conflicts past the depth bound, resolved by heap order.
     pub depth_truncated: u64,
     /// Choice points whose ready set was capped at `max_branch`.
-    pub branch_capped: u64,
+    pub(crate) branch_capped: u64,
     /// Terminal states reached (horizon or quiescence).
     pub terminals: u64,
     /// Deepest choice-point depth reached.
-    pub max_depth_reached: usize,
+    pub(crate) max_depth_reached: usize,
     /// Whether the search hit `max_states` and stopped early.
     pub truncated: bool,
 }
@@ -187,12 +157,12 @@ pub struct ExploreViolation {
     /// Short property name (e.g. `"agreement"`).
     pub property: String,
     /// Human-readable description of what failed.
-    pub detail: String,
+    pub(crate) detail: String,
     /// Branch indices taken at each choice point to reach the
-    /// violating state; replay with [`Explorer::replay`].
+    /// violating state.
     pub trace: Vec<usize>,
     /// Virtual time of the violating state.
-    pub at: SimTime,
+    pub(crate) at: SimTime,
 }
 
 /// The result of an exploration: counters, violations, and one
@@ -234,11 +204,6 @@ where
         Self { root: sim, config }
     }
 
-    /// The exploration bounds.
-    pub fn config(&self) -> &ExploreConfig {
-        &self.config
-    }
-
     /// Runs the bounded exhaustive search and reports the counters
     /// through ct-obs (`simnet.explore.*`).
     pub fn run<S, T, R>(&mut self, mut on_step: S, mut on_terminal: T) -> ExploreReport<R>
@@ -275,39 +240,6 @@ where
             stats: search.stats,
             violations: search.violations,
             terminals: search.terminals,
-        }
-    }
-
-    /// Deterministically replays one explored path: at each choice
-    /// point the branch index is taken from `trace` (heap order once
-    /// the trace is exhausted) and the resulting simulation at the
-    /// trace's end-of-horizon state is returned.
-    pub fn replay(&self, trace: &[usize]) -> Sim<A> {
-        let mut sim = self.root.clone();
-        sim.start_now();
-        let mut cursor = 0usize;
-        let mut depth = 0usize;
-        loop {
-            let ready = sim.peek_ready(
-                self.config.commute_window,
-                self.config.max_branch,
-                self.config.horizon,
-            );
-            if ready.is_empty() {
-                return sim;
-            }
-            let choice =
-                if ready.len() > 1 && depth < self.config.max_depth && has_conflict(&sim, &ready) {
-                    depth += 1;
-                    let c = trace.get(cursor).copied().unwrap_or(0);
-                    cursor += 1;
-                    c.min(ready.len() - 1)
-                } else {
-                    0
-                };
-            let idx = ready[choice].2;
-            let event = sim.take_event(idx).expect("ready event is live");
-            sim.execute_event(event);
         }
     }
 }
@@ -499,6 +431,47 @@ mod tests {
     use crate::actor::{Ctx, NodeId};
     use crate::net::NetConfig;
 
+    impl<A> Explorer<A>
+    where
+        A: Actor + Clone + StateHash,
+        A::Msg: StateHash,
+    {
+        /// Deterministically replays one explored path: at each choice
+        /// point the branch index is taken from `trace` (heap order once
+        /// the trace is exhausted) and the resulting simulation at the
+        /// trace's end-of-horizon state is returned.
+        fn replay(&self, trace: &[usize]) -> Sim<A> {
+            let mut sim = self.root.clone();
+            sim.start_now();
+            let mut cursor = 0usize;
+            let mut depth = 0usize;
+            loop {
+                let ready = sim.peek_ready(
+                    self.config.commute_window,
+                    self.config.max_branch,
+                    self.config.horizon,
+                );
+                if ready.is_empty() {
+                    return sim;
+                }
+                let choice = if ready.len() > 1
+                    && depth < self.config.max_depth
+                    && has_conflict(&sim, &ready)
+                {
+                    depth += 1;
+                    let c = trace.get(cursor).copied().unwrap_or(0);
+                    cursor += 1;
+                    c.min(ready.len() - 1)
+                } else {
+                    0
+                };
+                let idx = ready[choice].2;
+                let event = sim.take_event(idx).expect("ready event is live");
+                sim.execute_event(event);
+            }
+        }
+    }
+
     /// Two writers race to set a register on node 0; the final value
     /// depends on delivery order, so exploration must see both.
     #[derive(Debug, Clone, Default)]
@@ -535,7 +508,7 @@ mod tests {
     fn racing_sim() -> Sim<Register> {
         // Nodes 1 and 2 both write to node 0 from the same site; the
         // two deliveries land within the jitter window.
-        let mut net = NetConfig::single_site(3);
+        let mut net = NetConfig::multi_site(&[3]);
         net.jitter_frac = 0.0;
         Sim::new(
             net,
@@ -580,7 +553,7 @@ mod tests {
     fn commuting_events_do_not_branch() {
         // A single writer: simultaneous events never conflict, so the
         // search degenerates to one path with zero choice points.
-        let mut net = NetConfig::single_site(3);
+        let mut net = NetConfig::multi_site(&[3]);
         net.jitter_frac = 0.0;
         let sim = Sim::new(
             net,
@@ -630,12 +603,6 @@ mod tests {
             (report.stats, report.terminals)
         };
         assert_eq!(run(), run());
-    }
-
-    impl MsgClass for u64 {
-        fn msg_class(&self) -> &'static str {
-            "write"
-        }
     }
 
     #[test]

@@ -48,16 +48,6 @@ impl FaultPlan {
     pub fn entries(&self) -> &[(SimTime, FaultAction)] {
         &self.entries
     }
-
-    /// Number of scheduled actions.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the plan is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -72,8 +62,6 @@ mod tests {
             .at(SimTime::from_secs(3.0), FaultAction::HealSite(SiteId(0)));
         let times: Vec<f64> = plan.entries().iter().map(|(t, _)| t.as_secs()).collect();
         assert_eq!(times, vec![1.0, 3.0, 5.0]);
-        assert_eq!(plan.len(), 3);
-        assert!(!plan.is_empty());
     }
 
     #[test]
@@ -98,7 +86,6 @@ mod tests {
     #[test]
     fn empty_plan() {
         let plan = FaultPlan::new();
-        assert!(plan.is_empty());
         assert_eq!(plan.entries(), &[]);
     }
 }

@@ -11,11 +11,11 @@
 //! lets the compound-threat framework cross-validate its rule-based
 //! operational-state classifier against actual protocol executions.
 //!
-//! Beyond single-schedule replay, the [`explore`] module turns the
+//! Beyond single-schedule replay, the `explore` module turns the
 //! kernel into a bounded model checker: [`Explorer`] enumerates every
 //! ordering of near-simultaneous conflicting events up to a depth
 //! bound (with state-hash deduplication), and [`ScheduleDist`] drives
-//! seeded randomized campaigns of per-message-class discard / delay /
+//! seeded randomized campaigns of per-send discard / delay /
 //! duplicate faults for the schedules past the exhaustive horizon.
 //!
 //! # Example
@@ -32,13 +32,13 @@
 //!     }
 //!     fn on_message(&mut self, _from: NodeId, msg: Self::Msg, ctx: &mut Ctx<'_, Self::Msg>) {
 //!         match msg {
-//!             "ping" => { let from = ctx.self_id(); ctx.send(self.peer, "pong"); let _ = from; }
+//!             "ping" => ctx.send(self.peer, "pong"),
 //!             _ => self.replies += 1,
 //!         }
 //!     }
 //! }
 //!
-//! let net = NetConfig::single_site(2);
+//! let net = NetConfig::multi_site(&[2]);
 //! let mut sim = Sim::new(net, 7, vec![
 //!     Ping { peer: NodeId(1), replies: 0 },
 //!     Ping { peer: NodeId(0), replies: 0 },
@@ -47,16 +47,16 @@
 //! assert_eq!(sim.node(NodeId(0)).replies, 1);
 //! ```
 
-pub mod actor;
-pub mod explore;
-pub mod fault;
+mod actor;
+mod explore;
+mod fault;
 pub mod net;
-pub mod sim;
+mod sim;
 pub mod time;
 
 pub use actor::{Actor, CommandBuffer, Ctx, NodeId, SiteId};
 pub use explore::{
-    ClassFaults, ExploreConfig, ExploreReport, ExploreStats, ExploreViolation, Explorer, MsgClass,
+    ClassFaults, ExploreConfig, ExploreReport, ExploreStats, ExploreViolation, Explorer,
     ScheduleDist, StateHash,
 };
 pub use fault::{FaultAction, FaultPlan};

@@ -9,27 +9,17 @@ use std::collections::BTreeSet;
 #[derive(Debug, Clone, PartialEq)]
 pub struct NetConfig {
     /// Site assignment per node, indexed by `NodeId.0`.
-    pub site_of: Vec<SiteId>,
+    pub(crate) site_of: Vec<SiteId>,
     /// Mean one-way latency between nodes in the same site, ms.
-    pub intra_site_ms: f64,
+    pub(crate) intra_site_ms: f64,
     /// Mean one-way latency between nodes in different sites, ms.
-    pub inter_site_ms: f64,
+    pub(crate) inter_site_ms: f64,
     /// Uniform jitter applied to each delivery, as a fraction of the
     /// mean latency (0.2 = ±20 %).
-    pub jitter_frac: f64,
+    pub(crate) jitter_frac: f64,
 }
 
 impl NetConfig {
-    /// All `n` nodes in one site, with LAN-ish latencies.
-    pub fn single_site(n: usize) -> Self {
-        Self {
-            site_of: vec![SiteId(0); n],
-            intra_site_ms: 1.0,
-            inter_site_ms: 10.0,
-            jitter_frac: 0.2,
-        }
-    }
-
     /// Nodes spread across sites: `sites[k]` nodes in site `k`,
     /// numbered consecutively.
     pub fn multi_site(sites: &[usize]) -> Self {
@@ -70,7 +60,7 @@ impl NetConfig {
     }
 
     /// Ids of all nodes in `site`.
-    pub fn nodes_in_site(&self, site: SiteId) -> Vec<NodeId> {
+    pub(crate) fn nodes_in_site(&self, site: SiteId) -> Vec<NodeId> {
         self.site_of
             .iter()
             .enumerate()
@@ -84,13 +74,13 @@ impl NetConfig {
 /// crashed, plus the latency sampler.
 #[derive(Debug, Clone)]
 pub(crate) struct NetState {
-    pub config: NetConfig,
-    pub isolated_sites: BTreeSet<SiteId>,
-    pub crashed_nodes: BTreeSet<NodeId>,
+    pub(crate) config: NetConfig,
+    pub(crate) isolated_sites: BTreeSet<SiteId>,
+    pub(crate) crashed_nodes: BTreeSet<NodeId>,
 }
 
 impl NetState {
-    pub fn new(config: NetConfig) -> Self {
+    pub(crate) fn new(config: NetConfig) -> Self {
         Self {
             config,
             isolated_sites: BTreeSet::new(),
@@ -99,7 +89,7 @@ impl NetState {
     }
 
     /// Whether a message from `from` to `to` can be delivered at all.
-    pub fn deliverable(&self, from: NodeId, to: NodeId) -> bool {
+    pub(crate) fn deliverable(&self, from: NodeId, to: NodeId) -> bool {
         if self.crashed_nodes.contains(&from) || self.crashed_nodes.contains(&to) {
             return false;
         }
@@ -113,7 +103,7 @@ impl NetState {
     }
 
     /// Samples one-way delivery latency for a link.
-    pub fn latency(&self, from: NodeId, to: NodeId, rng: &mut SplitMix64) -> SimTime {
+    pub(crate) fn latency(&self, from: NodeId, to: NodeId, rng: &mut SplitMix64) -> SimTime {
         let mean = if self.config.site(from) == self.config.site(to) {
             self.config.intra_site_ms
         } else {
@@ -135,7 +125,7 @@ mod tests {
 
     #[test]
     fn single_and_multi_site_layout() {
-        let s = NetConfig::single_site(4);
+        let s = NetConfig::multi_site(&[4]);
         assert_eq!(s.node_count(), 4);
         assert_eq!(s.site_count(), 1);
 
@@ -183,7 +173,7 @@ mod tests {
 
     #[test]
     fn zero_jitter_is_exact() {
-        let mut cfg = NetConfig::single_site(2);
+        let mut cfg = NetConfig::multi_site(&[2]);
         cfg.jitter_frac = 0.0;
         let st = NetState::new(cfg);
         let mut rng = SplitMix64::new(1);

@@ -1,7 +1,7 @@
 //! The discrete-event kernel.
 
 use crate::actor::{Actor, Command, Ctx, NodeId, SiteId};
-use crate::explore::{MsgClass, ScheduleDist};
+use crate::explore::ScheduleDist;
 use crate::fault::{FaultAction, FaultPlan};
 use crate::net::{NetConfig, NetState};
 use crate::time::SimTime;
@@ -37,11 +37,11 @@ pub struct SimStats {
     /// Messages dropped by crashes, partitions, or schedule faults.
     pub dropped: u64,
     /// Timer events fired.
-    pub timers_fired: u64,
+    pub(crate) timers_fired: u64,
     /// Timer events swallowed because their node was crashed.
-    pub timers_suppressed: u64,
+    pub(crate) timers_suppressed: u64,
     /// Fault actions applied.
-    pub faults_applied: u64,
+    pub(crate) faults_applied: u64,
     /// Sends discarded by the randomized schedule tier.
     pub schedule_discards: u64,
     /// Sends delayed by the randomized schedule tier.
@@ -50,39 +50,21 @@ pub struct SimStats {
     pub schedule_duplicates: u64,
 }
 
-/// Randomized-schedule state: the distribution, its own RNG stream
-/// (separate from the latency stream so enabling schedule faults
-/// never perturbs latency draws), and the message classifier.
-struct ScheduleState<M> {
+/// Randomized-schedule state: the distribution and its own RNG
+/// stream (separate from the latency stream so enabling schedule
+/// faults never perturbs latency draws).
+#[derive(Debug, Clone)]
+struct ScheduleState {
     dist: ScheduleDist,
     rng: SplitMix64,
-    classify: fn(&M) -> &'static str,
 }
 
-impl<M> std::fmt::Debug for ScheduleState<M> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ScheduleState")
-            .field("dist", &self.dist)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<M> Clone for ScheduleState<M> {
-    fn clone(&self) -> Self {
-        Self {
-            dist: self.dist.clone(),
-            rng: self.rng.clone(),
-            classify: self.classify,
-        }
-    }
-}
-
-impl<M> ScheduleState<M> {
+impl ScheduleState {
     /// One decision per send; first matching fault wins. The draw
     /// order (discard, then delay, then duplicate) is part of the
     /// replayable-schedule contract.
-    fn decide(&mut self, msg: &M) -> ScheduleDecision {
-        let faults = self.dist.faults_for((self.classify)(msg));
+    fn decide(&mut self) -> ScheduleDecision {
+        let faults = self.dist.faults;
         if faults.discard > 0.0 && self.rng.unit_f64() < faults.discard {
             return ScheduleDecision::Discard;
         }
@@ -123,7 +105,7 @@ pub struct Sim<A: Actor> {
     rng: SplitMix64,
     stats: SimStats,
     started: bool,
-    schedule: Option<ScheduleState<A::Msg>>,
+    schedule: Option<ScheduleState>,
 }
 
 impl<A: Actor + Clone> Clone for Sim<A> {
@@ -172,17 +154,13 @@ impl<A: Actor> Sim<A> {
     }
 
     /// Enables the randomized schedule tier: every subsequent send is
-    /// rolled against `dist` (per-message-class discard / delay /
-    /// duplicate probabilities) using a dedicated RNG seeded from
-    /// `dist.seed`. The latency RNG stream is untouched, so the same
-    /// `dist` seed always yields the same perturbed schedule.
-    pub fn set_schedule_dist(&mut self, dist: ScheduleDist)
-    where
-        A::Msg: MsgClass,
-    {
+    /// rolled against `dist` (discard / delay / duplicate
+    /// probabilities) using a dedicated RNG seeded from `dist.seed`.
+    /// The latency RNG stream is untouched, so the same `dist` seed
+    /// always yields the same perturbed schedule.
+    pub fn set_schedule_dist(&mut self, dist: ScheduleDist) {
         self.schedule = Some(ScheduleState {
             rng: SplitMix64::new(dist.seed),
-            classify: <A::Msg as MsgClass>::msg_class,
             dist,
         });
     }
@@ -218,16 +196,6 @@ impl<A: Actor> Sim<A> {
     /// Panics if the id is out of range.
     pub fn node(&self, id: NodeId) -> &A {
         &self.nodes[id.0]
-    }
-
-    /// Mutable access to a node's actor state (fault/behaviour
-    /// injection between runs).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id is out of range.
-    pub fn node_mut(&mut self, id: NodeId) -> &mut A {
-        &mut self.nodes[id.0]
     }
 
     /// All nodes, in id order.
@@ -290,7 +258,7 @@ impl<A: Actor> Sim<A> {
                     let mut copies = 1u32;
                     let mut extra = SimTime::ZERO;
                     if let Some(sched) = self.schedule.as_mut() {
-                        match sched.decide(&msg) {
+                        match sched.decide() {
                             ScheduleDecision::Pass => {}
                             ScheduleDecision::Discard => {
                                 self.stats.schedule_discards += 1;
@@ -587,7 +555,7 @@ mod tests {
 
     #[test]
     fn messages_circulate_a_ring() {
-        let mut sim = Sim::new(NetConfig::single_site(3), 1, ring(3));
+        let mut sim = Sim::new(NetConfig::multi_site(&[3]), 1, ring(3));
         let stats = sim.run_until(SimTime::from_secs(10.0));
         assert_eq!(stats.delivered, 10);
         // Token values 1..=10 distributed around the ring.
@@ -614,7 +582,7 @@ mod tests {
 
     #[test]
     fn crashed_node_breaks_the_ring() {
-        let mut sim = Sim::new(NetConfig::single_site(3), 1, ring(3));
+        let mut sim = Sim::new(NetConfig::multi_site(&[3]), 1, ring(3));
         sim.crash_node(NodeId(2));
         let stats = sim.run_until(SimTime::from_secs(10.0));
         // n0 -> n1 delivered; n1 -> n2 dropped.
@@ -641,7 +609,7 @@ mod tests {
                 ctx.set_timer(SimTime::from_millis(100.0), 1);
             }
         }
-        let mut sim = Sim::new(NetConfig::single_site(2), 1, vec![Ticker::default(); 2]);
+        let mut sim = Sim::new(NetConfig::multi_site(&[2]), 1, vec![Ticker::default(); 2]);
         let plan = FaultPlan::new().at(
             SimTime::from_millis(250.0),
             FaultAction::CrashNode(NodeId(1)),
@@ -676,7 +644,7 @@ mod tests {
 
     #[test]
     fn scheduled_fault_takes_effect_at_its_time() {
-        let mut sim = Sim::new(NetConfig::single_site(3), 1, ring(3));
+        let mut sim = Sim::new(NetConfig::multi_site(&[3]), 1, ring(3));
         // Crash node 2 at t=0: the ring dies quickly.
         let plan = FaultPlan::new().at(SimTime::ZERO, FaultAction::CrashNode(NodeId(2)));
         sim.apply_fault_plan(&plan);
@@ -727,7 +695,7 @@ mod tests {
                 self.fired.push(id);
             }
         }
-        let mut sim = Sim::new(NetConfig::single_site(1), 1, vec![TimerBox::default()]);
+        let mut sim = Sim::new(NetConfig::multi_site(&[1]), 1, vec![TimerBox::default()]);
         sim.run_until(SimTime::from_secs(1.0));
         assert_eq!(sim.node(NodeId(0)).fired, vec![1, 2, 3]);
         assert_eq!(sim.stats().timers_fired, 3);
@@ -735,7 +703,7 @@ mod tests {
 
     #[test]
     fn deadline_pauses_and_resumes() {
-        let mut sim = Sim::new(NetConfig::single_site(3), 1, ring(3));
+        let mut sim = Sim::new(NetConfig::multi_site(&[3]), 1, ring(3));
         let early = sim.run_until(SimTime::from_millis(1.5));
         assert!(early.delivered < 10);
         let late = sim.run_until(SimTime::from_secs(10.0));

@@ -33,7 +33,7 @@ impl SimTime {
     }
 
     /// The value in whole microseconds.
-    pub fn as_micros(self) -> u64 {
+    pub(crate) fn as_micros(self) -> u64 {
         self.0
     }
 

@@ -38,7 +38,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 pub mod sites {
     /// Reading a record's entry inside `Store::get` or
     /// `Store::get_many`: hit once per record and attempt.
-    pub const STORE_GET_READ: &str = "store.get.read";
+    pub(crate) const STORE_GET_READ: &str = "store.get.read";
     /// Tombstoning a record (evictions, invalidations, corrupt
     /// cleanup).
     pub const STORE_EVICT_REMOVE: &str = "store.evict.remove";
@@ -48,7 +48,7 @@ pub mod sites {
     /// The group fsync that makes a batch of appends durable.
     pub const SEGMENT_SYNC: &str = "segment.sync";
     /// Writing the footer index that seals a full segment.
-    pub const SEGMENT_FOOTER: &str = "segment.footer";
+    pub(crate) const SEGMENT_FOOTER: &str = "segment.footer";
     /// Rewriting a segment during `fsck --repair` compaction.
     pub const SEGMENT_COMPACT: &str = "segment.compact";
 
@@ -83,7 +83,7 @@ pub enum FaultKind {
 
 impl FaultKind {
     /// The keyword used in `CT_FAULTS` specs.
-    pub fn keyword(&self) -> &'static str {
+    pub(crate) fn keyword(&self) -> &'static str {
         match self {
             FaultKind::Io => "io",
             FaultKind::Enospc => "enospc",
@@ -95,7 +95,7 @@ impl FaultKind {
     /// The error an error-injecting kind produces. `Corruption` and
     /// `PartialWrite` sites that cannot express data mangling (e.g. a
     /// group fsync) fall back to a generic injected error.
-    pub fn io_error(&self) -> std::io::Error {
+    pub(crate) fn io_error(&self) -> std::io::Error {
         match self {
             FaultKind::Io => {
                 std::io::Error::new(std::io::ErrorKind::TimedOut, "injected transient I/O fault")
@@ -120,13 +120,13 @@ impl fmt::Display for FaultKind {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultSpec {
     /// The failpoint site to arm (must be in [`sites::ALL`]).
-    pub site: String,
+    pub(crate) site: String,
     /// Fire on every `nth` hit (≥ 1).
-    pub nth: u64,
+    pub(crate) nth: u64,
     /// What to inject when firing.
-    pub kind: FaultKind,
+    pub(crate) kind: FaultKind,
     /// Maximum total firings; 0 = unlimited.
-    pub limit: u64,
+    pub(crate) limit: u64,
 }
 
 impl FaultSpec {
@@ -163,9 +163,9 @@ impl fmt::Display for FaultSpec {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultParseError {
     /// The directive as typed.
-    pub spec: String,
+    pub(crate) spec: String,
     /// What was wrong with it.
-    pub reason: String,
+    pub(crate) reason: String,
 }
 
 impl fmt::Display for FaultParseError {
@@ -241,7 +241,7 @@ impl FromStr for FaultSpec {
 /// # Errors
 ///
 /// The first malformed directive, verbatim.
-pub fn parse_plan(plan: &str) -> Result<Vec<FaultSpec>, FaultParseError> {
+pub(crate) fn parse_plan(plan: &str) -> Result<Vec<FaultSpec>, FaultParseError> {
     plan.split(',')
         .map(str::trim)
         .filter(|s| !s.is_empty())
@@ -334,7 +334,7 @@ impl FaultRegistry {
     /// counts the hit; the first one whose schedule says "fire now"
     /// (every `nth` hit, under its firing limit) returns its kind,
     /// counted as `faults.fired`.
-    pub fn hit(&self, site: &str) -> Option<FaultKind> {
+    pub(crate) fn hit(&self, site: &str) -> Option<FaultKind> {
         let mut armed = self.armed.lock().expect("fault registry lock");
         let mut firing = None;
         for fault in armed.iter_mut().filter(|f| f.spec.site == site) {
@@ -351,12 +351,6 @@ impl FaultRegistry {
             self.add(ct_obs::names::FAULTS_FIRED, 1);
         }
         firing
-    }
-
-    /// Whether any failpoint is currently armed (cheap pre-check for
-    /// hot call sites).
-    pub fn is_armed(&self) -> bool {
-        !self.armed.lock().expect("fault registry lock").is_empty()
     }
 }
 
@@ -377,7 +371,7 @@ fn global_init() -> &'static (FaultRegistry, Option<FaultParseError>) {
 /// The process-global fault registry, armed from the `CT_FAULTS`
 /// environment variable on first use. Stores opened without an
 /// explicit registry consult this one.
-pub fn global() -> &'static FaultRegistry {
+pub(crate) fn global() -> &'static FaultRegistry {
     &global_init().0
 }
 
@@ -441,8 +435,6 @@ mod tests {
             kind: FaultKind::Io,
             limit: 2,
         });
-        assert!(reg.is_armed());
-
         let fires: Vec<bool> = (0..12)
             .map(|_| reg.hit(sites::SEGMENT_APPEND).is_some())
             .collect();
@@ -467,7 +459,6 @@ mod tests {
         ));
         assert_eq!(reg.hit(sites::STORE_GET_READ), Some(FaultKind::Enospc));
         reg.disarm_all();
-        assert!(!reg.is_armed());
         assert_eq!(reg.hit(sites::STORE_GET_READ), None);
     }
 

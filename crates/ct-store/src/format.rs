@@ -18,12 +18,12 @@
 use crate::hash::checksum64;
 
 /// Leading magic bytes of every record file.
-pub const MAGIC: [u8; 8] = *b"CTSTORE1";
+pub(crate) const MAGIC: [u8; 8] = *b"CTSTORE1";
 /// Current format version. Bump on any layout change; readers treat
 /// other versions as corrupt-and-recompute, never as readable.
-pub const FORMAT_VERSION: u32 = 1;
+pub(crate) const FORMAT_VERSION: u32 = 1;
 /// Fixed header size in bytes.
-pub const HEADER_LEN: usize = 28;
+pub(crate) const HEADER_LEN: usize = 28;
 
 /// Why a record failed validation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -149,7 +149,7 @@ impl StableHasher {
 }
 
 /// FNV-1a 64 over a byte slice — the per-record payload checksum.
-pub fn checksum64(bytes: &[u8]) -> u64 {
+pub(crate) fn checksum64(bytes: &[u8]) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
     let mut state = OFFSET;

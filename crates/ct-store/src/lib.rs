@@ -32,7 +32,7 @@
 //! - [`RemoteStore`] + [`mod@remote`]: a zero-dependency HTTP/1.1
 //!   client (and the shared keep-alive wire codec) for a store
 //!   hosted by `ct serve`, drawing kept-alive sockets from the
-//!   bounded [`mod@pool`];
+//!   bounded `pool`;
 //! - [`StoreUrl`]: `--store` argument parsing — bare path,
 //!   `file://path`, or `http://host:port` — selecting the backend;
 //! - [`ByteLru`]: the byte-budgeted in-memory cache the server
@@ -65,7 +65,7 @@
 
 pub mod faults;
 pub mod format;
-pub mod pool;
+mod pool;
 pub mod remote;
 pub mod segment;
 
@@ -81,8 +81,8 @@ mod url;
 pub use backend::StoreBackend;
 pub use error::StoreError;
 pub use faults::{FaultKind, FaultRegistry, FaultSpec};
-pub use format::{Corruption, FORMAT_VERSION};
-pub use hash::{checksum64, Digest, StableHasher};
+pub use format::Corruption;
+pub use hash::{Digest, StableHasher};
 pub use lru::ByteLru;
 pub use remote::RemoteStore;
 pub use segment::PackedOptions;

@@ -51,26 +51,6 @@ impl ByteLru {
         }
     }
 
-    /// Like [`ByteLru::new`], counting to a caller-owned registry —
-    /// for tests that assert exact hit/miss/eviction counts.
-    pub fn with_registry(budget: u64, registry: Arc<ct_obs::Registry>) -> Self {
-        Self {
-            state: Mutex::new(LruState::default()),
-            budget,
-            sink: MetricsSink::Local(registry),
-        }
-    }
-
-    /// The configured byte budget.
-    pub fn budget(&self) -> u64 {
-        self.budget
-    }
-
-    /// Payload bytes currently cached.
-    pub fn bytes(&self) -> u64 {
-        self.state.lock().expect("lru lock").bytes
-    }
-
     /// Number of cached entries.
     pub fn len(&self) -> usize {
         self.state.lock().expect("lru lock").entries.len()
@@ -153,6 +133,23 @@ impl ByteLru {
 mod tests {
     use super::*;
     use crate::hash::StableHasher;
+
+    impl ByteLru {
+        /// Like [`ByteLru::new`], counting to a caller-owned registry,
+        /// so a test can assert exact hit/miss/eviction counts.
+        fn with_registry(budget: u64, registry: Arc<ct_obs::Registry>) -> Self {
+            Self {
+                state: Mutex::new(LruState::default()),
+                budget,
+                sink: MetricsSink::Local(registry),
+            }
+        }
+
+        /// Payload bytes currently cached.
+        fn bytes(&self) -> u64 {
+            self.state.lock().expect("lru lock").bytes
+        }
+    }
 
     fn key(n: u64) -> Digest {
         let mut h = StableHasher::new();

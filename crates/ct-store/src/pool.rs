@@ -32,7 +32,7 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 /// Idle sockets kept per pool.
-pub const DEFAULT_POOL_CAP: usize = 8;
+pub(crate) const DEFAULT_POOL_CAP: usize = 8;
 
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
 /// Generous because a cold `/probe` may build a whole case study.
@@ -41,7 +41,7 @@ const IO_TIMEOUT: Duration = Duration::from_secs(60);
 /// A bounded pool of idle kept-alive connections to one authority.
 /// Shared by every clone of the owning [`crate::RemoteStore`].
 #[derive(Debug)]
-pub struct ConnPool {
+pub(crate) struct ConnPool {
     authority: String,
     cap: usize,
     idle: Mutex<Vec<TcpStream>>,
@@ -73,7 +73,7 @@ impl ConnPool {
     ///
     /// Dial failures (resolution, refused, timeout) — transient by
     /// the remote classification, so callers' retry budgets apply.
-    pub fn checkout(&self) -> io::Result<TcpStream> {
+    pub(crate) fn checkout(&self) -> io::Result<TcpStream> {
         loop {
             let candidate = self.idle.lock().expect("conn pool lock").pop();
             let Some(stream) = candidate else { break };
@@ -90,7 +90,7 @@ impl ConnPool {
     /// the floor when the pool is at its idle cap; never call this
     /// with a socket that saw an error — broken connections must not
     /// be reused.
-    pub fn checkin(&self, stream: TcpStream) {
+    pub(crate) fn checkin(&self, stream: TcpStream) {
         let mut idle = self.idle.lock().expect("conn pool lock");
         if idle.len() < self.cap {
             idle.push(stream);

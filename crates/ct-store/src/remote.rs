@@ -25,14 +25,13 @@
 //! header; connections are **kept alive and pipelined** by default
 //! (HTTP/1.1 semantics: keep-alive unless either side says `close`,
 //! and HTTP/1.0 peers get one request per connection exactly as
-//! before). [`parse_request`] is the single incremental parser both
-//! the server's connection threads and the one-shot [`read_request`]
-//! helper build on, so framing limits ([`MAX_HEAD_BYTES`],
-//! [`MAX_BODY_BYTES`]) apply identically on the one-shot and the
-//! pipelined path.
+//! before). [`parse_request`] is the single incremental parser the
+//! server's connection threads build on, so framing limits
+//! (`MAX_HEAD_BYTES`, [`MAX_BODY_BYTES`]) apply to every request,
+//! pipelined or not.
 //!
 //! [`RemoteStore`] implements [`StoreBackend`] over this protocol
-//! through a bounded [`crate::pool::ConnPool`] of kept-alive sockets,
+//! through a bounded `pool::ConnPool` of kept-alive sockets,
 //! with the store's budget-aware transient retries (extended to
 //! connection-lifecycle errors) — a stale pooled socket or a
 //! briefly-restarting server costs milliseconds, and a dead one
@@ -55,7 +54,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Cap on request/response head bytes (request line + headers).
-pub const MAX_HEAD_BYTES: usize = 8 * 1024;
+pub(crate) const MAX_HEAD_BYTES: usize = 8 * 1024;
 /// Cap on body bytes; far above any record the pipeline produces.
 pub const MAX_BODY_BYTES: usize = 64 * 1024 * 1024;
 
@@ -113,7 +112,7 @@ pub fn query_param<'a>(query: &'a str, name: &str) -> Option<&'a str> {
 pub enum RequestError {
     /// Garbage, truncation, or an unparsable frame: 400.
     BadRequest(&'static str),
-    /// Head grew past [`MAX_HEAD_BYTES`]: 431.
+    /// Head grew past `MAX_HEAD_BYTES`: 431.
     HeadTooLarge,
     /// `Content-Length` past [`MAX_BODY_BYTES`]: 413.
     BodyTooLarge,
@@ -243,33 +242,6 @@ pub fn parse_request(buf: &[u8]) -> Result<Option<(Request, usize)>, RequestErro
     )))
 }
 
-/// Reads and validates one request from a blocking stream — the
-/// one-shot convenience over [`parse_request`] used by tests and
-/// simple clients; the server's connection threads drive the parser
-/// directly, to route pipelined requests in batches.
-///
-/// # Errors
-///
-/// Any [`RequestError`]; malformed input is classified, not trusted.
-pub fn read_request(stream: &mut impl Read) -> Result<Request, RequestError> {
-    let mut buf: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 2048];
-    loop {
-        if let Some((request, _)) = parse_request(&buf)? {
-            return Ok(request);
-        }
-        let n = stream.read(&mut chunk).map_err(RequestError::Io)?;
-        if n == 0 {
-            return Err(RequestError::BadRequest(if head_end(&buf).is_some() {
-                "connection closed mid-body"
-            } else {
-                "truncated request head"
-            }));
-        }
-        buf.extend_from_slice(&chunk[..n]);
-    }
-}
-
 /// The header `Connection:` carries for a negotiated mode.
 fn connection_header(keep_alive: bool) -> &'static str {
     if keep_alive {
@@ -327,29 +299,6 @@ pub fn encode_response(
     .into_bytes();
     wire.extend_from_slice(body);
     wire
-}
-
-/// Writes one response ([`encode_response`]) to a blocking stream.
-///
-/// # Errors
-///
-/// Transport failures.
-pub fn write_response(
-    stream: &mut impl Write,
-    status: u16,
-    reason: &str,
-    content_type: &str,
-    body: &[u8],
-    keep_alive: bool,
-) -> std::io::Result<()> {
-    stream.write_all(&encode_response(
-        status,
-        reason,
-        content_type,
-        body,
-        keep_alive,
-    ))?;
-    stream.flush()
 }
 
 /// Reads one response from a blocking stream.
@@ -439,7 +388,7 @@ pub fn parse_response(buf: &[u8]) -> std::io::Result<Option<(Response, usize)>> 
 
 /// The HTTP client backend: a [`StoreBackend`] whose records live on
 /// a `ct serve` daemon. Cheap to clone — clones share one bounded
-/// [`ConnPool`] of kept-alive sockets (health-checked on
+/// `ConnPool` of kept-alive sockets (health-checked on
 /// checkout), so shard/merge runs stop paying a
 /// TCP dial per artifact. Budget-aware retries absorb transient
 /// connect/transport errors (a retired stale socket redials under
@@ -478,11 +427,6 @@ impl RemoteStore {
             sink,
             pool,
         }
-    }
-
-    /// The `host:port` this client talks to.
-    pub fn authority(&self) -> &str {
-        &self.authority
     }
 
     fn add(&self, name: &str, delta: u64) {
@@ -742,6 +686,27 @@ impl StoreBackend for RemoteStore {
 mod tests {
     use super::*;
 
+    /// Reads and validates one request from a blocking stream through
+    /// [`parse_request`]; malformed input is classified, not trusted.
+    fn read_request(stream: &mut impl Read) -> Result<Request, RequestError> {
+        let mut buf: Vec<u8> = Vec::new();
+        let mut chunk = [0u8; 2048];
+        loop {
+            if let Some((request, _)) = parse_request(&buf)? {
+                return Ok(request);
+            }
+            let n = stream.read(&mut chunk).map_err(RequestError::Io)?;
+            if n == 0 {
+                return Err(RequestError::BadRequest(if head_end(&buf).is_some() {
+                    "connection closed mid-body"
+                } else {
+                    "truncated request head"
+                }));
+            }
+            buf.extend_from_slice(&chunk[..n]);
+        }
+    }
+
     /// Round-trips a request through the writer and the parser.
     fn reparse(method: &str, target: &str, body: &[u8]) -> Request {
         let mut wire = Vec::new();
@@ -826,8 +791,7 @@ mod tests {
     #[test]
     fn response_codec_round_trips_both_modes() {
         for keep_alive in [true, false] {
-            let mut wire = Vec::new();
-            write_response(&mut wire, 200, "OK", "text/plain", b"ok\n", keep_alive).unwrap();
+            let wire = encode_response(200, "OK", "text/plain", b"ok\n", keep_alive);
             let response = read_response(&mut wire.as_slice()).unwrap();
             assert_eq!(response.status, 200);
             assert_eq!(response.body, b"ok\n");
@@ -916,15 +880,9 @@ mod tests {
             for _ in 0..1 {
                 let (mut stream, _) = listener.accept().unwrap();
                 let _ = read_request(&mut stream).unwrap();
-                write_response(
-                    &mut stream,
-                    405,
-                    "Method Not Allowed",
-                    "text/plain",
-                    b"no",
-                    false,
-                )
-                .unwrap();
+                let refusal =
+                    encode_response(405, "Method Not Allowed", "text/plain", b"no", false);
+                stream.write_all(&refusal).unwrap();
             }
         });
         let remote = RemoteStore::connect_with_registry(addr.to_string(), Arc::clone(&reg));

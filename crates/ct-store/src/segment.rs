@@ -42,7 +42,7 @@
 //! evicted by appending a tombstone (validate-or-evict).
 //! `Store::fsck` walks every segment entry, and in repair
 //! mode rewrites segments that hold corrupt frames (or whose live
-//! ratio fell below [`COMPACT_LIVE_RATIO`]) through a staged
+//! ratio fell below `COMPACT_LIVE_RATIO`) through a staged
 //! tmp-then-rename compaction.
 
 use crate::format::{self, decode_record};
@@ -57,18 +57,18 @@ use std::sync::Arc;
 /// Fixed per-entry header (key + kind + timestamp) before the frame.
 pub const ENTRY_HEADER_LEN: usize = 16 + 1 + 8;
 /// Entry kind: a record write.
-pub const KIND_PUT: u8 = 0;
+pub(crate) const KIND_PUT: u8 = 0;
 /// Entry kind: a deletion masking every earlier put of the key.
-pub const KIND_TOMBSTONE: u8 = 1;
+pub(crate) const KIND_TOMBSTONE: u8 = 1;
 /// Trailing magic of a sealed segment's footer.
-pub const FOOTER_MAGIC: [u8; 8] = *b"CTSEGIDX";
+pub(crate) const FOOTER_MAGIC: [u8; 8] = *b"CTSEGIDX";
 /// Fixed trailer size (count, entries length, checksum, magic).
-pub const TRAILER_LEN: usize = 32;
+pub(crate) const TRAILER_LEN: usize = 32;
 /// One serialized footer entry: key, kind, ts, offset, len.
-pub const FOOTER_ENTRY_LEN: usize = 16 + 1 + 8 + 8 + 8;
+pub(crate) const FOOTER_ENTRY_LEN: usize = 16 + 1 + 8 + 8 + 8;
 /// Sealed segments below this live-byte ratio are compacted by
 /// `fsck --repair`.
-pub const COMPACT_LIVE_RATIO: f64 = 0.5;
+pub(crate) const COMPACT_LIVE_RATIO: f64 = 0.5;
 
 /// Size thresholds of the segment layout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,7 +94,7 @@ impl PackedOptions {
     /// The defaults overridden by `CT_SEGMENT_ROLL_BYTES` /
     /// `CT_SEGMENT_SYNC_BYTES` (read at every store open, so CI can
     /// force frequent rolls without rebuilding).
-    pub fn from_env() -> Self {
+    pub(crate) fn from_env() -> Self {
         let read = |name: &str, default: u64| {
             std::env::var(name)
                 .ok()
@@ -111,15 +111,15 @@ impl PackedOptions {
 
 /// Where one live record sits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IndexEntry {
+pub(crate) struct IndexEntry {
     /// Segment id.
-    pub seg: u32,
+    pub(crate) seg: u32,
     /// Byte offset of the entry (header included) in the segment.
-    pub offset: u64,
+    pub(crate) offset: u64,
     /// Total entry length in bytes (header + frame).
-    pub len: u64,
+    pub(crate) len: u64,
     /// Write timestamp, unix seconds.
-    pub ts: u64,
+    pub(crate) ts: u64,
 }
 
 /// One entry as listed in a segment footer (or recovered by a scan).
@@ -127,10 +127,10 @@ pub struct IndexEntry {
 pub struct EntryMeta {
     /// The record key.
     pub key: Digest,
-    /// [`KIND_PUT`] or [`KIND_TOMBSTONE`].
-    pub kind: u8,
+    /// `KIND_PUT` or `KIND_TOMBSTONE`.
+    pub(crate) kind: u8,
     /// Write timestamp, unix seconds.
-    pub ts: u64,
+    pub(crate) ts: u64,
     /// Byte offset of the entry in the segment.
     pub offset: u64,
     /// Total entry length in bytes.
@@ -139,34 +139,34 @@ pub struct EntryMeta {
 
 /// The active (append-target) segment.
 #[derive(Debug)]
-pub struct ActiveSegment {
+pub(crate) struct ActiveSegment {
     /// Segment id.
-    pub id: u32,
+    pub(crate) id: u32,
     /// Logical length: the clean entry boundary appends go to. The
     /// physical file may be longer after a torn append; the garbage
     /// past this point is overwritten by the next append.
-    pub len: u64,
+    pub(crate) len: u64,
     /// Bytes appended since the last fsync.
-    pub unsynced: u64,
+    pub(crate) unsynced: u64,
     /// Footer entries accumulated for the eventual seal, in offset
     /// order.
-    pub pending: Vec<EntryMeta>,
+    pub(crate) pending: Vec<EntryMeta>,
 }
 
 /// Mutable state of a store, behind the backend's mutex.
 #[derive(Debug)]
-pub struct PackedState {
+pub(crate) struct PackedState {
     /// Key → location of the winning entry.
-    pub index: HashMap<Digest, IndexEntry>,
+    pub(crate) index: HashMap<Digest, IndexEntry>,
     /// Open read/write handles, one per segment file.
-    pub files: BTreeMap<u32, Arc<fs::File>>,
+    pub(crate) files: BTreeMap<u32, Arc<fs::File>>,
     /// The append target.
-    pub active: ActiveSegment,
+    pub(crate) active: ActiveSegment,
 }
 
 impl PackedState {
     /// The open handle of segment `seg`, which the index points into.
-    pub fn file(&self, seg: u32) -> Arc<fs::File> {
+    pub(crate) fn file(&self, seg: u32) -> Arc<fs::File> {
         Arc::clone(self.files.get(&seg).expect("indexed segment file"))
     }
 }
@@ -174,29 +174,29 @@ impl PackedState {
 /// What rebuilding the index at open observed — reported as
 /// `store.segment.*` counters by the store.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct OpenStats {
+pub(crate) struct OpenStats {
     /// Sealed segments loaded from their footer.
-    pub footer_loads: usize,
+    pub(crate) footer_loads: usize,
     /// Segments rebuilt by a full frame scan (unsealed tail, or a
     /// sealed segment whose footer was missing/damaged).
-    pub scans: usize,
+    pub(crate) scans: usize,
     /// Segments whose tail failed to parse and was truncated back to
     /// the last clean entry boundary.
-    pub truncated_tails: usize,
+    pub(crate) truncated_tails: usize,
 }
 
 /// The state every clone of one open store shares.
 #[derive(Debug)]
-pub struct PackedBackend {
+pub(crate) struct PackedBackend {
     /// `<root>/segments`.
-    pub dir: PathBuf,
+    pub(crate) dir: PathBuf,
     /// Size thresholds.
-    pub options: PackedOptions,
+    pub(crate) options: PackedOptions,
     /// All mutable state.
-    pub state: std::sync::Mutex<PackedState>,
+    pub(crate) state: std::sync::Mutex<PackedState>,
     /// `<root>/lock`, held exclusively. Dropped after the final group
     /// fsync, so the root is released only once its data is flushed.
-    pub lock: fs::File,
+    pub(crate) _lock: fs::File,
 }
 
 impl Drop for PackedBackend {
@@ -214,12 +214,12 @@ impl Drop for PackedBackend {
 }
 
 /// The segment file path for `id` under `dir`.
-pub fn segment_path(dir: &Path, id: u32) -> PathBuf {
+pub(crate) fn segment_path(dir: &Path, id: u32) -> PathBuf {
     dir.join(format!("seg-{id:04}.ctseg"))
 }
 
 /// Parses a segment id out of a `seg-<nnnn>.ctseg` file name.
-pub fn parse_segment_id(name: &str) -> Option<u32> {
+pub(crate) fn parse_segment_id(name: &str) -> Option<u32> {
     name.strip_prefix("seg-")?
         .strip_suffix(".ctseg")?
         .parse()
@@ -227,7 +227,7 @@ pub fn parse_segment_id(name: &str) -> Option<u32> {
 }
 
 /// Unix seconds now; clock weirdness degrades to 0, never panics.
-pub fn now_unix_secs() -> u64 {
+pub(crate) fn now_unix_secs() -> u64 {
     std::time::SystemTime::now()
         .duration_since(std::time::SystemTime::UNIX_EPOCH)
         .map(|d| d.as_secs())
@@ -235,7 +235,7 @@ pub fn now_unix_secs() -> u64 {
 }
 
 /// Serializes one entry: header + the already-framed record bytes.
-pub fn encode_entry(key: &Digest, kind: u8, ts: u64, frame: &[u8]) -> Vec<u8> {
+pub(crate) fn encode_entry(key: &Digest, kind: u8, ts: u64, frame: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(ENTRY_HEADER_LEN + frame.len());
     out.extend_from_slice(&key.0);
     out.push(kind);
@@ -248,14 +248,14 @@ pub fn encode_entry(key: &Digest, kind: u8, ts: u64, frame: &[u8]) -> Vec<u8> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParsedEntry<'a> {
     /// The record key.
-    pub key: Digest,
+    pub(crate) key: Digest,
     /// Entry kind.
-    pub kind: u8,
+    pub(crate) kind: u8,
     /// Write timestamp.
-    pub ts: u64,
+    pub(crate) ts: u64,
     /// The CTSTORE1 frame bytes (validated structurally, not by
     /// checksum — call [`decode_record`] on it for that).
-    pub frame: &'a [u8],
+    pub(crate) frame: &'a [u8],
     /// Total entry length.
     pub len: u64,
 }
@@ -294,7 +294,7 @@ pub fn parse_entry(bytes: &[u8]) -> Option<ParsedEntry<'_>> {
 }
 
 /// Serializes the footer (entries + trailer) of a sealed segment.
-pub fn encode_footer(entries: &[EntryMeta]) -> Vec<u8> {
+pub(crate) fn encode_footer(entries: &[EntryMeta]) -> Vec<u8> {
     let mut body = Vec::with_capacity(entries.len() * FOOTER_ENTRY_LEN + TRAILER_LEN);
     for e in entries {
         body.extend_from_slice(&e.key.0);
@@ -313,17 +313,17 @@ pub fn encode_footer(entries: &[EntryMeta]) -> Vec<u8> {
 
 /// A sealed segment's footer, decoded.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Footer {
+pub(crate) struct Footer {
     /// The entries, in offset order.
-    pub entries: Vec<EntryMeta>,
+    pub(crate) entries: Vec<EntryMeta>,
     /// Where the data region ends (= where the footer begins).
-    pub data_len: u64,
+    pub(crate) data_len: u64,
 }
 
 /// Decodes the footer out of a whole segment image. `None` means the
 /// segment is unsealed (or its footer is damaged) and must be
 /// frame-scanned instead.
-pub fn decode_footer(bytes: &[u8]) -> Option<Footer> {
+pub(crate) fn decode_footer(bytes: &[u8]) -> Option<Footer> {
     decode_footer_tail(bytes, bytes.len() as u64)
 }
 
@@ -335,7 +335,7 @@ pub fn decode_footer(bytes: &[u8]) -> Option<Footer> {
 /// # Errors
 ///
 /// A failed read.
-pub fn read_footer(file: &fs::File, len: u64) -> std::io::Result<Option<Footer>> {
+pub(crate) fn read_footer(file: &fs::File, len: u64) -> std::io::Result<Option<Footer>> {
     let Some(body_at) = len.checked_sub(TRAILER_LEN as u64) else {
         return Ok(None);
     };
@@ -400,10 +400,10 @@ pub struct ScanResult {
     /// Every structurally valid entry, in offset order.
     pub entries: Vec<EntryMeta>,
     /// The clean boundary the scan reached.
-    pub clean_len: u64,
+    pub(crate) clean_len: u64,
     /// Whether bytes past `clean_len` failed to parse (torn tail,
     /// damaged footer, stray garbage).
-    pub truncated: bool,
+    pub(crate) truncated: bool,
 }
 
 /// Frame-scans a segment's data region (`bytes[..data_len]`),
@@ -443,7 +443,7 @@ pub fn scan_entries(bytes: &[u8], data_len: u64) -> ScanResult {
 }
 
 /// Applies one replayed entry to the index (later entries win).
-pub fn apply_entry(index: &mut HashMap<Digest, IndexEntry>, seg: u32, e: &EntryMeta) {
+pub(crate) fn apply_entry(index: &mut HashMap<Digest, IndexEntry>, seg: u32, e: &EntryMeta) {
     if e.kind == KIND_TOMBSTONE {
         index.remove(&e.key);
     } else {
@@ -462,7 +462,7 @@ pub fn apply_entry(index: &mut HashMap<Digest, IndexEntry>, seg: u32, e: &EntryM
 /// Validates one entry image end-to-end (header, key, frame
 /// checksum) and returns the payload of a put. Used by reads and by
 /// fsck; a `None` is a corrupt entry.
-pub fn validate_entry<'a>(bytes: &'a [u8], expected_key: &Digest) -> Option<&'a [u8]> {
+pub(crate) fn validate_entry<'a>(bytes: &'a [u8], expected_key: &Digest) -> Option<&'a [u8]> {
     let e = parse_entry(bytes)?;
     if e.len as usize != bytes.len() || e.key != *expected_key || e.kind != KIND_PUT {
         return None;

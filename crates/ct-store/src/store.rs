@@ -151,7 +151,7 @@ impl Store {
     /// global [`ct_obs`] registry and consulting the global fault
     /// registry. Segment size thresholds come from
     /// `CT_SEGMENT_ROLL_BYTES` / `CT_SEGMENT_SYNC_BYTES` (see
-    /// [`PackedOptions::from_env`]).
+    /// `PackedOptions::from_env`).
     ///
     /// # Errors
     ///
@@ -266,7 +266,7 @@ impl Store {
                 dir: segments,
                 options,
                 state: Mutex::new(state),
-                lock,
+                _lock: lock,
             }),
         };
         store.add(
@@ -279,11 +279,6 @@ impl Store {
             stats.truncated_tails as u64,
         );
         Ok(store)
-    }
-
-    /// The store's root directory.
-    pub fn root(&self) -> &Path {
-        &self.root
     }
 
     fn add(&self, name: &str, delta: u64) {
@@ -302,7 +297,7 @@ impl Store {
     /// layers above the store (`ct-hydro`'s cache, the core pipeline)
     /// can place their own failpoints on the same registry a test (or
     /// `CT_FAULTS`) armed.
-    pub fn injected_fault(&self, site: &str) -> Option<FaultKind> {
+    pub(crate) fn injected_fault(&self, site: &str) -> Option<FaultKind> {
         match &self.faults {
             FaultsHandle::Global => faults::global().hit(site),
             FaultsHandle::Local(r) => r.hit(site),
@@ -314,7 +309,7 @@ impl Store {
     /// cannot see the degradation itself — it happens in the caller's
     /// recovery path — so callers report it here, onto the same
     /// metrics sink as the store's own counters.
-    pub fn note_degraded(&self) {
+    pub(crate) fn note_degraded(&self) {
         self.add(ct_obs::names::STORE_DEGRADED, 1);
     }
 
@@ -340,7 +335,7 @@ impl Store {
     }
 
     /// Fetches the payload stored under `key`: the one-key case of
-    /// [`Store::get_many`], through the same read, validate and evict
+    /// `Store::get_many`, through the same read, validate and evict
     /// path.
     ///
     /// Returns `Ok(None)` on a miss *and* on a corrupt record: an
@@ -377,7 +372,7 @@ impl Store {
     /// entries, up to 1 MiB, with one positioned read. A repeated key
     /// is read once; its repeats count as hits (or as misses, when the
     /// first read evicted it), as the sequential gets would.
-    pub fn get_many(&self, keys: &[Digest]) -> Vec<Result<Option<Vec<u8>>, StoreError>> {
+    pub(crate) fn get_many(&self, keys: &[Digest]) -> Vec<Result<Option<Vec<u8>>, StoreError>> {
         let mut out: Vec<Result<Option<Vec<u8>>, StoreError>> =
             keys.iter().map(|_| Ok(None)).collect();
         // (entry, input position) per hit, and the file of each segment
@@ -1116,7 +1111,7 @@ pub struct FsckReport {
     /// Live entries whose frame was validated.
     pub records_scanned: usize,
     /// Total segment bytes read.
-    pub bytes_scanned: u64,
+    pub(crate) bytes_scanned: u64,
     /// Records that failed frame validation.
     pub corrupt_records: usize,
     /// Corrupt records evicted (repair mode only; always ≤
@@ -1132,7 +1127,7 @@ pub struct FsckReport {
     pub segments_compacted: usize,
     /// Valid-but-stale records pruned by age
     /// ([`FsckOptions::prune_max_age`]).
-    pub pruned: usize,
+    pub(crate) pruned: usize,
 }
 
 impl FsckReport {

@@ -31,7 +31,7 @@ impl OperationalState {
     ];
 
     /// The paper's color name.
-    pub fn color(self) -> &'static str {
+    pub(crate) fn color(self) -> &'static str {
         match self {
             OperationalState::Green => "green",
             OperationalState::Orange => "orange",

@@ -24,11 +24,11 @@
 //! assert_eq!(classify(&state), OperationalState::Green);
 //! ```
 
-pub mod apply;
-pub mod attacker;
-pub mod classify;
-pub mod scenario;
-pub mod state;
+mod apply;
+mod attacker;
+mod classify;
+mod scenario;
+mod state;
 
 pub use apply::{post_disaster_histogram, post_disaster_states};
 pub use attacker::{Attacker, WorstCaseAttacker};

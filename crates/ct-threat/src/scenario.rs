@@ -17,11 +17,6 @@ impl AttackBudget {
         intrusions: 0,
         isolations: 0,
     };
-
-    /// Whether the attacker has nothing to do.
-    pub fn is_empty(&self) -> bool {
-        self.intrusions == 0 && self.isolations == 0
-    }
 }
 
 impl fmt::Display for AttackBudget {
@@ -89,7 +84,7 @@ impl ThreatScenario {
     }
 
     /// Human-readable name matching the paper's figure captions.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             ThreatScenario::Hurricane => "Hurricane",
             ThreatScenario::HurricaneIntrusion => "Hurricane + Server Intrusion",
@@ -111,7 +106,7 @@ impl fmt::Display for ThreatScenario {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseScenarioError {
     /// The rejected input.
-    pub input: String,
+    pub(crate) input: String,
 }
 
 impl fmt::Display for ParseScenarioError {
@@ -197,8 +192,11 @@ mod tests {
 
     #[test]
     fn labels_and_empty() {
-        assert!(ThreatScenario::Hurricane.budget().is_empty());
-        assert!(!ThreatScenario::HurricaneIntrusion.budget().is_empty());
+        assert_eq!(ThreatScenario::Hurricane.budget(), AttackBudget::NONE);
+        assert_ne!(
+            ThreatScenario::HurricaneIntrusion.budget(),
+            AttackBudget::NONE
+        );
         for s in ThreatScenario::ALL {
             assert!(!s.label().is_empty());
         }

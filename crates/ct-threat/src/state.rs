@@ -18,7 +18,7 @@ pub enum SiteStatus {
 impl SiteStatus {
     /// Whether the site can currently serve the system (running *and*
     /// reachable).
-    pub fn is_functional(self) -> bool {
+    pub(crate) fn is_functional(self) -> bool {
         self == SiteStatus::Up
     }
 
@@ -65,15 +65,8 @@ impl PostDisasterState {
     }
 
     /// Number of control sites.
-    pub fn site_count(&self) -> usize {
+    pub(crate) fn site_count(&self) -> usize {
         self.flooded.len()
-    }
-
-    /// Sites that survived (indices).
-    pub fn surviving_sites(&self) -> Vec<usize> {
-        (0..self.flooded.len())
-            .filter(|&i| !self.flooded[i])
-            .collect()
     }
 }
 
@@ -97,20 +90,6 @@ pub struct SystemState {
 }
 
 impl SystemState {
-    /// A state with every site up and no intrusions.
-    pub fn pristine(architecture: Architecture) -> Self {
-        Self {
-            architecture,
-            sites: vec![
-                SiteState {
-                    status: SiteStatus::Up,
-                    intrusions: 0,
-                };
-                architecture.site_count()
-            ],
-        }
-    }
-
     /// Lifts a post-disaster state into a system state with no attack
     /// applied yet.
     pub fn from_post_disaster(architecture: Architecture, post: &PostDisasterState) -> Self {
@@ -133,7 +112,7 @@ impl SystemState {
     }
 
     /// Indices of functional (up) sites.
-    pub fn functional_sites(&self) -> Vec<usize> {
+    pub(crate) fn functional_sites(&self) -> Vec<usize> {
         (0..self.sites.len())
             .filter(|&i| self.sites[i].status.is_functional())
             .collect()
@@ -142,7 +121,7 @@ impl SystemState {
     /// The site currently *acting* for primary/cold-backup
     /// architectures: the first functional site in priority order, if
     /// any.
-    pub fn acting_site(&self) -> Option<usize> {
+    pub(crate) fn acting_site(&self) -> Option<usize> {
         self.functional_sites().first().copied()
     }
 
@@ -221,7 +200,7 @@ mod tests {
     #[test]
     fn post_disaster_shape_checked() {
         let p = PostDisasterState::new(Architecture::C6_6, vec![true, false]);
-        assert_eq!(p.surviving_sites(), vec![1]);
+        assert_eq!(p.flooded(), [true, false]);
         assert_eq!(
             PostDisasterState::all_up(Architecture::C6P6P6).site_count(),
             3
@@ -258,7 +237,8 @@ mod tests {
 
     #[test]
     fn display_is_informative() {
-        let s = SystemState::pristine(Architecture::C2_2);
+        let post = PostDisasterState::all_up(Architecture::C2_2);
+        let s = SystemState::from_post_disaster(Architecture::C2_2, &post);
         let txt = s.to_string();
         assert!(txt.contains("2-2") && txt.contains("s0:up/0"));
     }
