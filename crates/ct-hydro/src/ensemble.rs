@@ -10,7 +10,7 @@
 
 use crate::category::Category;
 use crate::error::HydroError;
-use crate::sampling::{truncated_normal, uniform};
+use crate::sampling::{standard_normal, truncated_normal, uniform};
 use crate::track::StormTrack;
 use crate::wind::HollandWindField;
 use ct_geo::LatLon;
@@ -131,29 +131,34 @@ impl TrackEnsemble {
     pub fn generate(&self) -> Vec<StormParams> {
         ct_obs::add(ct_obs::names::HYDRO_ENSEMBLES_SAMPLED, 1);
         let mut rng = SplitMix64::new(self.config.seed);
-        (0..self.config.realizations)
-            .map(|_| self.sample_one(&mut rng))
-            .collect()
+        let mut draws = 0;
+        let storms = (0..self.config.realizations)
+            .map(|_| self.sample_one(&mut rng, &mut draws))
+            .collect();
+        ct_obs::add(ct_obs::names::HYDRO_ENSEMBLE_NORMAL_DRAWS, draws);
+        storms
     }
 
-    fn sample_one(&self, rng: &mut SplitMix64) -> StormParams {
+    /// Samples one storm, adding the normal draws it made to `draws`.
+    fn sample_one(&self, rng: &mut SplitMix64, draws: &mut u64) -> StormParams {
         let c = &self.config;
         let (dp_lo, dp_hi) = c.category.pressure_deficit_range_hpa();
         let dp_mean = (dp_lo + dp_hi) / 2.0;
         let dp_sd = (dp_hi - dp_lo) / 5.0;
-        let deficit = truncated_normal(rng, dp_mean, dp_sd, dp_lo, dp_hi);
-        let rmax = truncated_normal(rng, 32.0, 8.0, 18.0, 55.0);
+        let deficit = truncated_normal(rng, draws, dp_mean, dp_sd, dp_lo, dp_hi);
+        let rmax = truncated_normal(rng, draws, 32.0, 8.0, 18.0, 55.0);
         let b = uniform(rng, 1.25, 1.9);
-        let forward = truncated_normal(rng, 6.0, 1.5, 3.5, 9.0);
+        let forward = truncated_normal(rng, draws, 6.0, 1.5, 3.5, 9.0);
         let heading = truncated_normal(
             rng,
+            draws,
             c.heading_mean_deg,
             c.heading_sd_deg,
             c.heading_mean_deg - 35.0,
             c.heading_mean_deg + 35.0,
         );
-        let offset_km =
-            c.cross_track_mean_km + c.cross_track_sd_km * crate::sampling::standard_normal(rng);
+        *draws += 1;
+        let offset_km = c.cross_track_mean_km + c.cross_track_sd_km * standard_normal(rng);
         let tide = uniform(rng, -0.25, 0.45);
 
         // Anchor: the point where the track crosses the region's
@@ -204,6 +209,34 @@ mod tests {
         let a = TrackEnsemble::new(cfg.clone()).unwrap().generate();
         let b = TrackEnsemble::new(cfg).unwrap().generate();
         assert_eq!(a, b);
+    }
+
+    /// FNV-1a over the `Debug` rendering of every storm. `{:?}` prints
+    /// each `f64` in its shortest round-trip form, so the text fixes
+    /// every bit of every field, track points included.
+    fn digest(storms: &[StormParams]) -> u64 {
+        format!("{storms:?}")
+            .bytes()
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            })
+    }
+
+    #[test]
+    fn seed_42_ensemble_is_pinned() {
+        let ensemble = TrackEnsemble::new(EnsembleConfig::default()).unwrap();
+        let storms = ensemble.generate();
+        assert_eq!(storms.len(), 1000);
+        assert_eq!(digest(&storms), 1748203446535662920);
+        // The draws `generate` counts: tries of the four truncated
+        // variates, plus one plain cross-track offset per storm.
+        let mut rng = SplitMix64::new(42);
+        let mut draws = 0;
+        let replayed: Vec<_> = (0..1000)
+            .map(|_| ensemble.sample_one(&mut rng, &mut draws))
+            .collect();
+        assert_eq!(replayed, storms);
+        assert_eq!(draws, 5140);
     }
 
     #[test]

@@ -25,6 +25,10 @@ pub const GEO_TERRAIN_EDGES_CULLED: &str = "geo.terrain.edges_culled";
 /// Storm ensembles sampled (one per build whose realizations were not
 /// all read from the artifact store).
 pub const HYDRO_ENSEMBLES_SAMPLED: &str = "hydro.ensembles_sampled";
+/// Box-Muller normal draws made while sampling storm ensembles (one
+/// per rejection try of each truncated variate, plus the plain
+/// cross-track offset; one add per sampled ensemble).
+pub const HYDRO_ENSEMBLE_NORMAL_DRAWS: &str = "hydro.ensemble.normal_draws";
 /// Hurricane realizations evaluated against the POI set.
 pub const HYDRO_REALIZATIONS_EVALUATED: &str = "hydro.realizations_evaluated";
 /// Per-POI inundation evaluations.
@@ -239,6 +243,7 @@ pub fn register_defaults(registry: &crate::Registry) {
         GEO_TERRAIN_EDGES_EVALUATED,
         GEO_TERRAIN_EDGES_CULLED,
         HYDRO_ENSEMBLES_SAMPLED,
+        HYDRO_ENSEMBLE_NORMAL_DRAWS,
         HYDRO_REALIZATIONS_EVALUATED,
         HYDRO_POI_EVALUATIONS,
         HYDRO_PEAK_SCAN_EVALUATED,
@@ -327,11 +332,12 @@ mod tests {
         let reg = crate::Registry::new();
         register_defaults(&reg);
         let snap = reg.snapshot();
-        assert_eq!(snap.counters.len(), 74);
+        assert_eq!(snap.counters.len(), 75);
         assert_eq!(snap.counter(GEO_DEM_SYNTHESIZED), Some(0));
         assert_eq!(snap.counter(GEO_TERRAIN_EDGES_EVALUATED), Some(0));
         assert_eq!(snap.counter(GEO_TERRAIN_EDGES_CULLED), Some(0));
         assert_eq!(snap.counter(HYDRO_ENSEMBLES_SAMPLED), Some(0));
+        assert_eq!(snap.counter(HYDRO_ENSEMBLE_NORMAL_DRAWS), Some(0));
         assert_eq!(snap.counter(HYDRO_PEAK_SCAN_EVALUATED), Some(0));
         assert_eq!(snap.counter(HYDRO_PEAK_SCAN_SKIPPED), Some(0));
         assert_eq!(snap.counter(HYDRO_PEAK_SCAN_CULLED), Some(0));

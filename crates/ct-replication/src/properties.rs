@@ -33,8 +33,8 @@ use crate::verdict::{
 };
 use crate::Role;
 use ct_simnet::{
-    ClassFaults, ExploreConfig, ExploreStats, ExploreViolation, Explorer, NodeId, ScheduleDist,
-    Sim, SimTime, SiteId,
+    ExploreConfig, ExploreStats, ExploreViolation, Explorer, NodeId, ScheduleDist, SendFaults, Sim,
+    SimTime, SiteId,
 };
 use std::fmt;
 
@@ -377,7 +377,7 @@ impl CampaignOutcome {
 pub fn default_campaign_dist(seed: u64) -> ScheduleDist {
     ScheduleDist::uniform(
         seed,
-        ClassFaults {
+        SendFaults {
             discard: 0.02,
             delay: 0.05,
             delay_by: SimTime::from_millis(40.0),

@@ -49,7 +49,7 @@ pub trait StateHash {
 /// The fault probabilities of a [`ScheduleDist`], rolled per send.
 /// All default to zero (no perturbation).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct ClassFaults {
+pub struct SendFaults {
     /// Probability a send is discarded outright.
     pub discard: f64,
     /// Probability a send is delayed by up to `delay_by`.
@@ -69,7 +69,7 @@ pub struct ScheduleDist {
     /// Seed of the dedicated schedule RNG stream.
     pub seed: u64,
     /// Faults applied to every send.
-    pub(crate) faults: ClassFaults,
+    pub(crate) faults: SendFaults,
 }
 
 impl ScheduleDist {
@@ -77,12 +77,12 @@ impl ScheduleDist {
     pub fn new(seed: u64) -> Self {
         Self {
             seed,
-            faults: ClassFaults::default(),
+            faults: SendFaults::default(),
         }
     }
 
     /// A distribution applying `faults` to every message.
-    pub fn uniform(seed: u64, faults: ClassFaults) -> Self {
+    pub fn uniform(seed: u64, faults: SendFaults) -> Self {
         Self { seed, faults }
     }
 
@@ -609,7 +609,7 @@ mod tests {
     fn schedule_dist_is_deterministic_per_seed() {
         let dist = ScheduleDist::uniform(
             42,
-            ClassFaults {
+            SendFaults {
                 discard: 0.3,
                 delay: 0.3,
                 delay_by: SimTime::from_millis(20.0),

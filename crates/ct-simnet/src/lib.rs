@@ -56,8 +56,8 @@ pub mod time;
 
 pub use actor::{Actor, CommandBuffer, Ctx, NodeId, SiteId};
 pub use explore::{
-    ClassFaults, ExploreConfig, ExploreReport, ExploreStats, ExploreViolation, Explorer,
-    ScheduleDist, StateHash,
+    ExploreConfig, ExploreReport, ExploreStats, ExploreViolation, Explorer, ScheduleDist,
+    SendFaults, StateHash,
 };
 pub use fault::{FaultAction, FaultPlan};
 pub use net::NetConfig;

@@ -381,7 +381,7 @@ mod oracle {
 
     /// Peak sustained wind at `p` within 400 km; a step whose field
     /// errors is skipped.
-    pub fn peak_wind(damage: &DamageModel, storm: &StormParams, p: LatLon) -> f64 {
+    pub(super) fn peak_wind(damage: &DamageModel, storm: &StormParams, p: LatLon) -> f64 {
         let (t0, t1) = storm.track.time_span_hours();
         let mut peak: f64 = 0.0;
         let mut t = t0;
@@ -399,7 +399,7 @@ mod oracle {
 
     /// The wind-fragility realization: each POI's scalar peak gust
     /// through the documented severity mapping.
-    pub fn wind(
+    pub(super) fn wind(
         damage: &DamageModel,
         index: usize,
         storm: &StormParams,
@@ -428,7 +428,7 @@ mod oracle {
 
     /// Per open-coast station, in station order: its peak onshore wind
     /// within 400 km and its closest approach over every step.
-    pub fn station_winds(
+    pub(super) fn station_winds(
         model: &ParametricSurge,
         storm: &StormParams,
     ) -> Result<Vec<(StationId, f64, f64)>, HydroError> {
@@ -459,7 +459,7 @@ mod oracle {
 
     /// Each station's surge with the tide, in `station_surge`'s order:
     /// the open coast, then Pearl Harbor.
-    pub fn station_surge(
+    pub(super) fn station_surge(
         model: &ParametricSurge,
         storm: &StormParams,
     ) -> Result<Vec<(StationId, f64)>, HydroError> {
@@ -494,7 +494,7 @@ mod oracle {
 
     /// The surge realization: each POI reads the surge of its override
     /// station, else of its nearest.
-    pub fn surge(
+    pub(super) fn surge(
         model: &ParametricSurge,
         index: usize,
         storm: &StormParams,
@@ -520,7 +520,7 @@ mod oracle {
     }
 
     /// Surge ∪ wind: the per-asset max of the two realizations.
-    pub fn compound(surge: &Realization, wind: &Realization) -> Realization {
+    pub(super) fn compound(surge: &Realization, wind: &Realization) -> Realization {
         Realization {
             max_station_surge_m: surge.max_station_surge_m.max(wind.max_station_surge_m),
             inundation_m: surge

@@ -76,7 +76,7 @@ fn project() -> Projection {
 
 fn assert_thread_count_invariant(run: fn(usize) -> Projection) -> Projection {
     let baseline = run(1);
-    for threads in [4, 8] {
+    for threads in [2, 4, 8] {
         let other = run(threads);
         assert_eq!(
             baseline.0, other.0,
@@ -126,6 +126,10 @@ fn counters_and_span_tree_are_thread_count_invariant() {
     assert_eq!(count(ct_obs::names::GEO_TERRAIN_EDGES_EVALUATED), 65165);
     assert_eq!(count(ct_obs::names::GEO_TERRAIN_EDGES_CULLED), 458539);
     assert_eq!(count(ct_obs::names::HYDRO_ENSEMBLES_SAMPLED), 1);
+    // The coordinator samples the 60 storms alone: one normal draw per
+    // rejection try of the four truncated variates, plus one plain
+    // cross-track offset per storm, whatever the thread count.
+    assert_eq!(count(ct_obs::names::HYDRO_ENSEMBLE_NORMAL_DRAWS), 306);
     assert_eq!(count(ct_obs::names::HYDRO_REALIZATIONS_EVALUATED), 60);
     assert_eq!(count(ct_obs::names::HAZARD_REALIZATIONS_EVALUATED), 60);
     // The surge peak scans' work: full wind evaluations, in-range
@@ -163,6 +167,7 @@ fn counters_and_span_tree_are_thread_count_invariant() {
     assert_eq!(count(ct_obs::names::GEO_TERRAIN_EDGES_EVALUATED), 65165);
     assert_eq!(count(ct_obs::names::GEO_TERRAIN_EDGES_CULLED), 458539);
     assert_eq!(count(ct_obs::names::HYDRO_ENSEMBLES_SAMPLED), 1);
+    assert_eq!(count(ct_obs::names::HYDRO_ENSEMBLE_NORMAL_DRAWS), 306);
     assert_eq!(count(ct_obs::names::HAZARD_REALIZATIONS_EVALUATED), 60);
     assert_eq!(count(ct_obs::names::HYDRO_PEAK_SCAN_EVALUATED), 1933);
     assert_eq!(count(ct_obs::names::HYDRO_PEAK_SCAN_SKIPPED), 5688);
