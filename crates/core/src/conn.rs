@@ -264,36 +264,21 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ct_store::remote::{
-        encode_request, parse_response, read_response, write_request, Response,
-    };
-    use std::net::{Shutdown, TcpListener};
+    use ct_store::remote::{encode_request, ClientConn, Response};
+    use std::net::TcpListener;
 
-    /// Reads `n` pipelined responses off one socket — [`read_response`]
-    /// deliberately rejects trailing bytes, so batched answers need
-    /// the incremental parser.
-    fn read_responses(client: &mut TcpStream, n: usize) -> Vec<Response> {
-        client
-            .set_read_timeout(Some(Duration::from_secs(2)))
-            .unwrap();
-        let mut buf = Vec::new();
-        let mut out = Vec::new();
-        let mut chunk = [0u8; 4096];
-        while out.len() < n {
-            if let Some((response, used)) = parse_response(&buf).unwrap() {
-                buf.drain(..used);
-                out.push(response);
-                continue;
-            }
-            let got = client.read(&mut chunk).unwrap();
-            assert!(
-                got > 0,
-                "socket closed after {} of {n} responses",
-                out.len()
-            );
-            buf.extend_from_slice(&chunk[..got]);
-        }
-        out
+    /// Takes `n` pipelined responses off one connection, in order.
+    fn read_responses(client: &mut ClientConn, n: usize) -> Vec<Response> {
+        (0..n).map(|_| client.next_response().unwrap()).collect()
+    }
+
+    /// Whether the server closed `client` with nothing more sent.
+    fn closed_clean(client: &mut ClientConn) -> bool {
+        let eof = matches!(
+            client.next_response(),
+            Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof
+        );
+        eof && client.is_drained()
     }
 
     /// Echoes the method and target; 404s a magic path.
@@ -312,10 +297,12 @@ mod tests {
         }
     }
 
-    /// A loopback pair: the client end and the accepted server end.
-    fn pair() -> (TcpStream, TcpStream) {
+    /// A loopback pair: the client connection and the accepted
+    /// server end.
+    fn pair() -> (ClientConn, TcpStream) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let client = ClientConn::dial(&addr, Duration::from_secs(2)).unwrap();
         let (server_end, _) = listener.accept().unwrap();
         (client, server_end)
     }
@@ -335,12 +322,12 @@ mod tests {
     }
 
     /// Writes `targets` as pipelined keep-alive GETs in one write.
-    fn pipeline(client: &mut TcpStream, targets: &[&str]) {
+    fn pipeline(client: &mut ClientConn, targets: &[&str]) {
         let wire: Vec<u8> = targets
             .iter()
             .flat_map(|target| encode_request("GET", target, &[], true))
             .collect();
-        client.write_all(&wire).unwrap();
+        client.send(&wire).unwrap();
     }
 
     #[test]
@@ -349,7 +336,7 @@ mod tests {
         pipeline(&mut client, &["/a", "/missing", "/b"]);
         // The client half-closes; every queued request is still
         // answered before the server closes.
-        client.shutdown(Shutdown::Write).unwrap();
+        client.close_write().unwrap();
         serve(server_end, 1000);
 
         let responses = read_responses(&mut client, 3);
@@ -363,10 +350,10 @@ mod tests {
     #[test]
     fn parse_garbage_answers_400_and_closes() {
         let (mut client, server_end) = pair();
-        client.write_all(b"florble grumble\r\n\r\n").unwrap();
+        client.send(b"florble grumble\r\n\r\n").unwrap();
         // Returns without the client closing: the garbage closes it.
         serve(server_end, 1000);
-        let response = read_response(&mut client).unwrap();
+        let response = client.answer().unwrap();
         assert_eq!((response.status, response.keep_alive), (400, false));
     }
 
@@ -379,17 +366,20 @@ mod tests {
         let responses = read_responses(&mut client, 2);
         assert!(responses[0].keep_alive);
         assert!(!responses[1].keep_alive);
-        let mut rest = Vec::new();
-        client.read_to_end(&mut rest).unwrap();
-        assert!(rest.is_empty(), "socket must be closed with nothing queued");
+        assert!(
+            closed_clean(&mut client),
+            "socket must be closed with nothing queued"
+        );
     }
 
     #[test]
     fn client_close_request_is_honored() {
         let (mut client, server_end) = pair();
-        write_request(&mut client, "GET", "/only", &[], false).unwrap();
+        client
+            .send(&encode_request("GET", "/only", &[], false))
+            .unwrap();
         serve(server_end, 1000);
-        let response = read_response(&mut client).unwrap();
+        let response = client.answer().unwrap();
         assert_eq!((response.status, response.keep_alive), (200, false));
     }
 }

@@ -11,7 +11,7 @@
 //! badly damaged exactly when its control system cannot operate.
 
 use crate::error::CoreError;
-use crate::parallel::{default_threads, par_map};
+use crate::parallel::{default_threads, par_map_dynamic};
 use crate::pipeline::CaseStudy;
 use ct_grid::{oahu as grid_oahu, simulate_cascade, DamageModel, GridNetwork};
 use ct_hydro::{ScanSites, TrackEnsemble};
@@ -135,7 +135,7 @@ pub fn grid_impact(
     // ct-grid equivalence tests).
     let midpoints = DamageModel::scan_sites(DamageModel::line_midpoints(&grid));
     let indexed: Vec<usize> = (0..storms.len()).collect();
-    let per: Vec<Result<(f64, f64, usize), CoreError>> = par_map(&indexed, threads, |&r| {
+    let per: Vec<Result<(f64, f64, usize), CoreError>> = par_map_dynamic(&indexed, threads, |&r| {
         evaluate_one(&grid, config, study, &storms[r], r, &midpoints)
     });
     let mut served_supervised = Vec::with_capacity(per.len());

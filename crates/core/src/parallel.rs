@@ -2,52 +2,6 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Maps `f` over `items` using up to `threads` worker threads
-/// (scoped; no `'static` bound needed), preserving order.
-///
-/// Work is split into contiguous chunks up front, so this is the
-/// right choice when per-item cost is uniform. For skewed workloads
-/// (e.g. profiling sweeps where some plans are much more expensive)
-/// use [`par_map_dynamic`], which steals work item by item.
-///
-/// `threads == 0` or `1` falls back to a serial map.
-///
-/// # Panics
-///
-/// Propagates panics from worker closures.
-pub(crate) fn par_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    if threads <= 1 || items.len() <= 1 {
-        return items.iter().map(&f).collect();
-    }
-    let workers = threads.min(items.len());
-    let chunk = items.len().div_ceil(workers);
-    let mut out: Vec<Option<R>> = Vec::with_capacity(items.len());
-    out.resize_with(items.len(), || None);
-
-    std::thread::scope(|scope| {
-        let mut rest = out.as_mut_slice();
-        for chunk_items in items.chunks(chunk) {
-            let (head, tail) = rest.split_at_mut(chunk_items.len());
-            rest = tail;
-            let f = &f;
-            scope.spawn(move || {
-                for (slot, item) in head.iter_mut().zip(chunk_items) {
-                    *slot = Some(f(item));
-                }
-            });
-        }
-    });
-
-    out.into_iter()
-        .map(|v| v.expect("all slots filled"))
-        .collect()
-}
-
 /// Maps `f` over `items` with dynamic (work-stealing) scheduling:
 /// workers claim the next unprocessed index from a shared atomic
 /// cursor, so a handful of expensive items cannot strand the rest of
@@ -128,28 +82,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn preserves_order_and_values() {
-        let items: Vec<u64> = (0..1000).collect();
-        let serial = par_map(&items, 1, |x| x * x);
-        let parallel = par_map(&items, 8, |x| x * x);
-        assert_eq!(serial, parallel);
-        assert_eq!(parallel[999], 999 * 999);
-    }
-
-    #[test]
-    fn handles_empty_and_tiny_inputs() {
-        let empty: Vec<u32> = Vec::new();
-        assert!(par_map(&empty, 8, |x| *x).is_empty());
-        assert_eq!(par_map(&[42], 8, |x| *x + 1), vec![43]);
-    }
-
-    #[test]
-    fn more_threads_than_items() {
-        let items = [1, 2, 3];
-        assert_eq!(par_map(&items, 64, |x| x * 10), vec![10, 20, 30]);
-    }
-
-    #[test]
     fn dynamic_preserves_order_and_values() {
         let items: Vec<u64> = (0..1000).collect();
         let serial = par_map_dynamic(&items, 1, |x| x * 3 + 1);
@@ -171,9 +103,9 @@ mod tests {
     }
 
     #[test]
-    fn dynamic_matches_static_on_skewed_costs() {
-        // Item 0 is far more expensive than the rest; both schedulers
-        // must still produce identical, ordered output.
+    fn dynamic_matches_serial_on_skewed_costs() {
+        // Item 0 is far more expensive than the rest; the workers must
+        // still produce the serial map's output, in order.
         let items: Vec<u64> = (0..64).collect();
         let work = |x: &u64| {
             let spins = if *x == 0 { 20_000 } else { 10 };
@@ -183,7 +115,10 @@ mod tests {
             }
             acc
         };
-        assert_eq!(par_map(&items, 4, work), par_map_dynamic(&items, 4, work));
+        assert_eq!(
+            items.iter().map(work).collect::<Vec<_>>(),
+            par_map_dynamic(&items, 4, work)
+        );
     }
 
     #[test]

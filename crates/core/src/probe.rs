@@ -19,10 +19,9 @@ use crate::error::CoreError;
 use crate::serve::DEFAULT_PROBE_REALIZATIONS;
 use ct_hazard::HazardSpec;
 use ct_scada::oahu::SiteChoice;
-use ct_store::remote::{query_param, read_response, write_request};
+use ct_store::remote::{encode_request, query_param, ClientConn, IO_TIMEOUT};
 use ct_threat::ThreatScenario;
 use std::fmt;
-use std::net::TcpStream;
 use std::str::FromStr;
 
 /// One validated `/probe` query.
@@ -51,18 +50,21 @@ impl ProbeQuery {
     ///
     /// # Errors
     ///
-    /// Connect/transport failures, or any non-200 answer (the
-    /// server's explanation is carried in the message).
+    /// Connect/transport failures — including a server that has not
+    /// answered within the client IO timeout — or any non-200 answer
+    /// (the server's explanation is carried in the message).
     pub fn fetch(&self, authority: &str) -> Result<String, CoreError> {
         let url = format!("http://{authority}{}", self.target());
         let fail = |message: String| CoreError::Io {
             path: url.clone(),
             message,
         };
-        let mut stream = TcpStream::connect(authority).map_err(|e| fail(e.to_string()))?;
-        write_request(&mut stream, "GET", &self.target(), &[], false)
+        let response = ClientConn::dial(authority, IO_TIMEOUT)
+            .and_then(|mut conn| {
+                conn.send(&encode_request("GET", &self.target(), &[], false))?;
+                conn.answer()
+            })
             .map_err(|e| fail(e.to_string()))?;
-        let response = read_response(&mut stream).map_err(|e| fail(e.to_string()))?;
         let body = String::from_utf8_lossy(&response.body);
         if response.status != 200 {
             return Err(fail(format!(

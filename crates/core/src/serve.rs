@@ -470,8 +470,8 @@ fn cached_study(shared: &Shared, query: &ProbeQuery) -> Result<Arc<CaseStudy>, C
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ct_store::remote::{encode_request, read_response, write_request};
-    use std::io::{ErrorKind, Read, Write};
+    use ct_store::remote::{encode_request, ClientConn};
+    use std::io::ErrorKind;
     use std::time::Instant;
 
     /// A unique store root for one test, removed on drop.
@@ -510,24 +510,31 @@ mod tests {
             .unwrap_or(0)
     }
 
-    /// Reads until EOF or a reset; a read timeout fails the test.
-    fn read_until_closed(stream: &mut TcpStream) {
-        stream
-            .set_read_timeout(Some(Duration::from_secs(5)))
+    /// A client connection to `server`.
+    fn dial(server: &Server) -> ClientConn {
+        ClientConn::dial(&server.addr().to_string(), Duration::from_secs(5)).unwrap()
+    }
+
+    /// One request on `client` and its answer's status and mode.
+    fn ask(client: &mut ClientConn, target: &str, keep_alive: bool) -> (u16, bool) {
+        client
+            .send(&encode_request("GET", target, &[], keep_alive))
             .unwrap();
-        let mut chunk = [0u8; 64 * 1024];
+        let response = client.answer().unwrap();
+        (response.status, response.keep_alive)
+    }
+
+    /// Takes answers until EOF or a reset; a read timeout fails the
+    /// test.
+    fn read_until_closed(client: &mut ClientConn) {
         loop {
-            match stream.read(&mut chunk) {
-                Ok(0) => return,
-                Ok(_) => {}
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) => {
-                    assert!(
-                        !matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut),
-                        "the server never closed the socket"
-                    );
-                    return;
-                }
+            if let Err(e) = client.next_response() {
+                assert_ne!(
+                    e.kind(),
+                    ErrorKind::TimedOut,
+                    "the server never closed the socket"
+                );
+                return;
             }
         }
     }
@@ -537,12 +544,11 @@ mod tests {
         let scratch = Scratch::new("reuse");
         let server = scratch.serve(DEFAULT_IDLE_MS);
         for _ in 0..50 {
-            let mut client = TcpStream::connect(server.addr()).unwrap();
-            write_request(&mut client, "GET", "/healthz", &[], false).unwrap();
-            assert_eq!(read_response(&mut client).unwrap().status, 200);
-            let mut rest = Vec::new();
-            client.read_to_end(&mut rest).unwrap();
-            assert!(rest.is_empty(), "the server closes after the answer");
+            let mut client = dial(&server);
+            assert_eq!(ask(&mut client, "/healthz", false), (200, false));
+            let closed = client.next_response().unwrap_err().kind();
+            assert_eq!(closed, ErrorKind::UnexpectedEof, "the server closes");
+            assert!(client.is_drained());
         }
         // The thread that served connection k may not be idle again
         // when connection k + 1 arrives, so a second thread can start;
@@ -559,19 +565,20 @@ mod tests {
         let scratch = Scratch::new("unread");
         let idle = Duration::from_millis(200);
         let server = scratch.serve(idle.as_millis() as u64);
-        let mut client = TcpStream::connect(server.addr()).unwrap();
-        let key = format!("{:032x}", 7);
+        let mut client = dial(&server);
+        let target = format!("/objects/{:032x}", 7);
         let frame = encode_record(&vec![0x5a; 512 * 1024]);
-        write_request(&mut client, "PUT", &format!("/objects/{key}"), &frame, true).unwrap();
-        assert_eq!(read_response(&mut client).unwrap().status, 204);
+        let put = encode_request("PUT", &target, &frame, true);
+        client.send(&put).unwrap();
+        assert_eq!(client.answer().unwrap().status, 204);
 
         // 16 MiB of answers asked for and never read: far more than
         // the loopback buffers hold, so the server's write stalls.
         let before = idle_closes();
         let wire: Vec<u8> = (0..32)
-            .flat_map(|_| encode_request("GET", &format!("/objects/{key}"), &[], true))
+            .flat_map(|_| encode_request("GET", &target, &[], true))
             .collect();
-        client.write_all(&wire).unwrap();
+        client.send(&wire).unwrap();
         let sent = Instant::now();
         while idle_closes() == before {
             assert!(sent.elapsed() < Duration::from_secs(5), "never closed");
@@ -590,11 +597,10 @@ mod tests {
         let idle = Duration::from_millis(200);
         let server = scratch.serve(idle.as_millis() as u64);
         let live = || server.shared.live_threads.load(Ordering::SeqCst);
-        let clients: Vec<TcpStream> = (0..8)
+        let clients: Vec<ClientConn> = (0..8)
             .map(|_| {
-                let mut client = TcpStream::connect(server.addr()).unwrap();
-                write_request(&mut client, "GET", "/healthz", &[], true).unwrap();
-                assert!(read_response(&mut client).unwrap().keep_alive);
+                let mut client = dial(&server);
+                assert_eq!(ask(&mut client, "/healthz", true), (200, true));
                 client
             })
             .collect();
@@ -613,19 +619,15 @@ mod tests {
             std::thread::sleep(Duration::from_millis(5));
         }
 
-        let mut client = TcpStream::connect(server.addr()).unwrap();
-        write_request(&mut client, "GET", "/healthz", &[], false).unwrap();
-        assert_eq!(read_response(&mut client).unwrap().status, 200);
+        assert_eq!(ask(&mut dial(&server), "/healthz", false).0, 200);
     }
 
     #[test]
     fn dropping_a_server_with_a_kept_alive_client_releases_the_root() {
         let scratch = Scratch::new("drop");
         let server = scratch.serve(DEFAULT_IDLE_MS);
-        let mut client = TcpStream::connect(server.addr()).unwrap();
-        write_request(&mut client, "GET", "/healthz", &[], true).unwrap();
-        let response = read_response(&mut client).unwrap();
-        assert!(response.keep_alive);
+        let mut client = dial(&server);
+        assert_eq!(ask(&mut client, "/healthz", true), (200, true));
 
         let started = Instant::now();
         drop(server);

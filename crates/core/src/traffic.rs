@@ -3,21 +3,23 @@
 //! The keep-alive rework (see DESIGN.md) claims one thing: a client
 //! that stops dialing per operation gets its latency back. This
 //! module measures it. N connection threads each hold one kept-alive
-//! socket to a `ct serve` daemon and drive object traffic over it in
-//! one of two disciplines:
+//! [`ClientConn`] to a `ct serve` daemon and drive object traffic over
+//! it in one loop, under one of two disciplines that decide only how
+//! many requests may go out on each pass:
 //!
 //! - **closed loop** (default): each connection keeps M requests
 //!   pipelined in flight; a response completing immediately releases
 //!   the next request. Measures the server's capacity — throughput at
 //!   full pressure — plus the latency under that pressure.
-//! - **open loop**: requests are issued on a fixed global schedule
+//! - **open loop**: requests are due on a fixed global schedule
 //!   (`--rate`, split evenly across connections) whether or not
-//!   responses have come back. Measures latency at a fixed offered
-//!   load without the coordinated-omission bias of closed loops.
+//!   responses have come back. Latency runs from each due time, so a
+//!   send that slips behind the schedule shows in the percentiles
+//!   (no coordinated omission).
 //!
-//! Either way, every response is matched FIFO to its send timestamp
-//! (HTTP/1.1 answers in order), latencies feed a sorted vector for
-//! exact percentiles, and a server-initiated close (idle timeout,
+//! Either way, every response is matched FIFO to its request's start
+//! time (HTTP/1.1 answers in order), latencies feed a sorted vector
+//! for exact percentiles, and a server-initiated close (idle timeout,
 //! max-requests bound, restart) is handled the way a real client
 //! handles it: drop what was in flight, redial, keep going — counted,
 //! not fatal.
@@ -29,12 +31,9 @@
 
 use crate::error::CoreError;
 use ct_store::format::encode_record;
-use ct_store::remote::{encode_request, parse_response};
+use ct_store::remote::{encode_request, ClientConn, Response};
 use ct_store::StableHasher;
 use std::collections::VecDeque;
-use std::io::{Read, Write};
-use std::net::TcpStream;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Which discipline drives the connections.
@@ -199,11 +198,11 @@ fn build_workload(keys: usize, payload_bytes: usize) -> Workload {
     Workload { put, get }
 }
 
-/// What one connection thread brings home.
+/// What one connection thread brings home: one latency per completed
+/// request.
 #[derive(Default)]
 struct WorkerTally {
     latencies_ms: Vec<f64>,
-    ops: u64,
     errors: u64,
     redials: u64,
 }
@@ -223,14 +222,13 @@ pub fn bench_serve(options: &BenchServeOptions) -> Result<Vec<BenchRow>, CoreErr
             reason: "connections, inflight, and keys must all be positive".into(),
         });
     }
-    let workload = Arc::new(build_workload(options.keys, options.payload_bytes));
+    let workload = build_workload(options.keys, options.payload_bytes);
     // Prove the server is there before spawning a thousand threads at
     // it, and seed the keyspace when no measured PUT phase will.
-    let probe = dial(&options.authority).map_err(|e| CoreError::Io {
+    dial(&options.authority).map_err(|e| CoreError::Io {
         path: format!("http://{}", options.authority),
         message: format!("bench target unreachable: {e}"),
     })?;
-    drop(probe);
     if !options.ops.contains(&BenchOp::Put) {
         seed_keys(&options.authority, &workload)?;
     }
@@ -245,49 +243,56 @@ pub fn bench_serve(options: &BenchServeOptions) -> Result<Vec<BenchRow>, CoreErr
 /// the window, merge their tallies into a row.
 fn run_phase(
     options: &BenchServeOptions,
-    workload: &Arc<Workload>,
+    workload: &Workload,
     op: BenchOp,
 ) -> Result<BenchRow, CoreError> {
-    let deadline = Instant::now() + Duration::from_secs_f64(options.seconds.max(0.1));
+    let requests = match op {
+        BenchOp::Put => &workload.put,
+        BenchOp::Get => &workload.get,
+    };
     let started = Instant::now();
+    let deadline = started + Duration::from_secs_f64(options.seconds.max(0.1));
     let per_conn_rate = options.rate.max(1.0) / options.connections as f64;
-    let workers: Vec<_> = (0..options.connections)
-        .map(|worker| {
-            let workload = Arc::clone(workload);
-            let authority = options.authority.clone();
-            let mode = options.mode;
-            let inflight = options.inflight;
+    let interval = Duration::from_secs_f64(1.0 / per_conn_rate.max(0.01));
+    let mut total = WorkerTally::default();
+    std::thread::scope(|scope| {
+        let workers = (0..options.connections).map(|worker| {
+            let discipline = match options.mode {
+                BenchMode::Closed => Discipline::Closed {
+                    inflight: options.inflight,
+                },
+                // Staggered first slots spread the global schedule
+                // evenly instead of sending from every connection at once.
+                BenchMode::Open => Discipline::Open {
+                    interval,
+                    next_due: started
+                        + interval.mul_f64(worker as f64 / options.connections as f64),
+                },
+            };
             // Small stacks: at 1024 connections the default 2 MiB
             // per thread would reserve 2 GiB of address space.
             std::thread::Builder::new()
                 .name(format!("bench-conn-{worker}"))
                 .stack_size(256 * 1024)
-                .spawn(move || match mode {
-                    BenchMode::Closed => {
-                        closed_loop(&authority, &workload, op, worker, inflight, deadline)
-                    }
-                    BenchMode::Open => {
-                        open_loop(&authority, &workload, op, worker, per_conn_rate, deadline)
-                    }
+                .spawn_scoped(scope, move || {
+                    drive(&options.authority, requests, worker, discipline, deadline)
                 })
                 .map_err(|e| CoreError::Io {
                     path: "bench-serve worker".into(),
                     message: e.to_string(),
                 })
-        })
-        .collect::<Result<_, _>>()?;
-    let mut latencies: Vec<f64> = Vec::new();
-    let mut ops = 0u64;
-    let mut errors = 0u64;
-    let mut redials = 0u64;
-    for worker in workers {
-        let tally = worker.join().unwrap_or_default();
-        latencies.extend(tally.latencies_ms);
-        ops += tally.ops;
-        errors += tally.errors;
-        redials += tally.redials;
-    }
+        });
+        for worker in workers.collect::<Result<Vec<_>, _>>()? {
+            let tally = worker.join().unwrap_or_default();
+            total.latencies_ms.extend(tally.latencies_ms);
+            total.errors += tally.errors;
+            total.redials += tally.redials;
+        }
+        Ok::<_, CoreError>(())
+    })?;
     let elapsed_s = started.elapsed().as_secs_f64();
+    let ops = total.latencies_ms.len() as u64;
+    let latencies = &mut total.latencies_ms;
     latencies.sort_by(|a, b| a.total_cmp(b));
     Ok(BenchRow {
         op,
@@ -297,10 +302,10 @@ fn run_phase(
         ops,
         elapsed_s,
         ops_per_s: ops as f64 / elapsed_s.max(1e-9),
-        p50_ms: percentile(&latencies, 50.0),
-        p99_ms: percentile(&latencies, 99.0),
-        errors,
-        redials,
+        p50_ms: percentile(latencies, 50.0),
+        p99_ms: percentile(latencies, 99.0),
+        errors: total.errors,
+        redials: total.redials,
     })
 }
 
@@ -313,23 +318,18 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
     sorted[rank.min(sorted.len() - 1)]
 }
 
-fn dial(authority: &str) -> std::io::Result<TcpStream> {
-    use std::net::ToSocketAddrs;
-    let addr = authority
-        .to_socket_addrs()?
-        .next()
-        .ok_or_else(|| std::io::Error::other("bench authority resolved to no address"))?;
-    // The server's listen backlog is finite; under a 1024-connection
-    // stampede some SYNs get dropped and must be retried.
+/// The longest a connection waits for answers before it looks at the
+/// clock again.
+const READ_WAIT: Duration = Duration::from_millis(50);
+
+/// A connection's [`ClientConn`], dialed with up to ten tries: the
+/// server's listen backlog is finite, so under a 1024-connection
+/// stampede some SYNs get dropped and must be retried.
+fn dial(authority: &str) -> std::io::Result<ClientConn> {
     let mut last = std::io::Error::other("no dial attempted");
     for _ in 0..10 {
-        match TcpStream::connect_timeout(&addr, Duration::from_secs(2)) {
-            Ok(stream) => {
-                stream.set_nodelay(true)?;
-                stream.set_read_timeout(Some(Duration::from_millis(50)))?;
-                stream.set_write_timeout(Some(Duration::from_secs(10)))?;
-                return Ok(stream);
-            }
+        match ClientConn::dial(authority, Duration::from_secs(10)) {
+            Ok(conn) => return Ok(conn),
             Err(e) => last = e,
         }
         std::thread::sleep(Duration::from_millis(20));
@@ -344,278 +344,153 @@ fn seed_keys(authority: &str, workload: &Workload) -> Result<(), CoreError> {
         path: format!("http://{authority}"),
         message,
     };
-    let mut stream = dial(authority).map_err(|e| fail(format!("seed dial: {e}")))?;
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .map_err(|e| fail(e.to_string()))?;
-    let mut buf: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 16 * 1024];
-    let mut pending = 0usize;
-    let mut drain = |buf: &mut Vec<u8>,
-                     stream: &mut TcpStream,
-                     pending: &mut usize,
-                     until: usize|
-     -> Result<(), CoreError> {
-        while *pending > until {
-            if let Some((response, used)) =
-                parse_response(buf).map_err(|e| fail(format!("seed response: {e}")))?
-            {
-                buf.drain(..used);
-                *pending -= 1;
-                if response.status >= 300 {
-                    return Err(fail(format!("seed PUT answered {}", response.status)));
-                }
-                continue;
-            }
-            let n = stream
-                .read(&mut chunk)
-                .map_err(|e| fail(format!("seed read: {e}")))?;
-            if n == 0 {
-                return Err(fail("server closed the seed connection".into()));
-            }
-            buf.extend_from_slice(&chunk[..n]);
-        }
-        Ok(())
+    let mut conn = dial(authority).map_err(|e| fail(format!("seed dial: {e}")))?;
+    let settle_one = |conn: &mut ClientConn| match conn.next_response() {
+        Ok(response) if response.status < 300 => Ok(()),
+        Ok(response) => Err(fail(format!("seed PUT answered {}", response.status))),
+        Err(e) => Err(fail(format!("seed response: {e}"))),
     };
-    for request in &workload.put {
-        stream
-            .write_all(request)
+    // A modest pipeline keeps seeding fast without letting the
+    // server's max-requests bound strand a huge window.
+    const WINDOW: usize = 32;
+    for (sent, request) in workload.put.iter().enumerate() {
+        conn.send(request)
             .map_err(|e| fail(format!("seed write: {e}")))?;
-        pending += 1;
-        // A modest pipeline keeps seeding fast without letting the
-        // server's max-requests bound strand a huge window.
-        drain(&mut buf, &mut stream, &mut pending, 32)?;
+        if sent >= WINDOW {
+            settle_one(&mut conn)?;
+        }
     }
-    drain(&mut buf, &mut stream, &mut pending, 0)
+    (0..workload.put.len().min(WINDOW)).try_for_each(|_| settle_one(&mut conn))
 }
 
-/// The closed-loop discipline: top the window up to `inflight`, then
-/// peel responses; repeat until the deadline.
-fn closed_loop(
+/// When a connection may send: the only difference between the two
+/// loop disciplines.
+enum Discipline {
+    /// Keep `inflight` requests outstanding; each is timed from its
+    /// send.
+    Closed { inflight: usize },
+    /// One request every `interval`, the next due at `next_due`; each
+    /// is timed from its due time.
+    Open {
+        interval: Duration,
+        next_due: Instant,
+    },
+}
+
+impl Discipline {
+    /// How many requests may go out now with `outstanding` unanswered:
+    /// closed tops the window up, open sends at most one per pass,
+    /// once it is due.
+    fn sendable(&self, outstanding: usize, now: Instant) -> usize {
+        match *self {
+            Discipline::Closed { inflight } => inflight.saturating_sub(outstanding),
+            Discipline::Open { next_due, .. } => usize::from(now >= next_due),
+        }
+    }
+
+    /// The instant the request about to go out is timed from: now
+    /// (closed), or its slot on the schedule, which it takes (open).
+    fn start(&mut self) -> Instant {
+        match self {
+            Discipline::Closed { .. } => Instant::now(),
+            Discipline::Open { interval, next_due } => {
+                let due = *next_due;
+                *next_due += *interval;
+                due
+            }
+        }
+    }
+
+    /// How long the loop may wait for answers at `now`: never past the
+    /// next due send.
+    fn wait(&self, now: Instant) -> Duration {
+        match *self {
+            Discipline::Closed { .. } => READ_WAIT,
+            Discipline::Open { next_due, .. } => {
+                next_due.saturating_duration_since(now).min(READ_WAIT)
+            }
+        }
+    }
+}
+
+/// One connection's loop until `deadline`: send what the discipline
+/// allows, wait (bounded) for answers, settle them, redial when the
+/// connection is spent.
+fn drive(
     authority: &str,
-    workload: &Workload,
-    op: BenchOp,
+    requests: &[Vec<u8>],
     worker: usize,
-    inflight: usize,
+    mut discipline: Discipline,
     deadline: Instant,
 ) -> WorkerTally {
-    let requests = match op {
-        BenchOp::Put => &workload.put,
-        BenchOp::Get => &workload.get,
-    };
     let mut tally = WorkerTally::default();
-    let Ok(mut stream) = dial(authority) else {
+    let Ok(mut conn) = dial(authority) else {
         return tally;
     };
     let mut outstanding: VecDeque<Instant> = VecDeque::new();
-    let mut rbuf: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 16 * 1024];
     let mut next_key = worker.wrapping_mul(7919);
-    while Instant::now() < deadline {
-        while outstanding.len() < inflight {
-            let request = &requests[next_key % requests.len()];
-            next_key = next_key.wrapping_add(1);
-            if stream.write_all(request).is_err() {
-                if !redial(
-                    authority,
-                    &mut stream,
-                    &mut outstanding,
-                    &mut rbuf,
-                    &mut tally,
-                ) {
-                    return tally;
-                }
-                continue;
-            }
-            outstanding.push_back(Instant::now());
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => {
-                if !redial(
-                    authority,
-                    &mut stream,
-                    &mut outstanding,
-                    &mut rbuf,
-                    &mut tally,
-                ) {
-                    return tally;
-                }
-            }
-            Ok(n) => {
-                rbuf.extend_from_slice(&chunk[..n]);
-                if !settle(&mut rbuf, &mut outstanding, &mut tally)
-                    && !redial(
-                        authority,
-                        &mut stream,
-                        &mut outstanding,
-                        &mut rbuf,
-                        &mut tally,
-                    )
-                {
-                    return tally;
-                }
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut
-                    || e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => {
-                if !redial(
-                    authority,
-                    &mut stream,
-                    &mut outstanding,
-                    &mut rbuf,
-                    &mut tally,
-                ) {
-                    return tally;
-                }
-            }
-        }
-    }
-    tally
-}
-
-/// The open-loop discipline: send on the schedule, drain whatever has
-/// landed, never let responses gate sends.
-fn open_loop(
-    authority: &str,
-    workload: &Workload,
-    op: BenchOp,
-    worker: usize,
-    rate_per_conn: f64,
-    deadline: Instant,
-) -> WorkerTally {
-    let requests = match op {
-        BenchOp::Put => &workload.put,
-        BenchOp::Get => &workload.get,
-    };
-    let interval = Duration::from_secs_f64(1.0 / rate_per_conn.max(0.01));
-    let mut tally = WorkerTally::default();
-    let Ok(mut stream) = dial(authority) else {
-        return tally;
-    };
-    let mut outstanding: VecDeque<Instant> = VecDeque::new();
-    let mut rbuf: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 16 * 1024];
-    let mut next_key = worker.wrapping_mul(7919);
-    let mut next_send = Instant::now();
-    while Instant::now() < deadline {
-        if Instant::now() >= next_send {
-            next_send += interval;
-            let request = &requests[next_key % requests.len()];
-            next_key = next_key.wrapping_add(1);
-            if stream.write_all(request).is_ok() {
-                outstanding.push_back(Instant::now());
-            } else if !redial(
-                authority,
-                &mut stream,
-                &mut outstanding,
-                &mut rbuf,
-                &mut tally,
-            ) {
-                return tally;
-            }
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => {
-                if !redial(
-                    authority,
-                    &mut stream,
-                    &mut outstanding,
-                    &mut rbuf,
-                    &mut tally,
-                ) {
-                    return tally;
-                }
-            }
-            Ok(n) => {
-                rbuf.extend_from_slice(&chunk[..n]);
-                if !settle(&mut rbuf, &mut outstanding, &mut tally)
-                    && !redial(
-                        authority,
-                        &mut stream,
-                        &mut outstanding,
-                        &mut rbuf,
-                        &mut tally,
-                    )
-                {
-                    return tally;
-                }
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut
-                    || e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => {
-                if !redial(
-                    authority,
-                    &mut stream,
-                    &mut outstanding,
-                    &mut rbuf,
-                    &mut tally,
-                ) {
-                    return tally;
-                }
-            }
-        }
-    }
-    tally
-}
-
-/// Matches every parsed response FIFO to its send time. Returns false
-/// when the exchange is over on this socket (server said close, or
-/// sent garbage) and the caller must redial.
-fn settle(
-    rbuf: &mut Vec<u8>,
-    outstanding: &mut VecDeque<Instant>,
-    tally: &mut WorkerTally,
-) -> bool {
     loop {
-        match parse_response(rbuf) {
-            Ok(Some((response, used))) => {
-                rbuf.drain(..used);
-                if let Some(sent) = outstanding.pop_front() {
-                    tally
-                        .latencies_ms
-                        .push(sent.elapsed().as_secs_f64() * 1000.0);
-                    tally.ops += 1;
-                }
-                if response.status >= 300 {
-                    tally.errors += 1;
-                }
-                if !response.keep_alive {
-                    return false;
-                }
+        let now = Instant::now();
+        if now >= deadline {
+            return tally;
+        }
+        let sent = (0..discipline.sendable(outstanding.len(), now)).try_for_each(|_| {
+            let start = discipline.start();
+            let request = &requests[next_key % requests.len()];
+            next_key = next_key.wrapping_add(1);
+            conn.send(request).map(|()| outstanding.push_back(start))
+        });
+        let wait = discipline.wait(now).min(deadline - now);
+        let live = sent.is_ok()
+            && if outstanding.is_empty() {
+                // Nothing to read: sleep to the next due send, which a
+                // socket read timeout would overshoot by milliseconds.
+                std::thread::sleep(wait);
+                true
+            } else {
+                tally.settle(conn.arrived(wait), &mut outstanding)
+            };
+        if !live {
+            // What was in flight died with the socket — a real client
+            // would retry it; the bench just counts the event.
+            outstanding.clear();
+            tally.redials += 1;
+            match dial(authority) {
+                Ok(fresh) => conn = fresh,
+                Err(_) => return tally,
             }
-            Ok(None) => return true,
-            Err(_) => {
-                tally.errors += 1;
+        }
+    }
+}
+
+impl WorkerTally {
+    /// Matches each arrived response FIFO to its request's start time.
+    /// False when the connection is spent: the server closed it, said
+    /// it closes after these, or sent garbage (counted as an error).
+    fn settle(
+        &mut self,
+        arrived: std::io::Result<Vec<Response>>,
+        outstanding: &mut VecDeque<Instant>,
+    ) -> bool {
+        let responses = match arrived {
+            Ok(responses) => responses,
+            Err(e) => {
+                self.errors += u64::from(e.kind() == std::io::ErrorKind::InvalidData);
                 return false;
             }
+        };
+        let mut live = true;
+        for response in responses {
+            if let Some(start) = outstanding.pop_front() {
+                self.latencies_ms
+                    .push(start.elapsed().as_secs_f64() * 1000.0);
+            }
+            if response.status >= 300 {
+                self.errors += 1;
+            }
+            live &= response.keep_alive;
         }
-    }
-}
-
-/// Replaces a spent connection, forgetting what was in flight on it
-/// (those requests died with the socket — a real client would retry
-/// them; the bench just counts the event). Returns false only when
-/// the server cannot be reached at all anymore.
-fn redial(
-    authority: &str,
-    stream: &mut TcpStream,
-    outstanding: &mut VecDeque<Instant>,
-    rbuf: &mut Vec<u8>,
-    tally: &mut WorkerTally,
-) -> bool {
-    outstanding.clear();
-    rbuf.clear();
-    tally.redials += 1;
-    match dial(authority) {
-        Ok(fresh) => {
-            *stream = fresh;
-            true
-        }
-        Err(_) => false,
+        live
     }
 }
 
@@ -626,6 +501,7 @@ mod tests {
     use ct_store::remote::Request;
     use std::net::TcpListener;
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use std::sync::Arc;
 
     /// A minimal keep-alive object server: 204 for PUT, 200 for GET.
     struct TinyRouter {
@@ -643,35 +519,38 @@ mod tests {
     }
 
     /// Serves keep-alive connections with blocking accept + per-conn
-    /// thread — enough server to point the generator at.
-    fn tiny_server(listener: TcpListener, router: Arc<TinyRouter>) {
+    /// thread — enough server to point the generator at. Returns its
+    /// authority and its router.
+    fn tiny_server() -> (String, Arc<TinyRouter>) {
         static STOP: AtomicBool = AtomicBool::new(false);
-        for accepted in listener.incoming() {
-            let Ok(stream) = accepted else { return };
-            let router = Arc::clone(&router);
-            std::thread::spawn(move || {
-                serve_connection(
-                    stream,
-                    router.as_ref(),
-                    u64::MAX,
-                    Duration::from_secs(5),
-                    Duration::from_millis(100),
-                    &STOP,
-                );
-            });
-        }
-    }
-
-    #[test]
-    fn closed_loop_measures_real_exchanges() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let authority = listener.local_addr().unwrap().to_string();
         let router = Arc::new(TinyRouter {
             served: AtomicU64::new(0),
         });
         let server_router = Arc::clone(&router);
-        std::thread::spawn(move || tiny_server(listener, server_router));
+        std::thread::spawn(move || {
+            for accepted in listener.incoming() {
+                let Ok(stream) = accepted else { return };
+                let router = Arc::clone(&server_router);
+                std::thread::spawn(move || {
+                    serve_connection(
+                        stream,
+                        router.as_ref(),
+                        u64::MAX,
+                        Duration::from_secs(5),
+                        Duration::from_millis(100),
+                        &STOP,
+                    );
+                });
+            }
+        });
+        (authority, router)
+    }
 
+    #[test]
+    fn closed_loop_measures_real_exchanges() {
+        let (authority, router) = tiny_server();
         let options = BenchServeOptions {
             authority,
             connections: 2,
@@ -694,14 +573,7 @@ mod tests {
 
     #[test]
     fn get_only_runs_seed_the_keyspace_first() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let authority = listener.local_addr().unwrap().to_string();
-        let router = Arc::new(TinyRouter {
-            served: AtomicU64::new(0),
-        });
-        let server_router = Arc::clone(&router);
-        std::thread::spawn(move || tiny_server(listener, server_router));
-
+        let (authority, router) = tiny_server();
         let options = BenchServeOptions {
             authority,
             connections: 1,
@@ -719,26 +591,27 @@ mod tests {
 
     #[test]
     fn open_mode_row_carries_the_discipline() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let authority = listener.local_addr().unwrap().to_string();
-        let router = Arc::new(TinyRouter {
-            served: AtomicU64::new(0),
-        });
-        let server_router = Arc::clone(&router);
-        std::thread::spawn(move || tiny_server(listener, server_router));
-
+        let (authority, _) = tiny_server();
+        // One connection at 100/s: a send is due every 10 ms, well
+        // inside the loop's 50 ms read wait.
         let options = BenchServeOptions {
             authority,
             connections: 1,
-            seconds: 0.3,
+            seconds: 0.5,
             keys: 8,
             mode: BenchMode::Open,
-            rate: 200.0,
+            rate: 100.0,
             ops: vec![BenchOp::Put],
             ..BenchServeOptions::default()
         };
-        let rows = bench_serve(&options).unwrap();
-        assert!(rows[0].to_csv().contains("mode=open"));
-        assert!(rows[0].ops > 0);
+        let row = &bench_serve(&options).unwrap()[0];
+        assert!(row.to_csv().contains("mode=open"));
+        // About 50 sends fall due in the window.
+        assert!(row.ops >= 30, "schedule missed: {}", row.to_csv());
+        assert_eq!(row.errors, 0, "{}", row.to_csv());
+        // Latency runs from the due time, so a loop that waited out its
+        // read while a send was due would show the slip here (p50 about
+        // 23 ms when the wait ignores the schedule).
+        assert!(row.p50_ms < 10.0, "sends slipped: {}", row.to_csv());
     }
 }

@@ -23,7 +23,6 @@
 //!   but never a result.
 
 use crate::error::StoreError;
-use crate::faults::FaultKind;
 use crate::hash::Digest;
 use crate::store::Store;
 use std::sync::Arc;
@@ -83,16 +82,6 @@ pub trait StoreBackend: Send + Sync + std::fmt::Debug {
     /// backend's metrics sink).
     fn note_degraded(&self);
 
-    /// Consults the backend's fault registry for `site`, so layers
-    /// above the store can place failpoints on the registry a test
-    /// (or `CT_FAULTS`) armed. Backends without failpoints — the
-    /// remote client — report `None`: faults are injected where the
-    /// bytes live, on the server's local store.
-    fn injected_fault(&self, site: &str) -> Option<FaultKind> {
-        let _ = site;
-        None
-    }
-
     /// An owned, shareable handle to this same backend (same root or
     /// connection target, same metrics sink). Lets borrowing callers
     /// like `CaseStudy::build_with_store` retain the backend beyond
@@ -124,10 +113,6 @@ impl StoreBackend for Store {
 
     fn note_degraded(&self) {
         Store::note_degraded(self);
-    }
-
-    fn injected_fault(&self, site: &str) -> Option<FaultKind> {
-        Store::injected_fault(self, site)
     }
 
     fn clone_handle(&self) -> Arc<dyn StoreBackend> {

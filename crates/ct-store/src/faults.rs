@@ -30,6 +30,7 @@
 //! armed sites. Failpoints sit on I/O paths whose cost is dominated by
 //! the filesystem, so a registry lookup per operation is noise.
 
+use crate::metrics::MetricsSink;
 use std::fmt;
 use std::str::FromStr;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -257,23 +258,13 @@ struct ArmedFault {
     fired: u64,
 }
 
-/// Where the registry reports `faults.*` counters.
-#[derive(Debug, Clone, Default)]
-enum ObsSink {
-    /// The process-global [`ct_obs`] registry.
-    #[default]
-    Global,
-    /// A caller-owned registry, for exact counter assertions in tests.
-    Local(Arc<ct_obs::Registry>),
-}
-
 /// A registry of armed failpoints. Stores consult one on every
 /// instrumented operation ([`crate::Store`] defaults to the
 /// process-global registry; tests inject their own).
 #[derive(Debug, Default)]
 pub struct FaultRegistry {
     armed: Mutex<Vec<ArmedFault>>,
-    obs: ObsSink,
+    obs: MetricsSink,
 }
 
 impl FaultRegistry {
@@ -286,20 +277,13 @@ impl FaultRegistry {
     pub fn with_obs(obs: Arc<ct_obs::Registry>) -> Self {
         Self {
             armed: Mutex::new(Vec::new()),
-            obs: ObsSink::Local(obs),
-        }
-    }
-
-    fn add(&self, name: &str, delta: u64) {
-        match &self.obs {
-            ObsSink::Global => ct_obs::add(name, delta),
-            ObsSink::Local(r) => r.counter(name).add(delta),
+            obs: MetricsSink::Local(obs),
         }
     }
 
     /// Arms one failpoint (counted as `faults.armed`).
     pub fn arm(&self, spec: FaultSpec) {
-        self.add(ct_obs::names::FAULTS_ARMED, 1);
+        self.obs.add(ct_obs::names::FAULTS_ARMED, 1);
         self.armed
             .lock()
             .expect("fault registry lock")
@@ -348,7 +332,7 @@ impl FaultRegistry {
         }
         drop(armed);
         if firing.is_some() {
-            self.add(ct_obs::names::FAULTS_FIRED, 1);
+            self.obs.add(ct_obs::names::FAULTS_FIRED, 1);
         }
         firing
     }

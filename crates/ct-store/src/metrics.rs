@@ -1,13 +1,15 @@
-//! Where a store backend reports its metrics: the process-global
-//! [`ct_obs`] registry by default, or a caller-owned one for tests
-//! that need exact counter assertions without racing other threads.
+//! Where a store backend or a fault registry reports its metrics: the
+//! process-global [`ct_obs`] registry by default, or a caller-owned one
+//! for tests that need exact counter assertions without racing other
+//! threads.
 
 use std::sync::Arc;
 
 /// A backend's metrics destination. Cheap to clone.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub(crate) enum MetricsSink {
     /// The process-global [`ct_obs`] registry (the default).
+    #[default]
     Global,
     /// A caller-owned registry.
     Local(Arc<ct_obs::Registry>),

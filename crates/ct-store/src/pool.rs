@@ -3,10 +3,12 @@
 //! [`crate::RemoteStore`] used to dial a fresh TCP connection per
 //! operation to match the PR-7 server's one-request-per-connection
 //! contract. With keep-alive on both sides, the dial (and the slow
-//! start that follows it) is pure waste — so clients check sockets
-//! out of a [`ConnPool`], use them for one exchange (or one pipelined
-//! batch of GETs), and check them back in while the server keeps the
-//! other end open.
+//! start that follows it) is pure waste — so clients check
+//! connections ([`crate::remote::ClientConn`]) out of a [`ConnPool`],
+//! use them for one exchange (or one pipelined batch of GETs), and
+//! check them back in while the server keeps the other end open. A
+//! connection with bytes buffered past its last answer is never
+//! checked back in.
 //!
 //! The pool holds at most [`DEFAULT_POOL_CAP`] idle sockets; more
 //! concurrent checkouts simply dial, and
@@ -26,17 +28,12 @@
 //! `store.remote.pool.retired` (stale sockets dropped at checkout).
 
 use crate::metrics::MetricsSink;
+use crate::remote::{ClientConn, IO_TIMEOUT};
 use std::io;
-use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::Mutex;
-use std::time::Duration;
 
 /// Idle sockets kept per pool.
 pub(crate) const DEFAULT_POOL_CAP: usize = 8;
-
-const CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
-/// Generous because a cold `/probe` may build a whole case study.
-const IO_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// A bounded pool of idle kept-alive connections to one authority.
 /// Shared by every clone of the owning [`crate::RemoteStore`].
@@ -44,7 +41,7 @@ const IO_TIMEOUT: Duration = Duration::from_secs(60);
 pub(crate) struct ConnPool {
     authority: String,
     cap: usize,
-    idle: Mutex<Vec<TcpStream>>,
+    idle: Mutex<Vec<ClientConn>>,
     sink: MetricsSink,
 }
 
@@ -73,60 +70,34 @@ impl ConnPool {
     ///
     /// Dial failures (resolution, refused, timeout) — transient by
     /// the remote classification, so callers' retry budgets apply.
-    pub(crate) fn checkout(&self) -> io::Result<TcpStream> {
+    pub(crate) fn checkout(&self) -> io::Result<ClientConn> {
         loop {
             let candidate = self.idle.lock().expect("conn pool lock").pop();
-            let Some(stream) = candidate else { break };
-            if healthy(&stream) {
+            let Some(conn) = candidate else { break };
+            if conn.peer_is_quiet() {
                 self.sink.add(ct_obs::names::STORE_REMOTE_POOL_HITS, 1);
-                return Ok(stream);
+                return Ok(conn);
             }
             self.sink.add(ct_obs::names::STORE_REMOTE_POOL_RETIRED, 1);
         }
         self.dial()
     }
 
-    /// Returns a socket after a clean keep-alive exchange. Dropped on
-    /// the floor when the pool is at its idle cap; never call this
-    /// with a socket that saw an error — broken connections must not
-    /// be reused.
-    pub(crate) fn checkin(&self, stream: TcpStream) {
+    /// Returns a connection after a clean keep-alive exchange. Dropped
+    /// on the floor when the pool is at its idle cap or bytes past the
+    /// last answer are buffered; never call this with a connection
+    /// that saw an error — broken connections must not be reused.
+    pub(crate) fn checkin(&self, conn: ClientConn) {
         let mut idle = self.idle.lock().expect("conn pool lock");
-        if idle.len() < self.cap {
-            idle.push(stream);
+        if idle.len() < self.cap && conn.is_drained() {
+            idle.push(conn);
         }
     }
 
-    fn dial(&self) -> io::Result<TcpStream> {
+    fn dial(&self) -> io::Result<ClientConn> {
         self.sink.add(ct_obs::names::STORE_REMOTE_POOL_DIALS, 1);
-        let addr = self
-            .authority
-            .to_socket_addrs()?
-            .next()
-            .ok_or_else(|| io::Error::other("store authority resolved to no address"))?;
-        let stream = TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT)?;
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(IO_TIMEOUT))?;
-        stream.set_write_timeout(Some(IO_TIMEOUT))?;
-        Ok(stream)
+        ClientConn::dial(&self.authority, IO_TIMEOUT)
     }
-}
-
-/// Whether an idle socket is still usable: a nonblocking 1-byte peek
-/// must say "no data yet" (`WouldBlock`). EOF means the server
-/// closed it, ready bytes mean a desynchronized exchange left
-/// garbage behind, and any other error means a dead socket — all
-/// three retire the connection.
-fn healthy(stream: &TcpStream) -> bool {
-    if stream.set_nonblocking(true).is_err() {
-        return false;
-    }
-    let mut probe = [0u8; 1];
-    let idle_and_open = matches!(
-        stream.peek(&mut probe),
-        Err(ref e) if e.kind() == io::ErrorKind::WouldBlock
-    );
-    idle_and_open && stream.set_nonblocking(false).is_ok()
 }
 
 #[cfg(test)]
@@ -134,6 +105,7 @@ mod tests {
     use super::*;
     use std::io::Write;
     use std::sync::Arc;
+    use std::time::Duration;
 
     fn local_pool(authority: String, cap: usize) -> (ConnPool, Arc<ct_obs::Registry>) {
         let reg = Arc::new(ct_obs::Registry::new());
@@ -172,6 +144,41 @@ mod tests {
         assert_eq!(snap.counter(ct_obs::names::STORE_REMOTE_POOL_HITS), Some(2));
         assert_eq!(
             snap.counter(ct_obs::names::STORE_REMOTE_POOL_RETIRED)
+                .unwrap_or(0),
+            0
+        );
+    }
+
+    #[test]
+    fn a_connection_with_unread_bytes_is_never_pooled() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let authority = listener.local_addr().unwrap().to_string();
+        let (pool, reg) = local_pool(authority, 4);
+
+        let mut conn = pool.checkout().unwrap();
+        let (mut server_end, _) = listener.accept().unwrap();
+        let mut two = crate::remote::encode_response(200, "OK", "text/plain", b"1", true);
+        two.extend(crate::remote::encode_response(
+            200,
+            "OK",
+            "text/plain",
+            b"2",
+            true,
+        ));
+        server_end.write_all(&two).unwrap();
+        // One read takes both answers; the second stays buffered.
+        assert_eq!(conn.next_response().unwrap().body, b"1");
+        assert!(!conn.is_drained());
+        pool.checkin(conn);
+
+        let _fresh = pool.checkout().unwrap();
+        let snap = reg.snapshot();
+        assert_eq!(
+            snap.counter(ct_obs::names::STORE_REMOTE_POOL_DIALS),
+            Some(2)
+        );
+        assert_eq!(
+            snap.counter(ct_obs::names::STORE_REMOTE_POOL_HITS)
                 .unwrap_or(0),
             0
         );

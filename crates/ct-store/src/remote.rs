@@ -28,7 +28,9 @@
 //! before). [`parse_request`] is the single incremental parser the
 //! server's connection threads build on, so framing limits
 //! (`MAX_HEAD_BYTES`, [`MAX_BODY_BYTES`]) apply to every request,
-//! pipelined or not.
+//! pipelined or not. On the client side every exchange goes through
+//! one [`ClientConn`], which reads responses with [`parse_response`]
+//! off a buffer that persists across calls.
 //!
 //! [`RemoteStore`] implements [`StoreBackend`] over this protocol
 //! through a bounded `pool::ConnPool` of kept-alive sockets,
@@ -49,9 +51,10 @@ use crate::hash::Digest;
 use crate::metrics::MetricsSink;
 use crate::pool::ConnPool;
 use crate::retry;
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
+use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Cap on request/response head bytes (request line + headers).
 pub(crate) const MAX_HEAD_BYTES: usize = 8 * 1024;
@@ -264,22 +267,6 @@ pub fn encode_request(method: &str, target: &str, body: &[u8], keep_alive: bool)
     wire
 }
 
-/// Writes one request ([`encode_request`]) to a blocking stream.
-///
-/// # Errors
-///
-/// Transport failures.
-pub fn write_request(
-    stream: &mut impl Write,
-    method: &str,
-    target: &str,
-    body: &[u8],
-    keep_alive: bool,
-) -> std::io::Result<()> {
-    stream.write_all(&encode_request(method, target, body, keep_alive))?;
-    stream.flush()
-}
-
 /// Encodes one response with `Content-Length` and the negotiated
 /// `Connection:` header — the header reflects what the server will
 /// actually do with the socket, never an unconditional `close`.
@@ -299,39 +286,6 @@ pub fn encode_response(
     .into_bytes();
     wire.extend_from_slice(body);
     wire
-}
-
-/// Reads one response from a blocking stream.
-///
-/// # Errors
-///
-/// Transport failures; a malformed response surfaces as
-/// `InvalidData`, which is *not* transient — a server speaking
-/// garbage will not improve on retry.
-pub fn read_response(stream: &mut impl Read) -> std::io::Result<Response> {
-    let bad = |msg: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_string());
-    let mut buf: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 2048];
-    loop {
-        if let Some((response, used)) = parse_response(&buf)? {
-            if buf.len() > used {
-                // Bytes past the declared body would belong to a
-                // *pipelined response*, but this reader asked one
-                // question — a server volunteering extras is speaking
-                // garbage.
-                return Err(bad("response body longer than Content-Length"));
-            }
-            return Ok(response);
-        }
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "connection closed before the end of the response",
-            ));
-        }
-        buf.extend_from_slice(&chunk[..n]);
-    }
 }
 
 /// Tries to parse one complete response from the front of `buf`.
@@ -386,6 +340,213 @@ pub fn parse_response(buf: &[u8]) -> std::io::Result<Option<(Response, usize)>> 
     )))
 }
 
+/// Dials give up on a silent host after this long.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Reads and writes of [`RemoteStore`] and `ct probe` give up after
+/// this long. Generous because a cold `/probe` may build a whole case
+/// study.
+pub const IO_TIMEOUT: Duration = Duration::from_secs(60);
+
+/// One kept-alive HTTP/1.1 client connection: a socket and the bytes
+/// read from it that no response has taken yet.
+///
+/// Every client exchange in the workspace goes through this type, so
+/// pipelined answers and partial reads are handled here once: the
+/// buffer persists across calls, [`ClientConn::next_response`] takes
+/// answers in the order the requests went out (HTTP/1.1 answers in
+/// order), and [`ClientConn::arrived`] waits a bounded time for
+/// whatever is there. After any error the connection's framing is
+/// unknown, so callers drop it.
+#[derive(Debug)]
+pub struct ClientConn {
+    stream: TcpStream,
+    buf: Vec<u8>,
+    io_timeout: Duration,
+    /// The read timeout the socket holds now, so a wait that repeats
+    /// the last one costs no system call.
+    read_timeout: Duration,
+}
+
+impl ClientConn {
+    /// Dials `authority` (`host:port`) with Nagle off, giving up after
+    /// 5 s; reads and writes then give up after `io_timeout`.
+    ///
+    /// # Errors
+    ///
+    /// Resolution, refused or timed-out dials.
+    pub fn dial(authority: &str, io_timeout: Duration) -> io::Result<Self> {
+        let addr = authority
+            .to_socket_addrs()?
+            .next()
+            .ok_or_else(|| io::Error::other("authority resolved to no address"))?;
+        let stream = TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT)?;
+        stream.set_nodelay(true)?;
+        stream.set_read_timeout(Some(io_timeout))?;
+        stream.set_write_timeout(Some(io_timeout))?;
+        Ok(Self {
+            stream,
+            buf: Vec::new(),
+            io_timeout,
+            read_timeout: io_timeout,
+        })
+    }
+
+    /// Writes encoded requests ([`encode_request`]), one or several
+    /// pipelined, or any other bytes.
+    ///
+    /// # Errors
+    ///
+    /// Transport failures, including the write timeout.
+    pub fn send(&mut self, wire: &[u8]) -> io::Result<()> {
+        self.stream.write_all(wire)
+    }
+
+    /// Closes the sending half; the server still answers what it has.
+    ///
+    /// # Errors
+    ///
+    /// Transport failures.
+    pub fn close_write(&self) -> io::Result<()> {
+        self.stream.shutdown(std::net::Shutdown::Write)
+    }
+
+    /// The next response, waiting up to the IO timeout for each read.
+    ///
+    /// # Errors
+    ///
+    /// `UnexpectedEof` when the server closes first, `TimedOut` when a
+    /// read waits out the IO timeout, other transport failures, and
+    /// `InvalidData` for a response that is not our HTTP — a server
+    /// speaking garbage will not improve on retry.
+    pub fn next_response(&mut self) -> io::Result<Response> {
+        loop {
+            if let Some(response) = self.take()? {
+                return Ok(response);
+            }
+            if !self.fill(self.io_timeout)? {
+                return Err(io::Error::new(
+                    io::ErrorKind::TimedOut,
+                    format!("no response within {:?}", self.io_timeout),
+                ));
+            }
+        }
+    }
+
+    /// The answer to the one request in flight: [`ClientConn::next_response`],
+    /// with bytes past it an error.
+    ///
+    /// # Errors
+    ///
+    /// As `next_response`; `InvalidData` also when more bytes arrived —
+    /// they would belong to a response nobody asked for.
+    pub fn answer(&mut self) -> io::Result<Response> {
+        let response = self.next_response()?;
+        if !self.buf.is_empty() {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "response body longer than Content-Length",
+            ));
+        }
+        Ok(response)
+    }
+
+    /// Every response that has arrived, in order, possibly none: when
+    /// none is buffered, waits at most `wait` for one read.
+    ///
+    /// # Errors
+    ///
+    /// `UnexpectedEof` when the server has closed, other transport
+    /// failures, and `InvalidData` for a response that is not our HTTP.
+    pub fn arrived(&mut self, wait: Duration) -> io::Result<Vec<Response>> {
+        let mut out = Vec::new();
+        while let Some(response) = self.take()? {
+            out.push(response);
+        }
+        if out.is_empty() && self.fill(wait)? {
+            while let Some(response) = self.take()? {
+                out.push(response);
+            }
+        }
+        Ok(out)
+    }
+
+    /// Whether every byte read so far belongs to a taken response —
+    /// the only state in which the socket may be reused.
+    pub fn is_drained(&self) -> bool {
+        self.buf.is_empty()
+    }
+
+    /// Whether the server has neither closed the socket nor sent
+    /// anything unasked: a nonblocking 1-byte peek must say "no data
+    /// yet" (`WouldBlock`). EOF, ready bytes and any other error all
+    /// mean the socket cannot carry a fresh exchange.
+    pub(crate) fn peer_is_quiet(&self) -> bool {
+        if self.stream.set_nonblocking(true).is_err() {
+            return false;
+        }
+        let mut probe = [0u8; 1];
+        let quiet = matches!(
+            self.stream.peek(&mut probe),
+            Err(ref e) if e.kind() == io::ErrorKind::WouldBlock
+        );
+        quiet && self.stream.set_nonblocking(false).is_ok()
+    }
+
+    /// Takes the response at the front of the buffer, if complete.
+    fn take(&mut self) -> io::Result<Option<Response>> {
+        let Some((response, used)) = parse_response(&self.buf)? else {
+            return Ok(None);
+        };
+        self.buf.drain(..used);
+        Ok(Some(response))
+    }
+
+    /// One read, waiting at most `wait` — a zero wait reads without
+    /// blocking, since a zero socket timeout would block forever: true
+    /// when bytes arrived, false when the wait ran out. The socket's
+    /// read timeout counts in kernel ticks, so a wait that runs out can
+    /// run a few milliseconds long; data ends it at once.
+    ///
+    /// # Errors
+    ///
+    /// `UnexpectedEof` when the server has closed, other transport
+    /// failures.
+    fn fill(&mut self, wait: Duration) -> io::Result<bool> {
+        let nonblocking = wait.is_zero();
+        if nonblocking {
+            self.stream.set_nonblocking(true)?;
+        } else if wait != self.read_timeout {
+            self.stream.set_read_timeout(Some(wait))?;
+            self.read_timeout = wait;
+        }
+        let mut chunk = [0u8; 16 * 1024];
+        let read = self.stream.read(&mut chunk);
+        if nonblocking {
+            self.stream.set_nonblocking(false)?;
+        }
+        match read {
+            Ok(0) => Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "server closed the connection",
+            )),
+            Ok(n) => {
+                self.buf.extend_from_slice(&chunk[..n]);
+                Ok(true)
+            }
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                ) =>
+            {
+                Ok(false)
+            }
+            Err(e) => Err(e),
+        }
+    }
+}
+
 /// The HTTP client backend: a [`StoreBackend`] whose records live on
 /// a `ct serve` daemon. Cheap to clone — clones share one bounded
 /// `ConnPool` of kept-alive sockets (health-checked on
@@ -437,30 +598,22 @@ impl RemoteStore {
     /// The socket goes back to the pool only after a clean exchange
     /// on which the server negotiated keep-alive; every failure path
     /// drops it, so a broken connection is never reused.
-    fn round_trip(
-        &self,
-        method: &str,
-        target: &str,
-        body: &[u8],
-    ) -> std::io::Result<(u16, Vec<u8>)> {
-        let mut stream = self.pool.checkout()?;
-        let exchange = (|| {
-            write_request(&mut stream, method, target, body, true)?;
-            read_response(&mut stream)
-        })();
-        let response = exchange?;
+    fn round_trip(&self, method: &str, target: &str, body: &[u8]) -> io::Result<(u16, Vec<u8>)> {
+        let mut conn = self.pool.checkout()?;
+        conn.send(&encode_request(method, target, body, true))?;
+        let response = conn.answer()?;
         if (500..=599).contains(&response.status) {
             // A server-side failure is transient by classification:
             // surface it as a retryable connection-lifecycle error so
             // the retry budget applies, and drop the socket — the
             // server's state is suspect.
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::ConnectionAborted,
+            return Err(io::Error::new(
+                io::ErrorKind::ConnectionAborted,
                 format!("server answered {} for {method}", response.status),
             ));
         }
         if response.keep_alive {
-            self.pool.checkin(stream);
+            self.pool.checkin(conn);
         }
         Ok((response.status, response.body))
     }
@@ -553,58 +706,40 @@ impl RemoteStore {
     /// the keys past `out`'s new end are left for the caller.
     fn get_pipelined(&self, keys: &[Digest], out: &mut Vec<Result<Option<Vec<u8>>, StoreError>>) {
         let started = Instant::now();
-        let Ok(mut stream) = self.pool.checkout() else {
+        let Ok(mut conn) = self.pool.checkout() else {
             return;
         };
-        let mut wire = Vec::new();
-        for key in keys {
-            wire.extend(encode_request("GET", &Self::object_target(key), &[], true));
-        }
-        if stream
-            .write_all(&wire)
-            .and_then(|()| stream.flush())
-            .is_err()
-        {
+        let wire: Vec<u8> = keys
+            .iter()
+            .flat_map(|key| encode_request("GET", &Self::object_target(key), &[], true))
+            .collect();
+        if conn.send(&wire).is_err() {
             return;
         }
-        let mut buf: Vec<u8> = Vec::new();
-        let mut at = 0;
-        let mut chunk = [0u8; 16 * 1024];
-        let mut answered = 0;
-        while answered < keys.len() {
-            match parse_response(&buf[at..]) {
-                Ok(Some((response, used))) => {
-                    at += used;
-                    let Some(answer) = self.get_answer(response.status, &response.body) else {
-                        return;
-                    };
-                    self.add(ct_obs::names::STORE_REMOTE_GETS, 1);
-                    if answered > 0 {
-                        // A further request that rode the kept-alive
-                        // connection without a dial.
-                        self.add(ct_obs::names::STORE_REMOTE_POOL_HITS, 1);
-                    }
-                    self.sink.observe(
-                        ct_obs::names::STORE_REMOTE_RTT_MS,
-                        &ct_obs::names::STORE_REMOTE_RTT_MS_BOUNDS,
-                        started.elapsed().as_secs_f64() * 1000.0,
-                    );
-                    out.push(Ok(answer));
-                    answered += 1;
-                    if !response.keep_alive {
-                        return;
-                    }
-                }
-                Ok(None) => match stream.read(&mut chunk) {
-                    Ok(n) if n > 0 => buf.extend_from_slice(&chunk[..n]),
-                    _ => return,
-                },
-                Err(_) => return,
+        for answered in 0..keys.len() {
+            let Ok(response) = conn.next_response() else {
+                return;
+            };
+            let Some(answer) = self.get_answer(response.status, &response.body) else {
+                return;
+            };
+            self.add(ct_obs::names::STORE_REMOTE_GETS, 1);
+            if answered > 0 {
+                // A further request that rode the kept-alive
+                // connection without a dial.
+                self.add(ct_obs::names::STORE_REMOTE_POOL_HITS, 1);
+            }
+            self.sink.observe(
+                ct_obs::names::STORE_REMOTE_RTT_MS,
+                &ct_obs::names::STORE_REMOTE_RTT_MS_BOUNDS,
+                started.elapsed().as_secs_f64() * 1000.0,
+            );
+            out.push(Ok(answer));
+            if !response.keep_alive {
+                return;
             }
         }
-        if at == buf.len() {
-            self.pool.checkin(stream);
-        }
+        self.pool.checkin(conn);
     }
 }
 
@@ -707,10 +842,9 @@ mod tests {
         }
     }
 
-    /// Round-trips a request through the writer and the parser.
+    /// Round-trips a request through the encoder and the parser.
     fn reparse(method: &str, target: &str, body: &[u8]) -> Request {
-        let mut wire = Vec::new();
-        write_request(&mut wire, method, target, body, true).unwrap();
+        let wire = encode_request(method, target, body, true);
         read_request(&mut wire.as_slice()).unwrap()
     }
 
@@ -792,11 +926,84 @@ mod tests {
     fn response_codec_round_trips_both_modes() {
         for keep_alive in [true, false] {
             let wire = encode_response(200, "OK", "text/plain", b"ok\n", keep_alive);
-            let response = read_response(&mut wire.as_slice()).unwrap();
+            let (response, used) = parse_response(&wire).unwrap().expect("complete");
+            assert_eq!(used, wire.len());
             assert_eq!(response.status, 200);
             assert_eq!(response.body, b"ok\n");
             assert_eq!(response.keep_alive, keep_alive);
         }
+    }
+
+    /// A loopback listener and a client connection to it.
+    fn dialed(io_timeout: Duration) -> (std::net::TcpListener, ClientConn) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let conn = ClientConn::dial(&addr, io_timeout).unwrap();
+        (listener, conn)
+    }
+
+    #[test]
+    fn client_conn_takes_pipelined_answers_across_partial_reads() {
+        let (listener, mut conn) = dialed(Duration::from_secs(5));
+        let answers: Vec<u8> = [b"a".as_slice(), b"", b"ccc"]
+            .iter()
+            .flat_map(|body| encode_response(200, "OK", "text/plain", body, true))
+            .collect();
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            stream.set_nodelay(true).unwrap();
+            // Seven-byte fragments: every answer is split across reads.
+            for fragment in answers.chunks(7) {
+                stream.write_all(fragment).unwrap();
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            stream
+        });
+        assert_eq!(conn.next_response().unwrap().body, b"a");
+        let mut rest = Vec::new();
+        while rest.len() < 2 {
+            rest.extend(conn.arrived(Duration::from_millis(50)).unwrap());
+        }
+        assert_eq!(
+            (rest[0].body.as_slice(), rest[1].body.as_slice()),
+            (&b""[..], &b"ccc"[..])
+        );
+        assert!(conn.is_drained());
+        // Nothing more: a bounded wait comes back empty, then the close.
+        let stream = server.join().unwrap();
+        assert!(conn.arrived(Duration::from_millis(5)).unwrap().is_empty());
+        drop(stream);
+        let closed = conn.arrived(Duration::from_secs(5)).unwrap_err();
+        assert_eq!(closed.kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn client_conn_answer_rejects_bytes_past_the_answer() {
+        let (listener, mut conn) = dialed(Duration::from_secs(5));
+        let (mut stream, _) = listener.accept().unwrap();
+        let mut two = encode_response(200, "OK", "text/plain", b"one", true);
+        two.extend(encode_response(200, "OK", "text/plain", b"two", true));
+        stream.write_all(&two).unwrap();
+        drop(stream);
+        let err = conn.answer().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(!conn.is_drained());
+    }
+
+    #[test]
+    fn client_conn_gives_up_on_a_silent_server() {
+        // The listener's backlog completes the dial; nobody answers.
+        let (_listener, mut conn) = dialed(Duration::from_millis(100));
+        conn.send(&encode_request("GET", "/healthz", &[], true))
+            .unwrap();
+        let started = Instant::now();
+        let err = conn.next_response().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut, "got {err:?}");
+        assert!(
+            err.to_string().contains("no response within 100ms"),
+            "got {err}"
+        );
+        assert!(started.elapsed() < Duration::from_secs(5));
     }
 
     #[test]

@@ -293,10 +293,8 @@ impl Store {
         );
     }
 
-    /// Consults this store's fault registry for `site`. Public so the
-    /// layers above the store (`ct-hydro`'s cache, the core pipeline)
-    /// can place their own failpoints on the same registry a test (or
-    /// `CT_FAULTS`) armed.
+    /// Consults this store's fault registry for `site`: the global
+    /// registry (`CT_FAULTS`) or the one a test injected.
     pub(crate) fn injected_fault(&self, site: &str) -> Option<FaultKind> {
         match &self.faults {
             FaultsHandle::Global => faults::global().hit(site),

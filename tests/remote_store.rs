@@ -10,11 +10,10 @@ use compound_threats::figures::reproduce_all;
 use compound_threats::prelude::*;
 use compound_threats::report::figure_csv;
 use compound_threats::serve::{ServeOptions, Server};
-use ct_store::remote::{read_response, write_request, MAX_BODY_BYTES};
+use ct_store::remote::{encode_request, ClientConn, MAX_BODY_BYTES};
 use ct_store::FsckOptions;
-use std::io::Write as _;
-use std::net::TcpStream;
 use std::sync::Arc;
+use std::time::Duration;
 
 const REALIZATIONS: usize = 24;
 
@@ -66,11 +65,16 @@ fn figures_csv(study: &CaseStudy) -> String {
         .collect()
 }
 
+fn dial(server: &Server) -> ClientConn {
+    ClientConn::dial(&server.addr().to_string(), Duration::from_secs(60)).unwrap()
+}
+
 /// One raw one-shot request against the server: `(status, body)`.
 fn raw(server: &Server, method: &str, target: &str, body: &[u8]) -> (u16, Vec<u8>) {
-    let mut stream = TcpStream::connect(server.addr()).unwrap();
-    write_request(&mut stream, method, target, body, false).unwrap();
-    let response = read_response(&mut stream).unwrap();
+    let mut conn = dial(server);
+    conn.send(&encode_request(method, target, body, false))
+        .unwrap();
+    let response = conn.answer().unwrap();
     assert!(
         !response.keep_alive,
         "a Connection: close request must be answered in close mode"
@@ -214,30 +218,29 @@ fn malformed_requests_get_4xx_and_never_kill_a_worker() {
     let server = serve(&scratch.0);
 
     // Raw garbage instead of HTTP.
-    let mut stream = TcpStream::connect(server.addr()).unwrap();
-    stream.write_all(b"florble grumble\r\n\r\n").unwrap();
-    let response = read_response(&mut stream).unwrap();
+    let mut conn = dial(&server);
+    conn.send(b"florble grumble\r\n\r\n").unwrap();
+    let response = conn.answer().unwrap();
     assert_eq!(response.status, 400);
     assert!(!response.keep_alive, "framing is lost after garbage");
 
     // A truncated request (client hangs up mid-head).
-    let mut stream = TcpStream::connect(server.addr()).unwrap();
-    stream.write_all(b"GET /healthz HT").unwrap();
-    drop(stream);
+    let mut conn = dial(&server);
+    conn.send(b"GET /healthz HT").unwrap();
+    drop(conn);
 
     // An oversized Content-Length is refused without reading the body.
-    let mut stream = TcpStream::connect(server.addr()).unwrap();
-    stream
-        .write_all(
-            format!(
-                "PUT /objects/{} HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
-                "00".repeat(16),
-                MAX_BODY_BYTES + 1
-            )
-            .as_bytes(),
+    let mut conn = dial(&server);
+    conn.send(
+        format!(
+            "PUT /objects/{} HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+            "00".repeat(16),
+            MAX_BODY_BYTES + 1
         )
-        .unwrap();
-    let response = read_response(&mut stream).unwrap();
+        .as_bytes(),
+    )
+    .unwrap();
+    let response = conn.answer().unwrap();
     assert_eq!(response.status, 413);
 
     // Unknown paths and malformed object keys.

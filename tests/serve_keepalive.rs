@@ -18,11 +18,7 @@
 
 use compound_threats::serve::{ServeOptions, Server};
 use ct_rand::{cases, SplitMix64};
-use ct_store::remote::{
-    encode_request, parse_request, parse_response, read_response, write_request, Response,
-};
-use std::io::{Read, Write};
-use std::net::TcpStream;
+use ct_store::remote::{encode_request, parse_request, ClientConn, Response};
 use std::time::Duration;
 
 /// Unique scratch directory for one test, removed on drop.
@@ -55,30 +51,29 @@ fn serve_with(root: &std::path::Path, configure: impl FnOnce(&mut ServeOptions))
     Server::bind(root, &options).unwrap()
 }
 
-/// Reads `n` responses off one kept-alive socket with the
-/// incremental parser (they may arrive in one burst).
-fn read_responses(stream: &mut TcpStream, n: usize) -> Vec<Response> {
-    stream
-        .set_read_timeout(Some(Duration::from_secs(5)))
+fn dial(server: &Server) -> ClientConn {
+    ClientConn::dial(&server.addr().to_string(), Duration::from_secs(5)).unwrap()
+}
+
+/// Takes `n` responses off one kept-alive connection, in order (they
+/// may arrive in one burst).
+fn read_responses(conn: &mut ClientConn, n: usize) -> Vec<Response> {
+    (0..n).map(|_| conn.next_response().unwrap()).collect()
+}
+
+/// Sends one kept-alive `GET /healthz`.
+fn ask_health(conn: &mut ClientConn) {
+    conn.send(&encode_request("GET", "/healthz", &[], true))
         .unwrap();
-    let mut buf = Vec::new();
-    let mut out = Vec::new();
-    let mut chunk = [0u8; 4096];
-    while out.len() < n {
-        if let Some((response, used)) = parse_response(&buf).unwrap() {
-            buf.drain(..used);
-            out.push(response);
-            continue;
-        }
-        let got = stream.read(&mut chunk).unwrap();
-        assert!(
-            got > 0,
-            "server closed after {} of {n} responses",
-            out.len()
-        );
-        buf.extend_from_slice(&chunk[..got]);
-    }
-    out
+}
+
+/// Whether the server closed `conn` with nothing more sent.
+fn closed_clean(conn: &mut ClientConn) -> bool {
+    let eof = matches!(
+        conn.next_response(),
+        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof
+    );
+    eof && conn.is_drained()
 }
 
 fn global_counter(name: &str) -> u64 {
@@ -158,13 +153,13 @@ fn one_socket_serves_many_requests_and_counts_reuse() {
     let server = serve_with(&scratch.0, |_| {});
     let reuses_before = global_counter(ct_obs::names::SERVE_KEEPALIVE_REUSES);
 
-    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    let mut stream = dial(&server);
     // Three pipelined requests, one write.
     let mut wire = Vec::new();
     for _ in 0..3 {
         wire.extend_from_slice(&encode_request("GET", "/healthz", &[], true));
     }
-    stream.write_all(&wire).unwrap();
+    stream.send(&wire).unwrap();
     let responses = read_responses(&mut stream, 3);
     for response in &responses {
         assert_eq!(response.status, 200);
@@ -172,7 +167,7 @@ fn one_socket_serves_many_requests_and_counts_reuse() {
         assert_eq!(response.body, b"ok\n");
     }
     // A fourth, sent separately on the same socket, still answers.
-    write_request(&mut stream, "GET", "/healthz", &[], true).unwrap();
+    ask_health(&mut stream);
     assert_eq!(read_responses(&mut stream, 1)[0].status, 200);
 
     assert!(
@@ -186,13 +181,15 @@ fn routed_4xx_keeps_the_connection_alive() {
     let scratch = Scratch::new("routed4xx");
     let server = serve_with(&scratch.0, |_| {});
 
-    let mut stream = TcpStream::connect(server.addr()).unwrap();
-    write_request(&mut stream, "GET", "/florble", &[], true).unwrap();
+    let mut stream = dial(&server);
+    stream
+        .send(&encode_request("GET", "/florble", &[], true))
+        .unwrap();
     let miss = read_responses(&mut stream, 1).remove(0);
     assert_eq!(miss.status, 404);
     assert!(miss.keep_alive, "a routed miss must not cost the socket");
     // Same socket, next request: still served.
-    write_request(&mut stream, "GET", "/healthz", &[], true).unwrap();
+    ask_health(&mut stream);
     let ok = read_responses(&mut stream, 1).remove(0);
     assert_eq!((ok.status, ok.keep_alive), (200, true));
 }
@@ -204,21 +201,19 @@ fn garbage_answers_400_then_closes_without_hurting_others() {
     let bad_before = global_counter(ct_obs::names::SERVE_BAD_REQUESTS);
 
     // A healthy kept-alive bystander, mid-session.
-    let mut bystander = TcpStream::connect(server.addr()).unwrap();
-    write_request(&mut bystander, "GET", "/healthz", &[], true).unwrap();
+    let mut bystander = dial(&server);
+    ask_health(&mut bystander);
     assert_eq!(read_responses(&mut bystander, 1)[0].status, 200);
 
-    let mut vandal = TcpStream::connect(server.addr()).unwrap();
-    vandal.write_all(b"florble grumble\r\n\r\n").unwrap();
-    let answer = read_response(&mut vandal).unwrap();
+    let mut vandal = dial(&server);
+    vandal.send(b"florble grumble\r\n\r\n").unwrap();
+    let answer = vandal.answer().unwrap();
     assert_eq!(answer.status, 400);
     assert!(!answer.keep_alive, "framing is lost after garbage");
-    let mut rest = Vec::new();
-    vandal.read_to_end(&mut rest).unwrap();
-    assert!(rest.is_empty(), "the vandal's socket is closed");
+    assert!(closed_clean(&mut vandal), "the vandal's socket is closed");
 
     // The bystander's session survived the vandal.
-    write_request(&mut bystander, "GET", "/healthz", &[], true).unwrap();
+    ask_health(&mut bystander);
     assert_eq!(read_responses(&mut bystander, 1)[0].status, 200);
     assert!(global_counter(ct_obs::names::SERVE_BAD_REQUESTS) > bad_before);
 }
@@ -229,17 +224,16 @@ fn idle_connections_are_swept_and_counted() {
     let server = serve_with(&scratch.0, |options| options.idle_ms = 50);
     let idle_before = global_counter(ct_obs::names::SERVE_IDLE_CLOSES);
 
-    let mut stream = TcpStream::connect(server.addr()).unwrap();
-    write_request(&mut stream, "GET", "/healthz", &[], true).unwrap();
+    let mut stream = dial(&server);
+    ask_health(&mut stream);
     assert_eq!(read_responses(&mut stream, 1)[0].status, 200);
 
-    // Go quiet past the idle timeout (+ the connection thread's read tick).
-    stream
-        .set_read_timeout(Some(Duration::from_secs(5)))
-        .unwrap();
-    let mut buf = [0u8; 64];
-    let n = stream.read(&mut buf).unwrap();
-    assert_eq!(n, 0, "the server closes an idle kept-alive socket");
+    // Go quiet past the idle timeout (+ the connection thread's read
+    // tick); the 5 s read timeout is far past both.
+    assert!(
+        closed_clean(&mut stream),
+        "the server closes an idle kept-alive socket"
+    );
     assert!(global_counter(ct_obs::names::SERVE_IDLE_CLOSES) > idle_before);
 }
 
@@ -248,12 +242,12 @@ fn max_requests_bound_closes_the_session_politely() {
     let scratch = Scratch::new("bound");
     let server = serve_with(&scratch.0, |options| options.max_requests = 3);
 
-    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    let mut stream = dial(&server);
     let mut wire = Vec::new();
     for _ in 0..3 {
         wire.extend_from_slice(&encode_request("GET", "/healthz", &[], true));
     }
-    stream.write_all(&wire).unwrap();
+    stream.send(&wire).unwrap();
     let responses = read_responses(&mut stream, 3);
     assert!(responses[0].keep_alive);
     assert!(responses[1].keep_alive);
@@ -261,12 +255,13 @@ fn max_requests_bound_closes_the_session_politely() {
         !responses[2].keep_alive,
         "the final response announces the close"
     );
-    let mut rest = Vec::new();
-    stream.read_to_end(&mut rest).unwrap();
-    assert!(rest.is_empty(), "the socket closes after the bound");
+    assert!(
+        closed_clean(&mut stream),
+        "the socket closes after the bound"
+    );
 
     // The next session on a fresh dial is unaffected.
-    let mut fresh = TcpStream::connect(server.addr()).unwrap();
-    write_request(&mut fresh, "GET", "/healthz", &[], true).unwrap();
+    let mut fresh = dial(&server);
+    ask_health(&mut fresh);
     assert_eq!(read_responses(&mut fresh, 1)[0].status, 200);
 }
