@@ -11,8 +11,6 @@ pub enum CoreError {
     Scada(ct_scada::ScadaError),
     /// Geospatial failure.
     Geo(ct_geo::GeoError),
-    /// Power-grid model failure.
-    Grid(ct_grid::GridError),
     /// A requested asset id is unknown to the case study.
     UnknownAsset {
         /// The missing id.
@@ -30,11 +28,12 @@ pub enum CoreError {
     /// Artifact-store failure (I/O under the store root). Corrupt
     /// records never surface here — the store heals them internally.
     Store(ct_store::StoreError),
-    /// Writing an output artifact (e.g. a `--metrics` snapshot)
-    /// failed. The I/O error is stringified to keep `CoreError`
-    /// cloneable and comparable.
+    /// I/O on a named file or endpoint failed: writing an output
+    /// artifact (e.g. a `--metrics` snapshot), a `ct probe` fetch, the
+    /// `ct bench-serve` dial, or the `ct serve` bind. The I/O error is
+    /// stringified to keep `CoreError` cloneable and comparable.
     Io {
-        /// Path of the artifact being written.
+        /// The file path, URL or listen address the operation used.
         path: String,
         /// The underlying I/O error message.
         message: String,
@@ -47,14 +46,13 @@ impl fmt::Display for CoreError {
             CoreError::Hydro(e) => write!(f, "hazard model: {e}"),
             CoreError::Scada(e) => write!(f, "scada model: {e}"),
             CoreError::Geo(e) => write!(f, "geospatial: {e}"),
-            CoreError::Grid(e) => write!(f, "power grid: {e}"),
             CoreError::UnknownAsset { id } => write!(f, "unknown asset id '{id}'"),
             CoreError::InvalidConfig { field, reason } => {
                 write!(f, "invalid configuration: {field}: {reason}")
             }
             CoreError::Render(e) => write!(f, "report rendering: {e}"),
             CoreError::Store(e) => write!(f, "{e}"),
-            CoreError::Io { path, message } => write!(f, "writing '{path}': {message}"),
+            CoreError::Io { path, message } => write!(f, "i/o on '{path}': {message}"),
         }
     }
 }
@@ -65,7 +63,6 @@ impl std::error::Error for CoreError {
             CoreError::Hydro(e) => Some(e),
             CoreError::Scada(e) => Some(e),
             CoreError::Geo(e) => Some(e),
-            CoreError::Grid(e) => Some(e),
             CoreError::UnknownAsset { .. } => None,
             CoreError::InvalidConfig { .. } => None,
             CoreError::Render(e) => Some(e),
@@ -96,12 +93,6 @@ impl From<ct_scada::ScadaError> for CoreError {
 impl From<ct_geo::GeoError> for CoreError {
     fn from(e: ct_geo::GeoError) -> Self {
         CoreError::Geo(e)
-    }
-}
-
-impl From<ct_grid::GridError> for CoreError {
-    fn from(e: ct_grid::GridError) -> Self {
-        CoreError::Grid(e)
     }
 }
 
@@ -141,5 +132,13 @@ mod tests {
             message: "denied".into(),
         };
         assert!(e.to_string().contains("/tmp/m.csv"));
+        // A fetch is no write: the label names no direction.
+        let e = CoreError::Io {
+            path: "http://127.0.0.1:7199/probe?scenario=compound".into(),
+            message: "no response within 60s".into(),
+        };
+        let shown = e.to_string();
+        assert!(shown.contains("http://127.0.0.1:7199/probe"), "{shown}");
+        assert!(!shown.contains("writing"), "{shown}");
     }
 }

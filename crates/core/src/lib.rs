@@ -52,7 +52,6 @@ pub mod check;
 mod conn;
 pub mod error;
 pub mod figures;
-pub mod grid_impact;
 pub mod parallel;
 mod pipeline;
 pub mod placement;

@@ -123,8 +123,10 @@ pub struct BenchRow {
     pub(crate) mode: BenchMode,
     /// Connections held open.
     pub(crate) connections: usize,
-    /// In-flight window (closed loop) or offered rate (open loop).
+    /// In-flight window per connection (closed loop only).
     pub(crate) inflight: usize,
+    /// Offered rate, ops/s across all connections (open loop only).
+    pub(crate) rate: f64,
     /// Responses completed inside the measurement window.
     pub(crate) ops: u64,
     /// Wall-clock seconds actually measured.
@@ -143,18 +145,18 @@ pub struct BenchRow {
 
 impl BenchRow {
     /// The greppable one-line form:
-    /// `bench-serve,op=put,mode=closed,connections=64,…`.
+    /// `bench-serve,op=put,mode=closed,connections=64,inflight=4,…`; an
+    /// open-loop row gives its offered `rate=` in place of `inflight=`.
     pub fn to_csv(&self) -> String {
+        let (mode, load) = match self.mode {
+            BenchMode::Closed => ("closed", format!("inflight={}", self.inflight)),
+            BenchMode::Open => ("open", format!("rate={}", self.rate)),
+        };
         format!(
-            "bench-serve,op={},mode={},connections={},inflight={},ops={},elapsed_s={:.3},\
+            "bench-serve,op={},mode={mode},connections={},{load},ops={},elapsed_s={:.3},\
              ops_per_s={:.0},p50_ms={:.3},p99_ms={:.3},errors={},redials={}",
             self.op.label(),
-            match self.mode {
-                BenchMode::Closed => "closed",
-                BenchMode::Open => "open",
-            },
             self.connections,
-            self.inflight,
             self.ops,
             self.elapsed_s,
             self.ops_per_s,
@@ -252,7 +254,8 @@ fn run_phase(
     };
     let started = Instant::now();
     let deadline = started + Duration::from_secs_f64(options.seconds.max(0.1));
-    let per_conn_rate = options.rate.max(1.0) / options.connections as f64;
+    let rate = options.rate.max(1.0);
+    let per_conn_rate = rate / options.connections as f64;
     let interval = Duration::from_secs_f64(1.0 / per_conn_rate.max(0.01));
     let mut total = WorkerTally::default();
     std::thread::scope(|scope| {
@@ -299,6 +302,7 @@ fn run_phase(
         mode: options.mode,
         connections: options.connections,
         inflight: options.inflight,
+        rate,
         ops,
         elapsed_s,
         ops_per_s: ops as f64 / elapsed_s.max(1e-9),
@@ -606,6 +610,8 @@ mod tests {
         };
         let row = &bench_serve(&options).unwrap()[0];
         assert!(row.to_csv().contains("mode=open"));
+        assert!(row.to_csv().contains(",rate=100,"), "{}", row.to_csv());
+        assert!(!row.to_csv().contains("inflight="), "{}", row.to_csv());
         // About 50 sends fall due in the window.
         assert!(row.ops >= 30, "schedule missed: {}", row.to_csv());
         assert_eq!(row.errors, 0, "{}", row.to_csv());

@@ -42,11 +42,12 @@
 //! Determinism: `evaluate` must be a pure function of
 //! `(index, storm, pois)` and the model's own parameters — models
 //! needing randomness derive it from counter-based hashes of
-//! `(seed, index, asset)` (see [`ct_grid::fragility`]), never from
+//! `(seed, index, asset)` (see [`fragility_draw`]), never from
 //! shared mutable RNG state, so realizations can be computed on any
 //! worker thread, in any order, or resumed from a store shard.
 
 mod compound;
+mod fragility;
 mod model;
 mod prepared;
 mod spec;
@@ -60,6 +61,7 @@ pub mod wind;
 pub const HAZARD_KERNEL_VERSION: u32 = 1;
 
 pub use compound::CompoundHazard;
+pub use fragility::{fragility_draw, DamageModel};
 pub use model::HazardModel;
 pub use spec::{HazardSpec, ParseHazardSpecError};
 pub use surge::SurgeHazard;

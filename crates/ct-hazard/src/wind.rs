@@ -1,9 +1,9 @@
 //! The wind-fragility hazard: Holland wind field + logistic gust
 //! fragility, mapped onto the pipeline's severity axis.
 
+use crate::fragility::{fragility_draw, DamageModel};
 use crate::model::HazardModel;
 use crate::prepared::PoiPrepared;
-use ct_grid::{fragility_draw, DamageModel};
 use ct_hydro::{FloodThreshold, HydroError, Poi, Realization, ScanSites, StormParams};
 use ct_store::StableHasher;
 
@@ -13,10 +13,8 @@ use ct_store::StableHasher;
 /// (sensitivity sweeps stay far below this).
 pub const MAX_SEVERITY_M: f64 = 1.0e3;
 
-/// Wind damage to assets, driven by the same Holland wind kernel and
-/// logistic fragility curve as [`ct_grid::fragility::DamageModel`]
-/// (which this model wraps — the previously grid-only fragility code
-/// now feeds the SCADA pipeline too).
+/// Wind damage to assets, driven by the Holland wind kernel and the
+/// logistic fragility curve of the [`DamageModel`] it wraps.
 ///
 /// # Severity semantics
 ///

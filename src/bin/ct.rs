@@ -32,7 +32,6 @@ use compound_threats::availability::{downtime_report, DowntimeModel};
 use compound_threats::check::{check_cell, CheckMode, CheckOptions};
 use compound_threats::error::CoreError;
 use compound_threats::figures::{reproduce, reproduce_all, Figure};
-use compound_threats::grid_impact::{grid_impact, GridImpactConfig};
 use compound_threats::placement::rank_backup_sites;
 use compound_threats::prelude::{
     bench_serve, run_shard, BenchMode, BenchOp, BenchServeOptions, HazardSpec, ProbeQuery,
@@ -170,11 +169,6 @@ const SEED: FlagSpec = FlagSpec {
     value_name: Some("S"),
     help: "check: randomized tier base seed; run i uses S+i (default 1)",
 };
-const MIN_UTIL: FlagSpec = FlagSpec {
-    name: "--min-util",
-    value_name: Some("pct"),
-    help: "only show lines at or above this utilization percentage",
-};
 
 /// Every `ct` subcommand; parsing, dispatch, and all help text derive
 /// from this table.
@@ -243,18 +237,6 @@ const COMMANDS: &[CommandSpec] = &[
         summary: "expected downtime per event (site: waiau|kahe)",
         positionals: &[("site", false)],
         flags: &[HAZARD, REALIZATIONS, STORE, METRICS],
-    },
-    CommandSpec {
-        name: "grid",
-        summary: "grid-impact summary",
-        positionals: &[],
-        flags: &[HAZARD, REALIZATIONS, STORE, METRICS],
-    },
-    CommandSpec {
-        name: "gridprobe",
-        summary: "print per-line DC power-flow utilization for the intact Oahu grid",
-        positionals: &[],
-        flags: &[MIN_UTIL],
     },
     CommandSpec {
         name: "check",
@@ -677,22 +659,6 @@ fn run_command(args: &CliArgs) -> Result<ExitCode, Box<dyn std::error::Error>> {
                 print!("{}", downtime_report(&study, scenario, choice, &model)?);
             }
         }
-        "grid" => {
-            let study = build_study(args)?;
-            let summary = grid_impact(&study, &GridImpactConfig::default())?;
-            println!(
-                "mean served, SCADA operational : {:5.1} %",
-                100.0 * summary.mean_served_supervised()
-            );
-            println!(
-                "mean served, SCADA down        : {:5.1} %",
-                100.0 * summary.mean_served_blind()
-            );
-            println!(
-                "P(blind served < 90%)          : {:5.1} %",
-                100.0 * summary.p_loss_below(0.9)
-            );
-        }
         "check" => {
             let architectures = match args.value("--arch") {
                 None => Architecture::ALL.to_vec(),
@@ -757,27 +723,6 @@ fn run_command(args: &CliArgs) -> Result<ExitCode, Box<dyn std::error::Error>> {
             }
             if !ok {
                 return Ok(ExitCode::FAILURE);
-            }
-        }
-        "gridprobe" => {
-            let min_util = args.parsed::<f64>("--min-util")?.unwrap_or(0.0);
-            let g = ct_grid::oahu::grid();
-            let s = ct_grid::dc_power_flow(&g, &ct_grid::OutageSet::none())?;
-            for (lid, flow) in &s.flows_mw {
-                let l = &g.lines()[lid.0];
-                let util = 100.0 * flow.abs() / l.capacity_mw;
-                if util < min_util {
-                    continue;
-                }
-                println!(
-                    "{:>2} {:<14}->{:<14} flow {:8.1} cap {:6.0} util {:4.0}%",
-                    lid.0,
-                    g.buses()[l.from.0].name,
-                    g.buses()[l.to.0].name,
-                    flow,
-                    l.capacity_mw,
-                    util
-                );
             }
         }
         "topology" => print!("{}", export::to_csv(&oahu::topology())),

@@ -12,8 +12,6 @@
 //!   configurations;
 //! * [`threat`] — compound threat model, worst-case attacker, Table I
 //!   classifier;
-//! * [`grid`] — power-grid substrate (DC power flow, fragility,
-//!   cascading outages) for the grid-impact extension;
 //! * [`framework`] — the analysis pipeline, figure reproduction,
 //!   placement search and attacker-power extensions.
 //!
@@ -26,7 +24,6 @@ pub mod cli;
 
 pub use compound_threats as framework;
 pub use ct_geo as geo;
-pub use ct_grid as grid;
 pub use ct_hydro as hydro;
 pub use ct_replication as replication;
 pub use ct_scada as scada;

@@ -1,13 +1,9 @@
-//! Integration tests for the framework extensions: grid impact,
-//! expected downtime, category sensitivity, placement search and
-//! probabilistic attacker power — exercised together on one shared
-//! ensemble.
+//! Integration tests for the framework extensions: expected downtime,
+//! category sensitivity, placement search and probabilistic attacker
+//! power — exercised together on one shared ensemble.
 
 use compound_threats::attacker_power::{expected_profile, AttackerPower};
 use compound_threats::availability::{downtime_report, DowntimeModel};
-use compound_threats::grid_impact::{
-    blind_grid_stats, expected_served_with_scada, grid_impact, GridImpactConfig,
-};
 use compound_threats::placement::rank_backup_sites;
 use compound_threats::sensitivity::category_sweep;
 use compound_threats::{CaseStudy, CaseStudyConfig};
@@ -27,59 +23,6 @@ fn study() -> &'static CaseStudy {
         )
         .expect("study builds")
     })
-}
-
-#[test]
-fn grid_impact_supervised_dominates_blind() {
-    let summary = grid_impact(study(), &GridImpactConfig::default()).unwrap();
-    assert_eq!(summary.served_blind.len(), 300);
-    assert!(summary.mean_served_supervised() >= summary.mean_served_blind());
-    // The hurricane must matter to the grid at all.
-    assert!(summary.p_loss_below(0.999) > 0.05);
-}
-
-#[test]
-fn scada_resilience_translates_into_load_served() {
-    let config = GridImpactConfig::default();
-    let summary = grid_impact(study(), &config).unwrap();
-    // Under the full compound threat, the intrusion-tolerant
-    // network-attack-resilient architecture keeps the operators in the
-    // loop in ~90 % of realizations; the others never do.
-    let scenario = ThreatScenario::HurricaneIntrusionIsolation;
-    let served_666 = expected_served_with_scada(
-        study(),
-        &summary,
-        Architecture::C6P6P6,
-        scenario,
-        oahu::SiteChoice::Waiau,
-    )
-    .unwrap();
-    for arch in [Architecture::C2, Architecture::C2_2, Architecture::C6] {
-        let served =
-            expected_served_with_scada(study(), &summary, arch, scenario, oahu::SiteChoice::Waiau)
-                .unwrap();
-        assert!(
-            served_666 >= served,
-            "{arch}: {served} beats 6+6+6's {served_666}"
-        );
-    }
-}
-
-#[test]
-fn blind_grid_correlation_lift_is_positive() {
-    let config = GridImpactConfig::default();
-    let summary = grid_impact(study(), &config).unwrap();
-    let stats = blind_grid_stats(
-        study(),
-        &summary,
-        Architecture::C6,
-        ThreatScenario::Hurricane,
-        oahu::SiteChoice::Waiau,
-        &config,
-    )
-    .unwrap();
-    assert!(stats.p_joint > 0.0, "{stats:?}");
-    assert!(stats.correlation_lift > 1.0, "{stats:?}");
 }
 
 #[test]

@@ -290,13 +290,13 @@ fn store_keeps_hazard_records_apart_and_warm_hits_within_a_hazard() {
 }
 
 /// The storm-passage wind kernel (`DamageModel::peak_winds`, used by
-/// `WindFragilityHazard::evaluate` and the line-fragility sampler) is
-/// bit-identical to the per-POI scalar scan over the pipeline's real
-/// POIs and sampled ensemble storms, and a compound evaluation built
-/// on batched parts stays the exact per-asset max of those parts.
+/// `WindFragilityHazard::evaluate`) is bit-identical to the per-POI
+/// scalar scan over the pipeline's real POIs and sampled ensemble
+/// storms, and a compound evaluation built on batched parts stays the
+/// exact per-asset max of those parts.
 #[test]
 fn batched_hazard_evaluation_is_bit_identical_to_the_per_poi_path() {
-    use ct_grid::{fragility_draw, DamageModel};
+    use ct_hazard::{fragility_draw, DamageModel};
     use ct_hazard::{wind::MAX_SEVERITY_M, CompoundHazard, HazardModel, WindFragilityHazard};
     use ct_hydro::{EnsembleConfig, FloodThreshold, TrackEnsemble};
 
@@ -373,8 +373,8 @@ fn sharded_wind_run_merges_to_the_clean_answer() {
 /// in-range step and the value folded in time order.
 mod oracle {
     use ct_geo::LatLon;
-    use ct_grid::{fragility_draw, DamageModel};
     use ct_hazard::wind::MAX_SEVERITY_M;
+    use ct_hazard::{fragility_draw, DamageModel};
     use ct_hydro::{
         FloodThreshold, HydroError, ParametricSurge, Poi, Realization, StationId, StormParams,
     };
@@ -676,7 +676,7 @@ fn wide_pois(pois: &[Poi]) -> Vec<Poi> {
 /// oracle's error for surge and compound and zero peak winds for wind.
 #[test]
 fn kernel_realizations_equal_the_scalar_oracles_bitwise() {
-    use ct_grid::DamageModel;
+    use ct_hazard::DamageModel;
     use ct_hydro::{EnsembleConfig, Realization, StationId, SurgeCalibration};
 
     let cfg = config(HazardSpec::Surge, 1000);
