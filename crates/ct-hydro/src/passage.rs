@@ -29,25 +29,39 @@
 //!      `c` rises and rises with `T`. Past `rmax`, `T` and `asym` fall
 //!      with `r` while every step's `c` at a distance of at least `r`
 //!      is at least the row's, so a row bounds every speed at or
-//!      beyond its radius. A suffix max keeps the table
-//!      non-increasing. A site's *reach* is the smallest tabled radius
-//!      whose bound is at or below its peak, recomputed only when the
-//!      peak rises. A pair whose lower bound is at or past the reach,
-//!      or past the gate, is culled.
-//!    - **By side**, for a component toward a bearing `b`, and only
-//!      for a pair whose chord is within that of an arc of `400·(1 −
-//!      1e-9)` km, so surely in range. Each step keeps its centre's
-//!      east and north unit vectors; their dot products with the
-//!      site's unit vector are the bearing vector `(y, x)` up to
-//!      rounding. The circulation's component toward `b` is
-//!      `v_rot ≥ 0` times `(x·cos φ + y·sin φ)/|(y, x)|` (φ as in test
-//!      3). When that sum is at or below `−1e-12`, which no rounding of
-//!      either vector's parts, all of size at most 1, can cross, the
-//!      circulation blows away from `b`, and the value is at most the
-//!      drift's `max(0, 0.6·v_motion·cos(m − b))`. The pair is culled
-//!      when that plus `1e-9·(sqrt(b·Δp/(ρ·e)) + 0.6·v_motion)`, a
-//!      slack on the largest speed the pair can have, is at or below
-//!      the peak. A NaN or zero bearing vector never culls.
+//!      beyond its radius; a last row sits at the gate. A suffix max
+//!      keeps the table non-increasing. A site's *reach* is the
+//!      smallest tabled radius whose bound is at or below its peak,
+//!      recomputed only when the peak rises. A pair whose lower bound
+//!      is at or past the reach, or past the gate, is culled.
+//!    - **By its onshore bound**, for a component toward a bearing
+//!      `b`. Each step keeps its centre's east and north unit vectors;
+//!      their dot products with the site's unit vector are the bearing
+//!      vector `(y, x)` up to rounding, and the rotation's component
+//!      toward `b` is `v_rot ≥ 0` times `cos(β − φ) = (x·cos φ + y·sin
+//!      φ)/n` (β and φ as in test 3), `n = |(y, x)|`. The chord `c`
+//!      brackets the haversine in `[r_lo, r_hi]`, `r_lo` as above and
+//!      `r_hi = R·c·(1 + c²/20)·(1 + 1e-9) + 1e-6` km. For `n ≥ 1e-4`
+//!      the cosine is at most `ĉ`, the quotient plus `1e-9`, and the
+//!      rotation at most `v_hi(r_lo)·ĉ` when `ĉ ≥ 0`, `v_lo(r_hi)·ĉ`
+//!      when `ĉ < 0` and `r_lo ≥ rmax`, else 0. The table's `v_hi`
+//!      column is its first term alone (`v_max = sqrt(b·Δp/(ρ·e))`
+//!      short of `rmax`); `v_lo` is the same term at `f_max`, the
+//!      largest `|f|` over the steps, with `c` raised and the result
+//!      lowered by `1e-9`, and bounds every `v_rot` from `rmax` out to
+//!      its radius from below, since `v_rot` falls past `rmax`. It is
+//!      read at the lesser of `r_hi` and the gate: a pair past the gate
+//!      is out of range, so any bound serves it. For `n < 1e-4` the
+//!      rotation is at most 0 when `x·cos φ + y·sin φ` is at or below
+//!      `−1e-12`, which no rounding of either vector's parts, all of
+//!      size at most 1, can cross; else nothing is bounded. The drift
+//!      `0.6·v_motion·asym·cos(m − b)` is at most its factor times
+//!      `asym`'s largest value over `[r_lo, r_hi]` when the factor is
+//!      positive, its smallest when negative. The pair is culled when
+//!      the two bounds plus `1e-9·(v_max + 0.6·v_motion)` are at or
+//!      below the peak, so also at a peak of `0.0`, where the
+//!      circulation blows offshore harder than the drift onshore. A
+//!      NaN part never culls.
 //! 2. **Skipped by the speed bound.** The haversine `r` and the
 //!    gradient wind `v_rot` are computed; when
 //!    `(|v_rot| + 0.6·v_motion·asym)·(1 + 1e-12)` is at or below the
@@ -73,6 +87,13 @@
 //! is at or past the gate), one add each per scan, so the three sum to
 //! the steps times the sites. The step evaluated first computes its
 //! haversine only when its chord bound is below the gate.
+//!
+//! A site's closest approach, when asked for, is seeded with the
+//! haversine at the step of least chord; only a step whose chord bound
+//! is below the running minimum computes another, so a scan computes
+//! about one per site for it. `hydro.peak_scan.haversines` counts every
+//! haversine a scan computes, for its pairs and its closest
+//! approaches, one add per scan.
 
 use crate::ensemble::StormParams;
 use crate::error::HydroError;
@@ -86,6 +107,8 @@ static SKIPPED: ct_obs::CachedCounter =
     ct_obs::CachedCounter::new(ct_obs::names::HYDRO_PEAK_SCAN_SKIPPED);
 static CULLED: ct_obs::CachedCounter =
     ct_obs::CachedCounter::new(ct_obs::names::HYDRO_PEAK_SCAN_CULLED);
+static HAVERSINES: ct_obs::CachedCounter =
+    ct_obs::CachedCounter::new(ct_obs::names::HYDRO_PEAK_SCAN_HAVERSINES);
 
 /// The footprint gate, km: a site is in range of a step when its
 /// haversine distance from the storm centre is below this. Beyond it
@@ -95,19 +118,23 @@ const GATE_KM: f64 = 400.0;
 /// Relative slack on the speed bound, far above the few ulps by which a
 /// computed speed can exceed `|v_rot| + 0.6·v_motion·asym`.
 const BOUND_SLACK: f64 = 1.0 + 1e-12;
-/// Relative slack on the bound table.
-const TABLE_SLACK: f64 = 1.0 + 1e-9;
-/// Relative slack that shrinks the bound table's Coriolis term.
-const CORIOLIS_SLACK: f64 = 1.0 - 1e-9;
+/// Relative slacks, up and down, on the bound table and the chord
+/// bracket.
+const SLACK_UP: f64 = 1.0 + 1e-9;
+const SLACK_DOWN: f64 = 1.0 - 1e-9;
+/// Absolute slack (km) on the chord bracket.
+const CHORD_SLACK_KM: f64 = 1e-6;
 /// Absolute slack on the side of the centre a site lies on, far above
 /// the rounding by which the frame's dot products and the bearing
 /// vector, both of size at most 1, can differ.
 const SIDE_SLACK: f64 = 1e-12;
+/// The least bearing-vector length whose cosine the onshore bound
+/// takes, and the absolute slack on that cosine: at that length the
+/// vectors' absolute rounding moves it by about `1e-12`.
+const MIN_BEARING_NORM: f64 = 1e-4;
+const COSINE_SLACK: f64 = 1e-9;
 /// Slack on the direction bound, relative to `|v_rot| + |motion|`.
 const DIRECTION_SLACK: f64 = 1e-9;
-/// Relative and absolute (km) slack on the chord lower bound.
-const CHORD_SLACK: f64 = 1.0 - 1e-9;
-const CHORD_SLACK_KM: f64 = 1e-6;
 /// Ratio of consecutive radii in the bound table, and its most rows.
 const TABLE_RATIO: f64 = 1.1;
 const TABLE_ROWS: usize = 64;
@@ -211,11 +238,19 @@ impl ScanSites {
 }
 
 impl ScanSite {
-    /// For a `Toward` site on the far side of the circulation at
-    /// `step`, where `v_rot ≥ 0` blows away from its bearing `b`, a
-    /// bound on its value from the drift alone, slack included; else
-    /// `None`. A NaN or zero bearing vector gives `None`.
-    fn offshore_bound(&self, step: &PassageStep, field: &StormField) -> Option<f64> {
+    /// For a `Toward` site, a bound on its value at `step`, slack
+    /// included, from `c2`, the squared chord between the two, and the
+    /// storm's `table`. `None` for a speed site, and for a bearing
+    /// vector too short to take a cosine from that does not show the
+    /// circulation blowing away from `b`. NaN parts give a NaN bound or
+    /// `None`.
+    fn onshore_bound(
+        &self,
+        step: &PassageStep,
+        field: &StormField,
+        table: &BoundTable,
+        c2: f64,
+    ) -> Option<f64> {
         let SiteValue::Toward {
             sin_b,
             cos_b,
@@ -227,15 +262,32 @@ impl ScanSite {
             return None;
         };
         // The bearing vector `(y, x)`, up to rounding; the rotation's
-        // component toward `b` has the sign of `x·cos φ + y·sin φ`.
-        // A NaN sum is not at or below the slack.
+        // component toward `b` is `v_rot ≥ 0` times `side / n`.
         let (y, x) = (dot(&step.east, &self.unit), dot(&step.north, &self.unit));
-        (x * cos_phi + y * sin_phi <= -SIDE_SLACK).then(|| {
-            // `0.6·v_motion·asym·cos(m − b)`, with `asym` in [0, 1].
-            let motion = step.motion;
-            let drift = (motion.motion_06 * (motion.cos * cos_b + motion.sin * sin_b)).max(0.0);
-            drift + DIRECTION_SLACK * (field.v_max + motion.motion_06.abs())
-        })
+        let side = x * cos_phi + y * sin_phi;
+        let n = (x * x + y * y).sqrt();
+        let (r_lo, r_hi) = chord_bracket(c2);
+        let rotation = if n >= MIN_BEARING_NORM {
+            let cos = side / n + COSINE_SLACK;
+            if cos >= 0.0 {
+                table.v_hi(r_lo, field.v_max) * cos
+            } else if r_lo >= field.rmax_km {
+                table.v_lo(r_hi) * cos
+            } else {
+                0.0
+            }
+        } else if side <= -SIDE_SLACK {
+            0.0
+        } else {
+            return None;
+        };
+        // `0.6·v_motion·asym·cos(m − b)`, at `asym`'s extreme over the
+        // bracket on the side of the drift's sign.
+        let motion = step.motion;
+        let toward = motion.motion_06 * (motion.cos * cos_b + motion.sin * sin_b);
+        let (asym_lo, asym_hi) = asym_range(field.rmax_km, r_lo, r_hi);
+        let drift = toward * if toward >= 0.0 { asym_hi } else { asym_lo };
+        Some(rotation + drift + DIRECTION_SLACK * (field.v_max + motion.motion_06.abs()))
     }
 }
 
@@ -327,14 +379,28 @@ struct StormField {
     v_max: f64,
 }
 
-/// Bounds on a storm's wind speed beyond a geometric series of radii.
+/// Bounds on a storm's wind beyond a geometric series of radii, one
+/// row per radius in increasing order.
 #[derive(Debug, Clone)]
 struct BoundTable {
-    /// Per tabled radius `r`, in increasing order: a bound on the speed
-    /// at every distance of at least `r`, non-increasing down the
-    /// rows, and the squared chord at and past which a pair lies at
-    /// least `r` away.
-    rows: Vec<(f64, f64)>,
+    rows: Vec<BoundRow>,
+}
+
+/// The bounds at one tabled radius `r`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct BoundRow {
+    radius_km: f64,
+    /// The squared chord at and past which a pair lies at least `r`
+    /// away.
+    chord2: f64,
+    /// A bound on the speed at every distance of at least `r`,
+    /// non-increasing down the rows.
+    speed: f64,
+    /// A bound on `v_rot` at every distance of at least `r`,
+    /// non-increasing down the rows.
+    v_hi: f64,
+    /// A lower bound on `v_rot` at every distance from `rmax` to `r`.
+    v_lo: f64,
 }
 
 /// What a scan did, added to the counters once per scan.
@@ -343,6 +409,7 @@ struct Work {
     evaluated: u64,
     skipped: u64,
     culled: u64,
+    haversines: u64,
 }
 
 impl StormParams {
@@ -389,6 +456,7 @@ impl StormParams {
         EVALUATED.add(work.evaluated);
         SKIPPED.add(work.skipped);
         CULLED.add(work.culled);
+        HAVERSINES.add(work.haversines);
         Ok(peaks)
     }
 
@@ -416,9 +484,9 @@ impl StormParams {
                 .iter()
                 .map(|s| s.abs_coriolis)
                 .fold(f64::INFINITY, f64::min);
-            BoundTable::new(f, max_motion_06, f_min)
+            let f_max = steps.iter().map(|s| s.abs_coriolis).fold(0.0, f64::max);
+            BoundTable::new(f, max_motion_06, f_min, f_max)
         });
-        let in_gate = chord2_within(GATE_KM);
         let mut work = Work::default();
         let mut chords = Vec::with_capacity(steps.len());
         let mut peaks = Vec::with_capacity(sites.len());
@@ -431,7 +499,6 @@ impl StormParams {
                 table: table.as_ref(),
                 steps: &steps,
                 chords: &chords,
-                in_gate,
                 site,
             };
             peaks.push(scan.peak(closest, &mut work)?);
@@ -447,25 +514,42 @@ struct SiteScan<'a> {
     steps: &'a [PassageStep],
     /// The squared chord from each step's centre to the site.
     chords: &'a [f64],
-    /// [`chord2_within`] the gate.
-    in_gate: f64,
     site: &'a ScanSite,
 }
 
 impl SiteScan<'_> {
     /// The site's peak, and its closest approach into `closest`.
     fn peak(&self, closest: Option<&mut f64>, work: &mut Work) -> Result<f64, HydroError> {
-        let site = self.site;
         let limit_at = |peak| self.table.map_or(chord2_limit(GATE_KM), |t| t.limit(peak));
         let mut peak = 0.0_f64;
         let mut limit = limit_at(peak);
+        // The closest approach so far, seeded at the step of least chord,
+        // and the squared chord at and past which a step cannot come
+        // closer: none when it is not asked for.
+        let mut min_km = f64::INFINITY;
+        let mut min_limit = f64::NEG_INFINITY;
+        let mut nearest = None;
+        if closest.is_some() {
+            nearest = self.nearest_step().map(|s| (s, self.distance(s, work)));
+            if let Some((_, d)) = nearest.filter(|&(_, d)| d < min_km) {
+                min_km = d;
+            }
+            min_limit = chord2_limit(min_km);
+        }
+        let known = |s| nearest.filter(|&(n, _)| n == s).map(|(_, d)| d);
+        // Taken once per site, so that a speed site's loop carries no
+        // onshore test.
+        let toward = matches!(self.site.value, SiteValue::Toward { .. });
         let prime = self.prime_step();
+        let mut prime_km = None;
         if let Some(s) = prime.filter(|&s| self.chords[s] < chord2_limit(GATE_KM)) {
-            let step = &self.steps[s];
-            let r_km = step.center.distance_km(&site.trig);
+            let r_km = known(s).unwrap_or_else(|| self.distance(s, work));
+            prime_km = Some(r_km);
             if r_km < GATE_KM {
                 let field = self.field.as_ref().map_err(Clone::clone)?;
-                if let Some(v) = field.value_above(step, site, r_km, f64::NEG_INFINITY) {
+                if let Some(v) =
+                    field.value_above(&self.steps[s], self.site, r_km, f64::NEG_INFINITY)
+                {
                     peak = peak.max(v);
                 }
                 work.evaluated += 1;
@@ -476,15 +560,13 @@ impl SiteScan<'_> {
         } else if prime.is_some() {
             work.culled += 1;
         }
-        // The closest approach so far, and the squared chord at and past
-        // which a step cannot come closer.
-        let mut min_km = f64::INFINITY;
-        let mut min_limit = f64::INFINITY;
-        let track_closest = closest.is_some();
         for (s, (step, &c2)) in self.steps.iter().zip(self.chords).enumerate() {
             let mut r = None;
-            if track_closest && c2 < min_limit {
-                let d = step.center.distance_km(&site.trig);
+            if c2 < min_limit && known(s).is_none() {
+                let d = match prime_km {
+                    Some(d) if Some(s) == prime => d,
+                    _ => self.distance(s, work),
+                };
                 if d < min_km {
                     min_km = d;
                     min_limit = chord2_limit(d);
@@ -494,18 +576,20 @@ impl SiteScan<'_> {
             if Some(s) == prime {
                 continue;
             }
-            if c2 >= limit || (c2 < self.in_gate && self.offshore_at_most(step, peak)) {
+            if c2 >= limit || (toward && self.onshore_at_most(step, c2, peak)) {
                 work.culled += 1;
                 continue;
             }
-            let r_km = r.unwrap_or_else(|| step.center.distance_km(&site.trig));
+            let r_km = r
+                .or_else(|| known(s))
+                .unwrap_or_else(|| self.distance(s, work));
             // Out of range, NaN included.
             if r_km.partial_cmp(&GATE_KM).is_none_or(Ordering::is_ge) {
                 work.culled += 1;
                 continue;
             }
             let field = self.field.as_ref().map_err(Clone::clone)?;
-            match field.value_above(step, site, r_km, peak) {
+            match field.value_above(step, self.site, r_km, peak) {
                 Some(v) => {
                     let old = peak;
                     peak = peak.max(v);
@@ -523,14 +607,34 @@ impl SiteScan<'_> {
         Ok(peak)
     }
 
-    /// Whether [`ScanSite::offshore_bound`] shows that `step` cannot
-    /// raise `peak`; never for an unphysical storm.
-    fn offshore_at_most(&self, step: &PassageStep, peak: f64) -> bool {
-        self.field
-            .as_ref()
-            .ok()
-            .and_then(|field| self.site.offshore_bound(step, field))
-            .is_some_and(|bound| bound <= peak)
+    /// The haversine distance from step `s`'s centre to the site.
+    fn distance(&self, s: usize, work: &mut Work) -> f64 {
+        work.haversines += 1;
+        self.steps[s].center.distance_km(&self.site.trig)
+    }
+
+    /// Whether [`ScanSite::onshore_bound`] shows that `step`, at squared
+    /// chord `c2`, cannot raise `peak`; never for an unphysical storm.
+    fn onshore_at_most(&self, step: &PassageStep, c2: f64, peak: f64) -> bool {
+        match (self.field, self.table) {
+            (Ok(field), Some(table)) => self
+                .site
+                .onshore_bound(step, field, table, c2)
+                .is_some_and(|bound| bound <= peak),
+            _ => false,
+        }
+    }
+
+    /// The step of least chord (the first of ties), or `None` for no
+    /// steps.
+    fn nearest_step(&self) -> Option<usize> {
+        let mut best: Option<(usize, f64)> = None;
+        for (s, &c2) in self.chords.iter().enumerate() {
+            if best.is_none_or(|(_, b)| c2 < b) {
+                best = Some((s, c2));
+            }
+        }
+        best.map(|(s, _)| s)
     }
 
     /// The step whose chord distance lies closest to `rmax_km` (the
@@ -560,18 +664,39 @@ fn dot(u: &[f64; 3], v: &[f64; 3]) -> f64 {
     u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 }
 
-/// The squared chord below which the haversine is below `km`: that of
-/// an arc of `km·(1 − 1e-9)`.
-fn chord2_within(km: f64) -> f64 {
-    let chord = 2.0 * (km * CHORD_SLACK / (2.0 * EARTH_RADIUS_KM)).sin();
-    chord * chord
-}
-
 /// The squared chord at and past which the chord lower bound
 /// `R·chord·(1 − 1e-9) − 1e-6` is at least `km`, so the haversine is.
 fn chord2_limit(km: f64) -> f64 {
-    let chord = (km + CHORD_SLACK_KM) / (EARTH_RADIUS_KM * CHORD_SLACK);
+    let chord = (km + CHORD_SLACK_KM) / (EARTH_RADIUS_KM * SLACK_DOWN);
     chord * chord
+}
+
+/// Bounds `(r_lo, r_hi)`, km, on the haversine of a pair at squared
+/// chord `c2` within the gate's. The arc of a chord `c` on the unit
+/// sphere is `2·asin(c/2) = c·(1 + c²/24 + 3c⁴/640 + …)`, at most
+/// `c·(1 + c²/20)` for `c` below 1.
+fn chord_bracket(c2: f64) -> (f64, f64) {
+    let chord = c2.sqrt();
+    (
+        EARTH_RADIUS_KM * chord * SLACK_DOWN - CHORD_SLACK_KM,
+        EARTH_RADIUS_KM * chord * (1.0 + c2 / 20.0) * SLACK_UP + CHORD_SLACK_KM,
+    )
+}
+
+/// The least and largest `asym(r) = 2·r·rmax/(r² + rmax²)` over `r` in
+/// `[lo, hi]`, for `lo ≥ −rmax`: `asym` rises to 1 at `rmax` and
+/// falls past it.
+fn asym_range(rmax: f64, lo: f64, hi: f64) -> (f64, f64) {
+    let asym = |r: f64| 2.0 * (r * rmax) / (r * r + rmax * rmax);
+    let (at_lo, at_hi) = (asym(lo), asym(hi));
+    let max = if hi <= rmax {
+        at_hi
+    } else if lo >= rmax {
+        at_lo
+    } else {
+        1.0
+    };
+    (at_lo.min(at_hi), max)
 }
 
 impl StormField {
@@ -652,39 +777,48 @@ impl StormField {
 
 impl BoundTable {
     /// The table for a storm whose field is `field`, whose fastest
-    /// step moves at `max_motion_06 / 0.6` and whose least `|f|` over
-    /// its steps is `f_min`.
-    fn new(field: &StormField, max_motion_06: f64, f_min: f64) -> Self {
+    /// step moves at `max_motion_06 / 0.6` and whose least and largest
+    /// `|f|` over its steps are `f_min` and `f_max`.
+    fn new(field: &StormField, max_motion_06: f64, f_min: f64, f_max: f64) -> Self {
         let rmax = field.rmax_km;
-        let mut rows = Vec::new();
-        let mut r = rmax;
-        while r < GATE_KM && rows.len() < TABLE_ROWS {
+        let row = |r: f64| {
             let x = (rmax / r).powf(field.b);
             let term = field.b_dp_rho * x * (-x).exp();
             // `sqrt(term + c²) − c`, which falls as `c` rises, at the
-            // least `c` of any step `r` or more away.
-            let c = r * 1000.0 * f_min / 2.0 * CORIOLIS_SLACK;
+            // least `c` of any step `r` or more away, and at the largest
+            // of any step.
+            let c = r * 1000.0 * f_min / 2.0 * SLACK_DOWN;
             let v_rot = term / ((term + c * c).sqrt() + c);
+            let c_max = r * 1000.0 * f_max / 2.0 * SLACK_UP;
+            let v_lo = term / ((term + c_max * c_max).sqrt() + c_max) * SLACK_DOWN;
             let asym = 2.0 * (r * rmax) / (r * r + rmax * rmax);
-            rows.push((
-                (v_rot + max_motion_06 * asym) * TABLE_SLACK,
-                chord2_limit(r),
-            ));
+            BoundRow {
+                radius_km: r,
+                chord2: chord2_limit(r),
+                speed: (v_rot + max_motion_06 * asym) * SLACK_UP,
+                v_hi: v_rot * SLACK_UP,
+                v_lo,
+            }
+        };
+        let mut rows = Vec::new();
+        let mut r = rmax;
+        while r < GATE_KM && rows.len() < TABLE_ROWS {
+            rows.push(row(r));
             r *= TABLE_RATIO;
+        }
+        if rmax < GATE_KM {
+            rows.push(row(GATE_KM));
         }
         Self::from_rows(rows)
     }
 
-    /// A table over `(bound, chord² limit)` rows, the bounds made
-    /// non-increasing by a suffix max. A NaN bound bounds nothing.
-    fn from_rows(mut rows: Vec<(f64, f64)>) -> Self {
-        let mut max = f64::NEG_INFINITY;
-        for (bound, _) in rows.iter_mut().rev() {
-            if bound.is_nan() {
-                *bound = f64::INFINITY;
-            }
-            max = max.max(*bound);
-            *bound = max;
+    /// A table over `rows`, the upper bounds made non-increasing by a
+    /// suffix max. A NaN upper bound bounds nothing.
+    fn from_rows(mut rows: Vec<BoundRow>) -> Self {
+        let (mut speed, mut v_hi) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
+        for row in rows.iter_mut().rev() {
+            speed = suffix_max(&mut row.speed, speed);
+            v_hi = suffix_max(&mut row.v_hi, v_hi);
         }
         Self { rows }
     }
@@ -692,11 +826,37 @@ impl BoundTable {
     /// The squared chord at and past which a pair cannot raise `peak`:
     /// that of the site's reach, else of the gate.
     fn limit(&self, peak: f64) -> f64 {
-        let k = self.rows.partition_point(|&(bound, _)| bound > peak);
+        let k = self.rows.partition_point(|row| row.speed > peak);
         self.rows
             .get(k)
-            .map_or(chord2_limit(GATE_KM), |&(_, limit)| limit)
+            .map_or(chord2_limit(GATE_KM), |row| row.chord2)
     }
+
+    /// A bound on `v_rot` at every distance of at least `r_km`:
+    /// `v_max` short of the first row.
+    fn v_hi(&self, r_km: f64, v_max: f64) -> f64 {
+        let k = self.rows.partition_point(|row| row.radius_km <= r_km);
+        k.checked_sub(1).map_or(v_max, |k| self.rows[k].v_hi)
+    }
+
+    /// A lower bound on `v_rot` at every distance from `rmax` to the
+    /// lesser of `r_km` and the gate, past which a pair is out of range
+    /// and any bound serves; 0 for a table without rows.
+    fn v_lo(&self, r_km: f64) -> f64 {
+        let r_km = r_km.min(GATE_KM);
+        let k = self.rows.partition_point(|row| row.radius_km < r_km);
+        self.rows.get(k).map_or(0.0, |row| row.v_lo)
+    }
+}
+
+/// Raises `bound` to `max`, a NaN bound to infinity, and returns the
+/// new running max.
+fn suffix_max(bound: &mut f64, max: f64) -> f64 {
+    if bound.is_nan() {
+        *bound = f64::INFINITY;
+    }
+    *bound = bound.max(max);
+    *bound
 }
 
 impl Iterator for Passage<'_> {
@@ -851,7 +1011,10 @@ mod tests {
 
     /// Every (step, site) pair a scan is offered lands in exactly one
     /// of its three counts: near sites, a site past the gate at every
-    /// step, and sites whose chord and haversine straddle the gate.
+    /// step, and sites whose chord and haversine straddle the gate. A
+    /// pair costs at most one haversine, and the closest approach, the
+    /// least over every step, one at the step of least chord and one at
+    /// each step whose chord bound is below that step's haversine.
     #[test]
     fn each_scan_counts_every_pair_once() {
         cases(128, |rng| {
@@ -884,18 +1047,72 @@ mod tests {
                 sites.push((start.destination(rng.range_f64(0.0, 360.0), km), of));
             }
             for (k, &site) in sites.iter().enumerate() {
-                let (peaks, work) = s.scan(step_hours, &ScanSites::new([site]), None).unwrap();
+                let one = ScanSites::new([site]);
+                let (peaks, work) = s.scan(step_hours, &one, None).unwrap();
                 let counted = work.evaluated + work.skipped + work.culled;
                 assert_eq!(counted, steps, "{site:?}: {work:?}");
+                assert!(work.haversines <= steps, "{site:?}: {work:?}");
                 if k == 0 {
                     assert_eq!((peaks[0], work.culled), (0.0, steps), "{work:?}");
                 }
+                let mut closest = [0.0];
+                let (with_peaks, with) = s.scan(step_hours, &one, Some(&mut closest)).unwrap();
+                assert_eq!(with_peaks, peaks);
+                let trig = LatLonTrig::new(site.0);
+                let distances: Vec<f64> = s
+                    .passage(step_hours)
+                    .map(|step| step.center.distance_km(&trig))
+                    .collect();
+                let least = distances.iter().copied().fold(f64::INFINITY, f64::min);
+                assert_eq!(closest[0], least, "{site:?}");
+                let chords: Vec<f64> = s
+                    .passage(step_hours)
+                    .map(|step| chord2(&step.unit, &one.sites[0].unit))
+                    .collect();
+                let nearest = (0..chords.len())
+                    .reduce(|a, b| if chords[b] < chords[a] { b } else { a })
+                    .unwrap();
+                let near = chords
+                    .iter()
+                    .filter(|&&c2| c2 < chord2_limit(distances[nearest]))
+                    .count() as u64;
+                assert!(
+                    with.haversines <= work.haversines + near,
+                    "{site:?}: {with:?} against {work:?} and {near} near steps"
+                );
             }
             let all = ScanSites::new(sites);
             let mut closest = vec![0.0; all.len()];
             let (_, work) = s.scan(step_hours, &all, Some(&mut closest)).unwrap();
             let counted = work.evaluated + work.skipped + work.culled;
             assert_eq!(counted, steps * all.len() as u64, "{work:?}");
+        });
+    }
+
+    /// Two steps mirrored about a site's meridian tie for closest up
+    /// to rounding, which orders their chords the other way in about one
+    /// case in 25; the closest approach is still the least haversine.
+    #[test]
+    fn the_closest_approach_is_the_least_haversine_at_rounding_ties() {
+        cases(512, |rng| {
+            let (lat, lon) = (rng.range_f64(10.0, 30.0), rng.range_f64(-165.0, -150.0));
+            let delta = rng.range_f64(0.001, 0.3);
+            let point = |t_hours, lon| TrackPoint {
+                t_hours,
+                pos: LatLon::new(lat, lon),
+            };
+            let s = storm(
+                StormTrack::new(vec![point(0.0, lon - delta), point(1.0, lon + delta)]).unwrap(),
+            );
+            let site = LatLon::new(lat + rng.range_f64(-3.0, 3.0), lon);
+            let mut closest = [0.0];
+            s.peak_scan(1.0, &one_site(site), Some(&mut closest))
+                .unwrap();
+            let least = [0.0, 1.0]
+                .map(|t| s.track.position(t).distance_km(site))
+                .into_iter()
+                .fold(f64::INFINITY, f64::min);
+            assert_eq!(closest[0], least, "{site}");
         });
     }
 
@@ -908,11 +1125,10 @@ mod tests {
 
     /// A pair at haversine distance `d` is never culled at a limit of
     /// `d`: the chord bound stays below the haversine, coincident and
-    /// near-coincident points included. A pair whose chord is within
-    /// the gate's is in range.
+    /// near-coincident points included. The chord bracket holds the
+    /// haversine out to twice the gate.
     #[test]
     fn the_chord_bounds_bracket_the_haversine() {
-        let in_gate = chord2_within(GATE_KM);
         cases(1024, |rng| {
             let a = LatLon::new(rng.range_f64(-60.0, 60.0), rng.range_f64(-170.0, 170.0));
             let km = match rng.below(4) {
@@ -926,20 +1142,21 @@ mod tests {
             let d = ta.distance_km(&tb);
             let c2 = chord2(&ta.unit_vector(), &tb.unit_vector());
             assert!(c2 < chord2_limit(d), "{a} to {b}: d {d}, chord² {c2}");
-            assert!(
-                c2 >= in_gate || d < GATE_KM,
-                "{a} to {b}: d {d}, chord² {c2}"
-            );
+            let (r_lo, r_hi) = chord_bracket(c2);
+            assert!(r_lo < d && d < r_hi, "{a} to {b}: {r_lo} < {d} < {r_hi}");
         });
     }
 
-    /// Every pair the offshore bound is given for has a `wind_at`
-    /// component toward the site's bearing at or below it: coincident
-    /// and near-coincident centres, and sites at right angles to the
-    /// circulation's onshore direction, included.
+    /// Every in-range pair the onshore bound is given for has a
+    /// `wind_at` component toward the site's bearing at or below it:
+    /// coincident and near-coincident centres, bearing vectors about
+    /// `1e-4` long, distances about `rmax`, sites at right angles to
+    /// the circulation's onshore direction, sites it blows offshore at
+    /// and drift against the bearing included. Many bounds are at or
+    /// below 0, so the pair is culled at a peak of `0.0`.
     #[test]
-    fn the_offshore_bound_bounds_every_component_it_is_given_for() {
-        let mut bounded = 0;
+    fn the_onshore_bound_bounds_every_component_it_is_given_for() {
+        let (mut bounded, mut at_zero) = (0, 0);
         cases(256, |rng| {
             let start = LatLon::new(rng.range_f64(-10.0, 50.0), rng.range_f64(-170.0, 170.0));
             let heading = rng.range_f64(0.0, 360.0);
@@ -952,69 +1169,99 @@ mod tests {
             let field = StormField::new(&s).unwrap();
             // `t = k` exactly, so step k is the scalar scan's `t = k`.
             let steps: Vec<PassageStep> = s.passage(1.0).collect();
+            let coriolis = steps.iter().map(|s| s.abs_coriolis);
+            let table = BoundTable::new(
+                &field,
+                steps[0].motion.motion_06,
+                coriolis.clone().fold(f64::INFINITY, f64::min),
+                coriolis.fold(0.0, f64::max),
+            );
+            let min_norm_km = MIN_BEARING_NORM * EARTH_RADIUS_KM;
             for _ in 0..32 {
                 let k = rng.below(steps.len() as u64) as usize;
                 let step = &steps[k];
                 let onshore = match rng.below(3) {
                     0 => heading,
+                    1 => heading + 180.0,
                     _ => rng.range_f64(0.0, 360.0),
                 };
                 // The circulation blows toward `onshore` at sites bearing
-                // φ from the centre; ±90° from φ it blows across it.
+                // φ from the centre, away from it at φ + 180°, and across
+                // it ±90° from φ.
                 let phi = 90.0 + INFLOW_ANGLE_DEG + onshore;
-                let bearing = match rng.below(3) {
+                let bearing = match rng.below(4) {
                     0 => phi + 90.0 + rng.range_f64(-1e-6, 1e-6),
                     1 => phi - 90.0 + rng.range_f64(-1e-6, 1e-6),
+                    2 => phi + 180.0 + rng.range_f64(-60.0, 60.0),
                     _ => rng.range_f64(0.0, 360.0),
                 };
-                let km = match rng.below(4) {
+                let km = match rng.below(6) {
                     0 => 0.0,
                     1 => rng.range_f64(0.0, 1e-3),
+                    2 => min_norm_km * rng.range_f64(1.0 - 1e-6, 1.0 + 1e-6),
+                    3 => s.rmax_km * rng.range_f64(0.99, 1.01),
+                    4 => GATE_KM - rng.range_f64(0.0, 1.0),
                     _ => rng.range_f64(0.0, GATE_KM),
                 };
                 let pos = step.center.pos().destination(bearing.rem_euclid(360.0), km);
-                let sites = ScanSites::new([(pos, PeakOf::Toward(onshore))]);
-                if let Some(bound) = sites.sites[0].offshore_bound(step, &field) {
-                    let wind = s
-                        .wind_field(k as f64)
-                        .unwrap()
-                        .wind_at(step.center.pos(), pos);
-                    let value = wind.component_toward(onshore);
-                    assert!(value <= bound, "k {k}, {pos}: {value} > {bound}");
-                    bounded += 1;
+                let sites = ScanSites::new([(pos, PeakOf::Toward(onshore.rem_euclid(360.0)))]);
+                let site = &sites.sites[0];
+                let c2 = chord2(&step.unit, &site.unit);
+                let Some(bound) = site.onshore_bound(step, &field, &table, c2) else {
+                    continue;
+                };
+                let wind = s.wind_field(k as f64).unwrap();
+                if step.center.distance_km(&site.trig) >= GATE_KM {
+                    continue;
                 }
+                let value = wind
+                    .wind_at(step.center.pos(), pos)
+                    .component_toward(onshore.rem_euclid(360.0));
+                assert!(value <= bound, "k {k}, {pos}: {value} > {bound}");
+                bounded += 1;
+                at_zero += u32::from(bound <= 0.0);
             }
         });
-        assert!(bounded > 2000, "only {bounded} pairs bounded");
+        assert!(bounded > 5000, "only {bounded} pairs bounded");
+        assert!(at_zero > 2500, "only {at_zero} bounds at or below 0");
         // A speed site is never bounded so.
         let s = storm(StormTrack::straight(LatLon::new(19.2, -158.35), 5.0, 6.0, 48.0).unwrap());
         let step = s.passage(1.0).next().unwrap();
         let field = StormField::new(&s).unwrap();
-        let north = step.center.pos().destination(0.0, 100.0);
-        assert!(one_site(north).sites[0]
-            .offshore_bound(&step, &field)
-            .is_none());
+        let table = BoundTable::new(&field, 3.6, step.abs_coriolis, step.abs_coriolis);
+        let site = &one_site(step.center.pos().destination(0.0, 100.0)).sites[0];
+        let c2 = chord2(&step.unit, &site.unit);
+        assert!(site.onshore_bound(&step, &field, &table, c2).is_none());
     }
 
     #[test]
     fn the_bound_table_is_non_increasing_and_bounds_every_speed_past_its_radius() {
         // The suffix max orders even rows that arrive out of order.
-        let table =
-            BoundTable::from_rows(vec![(3.0, 1.0), (5.0, 2.0), (f64::NAN, 3.0), (1.0, 4.0)]);
-        let bounds: Vec<f64> = table.rows.iter().map(|r| r.0).collect();
-        assert_eq!(
-            bounds,
-            vec![f64::INFINITY; 3]
-                .into_iter()
-                .chain([1.0])
-                .collect::<Vec<_>>()
-        );
+        let row = |bound, chord2| BoundRow {
+            radius_km: chord2,
+            chord2,
+            speed: bound,
+            v_hi: bound,
+            v_lo: 0.0,
+        };
+        let table = BoundTable::from_rows(vec![
+            row(3.0, 1.0),
+            row(5.0, 2.0),
+            row(f64::NAN, 3.0),
+            row(1.0, 4.0),
+        ]);
+        let want: Vec<f64> = vec![f64::INFINITY; 3].into_iter().chain([1.0]).collect();
+        let column = |pick: fn(&BoundRow) -> f64| table.rows.iter().map(pick).collect::<Vec<_>>();
+        assert_eq!(column(|r| r.speed), want);
+        assert_eq!(column(|r| r.v_hi), want);
         assert_eq!(table.limit(1.0), 4.0);
         assert_eq!(table.limit(0.5), chord2_limit(GATE_KM));
         // Every storm speed at distance r, at a centre whose |f| is at
         // least the floor's and moving at most the table's fastest
         // motion, is at most the bound of each tabled radius at or
-        // below r.
+        // below r, and so is its `v_rot`. Where |f| is also at most the
+        // ceiling's, that `v_rot` is at least the lower bound of each
+        // tabled radius at or past r.
         cases(128, |rng| {
             let mut s =
                 storm(StormTrack::straight(LatLon::new(19.2, -158.35), 5.0, 6.0, 48.0).unwrap());
@@ -1026,15 +1273,24 @@ mod tests {
                 0 => 0.0,
                 _ => rng.range_f64(0.0, 70.0),
             };
-            let f_min = coriolis_at(floor_deg.to_radians().sin()).abs();
-            let table = BoundTable::new(&StormField::new(&s).unwrap(), 0.6 * max_motion, f_min);
-            let radii: Vec<f64> = (0..table.rows.len() as i32)
-                .map(|k| s.rmax_km * TABLE_RATIO.powi(k))
-                .collect();
+            let ceiling_deg = match rng.below(3) {
+                0 => floor_deg,
+                _ => rng.range_f64(floor_deg, 75.0),
+            };
+            let f_at = |deg: f64| coriolis_at(deg.to_radians().sin()).abs();
+            let table = BoundTable::new(
+                &StormField::new(&s).unwrap(),
+                0.6 * max_motion,
+                f_at(floor_deg),
+                f_at(ceiling_deg),
+            );
+            let last = table.rows.last().unwrap();
+            assert_eq!(last.radius_km, GATE_KM, "the last row is the gate's");
             for _ in 0..40 {
-                let lat = match rng.below(3) {
+                let lat = match rng.below(4) {
                     0 => floor_deg,
-                    _ => rng.range_f64(floor_deg, 75.0),
+                    1 => ceiling_deg,
+                    _ => floor_deg + (ceiling_deg - floor_deg) * rng.unit_f64(),
                 };
                 let lat = if rng.below(2) == 0 { lat } else { -lat };
                 let motion = match rng.below(2) {
@@ -1050,19 +1306,24 @@ mod tests {
                 )
                 .unwrap()
                 .with_motion(rng.range_f64(0.0, 360.0), motion);
-                // Just past a tabled radius, where its row is tightest,
-                // or anywhere in the table's span.
-                let r = match rng.below(2) {
-                    0 => {
-                        (radii[rng.below(radii.len() as u64) as usize] * (1.0 + 1e-8)).min(GATE_KM)
-                    }
+                // Just past or short of a tabled radius, where its rows
+                // are tightest, or anywhere in the table's span.
+                let radius = table.rows[rng.below(table.rows.len() as u64) as usize].radius_km;
+                let r = match rng.below(3) {
+                    0 => (radius * (1.0 + 1e-8)).min(GATE_KM),
+                    1 => (radius * (1.0 - 1e-8)).max(s.rmax_km),
                     _ => rng.range_f64(s.rmax_km, GATE_KM),
                 };
                 let center = LatLon::new(lat, -158.0);
                 let speed = f.wind_at(center, center.destination(rng.range_f64(0.0, 360.0), r));
-                for (&radius, &(bound, _)) in radii.iter().zip(&table.rows) {
-                    if radius <= r * (1.0 - 1e-9) {
-                        assert!(speed.speed_ms <= bound, "r {r}: {speed:?} > {bound}");
+                let v_rot = f.gradient_wind_ms(r);
+                for row in &table.rows {
+                    if row.radius_km <= r * (1.0 - 1e-9) {
+                        assert!(speed.speed_ms <= row.speed, "r {r}: {speed:?} > {row:?}");
+                        assert!(v_rot <= row.v_hi, "r {r}: {v_rot} > {row:?}");
+                    }
+                    if row.radius_km >= r * (1.0 + 1e-9) {
+                        assert!(v_rot >= row.v_lo, "r {r}: {v_rot} < {row:?}");
                     }
                 }
             }

@@ -42,8 +42,12 @@ pub const HYDRO_PEAK_SCAN_EVALUATED: &str = "hydro.peak_scan.evaluated";
 pub const HYDRO_PEAK_SCAN_SKIPPED: &str = "hydro.peak_scan.skipped";
 /// Steps the peak scans culled before any trig, because a chord lower
 /// bound on the distance put the site past the storm's reach or the
-/// 400 km gate.
+/// 400 km gate, or a bound on an onshore component from the chord
+/// showed it could not raise the running peak.
 pub const HYDRO_PEAK_SCAN_CULLED: &str = "hydro.peak_scan.culled";
+/// Haversine distances the peak scans computed, for the pairs they
+/// tested and for each site's closest approach.
+pub const HYDRO_PEAK_SCAN_HAVERSINES: &str = "hydro.peak_scan.haversines";
 /// Attacker strategy invocations.
 pub const ATTACKER_ATTACKS: &str = "attacker.attacks";
 /// Discrete events dispatched by the simulator (deliveries, timers,
@@ -249,6 +253,7 @@ pub fn register_defaults(registry: &crate::Registry) {
         HYDRO_PEAK_SCAN_EVALUATED,
         HYDRO_PEAK_SCAN_SKIPPED,
         HYDRO_PEAK_SCAN_CULLED,
+        HYDRO_PEAK_SCAN_HAVERSINES,
         ATTACKER_ATTACKS,
         SIMNET_EVENTS_DISPATCHED,
         SIMNET_MESSAGES_DROPPED,
@@ -332,7 +337,7 @@ mod tests {
         let reg = crate::Registry::new();
         register_defaults(&reg);
         let snap = reg.snapshot();
-        assert_eq!(snap.counters.len(), 75);
+        assert_eq!(snap.counters.len(), 76);
         assert_eq!(snap.counter(GEO_DEM_SYNTHESIZED), Some(0));
         assert_eq!(snap.counter(GEO_TERRAIN_EDGES_EVALUATED), Some(0));
         assert_eq!(snap.counter(GEO_TERRAIN_EDGES_CULLED), Some(0));
@@ -341,6 +346,7 @@ mod tests {
         assert_eq!(snap.counter(HYDRO_PEAK_SCAN_EVALUATED), Some(0));
         assert_eq!(snap.counter(HYDRO_PEAK_SCAN_SKIPPED), Some(0));
         assert_eq!(snap.counter(HYDRO_PEAK_SCAN_CULLED), Some(0));
+        assert_eq!(snap.counter(HYDRO_PEAK_SCAN_HAVERSINES), Some(0));
         assert_eq!(snap.counter(SPATIAL_CANDIDATES), Some(0));
         assert_eq!(snap.counter(SPATIAL_HITS), Some(0));
         assert_eq!(snap.counter(SERVE_KEEPALIVE_REUSES), Some(0));

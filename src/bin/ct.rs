@@ -266,8 +266,9 @@ const COMMANDS: &[CommandSpec] = &[
 
 fn usage() -> String {
     let mut s = String::from("usage: ct <command> [options]\n\ncommands:\n");
+    let width = COMMANDS.iter().map(|c| c.name.len()).max().unwrap_or(0);
     for c in COMMANDS {
-        s.push_str(&format!("  {:<10} {}\n", c.name, c.summary));
+        s.push_str(&format!("  {:<width$} {}\n", c.name, c.summary));
     }
     s.push_str(
         "\nrun 'ct <command> --help' for that command's flags\n\

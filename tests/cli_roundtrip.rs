@@ -4,9 +4,9 @@
 //! users type and scripts grep, so the contracts are pinned here
 //! rather than left to convention. The enums are tiny, so coverage is
 //! exhaustive: every variant, every case mix, and a corpus of
-//! near-miss junk. One last contract runs the `ct` binary itself: a
+//! near-miss junk. The last contracts run the `ct` binary itself: a
 //! store directory that another open store holds is refused, and so is
-//! a removed flag.
+//! a removed flag; `ct --help` aligns its command summaries.
 
 use compound_threats::prelude::{HazardSpec, ProbeQuery, Store, StoreUrl};
 use ct_rand::{cases, SplitMix64};
@@ -338,6 +338,39 @@ fn ct_refuses_a_store_root_another_store_holds() {
     }
     drop(held);
     std::fs::remove_dir_all(&root).ok();
+}
+
+/// `ct --help` lists every command with its summary in one column,
+/// however long the longest command name is.
+#[test]
+fn ct_help_aligns_every_command_summary() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_ct"))
+        .arg("--help")
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let help = String::from_utf8(out.stdout).unwrap();
+    let columns: Vec<(&str, usize)> = help
+        .lines()
+        .skip_while(|l| *l != "commands:")
+        .skip(1)
+        .take_while(|l| !l.is_empty())
+        .map(|line| {
+            let name = line.trim_start().split(' ').next().unwrap();
+            let after_name = line.find(name).unwrap() + name.len();
+            let gap = line[after_name..].len() - line[after_name..].trim_start().len();
+            assert!(gap >= 1, "{line:?}");
+            (name, after_name + gap)
+        })
+        .collect();
+    assert!(
+        columns.iter().any(|(name, _)| *name == "bench-serve"),
+        "{help}"
+    );
+    assert!(
+        columns.iter().all(|&(_, col)| col == columns[0].1),
+        "summaries start at different columns: {columns:?}"
+    );
 }
 
 fn capitalize(s: &str) -> String {

@@ -647,6 +647,16 @@ fn kernel_fixtures(stations: &Stations, poi: LatLon) -> Vec<StormParams> {
         central_pressure_hpa: 1010.0,
         ..storms[0].clone()
     });
+    // Creeping east about 395 km south of the South station: only the
+    // South, Ewa and West stations come in range, and the circulation
+    // blows offshore at each of them at every step, so every open-coast
+    // peak stays 0 and the scan culls those pairs by their onshore
+    // bound.
+    let start = south.destination(194.0, 395.0);
+    storms.push(bent(vec![
+        point(0.0, start),
+        point(20.0, start.destination(99.0, 97.0)),
+    ]));
     storms
 }
 
@@ -718,10 +728,17 @@ fn kernel_realizations_equal_the_scalar_oracles_bitwise() {
     }
     assert_eq!(fixtures[14].track.motion(12.0).0, 180.0, "due south");
     assert_eq!(fixtures[15].track.motion(12.0).0, 0.0, "due north");
-    let offshore = at(&fixtures[fixtures.len() - 2], StationId::North);
+    let offshore = at(&fixtures[16], StationId::North);
     assert!(offshore.1 == 0.0 && offshore.2 < 400.0, "{offshore:?}");
-    let unphysical = fixtures.last().unwrap();
-    assert!(oracle::station_surge(&model, unphysical).is_err());
+    assert!(oracle::station_surge(&model, &fixtures[17]).is_err());
+    let all_offshore = winds(&fixtures[18]);
+    assert!(all_offshore.iter().all(|w| w.1 == 0.0), "{all_offshore:?}");
+    let in_range: Vec<StationId> = all_offshore
+        .iter()
+        .filter(|w| w.2 < 400.0)
+        .map(|w| w.0)
+        .collect();
+    assert_eq!(in_range, [south, StationId::Ewa, StationId::West]);
     storms.extend(fixtures);
 
     let bits = |r: &Realization| {
