@@ -55,8 +55,7 @@ pub(crate) const PIPELINE_KERNEL_VERSION: u32 = 4;
 /// parameters, the tracked POI set, the hazard engine (id + its full
 /// parameter digest), and the kernel versions.
 ///
-/// Excluded on purpose: `threads` (does not affect values),
-/// `flood_threshold_m` (applied after evaluation), and
+/// Excluded on purpose: `threads` (does not affect values) and
 /// `ensemble.realizations` (realization `i` is a function of the seed
 /// and `i` alone, so runs of different sizes share records). The surge
 /// calibration and stations are *not* hashed here: they are inputs of
@@ -579,17 +578,16 @@ mod tests {
     }
 
     #[test]
-    fn base_key_ignores_size_threads_and_threshold() {
+    fn base_key_ignores_size_and_threads() {
         let (config, _, pois, stations) = study_inputs();
         let a = key(&config, &pois, &stations);
         let mut other = config.clone();
         other.ensemble.realizations = 7;
         other.threads = 3;
-        other.flood_threshold_m = Some(1.25);
         assert_eq!(
             key(&other, &pois, &stations),
             a,
-            "size/threads/threshold must not invalidate records"
+            "size/threads must not invalidate records"
         );
     }
 

@@ -23,8 +23,6 @@ pub enum CoreError {
         /// Why the value was rejected.
         reason: String,
     },
-    /// A report/figure renderer failed to format output.
-    Render(std::fmt::Error),
     /// Artifact-store failure (I/O under the store root). Corrupt
     /// records never surface here — the store heals them internally.
     Store(ct_store::StoreError),
@@ -50,7 +48,6 @@ impl fmt::Display for CoreError {
             CoreError::InvalidConfig { field, reason } => {
                 write!(f, "invalid configuration: {field}: {reason}")
             }
-            CoreError::Render(e) => write!(f, "report rendering: {e}"),
             CoreError::Store(e) => write!(f, "{e}"),
             CoreError::Io { path, message } => write!(f, "i/o on '{path}': {message}"),
         }
@@ -65,16 +62,9 @@ impl std::error::Error for CoreError {
             CoreError::Geo(e) => Some(e),
             CoreError::UnknownAsset { .. } => None,
             CoreError::InvalidConfig { .. } => None,
-            CoreError::Render(e) => Some(e),
             CoreError::Store(e) => Some(e),
             CoreError::Io { .. } => None,
         }
-    }
-}
-
-impl From<std::fmt::Error> for CoreError {
-    fn from(e: std::fmt::Error) -> Self {
-        CoreError::Render(e)
     }
 }
 
@@ -124,9 +114,6 @@ mod tests {
         };
         assert!(e.to_string().contains("realizations"));
         assert!(e.source().is_none());
-        let e = CoreError::from(std::fmt::Error);
-        assert!(e.to_string().contains("rendering"));
-        assert!(e.source().is_some());
         let e = CoreError::Io {
             path: "/tmp/m.csv".into(),
             message: "denied".into(),

@@ -47,7 +47,6 @@
 
 pub mod artifact;
 pub mod attacker_power;
-pub mod availability;
 pub mod check;
 mod conn;
 pub mod error;
@@ -59,9 +58,7 @@ pub mod prelude;
 mod probe;
 mod profile;
 pub mod report;
-pub mod sensitivity;
 pub mod serve;
-pub mod summary;
 mod traffic;
 
 pub use error::CoreError;

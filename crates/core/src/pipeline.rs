@@ -33,8 +33,9 @@ type PlanHistogram = Arc<Vec<(PostDisasterState, usize)>>;
 ///
 /// Construct via [`CaseStudyConfig::builder`], which validates values
 /// before they reach the pipeline; `Default` gives the paper's
-/// canonical setup (Oahu, 1000 realizations, auto threads, 0.5 m flood
-/// threshold).
+/// canonical setup (Oahu, 1000 realizations, auto threads). Assets
+/// fail at the paper's 0.5 m flood threshold
+/// ([`ct_hydro::FloodThreshold`]).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CaseStudyConfig {
     /// Terrain synthesis parameters of the Oahu preset.
@@ -50,9 +51,6 @@ pub struct CaseStudyConfig {
     pub hazard: HazardSpec,
     /// Worker threads for ensemble evaluation (0 = auto).
     pub threads: usize,
-    /// Asset-failure flood threshold in metres; `None` keeps the
-    /// paper's 0.5 m default ([`ct_hydro::FloodThreshold`]).
-    pub flood_threshold_m: Option<f64>,
 }
 
 impl CaseStudyConfig {
@@ -64,7 +62,6 @@ impl CaseStudyConfig {
     /// let config = CaseStudyConfig::builder()
     ///     .realizations(200)
     ///     .threads(4)
-    ///     .flood_threshold_m(0.75)
     ///     .build()
     ///     .expect("valid config");
     /// assert_eq!(config.ensemble.realizations, 200);
@@ -113,34 +110,17 @@ impl CaseStudyConfigBuilder {
         self
     }
 
-    /// Asset-failure flood threshold in metres (must be finite and
-    /// non-negative; the paper assumes 0.5 m switch height).
-    #[must_use]
-    pub fn flood_threshold_m(mut self, depth_m: f64) -> Self {
-        self.config.flood_threshold_m = Some(depth_m);
-        self
-    }
-
     /// Validates and returns the configuration.
     ///
     /// # Errors
     ///
-    /// [`CoreError::InvalidConfig`] when the ensemble is empty or the
-    /// flood threshold is negative or non-finite.
+    /// [`CoreError::InvalidConfig`] when the ensemble is empty.
     pub fn build(self) -> Result<CaseStudyConfig, CoreError> {
         if self.config.ensemble.realizations == 0 {
             return Err(CoreError::InvalidConfig {
                 field: "realizations",
                 reason: "ensemble must contain at least 1 realization".into(),
             });
-        }
-        if let Some(depth_m) = self.config.flood_threshold_m {
-            if !depth_m.is_finite() || depth_m < 0.0 {
-                return Err(CoreError::InvalidConfig {
-                    field: "flood_threshold_m",
-                    reason: format!("must be finite and non-negative, got {depth_m}"),
-                });
-            }
         }
         Ok(self.config)
     }
@@ -225,12 +205,10 @@ pub struct CaseStudy {
 
 impl Clone for CaseStudy {
     fn clone(&self) -> Self {
-        // Cached histograms depend on the set's flood threshold, and a
-        // clone is exactly the mutation point for
-        // `with_flood_threshold` — so a clone starts with an empty
-        // cache rather than inheriting entries that may go stale. The
-        // store context survives: histogram keys pin the threshold, so
-        // disk entries cannot be confused across thresholds.
+        // A clone starts with an empty histogram cache, so its first
+        // profile of each plan computes the histogram again (or reads
+        // it from the store): a cold histogram can be timed on a clone
+        // of a built study. The store context survives.
         Self {
             config: self.config.clone(),
             topology: self.topology.clone(),
@@ -540,10 +518,7 @@ impl CaseStudy {
             &indices,
             store.zip(base.as_ref()),
         )?;
-        let mut set = RealizationSet::from_parts(prepared.pois, realizations);
-        if let Some(depth_m) = config.flood_threshold_m {
-            set.set_threshold(ct_hydro::FloodThreshold::new(depth_m)?);
-        }
+        let set = RealizationSet::from_parts(prepared.pois, realizations);
         drop(build_span);
         Ok(Self {
             config: config.clone(),
@@ -574,11 +549,6 @@ impl CaseStudy {
     ) -> Result<Self, CoreError> {
         let _s = ct_obs::span("merge");
         Self::build_with_store(config, Some(store))
-    }
-
-    /// The configuration the study was built from.
-    pub(crate) fn config(&self) -> &CaseStudyConfig {
-        &self.config
     }
 
     /// The hazard engine the ensemble was evaluated with.
@@ -660,8 +630,7 @@ impl CaseStudy {
     ///
     /// Store-backed studies check the artifact store between the
     /// in-memory cache and a fresh computation; the disk key pins the
-    /// base address, the ensemble size, and the flood threshold, so a
-    /// histogram can never leak across thresholds.
+    /// base address, the ensemble size, and the flood threshold.
     fn plan_histogram(&self, plan: &SitePlan) -> Result<PlanHistogram, CoreError> {
         let key = (plan.architecture(), plan.site_asset_ids().to_vec());
         if let Some(hist) = self
@@ -722,20 +691,6 @@ impl CaseStudy {
             store_record(store, &key, &artifact::encode_histogram(&hist));
         }
         Ok(hist)
-    }
-
-    /// A copy of this study with a different asset-failure flood
-    /// threshold (the paper assumes 0.5 m switch height; this enables
-    /// sensitivity analysis of that assumption).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for negative or non-finite thresholds.
-    pub fn with_flood_threshold(&self, depth_m: f64) -> Result<CaseStudy, CoreError> {
-        let threshold = ct_hydro::FloodThreshold::new(depth_m)?;
-        let mut copy = self.clone();
-        copy.set.set_threshold(threshold);
-        Ok(copy)
     }
 
     /// Probability that the asset's site floods across the ensemble.
@@ -807,22 +762,6 @@ mod tests {
                 ..
             }
         ));
-        for bad in [-0.5, f64::NAN, f64::INFINITY] {
-            let e = CaseStudyConfig::builder()
-                .flood_threshold_m(bad)
-                .build()
-                .unwrap_err();
-            assert!(
-                matches!(
-                    e,
-                    CoreError::InvalidConfig {
-                        field: "flood_threshold_m",
-                        ..
-                    }
-                ),
-                "threshold {bad} should be rejected"
-            );
-        }
     }
 
     /// A study over a hand-built, RNG-free ensemble: realization `i`
@@ -1057,22 +996,6 @@ mod tests {
         let kahe = s.flood_probability(ct_scada::oahu::KAHE).unwrap();
         assert_eq!(kahe, 0.0, "Kahe never floods");
         assert!(s.flood_probability("nope").is_err());
-    }
-
-    #[test]
-    fn a_higher_flood_threshold_floods_less_often() {
-        let s = small_study();
-        let p = |depth_m| {
-            s.with_flood_threshold(depth_m)
-                .unwrap()
-                .flood_probability(ct_scada::oahu::HONOLULU_CC)
-                .unwrap()
-        };
-        assert!(p(0.2) >= p(0.5));
-        assert!(p(0.5) >= p(1.5));
-        // The paper's 0.5 m threshold is the study's own.
-        let base = s.flood_probability(ct_scada::oahu::HONOLULU_CC).unwrap();
-        assert!((p(0.5) - base).abs() < 1e-12);
     }
 
     #[test]

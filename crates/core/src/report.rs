@@ -50,36 +50,6 @@ pub fn figure_table(data: &FigureData) -> String {
     out
 }
 
-/// Renders a figure as a Markdown table.
-pub(crate) fn figure_markdown(data: &FigureData) -> String {
-    let mut out = String::new();
-    writeln!(
-        out,
-        "**{} — {}{}**",
-        data.figure,
-        data.figure.caption(),
-        hazard_label(data)
-    )
-    .expect("writing to String cannot fail");
-    writeln!(out).expect("writing to String cannot fail");
-    writeln!(out, "| config | green | orange | red | gray |")
-        .expect("writing to String cannot fail");
-    writeln!(out, "|---|---|---|---|---|").expect("writing to String cannot fail");
-    for (arch, p) in &data.rows {
-        writeln!(
-            out,
-            "| \"{}\" | {:.1}% | {:.1}% | {:.1}% | {:.1}% |",
-            arch.label(),
-            100.0 * p.green(),
-            100.0 * p.orange(),
-            100.0 * p.red(),
-            100.0 * p.gray()
-        )
-        .expect("writing to String cannot fail");
-    }
-    out
-}
-
 /// Renders a figure as CSV (`figure,config,green,orange,red,gray`).
 pub fn figure_csv(data: &FigureData) -> String {
     let mut out = String::from("figure,config,green,orange,red,gray\n");
@@ -157,21 +127,11 @@ mod tests {
     fn only_non_surge_hazards_are_labelled() {
         // Surge renders exactly as the pre-hazard-engine pipeline did.
         assert!(!figure_table(&sample()).contains("[hazard:"));
-        assert!(!figure_markdown(&sample()).contains("[hazard:"));
         let wind = FigureData {
             hazard: HazardSpec::Wind,
             ..sample()
         };
         assert!(figure_table(&wind).contains("[hazard: wind]"));
-        assert!(figure_markdown(&wind).contains("[hazard: wind]"));
-    }
-
-    #[test]
-    fn markdown_is_well_formed() {
-        let md = figure_markdown(&sample());
-        assert!(md.contains("| config |"));
-        assert_eq!(md.matches('\n').count(), md.lines().count());
-        assert!(md.contains("| \"2\" | 90.0% |"));
     }
 
     #[test]

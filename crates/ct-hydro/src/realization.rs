@@ -40,7 +40,6 @@ impl Realization {
 pub struct RealizationSet {
     pois: Vec<Poi>,
     realizations: Vec<Realization>,
-    threshold: FloodThreshold,
 }
 
 impl RealizationSet {
@@ -59,11 +58,7 @@ impl RealizationSet {
                 "realization/POI arity mismatch"
             );
         }
-        Self {
-            pois,
-            realizations,
-            threshold: FloodThreshold::default(),
-        }
+        Self { pois, realizations }
     }
 
     /// Evaluates a single storm against the POIs, each reading the
@@ -128,14 +123,10 @@ impl RealizationSet {
         &self.realizations
     }
 
-    /// The flood threshold used by the failure queries.
+    /// The flood threshold used by the failure queries: the paper's
+    /// 0.5 m switch height.
     pub fn threshold(&self) -> FloodThreshold {
-        self.threshold
-    }
-
-    /// Overrides the flood threshold.
-    pub fn set_threshold(&mut self, threshold: FloodThreshold) {
-        self.threshold = threshold;
+        FloodThreshold::default()
     }
 
     /// Column index of a POI by id.
@@ -156,7 +147,7 @@ impl RealizationSet {
         let n = self
             .realizations
             .iter()
-            .filter(|r| r.flooded(poi_idx, self.threshold))
+            .filter(|r| r.flooded(poi_idx, self.threshold()))
             .count();
         n as f64 / self.realizations.len() as f64
     }
@@ -169,7 +160,7 @@ impl RealizationSet {
     pub fn flooded_mask(&self, realization_idx: usize) -> Vec<bool> {
         let r = &self.realizations[realization_idx];
         (0..self.pois.len())
-            .map(|i| r.flooded(i, self.threshold))
+            .map(|i| r.flooded(i, self.threshold()))
             .collect()
     }
 
@@ -188,7 +179,7 @@ impl RealizationSet {
         let n = self
             .realizations
             .iter()
-            .filter(|r| r.flooded(a, self.threshold) && !r.flooded(b, self.threshold))
+            .filter(|r| r.flooded(a, self.threshold()) && !r.flooded(b, self.threshold()))
             .count();
         n as f64 / self.realizations.len() as f64
     }
@@ -269,15 +260,6 @@ pub(crate) mod tests {
             }
         }
         assert!((set.flood_fraction(0) - count as f64 / set.len() as f64).abs() < 1e-12);
-    }
-
-    #[test]
-    fn threshold_override_changes_fractions() {
-        let mut set = small_set();
-        let base = set.flood_fraction(0);
-        set.set_threshold(FloodThreshold::new(0.0).unwrap());
-        let generous = set.flood_fraction(0);
-        assert!(generous >= base);
     }
 
     #[test]

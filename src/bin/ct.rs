@@ -28,7 +28,6 @@
 //! Hazard engines (`--hazard`): `surge`, `wind`, `compound`.
 //! Every study is the paper's Oahu case study.
 
-use compound_threats::availability::{downtime_report, DowntimeModel};
 use compound_threats::check::{check_cell, CheckMode, CheckOptions};
 use compound_threats::error::CoreError;
 use compound_threats::figures::{reproduce, reproduce_all, Figure};
@@ -233,12 +232,6 @@ const COMMANDS: &[CommandSpec] = &[
         flags: &[HAZARD, REALIZATIONS, STORE, METRICS],
     },
     CommandSpec {
-        name: "downtime",
-        summary: "expected downtime per event (site: waiau|kahe)",
-        positionals: &[("site", false)],
-        flags: &[HAZARD, REALIZATIONS, STORE, METRICS],
-    },
-    CommandSpec {
         name: "check",
         summary: "model-check the Table I cells over many schedules",
         positionals: &[],
@@ -255,12 +248,6 @@ const COMMANDS: &[CommandSpec] = &[
         summary: "flood probabilities (or inundation matrix) as CSV",
         positionals: &[],
         flags: &[FULL, HAZARD, REALIZATIONS, STORE, METRICS],
-    },
-    CommandSpec {
-        name: "report",
-        summary: "full case-study report (markdown)",
-        positionals: &[],
-        flags: &[HAZARD, REALIZATIONS, STORE, METRICS],
     },
 ];
 
@@ -358,6 +345,11 @@ fn require_local_root(args: &CliArgs) -> Result<std::path::PathBuf, Box<dyn std:
     }
 }
 
+/// The configuration a `2 | 2-2 | 6 | 6-6 | 6+6+6` label names.
+fn architecture(label: &str) -> Result<Architecture, String> {
+    Architecture::from_label(label).ok_or_else(|| format!("unknown config '{label}'"))
+}
+
 /// Builds the study from the common flags, through the artifact store
 /// when one was named.
 fn build_study(args: &CliArgs) -> Result<CaseStudy, Box<dyn std::error::Error>> {
@@ -433,8 +425,7 @@ fn run(argv: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
         return Ok(ExitCode::SUCCESS);
     }
     let Some(spec) = COMMANDS.iter().find(|c| c.name == *command) else {
-        eprintln!("unknown command '{command}'\n\n{}", usage());
-        return Ok(ExitCode::FAILURE);
+        return Err(format!("unknown command '{command}'\n\n{}", usage()).into());
     };
     let args = spec.parse(&argv[1..])?;
     if args.help() {
@@ -469,8 +460,9 @@ fn run_command(args: &CliArgs) -> Result<ExitCode, Box<dyn std::error::Error>> {
                         .ok()
                         .and_then(|n| Figure::ALL.into_iter().find(|f| f.number() == n))
                     else {
-                        eprintln!("no figure '{number}'; the paper has figures 6-11");
-                        return Ok(ExitCode::FAILURE);
+                        return Err(
+                            format!("no figure '{number}'; the paper has figures 6-11").into()
+                        );
                     };
                     Some(fig)
                 }
@@ -536,25 +528,10 @@ fn run_command(args: &CliArgs) -> Result<ExitCode, Box<dyn std::error::Error>> {
         }
         "probe" => {
             let authority = require_http_authority(args)?;
-            let scen_s = args.positional(0).expect("required positional");
-            let scenario: ThreatScenario = match scen_s.parse() {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return Ok(ExitCode::FAILURE);
-                }
-            };
-            let site = match args
-                .positional(1)
-                .expect("required positional")
-                .parse::<oahu::SiteChoice>()
-            {
-                Ok(c) => c,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return Ok(ExitCode::FAILURE);
-                }
-            };
+            let scenario: ThreatScenario =
+                args.positional(0).expect("required positional").parse()?;
+            let site: oahu::SiteChoice =
+                args.positional(1).expect("required positional").parse()?;
             let mut query = ProbeQuery {
                 scenario,
                 site,
@@ -602,8 +579,7 @@ fn run_command(args: &CliArgs) -> Result<ExitCode, Box<dyn std::error::Error>> {
                 Some("put") => vec![BenchOp::Put],
                 Some("get") => vec![BenchOp::Get],
                 Some(other) => {
-                    eprintln!("unknown --op '{other}' (put | get | both)");
-                    return Ok(ExitCode::FAILURE);
+                    return Err(format!("unknown --op '{other}' (put | get | both)").into())
                 }
             };
             for row in bench_serve(&options)? {
@@ -611,19 +587,9 @@ fn run_command(args: &CliArgs) -> Result<ExitCode, Box<dyn std::error::Error>> {
             }
         }
         "placement" => {
-            let arch_s = args.positional(0).expect("required positional");
-            let scen_s = args.positional(1).expect("required positional");
-            let Some(arch) = Architecture::from_label(arch_s) else {
-                eprintln!("unknown config '{arch_s}'");
-                return Ok(ExitCode::FAILURE);
-            };
-            let scenario: ThreatScenario = match scen_s.parse() {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return Ok(ExitCode::FAILURE);
-                }
-            };
+            let arch = architecture(args.positional(0).expect("required positional"))?;
+            let scenario: ThreatScenario =
+                args.positional(1).expect("required positional").parse()?;
             let study = build_study(args)?;
             let ranking = rank_backup_sites(&study, arch, scenario)?;
             if ranking.is_empty() {
@@ -643,50 +609,20 @@ fn run_command(args: &CliArgs) -> Result<ExitCode, Box<dyn std::error::Error>> {
                 );
             }
         }
-        "downtime" => {
-            let choice = match args.positional(0) {
-                Some(s) => match s.parse::<oahu::SiteChoice>() {
-                    Ok(c) => c,
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return Ok(ExitCode::FAILURE);
-                    }
-                },
-                None => oahu::SiteChoice::Waiau,
-            };
-            let study = build_study(args)?;
-            let model = DowntimeModel::default();
-            for scenario in ThreatScenario::ALL {
-                print!("{}", downtime_report(&study, scenario, choice, &model)?);
-            }
-        }
         "check" => {
             let architectures = match args.value("--arch") {
                 None => Architecture::ALL.to_vec(),
-                Some(arch_s) => match Architecture::from_label(arch_s) {
-                    Some(arch) => vec![arch],
-                    None => {
-                        eprintln!("unknown config '{arch_s}'");
-                        return Ok(ExitCode::FAILURE);
-                    }
-                },
+                Some(arch_s) => vec![architecture(arch_s)?],
             };
             let scenarios = match args.value("--scenario") {
                 None => ThreatScenario::ALL.to_vec(),
-                Some(scen_s) => match scen_s.parse::<ThreatScenario>() {
-                    Ok(s) => vec![s],
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return Ok(ExitCode::FAILURE);
-                    }
-                },
+                Some(scen_s) => vec![scen_s.parse::<ThreatScenario>()?],
             };
             let depth = args.parsed::<usize>("--depth")?;
             let schedules = args.parsed::<u64>("--schedules")?;
             let mode = match (depth, schedules) {
                 (Some(_), Some(_)) => {
-                    eprintln!("--depth selects the exhaustive tier and --schedules the randomized one; pass exactly one");
-                    return Ok(ExitCode::FAILURE);
+                    return Err("--depth selects the exhaustive tier and --schedules the randomized one; pass exactly one".into());
                 }
                 (None, Some(schedules)) => CheckMode::Randomized {
                     schedules,
@@ -694,8 +630,9 @@ fn run_command(args: &CliArgs) -> Result<ExitCode, Box<dyn std::error::Error>> {
                 },
                 (depth, None) => {
                     if args.value("--seed").is_some() {
-                        eprintln!("--seed applies to the randomized tier; pass --schedules <N>");
-                        return Ok(ExitCode::FAILURE);
+                        return Err(
+                            "--seed applies to the randomized tier; pass --schedules <N>".into(),
+                        );
                     }
                     CheckMode::Exhaustive {
                         depth: depth.unwrap_or(2),
@@ -727,14 +664,6 @@ fn run_command(args: &CliArgs) -> Result<ExitCode, Box<dyn std::error::Error>> {
             }
         }
         "topology" => print!("{}", export::to_csv(&oahu::topology())),
-        "report" => {
-            let study = build_study(args)?;
-            let report = compound_threats::summary::write_report(
-                &study,
-                &compound_threats::summary::ReportOptions::default(),
-            )?;
-            print!("{report}");
-        }
         "hazard" => {
             let study = build_study(args)?;
             if args.flag("--full") {

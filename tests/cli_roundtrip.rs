@@ -6,7 +6,9 @@
 //! exhaustive: every variant, every case mix, and a corpus of
 //! near-miss junk. The last contracts run the `ct` binary itself: a
 //! store directory that another open store holds is refused, and so is
-//! a removed flag; `ct --help` aligns its command summaries.
+//! a removed flag; a bad config, figure or scenario is an `error: `
+//! that quotes it; `ct --help` lists every command, in order, with its
+//! summaries aligned.
 
 use compound_threats::prelude::{HazardSpec, ProbeQuery, Store, StoreUrl};
 use ct_rand::{cases, SplitMix64};
@@ -340,8 +342,32 @@ fn ct_refuses_a_store_root_another_store_holds() {
     std::fs::remove_dir_all(&root).ok();
 }
 
-/// `ct --help` lists every command with its summary in one column,
-/// however long the longest command name is.
+/// A config, figure or scenario that does not exist fails the way
+/// every other `ct` error does: a non-zero exit and a stderr that
+/// starts with `error: ` and quotes the input.
+#[test]
+fn ct_reports_bad_inputs_as_errors() {
+    for (args, quoted) in [
+        (&["check", "--arch", "9"][..], "'9'"),
+        (&["check", "--scenario", "florble"], "'florble'"),
+        (&["figures", "12"], "'12'"),
+        (&["placement", "9", "hurricane"], "'9'"),
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_ct"))
+            .args(args)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "ct {args:?} must fail: {stderr}");
+        assert!(
+            stderr.starts_with("error: ") && stderr.contains(quoted),
+            "ct {args:?}: {stderr}"
+        );
+    }
+}
+
+/// `ct --help` lists every command, in order, with its summary in one
+/// column however long the longest command name is.
 #[test]
 fn ct_help_aligns_every_command_summary() {
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_ct"))
@@ -363,8 +389,10 @@ fn ct_help_aligns_every_command_summary() {
             (name, after_name + gap)
         })
         .collect();
-    assert!(
-        columns.iter().any(|(name, _)| *name == "bench-serve"),
+    let names: Vec<&str> = columns.iter().map(|&(name, _)| name).collect();
+    assert_eq!(
+        names.join(" "),
+        "figures run merge fsck serve probe bench-serve placement check topology hazard",
         "{help}"
     );
     assert!(

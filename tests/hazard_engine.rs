@@ -16,9 +16,7 @@ use compound_threats::prelude::*;
 use compound_threats::report::figure_csv;
 use ct_geo::terrain::synthesize_oahu;
 use ct_geo::LatLon;
-use ct_hydro::{
-    FloodThreshold, ParametricSurge, Poi, RealizationSet, Stations, StormParams, TrackEnsemble,
-};
+use ct_hydro::{ParametricSurge, Poi, RealizationSet, Stations, StormParams, TrackEnsemble};
 use ct_store::StableHasher;
 
 /// Large enough for the acceptance criterion (n ≥ 200) while keeping
@@ -103,19 +101,13 @@ fn build_reference_surge(config: &CaseStudyConfig) -> RealizationSet {
     .into_iter()
     .collect::<Result<Vec<_>, _>>()
     .unwrap();
-    let mut set = RealizationSet::from_parts(pois, realizations);
-    if let Some(depth_m) = config.flood_threshold_m {
-        set.set_threshold(FloodThreshold::new(depth_m).unwrap());
-    }
-    set
+    RealizationSet::from_parts(pois, realizations)
 }
 
 /// Digests of the study the reference pipeline gave at
 /// `EQUIVALENCE_N` surge realizations, pinned when that study could
-/// still be built as a `CaseStudy`: its figure CSV at the 0.5 m and
-/// 1.0 m flood thresholds, and every profile at 0.5 m.
+/// still be built as a `CaseStudy`: its figure CSV and every profile.
 const REFERENCE_FIGURES_DIGEST: &str = "12772a130deefeaf8db717778bb42135";
-const REFERENCE_FIGURES_1M_DIGEST: &str = "b0aea878065f6986c38d630213c4619e";
 const REFERENCE_PROFILES_DIGEST: &str = "663cb38d94f68d75b07fb373609ef47b";
 
 fn csv_digest(csv: &str) -> String {
@@ -165,20 +157,6 @@ fn surge_via_trait_is_bit_identical_to_the_reference_pipeline() {
         );
         assert_eq!(csv_digest(&figures_csv(study)), REFERENCE_FIGURES_DIGEST);
     }
-
-    // The reference path also honors a non-default threshold the same
-    // way (`with_flood_threshold` sensitivity stays aligned).
-    let loose = CaseStudyConfig {
-        flood_threshold_m: Some(1.0),
-        ..config.clone()
-    };
-    let reference_t = build_reference_surge(&loose);
-    let trait_t = via_trait.with_flood_threshold(1.0).unwrap();
-    assert_eq!(&reference_t, trait_t.realizations());
-    assert_eq!(
-        csv_digest(&figures_csv(&trait_t)),
-        REFERENCE_FIGURES_1M_DIGEST
-    );
 }
 
 /// The seam proof: wind and compound run the full pipeline end-to-end
