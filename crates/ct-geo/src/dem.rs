@@ -4,21 +4,46 @@ use crate::coords::{EnuKm, LatLon, Projection};
 use crate::error::GeoError;
 use crate::grid::Grid;
 use crate::index::ShoreIndex;
-use std::sync::OnceLock;
+use crate::region::{Cells, Terrain};
+use std::sync::{Mutex, OnceLock};
 
 /// A digital elevation model over a local east/north domain.
 ///
 /// Elevations are metres above mean sea level; negative values are
 /// bathymetry (sea floor below sea level). A cell is *land* when its
 /// elevation is strictly positive.
-#[derive(Debug, Clone)]
+///
+/// A DEM from [`Dem::new`] holds its raster. One from
+/// [`synthesize_region`](crate::synthesize_region) holds only its land
+/// mask and computes a cell's elevation when a query first reads it;
+/// [`Dem::elevation_grid`] computes the whole raster once. Either way
+/// every query answers the same bits.
+#[derive(Debug)]
 pub struct Dem {
-    elevation: Grid<f64>,
+    /// Whether each cell is land.
+    land: Grid<bool>,
+    elevation: Elevation,
     projection: Projection,
     /// Cell centres of land cells that touch at least one sea cell.
     coastline: Vec<EnuKm>,
     /// Lazily-built nearest-shore index over `coastline`.
     shore_index: OnceLock<ShoreIndex>,
+}
+
+#[derive(Debug)]
+enum Elevation {
+    /// An explicit raster.
+    Raster(Grid<f64>),
+    Synthesized(Box<Synthesized>),
+}
+
+/// A synthesized terrain, the cells queries have read from it, and
+/// the raster once [`Dem::elevation_grid`] has filled it.
+#[derive(Debug)]
+struct Synthesized {
+    terrain: Terrain,
+    cells: Mutex<Cells>,
+    raster: OnceLock<Grid<f64>>,
 }
 
 impl Dem {
@@ -27,18 +52,54 @@ impl Dem {
     ///
     /// Coastline cells are extracted eagerly at construction.
     pub fn new(elevation: Grid<f64>, projection: Projection) -> Self {
-        let coastline = extract_coastline(&elevation);
+        Self::with_land(
+            elevation.map(|&e| e > 0.0),
+            Elevation::Raster(elevation),
+            projection,
+        )
+    }
+
+    /// A synthesized DEM: its land mask, and its terrain to compute
+    /// cells from.
+    pub(crate) fn synthesized(
+        land: Grid<bool>,
+        projection: Projection,
+        terrain: Terrain,
+        cells: Cells,
+    ) -> Self {
+        let elevation = Elevation::Synthesized(Box::new(Synthesized {
+            terrain,
+            cells: Mutex::new(cells),
+            raster: OnceLock::new(),
+        }));
+        Self::with_land(land, elevation, projection)
+    }
+
+    fn with_land(land: Grid<bool>, elevation: Elevation, projection: Projection) -> Self {
         Self {
+            coastline: extract_coastline(&land),
+            land,
             elevation,
             projection,
-            coastline,
             shore_index: OnceLock::new(),
         }
     }
 
-    /// The underlying elevation raster.
+    /// The underlying elevation raster. A synthesized DEM computes it
+    /// on the first call.
     pub fn elevation_grid(&self) -> &Grid<f64> {
-        &self.elevation
+        match &self.elevation {
+            Elevation::Raster(grid) => grid,
+            Elevation::Synthesized(lazy) => {
+                lazy.raster.get_or_init(|| lazy.terrain.fill(&self.land))
+            }
+        }
+    }
+
+    /// The land mask: whether each cell's elevation is strictly
+    /// positive.
+    pub fn land_mask(&self) -> &Grid<bool> {
+        &self.land
     }
 
     /// The projection mapping geographic coordinates into the DEM's
@@ -61,9 +122,20 @@ impl Dem {
     }
 
     /// Bilinearly-interpolated elevation (m) at a local point, or
-    /// `None` outside the domain.
-    pub(crate) fn elevation_at_enu(&self, p: EnuKm) -> Option<f64> {
-        self.elevation.sample(p)
+    /// `None` outside the domain. Reads at most four cells.
+    pub fn elevation_at_enu(&self, p: EnuKm) -> Option<f64> {
+        match &self.elevation {
+            Elevation::Raster(grid) => grid.sample(p),
+            Elevation::Synthesized(lazy) => match lazy.raster.get() {
+                Some(grid) => grid.sample(p),
+                None => {
+                    let mut cells = lazy.cells.lock().expect("DEM cell cache lock");
+                    self.land.interpolate(p, |c, r| {
+                        cells.elevation(&lazy.terrain, self.land.cell_center(c, r))
+                    })
+                }
+            },
+        }
     }
 
     /// Whether the point is on land (elevation > 0). Points outside
@@ -111,35 +183,31 @@ impl Dem {
     ) -> Option<f64> {
         let theta = bearing_deg.to_radians();
         let (de, dn) = (theta.sin(), theta.cos());
-        let step = self.elevation.cell_km() / 2.0;
-        let mut depths = Vec::new();
+        let step = self.land.cell_km() / 2.0;
+        let (mut sum, mut count) = (0.0, 0_usize);
         let mut s = step;
         while s <= range_km {
             let q = EnuKm::new(shore.east + de * s, shore.north + dn * s);
-            if let Some(e) = self.elevation.sample(q) {
+            if let Some(e) = self.elevation_at_enu(q) {
                 if e < 0.0 {
-                    depths.push(-e);
+                    sum += -e;
+                    count += 1;
                 }
             }
             s += step;
         }
-        if depths.is_empty() {
-            None
-        } else {
-            Some(depths.iter().sum::<f64>() / depths.len() as f64)
-        }
+        (count > 0).then(|| sum / count as f64)
     }
 }
 
 /// Finds land cells with at least one 4-neighbour sea cell.
-fn extract_coastline(elev: &Grid<f64>) -> Vec<EnuKm> {
+fn extract_coastline(land: &Grid<bool>) -> Vec<EnuKm> {
     let mut out = Vec::new();
-    let (cols, rows) = (elev.cols(), elev.rows());
-    let sea = |c: usize, r: usize| elev.get(c, r).is_some_and(|&e| e <= 0.0);
+    let (cols, rows) = (land.cols(), land.rows());
+    let sea = |c: usize, r: usize| land.get(c, r).is_some_and(|&l| !l);
     for r in 0..rows {
         for c in 0..cols {
-            let Some(&e) = elev.get(c, r) else { continue };
-            if e <= 0.0 {
+            if land.get(c, r) != Some(&true) {
                 continue;
             }
             let near_sea = (c > 0 && sea(c - 1, r))
@@ -147,7 +215,7 @@ fn extract_coastline(elev: &Grid<f64>) -> Vec<EnuKm> {
                 || (r > 0 && sea(c, r - 1))
                 || (r + 1 < rows && sea(c, r + 1));
             if near_sea {
-                out.push(elev.cell_center(c, r));
+                out.push(land.cell_center(c, r));
             }
         }
     }
@@ -162,14 +230,9 @@ mod tests {
     impl Dem {
         /// Fraction of cells that are land.
         pub(crate) fn land_fraction(&self) -> f64 {
-            let total = self.elevation.cols() * self.elevation.rows();
-            let land = self
-                .elevation
-                .as_slice()
-                .iter()
-                .filter(|&&e| e > 0.0)
-                .count();
-            land as f64 / total as f64
+            let cells = self.land.as_slice();
+            let land = cells.iter().filter(|&&l| l).count();
+            land as f64 / cells.len() as f64
         }
     }
 

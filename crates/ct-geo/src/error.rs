@@ -17,6 +17,12 @@ pub enum GeoError {
         /// Number of vertices supplied.
         vertices: usize,
     },
+    /// A coastal sector's shelf slope was negative: its sea floor
+    /// would rise offshore.
+    RisingShelf {
+        /// Index of the sector in the spec's table.
+        sector: usize,
+    },
 }
 
 impl fmt::Display for GeoError {
@@ -28,6 +34,9 @@ impl fmt::Display for GeoError {
             GeoError::EmptyGrid => write!(f, "grid must have at least one row and column"),
             GeoError::DegeneratePolygon { vertices } => {
                 write!(f, "polygon needs at least 3 vertices, got {vertices}")
+            }
+            GeoError::RisingShelf { sector } => {
+                write!(f, "coastal sector {sector} has a negative shelf slope")
             }
         }
     }
@@ -45,6 +54,7 @@ mod tests {
             GeoError::OutOfBounds { what: "x".into() },
             GeoError::EmptyGrid,
             GeoError::DegeneratePolygon { vertices: 2 },
+            GeoError::RisingShelf { sector: 1 },
         ];
         for e in errs {
             assert!(!e.to_string().is_empty());

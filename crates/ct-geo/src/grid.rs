@@ -102,12 +102,26 @@ impl<T> Grid<T> {
     pub fn as_slice(&self) -> &[T] {
         &self.data
     }
-}
 
-impl Grid<f64> {
-    /// Bilinearly interpolated value at a point, or `None` outside the
-    /// domain. Edge cells clamp to their centre values.
-    pub fn sample(&self, p: EnuKm) -> Option<f64> {
+    /// A grid of the same shape holding `f` of each value.
+    pub(crate) fn map<U>(&self, f: impl FnMut(&T) -> U) -> Grid<U> {
+        Grid {
+            cols: self.cols,
+            rows: self.rows,
+            origin: self.origin,
+            cell_km: self.cell_km,
+            data: self.data.iter().map(f).collect(),
+        }
+    }
+
+    /// Bilinear interpolation at a point of the cell values `value`
+    /// gives by `(col, row)`, or `None` outside the domain; it reads at
+    /// most four cells. Edge cells clamp to their centre values.
+    pub(crate) fn interpolate(
+        &self,
+        p: EnuKm,
+        mut value: impl FnMut(usize, usize) -> f64,
+    ) -> Option<f64> {
         let fx = (p.east - self.origin.east) / self.cell_km - 0.5;
         let fy = (p.north - self.origin.north) / self.cell_km - 0.5;
         if fx < -0.5 || fy < -0.5 {
@@ -122,13 +136,21 @@ impl Grid<f64> {
         let y1 = (y0 + 1).min(self.rows - 1);
         let tx = (fx - x0 as f64).clamp(0.0, 1.0);
         let ty = (fy - y0 as f64).clamp(0.0, 1.0);
-        let v00 = self.data[y0 * self.cols + x0];
-        let v10 = self.data[y0 * self.cols + x1];
-        let v01 = self.data[y1 * self.cols + x0];
-        let v11 = self.data[y1 * self.cols + x1];
+        let v00 = value(x0, y0);
+        let v10 = value(x1, y0);
+        let v01 = value(x0, y1);
+        let v11 = value(x1, y1);
         let a = v00 * (1.0 - tx) + v10 * tx;
         let b = v01 * (1.0 - tx) + v11 * tx;
         Some(a * (1.0 - ty) + b * ty)
+    }
+}
+
+impl Grid<f64> {
+    /// Bilinearly interpolated value at a point, or `None` outside the
+    /// domain. Edge cells clamp to their centre values.
+    pub fn sample(&self, p: EnuKm) -> Option<f64> {
+        self.interpolate(p, |c, r| self.data[r * self.cols + c])
     }
 }
 

@@ -103,6 +103,7 @@ impl Polygon {
             seed: 0,
             row_north: f64::NAN,
             crossings: Vec::new(),
+            row_edges: Vec::new(),
             evaluated: 0,
             culled: 0,
         }
@@ -192,6 +193,9 @@ pub struct BoundaryWalk {
     row_north: f64,
     /// East coordinates where the row crosses an edge.
     crossings: Vec<f64>,
+    /// Edges whose north span, widened by the cull slack, holds the
+    /// row.
+    row_edges: Vec<usize>,
     evaluated: u64,
     culled: u64,
 }
@@ -240,10 +244,23 @@ impl BoundaryWalk {
     /// Even-odd containment of `p`, as [`Polygon::contains`], from the
     /// crossings of `p`'s row.
     pub(crate) fn contains(&mut self, p: EnuKm) -> bool {
-        if p.north.to_bits() != self.row_north.to_bits() {
-            self.cross_row(p.north);
-        }
+        self.at_row(p.north);
         self.crossings.iter().filter(|&&x| p.east < x).count() % 2 == 1
+    }
+
+    /// Whether `p` lies on the boundary, that is whether
+    /// [`Self::query`] would find it at distance exactly 0: some edge's
+    /// closest point, computed with the same expressions, is `p`
+    /// itself. Rounding keeps that point within the cull slack of the
+    /// edge's bounding box, so only edges whose box comes that close
+    /// are tried. Counted in neither edge counter.
+    pub(crate) fn touches(&mut self, p: EnuKm) -> bool {
+        self.at_row(p.north);
+        self.row_edges.iter().any(|&i| {
+            let e = self.edges[i];
+            e.box_distance2(p) <= CULL_SLACK_KM * CULL_SLACK_KM
+                && p.distance_km(segment_closest_point(p, e.a, e.b)) == 0.0
+        })
     }
 
     /// Edges whose closest point and distance were computed, over all
@@ -257,16 +274,25 @@ impl BoundaryWalk {
         self.culled
     }
 
-    /// The even-odd crossings of the row at `north`, with the
-    /// expressions of [`Polygon::contains`].
-    fn cross_row(&mut self, north: f64) {
+    /// Prepares the row at `north`, unless it is the current one: its
+    /// even-odd crossings, with the expressions of
+    /// [`Polygon::contains`], and the edges whose north span, widened
+    /// by the cull slack, holds it.
+    fn at_row(&mut self, north: f64) {
+        if north.to_bits() == self.row_north.to_bits() {
+            return;
+        }
         self.row_north = north;
         self.crossings.clear();
-        for e in &self.edges {
+        self.row_edges.clear();
+        for (i, e) in self.edges.iter().enumerate() {
             let (vi, vj) = (e.b, e.a);
             if (vi.north > north) != (vj.north > north) {
                 let t = (north - vi.north) / (vj.north - vi.north);
                 self.crossings.push(vi.east + t * (vj.east - vi.east));
+            }
+            if e.min.north - CULL_SLACK_KM <= north && north <= e.max.north + CULL_SLACK_KM {
+                self.row_edges.push(i);
             }
         }
     }

@@ -18,6 +18,7 @@ use crate::error::GeoError;
 use crate::grid::Grid;
 use crate::noise::fbm;
 use crate::polygon::{BoundaryWalk, Polygon};
+use std::collections::HashMap;
 
 /// One coastal sector's slope parameters: how fast the land rises
 /// inland and how fast the sea floor drops offshore.
@@ -117,7 +118,8 @@ impl RegionTerrainSpec {
     /// [`GeoError::DegeneratePolygon`] for an outline or water body
     /// with fewer than three vertices; [`GeoError::EmptyGrid`] for a
     /// non-positive cell size or empty domain or an empty sector
-    /// table.
+    /// table; [`GeoError::RisingShelf`] for a sector whose sea floor
+    /// rises offshore, which could lift open sea above sea level.
     pub(crate) fn validate(&self) -> Result<(), GeoError> {
         if self.outline.len() < 3 {
             return Err(GeoError::DegeneratePolygon {
@@ -137,11 +139,19 @@ impl RegionTerrainSpec {
         {
             return Err(GeoError::EmptyGrid);
         }
+        if let Some(sector) = self
+            .sectors
+            .iter()
+            .position(|s| s.shelf_slope_m_per_km < 0.0)
+        {
+            return Err(GeoError::RisingShelf { sector });
+        }
         Ok(())
     }
 }
 
 /// A projected ridge, ready for evaluation in the local frame.
+#[derive(Debug)]
 struct Ridge {
     a: EnuKm,
     b: EnuKm,
@@ -173,6 +183,13 @@ fn project_ring(projection: &Projection, ring: &[LatLon]) -> Result<Polygon, Geo
     Polygon::new(ring.iter().map(|&p| projection.to_enu(p)).collect())
 }
 
+static CELLS_EVALUATED: ct_obs::CachedCounter =
+    ct_obs::CachedCounter::new(ct_obs::names::GEO_TERRAIN_CELLS_EVALUATED);
+static EDGES_EVALUATED: ct_obs::CachedCounter =
+    ct_obs::CachedCounter::new(ct_obs::names::GEO_TERRAIN_EDGES_EVALUATED);
+static EDGES_CULLED: ct_obs::CachedCounter =
+    ct_obs::CachedCounter::new(ct_obs::names::GEO_TERRAIN_EDGES_CULLED);
+
 /// Synthesizes a region DEM from its spec.
 ///
 /// The raster covers the outline plus surrounding ocean. The
@@ -180,60 +197,90 @@ fn project_ring(projection: &Projection, ring: &[LatLon]) -> Result<Polygon, Geo
 /// through the spec's sectors/ridges/waters — the Oahu preset is
 /// bit-identical to the pre-refactor generator.
 ///
+/// Only the land mask is computed here, from even-odd containment; a
+/// cell's elevation is computed when a query first reads it, and
+/// [`Dem::elevation_grid`] computes every cell in raster order.
+///
 /// # Errors
 ///
-/// Returns [`GeoError`] for degenerate outlines or an empty domain.
+/// Returns [`GeoError`] for degenerate outlines, an empty domain or a
+/// shelf that rises offshore.
 pub fn synthesize_region(spec: &RegionTerrainSpec) -> Result<Dem, GeoError> {
     spec.validate()?;
     let projection = Projection::new(spec.origin);
-    let outline = project_ring(&projection, &spec.outline)?;
-    let waters = spec
-        .inland_waters
-        .iter()
-        .map(|w| project_ring(&projection, w))
-        .collect::<Result<Vec<_>, _>>()?;
-    let ridge_list: Vec<Ridge> = spec
-        .ridges
-        .iter()
-        .map(|r| Ridge {
-            a: projection.to_enu(r.a),
-            b: projection.to_enu(r.b),
-            height_m: r.height_m,
-            width_km: r.width_km,
-        })
-        .collect();
-
+    let terrain = Terrain {
+        spec: spec.clone(),
+        outline: project_ring(&projection, &spec.outline)?,
+        waters: spec
+            .inland_waters
+            .iter()
+            .map(|w| project_ring(&projection, w))
+            .collect::<Result<_, _>>()?,
+        ridges: spec
+            .ridges
+            .iter()
+            .map(|r| Ridge {
+                a: projection.to_enu(r.a),
+                b: projection.to_enu(r.b),
+                height_m: r.height_m,
+                width_km: r.width_km,
+            })
+            .collect(),
+    };
     let cols = (spec.extent_km.0 / spec.cell_km).round() as usize;
     let rows = (spec.extent_km.1 / spec.cell_km).round() as usize;
-
-    let mut outline = outline.boundary_walk();
-    let mut waters: Vec<BoundaryWalk> = waters.iter().map(Polygon::boundary_walk).collect();
-    let grid = Grid::from_fn(cols, rows, spec.domain_origin, spec.cell_km, |p| {
-        elevation_at(spec, &mut outline, &mut waters, &ridge_list, p)
+    let mut cells = Cells {
+        walks: Walks::new(&terrain),
+        read: HashMap::new(),
+    };
+    let land = Grid::from_fn(cols, rows, spec.domain_origin, spec.cell_km, |p| {
+        cells.is_land(&terrain, p)
     })?;
-    let walks = || std::iter::once(&outline).chain(&waters);
-    ct_obs::add(
-        ct_obs::names::GEO_TERRAIN_EDGES_EVALUATED,
-        walks().map(BoundaryWalk::edges_evaluated).sum(),
-    );
-    ct_obs::add(
-        ct_obs::names::GEO_TERRAIN_EDGES_CULLED,
-        walks().map(BoundaryWalk::edges_culled).sum(),
-    );
     ct_obs::add(ct_obs::names::GEO_DEM_SYNTHESIZED, 1);
-    Ok(Dem::new(grid, projection))
+    Ok(Dem::synthesized(land, projection, terrain, cells))
+}
+
+/// A region's terrain in its local frame: the spec with its outline,
+/// water bodies and ridges projected.
+#[derive(Debug)]
+pub(crate) struct Terrain {
+    spec: RegionTerrainSpec,
+    outline: Polygon,
+    waters: Vec<Polygon>,
+    ridges: Vec<Ridge>,
+}
+
+impl Terrain {
+    /// Every cell of the raster shaped like `shape`, in raster order,
+    /// with one carried walk per polygon.
+    pub(crate) fn fill(&self, shape: &Grid<bool>) -> Grid<f64> {
+        let mut walks = Walks::new(self);
+        let grid = Grid::from_fn(
+            shape.cols(),
+            shape.rows(),
+            shape.origin(),
+            shape.cell_km(),
+            |p| elevation_at(self, &mut walks, p),
+        )
+        .expect("the land mask has a valid shape");
+        CELLS_EVALUATED.add(grid.as_slice().len() as u64);
+        let (evaluated, culled) = walks.edges();
+        EDGES_EVALUATED.add(evaluated);
+        EDGES_CULLED.add(culled);
+        grid
+    }
 }
 
 /// The elevation of the cell centred at `p`. Each polygon is walked
 /// at most once; the water bodies are combined in spec order, so the
 /// first one holding `p` sets an inland-water depth.
-fn elevation_at(
-    spec: &RegionTerrainSpec,
-    outline: &mut BoundaryWalk,
-    waters: &mut [BoundaryWalk],
-    ridge_list: &[Ridge],
-    p: EnuKm,
-) -> f64 {
+fn elevation_at(terrain: &Terrain, walks: &mut Walks, p: EnuKm) -> f64 {
+    let Terrain {
+        spec,
+        ridges: ridge_list,
+        ..
+    } = terrain;
+    let Walks { outline, waters } = walks;
     let shore = outline.query(p);
     let sdf_out = shore.signed_distance_km();
     // Land = inside the outline and outside every inland water body.
@@ -270,6 +317,84 @@ fn elevation_at(
         let sector = spec.sector_at(shore.closest);
         let depth = 2.0 + sector.shelf_slope_m_per_km * sdf_out;
         -depth.min(4500.0)
+    }
+}
+
+/// One walk per polygon, carried from cell to cell.
+#[derive(Debug)]
+struct Walks {
+    outline: BoundaryWalk,
+    waters: Vec<BoundaryWalk>,
+}
+
+impl Walks {
+    fn new(terrain: &Terrain) -> Self {
+        Self {
+            outline: terrain.outline.boundary_walk(),
+            waters: terrain.waters.iter().map(Polygon::boundary_walk).collect(),
+        }
+    }
+
+    /// Edges evaluated and culled over every query so far.
+    fn edges(&self) -> (u64, u64) {
+        let walks = || std::iter::once(&self.outline).chain(&self.waters);
+        (
+            walks().map(BoundaryWalk::edges_evaluated).sum(),
+            walks().map(BoundaryWalk::edges_culled).sum(),
+        )
+    }
+}
+
+/// The cells of a synthesized DEM that queries have read, keyed by
+/// the bits of their centre, and the walks that computed them.
+#[derive(Debug)]
+pub(crate) struct Cells {
+    walks: Walks,
+    read: HashMap<(u64, u64), f64>,
+}
+
+impl Cells {
+    /// The elevation of the cell centred at `p`, computed on its first
+    /// read.
+    pub(crate) fn elevation(&mut self, terrain: &Terrain, p: EnuKm) -> f64 {
+        let key = (p.east.to_bits(), p.north.to_bits());
+        if let Some(&e) = self.read.get(&key) {
+            return e;
+        }
+        let before = self.walks.edges();
+        let e = elevation_at(terrain, &mut self.walks, p);
+        let after = self.walks.edges();
+        CELLS_EVALUATED.add(1);
+        EDGES_EVALUATED.add(after.0 - before.0);
+        EDGES_CULLED.add(after.1 - before.1);
+        self.read.insert(key, e);
+        e
+    }
+
+    /// Whether the cell centred at `p` is land (elevation > 0), from
+    /// containment alone wherever that decides it exactly.
+    ///
+    /// Land is clamped to at least 0.2 m, inland water lies at or below
+    /// −4 m and open sea, off the outline, at or below −2 m. So a cell
+    /// off every edge is land exactly when it is inside the outline and
+    /// outside every water body. A centre on the outline is at signed
+    /// distance ±0, never below 0, so it is sea. A centre on a water
+    /// body's edge inside the outline (and in no other water body)
+    /// takes the open-sea formula with a negative outline distance,
+    /// which can rise above sea level; its elevation is computed.
+    fn is_land(&mut self, terrain: &Terrain, p: EnuKm) -> bool {
+        if !self.walks.outline.contains(p) || self.walks.outline.touches(p) {
+            return false;
+        }
+        let mut on_water_edge = false;
+        for water in &mut self.walks.waters {
+            if water.touches(p) {
+                on_water_edge = true;
+            } else if water.contains(p) {
+                return false;
+            }
+        }
+        !on_water_edge || self.elevation(terrain, p) > 0.0
     }
 }
 
@@ -360,6 +485,12 @@ mod tests {
         let mut bad = toy_spec();
         bad.sectors.clear();
         assert!(matches!(synthesize_region(&bad), Err(GeoError::EmptyGrid)));
+        let mut bad = toy_spec();
+        bad.sectors[1].shelf_slope_m_per_km = -1.0;
+        assert!(matches!(
+            synthesize_region(&bad),
+            Err(GeoError::RisingShelf { sector: 1 })
+        ));
     }
 
     #[test]

@@ -25,13 +25,14 @@ pub struct Realization {
 }
 
 impl Realization {
-    /// Whether the POI at `poi_idx` fails under `threshold`.
+    /// Whether the POI at `poi_idx` fails under the paper's 0.5 m
+    /// flood threshold ([`FloodThreshold::default`]).
     ///
     /// # Panics
     ///
     /// Panics if `poi_idx` is out of range.
-    pub fn flooded(&self, poi_idx: usize, threshold: FloodThreshold) -> bool {
-        threshold.is_flooded(self.inundation_m[poi_idx])
+    pub fn flooded(&self, poi_idx: usize) -> bool {
+        FloodThreshold::default().is_flooded(self.inundation_m[poi_idx])
     }
 }
 
@@ -147,7 +148,7 @@ impl RealizationSet {
         let n = self
             .realizations
             .iter()
-            .filter(|r| r.flooded(poi_idx, self.threshold()))
+            .filter(|r| r.flooded(poi_idx))
             .count();
         n as f64 / self.realizations.len() as f64
     }
@@ -159,9 +160,7 @@ impl RealizationSet {
     /// Panics if `realization_idx` is out of range.
     pub fn flooded_mask(&self, realization_idx: usize) -> Vec<bool> {
         let r = &self.realizations[realization_idx];
-        (0..self.pois.len())
-            .map(|i| r.flooded(i, self.threshold()))
-            .collect()
+        (0..self.pois.len()).map(|i| r.flooded(i)).collect()
     }
 
     /// Fraction of realizations in which POI `a` floods but POI `b`
@@ -179,7 +178,7 @@ impl RealizationSet {
         let n = self
             .realizations
             .iter()
-            .filter(|r| r.flooded(a, self.threshold()) && !r.flooded(b, self.threshold()))
+            .filter(|r| r.flooded(a) && !r.flooded(b))
             .count();
         n as f64 / self.realizations.len() as f64
     }

@@ -16,11 +16,14 @@ pub const HAZARD_COMPOUND_COMPONENT_EVALUATIONS: &str = "hazard.compound_compone
 /// DEMs synthesized from their terrain spec (a DEM read from the
 /// artifact store does not count).
 pub const GEO_DEM_SYNTHESIZED: &str = "geo.dem_synthesized";
+/// DEM cells whose elevation terrain synthesis computed: the cells a
+/// query read (once each), or the whole raster when it is filled.
+pub const GEO_TERRAIN_CELLS_EVALUATED: &str = "geo.terrain.cells_evaluated";
 /// Polygon edges whose closest point and distance terrain synthesis
-/// computed (one add per synthesized DEM, over every cell and polygon).
+/// computed, over every evaluated cell and polygon.
 pub const GEO_TERRAIN_EDGES_EVALUATED: &str = "geo.terrain.edges_evaluated";
 /// Polygon edges terrain synthesis skipped because their bounding box
-/// lay beyond the best boundary distance (one add per synthesized DEM).
+/// lay beyond the best boundary distance.
 pub const GEO_TERRAIN_EDGES_CULLED: &str = "geo.terrain.edges_culled";
 /// Storm ensembles sampled (one per build whose realizations were not
 /// all read from the artifact store).
@@ -244,6 +247,7 @@ pub fn register_defaults(registry: &crate::Registry) {
         HAZARD_ASSET_EXPOSURES,
         HAZARD_COMPOUND_COMPONENT_EVALUATIONS,
         GEO_DEM_SYNTHESIZED,
+        GEO_TERRAIN_CELLS_EVALUATED,
         GEO_TERRAIN_EDGES_EVALUATED,
         GEO_TERRAIN_EDGES_CULLED,
         HYDRO_ENSEMBLES_SAMPLED,
@@ -337,8 +341,9 @@ mod tests {
         let reg = crate::Registry::new();
         register_defaults(&reg);
         let snap = reg.snapshot();
-        assert_eq!(snap.counters.len(), 76);
+        assert_eq!(snap.counters.len(), 77);
         assert_eq!(snap.counter(GEO_DEM_SYNTHESIZED), Some(0));
+        assert_eq!(snap.counter(GEO_TERRAIN_CELLS_EVALUATED), Some(0));
         assert_eq!(snap.counter(GEO_TERRAIN_EDGES_EVALUATED), Some(0));
         assert_eq!(snap.counter(GEO_TERRAIN_EDGES_CULLED), Some(0));
         assert_eq!(snap.counter(HYDRO_ENSEMBLES_SAMPLED), Some(0));

@@ -26,12 +26,11 @@ pub fn post_disaster_states(
     set: &RealizationSet,
 ) -> Result<Vec<PostDisasterState>, ScadaError> {
     let columns = site_columns(plan, set)?;
-    let threshold = set.threshold();
     Ok(set
         .realizations()
         .iter()
         .map(|r| {
-            let flooded = columns.iter().map(|&c| r.flooded(c, threshold)).collect();
+            let flooded = columns.iter().map(|&c| r.flooded(c)).collect();
             PostDisasterState::new(plan.architecture(), flooded)
         })
         .collect())
@@ -58,13 +57,12 @@ pub fn post_disaster_histogram(
     set: &RealizationSet,
 ) -> Result<Vec<(PostDisasterState, usize)>, ScadaError> {
     let columns = site_columns(plan, set)?;
-    let threshold = set.threshold();
     let sites = columns.len();
     let mut counts = vec![0usize; 1 << sites];
     for r in set.realizations() {
         let mut mask = 0usize;
         for (s, &c) in columns.iter().enumerate() {
-            if r.flooded(c, threshold) {
+            if r.flooded(c) {
                 mask |= 1 << s;
             }
         }

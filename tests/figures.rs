@@ -194,11 +194,7 @@ fn figure_csvs_and_honolulu_floods_are_pinned() {
 
     let set = study().realizations();
     let h = set.poi_index(ct_scada::oahu::HONOLULU_CC).unwrap();
-    let floods = set
-        .realizations()
-        .iter()
-        .filter(|r| r.flooded(h, set.threshold()))
-        .count();
+    let floods = set.realizations().iter().filter(|r| r.flooded(h)).count();
     assert_eq!((floods, set.len()), (84, 1000));
 
     for (hazard, want) in [

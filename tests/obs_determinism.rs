@@ -119,12 +119,15 @@ fn counters_and_span_tree_are_thread_count_invariant() {
     // evaluated, profiles computed, attacker candidates examined.
     let count = |name: &str| counter(&baseline, name);
     assert_eq!(count(ct_obs::names::GEO_DEM_SYNTHESIZED), 1);
-    // Terrain synthesis walks the Oahu outline (16 edges) at every one
-    // of the 184 × 156 cells and Pearl Harbor (9 edges) where it can
-    // matter; each edge is either evaluated or culled by its bounding
-    // box, one add of each per synthesized DEM.
-    assert_eq!(count(ct_obs::names::GEO_TERRAIN_EDGES_EVALUATED), 65165);
-    assert_eq!(count(ct_obs::names::GEO_TERRAIN_EDGES_CULLED), 458539);
+    // Terrain synthesis computes the land mask from containment alone
+    // and only the 171 cells the 20 POIs' bilinear reads and the 5
+    // station rays touch (a full fill is 184 × 156 = 28,704 cells and
+    // 65,165 / 458,539 edges). Each cell walks the Oahu outline (16
+    // edges) and Pearl Harbor (9 edges) where it can matter; each edge
+    // is either evaluated or culled by its bounding box.
+    assert_eq!(count(ct_obs::names::GEO_TERRAIN_CELLS_EVALUATED), 171);
+    assert_eq!(count(ct_obs::names::GEO_TERRAIN_EDGES_EVALUATED), 504);
+    assert_eq!(count(ct_obs::names::GEO_TERRAIN_EDGES_CULLED), 3033);
     assert_eq!(count(ct_obs::names::HYDRO_ENSEMBLES_SAMPLED), 1);
     // The coordinator samples the 60 storms alone: one normal draw per
     // rejection try of the four truncated variates, plus one plain
@@ -167,8 +170,9 @@ fn counters_and_span_tree_are_thread_count_invariant() {
     let stored = assert_thread_count_invariant(store_run_with);
     let count = |name: &str| counter(&stored, name);
     assert_eq!(count(ct_obs::names::GEO_DEM_SYNTHESIZED), 1);
-    assert_eq!(count(ct_obs::names::GEO_TERRAIN_EDGES_EVALUATED), 65165);
-    assert_eq!(count(ct_obs::names::GEO_TERRAIN_EDGES_CULLED), 458539);
+    assert_eq!(count(ct_obs::names::GEO_TERRAIN_CELLS_EVALUATED), 171);
+    assert_eq!(count(ct_obs::names::GEO_TERRAIN_EDGES_EVALUATED), 504);
+    assert_eq!(count(ct_obs::names::GEO_TERRAIN_EDGES_CULLED), 3033);
     assert_eq!(count(ct_obs::names::HYDRO_ENSEMBLES_SAMPLED), 1);
     assert_eq!(count(ct_obs::names::HYDRO_ENSEMBLE_NORMAL_DRAWS), 306);
     assert_eq!(count(ct_obs::names::HAZARD_REALIZATIONS_EVALUATED), 60);
