@@ -7,12 +7,30 @@
 //! of a step when its haversine distance from the centre is below
 //! 400 km. The sites are [`ScanSites`], prepared once per study:
 //! each site's trig, its unit vector on the sphere, and what its peak
-//! is of ([`PeakOf`]). Each site's peak starts at `0.0`. The site is
-//! evaluated first at the step whose chord distance lies closest to
-//! `rmax_km`, where the Holland profile peaks (ties go to the first
-//! such step), then at every other step in time order. A `(step,
-//! site)` pair that provably cannot raise the running peak is dropped
-//! by the cheapest of three tests that shows it:
+//! is of ([`PeakOf`]). Each site's peak starts at `0.0`, and its pairs
+//! are visited in an order that raises it early:
+//!
+//! - **A speed site** first at the step whose chord distance lies
+//!   closest to `rmax_km`, where the Holland profile peaks, then at
+//!   every other step in time order.
+//! - **A component toward `b`** first at the step whose unit vector
+//!   lies nearest by chord to the point `rmax_km` from the site
+//!   opposite φ (test 3), `cos δ·u_s − sin δ·t_s` for `δ = rmax/R` and
+//!   `t_s` the site's unit tangent along φ: from there the circulation
+//!   blows toward `b` at the Holland peak. Every other step is then
+//!   tested against the site's reach and, if it passes, given its
+//!   onshore bound (both test 1); a bound at or below the peak culls
+//!   the pair. The pairs left are visited best-first: highest bound
+//!   first, ties in step order, a bound that bounds nothing (`None`,
+//!   NaN, every pair of an unphysical storm) as `+∞`. Once the next
+//!   bound is at or below the running peak, every pair left is culled.
+//!
+//! Ties for the first step go to the first such step. The order does
+//! not touch the output: the peak is a max over non-NaN values, which
+//! does not depend on the order, and a pair is dropped only by a bound
+//! at or below the running peak, which only rises. A `(step, site)`
+//! pair that provably cannot raise the running peak is dropped by the
+//! cheapest of three tests that shows it:
 //!
 //! 1. **Culled**, before any trig, in one of two ways.
 //!    - **By distance.** The chord `|u_c − u_s|` between the unit
@@ -30,10 +48,15 @@
 //!      with `r` while every step's `c` at a distance of at least `r`
 //!      is at least the row's, so a row bounds every speed at or
 //!      beyond its radius; a last row sits at the gate. A suffix max
-//!      keeps the table non-increasing. A site's *reach* is the
-//!      smallest tabled radius whose bound is at or below its peak,
-//!      recomputed only when the peak rises. A pair whose lower bound
-//!      is at or past the reach, or past the gate, is culled.
+//!      keeps the table non-increasing. Each row's `x` is the row
+//!      before's times `1.1^(−b)`, one `powf` per table (the gate row
+//!      takes its own): after at most 64 products it is within about
+//!      `64·b` ulp (~2e-14) of its own `powf`, far inside the `1 ±
+//!      1e-9` slacks on the `speed`, `v_hi` and `v_lo` columns. A
+//!      site's *reach* is the smallest tabled radius whose bound is at
+//!      or below its peak, recomputed only when the peak rises. A pair
+//!      whose lower bound is at or past the reach, or past the gate, is
+//!      culled.
 //!    - **By its onshore bound**, for a component toward a bearing
 //!      `b`. Each step keeps its centre's east and north unit vectors;
 //!      their dot products with the site's unit vector are the bearing
@@ -85,15 +108,16 @@
 //! `hydro.peak_scan.evaluated`, `hydro.peak_scan.skipped` (tests 2 and
 //! 3) and `hydro.peak_scan.culled` (test 1, and a pair whose haversine
 //! is at or past the gate), one add each per scan, so the three sum to
-//! the steps times the sites. The step evaluated first computes its
-//! haversine only when its chord bound is below the gate.
+//! the steps times the sites.
 //!
-//! A site's closest approach, when asked for, is seeded with the
-//! haversine at the step of least chord; only a step whose chord bound
-//! is below the running minimum computes another, so a scan computes
-//! about one per site for it. `hydro.peak_scan.haversines` counts every
-//! haversine a scan computes, for its pairs and its closest
-//! approaches, one add per scan.
+//! A site's closest approach, when asked for, is its own pass over the
+//! chords before the peak's. It is seeded with the haversine at the
+//! step of least chord; only a step whose chord bound is below the
+//! running minimum computes another, so a scan computes about one per
+//! site for it, and the peak's pairs reuse them. A pair computes its
+//! haversine only past test 1, so each step and site cost at most one.
+//! `hydro.peak_scan.haversines` counts every haversine a scan computes,
+//! for its pairs and its closest approaches, one add per scan.
 
 use crate::ensemble::StormParams;
 use crate::error::HydroError;
@@ -191,6 +215,8 @@ enum SiteValue {
         /// blows toward `b` at sites that bear φ from the centre.
         sin_phi: f64,
         cos_phi: f64,
+        /// The site's unit tangent along φ.
+        tangent: [f64; 3],
     },
 }
 
@@ -201,6 +227,7 @@ impl ScanSites {
             .into_iter()
             .map(|(pos, of)| {
                 let trig = LatLonTrig::new(pos);
+                let [unit, east, north] = trig.frame();
                 let value = match of {
                     PeakOf::Speed => SiteValue::Speed,
                     PeakOf::Toward(b) => {
@@ -213,14 +240,11 @@ impl ScanSites {
                             cos_b,
                             sin_phi,
                             cos_phi,
+                            tangent: [0, 1, 2].map(|k| cos_phi * north[k] + sin_phi * east[k]),
                         }
                     }
                 };
-                ScanSite {
-                    trig,
-                    unit: trig.unit_vector(),
-                    value,
-                }
+                ScanSite { trig, unit, value }
             })
             .collect();
         Self { sites }
@@ -471,37 +495,38 @@ impl StormParams {
         if let Some(closest) = &closest_km {
             assert_eq!(closest.len(), sites.len(), "one closest approach per site");
         }
-        let steps: Vec<PassageStep> = self.passage(step_hours).collect();
+        let passage = self.passage(step_hours);
+        let mut steps = Vec::with_capacity(passage.capacity());
+        steps.extend(passage);
         let field = StormField::new(self);
         // An unphysical storm has no table: only the gate culls, and its
         // first in-range pair reports the field error.
-        let table = field.as_ref().ok().map(|f| {
-            let max_motion_06 = steps
-                .iter()
-                .map(|s| s.motion.motion_06.abs())
-                .fold(0.0, f64::max);
-            let f_min = steps
-                .iter()
-                .map(|s| s.abs_coriolis)
-                .fold(f64::INFINITY, f64::min);
-            let f_max = steps.iter().map(|s| s.abs_coriolis).fold(0.0, f64::max);
-            BoundTable::new(f, max_motion_06, f_min, f_max)
-        });
+        let table = field
+            .as_ref()
+            .ok()
+            .map(|f| BoundTable::for_steps(f, &steps));
         let mut work = Work::default();
+        // Buffers every site reuses.
         let mut chords = Vec::with_capacity(steps.len());
+        let (mut known, mut candidates) = (Vec::new(), Vec::new());
         let mut peaks = Vec::with_capacity(sites.len());
         for (i, site) in sites.sites.iter().enumerate() {
             chords.clear();
             chords.extend(steps.iter().map(|step| chord2(&step.unit, &site.unit)));
-            let closest = closest_km.as_deref_mut().map(|c| &mut c[i]);
-            let scan = SiteScan {
+            known.clear();
+            let mut scan = SiteScan {
                 field: &field,
                 table: table.as_ref(),
                 steps: &steps,
                 chords: &chords,
                 site,
+                known: &mut known,
+                work: &mut work,
             };
-            peaks.push(scan.peak(closest, &mut work)?);
+            if let Some(closest) = closest_km.as_deref_mut() {
+                closest[i] = scan.closest();
+            }
+            peaks.push(scan.peak(&mut candidates)?);
         }
         Ok((peaks, work))
     }
@@ -515,142 +540,182 @@ struct SiteScan<'a> {
     /// The squared chord from each step's centre to the site.
     chords: &'a [f64],
     site: &'a ScanSite,
+    /// The haversines the closest approach computed, by step, for the
+    /// peak's pairs to reuse.
+    known: &'a mut Vec<(usize, f64)>,
+    work: &'a mut Work,
+}
+
+/// A site's running peak, and the squared chord at and past which a
+/// pair cannot raise it.
+struct Running {
+    peak: f64,
+    limit: f64,
 }
 
 impl SiteScan<'_> {
-    /// The site's peak, and its closest approach into `closest`.
-    fn peak(&self, closest: Option<&mut f64>, work: &mut Work) -> Result<f64, HydroError> {
-        let limit_at = |peak| self.table.map_or(chord2_limit(GATE_KM), |t| t.limit(peak));
-        let mut peak = 0.0_f64;
-        let mut limit = limit_at(peak);
-        // The closest approach so far, seeded at the step of least chord,
-        // and the squared chord at and past which a step cannot come
-        // closer: none when it is not asked for.
-        let mut min_km = f64::INFINITY;
-        let mut min_limit = f64::NEG_INFINITY;
-        let mut nearest = None;
-        if closest.is_some() {
-            nearest = self.nearest_step().map(|s| (s, self.distance(s, work)));
-            if let Some((_, d)) = nearest.filter(|&(_, d)| d < min_km) {
-                min_km = d;
-            }
-            min_limit = chord2_limit(min_km);
-        }
-        let known = |s| nearest.filter(|&(n, _)| n == s).map(|(_, d)| d);
-        // Taken once per site, so that a speed site's loop carries no
-        // onshore test.
-        let toward = matches!(self.site.value, SiteValue::Toward { .. });
+    /// The site's peak, in the order the module docs describe;
+    /// `candidates` is a buffer for the best-first order.
+    fn peak(&mut self, candidates: &mut Vec<(f64, usize)>) -> Result<f64, HydroError> {
+        let mut run = Running {
+            peak: 0.0,
+            limit: self.limit_at(0.0),
+        };
         let prime = self.prime_step();
-        let mut prime_km = None;
-        if let Some(s) = prime.filter(|&s| self.chords[s] < chord2_limit(GATE_KM)) {
-            let r_km = known(s).unwrap_or_else(|| self.distance(s, work));
-            prime_km = Some(r_km);
-            if r_km < GATE_KM {
-                let field = self.field.as_ref().map_err(Clone::clone)?;
-                if let Some(v) =
-                    field.value_above(&self.steps[s], self.site, r_km, f64::NEG_INFINITY)
-                {
-                    peak = peak.max(v);
-                }
-                work.evaluated += 1;
-                limit = limit_at(peak);
-            } else {
-                work.culled += 1;
-            }
-        } else if prime.is_some() {
-            work.culled += 1;
+        if let Some(s) = prime {
+            self.visit(s, &mut run)?;
         }
-        for (s, (step, &c2)) in self.steps.iter().zip(self.chords).enumerate() {
-            let mut r = None;
-            if c2 < min_limit && known(s).is_none() {
-                let d = match prime_km {
-                    Some(d) if Some(s) == prime => d,
-                    _ => self.distance(s, work),
-                };
+        let others = (0..self.steps.len()).filter(|&s| Some(s) != prime);
+        if let SiteValue::Speed = self.site.value {
+            for s in others {
+                self.visit(s, &mut run)?;
+            }
+            return Ok(run.peak);
+        }
+        candidates.clear();
+        for s in others {
+            if self.chords[s] >= run.limit {
+                self.work.culled += 1;
+                continue;
+            }
+            let bound = self.onshore_bound(s);
+            if bound <= run.peak {
+                self.work.culled += 1;
+                continue;
+            }
+            candidates.push((bound, s));
+        }
+        // Highest bound first, ties in step order: the peak rises
+        // soonest, and the first bound at or below it ends the scan.
+        candidates.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+        for (k, &(bound, s)) in candidates.iter().enumerate() {
+            if bound <= run.peak {
+                self.work.culled += (candidates.len() - k) as u64;
+                break;
+            }
+            self.visit(s, &mut run)?;
+        }
+        Ok(run.peak)
+    }
+
+    /// Visits pair `s`: culled at or past the running limit or the gate,
+    /// else evaluated against the running peak or skipped. Inlined into
+    /// each loop: most pairs leave at the first test, and a call per
+    /// pair slowed the speed sites' loop by a few percent.
+    #[inline(always)]
+    fn visit(&mut self, s: usize, run: &mut Running) -> Result<(), HydroError> {
+        if self.chords[s] >= run.limit {
+            self.work.culled += 1;
+            return Ok(());
+        }
+        let r_km = self.distance(s);
+        // Out of range, NaN included.
+        if r_km.partial_cmp(&GATE_KM).is_none_or(Ordering::is_ge) {
+            self.work.culled += 1;
+            return Ok(());
+        }
+        let field = self.field.as_ref().map_err(Clone::clone)?;
+        match field.value_above(&self.steps[s], self.site, r_km, run.peak) {
+            Some(v) => {
+                let old = run.peak;
+                run.peak = run.peak.max(v);
+                if run.peak > old {
+                    run.limit = self.limit_at(run.peak);
+                }
+                self.work.evaluated += 1;
+            }
+            None => self.work.skipped += 1,
+        }
+        Ok(())
+    }
+
+    /// The least haversine distance from any step's centre, seeded at
+    /// the step of least chord: only a step whose chord bound is below
+    /// the running minimum computes another.
+    fn closest(&mut self) -> f64 {
+        let (mut min_km, mut limit) = (f64::INFINITY, f64::INFINITY);
+        let seed = argmin(self.chords.iter().copied());
+        let rest = (0..self.chords.len()).filter(|&s| Some(s) != seed);
+        for s in seed.into_iter().chain(rest) {
+            if self.chords[s] < limit {
+                let d = self.haversine(s);
+                self.known.push((s, d));
                 if d < min_km {
                     min_km = d;
-                    min_limit = chord2_limit(d);
+                    limit = chord2_limit(d);
                 }
-                r = Some(d);
-            }
-            if Some(s) == prime {
-                continue;
-            }
-            if c2 >= limit || (toward && self.onshore_at_most(step, c2, peak)) {
-                work.culled += 1;
-                continue;
-            }
-            let r_km = r
-                .or_else(|| known(s))
-                .unwrap_or_else(|| self.distance(s, work));
-            // Out of range, NaN included.
-            if r_km.partial_cmp(&GATE_KM).is_none_or(Ordering::is_ge) {
-                work.culled += 1;
-                continue;
-            }
-            let field = self.field.as_ref().map_err(Clone::clone)?;
-            match field.value_above(step, self.site, r_km, peak) {
-                Some(v) => {
-                    let old = peak;
-                    peak = peak.max(v);
-                    if peak > old {
-                        limit = limit_at(peak);
-                    }
-                    work.evaluated += 1;
-                }
-                None => work.skipped += 1,
             }
         }
-        if let Some(closest) = closest {
-            *closest = min_km;
+        min_km
+    }
+
+    /// The haversine distance from step `s`'s centre to the site, the
+    /// closest approach's if it computed it.
+    fn distance(&mut self, s: usize) -> f64 {
+        match self.known.iter().find(|&&(k, _)| k == s) {
+            Some(&(_, d)) => d,
+            None => self.haversine(s),
         }
-        Ok(peak)
     }
 
     /// The haversine distance from step `s`'s centre to the site.
-    fn distance(&self, s: usize, work: &mut Work) -> f64 {
-        work.haversines += 1;
+    fn haversine(&mut self, s: usize) -> f64 {
+        self.work.haversines += 1;
         self.steps[s].center.distance_km(&self.site.trig)
     }
 
-    /// Whether [`ScanSite::onshore_bound`] shows that `step`, at squared
-    /// chord `c2`, cannot raise `peak`; never for an unphysical storm.
-    fn onshore_at_most(&self, step: &PassageStep, c2: f64, peak: f64) -> bool {
-        match (self.field, self.table) {
-            (Ok(field), Some(table)) => self
-                .site
-                .onshore_bound(step, field, table, c2)
-                .is_some_and(|bound| bound <= peak),
-            _ => false,
-        }
+    /// The squared chord at and past which a pair cannot raise `peak`.
+    fn limit_at(&self, peak: f64) -> f64 {
+        self.table.map_or(chord2_limit(GATE_KM), |t| t.limit(peak))
     }
 
-    /// The step of least chord (the first of ties), or `None` for no
-    /// steps.
-    fn nearest_step(&self) -> Option<usize> {
-        let mut best: Option<(usize, f64)> = None;
-        for (s, &c2) in self.chords.iter().enumerate() {
-            if best.is_none_or(|(_, b)| c2 < b) {
-                best = Some((s, c2));
-            }
-        }
-        best.map(|(s, _)| s)
+    /// [`ScanSite::onshore_bound`] at pair `s`, `+∞` where it bounds
+    /// nothing: `None`, NaN, and every pair of an unphysical storm.
+    fn onshore_bound(&self, s: usize) -> f64 {
+        let (Ok(field), Some(table)) = (self.field, self.table) else {
+            return f64::INFINITY;
+        };
+        self.site
+            .onshore_bound(&self.steps[s], field, table, self.chords[s])
+            .filter(|bound| !bound.is_nan())
+            .unwrap_or(f64::INFINITY)
     }
 
-    /// The step whose chord distance lies closest to `rmax_km` (the
-    /// first of ties), or `None` for an unphysical storm.
+    /// The step evaluated first (the first of ties), or `None` for an
+    /// unphysical storm. For a speed site, the step whose chord
+    /// distance lies closest to `rmax_km`, where the Holland profile
+    /// peaks. For a component toward `b`, the step whose unit vector
+    /// lies nearest by chord to the point `rmax_km` from the site
+    /// opposite φ, `cos δ·u_s − sin δ·t_s` for `δ = rmax/R` and `t_s`
+    /// the site's tangent along φ: from there the circulation blows
+    /// toward `b` at the Holland peak.
     fn prime_step(&self) -> Option<usize> {
         let field = self.field.as_ref().ok()?;
-        let target = (field.rmax_km / EARTH_RADIUS_KM).powi(2);
-        let mut best: Option<(usize, f64)> = None;
-        for (s, &c2) in self.chords.iter().enumerate() {
-            let key = (c2 - target).abs();
-            if best.is_none_or(|(_, k)| key < k) {
-                best = Some((s, key));
+        match self.site.value {
+            SiteValue::Speed => {
+                let target = (field.rmax_km / EARTH_RADIUS_KM).powi(2);
+                argmin(self.chords.iter().map(|&c2| (c2 - target).abs()))
+            }
+            SiteValue::Toward { tangent, .. } => {
+                let (sin_d, cos_d) = (field.rmax_km / EARTH_RADIUS_KM).sin_cos();
+                let unit = &self.site.unit;
+                let aim = [0, 1, 2].map(|k| cos_d * unit[k] - sin_d * tangent[k]);
+                argmin(self.steps.iter().map(|step| chord2(&step.unit, &aim)))
             }
         }
-        best.map(|(s, _)| s)
     }
+}
+
+/// The index of the least of `keys`, the first of ties; `None` for no
+/// keys.
+fn argmin(keys: impl Iterator<Item = f64>) -> Option<usize> {
+    let mut best: Option<(usize, f64)> = None;
+    for (s, key) in keys.enumerate() {
+        if best.is_none_or(|(_, b)| key < b) {
+            best = Some((s, key));
+        }
+    }
+    best.map(|(s, _)| s)
 }
 
 /// `|u - v|²`.
@@ -776,13 +841,26 @@ impl StormField {
 }
 
 impl BoundTable {
+    /// The table for a storm whose field is `field` over `steps`.
+    fn for_steps(field: &StormField, steps: &[PassageStep]) -> Self {
+        let max_motion_06 = steps
+            .iter()
+            .map(|s| s.motion.motion_06.abs())
+            .fold(0.0, f64::max);
+        let f_min = steps
+            .iter()
+            .map(|s| s.abs_coriolis)
+            .fold(f64::INFINITY, f64::min);
+        let f_max = steps.iter().map(|s| s.abs_coriolis).fold(0.0, f64::max);
+        Self::new(field, max_motion_06, f_min, f_max)
+    }
+
     /// The table for a storm whose field is `field`, whose fastest
     /// step moves at `max_motion_06 / 0.6` and whose least and largest
     /// `|f|` over its steps are `f_min` and `f_max`.
     fn new(field: &StormField, max_motion_06: f64, f_min: f64, f_max: f64) -> Self {
         let rmax = field.rmax_km;
-        let row = |r: f64| {
-            let x = (rmax / r).powf(field.b);
+        let row = |r: f64, x: f64| {
             let term = field.b_dp_rho * x * (-x).exp();
             // `sqrt(term + c²) − c`, which falls as `c` rises, at the
             // least `c` of any step `r` or more away, and at the largest
@@ -800,14 +878,9 @@ impl BoundTable {
                 v_lo,
             }
         };
-        let mut rows = Vec::new();
-        let mut r = rmax;
-        while r < GATE_KM && rows.len() < TABLE_ROWS {
-            rows.push(row(r));
-            r *= TABLE_RATIO;
-        }
+        let mut rows: Vec<BoundRow> = radii(rmax, field.b).map(|(r, x)| row(r, x)).collect();
         if rmax < GATE_KM {
-            rows.push(row(GATE_KM));
+            rows.push(row(GATE_KM, (rmax / GATE_KM).powf(field.b)));
         }
         Self::from_rows(rows)
     }
@@ -849,6 +922,20 @@ impl BoundTable {
     }
 }
 
+/// The bound table's radii short of the gate, `rmax·1.1^k` for at most
+/// [`TABLE_ROWS`] rows, each with its `x = (rmax/r)^b`. Row `k`'s `x` is
+/// row `k − 1`'s times `1.1^(−b)`, one `powf` for the series: after at
+/// most 64 products it is within about `64·b` ulp (~2e-14) of the row's
+/// own `powf`, far inside the rows' `1e-9` slacks.
+fn radii(rmax: f64, b: f64) -> impl Iterator<Item = (f64, f64)> {
+    let ratio_b = TABLE_RATIO.powf(-b);
+    std::iter::successors(Some((rmax, 1.0)), move |&(r, x)| {
+        Some((r * TABLE_RATIO, x * ratio_b))
+    })
+    .take_while(|&(r, _)| r < GATE_KM)
+    .take(TABLE_ROWS)
+}
+
 /// Raises `bound` to `max`, a NaN bound to infinity, and returns the
 /// new running max.
 fn suffix_max(bound: &mut f64, max: f64) -> f64 {
@@ -857,6 +944,17 @@ fn suffix_max(bound: &mut f64, max: f64) -> f64 {
     }
     *bound = bound.max(max);
     *bound
+}
+
+impl Passage<'_> {
+    /// A capacity for the steps left, `(t_end − t)/dt + 1` and one more
+    /// for the rounding of the running `t`, up to 4096 steps: a vector
+    /// of that many does not grow as the passage fills it.
+    fn capacity(&self) -> usize {
+        // `as` takes NaN and negatives to 0.
+        let gaps = ((self.t_end - self.t) / self.step_hours) as usize;
+        gaps.saturating_add(2).min(1 << 12)
+    }
 }
 
 impl Iterator for Passage<'_> {
@@ -1089,6 +1187,137 @@ mod tests {
         });
     }
 
+    /// The time-ordered scalar fold a scan must equal: per site the
+    /// largest `wind_at(..).component_toward(b)` over its in-range
+    /// steps from `0.0`, zero's sign dropped, and its least haversine
+    /// over every step; the field error at the first in-range pair.
+    fn toward_fold(
+        s: &StormParams,
+        step_hours: f64,
+        sites: &[(LatLon, f64)],
+    ) -> Result<(Vec<f64>, Vec<f64>), HydroError> {
+        let mut peaks = vec![0.0_f64; sites.len()];
+        let mut closest = vec![f64::INFINITY; sites.len()];
+        let (t0, t1) = s.track.time_span_hours();
+        let mut t = t0;
+        while t <= t1 {
+            let center = s.track.position(t);
+            for (k, &(pos, b)) in sites.iter().enumerate() {
+                let d = center.distance_km(pos);
+                closest[k] = closest[k].min(d);
+                if d < GATE_KM {
+                    let v = s.wind_field(t)?.wind_at(center, pos).component_toward(b);
+                    peaks[k] = peaks[k].max(v);
+                }
+            }
+            t += step_hours;
+        }
+        Ok((peaks.iter().map(|p| p + 0.0).collect(), closest))
+    }
+
+    /// Surge sites visited best-first give the time-ordered fold's
+    /// peaks and closest approaches bit for bit: 1–8 sites at random
+    /// bearings, sites about the gate's distance from a step, sites
+    /// never in range, and steps mirrored about a site across the
+    /// circulation's onshore direction there, whose onshore bounds tie.
+    /// Every pair is counted once and costs at most one haversine; an
+    /// unphysical storm returns the field error.
+    #[test]
+    fn best_first_toward_scans_equal_the_time_ordered_fold() {
+        let (mut positive, mut ties, mut errors) = (0, 0, 0);
+        cases(256, |rng| {
+            let start = LatLon::new(rng.range_f64(10.0, 30.0), rng.range_f64(-165.0, -150.0));
+            let mut sites = Vec::new();
+            let mirrored = rng.below(4) == 0;
+            let (mut s, step_hours) = if mirrored {
+                // A track along a parallel, its steps at exact binary
+                // longitudes mirrored about the meridian of a site north
+                // or south of it, where φ is 0° or 180°.
+                let half = f64::from(1 << rng.below(4));
+                let (lon, d_lon) = (-158.0, 1.0 / 16.0);
+                let point = |t_hours, lon| TrackPoint {
+                    t_hours,
+                    pos: LatLon::new(start.lat, lon),
+                };
+                let track = StormTrack::new(vec![
+                    point(0.0, lon - half * d_lon),
+                    point(2.0 * half, lon + half * d_lon),
+                ])
+                .unwrap();
+                let d_lat = rng.range_f64(0.2, 3.0);
+                for (d_lat, phi) in [(d_lat, 0.0), (-d_lat, 180.0)] {
+                    let b = (phi - 90.0 - INFLOW_ANGLE_DEG).rem_euclid(360.0);
+                    sites.push((LatLon::new(start.lat + d_lat, lon), b));
+                }
+                (storm(track), 1.0)
+            } else {
+                let track = StormTrack::straight(
+                    start,
+                    rng.range_f64(0.0, 360.0),
+                    rng.range_f64(0.5, 15.0),
+                    rng.range_f64(6.0, 48.0),
+                )
+                .unwrap();
+                (storm(track), rng.range_f64(0.25, 2.0))
+            };
+            s.rmax_km = rng.range_f64(5.0, 80.0);
+            s.b = rng.range_f64(0.6, 3.4);
+            s.central_pressure_hpa = rng.range_f64(900.0, 1005.0);
+            let steps: Vec<PassageStep> = s.passage(step_hours).collect();
+            for _ in 0..=rng.below(8 - sites.len() as u64) {
+                let center = steps[rng.below(steps.len() as u64) as usize].center.pos();
+                let km = match rng.below(4) {
+                    0 => GATE_KM + rng.range_f64(-1e-3, 1e-3),
+                    1 => 5000.0,
+                    _ => rng.range_f64(0.0, 1.5 * GATE_KM),
+                };
+                let pos = center.destination(rng.range_f64(0.0, 360.0), km);
+                sites.push((pos, rng.range_f64(0.0, 360.0)));
+            }
+            let scan_sites = ScanSites::new(sites.iter().map(|&(pos, b)| (pos, PeakOf::Toward(b))));
+            if mirrored {
+                // Positive bounds that tie bit for bit, which only the
+                // step index orders.
+                let field = StormField::new(&s).unwrap();
+                let table = BoundTable::for_steps(&field, &steps);
+                for site in &scan_sites.sites[..2] {
+                    let bound = |step: &PassageStep| {
+                        let c2 = chord2(&step.unit, &site.unit);
+                        site.onshore_bound(step, &field, &table, c2)
+                    };
+                    ties += (0..steps.len() / 2)
+                        .filter(|&k| {
+                            let a = bound(&steps[k]).filter(|&a| a > 0.0);
+                            a.is_some() && a == bound(&steps[steps.len() - 1 - k])
+                        })
+                        .count();
+                }
+            }
+            let mut closest = vec![0.0; sites.len()];
+            let pairs = (steps.len() * sites.len()) as u64;
+            let (peaks, work) = s.scan(step_hours, &scan_sites, Some(&mut closest)).unwrap();
+            let (want_peaks, want_closest) = toward_fold(&s, step_hours, &sites).unwrap();
+            let bits = |v: &[f64]| v.iter().map(|p| (p + 0.0).to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&peaks), bits(&want_peaks), "{sites:?}");
+            assert_eq!(bits(&closest), bits(&want_closest), "{sites:?}");
+            assert_eq!(
+                work.evaluated + work.skipped + work.culled,
+                pairs,
+                "{work:?}"
+            );
+            assert!(work.haversines <= pairs, "{work:?}");
+            positive += peaks.iter().filter(|&&p| p > 0.0).count();
+            // The same storm without a pressure deficit.
+            s.central_pressure_hpa = s.ambient_pressure_hpa;
+            let want = toward_fold(&s, step_hours, &sites).map(|(zeros, _)| zeros);
+            errors += usize::from(want.is_err());
+            assert_eq!(s.peak_scan(step_hours, &scan_sites, None), want);
+        });
+        assert!(positive > 300, "only {positive} positive peaks");
+        assert!(ties > 10, "only {ties} tied bounds");
+        assert!(errors > 100, "only {errors} field errors");
+    }
+
     /// Two steps mirrored about a site's meridian tie for closest up
     /// to rounding, which orders their chords the other way in about one
     /// case in 25; the closest approach is still the least haversine.
@@ -1232,6 +1461,24 @@ mod tests {
         let site = &one_site(step.center.pos().destination(0.0, 100.0)).sites[0];
         let c2 = chord2(&step.unit, &site.unit);
         assert!(site.onshore_bound(&step, &field, &table, c2).is_none());
+    }
+
+    /// Each tabled radius's `x`, a product of the ratio's power, is
+    /// within `1e-12` relative of the `powf` at that radius.
+    #[test]
+    fn the_tabled_powers_match_powf() {
+        cases(256, |rng| {
+            let (rmax, b) = (rng.range_f64(5.0, 80.0), rng.range_f64(0.6, 3.4));
+            let rows: Vec<(f64, f64)> = radii(rmax, b).collect();
+            assert!(!rows.is_empty() && rows.len() <= TABLE_ROWS);
+            for (r, x) in rows {
+                let want = (rmax / r).powf(b);
+                assert!(
+                    (x - want).abs() <= 1e-12 * want,
+                    "r {r}: {x} against {want}"
+                );
+            }
+        });
     }
 
     #[test]

@@ -137,15 +137,17 @@ fn counters_and_span_tree_are_thread_count_invariant() {
     assert_eq!(count(ct_obs::names::HAZARD_REALIZATIONS_EVALUATED), 60);
     // The surge peak scans' work: full wind evaluations, in-range
     // steps skipped by the speed or direction bound, and steps culled
-    // before any trig, one add of each per scan. A tighter cull moves
-    // pairs from skipped to culled; their sum is the work offered. The
+    // before any trig, one add of each per scan. A tighter cull, or an
+    // order that raises the peak sooner, moves pairs from evaluated
+    // and skipped to culled; their sum is the work offered. The
     // haversines count the pairs' and the closest approaches' (10,521
-    // while every approaching step computed one for the latter).
-    assert_eq!(count(ct_obs::names::HYDRO_PEAK_SCAN_EVALUATED), 1933);
-    assert_eq!(count(ct_obs::names::HYDRO_PEAK_SCAN_SKIPPED), 671);
-    assert_eq!(count(ct_obs::names::HYDRO_PEAK_SCAN_CULLED), 11446);
+    // while every approaching step computed one for the latter, 2,636
+    // while the stations' pairs ran in time order).
+    assert_eq!(count(ct_obs::names::HYDRO_PEAK_SCAN_EVALUATED), 532);
+    assert_eq!(count(ct_obs::names::HYDRO_PEAK_SCAN_SKIPPED), 927);
+    assert_eq!(count(ct_obs::names::HYDRO_PEAK_SCAN_CULLED), 12591);
     assert_eq!(peak_scan_pairs(&count), 14050);
-    assert_eq!(count(ct_obs::names::HYDRO_PEAK_SCAN_HAVERSINES), 2636);
+    assert_eq!(count(ct_obs::names::HYDRO_PEAK_SCAN_HAVERSINES), 1649);
     let exposures = count(ct_obs::names::HAZARD_ASSET_EXPOSURES);
     assert!(
         exposures > 0 && exposures % 60 == 0,
@@ -176,11 +178,11 @@ fn counters_and_span_tree_are_thread_count_invariant() {
     assert_eq!(count(ct_obs::names::HYDRO_ENSEMBLES_SAMPLED), 1);
     assert_eq!(count(ct_obs::names::HYDRO_ENSEMBLE_NORMAL_DRAWS), 306);
     assert_eq!(count(ct_obs::names::HAZARD_REALIZATIONS_EVALUATED), 60);
-    assert_eq!(count(ct_obs::names::HYDRO_PEAK_SCAN_EVALUATED), 1933);
-    assert_eq!(count(ct_obs::names::HYDRO_PEAK_SCAN_SKIPPED), 671);
-    assert_eq!(count(ct_obs::names::HYDRO_PEAK_SCAN_CULLED), 11446);
+    assert_eq!(count(ct_obs::names::HYDRO_PEAK_SCAN_EVALUATED), 532);
+    assert_eq!(count(ct_obs::names::HYDRO_PEAK_SCAN_SKIPPED), 927);
+    assert_eq!(count(ct_obs::names::HYDRO_PEAK_SCAN_CULLED), 12591);
     assert_eq!(peak_scan_pairs(&count), 14050);
-    assert_eq!(count(ct_obs::names::HYDRO_PEAK_SCAN_HAVERSINES), 2636);
+    assert_eq!(count(ct_obs::names::HYDRO_PEAK_SCAN_HAVERSINES), 1649);
     assert_eq!(count(ct_obs::names::STORE_MISSES), 61);
     assert_eq!(count(ct_obs::names::STORE_HITS), 61);
     // The warm build reads the sites record alone and its 60 adjacent
