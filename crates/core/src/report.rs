@@ -2,9 +2,11 @@
 //! the "figures" are probability tables plus ASCII bars).
 
 use crate::figures::FigureData;
+use crate::placement::PlacementResult;
 use crate::profile::OutcomeProfile;
 use ct_hazard::HazardSpec;
-use ct_threat::OperationalState;
+use ct_scada::Architecture;
+use ct_threat::{OperationalState, ThreatScenario};
 use std::fmt::Write as _;
 
 /// The caption suffix that marks a figure computed under a non-paper
@@ -63,6 +65,33 @@ pub fn figure_csv(data: &FigureData) -> String {
             p.orange(),
             p.red(),
             p.gray()
+        )
+        .expect("writing to String cannot fail");
+    }
+    out
+}
+
+/// Renders a backup-site ranking (`ct placement`), best first, or the
+/// line saying `architecture` has no backup site to place.
+pub fn placement_table(
+    architecture: Architecture,
+    scenario: ThreatScenario,
+    ranking: &[PlacementResult],
+) -> String {
+    if ranking.is_empty() {
+        return format!("configuration {architecture} has no backup site to place\n");
+    }
+    let mut out = format!("Backup-site ranking for {architecture} under {scenario}:\n");
+    for (i, r) in ranking.iter().enumerate() {
+        writeln!(
+            out,
+            "  {:>2}. {:<16} green {:5.1}%  orange {:5.1}%  red {:5.1}%  gray {:5.1}%",
+            i + 1,
+            r.backup_asset_id,
+            100.0 * r.profile.green(),
+            100.0 * r.profile.orange(),
+            100.0 * r.profile.red(),
+            100.0 * r.profile.gray()
         )
         .expect("writing to String cannot fail");
     }

@@ -74,6 +74,8 @@ pub const SIMNET_EXPLORE_PRUNED: &str = "simnet.explore.pruned";
 pub const SIMNET_EXPLORE_CHOICE_POINTS: &str = "simnet.explore.choice_points";
 /// Conflicts past the exploration depth bound (heap-order fallback).
 pub const SIMNET_EXPLORE_DEPTH_TRUNCATED: &str = "simnet.explore.depth_truncated";
+/// Choice points whose ready set was capped at the branching bound.
+pub const SIMNET_EXPLORE_BRANCH_CAPPED: &str = "simnet.explore.branch_capped";
 /// Terminal states reached by exhaustive explorations.
 pub const SIMNET_EXPLORE_TERMINALS: &str = "simnet.explore.terminals";
 /// Protocol verdict executions.
@@ -269,6 +271,7 @@ pub fn register_defaults(registry: &crate::Registry) {
         SIMNET_EXPLORE_PRUNED,
         SIMNET_EXPLORE_CHOICE_POINTS,
         SIMNET_EXPLORE_DEPTH_TRUNCATED,
+        SIMNET_EXPLORE_BRANCH_CAPPED,
         SIMNET_EXPLORE_TERMINALS,
         REPLICATION_VERDICT_RUNS,
         CHECK_STATES_CHECKED,
@@ -341,7 +344,7 @@ mod tests {
         let reg = crate::Registry::new();
         register_defaults(&reg);
         let snap = reg.snapshot();
-        assert_eq!(snap.counters.len(), 77);
+        assert_eq!(snap.counters.len(), 78);
         assert_eq!(snap.counter(GEO_DEM_SYNTHESIZED), Some(0));
         assert_eq!(snap.counter(GEO_TERRAIN_CELLS_EVALUATED), Some(0));
         assert_eq!(snap.counter(GEO_TERRAIN_EDGES_EVALUATED), Some(0));

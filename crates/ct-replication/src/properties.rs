@@ -25,11 +25,27 @@
 //!    duplicate faults. Run `i` of a campaign with base seed `s` uses
 //!    schedule seed `s + i`, so any counterexample is replayed by a
 //!    single-schedule campaign at its reported seed.
+//!
+//! Exploration checks forged accepts and split brain after every
+//! event, and slot conflicts only at terminal states, in
+//! [`end_violation`]'s full scan. That scan sees every conflict
+//! because `Replica::committed_slots` is insert-only: its one write is
+//! a guarded insert, and recovery never clears it. A path's conflict
+//! count therefore never falls, and every path ends at a terminal
+//! (scanned), at a step violation (recorded anyway), at a prune
+//! (`committed_slots` is part of the state digest, so that state's
+//! subtree was already explored) or at the `max_states` stop (reported
+//! as `truncated`). The one case that counts differently from a
+//! per-event scan: a conflict on a path that merges into an
+//! already-explored state is reported in that state's subtree, not on
+//! the merging path; no Table I cell has such a path. A per-group slot
+//! map forked with the `Sim` would make a per-event scan cheap, but it
+//! would add forked state to keep a check that reports no violation
+//! first anywhere in the table.
 
 use crate::deployment::DeploymentSpec;
 use crate::verdict::{
-    prepare_run, slot_conflict_count, summarize, FaultScenario, ObservedState, SimVerdict,
-    VerdictConfig,
+    prepare_run, summarize, FaultScenario, ObservedState, PreparedRun, SimVerdict, VerdictConfig,
 };
 use crate::Role;
 use ct_simnet::{
@@ -37,12 +53,6 @@ use ct_simnet::{
     SimTime, SiteId,
 };
 use std::fmt;
-
-/// How often (in executed events) exploration re-runs the full
-/// slot-conflict scan; cheap checks run on every event and every
-/// terminal state runs the full scan, so this only bounds detection
-/// latency, not coverage.
-const SLOT_SCAN_EVERY: u64 = 64;
 
 /// The three checkable replication properties.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,13 +66,6 @@ pub enum ReplicationProperty {
 }
 
 impl ReplicationProperty {
-    /// All properties, in reporting order.
-    pub(crate) const ALL: [ReplicationProperty; 3] = [
-        ReplicationProperty::Agreement,
-        ReplicationProperty::NoSplitBrain,
-        ReplicationProperty::LivenessUnderQuorum,
-    ];
-
     /// Stable name used in violation records and CSV output.
     pub(crate) fn name(self) -> &'static str {
         match self {
@@ -163,45 +166,34 @@ pub(crate) fn authority_count(
     count
 }
 
-fn violation(property: ReplicationProperty, detail: String) -> Option<(String, String)> {
-    Some((property.name().to_string(), detail))
-}
+/// A violated property and what was seen.
+pub(crate) type Violation = (ReplicationProperty, String);
 
-/// Per-event property check: forged accepts and split brain on every
-/// event, the slot-conflict scan only when `scan_slots` (terminal
-/// states always scan via [`end_violation`]).
+/// Per-event property check: forged accepts and split brain. Slot
+/// conflicts are left to the terminal scan in [`end_violation`] (see
+/// the module doc for why that sees every one).
 fn step_violation(
     sim: &Sim<Role>,
     groups: &[Vec<NodeId>],
     clients: &[NodeId],
     field_site: SiteId,
-    scan_slots: bool,
-) -> Option<(String, String)> {
+) -> Option<Violation> {
     let bad: u64 = clients
         .iter()
         .map(|&c| sim.node(c).as_rtu().map_or(0, |r| r.bad_accepts))
         .sum();
     if bad > 0 {
-        return violation(
+        return Some((
             ReplicationProperty::Agreement,
             format!("{bad} forged response(s) accepted by the field"),
-        );
+        ));
     }
     let authorities = authority_count(sim, groups, field_site);
     if authorities > 1 {
-        return violation(
+        return Some((
             ReplicationProperty::NoSplitBrain,
             format!("{authorities} independent authorities can answer the field"),
-        );
-    }
-    if scan_slots {
-        let conflicts = slot_conflict_count(sim, groups);
-        if conflicts > 0 {
-            return violation(
-                ReplicationProperty::Agreement,
-                format!("{conflicts} conflicting slot commit(s)"),
-            );
-        }
+        ));
     }
     None
 }
@@ -214,35 +206,35 @@ fn end_violation(
     groups: &[Vec<NodeId>],
     field_site: SiteId,
     v: &SimVerdict,
-) -> Option<(String, String)> {
+) -> Option<Violation> {
     if v.bad_accepts > 0 {
-        return violation(
+        return Some((
             ReplicationProperty::Agreement,
             format!("{} forged response(s) accepted by the field", v.bad_accepts),
-        );
+        ));
     }
     if v.slot_conflicts > 0 {
-        return violation(
+        return Some((
             ReplicationProperty::Agreement,
             format!("{} conflicting slot commit(s)", v.slot_conflicts),
-        );
+        ));
     }
     let authorities = authority_count(sim, groups, field_site);
     if authorities > 1 {
-        return violation(
+        return Some((
             ReplicationProperty::NoSplitBrain,
             format!("{authorities} independent authorities can answer the field"),
-        );
+        ));
     }
     if authorities >= 1 && !v.resumed {
-        return violation(
+        return Some((
             ReplicationProperty::LivenessUnderQuorum,
             format!(
                 "an authority can answer the field but service did not resume \
                  (accepted={} over the run)",
                 v.accepted
             ),
-        );
+        ));
     }
     None
 }
@@ -253,7 +245,7 @@ pub struct ExploreOutcome {
     /// Search counters.
     pub stats: ExploreStats,
     /// Property violations with replayable choice-point traces.
-    pub violations: Vec<ExploreViolation>,
+    pub violations: Vec<ExploreViolation<Violation>>,
     /// Worst observed state across all terminals and violations.
     pub worst: ObservedState,
 }
@@ -275,45 +267,44 @@ pub fn explore_scenario(
 ) -> ExploreOutcome {
     let mut config = *config;
     config.run_duration = explore.horizon;
-    let prepared = prepare_run(spec, scenario, &config);
-    let groups = prepared.groups;
-    let clients = prepared.clients;
-    let field_site = prepared.field_site;
-    let mut sim = prepared.sim;
+    explore_prepared(prepare_run(spec, scenario, &config), &config, explore)
+}
+
+/// [`explore_scenario`]'s search over an already prepared run, with
+/// the verdict horizon already aligned.
+fn explore_prepared(
+    prepared: PreparedRun,
+    config: &VerdictConfig,
+    explore: &ExploreConfig,
+) -> ExploreOutcome {
+    let PreparedRun {
+        mut sim,
+        groups,
+        clients,
+        field_site,
+    } = prepared;
     sim.set_jitter(0.0);
 
-    let mut explorer = Explorer::new(sim, *explore);
-    let mut steps = 0u64;
-    let report = explorer.run(
+    let report = Explorer::new(sim, *explore).run(
+        |sim| step_violation(sim, &groups, &clients, field_site),
         |sim| {
-            steps += 1;
-            step_violation(
-                sim,
-                &groups,
-                &clients,
-                field_site,
-                steps.is_multiple_of(SLOT_SCAN_EVERY),
-            )
-        },
-        |sim| {
-            let v = summarize(sim, &groups, &clients, &config);
+            let v = summarize(sim, &groups, &clients, config);
             let end = end_violation(sim, &groups, field_site, &v);
             (end, v)
         },
     );
 
-    let mut worst = report
+    let worst = report
         .terminals
         .iter()
         .map(|v| v.state)
+        .chain(
+            report
+                .violations
+                .iter()
+                .map(|v| v.violation.0.implied_state()),
+        )
         .fold(ObservedState::Green, worse);
-    for v in &report.violations {
-        for property in ReplicationProperty::ALL {
-            if v.property == property.name() {
-                worst = worse(worst, property.implied_state());
-            }
-        }
-    }
     ExploreOutcome {
         stats: report.stats,
         violations: report.violations,
@@ -332,8 +323,6 @@ pub struct CampaignViolation {
     /// Schedule seed of the violating run: a one-schedule campaign
     /// with this base seed reproduces it exactly.
     pub seed: u64,
-    /// Index of the run within the campaign.
-    pub(crate) run_index: u64,
 }
 
 /// Result of a randomized schedule campaign.
@@ -419,18 +408,13 @@ pub fn randomized_campaign(
             stats.schedule_discards + stats.schedule_delays + stats.schedule_duplicates;
         let v = summarize(&prepared.sim, &prepared.groups, &prepared.clients, config);
         out.count(v.state);
-        if let Some((name, detail)) =
+        if let Some((property, detail)) =
             end_violation(&prepared.sim, &prepared.groups, prepared.field_site, &v)
         {
-            let property = ReplicationProperty::ALL
-                .into_iter()
-                .find(|p| p.name() == name)
-                .expect("end_violation names a known property");
             out.violations.push(CampaignViolation {
                 property,
                 detail,
                 seed,
-                run_index: i,
             });
         }
     }
@@ -440,6 +424,7 @@ pub fn randomized_campaign(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     fn cfg() -> VerdictConfig {
         VerdictConfig {
@@ -491,7 +476,107 @@ mod tests {
         assert!(out
             .violations
             .iter()
-            .all(|v| v.property == ReplicationProperty::Agreement.name()));
+            .all(|v| v.violation.0 == ReplicationProperty::Agreement));
+    }
+
+    #[test]
+    fn a_conflict_committed_before_the_first_event_is_reported_at_every_terminal() {
+        // Two replicas of the one group disagree on slot (0, 0) before
+        // anything runs. No per-event check scans slots, so every
+        // explored path must carry the conflict to its terminal scan.
+        let config = cfg();
+        let prepared = prepare_run(
+            &DeploymentSpec {
+                rtu_count: 1,
+                ..DeploymentSpec::config_6()
+            },
+            &FaultScenario::benign(),
+            &config,
+        );
+        let mut nodes = prepared.sim.nodes().to_vec();
+        for (node, req) in prepared.groups[0].iter().zip([1, 2]) {
+            let Role::Replica(r) = &mut nodes[node.0] else {
+                panic!("config 6 runs replicas");
+            };
+            r.committed_slots.insert((0, 0), req);
+        }
+        let sim = Sim::new(prepared.sim.net_config().clone(), config.seed, nodes);
+        let out = explore_prepared(PreparedRun { sim, ..prepared }, &config, &explore_cfg());
+        assert!(out.stats.terminals >= 1);
+        assert_eq!(out.violations.len() as u64, out.stats.terminals);
+        assert!(out
+            .violations
+            .iter()
+            .all(|v| v.violation.0 == ReplicationProperty::Agreement));
+        assert_eq!(out.worst, ObservedState::Gray);
+    }
+
+    /// Explores `scenario` on 6-6 at depth 0 and asserts after every
+    /// event that each replica's `committed_slots` still holds every
+    /// entry it held before; returns the final logs. At depth 0 the
+    /// explorer follows one schedule, so the state before an event is
+    /// the one the previous call saw.
+    fn slots_only_grow(
+        scenario: &FaultScenario,
+        horizon: SimTime,
+    ) -> Vec<BTreeMap<(u64, u64), u64>> {
+        let prepared = prepare_run(
+            &DeploymentSpec {
+                rtu_count: 1,
+                ..DeploymentSpec::config_6_6()
+            },
+            scenario,
+            &cfg(),
+        );
+        let mut prior: Vec<_> = prepared
+            .sim
+            .nodes()
+            .iter()
+            .filter_map(|n| n.as_replica().map(|r| r.committed_slots.clone()))
+            .collect();
+        let explore = ExploreConfig {
+            horizon,
+            max_depth: 0,
+            ..explore_cfg()
+        };
+        let report = Explorer::new(prepared.sim, explore).run(
+            |sim| {
+                let replicas = sim.nodes().iter().filter_map(Role::as_replica);
+                for (r, before) in replicas.zip(&mut prior) {
+                    let after = &r.committed_slots;
+                    for (slot, req) in before.iter() {
+                        assert_eq!(after.get(slot), Some(req), "slot {slot:?} changed");
+                    }
+                    if after.len() > before.len() {
+                        before.clone_from(after);
+                    }
+                }
+                None::<()>
+            },
+            |_| (None, ()),
+        );
+        assert_eq!(report.stats.terminals, 1);
+        prior
+    }
+
+    #[test]
+    fn committed_slots_only_grow_through_view_changes_recovery_and_activation() {
+        // Benign: the view-0 leader's proactive recovery from 10 to
+        // 13 s stalls requests until a view change at 12 s.
+        let benign = slots_only_grow(&FaultScenario::benign(), SimTime::from_secs(14.0));
+        assert!(benign
+            .iter()
+            .any(|log| log.keys().any(|&(view, _)| view > 0)));
+        // Isolation of the primary site at 10 s: the cold site takes
+        // over and commits from 32 s on.
+        let isolated = slots_only_grow(
+            &FaultScenario {
+                isolated_sites: vec![0],
+                ..FaultScenario::default()
+            },
+            SimTime::from_secs(33.0),
+        );
+        assert!(isolated[6..].iter().all(|log| !log.is_empty()));
     }
 
     #[test]

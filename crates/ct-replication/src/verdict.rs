@@ -170,8 +170,9 @@ pub fn run_scenario(
 
 /// Counts slots where two replicas in the same group committed
 /// different requests (divergent state machines) — the agreement
-/// property's safety scan, also used per-step by exploration.
-pub(crate) fn slot_conflict_count(sim: &Sim<Role>, groups: &[Vec<NodeId>]) -> u64 {
+/// property's safety scan, run once per finished run or explored
+/// terminal state.
+fn slot_conflict_count(sim: &Sim<Role>, groups: &[Vec<NodeId>]) -> u64 {
     let mut slot_conflicts = 0u64;
     for group in groups {
         let mut by_slot: BTreeMap<(u64, u64), u64> = BTreeMap::new();

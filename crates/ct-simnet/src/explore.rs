@@ -27,7 +27,7 @@
 //! deterministic: counters are identical across `CT_THREADS`.
 
 use crate::actor::Actor;
-use crate::sim::{EventKind, Sim};
+use crate::sim::{EventKind, Sim, SimStats};
 use crate::time::SimTime;
 use ct_store::{Digest, StableHasher};
 use std::collections::HashSet;
@@ -145,19 +145,15 @@ pub struct ExploreStats {
     pub(crate) branch_capped: u64,
     /// Terminal states reached (horizon or quiescence).
     pub terminals: u64,
-    /// Deepest choice-point depth reached.
-    pub(crate) max_depth_reached: usize,
     /// Whether the search hit `max_states` and stopped early.
     pub truncated: bool,
 }
 
 /// A property violation found on some explored path.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ExploreViolation {
-    /// Short property name (e.g. `"agreement"`).
-    pub property: String,
-    /// Human-readable description of what failed.
-    pub(crate) detail: String,
+pub struct ExploreViolation<V> {
+    /// What the checker reported.
+    pub violation: V,
     /// Branch indices taken at each choice point to reach the
     /// violating state.
     pub trace: Vec<usize>,
@@ -168,11 +164,11 @@ pub struct ExploreViolation {
 /// The result of an exploration: counters, violations, and one
 /// checker-produced summary per terminal state.
 #[derive(Debug, Clone)]
-pub struct ExploreReport<R> {
+pub struct ExploreReport<V, R> {
     /// Search counters.
     pub stats: ExploreStats,
     /// All property violations found, in DFS order.
-    pub violations: Vec<ExploreViolation>,
+    pub violations: Vec<ExploreViolation<V>>,
     /// Terminal-state summaries, in DFS order.
     pub terminals: Vec<R>,
 }
@@ -184,8 +180,8 @@ pub struct ExploreReport<R> {
 /// checker callbacks drive property evaluation:
 ///
 /// * `on_step(&Sim)` after every executed event — return
-///   `Some((property, detail))` to record a violation and stop
-///   extending that path;
+///   `Some(violation)` to record a violation and stop extending that
+///   path;
 /// * `on_terminal(&Sim)` at every terminal state — returns an
 ///   optional violation plus a summary value (e.g. a verdict) that
 ///   is collected into [`ExploreReport::terminals`].
@@ -204,12 +200,13 @@ where
         Self { root: sim, config }
     }
 
-    /// Runs the bounded exhaustive search and reports the counters
-    /// through ct-obs (`simnet.explore.*`).
-    pub fn run<S, T, R>(&mut self, mut on_step: S, mut on_terminal: T) -> ExploreReport<R>
+    /// Runs the bounded exhaustive search and reports its counters,
+    /// and the simulation work of every explored event, through
+    /// ct-obs (`simnet.explore.*`, `simnet.events_dispatched`, …).
+    pub fn run<V, S, T, R>(&mut self, mut on_step: S, mut on_terminal: T) -> ExploreReport<V, R>
     where
-        S: FnMut(&Sim<A>) -> Option<(String, String)>,
-        T: FnMut(&Sim<A>) -> (Option<(String, String)>, R),
+        S: FnMut(&Sim<A>) -> Option<V>,
+        T: FnMut(&Sim<A>) -> (Option<V>, R),
     {
         let mut root = self.root.clone();
         root.start_now();
@@ -217,11 +214,13 @@ where
             config: self.config,
             seen: HashSet::new(),
             stats: ExploreStats::default(),
+            work: SimStats::default(),
             violations: Vec::new(),
             terminals: Vec::new(),
             trace: Vec::new(),
         };
         search.dfs(root, 0, &mut on_step, &mut on_terminal);
+        search.work.report();
         ct_obs::add(ct_obs::names::SIMNET_EXPLORE_VISITED, search.stats.visited);
         ct_obs::add(ct_obs::names::SIMNET_EXPLORE_PRUNED, search.stats.pruned);
         ct_obs::add(
@@ -231,6 +230,10 @@ where
         ct_obs::add(
             ct_obs::names::SIMNET_EXPLORE_DEPTH_TRUNCATED,
             search.stats.depth_truncated,
+        );
+        ct_obs::add(
+            ct_obs::names::SIMNET_EXPLORE_BRANCH_CAPPED,
+            search.stats.branch_capped,
         );
         ct_obs::add(
             ct_obs::names::SIMNET_EXPLORE_TERMINALS,
@@ -264,24 +267,25 @@ fn has_conflict<A: Actor>(sim: &Sim<A>, ready: &[(SimTime, u64, usize)]) -> bool
 }
 
 /// DFS bookkeeping for one `Explorer::run`.
-struct Search<R> {
+struct Search<V, R> {
     config: ExploreConfig,
     seen: HashSet<Digest>,
     stats: ExploreStats,
-    violations: Vec<ExploreViolation>,
+    /// Simulation counters summed over every executed event.
+    work: SimStats,
+    violations: Vec<ExploreViolation<V>>,
     terminals: Vec<R>,
     trace: Vec<usize>,
 }
 
-impl<R> Search<R> {
+impl<V, R> Search<V, R> {
     fn dfs<A, S, T>(&mut self, mut sim: Sim<A>, depth: usize, on_step: &mut S, on_terminal: &mut T)
     where
         A: Actor + Clone + StateHash,
         A::Msg: StateHash,
-        S: FnMut(&Sim<A>) -> Option<(String, String)>,
-        T: FnMut(&Sim<A>) -> (Option<(String, String)>, R),
+        S: FnMut(&Sim<A>) -> Option<V>,
+        T: FnMut(&Sim<A>) -> (Option<V>, R),
     {
-        self.stats.max_depth_reached = self.stats.max_depth_reached.max(depth);
         loop {
             if self.stats.visited >= self.config.max_states {
                 self.stats.truncated = true;
@@ -296,8 +300,8 @@ impl<R> Search<R> {
                 // Horizon reached (or quiescent): terminal state.
                 self.stats.terminals += 1;
                 let (violation, summary) = on_terminal(&sim);
-                if let Some((property, detail)) = violation {
-                    self.record(property, detail, sim.now());
+                if let Some(violation) = violation {
+                    self.record(violation, sim.now());
                 }
                 self.terminals.push(summary);
                 return;
@@ -308,12 +312,7 @@ impl<R> Search<R> {
                     self.stats.depth_truncated += 1;
                 }
                 // Forced (or commuting) prefix: run in heap order.
-                let idx = ready[0].2;
-                let event = sim.take_event(idx).expect("ready event is live");
-                sim.execute_event(event);
-                self.stats.visited += 1;
-                if let Some((property, detail)) = on_step(&sim) {
-                    self.record(property, detail, sim.now());
+                if self.step(&mut sim, ready[0].2, on_step) {
                     return;
                 }
                 continue;
@@ -329,13 +328,8 @@ impl<R> Search<R> {
             }
             for (branch, r) in ready.iter().enumerate() {
                 let mut child = sim.clone();
-                let event = child.take_event(r.2).expect("ready event is live");
-                child.execute_event(event);
-                self.stats.visited += 1;
                 self.trace.push(branch);
-                if let Some((property, detail)) = on_step(&child) {
-                    self.record(property, detail, child.now());
-                } else {
+                if !self.step(&mut child, r.2, on_step) {
                     self.dfs(child, depth + 1, on_step, on_terminal);
                 }
                 self.trace.pop();
@@ -344,10 +338,28 @@ impl<R> Search<R> {
         }
     }
 
-    fn record(&mut self, property: String, detail: String, at: SimTime) {
+    /// Executes the ready event `idx` and checks the state it leaves;
+    /// true when that state violates a property (recorded here).
+    fn step<A, S>(&mut self, sim: &mut Sim<A>, idx: usize, on_step: &mut S) -> bool
+    where
+        A: Actor,
+        S: FnMut(&Sim<A>) -> Option<V>,
+    {
+        let before = sim.stats();
+        let event = sim.take_event(idx).expect("ready event is live");
+        sim.execute_event(event);
+        self.work.add_delta(before, sim.stats());
+        self.stats.visited += 1;
+        let Some(violation) = on_step(sim) else {
+            return false;
+        };
+        self.record(violation, sim.now());
+        true
+    }
+
+    fn record(&mut self, violation: V, at: SimTime) {
         self.violations.push(ExploreViolation {
-            property,
-            detail,
+            violation,
             trace: self.trace.clone(),
             at,
         });
@@ -540,7 +552,7 @@ mod tests {
     #[test]
     fn explorer_sees_both_orders_of_a_race() {
         let mut explorer = Explorer::new(racing_sim(), explore_cfg());
-        let report = explorer.run(|_sim| None, |sim| (None, sim.node(NodeId(0)).value));
+        let report = explorer.run(|_sim| None::<()>, |sim| (None, sim.node(NodeId(0)).value));
         let mut finals = report.terminals.clone();
         finals.sort_unstable();
         assert_eq!(finals, vec![11, 22]);
@@ -568,7 +580,7 @@ mod tests {
             ],
         );
         let mut explorer = Explorer::new(sim, explore_cfg());
-        let report = explorer.run(|_| None, |sim| (None, sim.node(NodeId(0)).value));
+        let report = explorer.run(|_| None::<()>, |sim| (None, sim.node(NodeId(0)).value));
         assert_eq!(report.stats.choice_points, 0);
         assert_eq!(report.stats.terminals, 1);
         assert_eq!(report.terminals, vec![5]);
@@ -589,7 +601,7 @@ mod tests {
         );
         assert_eq!(report.violations.len(), 1);
         let violation = &report.violations[0];
-        assert_eq!(violation.property, "no-22");
+        assert_eq!(violation.violation.0, "no-22");
         let replayed = explorer.replay(&violation.trace);
         assert_eq!(replayed.node(NodeId(0)).value, 22);
         assert_eq!(report.stats.terminals, 2);
@@ -599,7 +611,7 @@ mod tests {
     fn exploration_is_deterministic() {
         let run = || {
             let mut explorer = Explorer::new(racing_sim(), explore_cfg());
-            let report = explorer.run(|_| None, |sim| (None, sim.node(NodeId(0)).value));
+            let report = explorer.run(|_| None::<()>, |sim| (None, sim.node(NodeId(0)).value));
             (report.stats, report.terminals)
         };
         assert_eq!(run(), run());

@@ -50,6 +50,43 @@ pub struct SimStats {
     pub schedule_duplicates: u64,
 }
 
+impl SimStats {
+    /// Adds the work done between `before` and `after`, two snapshots
+    /// of one run's stats.
+    pub(crate) fn add_delta(&mut self, before: SimStats, after: SimStats) {
+        self.delivered += after.delivered - before.delivered;
+        self.dropped += after.dropped - before.dropped;
+        self.timers_fired += after.timers_fired - before.timers_fired;
+        self.timers_suppressed += after.timers_suppressed - before.timers_suppressed;
+        self.faults_applied += after.faults_applied - before.faults_applied;
+        self.schedule_discards += after.schedule_discards - before.schedule_discards;
+        self.schedule_delays += after.schedule_delays - before.schedule_delays;
+        self.schedule_duplicates += after.schedule_duplicates - before.schedule_duplicates;
+    }
+
+    /// Adds these counts to the `simnet.*` counters of ct-obs.
+    pub(crate) fn report(&self) {
+        ct_obs::add(
+            ct_obs::names::SIMNET_EVENTS_DISPATCHED,
+            self.delivered + self.timers_fired + self.faults_applied,
+        );
+        ct_obs::add(ct_obs::names::SIMNET_MESSAGES_DROPPED, self.dropped);
+        ct_obs::add(
+            ct_obs::names::SIMNET_TIMERS_SUPPRESSED,
+            self.timers_suppressed,
+        );
+        ct_obs::add(
+            ct_obs::names::SIMNET_SCHEDULE_DISCARDS,
+            self.schedule_discards,
+        );
+        ct_obs::add(ct_obs::names::SIMNET_SCHEDULE_DELAYS, self.schedule_delays);
+        ct_obs::add(
+            ct_obs::names::SIMNET_SCHEDULE_DUPLICATES,
+            self.schedule_duplicates,
+        );
+    }
+}
+
 /// Randomized-schedule state: the distribution and its own RNG
 /// stream (separate from the latency stream so enabling schedule
 /// faults never perturbs latency draws).
@@ -405,32 +442,9 @@ impl<A: Actor> Sim<A> {
         }
         // Stats are cumulative across run_until calls; report only
         // this call's work to the observability layer.
-        ct_obs::add(
-            ct_obs::names::SIMNET_EVENTS_DISPATCHED,
-            (self.stats.delivered - entry_stats.delivered)
-                + (self.stats.timers_fired - entry_stats.timers_fired)
-                + (self.stats.faults_applied - entry_stats.faults_applied),
-        );
-        ct_obs::add(
-            ct_obs::names::SIMNET_MESSAGES_DROPPED,
-            self.stats.dropped - entry_stats.dropped,
-        );
-        ct_obs::add(
-            ct_obs::names::SIMNET_TIMERS_SUPPRESSED,
-            self.stats.timers_suppressed - entry_stats.timers_suppressed,
-        );
-        ct_obs::add(
-            ct_obs::names::SIMNET_SCHEDULE_DISCARDS,
-            self.stats.schedule_discards - entry_stats.schedule_discards,
-        );
-        ct_obs::add(
-            ct_obs::names::SIMNET_SCHEDULE_DELAYS,
-            self.stats.schedule_delays - entry_stats.schedule_delays,
-        );
-        ct_obs::add(
-            ct_obs::names::SIMNET_SCHEDULE_DUPLICATES,
-            self.stats.schedule_duplicates - entry_stats.schedule_duplicates,
-        );
+        let mut work = SimStats::default();
+        work.add_delta(entry_stats, self.stats);
+        work.report();
         self.stats
     }
 

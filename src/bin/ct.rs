@@ -36,7 +36,7 @@ use compound_threats::prelude::{
     bench_serve, run_shard, BenchMode, BenchOp, BenchServeOptions, HazardSpec, ProbeQuery,
     ServeOptions, Server, ShardSpec, Store, StoreBackend, StoreUrl,
 };
-use compound_threats::report::{figure_csv, figure_table, profile_bar};
+use compound_threats::report::{figure_csv, figure_table, placement_table, profile_bar};
 use compound_threats::{CaseStudy, CaseStudyConfig};
 use compound_threats_suite::cli::{CliArgs, CommandSpec, FlagSpec};
 use ct_scada::{export, oahu, Architecture};
@@ -592,22 +592,7 @@ fn run_command(args: &CliArgs) -> Result<ExitCode, Box<dyn std::error::Error>> {
                 args.positional(1).expect("required positional").parse()?;
             let study = build_study(args)?;
             let ranking = rank_backup_sites(&study, arch, scenario)?;
-            if ranking.is_empty() {
-                println!("configuration {arch} has no backup site to place");
-                return Ok(ExitCode::SUCCESS);
-            }
-            println!("Backup-site ranking for {arch} under {scenario}:");
-            for (i, r) in ranking.iter().enumerate() {
-                println!(
-                    "  {:>2}. {:<16} green {:5.1}%  orange {:5.1}%  red {:5.1}%  gray {:5.1}%",
-                    i + 1,
-                    r.backup_asset_id,
-                    100.0 * r.profile.green(),
-                    100.0 * r.profile.orange(),
-                    100.0 * r.profile.red(),
-                    100.0 * r.profile.gray()
-                );
-            }
+            print!("{}", placement_table(arch, scenario, &ranking));
         }
         "check" => {
             let architectures = match args.value("--arch") {

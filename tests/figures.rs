@@ -5,19 +5,43 @@
 //! property of their proprietary ADCIRC run — but every *shape* the
 //! paper reports must hold, and the headline probability must land
 //! within a few points of theirs. Our own outputs are pinned exactly:
-//! the figure CSV of every hazard and the Honolulu flood count.
+//! the figure CSV and the per-realization CSV of every hazard, the
+//! Honolulu flood count and one backup-site ranking.
 
 use compound_threats::figures::{reproduce, reproduce_all, Figure};
-use compound_threats::report::figure_csv;
+use compound_threats::placement::rank_backup_sites;
+use compound_threats::report::{figure_csv, placement_table};
 use compound_threats::{CaseStudy, CaseStudyConfig, OutcomeProfile};
 use ct_hazard::HazardSpec;
+use ct_hydro::export::realizations_to_csv;
 use ct_scada::Architecture::{C2, C2_2, C6, C6P6P6, C6_6};
 use ct_store::StableHasher;
+use ct_threat::ThreatScenario;
 use std::sync::OnceLock;
 
 fn study() -> &'static CaseStudy {
-    static STUDY: OnceLock<CaseStudy> = OnceLock::new();
-    STUDY.get_or_init(|| CaseStudy::build(&CaseStudyConfig::default()).expect("case study builds"))
+    study_for(HazardSpec::Surge)
+}
+
+/// The paper's 1000-realization study under `hazard`, built once per
+/// test binary.
+fn study_for(hazard: HazardSpec) -> &'static CaseStudy {
+    static STUDIES: [OnceLock<CaseStudy>; 3] = [OnceLock::new(), OnceLock::new(), OnceLock::new()];
+    let slot = match hazard {
+        HazardSpec::Surge => 0,
+        HazardSpec::Wind => 1,
+        HazardSpec::Compound => 2,
+    };
+    STUDIES[slot].get_or_init(|| {
+        let config = CaseStudyConfig::builder().hazard(hazard).build().unwrap();
+        CaseStudy::build(&config).expect("case study builds")
+    })
+}
+
+fn digest(bytes: &str) -> String {
+    let mut hasher = StableHasher::new();
+    hasher.update(bytes.as_bytes());
+    hasher.finish().to_hex()
 }
 
 fn profile(figure: Figure, arch: ct_scada::Architecture) -> OutcomeProfile {
@@ -202,22 +226,32 @@ fn figure_csvs_and_honolulu_floods_are_pinned() {
         (HazardSpec::Wind, "80dd7655c2efbe5903186d88c594d215"),
         (HazardSpec::Compound, "d8773a49e71b8ae89ae6478743b0cdc5"),
     ] {
-        let built;
-        let study = if hazard == HazardSpec::Surge {
-            study()
-        } else {
-            let config = CaseStudyConfig::builder().hazard(hazard).build().unwrap();
-            built = CaseStudy::build(&config).expect("case study builds");
-            &built
-        };
-        let figures = reproduce_all(study).expect("figures reproduce");
+        let figures = reproduce_all(study_for(hazard)).expect("figures reproduce");
         let csv: String = figures.iter().map(figure_csv).collect();
-        let mut hasher = StableHasher::new();
-        hasher.update(csv.as_bytes());
-        assert_eq!(
-            hasher.finish().to_hex(),
-            want,
-            "{hazard} figure CSV drifted"
-        );
+        assert_eq!(digest(&csv), want, "{hazard} figure CSV drifted");
     }
+}
+
+/// Pins the bytes of `ct hazard --hazard <h> --full --realizations
+/// 1000` for every hazard (sha256 `478f9936…`, `135a279b…`,
+/// `29781fb8…`) and of `ct placement 6-6 compound` (`eda7f401…`),
+/// through the library calls those commands print.
+#[test]
+fn hazard_realizations_and_placement_ranking_are_pinned() {
+    for (hazard, want) in [
+        (HazardSpec::Surge, "49d5f7772ee1245570cd2ebf81d20525"),
+        (HazardSpec::Wind, "ef2be6c9a0c2ea79b2eccf6a89795974"),
+        (HazardSpec::Compound, "76486e7eb3408bc8d9c7f20ae1415cad"),
+    ] {
+        let csv = realizations_to_csv(study_for(hazard).realizations());
+        assert_eq!(digest(&csv), want, "{hazard} realizations drifted");
+    }
+    let ranking =
+        rank_backup_sites(study(), C6_6, ThreatScenario::HurricaneIntrusionIsolation).unwrap();
+    let table = placement_table(C6_6, ThreatScenario::HurricaneIntrusionIsolation, &ranking);
+    assert_eq!(
+        digest(&table),
+        "6bde0a590f4e619d29e2ae755c335231",
+        "placement ranking drifted"
+    );
 }
